@@ -18,6 +18,11 @@ func FuzzParse(f *testing.F) {
 		`(x: A) (([: R] | [: S]))+ (y: B) -> (x) [e: D] (y).`,
 		`(x: A), not (x: B) -> (x: C).`,
 		`(x: A; p: "str", q: 1.5) -> (x: B).`,
+		// Once diverged from Vadalog: an exponent the printer emits, and
+		// aggregates missing their operands.
+		`(x: A; p: c), c > 1e+06 -> (x: B; q: 1e+21).`,
+		`(x: A; p: c), v = sum() -> (x: B; q: v).`,
+		`(x: A; p: c), v = pack(c) -> (x: B; q: v).`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -52,6 +57,9 @@ func FuzzPlanPattern(f *testing.F) {
 		`(x: Company), not (x: Listed)`,
 		`(x: Company; cap: k), k > 100, (x) [: OWNS] (y: Company; cap: j), j < k`,
 		`(x: Nowhere; ghost: g)`,
+		`(x: Company; cap: k), k > 1e+06`,
+		`(x: Company; cap: k), v = sum()`,
+		`(x: Company; cap: k), v = pack(k)`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,11 +2,8 @@ package metalog
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/vadalog"
-	"repro/internal/value"
 )
 
 // The concrete MetaLog grammar:
@@ -31,133 +28,51 @@ import (
 // The "." concatenation separator is accepted only inside parenthesized
 // groups, where it cannot collide with the rule terminator.
 
-type mtoken struct {
-	kind tokenKind
-	text string
-	line int
+// metalogSyntax is MetaLog's operator and punctuation set. Everything below
+// the rule and atom grammar — tokens, constants, expressions, aggregates,
+// annotations — is Vadalog's own parser (vadalog.Parser), so the expressions
+// MTV hands to Vadalog are the ones Vadalog itself would have parsed.
+var metalogSyntax = vadalog.Syntax{
+	Operators: []string{"->", "!=", "<=", ">=", "=="},
+	Punct:     "()[]{};:,.<>=+-*/|#@",
 }
 
-type tokenKind uint8
+type parser struct{ *vadalog.Parser }
 
-const (
-	tokEOF tokenKind = iota
-	tokIdent
-	tokString
-	tokNumber
-	tokPunct
-)
-
-func lexMetaLog(src string) ([]mtoken, error) {
-	var toks []mtoken
-	line := 1
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '%':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case isIdentStart(c):
-			start := i
-			for i < len(src) && isIdentPart(src[i]) {
-				i++
-			}
-			toks = append(toks, mtoken{tokIdent, src[start:i], line})
-		case c >= '0' && c <= '9':
-			start := i
-			i++
-			for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-				i++
-			}
-			if i+1 < len(src) && src[i] == '.' && src[i+1] >= '0' && src[i+1] <= '9' {
-				i++
-				for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-					i++
-				}
-			}
-			toks = append(toks, mtoken{tokNumber, src[start:i], line})
-		case c == '"':
-			start := i
-			i++
-			for i < len(src) && src[i] != '"' {
-				if src[i] == '\\' {
-					i++
-				}
-				if i < len(src) && src[i] == '\n' {
-					return nil, fmt.Errorf("line %d: unterminated string", line)
-				}
-				i++
-			}
-			if i >= len(src) {
-				return nil, fmt.Errorf("line %d: unterminated string", line)
-			}
-			i++
-			toks = append(toks, mtoken{tokString, src[start:i], line})
-		default:
-			matched := false
-			for _, op := range []string{"->", "!=", "<=", ">=", "=="} {
-				if strings.HasPrefix(src[i:], op) {
-					toks = append(toks, mtoken{tokPunct, op, line})
-					i += len(op)
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-			if strings.ContainsRune("()[]{};:,.<>=+-*/|#@", rune(c)) {
-				toks = append(toks, mtoken{tokPunct, string(c), line})
-				i++
-				continue
-			}
-			return nil, fmt.Errorf("line %d: unexpected character %q", line, string(c))
-		}
-	}
-	toks = append(toks, mtoken{tokEOF, "", line})
-	return toks, nil
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isIdentPart(c byte) bool {
-	return isIdentStart(c) || (c >= '0' && c <= '9')
-}
-
-type parser struct {
-	toks []mtoken
-	pos  int
+// newParser scans src for Parse and ParseBody, which put the "metalog:"
+// prefix on every error.
+func newParser(src string) (*parser, error) {
+	core, err := vadalog.NewParser(src, metalogSyntax)
+	return &parser{core}, err
 }
 
 // Parse parses a MetaLog program from its textual form.
 func Parse(src string) (*Program, error) {
-	toks, err := lexMetaLog(src)
+	prog, err := parseProgram(src)
 	if err != nil {
 		return nil, fmt.Errorf("metalog: %w", err)
 	}
-	p := &parser{toks: toks}
+	return prog, nil
+}
+
+func parseProgram(src string) (*Program, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
 	prog := &Program{}
-	for p.peek().kind != tokEOF {
-		if p.peek().kind == tokPunct && p.peek().text == "@" {
-			// Annotations share the Vadalog syntax exactly.
-			ann, err := p.parseAnnotation()
+	for p.Peek().Kind != vadalog.TokEOF {
+		if p.At("@") {
+			ann, err := p.ParseAnnotation()
 			if err != nil {
-				return nil, fmt.Errorf("metalog: %w", err)
+				return nil, err
 			}
 			prog.Annotations = append(prog.Annotations, ann)
 			continue
 		}
 		r, err := p.parseRule()
 		if err != nil {
-			return nil, fmt.Errorf("metalog: %w", err)
+			return nil, err
 		}
 		prog.Rules = append(prog.Rules, r)
 	}
@@ -174,75 +89,8 @@ func MustParse(src string) *Program {
 	return p
 }
 
-func (p *parser) peek() mtoken { return p.toks[p.pos] }
-func (p *parser) peekAt(n int) mtoken {
-	if p.pos+n < len(p.toks) {
-		return p.toks[p.pos+n]
-	}
-	return mtoken{kind: tokEOF}
-}
-func (p *parser) advance() mtoken {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
-func (p *parser) expect(text string) (mtoken, error) {
-	t := p.advance()
-	if t.kind != tokPunct || t.text != text {
-		return t, fmt.Errorf("line %d: expected %q, got %q", t.line, text, t.text)
-	}
-	return t, nil
-}
-func (p *parser) at(text string) bool {
-	t := p.peek()
-	return t.kind == tokPunct && t.text == text
-}
-
-func (p *parser) parseAnnotation() (vadalog.Annotation, error) {
-	if _, err := p.expect("@"); err != nil {
-		return vadalog.Annotation{}, err
-	}
-	name := p.advance()
-	if name.kind != tokIdent {
-		return vadalog.Annotation{}, fmt.Errorf("line %d: expected annotation name", name.line)
-	}
-	ann := vadalog.Annotation{Name: name.text, Line: name.line}
-	if _, err := p.expect("("); err != nil {
-		return vadalog.Annotation{}, err
-	}
-	for {
-		t := p.advance()
-		switch t.kind {
-		case tokString:
-			s, err := strconv.Unquote(t.text)
-			if err != nil {
-				return vadalog.Annotation{}, fmt.Errorf("line %d: bad string %s", t.line, t.text)
-			}
-			ann.Args = append(ann.Args, s)
-		case tokIdent, tokNumber:
-			ann.Args = append(ann.Args, t.text)
-		default:
-			return vadalog.Annotation{}, fmt.Errorf("line %d: expected annotation argument, got %q", t.line, t.text)
-		}
-		t = p.advance()
-		if t.kind == tokPunct && t.text == "," {
-			continue
-		}
-		if t.kind == tokPunct && t.text == ")" {
-			break
-		}
-		return vadalog.Annotation{}, fmt.Errorf("line %d: expected , or ) in annotation", t.line)
-	}
-	if _, err := p.expect("."); err != nil {
-		return vadalog.Annotation{}, err
-	}
-	return ann, nil
-}
-
 func (p *parser) parseRule() (Rule, error) {
-	line := p.peek().line
+	line := p.Peek().Line
 	r := Rule{Line: line}
 	for {
 		elem, err := p.parseBodyElem()
@@ -250,13 +98,13 @@ func (p *parser) parseRule() (Rule, error) {
 			return Rule{}, err
 		}
 		r.Body = append(r.Body, elem)
-		if p.at(",") {
-			p.advance()
+		if p.At(",") {
+			p.Advance()
 			continue
 		}
 		break
 	}
-	if _, err := p.expect("->"); err != nil {
+	if _, err := p.Expect("->"); err != nil {
 		return Rule{}, err
 	}
 	for {
@@ -268,13 +116,13 @@ func (p *parser) parseRule() (Rule, error) {
 			return Rule{}, err
 		}
 		r.Head = append(r.Head, ch)
-		if p.at(",") {
-			p.advance()
+		if p.At(",") {
+			p.Advance()
 			continue
 		}
 		break
 	}
-	if _, err := p.expect("."); err != nil {
+	if _, err := p.Expect("."); err != nil {
 		return Rule{}, err
 	}
 	return r, nil
@@ -296,29 +144,29 @@ func validateHeadChain(ch Chain, line int) error {
 }
 
 func (p *parser) parseBodyElem() (BodyElem, error) {
-	t := p.peek()
-	if t.kind == tokIdent && t.text == "not" && p.peekAt(1).kind == tokPunct && p.peekAt(1).text == "(" {
-		p.advance()
+	t := p.Peek()
+	if t.Kind == vadalog.TokIdent && t.Text == "not" && p.PeekAt(1).Is("(") {
+		p.Advance()
 		ch, err := p.parseChain()
 		if err != nil {
 			return BodyElem{}, err
 		}
 		if len(ch.Paths) > 1 {
-			return BodyElem{}, fmt.Errorf("line %d: negated patterns must be a single node atom or edge step", t.line)
+			return BodyElem{}, fmt.Errorf("line %d: negated patterns must be a single node atom or edge step", t.Line)
 		}
 		return BodyElem{Kind: BodyNegChain, Chain: ch}, nil
 	}
-	if t.kind == tokPunct && t.text == "(" {
+	if t.Is("(") {
 		// Could be a node atom or a parenthesized expression; try the node
 		// atom first and backtrack on failure.
-		save := p.pos
+		save := p.Mark()
 		ch, err := p.parseChain()
 		if err == nil {
 			return BodyElem{Kind: BodyChain, Chain: ch}, nil
 		}
-		p.pos = save
+		p.Reset(save)
 	}
-	e, err := p.parseExpr(0)
+	e, err := p.ParseExpr()
 	if err != nil {
 		return BodyElem{}, err
 	}
@@ -336,7 +184,7 @@ func (p *parser) parseChain() (Chain, error) {
 		// A path factor begins with "[" or with "(" that opens a group; the
 		// latter is distinguished from a following node atom by attempting
 		// the path parse with backtracking.
-		if p.at("[") {
+		if p.At("[") {
 			pe, err := p.parsePathExpr()
 			if err != nil {
 				return Chain{}, err
@@ -349,8 +197,8 @@ func (p *parser) parseChain() (Chain, error) {
 			ch.Nodes = append(ch.Nodes, n)
 			continue
 		}
-		if p.at("(") {
-			save := p.pos
+		if p.At("(") {
+			save := p.Mark()
 			pe, err := p.parsePathExpr()
 			if err == nil {
 				n, nerr := p.parseNodeAtom()
@@ -360,7 +208,7 @@ func (p *parser) parseChain() (Chain, error) {
 					continue
 				}
 			}
-			p.pos = save
+			p.Reset(save)
 		}
 		return ch, nil
 	}
@@ -370,39 +218,39 @@ func (p *parser) parseChain() (Chain, error) {
 func (p *parser) parsePathExpr() (PathExpr, error) {
 	var parts []PathExpr
 	for {
-		if p.at("[") {
+		if p.At("[") {
 			e, err := p.parseEdgeAtom()
 			if err != nil {
 				return nil, err
 			}
 			parts = append(parts, Step{Edge: e})
-		} else if p.at("(") {
+		} else if p.At("(") {
 			// A group is only a path group if it starts a group expression,
 			// not a node atom; try and backtrack.
-			save := p.pos
+			save := p.Mark()
 			g, err := p.parseGroup()
 			if err != nil {
-				p.pos = save
+				p.Reset(save)
 				break
 			}
 			parts = append(parts, g)
 		} else {
 			break
 		}
-		if len(parts) > 0 && !p.at("[") && !p.at("(") {
+		if len(parts) > 0 && !p.At("[") && !p.At("(") {
 			break
 		}
 		// A "(" here might open the next node atom rather than another
 		// factor; peek inside: a group starts with "[" or "(".
-		if p.at("(") {
-			inner := p.peekAt(1)
-			if !(inner.kind == tokPunct && (inner.text == "[" || inner.text == "(")) {
+		if p.At("(") {
+			inner := p.PeekAt(1)
+			if !inner.Is("[") && !inner.Is("(") {
 				break
 			}
 		}
 	}
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("line %d: expected path expression", p.peek().line)
+		return nil, fmt.Errorf("line %d: expected path expression", p.Peek().Line)
 	}
 	if len(parts) == 1 {
 		return parts[0], nil
@@ -412,29 +260,29 @@ func (p *parser) parsePathExpr() (PathExpr, error) {
 
 // parseGroup parses "(" groupExpr ")" with optional postfix "-", "*", "+".
 func (p *parser) parseGroup() (PathExpr, error) {
-	if _, err := p.expect("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	inner, err := p.parseGroupExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.at("*"):
-			p.advance()
+		case p.At("*"):
+			p.Advance()
 			inner = Repeat{Inner: inner, Plus: false}
-		case p.at("+"):
-			p.advance()
+		case p.At("+"):
+			p.Advance()
 			inner = Repeat{Inner: inner, Plus: true}
-		case p.at("-"):
+		case p.At("-"):
 			// Postfix "-" after a group is inversion only when not followed
 			// by a term (which would make it binary minus); inside path
 			// context this is unambiguous.
-			p.advance()
+			p.Advance()
 			inner = Inv{Inner: inner}
 		default:
 			return inner, nil
@@ -452,8 +300,8 @@ func (p *parser) parseGroupExpr() (PathExpr, error) {
 			return nil, err
 		}
 		branches = append(branches, seq)
-		if p.at("|") {
-			p.advance()
+		if p.At("|") {
+			p.Advance()
 			continue
 		}
 		break
@@ -467,11 +315,11 @@ func (p *parser) parseGroupExpr() (PathExpr, error) {
 func (p *parser) parseGroupSeq() (PathExpr, error) {
 	var parts []PathExpr
 	for {
-		if p.at(".") {
-			p.advance()
+		if p.At(".") {
+			p.Advance()
 			continue
 		}
-		if p.at("[") {
+		if p.At("[") {
 			e, err := p.parseEdgeAtom()
 			if err != nil {
 				return nil, err
@@ -479,7 +327,7 @@ func (p *parser) parseGroupSeq() (PathExpr, error) {
 			parts = append(parts, Step{Edge: e})
 			continue
 		}
-		if p.at("(") {
+		if p.At("(") {
 			g, err := p.parseGroup()
 			if err != nil {
 				return nil, err
@@ -490,7 +338,7 @@ func (p *parser) parseGroupSeq() (PathExpr, error) {
 		break
 	}
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("line %d: empty path group", p.peek().line)
+		return nil, fmt.Errorf("line %d: empty path group", p.Peek().Line)
 	}
 	if len(parts) == 1 {
 		return parts[0], nil
@@ -499,7 +347,7 @@ func (p *parser) parseGroupSeq() (PathExpr, error) {
 }
 
 func (p *parser) parseNodeAtom() (NodeAtom, error) {
-	if _, err := p.expect("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return NodeAtom{}, err
 	}
 	n := NodeAtom{}
@@ -512,7 +360,7 @@ func (p *parser) parseNodeAtom() (NodeAtom, error) {
 }
 
 func (p *parser) parseEdgeAtom() (EdgeAtom, error) {
-	if _, err := p.expect("["); err != nil {
+	if _, err := p.Expect("["); err != nil {
 		return EdgeAtom{}, err
 	}
 	e := EdgeAtom{}
@@ -521,10 +369,10 @@ func (p *parser) parseEdgeAtom() (EdgeAtom, error) {
 	if err != nil {
 		return EdgeAtom{}, err
 	}
-	if p.at("-") {
+	if p.At("-") {
 		// Inversion only if the "-" is not the start of an arithmetic
 		// expression; after "]" in path position it always is inversion.
-		p.advance()
+		p.Advance()
 		e.Inverse = true
 	}
 	return e, nil
@@ -538,295 +386,67 @@ func (p *parser) parseAtomInner(closer string) (Ident, string, []PropBinding, er
 	var props []PropBinding
 
 	// Identifier (variable or Skolem) if present.
-	if p.peek().kind == tokIdent {
-		id.Var = p.advance().text
-	} else if p.at("#") {
-		p.advance()
-		fn := p.advance()
-		if fn.kind != tokIdent {
-			return id, "", nil, fmt.Errorf("line %d: expected Skolem functor name", fn.line)
+	if p.Peek().Kind == vadalog.TokIdent {
+		id.Var = p.Advance().Text
+	} else if p.At("#") {
+		p.Advance()
+		fn := p.Advance()
+		if fn.Kind != vadalog.TokIdent {
+			return id, "", nil, fmt.Errorf("line %d: expected Skolem functor name", fn.Line)
 		}
-		id.Functor = fn.text
-		if _, err := p.expect("("); err != nil {
+		id.Functor = fn.Text
+		if _, err := p.Expect("("); err != nil {
 			return id, "", nil, err
 		}
 		for {
-			v := p.advance()
-			if v.kind != tokIdent {
-				return id, "", nil, fmt.Errorf("line %d: Skolem arguments must be variables", v.line)
+			v := p.Advance()
+			if v.Kind != vadalog.TokIdent {
+				return id, "", nil, fmt.Errorf("line %d: Skolem arguments must be variables", v.Line)
 			}
-			id.SkArgs = append(id.SkArgs, v.text)
-			t := p.advance()
-			if t.kind == tokPunct && t.text == "," {
+			id.SkArgs = append(id.SkArgs, v.Text)
+			t := p.Advance()
+			if t.Is(",") {
 				continue
 			}
-			if t.kind == tokPunct && t.text == ")" {
+			if t.Is(")") {
 				break
 			}
-			return id, "", nil, fmt.Errorf("line %d: expected , or ) in Skolem term", t.line)
+			return id, "", nil, fmt.Errorf("line %d: expected , or ) in Skolem term", t.Line)
 		}
 	}
 
-	if p.at(":") {
-		p.advance()
-		lt := p.advance()
-		if lt.kind != tokIdent {
-			return id, "", nil, fmt.Errorf("line %d: expected label after :, got %q", lt.line, lt.text)
+	if p.At(":") {
+		p.Advance()
+		lt := p.Advance()
+		if lt.Kind != vadalog.TokIdent {
+			return id, "", nil, fmt.Errorf("line %d: expected label after :, got %q", lt.Line, lt.Text)
 		}
-		label = lt.text
+		label = lt.Text
 	}
 
-	if p.at(";") {
-		p.advance()
+	if p.At(";") {
+		p.Advance()
 		for {
-			name := p.advance()
-			if name.kind != tokIdent {
-				return id, "", nil, fmt.Errorf("line %d: expected property name, got %q", name.line, name.text)
+			name := p.Advance()
+			if name.Kind != vadalog.TokIdent {
+				return id, "", nil, fmt.Errorf("line %d: expected property name, got %q", name.Line, name.Text)
 			}
-			if _, err := p.expect(":"); err != nil {
+			if _, err := p.Expect(":"); err != nil {
 				return id, "", nil, err
 			}
-			pb := PropBinding{Name: name.text}
-			t := p.advance()
-			switch t.kind {
-			case tokIdent:
-				switch t.text {
-				case "true":
-					pb.IsConst, pb.Const = true, value.BoolV(true)
-				case "false":
-					pb.IsConst, pb.Const = true, value.BoolV(false)
-				default:
-					pb.Var = t.text
-				}
-			case tokString:
-				s, err := strconv.Unquote(t.text)
-				if err != nil {
-					return id, "", nil, fmt.Errorf("line %d: bad string %s", t.line, t.text)
-				}
-				pb.IsConst, pb.Const = true, value.Str(s)
-			case tokNumber:
-				v, err := value.ParseLiteral(t.text)
-				if err != nil {
-					return id, "", nil, fmt.Errorf("line %d: %v", t.line, err)
-				}
-				pb.IsConst, pb.Const = true, v
-			case tokPunct:
-				if t.text == "-" {
-					num := p.advance()
-					if num.kind != tokNumber {
-						return id, "", nil, fmt.Errorf("line %d: expected number after -", num.line)
-					}
-					v, err := value.ParseLiteral("-" + num.text)
-					if err != nil {
-						return id, "", nil, fmt.Errorf("line %d: %v", num.line, err)
-					}
-					pb.IsConst, pb.Const = true, v
-					break
-				}
-				return id, "", nil, fmt.Errorf("line %d: expected property value, got %q", t.line, t.text)
-			default:
-				return id, "", nil, fmt.Errorf("line %d: expected property value", t.line)
+			v, c, err := p.ParseTerm()
+			if err != nil {
+				return id, "", nil, err
 			}
-			props = append(props, pb)
-			t = p.peek()
-			if t.kind == tokPunct && t.text == "," {
-				p.advance()
-				continue
+			props = append(props, PropBinding{Name: name.Text, Var: v, IsConst: v == "", Const: c})
+			if !p.At(",") {
+				break
 			}
-			break
+			p.Advance()
 		}
 	}
-	if _, err := p.expect(closer); err != nil {
+	if _, err := p.Expect(closer); err != nil {
 		return id, "", nil, err
 	}
 	return id, label, props, nil
-}
-
-// Expression parsing mirrors the Vadalog expression grammar, producing
-// vadalog.Expr nodes directly so MTV can reuse them unchanged.
-
-var binaryPrec = map[string]int{
-	"or": 1, "and": 2,
-	"=": 3, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-	"+": 4, "-": 4,
-	"*": 5, "/": 5,
-}
-
-var aggregateOps = map[string]string{
-	"sum": "sum", "count": "count", "min": "min", "max": "max",
-	"avg": "avg", "prod": "prod", "pack": "pack",
-	"msum": "sum", "mcount": "count", "mmin": "min", "mmax": "max", "mprod": "prod",
-}
-
-func (p *parser) parseExpr(minPrec int) (*vadalog.Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		var op string
-		if t.kind == tokPunct {
-			op = t.text
-		} else if t.kind == tokIdent && (t.text == "and" || t.text == "or") {
-			op = t.text
-		} else {
-			return left, nil
-		}
-		prec, ok := binaryPrec[op]
-		if !ok || prec < minPrec {
-			return left, nil
-		}
-		p.advance()
-		right, err := p.parseExpr(prec + 1)
-		if err != nil {
-			return nil, err
-		}
-		left = &vadalog.Expr{Kind: vadalog.ExprBinary, Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *parser) parseUnary() (*vadalog.Expr, error) {
-	t := p.peek()
-	if t.kind == tokPunct && t.text == "-" {
-		p.advance()
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &vadalog.Expr{Kind: vadalog.ExprUnary, Op: "-", Left: operand}, nil
-	}
-	if t.kind == tokIdent && t.text == "not" {
-		p.advance()
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &vadalog.Expr{Kind: vadalog.ExprUnary, Op: "not", Left: operand}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (*vadalog.Expr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == tokPunct && t.text == "(":
-		p.advance()
-		e, err := p.parseExpr(0)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tokString:
-		p.advance()
-		s, err := strconv.Unquote(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad string %s", t.line, t.text)
-		}
-		return &vadalog.Expr{Kind: vadalog.ExprConst, Val: value.Str(s)}, nil
-	case t.kind == tokNumber:
-		p.advance()
-		v, err := value.ParseLiteral(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", t.line, err)
-		}
-		return &vadalog.Expr{Kind: vadalog.ExprConst, Val: v}, nil
-	case t.kind == tokIdent:
-		switch t.text {
-		case "true":
-			p.advance()
-			return &vadalog.Expr{Kind: vadalog.ExprConst, Val: value.BoolV(true)}, nil
-		case "false":
-			p.advance()
-			return &vadalog.Expr{Kind: vadalog.ExprConst, Val: value.BoolV(false)}, nil
-		}
-		if p.peekAt(1).kind == tokPunct && p.peekAt(1).text == "(" {
-			return p.parseCallOrAggregate()
-		}
-		p.advance()
-		return &vadalog.Expr{Kind: vadalog.ExprVar, Name: t.text}, nil
-	default:
-		return nil, fmt.Errorf("line %d: expected expression, got %q", t.line, t.text)
-	}
-}
-
-func (p *parser) parseCallOrAggregate() (*vadalog.Expr, error) {
-	name := p.advance()
-	if _, err := p.expect("("); err != nil {
-		return nil, err
-	}
-	canonical, isAgg := aggregateOps[name.text]
-	if isAgg {
-		return p.parseAggregate(name, canonical)
-	}
-	call := &vadalog.Expr{Kind: vadalog.ExprCall, Name: name.text}
-	if p.at(")") {
-		p.advance()
-		return call, nil
-	}
-	for {
-		arg, err := p.parseExpr(0)
-		if err != nil {
-			return nil, err
-		}
-		call.Args = append(call.Args, arg)
-		t := p.advance()
-		if t.kind == tokPunct && t.text == "," {
-			continue
-		}
-		if t.kind == tokPunct && t.text == ")" {
-			return call, nil
-		}
-		return nil, fmt.Errorf("line %d: expected , or ) in call", t.line)
-	}
-}
-
-func (p *parser) parseAggregate(name mtoken, canonical string) (*vadalog.Expr, error) {
-	agg := &vadalog.Aggregate{Op: canonical}
-	for {
-		if p.at(")") {
-			p.advance()
-			break
-		}
-		if p.at("<") {
-			p.advance()
-			for {
-				v := p.advance()
-				if v.kind != tokIdent {
-					return nil, fmt.Errorf("line %d: expected contributor variable", v.line)
-				}
-				agg.Contributors = append(agg.Contributors, v.text)
-				sep := p.advance()
-				if sep.kind == tokPunct && sep.text == "," {
-					continue
-				}
-				if sep.kind == tokPunct && sep.text == ">" {
-					break
-				}
-				return nil, fmt.Errorf("line %d: expected , or > in contributor list", sep.line)
-			}
-			continue
-		}
-		arg, err := p.parseExpr(0)
-		if err != nil {
-			return nil, err
-		}
-		if agg.Arg == nil {
-			agg.Arg = arg
-		} else if agg.Arg2 == nil {
-			agg.Arg2 = arg
-		} else {
-			return nil, fmt.Errorf("line %d: aggregate %s has too many arguments", name.line, name.text)
-		}
-		if p.at(",") {
-			p.advance()
-		}
-	}
-	if strings.HasPrefix(name.text, "m") && name.text != "min" && name.text != "max" && len(agg.Contributors) == 0 {
-		return nil, fmt.Errorf("line %d: monotonic aggregate %s requires contributors", name.line, name.text)
-	}
-	return &vadalog.Expr{Kind: vadalog.ExprAggregate, Agg: agg}, nil
 }

@@ -134,8 +134,8 @@ func (p *Prepared) QueryDB(ctx context.Context, db *vadalog.Database, opts vadal
 	return rows, nil
 }
 
-// layoutWidths snapshots the arity of every label's layout, for the
-// staleness check PrepareQuery shares with QueryDBCtx.
+// layoutWidths snapshots the arity of every label's layout, for
+// PrepareQuery's staleness check.
 func layoutWidths(m map[string][]string) map[string]int {
 	out := make(map[string]int, len(m))
 	for l, ps := range m {

@@ -52,14 +52,9 @@ func QueryCtx(ctx context.Context, g pg.View, pattern string, opts vadalog.Optio
 	return QueryWithCatalogCtx(ctx, g, FromGraph(g), pattern, opts)
 }
 
-// QueryWithCatalog is Query with a caller-provided catalog (schema-derived
-// layouts). The catalog is extended with the query-result layout and must be
-// private to the call.
-func QueryWithCatalog(g pg.View, cat *Catalog, pattern string, opts vadalog.Options) ([]QueryRow, error) {
-	return QueryWithCatalogCtx(context.Background(), g, cat, pattern, opts)
-}
-
-// QueryWithCatalogCtx is QueryWithCatalog under a context.
+// QueryWithCatalogCtx is QueryCtx with a caller-provided catalog
+// (schema-derived layouts). The catalog is extended with the query-result
+// layout and must be private to the call.
 func QueryWithCatalogCtx(ctx context.Context, g pg.View, cat *Catalog, pattern string, opts vadalog.Options) ([]QueryRow, error) {
 	// Translate before extracting: a pattern may mention labels or
 	// properties absent from the catalog, which Translate adds to the
@@ -79,49 +74,12 @@ func QueryWithCatalogCtx(ctx context.Context, g pg.View, cat *Catalog, pattern s
 	return runQueryProgram(ctx, tr.Program, vars, db, cat, opts)
 }
 
-// ErrStaleDatabase reports that a query needs catalog layouts beyond the
-// ones its pre-extracted database was built with — the pattern mentions a
-// label or property the extraction never emitted columns for. Re-extract
-// against the extended catalog (or fall back to QueryWithCatalogCtx, which
-// does) to serve such a query.
+// ErrStaleDatabase reports that a prepared query (see PrepareQuery) needs
+// catalog layouts beyond the ones its pre-extracted database was built with —
+// the pattern mentions a label or property the extraction never emitted
+// columns for. Re-extract against the extended catalog (or fall back to
+// QueryWithCatalogCtx, which does) to serve such a query.
 var ErrStaleDatabase = errors.New("metalog: query needs layouts absent from the pre-extracted database")
-
-// QueryDBCtx evaluates a pattern against a pre-extracted fact database (see
-// ExtractFacts). Unless opts.OwnInput is set the database is cloned by the
-// engine and survives the call untouched, so one extraction can be shared
-// across many concurrent queries — the serving layer's hot path. The catalog
-// is extended with the query-result layout and must be private to the call
-// (Catalog.Clone a shared one). A pattern that mentions labels or properties
-// outside the catalog the database was extracted with fails with
-// ErrStaleDatabase rather than evaluating against misaligned relations.
-func QueryDBCtx(ctx context.Context, db *vadalog.Database, cat *Catalog, pattern string, opts vadalog.Options) ([]QueryRow, error) {
-	nodeW := make(map[string]int, len(cat.NodeProps))
-	for l, ps := range cat.NodeProps {
-		nodeW[l] = len(ps)
-	}
-	edgeW := make(map[string]int, len(cat.EdgeProps))
-	for l, ps := range cat.EdgeProps {
-		edgeW[l] = len(ps)
-	}
-	tr, vars, err := buildQueryProgram(pattern, cat)
-	if err != nil {
-		return nil, err
-	}
-	for l, ps := range cat.NodeProps {
-		if l == queryResultLabel {
-			continue
-		}
-		if w, ok := nodeW[l]; !ok || len(ps) != w {
-			return nil, fmt.Errorf("node label %s: %w", l, ErrStaleDatabase)
-		}
-	}
-	for l, ps := range cat.EdgeProps {
-		if w, ok := edgeW[l]; !ok || len(ps) != w {
-			return nil, fmt.Errorf("edge label %s: %w", l, ErrStaleDatabase)
-		}
-	}
-	return runQueryProgram(ctx, tr.Program, vars, db, cat, opts)
-}
 
 // buildQueryProgram parses a body pattern, wraps it into a __QueryResult
 // rule, and translates it against cat (extending cat with any layouts the
@@ -185,26 +143,32 @@ func runQueryProgram(ctx context.Context, prog *vadalog.Program, vars []string, 
 // ParseBody parses a comma-separated list of MetaLog body conjuncts (the
 // left-hand side of a rule), for query patterns.
 func ParseBody(src string) ([]BodyElem, error) {
-	toks, err := lexMetaLog(src)
+	body, err := parseBody(src)
 	if err != nil {
 		return nil, fmt.Errorf("metalog: %w", err)
 	}
-	p := &parser{toks: toks}
+	return body, nil
+}
+
+func parseBody(src string) ([]BodyElem, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
 	var out []BodyElem
 	for {
 		elem, err := p.parseBodyElem()
 		if err != nil {
-			return nil, fmt.Errorf("metalog: %w", err)
+			return nil, err
 		}
 		out = append(out, elem)
-		if p.at(",") {
-			p.advance()
-			continue
+		if !p.At(",") {
+			break
 		}
-		break
+		p.Advance()
 	}
-	if t := p.peek(); t.kind != tokEOF {
-		return nil, fmt.Errorf("metalog: line %d: unexpected %q after pattern", t.line, t.text)
+	if t := p.Peek(); t.Kind != vadalog.TokEOF {
+		return nil, fmt.Errorf("line %d: unexpected %q after pattern", t.Line, t.Text)
 	}
 	return out, nil
 }
@@ -258,9 +222,7 @@ func patternVariables(body []BodyElem) []string {
 				walkPath(pe)
 			}
 		case BodyExpr:
-			vs := map[string]bool{}
-			collectExprVars(be.Expr, vs)
-			for v := range vs {
+			for _, v := range be.Expr.VarNames() {
 				add(v)
 			}
 		}
@@ -271,29 +233,4 @@ func patternVariables(body []BodyElem) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func collectExprVars(e *vadalog.Expr, set map[string]bool) {
-	if e == nil {
-		return
-	}
-	switch e.Kind {
-	case vadalog.ExprVar:
-		set[e.Name] = true
-	case vadalog.ExprBinary:
-		collectExprVars(e.Left, set)
-		collectExprVars(e.Right, set)
-	case vadalog.ExprUnary:
-		collectExprVars(e.Left, set)
-	case vadalog.ExprCall:
-		for _, a := range e.Args {
-			collectExprVars(a, set)
-		}
-	case vadalog.ExprAggregate:
-		collectExprVars(e.Agg.Arg, set)
-		collectExprVars(e.Agg.Arg2, set)
-		for _, c := range e.Agg.Contributors {
-			set[c] = true
-		}
-	}
 }

@@ -228,12 +228,20 @@ func TestQueryDBStaleDatabase(t *testing.T) {
 		`(x: NoSuchLabel) [: OWNS] (y: Business)`,            // absent node label
 		`(x: Business) [: NO_SUCH_EDGE] (y: Business)`,       // absent edge label
 	} {
-		if _, err := QueryDBCtx(context.Background(), db, cat.Clone(), pattern, vadalog.Options{}); !errors.Is(err, ErrStaleDatabase) {
-			t.Errorf("pattern %q: err = %v, want ErrStaleDatabase", pattern, err)
+		prep, err := PrepareQuery(cat.Clone(), pattern, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prep.QueryDB(context.Background(), db, vadalog.Options{}); !prep.Stale() || !errors.Is(err, ErrStaleDatabase) {
+			t.Errorf("pattern %q: stale = %v, err = %v, want ErrStaleDatabase", pattern, prep.Stale(), err)
 		}
 	}
 	// The known-layout pattern still evaluates against the same database.
-	rows, err := QueryDBCtx(context.Background(), db, cat.Clone(), `(x: Business; businessName: n) [: OWNS] (y: Business)`, vadalog.Options{})
+	prep, err := PrepareQuery(cat.Clone(), `(x: Business; businessName: n) [: OWNS] (y: Business)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := prep.QueryDB(context.Background(), db, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

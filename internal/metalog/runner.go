@@ -42,18 +42,6 @@ func Reason(prog *Program, g *pg.Graph, opts vadalog.Options) (*ReasonResult, er
 // MetaLog-level run inherits the engine's operational controls end to end.
 func ReasonCtx(ctx context.Context, prog *Program, g *pg.Graph, opts vadalog.Options) (*ReasonResult, error) {
 	cat := FromGraph(g)
-	return ReasonWithCatalogCtx(ctx, prog, g, cat, opts)
-}
-
-// ReasonWithCatalog is Reason with a caller-provided catalog, used when the
-// property layout comes from a designed schema rather than from instance
-// inference.
-func ReasonWithCatalog(prog *Program, g *pg.Graph, cat *Catalog, opts vadalog.Options) (*ReasonResult, error) {
-	return ReasonWithCatalogCtx(context.Background(), prog, g, cat, opts)
-}
-
-// ReasonWithCatalogCtx is ReasonWithCatalog under a context (see ReasonCtx).
-func ReasonWithCatalogCtx(ctx context.Context, prog *Program, g *pg.Graph, cat *Catalog, opts vadalog.Options) (*ReasonResult, error) {
 	tr, err := Translate(prog, cat)
 	if err != nil {
 		return nil, err

@@ -330,7 +330,7 @@ func (l *BulkLoader) Finish() (*Frozen, error) {
 		return nil, err
 	}
 
-	outOff, outAdj, inOff, inAdj, err := l.buildCSR()
+	outOff, outAdj, inOff, inAdj, err := buildCSR(l.nodeOIDs, l.edgeOIDs, l.edgeFrom, l.edgeTo)
 	if err != nil {
 		return nil, err
 	}
@@ -542,48 +542,4 @@ func fillPropColumn(syms *symtab.Table, m batchMeta, off []int32, keyCol []symta
 		}
 	}
 	return perm, rowBuf
-}
-
-// buildCSR packs adjacency exactly like Freeze: a counting pass, prefix
-// sums, and a fill pass in ascending edge order, so each node's window is
-// ascending by edge row. Endpoint resolution uses the dense fast path when
-// node OIDs are consecutive — the shape every bulk load of generated data
-// has — and falls back to binary search otherwise.
-func (l *BulkLoader) buildCSR() (outOff []int32, outAdj []int32, inOff []int32, inAdj []int32, err error) {
-	n, m := len(l.nodeOIDs), len(l.edgeOIDs)
-	rf := newRowFinder(l.nodeOIDs)
-	outOff = make([]int32, n+1)
-	inOff = make([]int32, n+1)
-	fromRow := make([]int32, m)
-	toRow := make([]int32, m)
-	for i := 0; i < m; i++ {
-		fr, ok := rf.row(l.edgeFrom[i])
-		if !ok {
-			return nil, nil, nil, nil, fmt.Errorf("%w: edge %d source %d", ErrDanglingEdge, l.edgeOIDs[i], l.edgeFrom[i])
-		}
-		to, ok := rf.row(l.edgeTo[i])
-		if !ok {
-			return nil, nil, nil, nil, fmt.Errorf("%w: edge %d target %d", ErrDanglingEdge, l.edgeOIDs[i], l.edgeTo[i])
-		}
-		fromRow[i], toRow[i] = fr, to
-		outOff[fr+1]++
-		inOff[to+1]++
-	}
-	for i := 0; i < n; i++ {
-		outOff[i+1] += outOff[i]
-		inOff[i+1] += inOff[i]
-	}
-	outAdj = make([]int32, m)
-	inAdj = make([]int32, m)
-	outNext := make([]int32, n)
-	inNext := make([]int32, n)
-	copy(outNext, outOff[:n])
-	copy(inNext, inOff[:n])
-	for i := 0; i < m; i++ {
-		outAdj[outNext[fromRow[i]]] = int32(i)
-		outNext[fromRow[i]]++
-		inAdj[inNext[toRow[i]]] = int32(i)
-		inNext[toRow[i]]++
-	}
-	return outOff, outAdj, inOff, inAdj, nil
 }

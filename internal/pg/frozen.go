@@ -3,17 +3,19 @@ package pg
 // Frozen is the immutable second phase of a graph dictionary's lifecycle.
 // Freeze repacks the mutable store's map-of-pointers representation into
 // columnar arrays — interned label symbols, CSR-packed label membership,
-// property columns, and CSR in/out adjacency — plus a thin pointer facade
-// so Frozen serves the same View method set as Graph.
+// property columns, and CSR in/out adjacency. A thin pointer facade over the
+// columns, materialized once on first use, lets Frozen serve the same View
+// method set as Graph.
 //
 // The physical layout is chosen for the read patterns of the reasoning
 // pipeline: label scans and adjacency walks return pre-built shared slices
 // with zero allocation, and a single snapshot is safe for any number of
-// concurrent readers because nothing on the read path mutates. (Graph, by
-// contrast, builds lazy state — nothing today, but its contract reserves
-// the right — and allocates a fresh slice per call.)
+// concurrent readers because nothing on the read path mutates past the
+// one-time facade build. (Graph, by contrast, allocates a fresh slice per
+// call, and its contract reserves the right to build lazy state.)
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -47,41 +49,34 @@ type Frozen struct {
 	edgePropKeys []symtab.Sym
 	edgePropVals []value.Value
 
-	// CSR adjacency: outAdj groups the edge facade pointers by source node
-	// row (ascending edge OID within a row), indexed by outOff; inAdj/inOff
-	// group by target.
+	// CSR adjacency: outAdj groups the edge rows by source node row
+	// (ascending within a row), indexed by outOff; inAdj/inOff group by
+	// target.
 	outOff []int32
-	outAdj []*Edge
+	outAdj []int32
 	inOff  []int32
-	inAdj  []*Edge
-
-	// outAdjRows/inAdjRows are the adjacency arrays as edge row indices —
-	// the columnar form FrozenFromColumns receives. They are retained only
-	// on the lazy path (nil after Freeze) so the pointer facade can be
-	// materialized on first use without revisiting the source columns.
-	outAdjRows []int32
-	inAdjRows  []int32
+	inAdj  []int32
 
 	// Facade: pointer structs over the columns, so readers written against
 	// Graph's method set work unchanged. Label string slices share one
 	// backing array; property maps are materialized per construct.
 	//
-	// Freeze builds the facade eagerly. FrozenFromColumns — the open path
-	// of an on-disk snapshot, where cold-start latency is the budget —
-	// validates every structural invariant eagerly but defers the facade
-	// allocations (pointer rows, property maps, label indexes) to the
-	// first call that needs them, guarded by facadeOnce. Column-only
-	// reads (counts, degrees, NodeProp/EdgeProp) never pay for it.
-	nodes []*Node
-	edges []*Edge
+	// However the snapshot was built — Freeze, BulkLoader.Finish or
+	// FrozenFromColumns (the open path of an on-disk snapshot, where
+	// cold-start latency is the budget) — the facade allocations (pointer
+	// rows, property maps, label indexes) are deferred to the first call that
+	// needs them, guarded by facadeOnce (see materializeFacade). Column-only
+	// reads (counts, degrees, NodeProp/EdgeProp, Columns) never pay for it.
+	facadeOnce sync.Once
+	nodes      []*Node
+	edges      []*Edge
+	outEdges   []*Edge // outAdj resolved to facade pointers
+	inEdges    []*Edge
 
 	byLabel        map[symtab.Sym][]*Node
 	byEdgeLabel    map[symtab.Sym][]*Edge
 	nodeLabelNames []string // sorted
 	edgeLabelNames []string // sorted
-
-	lazyFacade bool // set (before publication) by FrozenFromColumns
-	facadeOnce sync.Once
 }
 
 // Freeze snapshots the graph into its immutable frozen form. The snapshot
@@ -99,12 +94,10 @@ func (g *Graph) Freeze() *Frozen {
 	// Intern every name in sorted order: node labels, edge labels, then
 	// property keys. Sorted interning makes Sym order match lexicographic
 	// order within each group, which the property columns rely on.
-	f.nodeLabelNames = g.NodeLabels()
-	f.edgeLabelNames = g.EdgeLabels()
-	for _, l := range f.nodeLabelNames {
+	for _, l := range g.NodeLabels() {
 		f.syms.Intern(l)
 	}
-	for _, l := range f.edgeLabelNames {
+	for _, l := range g.EdgeLabels() {
 		f.syms.Intern(l)
 	}
 	propKeys := map[string]bool{}
@@ -129,8 +122,11 @@ func (g *Graph) Freeze() *Frozen {
 
 	f.freezeNodes(g)
 	f.freezeEdges(g)
-	f.buildLabelIndexes()
-	f.buildAdjacency()
+	var err error
+	f.outOff, f.outAdj, f.inOff, f.inAdj, err = buildCSR(f.nodeOIDs, f.edgeOIDs, f.edgeFrom, f.edgeTo)
+	if err != nil {
+		panic(err) // cannot happen: Graph enforces endpoint existence
+	}
 	return f
 }
 
@@ -139,31 +135,14 @@ func (f *Frozen) freezeNodes(g *Graph) {
 	f.nodeOIDs = make([]OID, len(srcNodes))
 	f.nodeLabelOff = make([]int32, len(srcNodes)+1)
 	f.nodePropOff = make([]int32, len(srcNodes)+1)
-	f.nodes = make([]*Node, len(srcNodes))
-
-	// One backing array for all label strings, shared by the facade's
-	// Labels slices.
-	labelStrings := make([]string, 0, len(srcNodes))
 	for i, n := range srcNodes {
 		f.nodeOIDs[i] = n.ID
 		for _, l := range n.Labels { // already sorted unique
 			f.nodeLabels = append(f.nodeLabels, f.sym(l))
-			labelStrings = append(labelStrings, l)
 		}
 		f.nodeLabelOff[i+1] = int32(len(f.nodeLabels))
 		f.appendProps(n.Props, &f.nodePropKeys, &f.nodePropVals)
 		f.nodePropOff[i+1] = int32(len(f.nodePropKeys))
-	}
-	for i, n := range srcNodes {
-		props := make(Props, int(f.nodePropOff[i+1]-f.nodePropOff[i]))
-		for p := f.nodePropOff[i]; p < f.nodePropOff[i+1]; p++ {
-			props[f.syms.Name(f.nodePropKeys[p])] = f.nodePropVals[p]
-		}
-		var ls []string // nil when unlabeled, matching the mutable store
-		if f.nodeLabelOff[i+1] > f.nodeLabelOff[i] {
-			ls = labelStrings[f.nodeLabelOff[i]:f.nodeLabelOff[i+1]:f.nodeLabelOff[i+1]]
-		}
-		f.nodes[i] = &Node{ID: n.ID, Labels: ls, Props: props}
 	}
 }
 
@@ -174,7 +153,6 @@ func (f *Frozen) freezeEdges(g *Graph) {
 	f.edgeFrom = make([]OID, len(srcEdges))
 	f.edgeTo = make([]OID, len(srcEdges))
 	f.edgePropOff = make([]int32, len(srcEdges)+1)
-	f.edges = make([]*Edge, len(srcEdges))
 	for i, e := range srcEdges {
 		f.edgeOIDs[i] = e.ID
 		f.edgeLabel[i] = f.sym(e.Label)
@@ -182,16 +160,6 @@ func (f *Frozen) freezeEdges(g *Graph) {
 		f.edgeTo[i] = e.To
 		f.appendProps(e.Props, &f.edgePropKeys, &f.edgePropVals)
 		f.edgePropOff[i+1] = int32(len(f.edgePropKeys))
-	}
-	for i, e := range srcEdges {
-		var props Props // nil when empty, matching the mutable store
-		if n := int(f.edgePropOff[i+1] - f.edgePropOff[i]); n > 0 {
-			props = make(Props, n)
-			for p := f.edgePropOff[i]; p < f.edgePropOff[i+1]; p++ {
-				props[f.syms.Name(f.edgePropKeys[p])] = f.edgePropVals[p]
-			}
-		}
-		f.edges[i] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
 	}
 }
 
@@ -240,37 +208,51 @@ func (f *Frozen) buildLabelIndexes() {
 	}
 }
 
-// buildAdjacency packs the incident-edge lists CSR-style: one counting
-// pass, a prefix sum, and a fill pass in ascending edge-OID order, so each
-// node's window is sorted by edge OID like Graph.Out/In.
-func (f *Frozen) buildAdjacency() {
-	n := len(f.nodeOIDs)
-	f.outOff = make([]int32, n+1)
-	f.inOff = make([]int32, n+1)
-	for i := range f.edges {
-		fr, _ := rowOf(f.nodeOIDs, f.edgeFrom[i]) // endpoints exist: Graph enforced it
-		to, _ := rowOf(f.nodeOIDs, f.edgeTo[i])
-		f.outOff[fr+1]++
-		f.inOff[to+1]++
+// buildCSR packs the incident-edge lists CSR-style for Freeze and
+// BulkLoader.Finish: one counting pass, a prefix sum, and a fill pass in
+// ascending edge-row order, so each node's window is sorted by edge OID like
+// Graph.Out/In. Node and edge OID columns must be strictly ascending.
+// Endpoint resolution uses the dense fast path when node OIDs are
+// consecutive — the shape every bulk load of generated data has — and falls
+// back to binary search otherwise; an endpoint that is no node fails with
+// ErrDanglingEdge.
+func buildCSR(nodeOIDs, edgeOIDs, edgeFrom, edgeTo []OID) (outOff, outAdj, inOff, inAdj []int32, err error) {
+	n, m := len(nodeOIDs), len(edgeOIDs)
+	rf := newRowFinder(nodeOIDs)
+	outOff = make([]int32, n+1)
+	inOff = make([]int32, n+1)
+	fromRow := make([]int32, m)
+	toRow := make([]int32, m)
+	for i := 0; i < m; i++ {
+		fr, ok := rf.row(edgeFrom[i])
+		if !ok {
+			return nil, nil, nil, nil, fmt.Errorf("%w: edge %d source %d", ErrDanglingEdge, edgeOIDs[i], edgeFrom[i])
+		}
+		to, ok := rf.row(edgeTo[i])
+		if !ok {
+			return nil, nil, nil, nil, fmt.Errorf("%w: edge %d target %d", ErrDanglingEdge, edgeOIDs[i], edgeTo[i])
+		}
+		fromRow[i], toRow[i] = fr, to
+		outOff[fr+1]++
+		inOff[to+1]++
 	}
 	for i := 0; i < n; i++ {
-		f.outOff[i+1] += f.outOff[i]
-		f.inOff[i+1] += f.inOff[i]
+		outOff[i+1] += outOff[i]
+		inOff[i+1] += inOff[i]
 	}
-	f.outAdj = make([]*Edge, len(f.edges))
-	f.inAdj = make([]*Edge, len(f.edges))
+	outAdj = make([]int32, m)
+	inAdj = make([]int32, m)
 	outNext := make([]int32, n)
 	inNext := make([]int32, n)
-	copy(outNext, f.outOff[:n])
-	copy(inNext, f.inOff[:n])
-	for i, e := range f.edges {
-		fr, _ := rowOf(f.nodeOIDs, f.edgeFrom[i])
-		f.outAdj[outNext[fr]] = e
-		outNext[fr]++
-		to, _ := rowOf(f.nodeOIDs, f.edgeTo[i])
-		f.inAdj[inNext[to]] = e
-		inNext[to]++
+	copy(outNext, outOff[:n])
+	copy(inNext, inOff[:n])
+	for i := 0; i < m; i++ {
+		outAdj[outNext[fromRow[i]]] = int32(i)
+		outNext[fromRow[i]]++
+		inAdj[inNext[toRow[i]]] = int32(i)
+		inNext[toRow[i]]++
 	}
+	return outOff, outAdj, inOff, inAdj, nil
 }
 
 // rowOf binary-searches an ascending OID column for id, returning the row
@@ -294,14 +276,8 @@ func rowOf(oids []OID, id OID) (int32, bool) {
 	return 0, false
 }
 
-// facade materializes the deferred pointer facade of a column-built
-// snapshot. Freeze-built snapshots carry it already; for them this is a
-// single predictable branch.
-func (f *Frozen) facade() {
-	if f.lazyFacade {
-		f.facadeOnce.Do(f.materializeFacade)
-	}
-}
+// facade materializes the pointer facade on the first read that needs it.
+func (f *Frozen) facade() { f.facadeOnce.Do(f.materializeFacade) }
 
 // NumNodes returns the number of nodes.
 func (f *Frozen) NumNodes() int { return len(f.nodeOIDs) }
@@ -364,7 +340,7 @@ func (f *Frozen) EdgesByLabel(label string) []*Edge {
 func (f *Frozen) Out(id OID) []*Edge {
 	if row, ok := rowOf(f.nodeOIDs, id); ok {
 		f.facade()
-		return f.outAdj[f.outOff[row]:f.outOff[row+1]:f.outOff[row+1]]
+		return f.outEdges[f.outOff[row]:f.outOff[row+1]:f.outOff[row+1]]
 	}
 	return nil
 }
@@ -374,7 +350,7 @@ func (f *Frozen) Out(id OID) []*Edge {
 func (f *Frozen) In(id OID) []*Edge {
 	if row, ok := rowOf(f.nodeOIDs, id); ok {
 		f.facade()
-		return f.inAdj[f.inOff[row]:f.inOff[row+1]:f.inOff[row+1]]
+		return f.inEdges[f.inOff[row]:f.inOff[row+1]:f.inOff[row+1]]
 	}
 	return nil
 }

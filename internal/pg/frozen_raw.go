@@ -1,9 +1,8 @@
 package pg
 
 // Columnar export/import of Frozen snapshots. Columns is the wire image of
-// a snapshot — exactly the arrays Freeze builds, with the pointer facade
-// flattened away (adjacency as edge row indices, the symbol table as its
-// name listing). It is the boundary between the storage layer and the
+// a snapshot — exactly the arrays a Frozen holds (adjacency as edge row
+// indices), with the symbol table as its name listing. It is the boundary between the storage layer and the
 // on-disk snapshot format (internal/snapfile): Columns carries no pg
 // internals, so the file format can evolve without reaching into Frozen,
 // and FrozenFromColumns re-validates every structural invariant before the
@@ -55,11 +54,10 @@ type Columns struct {
 	InAdj  []int32
 }
 
-// Columns exports the snapshot's columnar arrays. The symbol listing and
-// the numeric columns are shared with f; the adjacency index arrays are
-// freshly built from the pointer CSR.
+// Columns exports the snapshot's columnar arrays, all shared with f. It
+// reads columns only and never materializes the facade.
 func (f *Frozen) Columns() Columns {
-	c := Columns{
+	return Columns{
 		SymNames:     f.syms.Names(),
 		NodeOIDs:     f.nodeOIDs,
 		NodeLabelOff: f.nodeLabelOff,
@@ -75,26 +73,10 @@ func (f *Frozen) Columns() Columns {
 		EdgePropKeys: f.edgePropKeys,
 		EdgePropVals: f.edgePropVals,
 		OutOff:       f.outOff,
+		OutAdj:       f.outAdj,
 		InOff:        f.inOff,
+		InAdj:        f.inAdj,
 	}
-	if f.outAdjRows != nil {
-		// Column-built snapshot: the row-index adjacency is retained
-		// verbatim, so exporting needs no facade and no resolution.
-		c.OutAdj, c.InAdj = f.outAdjRows, f.inAdjRows
-		return c
-	}
-	f.facade()
-	c.OutAdj = make([]int32, len(f.outAdj))
-	for i, e := range f.outAdj {
-		row, _ := rowOf(f.edgeOIDs, e.ID) // facade edges exist by construction
-		c.OutAdj[i] = row
-	}
-	c.InAdj = make([]int32, len(f.inAdj))
-	for i, e := range f.inAdj {
-		row, _ := rowOf(f.edgeOIDs, e.ID)
-		c.InAdj[i] = row
-	}
-	return c
 }
 
 // FrozenFromColumns rebuilds a Frozen snapshot from its columnar image,
@@ -257,18 +239,18 @@ func FrozenFromColumns(c Columns) (*Frozen, error) {
 		edgePropKeys: c.EdgePropKeys,
 		edgePropVals: c.EdgePropVals,
 		outOff:       c.OutOff,
+		outAdj:       c.OutAdj,
 		inOff:        c.InOff,
-		outAdjRows:   c.OutAdj,
-		inAdjRows:    c.InAdj,
-		lazyFacade:   true,
+		inAdj:        c.InAdj,
 	}, nil
 }
 
-// materializeFacade builds the pointer facade of a column-built snapshot:
+// materializeFacade builds the pointer facade over the columns:
 // batch-allocated Node/Edge structs, per-row property maps, resolved
 // adjacency pointers, and the label indexes. It runs at most once per
-// snapshot (behind facadeOnce) and assumes FrozenFromColumns already
-// validated every invariant, so it performs no checks.
+// snapshot (behind facadeOnce) and assumes the columns satisfy every
+// invariant — by construction in Freeze, by validation in
+// FrozenFromColumns — so it performs no checks.
 func (f *Frozen) materializeFacade() {
 	n, m := len(f.nodeOIDs), len(f.edgeOIDs)
 
@@ -280,7 +262,7 @@ func (f *Frozen) materializeFacade() {
 	f.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		lo, hi := f.nodeLabelOff[i], f.nodeLabelOff[i+1]
-		var ls []string // nil when unlabeled, matching Freeze
+		var ls []string // nil when unlabeled, matching the mutable store
 		if hi > lo {
 			ls = labelStrings[lo:hi:hi]
 		}
@@ -305,13 +287,13 @@ func (f *Frozen) materializeFacade() {
 		f.edges[i] = &edgeArr[i]
 	}
 
-	f.outAdj = make([]*Edge, m)
-	for i, row := range f.outAdjRows {
-		f.outAdj[i] = f.edges[row]
+	f.outEdges = make([]*Edge, m)
+	for i, row := range f.outAdj {
+		f.outEdges[i] = f.edges[row]
 	}
-	f.inAdj = make([]*Edge, m)
-	for i, row := range f.inAdjRows {
-		f.inAdj[i] = f.edges[row]
+	f.inEdges = make([]*Edge, m)
+	for i, row := range f.inAdj {
+		f.inEdges[i] = f.edges[row]
 	}
 
 	f.buildLabelIndexes()
@@ -369,9 +351,8 @@ func checkOffsets(what string, off []int32, rows, payload int) error {
 }
 
 // makeProps materializes one row's facade property map from the columnar
-// window. Key ordering was validated by FrozenFromColumns. nilWhenEmpty
-// matches Freeze's facade: edges use nil for an empty map, nodes an empty
-// map.
+// window. nilWhenEmpty matches the mutable store: edges use nil for an empty
+// map, nodes an empty map.
 func makeProps(syms *symtab.Table, keys []symtab.Sym, vals []value.Value, lo, hi int32, nilWhenEmpty bool) Props {
 	if hi == lo && nilWhenEmpty {
 		return nil

@@ -44,6 +44,11 @@ func TestColumnsRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		assertFrozenEqual(t, f, f2)
+		// One build path: Freeze and the column import hold the same arrays,
+		// adjacency rows included, so re-export is the identity.
+		if !reflect.DeepEqual(f.Columns(), f2.Columns()) {
+			t.Fatalf("seed %d: Freeze columns differ from re-imported columns", seed)
+		}
 	}
 }
 
@@ -168,19 +173,24 @@ func cloneI32(s []int32) []int32 { out := make([]int32, len(s)); copy(out, s); r
 
 func cloneOIDs(s []OID) []OID { out := make([]OID, len(s)); copy(out, s); return out }
 
-// TestFrozenConcurrentReadersLazyFacade: a column-built snapshot defers its
-// pointer facade to first use; many goroutines racing to be that first use
-// must all observe the same fully-built facade (facadeOnce), and
-// column-only reads (counts, degrees, property lookups) must be correct
-// before anything has forced materialization.
+// TestFrozenConcurrentReadersLazyFacade: every snapshot — Freeze-built or
+// column-built — defers its pointer facade to first use; many goroutines
+// racing to be that first use must all observe the same fully-built facade
+// (facadeOnce), and column-only reads (counts, degrees, property lookups)
+// must be correct before anything has forced materialization.
 func TestFrozenConcurrentReadersLazyFacade(t *testing.T) {
 	g := rawRandomGraph(rand.New(rand.NewSource(7)))
 	f := g.Freeze()
-	f2, err := FrozenFromColumns(f.Columns())
+	fromColumns, err := FrozenFromColumns(f.Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("freeze", func(t *testing.T) { raceLazyFacade(t, f, g.Freeze()) })
+	t.Run("columns", func(t *testing.T) { raceLazyFacade(t, f, fromColumns) })
+}
 
+// raceLazyFacade checks the untouched snapshot f2 against the reference f.
+func raceLazyFacade(t *testing.T, f, f2 *Frozen) {
 	// Column-only reads work pre-facade.
 	if f2.NumNodes() != f.NumNodes() || f2.NumEdges() != f.NumEdges() {
 		t.Fatal("counts diverge before facade materialization")

@@ -197,6 +197,13 @@ func TestFreezeDeterministicSymbols(t *testing.T) {
 		if !reflect.DeepEqual(a.Symbols().Names(), b.Symbols().Names()) {
 			t.Fatalf("seed %d: symbol tables differ:\n%v\n%v", seed, a.Symbols().Names(), b.Symbols().Names())
 		}
+		c, err := FrozenFromColumns(a.Columns())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(a.Columns(), c.Columns()) || !reflect.DeepEqual(a.Columns(), b.Columns()) {
+			t.Fatalf("seed %d: columns differ across Freeze, re-import and Thaw+Freeze", seed)
+		}
 	}
 }
 

@@ -26,47 +26,49 @@ func canonicalQuery(q string) string {
 	return strings.Join(strings.Fields(q), " ")
 }
 
-// resultCache is a mutex-guarded LRU over marshaled response bodies. Storing
-// the exact bytes (not the row structs) makes a cache hit bit-identical to
-// the miss that populated it — the soak test asserts precisely that.
-type resultCache struct {
+// lru is a mutex-guarded least-recently-used map. capacity <= 0 disables it:
+// every lookup misses and puts are dropped. The server keeps two: query
+// results as marshaled response bodies — storing the exact bytes (not the
+// row structs) makes a cache hit bit-identical to the miss that populated
+// it, which the soak test asserts — and compiled plans (plan.go).
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recently used
-	items map[cacheKey]*list.Element
+	order *list.List // front = most recently used; values are *lruEntry[K, V]
+	items map[K]*list.Element
 }
 
-type cacheEntry struct {
-	key  cacheKey
-	body []byte
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// newResultCache returns a cache holding up to capacity entries; capacity
-// <= 0 disables caching (every lookup misses, puts are dropped).
-func newResultCache(capacity int) *resultCache {
-	c := &resultCache{cap: capacity}
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	c := &lru[K, V]{cap: capacity}
 	if capacity > 0 {
 		c.order = list.New()
-		c.items = make(map[cacheKey]*list.Element, capacity)
+		c.items = make(map[K]*list.Element, capacity)
 	}
 	return c
 }
 
-func (c *resultCache) get(k cacheKey) ([]byte, bool) {
+func (c *lru[K, V]) get(k K) (V, bool) {
 	if c.cap <= 0 {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-func (c *resultCache) put(k cacheKey, body []byte) {
+func (c *lru[K, V]) put(k K, v V) {
 	if c.cap <= 0 {
 		return
 	}
@@ -74,18 +76,18 @@ func (c *resultCache) put(k cacheKey, body []byte) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
+		el.Value.(*lruEntry[K, V]).val = v
 		return
 	}
-	c.items[k] = c.order.PushFront(&cacheEntry{key: k, body: body})
+	c.items[k] = c.order.PushFront(&lruEntry[K, V]{key: k, val: v})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
-func (c *resultCache) len() int {
+func (c *lru[K, V]) len() int {
 	if c.cap <= 0 {
 		return 0
 	}

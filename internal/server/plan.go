@@ -1,10 +1,8 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"net/http"
-	"sync"
 
 	"repro/internal/metalog"
 	"repro/internal/obs"
@@ -19,76 +17,12 @@ import (
 // run alone. A snapshot swap invalidates implicitly, exactly like the
 // result cache: stale generations stop being asked for and age out.
 
-// planKey identifies one compiled plan.
+// planKey identifies one compiled plan in the plan LRU. Prepared queries are
+// immutable and safe for concurrent use, so hits share one entry across
+// requests.
 type planKey struct {
 	gen   uint64
 	query string
-}
-
-// planCache is a mutex-guarded LRU of metalog.Prepared entries. Prepared
-// queries are immutable and safe for concurrent use, so hits share one
-// entry across requests.
-type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List
-	items map[planKey]*list.Element
-}
-
-type planEntry struct {
-	key  planKey
-	prep *metalog.Prepared
-}
-
-func newPlanCache(capacity int) *planCache {
-	c := &planCache{cap: capacity}
-	if capacity > 0 {
-		c.order = list.New()
-		c.items = make(map[planKey]*list.Element, capacity)
-	}
-	return c
-}
-
-func (c *planCache) get(k planKey) (*metalog.Prepared, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*planEntry).prep, true
-}
-
-func (c *planCache) put(k planKey, p *metalog.Prepared) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*planEntry).prep = p
-		return
-	}
-	c.items[k] = c.order.PushFront(&planEntry{key: k, prep: p})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*planEntry).key)
-	}
-}
-
-func (c *planCache) len() int {
-	if c.cap <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }
 
 // preparedFor returns the compiled plan for a pattern under a snapshot,

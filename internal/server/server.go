@@ -220,8 +220,8 @@ type Server struct {
 	cfg   Config
 	snap  atomic.Pointer[snapshot]
 	pool  *pool
-	cache *resultCache
-	plans *planCache
+	cache *lru[cacheKey, []byte]
+	plans *lru[planKey, *metalog.Prepared]
 	lat   *obs.LatencyTracker
 	mux   *http.ServeMux
 	http  *http.Server
@@ -337,8 +337,8 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		pool:  newPool(cfg.MaxInflight),
-		cache: newResultCache(cfg.CacheSize),
-		plans: newPlanCache(cfg.PlanCacheSize),
+		cache: newLRU[cacheKey, []byte](cfg.CacheSize),
+		plans: newLRU[planKey, *metalog.Prepared](cfg.PlanCacheSize),
 		lat:   obs.NewLatencyTracker(),
 	}
 	s.mux = http.NewServeMux()
@@ -654,22 +654,17 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 		OnFault:  s.cfg.OnFault,
 	}
 	var rows []metalog.QueryRow
+	var prep *metalog.Prepared
 	var err error
 	if s.cfg.PlannerOff {
-		// Planner disabled: the pre-planner path, per request. The snapshot's
-		// database is shared read-only across queries: the engine clones it
-		// (OwnInput is left false); the catalog is cloned because translation
-		// extends it with the query-result layout.
-		rows, err = metalog.QueryDBCtx(ctx, sn.db, sn.cat.Clone(), req.Query, opts)
-		if errors.Is(err, metalog.ErrStaleDatabase) {
-			rows, err = metalog.QueryWithCatalogCtx(ctx, sn.view, sn.cat.Clone(), req.Query, opts)
-		}
+		// Planner disabled: prepared per request without a statistics
+		// catalog, so evaluation is written-order and no plan is cached.
+		prep, err = metalog.PrepareQuery(sn.cat.Clone(), req.Query, nil)
 	} else {
-		var prep *metalog.Prepared
 		prep, _, err = s.preparedFor(sn, req.Query)
-		if err == nil {
-			rows, err = s.queryRows(ctx, sn, prep, req.Query, opts)
-		}
+	}
+	if err == nil {
+		rows, err = s.queryRows(ctx, sn, prep, req.Query, opts)
 	}
 	if err != nil {
 		return nil, mapEvalError(err)
@@ -684,11 +679,12 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 	return &apiResult{body: out, gen: sn.gen, cache: "miss"}, nil
 }
 
-// queryRows runs a prepared query against the snapshot's shared database,
-// with the stale-pattern fallback of the unplanned path: a pattern that
-// mentions labels or properties the shared database has no columns for is
-// re-extracted (and evaluated written-order) against a fresh catalog clone —
-// slower, but the result is still cached under this generation.
+// queryRows runs a prepared query against the snapshot's database, which is
+// shared read-only across requests (the engine clones it: OwnInput stays
+// false). A stale pattern — one that mentions labels or properties the
+// shared database has no columns for — is re-extracted (and evaluated
+// written-order) against a fresh catalog clone: slower, but the result is
+// still cached under this generation.
 func (s *Server) queryRows(ctx context.Context, sn *snapshot, prep *metalog.Prepared, query string, opts vadalog.Options) ([]metalog.QueryRow, error) {
 	rows, err := prep.QueryDB(ctx, sn.db, opts)
 	if errors.Is(err, metalog.ErrStaleDatabase) {

@@ -308,7 +308,7 @@ func TestReloadErrors(t *testing.T) {
 }
 
 func TestCacheLRU(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRU[cacheKey, []byte](2)
 	k := func(q string) cacheKey { return cacheKey{gen: 1, query: q} }
 	c.put(k("a"), []byte("A"))
 	c.put(k("b"), []byte("B"))
@@ -331,7 +331,7 @@ func TestCacheLRU(t *testing.T) {
 		t.Errorf("overwrite lost: %q", got)
 	}
 
-	off := newResultCache(0)
+	off := newLRU[cacheKey, []byte](0)
 	off.put(k("x"), []byte("X"))
 	if _, ok := off.get(k("x")); ok {
 		t.Error("disabled cache returned a hit")

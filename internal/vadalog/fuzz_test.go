@@ -1,6 +1,11 @@
 package vadalog
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/value"
+)
 
 // FuzzParse exercises the Vadalog parser for panics and round-trip
 // stability: any program that parses must reparse from its own printed form.
@@ -26,4 +31,17 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("printed form does not reparse: %v\nsource: %q\nprinted: %q", err, src, printed)
 		}
 	})
+}
+
+// TestParseNegativeConstants: a signed constant is parsed as one literal, so
+// the smallest int64 — whose magnitude alone overflows — stays the Int its
+// printed form denotes.
+func TestParseNegativeConstants(t *testing.T) {
+	args := MustParse(`p(-9223372036854775808, -1.5e-3, -7).`).Rules[0].Head[0].Args
+	want := []value.Value{value.IntV(math.MinInt64), value.FloatV(-1.5e-3), value.IntV(-7)}
+	for i, w := range want {
+		if c, ok := args[i].(Const); !ok || c.Value != w {
+			t.Errorf("arg %d = %#v, want constant %v", i, args[i], w)
+		}
+	}
 }

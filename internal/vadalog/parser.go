@@ -1,12 +1,6 @@
 package vadalog
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"repro/internal/value"
-)
+import "fmt"
 
 // The textual Vadalog syntax accepted by Parse:
 //
@@ -20,182 +14,46 @@ import (
 // explicit linker Skolem functors, written #name(X,Y). A head variable that
 // does not occur in the body is existentially quantified.
 
-type tokenKind uint8
-
-const (
-	tokEOF tokenKind = iota
-	tokIdent
-	tokString
-	tokNumber
-	tokPunct // one of ( ) [ ] < > , . @ # and operators
-)
-
-type token struct {
-	kind tokenKind
-	text string
-	line int
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	line int
-}
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
-
-func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == '\n':
-			l.line++
-			l.pos++
-		case c == ' ' || c == '\t' || c == '\r':
-			l.pos++
-		case c == '%':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-		default:
-			goto scan
-		}
-	}
-	return token{kind: tokEOF, line: l.line}, nil
-
-scan:
-	c := l.src[l.pos]
-	start := l.pos
-	switch {
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-			l.pos++
-		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: l.line}, nil
-	case c >= '0' && c <= '9':
-		l.pos++
-		for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
-			l.pos++
-		}
-		// A '.' is part of the number only if followed by a digit; otherwise
-		// it is the rule terminator.
-		if l.pos+1 < len(l.src) && l.src[l.pos] == '.' && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
-			l.pos++
-			for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
-				l.pos++
-			}
-		}
-		// An exponent may follow either form (1e+06 as well as 1.5e7 —
-		// strconv's shortest float rendering uses the former), but only
-		// when digits actually follow; a bare trailing 'e' stays an
-		// identifier token.
-		if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-			j := l.pos + 1
-			if j < len(l.src) && (l.src[j] == '+' || l.src[j] == '-') {
-				j++
-			}
-			if j < len(l.src) && l.src[j] >= '0' && l.src[j] <= '9' {
-				l.pos = j
-				for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
-					l.pos++
-				}
-			}
-		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: l.line}, nil
-	case c == '"':
-		l.pos++
-		var b strings.Builder
-		b.WriteByte('"')
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == '\\' && l.pos+1 < len(l.src) {
-				b.WriteByte(ch)
-				b.WriteByte(l.src[l.pos+1])
-				l.pos += 2
-				continue
-			}
-			if ch == '"' {
-				b.WriteByte('"')
-				l.pos++
-				return token{kind: tokString, text: b.String(), line: l.line}, nil
-			}
-			if ch == '\n' {
-				return token{}, fmt.Errorf("line %d: unterminated string literal", l.line)
-			}
-			b.WriteByte(ch)
-			l.pos++
-		}
-		return token{}, fmt.Errorf("line %d: unterminated string literal", l.line)
-	default:
-		// Multi-character operators first.
-		for _, op := range []string{":-", "!=", "<=", ">=", "=="} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
-				return token{kind: tokPunct, text: op, line: l.line}, nil
-			}
-		}
-		if strings.ContainsRune("()[]<>,.@#=+-*/", rune(c)) {
-			l.pos++
-			return token{kind: tokPunct, text: string(c), line: l.line}, nil
-		}
-		return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, string(c))
-	}
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isIdentPart(c byte) bool {
-	return isIdentStart(c) || (c >= '0' && c <= '9')
-}
-
-// aggregateOps names the aggregation operators. Operators with the m prefix
-// (and any operator given contributor variables in <...>) are monotonic.
-var aggregateOps = map[string]string{
-	"sum": "sum", "count": "count", "min": "min", "max": "max",
-	"avg": "avg", "prod": "prod", "pack": "pack",
-	"msum": "sum", "mcount": "count", "mmin": "min", "mmax": "max", "mprod": "prod",
-}
-
-func isMonotonicName(name string) bool {
-	return strings.HasPrefix(name, "m") && name != "min" && name != "max"
+// vadalogSyntax is Vadalog's operator and punctuation set for the shared
+// scanner (see syntax.go).
+var vadalogSyntax = Syntax{
+	Operators: []string{":-", "!=", "<=", ">=", "=="},
+	Punct:     "()[]<>,.@#=+-*/",
 }
 
 type parser struct {
-	toks  []token
-	pos   int
+	*Parser
 	fresh int // counter for anonymous variables
 }
 
 // Parse parses a Vadalog program from its textual form.
 func Parse(src string) (*Program, error) {
-	lx := newLexer(src)
-	var toks []token
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, fmt.Errorf("vadalog: %w", err)
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			break
-		}
+	prog, err := parseProgram(src)
+	if err != nil {
+		return nil, fmt.Errorf("vadalog: %w", err)
 	}
-	p := &parser{toks: toks}
+	return prog, nil
+}
+
+func parseProgram(src string) (*Program, error) {
+	core, err := NewParser(src, vadalogSyntax)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{Parser: core}
 	prog := &Program{}
-	for p.peek().kind != tokEOF {
-		if p.peek().kind == tokPunct && p.peek().text == "@" {
-			ann, err := p.parseAnnotation()
+	for p.Peek().Kind != TokEOF {
+		if p.At("@") {
+			ann, err := p.ParseAnnotation()
 			if err != nil {
-				return nil, fmt.Errorf("vadalog: %w", err)
+				return nil, err
 			}
 			prog.Annotations = append(prog.Annotations, ann)
 			continue
 		}
 		rule, err := p.parseRule()
 		if err != nil {
-			return nil, fmt.Errorf("vadalog: %w", err)
+			return nil, err
 		}
 		prog.Rules = append(prog.Rules, rule)
 	}
@@ -212,72 +70,8 @@ func MustParse(src string) *Program {
 	return p
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) peek2() token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return token{kind: tokEOF}
-}
-func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
-
-func (p *parser) expect(text string) (token, error) {
-	t := p.advance()
-	if t.kind != tokPunct || t.text != text {
-		return t, fmt.Errorf("line %d: expected %q, got %q", t.line, text, t.text)
-	}
-	return t, nil
-}
-
-func (p *parser) parseAnnotation() (Annotation, error) {
-	if _, err := p.expect("@"); err != nil {
-		return Annotation{}, err
-	}
-	name := p.advance()
-	if name.kind != tokIdent {
-		return Annotation{}, fmt.Errorf("line %d: expected annotation name, got %q", name.line, name.text)
-	}
-	ann := Annotation{Name: name.text, Line: name.line}
-	if _, err := p.expect("("); err != nil {
-		return Annotation{}, err
-	}
-	for {
-		t := p.advance()
-		switch t.kind {
-		case tokString:
-			s, err := strconv.Unquote(t.text)
-			if err != nil {
-				return Annotation{}, fmt.Errorf("line %d: bad string %s", t.line, t.text)
-			}
-			ann.Args = append(ann.Args, s)
-		case tokIdent, tokNumber:
-			ann.Args = append(ann.Args, t.text)
-		default:
-			return Annotation{}, fmt.Errorf("line %d: expected annotation argument, got %q", t.line, t.text)
-		}
-		t = p.advance()
-		if t.kind == tokPunct && t.text == "," {
-			continue
-		}
-		if t.kind == tokPunct && t.text == ")" {
-			break
-		}
-		return Annotation{}, fmt.Errorf("line %d: expected , or ) in annotation, got %q", t.line, t.text)
-	}
-	if _, err := p.expect("."); err != nil {
-		return Annotation{}, err
-	}
-	return ann, nil
-}
-
 func (p *parser) parseRule() (Rule, error) {
-	line := p.peek().line
+	line := p.Peek().Line
 	var heads []Atom
 	for {
 		a, err := p.parseAtom()
@@ -285,20 +79,18 @@ func (p *parser) parseRule() (Rule, error) {
 			return Rule{}, err
 		}
 		heads = append(heads, a)
-		t := p.peek()
-		if t.kind == tokPunct && t.text == "," {
-			p.advance()
-			continue
+		if !p.At(",") {
+			break
 		}
-		break
+		p.Advance()
 	}
 	r := Rule{Head: heads, Line: line}
-	t := p.advance()
-	if t.kind == tokPunct && t.text == "." {
+	t := p.Advance()
+	if t.Is(".") {
 		return r, nil // fact
 	}
-	if t.kind != tokPunct || t.text != ":-" {
-		return Rule{}, fmt.Errorf("line %d: expected :- or . after rule head, got %q", t.line, t.text)
+	if !t.Is(":-") {
+		return Rule{}, fmt.Errorf("line %d: expected :- or . after rule head, got %q", t.Line, t.Text)
 	}
 	for {
 		lit, err := p.parseBodyLiteral()
@@ -306,21 +98,21 @@ func (p *parser) parseRule() (Rule, error) {
 			return Rule{}, err
 		}
 		r.Body = append(r.Body, lit)
-		t := p.advance()
-		if t.kind == tokPunct && t.text == "," {
+		t := p.Advance()
+		if t.Is(",") {
 			continue
 		}
-		if t.kind == tokPunct && t.text == "." {
+		if t.Is(".") {
 			return r, nil
 		}
-		return Rule{}, fmt.Errorf("line %d: expected , or . in rule body, got %q", t.line, t.text)
+		return Rule{}, fmt.Errorf("line %d: expected , or . in rule body, got %q", t.Line, t.Text)
 	}
 }
 
 func (p *parser) parseBodyLiteral() (Literal, error) {
-	t := p.peek()
-	if t.kind == tokIdent && t.text == "not" && p.peek2().kind == tokIdent {
-		p.advance()
+	t := p.Peek()
+	if t.Kind == TokIdent && t.Text == "not" && p.PeekAt(1).Kind == TokIdent {
+		p.Advance()
 		a, err := p.parseAtom()
 		if err != nil {
 			return Literal{}, err
@@ -329,9 +121,9 @@ func (p *parser) parseBodyLiteral() (Literal, error) {
 	}
 	// IDENT '(' is an atom unless IDENT names a builtin function or
 	// aggregate operator.
-	if t.kind == tokIdent && p.peek2().kind == tokPunct && p.peek2().text == "(" {
-		_, isFn := builtinFuncs[t.text]
-		_, isAgg := aggregateOps[t.text]
+	if t.Kind == TokIdent && p.PeekAt(1).Is("(") {
+		_, isFn := builtinFuncs[t.Text]
+		_, isAgg := aggregateOps[t.Text]
 		if !isFn && !isAgg {
 			a, err := p.parseAtom()
 			if err != nil {
@@ -340,7 +132,7 @@ func (p *parser) parseBodyLiteral() (Literal, error) {
 			return Literal{Kind: LitAtom, Atom: a}, nil
 		}
 	}
-	e, err := p.parseExpr(0)
+	e, err := p.ParseExpr()
 	if err != nil {
 		return Literal{}, err
 	}
@@ -348,304 +140,63 @@ func (p *parser) parseBodyLiteral() (Literal, error) {
 }
 
 func (p *parser) parseAtom() (Atom, error) {
-	name := p.advance()
-	if name.kind != tokIdent {
-		return Atom{}, fmt.Errorf("line %d: expected predicate name, got %q", name.line, name.text)
+	name := p.Advance()
+	if name.Kind != TokIdent {
+		return Atom{}, fmt.Errorf("line %d: expected predicate name, got %q", name.Line, name.Text)
 	}
-	if _, err := p.expect("("); err != nil {
-		return Atom{}, err
+	args, err := p.parseTermList("atom")
+	return Atom{Pred: name.Text, Args: args}, err
+}
+
+// parseTermList parses "(" [term ("," term)*] ")".
+func (p *parser) parseTermList(what string) ([]Term, error) {
+	if _, err := p.Expect("("); err != nil {
+		return nil, err
 	}
-	a := Atom{Pred: name.text}
-	if p.peek().kind == tokPunct && p.peek().text == ")" {
-		p.advance()
-		return a, nil
+	if p.At(")") {
+		p.Advance()
+		return nil, nil
 	}
+	var args []Term
 	for {
 		term, err := p.parseTerm()
 		if err != nil {
-			return Atom{}, err
+			return nil, err
 		}
-		a.Args = append(a.Args, term)
-		t := p.advance()
-		if t.kind == tokPunct && t.text == "," {
+		args = append(args, term)
+		t := p.Advance()
+		if t.Is(",") {
 			continue
 		}
-		if t.kind == tokPunct && t.text == ")" {
-			return a, nil
+		if t.Is(")") {
+			return args, nil
 		}
-		return Atom{}, fmt.Errorf("line %d: expected , or ) in atom, got %q", t.line, t.text)
+		return nil, fmt.Errorf("line %d: expected , or ) in %s, got %q", t.Line, what, t.Text)
 	}
 }
 
 func (p *parser) parseTerm() (Term, error) {
-	t := p.peek()
+	if p.At("#") {
+		p.Advance()
+		name := p.Advance()
+		if name.Kind != TokIdent {
+			return nil, fmt.Errorf("line %d: expected Skolem functor name after #", name.Line)
+		}
+		args, err := p.parseTermList("Skolem term")
+		if err != nil {
+			return nil, err
+		}
+		return SkolemTerm{Functor: name.Text, Args: args}, nil
+	}
+	name, c, err := p.ParseTerm()
 	switch {
-	case t.kind == tokPunct && t.text == "#":
-		p.advance()
-		name := p.advance()
-		if name.kind != tokIdent {
-			return nil, fmt.Errorf("line %d: expected Skolem functor name after #", name.line)
-		}
-		if _, err := p.expect("("); err != nil {
-			return nil, err
-		}
-		st := SkolemTerm{Functor: name.text}
-		if p.peek().kind == tokPunct && p.peek().text == ")" {
-			p.advance()
-			return st, nil
-		}
-		for {
-			arg, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			st.Args = append(st.Args, arg)
-			tk := p.advance()
-			if tk.kind == tokPunct && tk.text == "," {
-				continue
-			}
-			if tk.kind == tokPunct && tk.text == ")" {
-				return st, nil
-			}
-			return nil, fmt.Errorf("line %d: expected , or ) in Skolem term, got %q", tk.line, tk.text)
-		}
-	case t.kind == tokIdent:
-		p.advance()
-		switch t.text {
-		case "true":
-			return Const{value.BoolV(true)}, nil
-		case "false":
-			return Const{value.BoolV(false)}, nil
-		case "_":
-			p.fresh++
-			return Var{Name: fmt.Sprintf("_anon%d", p.fresh)}, nil
-		default:
-			return Var{Name: t.text}, nil
-		}
-	case t.kind == tokString:
-		p.advance()
-		s, err := strconv.Unquote(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad string %s", t.line, t.text)
-		}
-		return Const{value.Str(s)}, nil
-	case t.kind == tokNumber:
-		p.advance()
-		v, err := value.ParseLiteral(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", t.line, err)
-		}
-		return Const{v}, nil
-	case t.kind == tokPunct && t.text == "-":
-		p.advance()
-		num := p.advance()
-		if num.kind != tokNumber {
-			return nil, fmt.Errorf("line %d: expected number after unary minus", num.line)
-		}
-		v, err := value.ParseLiteral(num.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", num.line, err)
-		}
-		switch v.K {
-		case value.Int:
-			return Const{value.IntV(-v.I)}, nil
-		default:
-			return Const{value.FloatV(-v.F)}, nil
-		}
-	default:
-		return nil, fmt.Errorf("line %d: expected term, got %q", t.line, t.text)
-	}
-}
-
-// Operator precedence climbing for expressions.
-var binaryPrec = map[string]int{
-	"or": 1, "and": 2,
-	"=": 3, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-	"+": 4, "-": 4,
-	"*": 5, "/": 5,
-}
-
-func (p *parser) parseExpr(minPrec int) (*Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
+	case err != nil:
 		return nil, err
+	case name == "_":
+		p.fresh++
+		return Var{Name: fmt.Sprintf("_anon%d", p.fresh)}, nil
+	case name != "":
+		return Var{Name: name}, nil
 	}
-	for {
-		t := p.peek()
-		var op string
-		if t.kind == tokPunct {
-			op = t.text
-		} else if t.kind == tokIdent && (t.text == "and" || t.text == "or") {
-			op = t.text
-		} else {
-			return left, nil
-		}
-		prec, ok := binaryPrec[op]
-		if !ok || prec < minPrec {
-			return left, nil
-		}
-		p.advance()
-		right, err := p.parseExpr(prec + 1)
-		if err != nil {
-			return nil, err
-		}
-		left = &Expr{Kind: ExprBinary, Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *parser) parseUnary() (*Expr, error) {
-	t := p.peek()
-	if t.kind == tokPunct && t.text == "-" {
-		p.advance()
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: ExprUnary, Op: "-", Left: operand}, nil
-	}
-	if t.kind == tokIdent && t.text == "not" {
-		p.advance()
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: ExprUnary, Op: "not", Left: operand}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (*Expr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == tokPunct && t.text == "(":
-		p.advance()
-		e, err := p.parseExpr(0)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tokString:
-		p.advance()
-		s, err := strconv.Unquote(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad string %s", t.line, t.text)
-		}
-		return &Expr{Kind: ExprConst, Val: value.Str(s)}, nil
-	case t.kind == tokNumber:
-		p.advance()
-		v, err := value.ParseLiteral(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", t.line, err)
-		}
-		return &Expr{Kind: ExprConst, Val: v}, nil
-	case t.kind == tokIdent:
-		switch t.text {
-		case "true":
-			p.advance()
-			return &Expr{Kind: ExprConst, Val: value.BoolV(true)}, nil
-		case "false":
-			p.advance()
-			return &Expr{Kind: ExprConst, Val: value.BoolV(false)}, nil
-		}
-		if p.peek2().kind == tokPunct && p.peek2().text == "(" {
-			return p.parseCallOrAggregate()
-		}
-		p.advance()
-		return &Expr{Kind: ExprVar, Name: t.text}, nil
-	default:
-		return nil, fmt.Errorf("line %d: expected expression, got %q", t.line, t.text)
-	}
-}
-
-func (p *parser) parseCallOrAggregate() (*Expr, error) {
-	name := p.advance()
-	if _, err := p.expect("("); err != nil {
-		return nil, err
-	}
-	canonical, isAgg := aggregateOps[name.text]
-	if isAgg {
-		return p.parseAggregate(name, canonical)
-	}
-	call := &Expr{Kind: ExprCall, Name: name.text}
-	if p.peek().kind == tokPunct && p.peek().text == ")" {
-		p.advance()
-		return call, nil
-	}
-	for {
-		arg, err := p.parseExpr(0)
-		if err != nil {
-			return nil, err
-		}
-		call.Args = append(call.Args, arg)
-		t := p.advance()
-		if t.kind == tokPunct && t.text == "," {
-			continue
-		}
-		if t.kind == tokPunct && t.text == ")" {
-			return call, nil
-		}
-		return nil, fmt.Errorf("line %d: expected , or ) in call, got %q", t.line, t.text)
-	}
-}
-
-// parseAggregate parses sum(W), sum(W,<Z1,Z2>), count(), count(<Z>),
-// pack(N,V), msum(W,<Z>), ...
-func (p *parser) parseAggregate(name token, canonical string) (*Expr, error) {
-	agg := &Aggregate{Op: canonical}
-	monotonic := isMonotonicName(name.text)
-	// Arguments until ')' — expressions, then optionally <contributors>.
-	for {
-		t := p.peek()
-		if t.kind == tokPunct && t.text == ")" {
-			p.advance()
-			break
-		}
-		if t.kind == tokPunct && t.text == "<" {
-			p.advance()
-			for {
-				v := p.advance()
-				if v.kind != tokIdent {
-					return nil, fmt.Errorf("line %d: expected contributor variable, got %q", v.line, v.text)
-				}
-				agg.Contributors = append(agg.Contributors, v.text)
-				sep := p.advance()
-				if sep.kind == tokPunct && sep.text == "," {
-					continue
-				}
-				if sep.kind == tokPunct && sep.text == ">" {
-					break
-				}
-				return nil, fmt.Errorf("line %d: expected , or > in contributor list, got %q", sep.line, sep.text)
-			}
-			continue
-		}
-		arg, err := p.parseExpr(0)
-		if err != nil {
-			return nil, err
-		}
-		if agg.Arg == nil {
-			agg.Arg = arg
-		} else if agg.Arg2 == nil {
-			agg.Arg2 = arg
-		} else {
-			return nil, fmt.Errorf("line %d: aggregate %s has too many arguments", name.line, name.text)
-		}
-		t = p.peek()
-		if t.kind == tokPunct && t.text == "," {
-			p.advance()
-		}
-	}
-	if monotonic && len(agg.Contributors) == 0 {
-		return nil, fmt.Errorf("line %d: monotonic aggregate %s requires contributor variables <...>", name.line, name.text)
-	}
-	if agg.Op == "pack" && (agg.Arg == nil || agg.Arg2 == nil) {
-		return nil, fmt.Errorf("line %d: pack requires two arguments (name, value)", name.line)
-	}
-	if agg.Op != "count" && agg.Op != "pack" && agg.Arg == nil {
-		return nil, fmt.Errorf("line %d: aggregate %s requires an argument", name.line, name.text)
-	}
-	return &Expr{Kind: ExprAggregate, Agg: agg}, nil
+	return Const{c}, nil
 }
