@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = storage serve snapshot incr wal plan load
 
-.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench check bench $(addprefix bench-,$(BENCHES))
+.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc check bench $(addprefix bench-,$(BENCHES))
 
 build:
 	$(GO) build ./...
@@ -40,19 +40,18 @@ test-chaos: build
 	$(GO) test -count=2 -run 'TestReloadCorruptSnapshotKeepsServing|TestSnapshotMmapFaultStillServes' ./internal/server/
 	$(GO) test -count=2 -run 'TestFault|TestChaos' ./internal/wal/
 
-# fuzz-smoke gives each parser fuzz target a short budget — enough to shake
-# out regressions in the corpus without turning CI into a fuzzing farm.
+# fuzz-smoke gives each fuzz target (Target:package) a short budget — enough
+# to shake out regressions in the corpus without turning CI into a fuzzing
+# farm.
+FUZZ_TARGETS = FuzzParse:metalog FuzzParse:gsl FuzzParse:vadalog \
+	FuzzDecodeQuery:server FuzzDecodeMutation:server FuzzOpenSnapshot:snapfile \
+	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg
+
 fuzz-smoke: build
-	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s -run '^$$' ./internal/metalog/
-	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s -run '^$$' ./internal/gsl/
-	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s -run '^$$' ./internal/vadalog/
-	$(GO) test -fuzz '^FuzzDecodeQuery$$' -fuzztime 10s -run '^$$' ./internal/server/
-	$(GO) test -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s -run '^$$' ./internal/server/
-	$(GO) test -fuzz '^FuzzOpenSnapshot$$' -fuzztime 10s -run '^$$' ./internal/snapfile/
-	$(GO) test -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -run '^$$' ./internal/wal/
-	$(GO) test -fuzz '^FuzzPlanPattern$$' -fuzztime 10s -run '^$$' ./internal/metalog/
-	$(GO) test -fuzz '^FuzzExplain$$' -fuzztime 10s -run '^$$' ./internal/server/
-	$(GO) test -fuzz '^FuzzBulkLoadBatch$$' -fuzztime 10s -run '^$$' ./internal/pg/
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} ./internal/$${t##*:}/"; \
+		$(GO) test -fuzz "^$${t%%:*}\$$" -fuzztime 10s -run '^$$' ./internal/$${t##*:}/ || exit 1; \
+	done
 
 # cover enforces the per-package coverage floors on the newest subsystems —
 # each carries the same gate (70% of statements) so their suites cannot
@@ -75,6 +74,11 @@ cover: build
 # that breaks the benchmark fails here, not in the benchmark driver.
 test-bench: build
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the non-test line count outside bench/ — the number CHANGES.md
+# records a simplification PR's net delta against.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # check is the tier-1 gate: vet + full suite, the race-detector pass, the
 # chaos sweep, the fuzz smoke test, the coverage floor, and the benchmark

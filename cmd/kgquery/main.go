@@ -104,17 +104,7 @@ func explainedQuery(frozen *pg.Frozen, pattern string) ([]metalog.QueryRow, erro
 	}
 	fmt.Fprintf(os.Stderr, "kgquery: plan (planned=%v, estimated rows=%.3f):\n%s\n",
 		prep.Planned(), prep.EstimatedRows(), out)
-	if prep.Stale() {
-		// The pattern introduced layouts the graph-inferred catalog lacked;
-		// evaluate written-order against a fresh extraction (the server path's
-		// fallback), which materializes them as null columns.
-		return metalog.QueryWithCatalogCtx(context.Background(), frozen, cat, pattern, vadalog.Options{})
-	}
-	db, err := metalog.ExtractFacts(frozen, cat)
-	if err != nil {
-		return nil, err
-	}
-	return prep.QueryDB(context.Background(), db, vadalog.Options{OwnInput: true})
+	return prep.QueryView(context.Background(), frozen, vadalog.Options{})
 }
 
 func fatal(err error) {

@@ -3,7 +3,6 @@ package instance
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/fault"
@@ -242,12 +241,7 @@ func (r *Result) ApplyToPG(data *pg.Graph) (ApplyStats, error) {
 			continue
 		}
 		n := data.Node(dataOID)
-		names := make([]string, 0, len(ent.Attrs))
-		for k := range ent.Attrs {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
+		for _, k := range sortedset.Keys(ent.Attrs) {
 			v := ent.Attrs[k]
 			if cur, ok := n.Props[k]; !ok || !value.Equal(cur, v) {
 				if err := data.SetNodeProp(dataOID, k, v); err != nil {
@@ -285,12 +279,7 @@ func (r *Result) ExportPG() *pg.Graph {
 	out := pg.New()
 	s := r.Loaded.Dict.Schema
 	rev := map[pg.OID]pg.OID{}
-	ioids := make([]pg.OID, 0, len(r.Loaded.Entities))
-	for ioid := range r.Loaded.Entities {
-		ioids = append(ioids, ioid)
-	}
-	sortedset.Sort(ioids)
-	for _, ioid := range ioids {
+	for _, ioid := range sortedset.Keys(r.Loaded.Entities) {
 		ent := r.Loaded.Entities[ioid]
 		labels := append([]string{ent.Type}, s.Ancestors(ent.Type)...)
 		props := pg.Props{}
@@ -300,37 +289,14 @@ func (r *Result) ExportPG() *pg.Graph {
 		n := out.AddNode(labels, props)
 		rev[ioid] = n.ID
 	}
-	// Replay every instance edge from the dictionary.
-	g := r.Loaded.Dict.Graph
-	for _, ie := range g.NodesByLabel(LIEdge) {
-		if io, ok := ie.Props["instanceOID"]; !ok || io.I != r.Loaded.InstanceOID {
-			continue
-		}
-		var typ string
-		var from, to pg.OID
-		props := pg.Props{}
-		for _, e := range g.Out(ie.ID) {
-			switch e.Label {
-			case LRefs:
-				typ, _ = constructTypeName(g, e.To, "SM_HAS_EDGE_TYPE")
-			case LIFrom:
-				from = e.To
-			case LITo:
-				to = e.To
-			case LIHasEAttr:
-				ia := g.Node(e.To)
-				for _, re := range g.Out(ia.ID) {
-					if re.Label == LRefs {
-						props[g.Node(re.To).Props["name"].S] = ia.Props["value"]
-					}
-				}
-			}
-		}
+	// Replay every instance edge from the dictionary (this visit never fails).
+	_ = r.Loaded.eachEdge(func(_ pg.OID, typ string, from, to pg.OID, attrs pg.Props) error {
 		if f, ok1 := rev[from]; ok1 {
 			if t, ok2 := rev[to]; ok2 {
-				out.MustAddEdge(f, t, typ, props)
+				out.MustAddEdge(f, t, typ, attrs)
 			}
 		}
-	}
+		return nil
+	})
 	return out
 }

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/pg"
+	"repro/internal/sortedset"
 	"repro/internal/supermodel"
 	"repro/internal/value"
 )
@@ -176,24 +177,25 @@ func (d *Dictionary) addInstanceNode(instOID int64, nodeType string, attrs map[s
 	}
 	in := d.Graph.AddNode([]string{LINode}, pg.Props{"instanceOID": value.IntV(instOID)})
 	d.Graph.MustAddEdge(in.ID, construct, LRefs, nil)
-	names := make([]string, 0, len(attrs))
-	for k := range attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedset.Keys(attrs) { // creation order fixes the twins' OIDs
 		ac, ok := d.attrConstruct(nodeType, name)
 		if !ok {
 			return 0, fmt.Errorf("instance: node type %s has no attribute %q", nodeType, name)
 		}
-		ia := d.Graph.AddNode([]string{LIAttr}, pg.Props{
-			"instanceOID": value.IntV(instOID),
-			"value":       attrs[name],
-		})
-		d.Graph.MustAddEdge(in.ID, ia.ID, LIHasNAttr, nil)
-		d.Graph.MustAddEdge(ia.ID, ac, LRefs, nil)
+		d.addAttrTwin(instOID, in.ID, LIHasNAttr, ac, attrs[name])
 	}
 	return in.ID, nil
+}
+
+// addAttrTwin creates the I_SM_Attribute holding one attribute value of an
+// instance node or edge, linked from its owner and to its schema construct.
+func (d *Dictionary) addAttrTwin(instOID int64, owner pg.OID, has string, ac pg.OID, v value.Value) {
+	ia := d.Graph.AddNode([]string{LIAttr}, pg.Props{
+		"instanceOID": value.IntV(instOID),
+		"value":       v,
+	})
+	d.Graph.MustAddEdge(owner, ia.ID, has, nil)
+	d.Graph.MustAddEdge(ia.ID, ac, LRefs, nil)
 }
 
 // addInstanceEdge creates an I_SM_Edge between two I_SM_Nodes.
@@ -206,22 +208,12 @@ func (d *Dictionary) addInstanceEdge(instOID int64, edgeType string, from, to pg
 	d.Graph.MustAddEdge(ie.ID, construct, LRefs, nil)
 	d.Graph.MustAddEdge(ie.ID, from, LIFrom, nil)
 	d.Graph.MustAddEdge(ie.ID, to, LITo, nil)
-	names := make([]string, 0, len(attrs))
-	for k := range attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedset.Keys(attrs) {
 		ac, ok := d.edgeAttr[edgeType][name]
 		if !ok {
 			return 0, fmt.Errorf("instance: edge type %s has no attribute %q", edgeType, name)
 		}
-		ia := d.Graph.AddNode([]string{LIAttr}, pg.Props{
-			"instanceOID": value.IntV(instOID),
-			"value":       attrs[name],
-		})
-		d.Graph.MustAddEdge(ie.ID, ia.ID, LIHasEAttr, nil)
-		d.Graph.MustAddEdge(ia.ID, ac, LRefs, nil)
+		d.addAttrTwin(instOID, ie.ID, LIHasEAttr, ac, attrs[name])
 	}
 	return ie.ID, nil
 }
@@ -394,13 +386,8 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 			}
 		}
 	}
-	keys := make([]string, 0, len(entities))
-	for k := range entities {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	byKey := map[string]pg.OID{}
-	for _, k := range keys {
+	for _, k := range sortedset.Keys(entities) {
 		p := entities[k]
 		ioid, err := d.addInstanceNode(instanceOID, p.typ, p.attrs)
 		if err != nil {

@@ -2,7 +2,6 @@ package instance
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/metalog"
 	"repro/internal/pg"
@@ -39,39 +38,37 @@ func CatalogFromSchema(s *supermodel.Schema) *metalog.Catalog {
 // InputViews builds the V_I^Σ facts (Algorithm 2, line 5): for every node
 // label, one fact per instance entity whose type is the label or a
 // descendant of it — the generalization-aware reading of Example 6.2 — and
-// for every edge label one fact per I_SM_Edge. Fact layouts follow the
-// catalog; absent attributes hold the Missing marker.
+// for every edge label one fact per I_SM_Edge. Facts are encoded by the
+// catalog (metalog's fact layout).
 func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
 	db := vadalog.NewDatabase()
 	s := l.Dict.Schema
-
-	ioids := make([]pg.OID, 0, len(l.Entities))
-	for ioid := range l.Entities {
-		ioids = append(ioids, ioid)
-	}
-	sortedset.Sort(ioids)
-
-	for _, ioid := range ioids {
+	for _, ioid := range sortedset.Keys(l.Entities) {
 		ent := l.Entities[ioid]
 		labels := append([]string{ent.Type}, s.Ancestors(ent.Type)...)
 		for _, label := range labels {
-			props := cat.NodeProps[label]
-			f := make([]value.Value, 1+len(props))
-			f[0] = value.IntV(int64(ioid))
-			for i, p := range props {
-				if v, ok := ent.Attrs[p]; ok {
-					f[i+1] = v
-				} else {
-					f[i+1] = metalog.Missing
-				}
-			}
-			if _, err := db.AddFact(label, f...); err != nil {
+			if _, err := db.AddFact(label, cat.NodeFact(label, ioid, ent.Attrs)...); err != nil {
 				return nil, err
 			}
 		}
 	}
+	err := l.eachEdge(func(ie pg.OID, typ string, from, to pg.OID, attrs pg.Props) error {
+		if typ == "" || from == 0 || to == 0 {
+			return fmt.Errorf("instance: malformed I_SM_Edge %d", ie)
+		}
+		_, err := db.AddFact(typ, cat.EdgeFact(typ, ie, from, to, attrs)...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return db, nil
+}
 
-	// Edge facts from the instance constructs.
+// eachEdge decodes the instance's I_SM_Edge constructs, in dictionary order,
+// into their type, endpoints and attributes. A construct the dictionary holds
+// incompletely reaches visit with the zero type or endpoint.
+func (l *Loaded) eachEdge(visit func(ie pg.OID, typ string, from, to pg.OID, attrs pg.Props) error) error {
 	g := l.Dict.Graph
 	for _, ie := range g.NodesByLabel(LIEdge) {
 		if io, ok := ie.Props["instanceOID"]; !ok || io.I != l.InstanceOID {
@@ -79,7 +76,7 @@ func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
 		}
 		var typ string
 		var from, to pg.OID
-		attrs := map[string]value.Value{}
+		attrs := pg.Props{}
 		for _, e := range g.Out(ie.ID) {
 			switch e.Label {
 			case LRefs:
@@ -97,26 +94,11 @@ func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
 				}
 			}
 		}
-		if typ == "" || from == 0 || to == 0 {
-			return nil, fmt.Errorf("instance: malformed I_SM_Edge %d", ie.ID)
-		}
-		props := cat.EdgeProps[typ]
-		f := make([]value.Value, 3+len(props))
-		f[0] = value.IntV(int64(ie.ID))
-		f[1] = value.IntV(int64(from))
-		f[2] = value.IntV(int64(to))
-		for i, p := range props {
-			if v, ok := attrs[p]; ok {
-				f[i+3] = v
-			} else {
-				f[i+3] = metalog.Missing
-			}
-		}
-		if _, err := db.AddFact(typ, f...); err != nil {
-			return nil, err
+		if err := visit(ie.ID, typ, from, to, attrs); err != nil {
+			return err
 		}
 	}
-	return db, nil
+	return nil
 }
 
 // DerivedEdge is one intensional edge produced by the reasoning process.
@@ -170,93 +152,72 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 		return ioid, nil
 	}
 
-	// New or updated entities from derived node facts.
-	for _, label := range sortedKeys(tr.HeadNodeLabels) {
-		props := cat.NodeProps[label]
-		for _, f := range db.SortedFacts(label) {
-			ioid, err := resolve(f[0], label)
-			if err != nil {
-				return nil, err
+	// setAttrs writes a fact's present properties onto an entity. Derived node
+	// facts carry every column of their label's layout, so only the attributes
+	// the entity's type declares are kept; an update names its attribute.
+	setAttrs := func(ioid pg.OID, props []metalog.PropValue, declaredOnly bool) error {
+		ent := l.Entities[ioid]
+		for _, p := range props {
+			if declaredOnly {
+				if _, ok := d.attrConstruct(ent.Type, p.Name); !ok {
+					continue
+				}
 			}
-			ent := l.Entities[ioid]
-			for i, p := range props {
-				v := f[i+1]
-				if v.IsZero() || value.Equal(v, metalog.Missing) {
-					continue
-				}
-				if _, ok := d.attrConstruct(ent.Type, p); !ok {
-					continue
-				}
-				if cur, ok := ent.Attrs[p]; !ok || !value.Equal(cur, v) {
-					ent.Attrs[p] = v
-					out.UpdatedProps++
-					if err := d.setInstanceAttr(l.InstanceOID, ioid, ent.Type, p, v); err != nil {
-						return nil, err
-					}
+			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Equal(cur, p.Value) {
+				ent.Attrs[p.Name] = p.Value
+				out.UpdatedProps++
+				if err := d.setInstanceAttr(l.InstanceOID, ioid, ent.Type, p.Name, p.Value); err != nil {
+					return err
 				}
 			}
 		}
+		return nil
 	}
 
-	// In-place property updates (mtv_set_<Label> shadow predicates).
-	for _, pred := range sortedKeys(boolKeys(tr.UpdateNodePreds)) {
-		label := tr.UpdateNodePreds[pred]
-		props := cat.NodeProps[label]
-		for _, f := range db.SortedFacts(pred) {
-			ioid, err := resolve(f[0], "")
+	err := metalog.WalkDerived(db, tr, cat, func(f *metalog.DerivedFact) error {
+		switch f.Kind {
+		case metalog.HeadNode:
+			ioid, err := resolve(f.ID, f.Label)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			ent := l.Entities[ioid]
-			for i, p := range props {
-				v := f[i+1]
-				if v.IsZero() || value.Equal(v, metalog.Missing) {
-					continue
-				}
-				if cur, ok := ent.Attrs[p]; !ok || !value.Equal(cur, v) {
-					ent.Attrs[p] = v
-					out.UpdatedProps++
-					if err := d.setInstanceAttr(l.InstanceOID, ioid, ent.Type, p, v); err != nil {
-						return nil, err
-					}
-				}
+			return setAttrs(ioid, f.Props, true)
+		case metalog.UpdateNode:
+			ioid, err := resolve(f.ID, "")
+			if err != nil {
+				return err
 			}
+			return setAttrs(ioid, f.Props, false)
 		}
-	}
-
-	// Derived edges: only Skolem-identified facts are new derivations;
-	// integer-identified facts are the input edges echoed through the views.
-	for _, label := range sortedKeys(tr.HeadEdgeLabels) {
-		props := cat.EdgeProps[label]
-		for _, f := range db.SortedFacts(label) {
-			if _, isInput := f[0].AsInt(); isInput {
-				continue
-			}
-			from, err := resolve(f[1], "")
-			if err != nil {
-				return nil, err
-			}
-			to, err := resolve(f[2], "")
-			if err != nil {
-				return nil, err
-			}
-			attrs := map[string]value.Value{}
-			for i, p := range props {
-				v := f[i+3]
-				if v.IsZero() || value.Equal(v, metalog.Missing) {
-					continue
-				}
-				attrs[p] = v
-			}
-			ieOID, err := d.addInstanceEdge(l.InstanceOID, label, from, to, attrs)
-			if err != nil {
-				return nil, err
-			}
-			out.NewEdges = append(out.NewEdges, DerivedEdge{
-				IOID: ieOID, Type: label, From: from, To: to, Attrs: attrs,
-			})
-			l.EdgeCount++
+		// Derived edges: only Skolem-identified facts are new derivations;
+		// integer-identified facts are the input edges echoed through the views.
+		if _, isInput := f.ID.AsInt(); isInput {
+			return nil
 		}
+		from, err := resolve(f.From, "")
+		if err != nil {
+			return err
+		}
+		to, err := resolve(f.To, "")
+		if err != nil {
+			return err
+		}
+		attrs := make(map[string]value.Value, len(f.Props))
+		for _, p := range f.Props {
+			attrs[p.Name] = p.Value
+		}
+		ieOID, err := d.addInstanceEdge(l.InstanceOID, f.Label, from, to, attrs)
+		if err != nil {
+			return err
+		}
+		out.NewEdges = append(out.NewEdges, DerivedEdge{
+			IOID: ieOID, Type: f.Label, From: from, To: to, Attrs: attrs,
+		})
+		l.EdgeCount++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -283,28 +244,6 @@ func (d *Dictionary) setInstanceAttr(instOID int64, ioid pg.OID, nodeType, attr 
 			}
 		}
 	}
-	ia := d.Graph.AddNode([]string{LIAttr}, pg.Props{
-		"instanceOID": value.IntV(instOID),
-		"value":       v,
-	})
-	d.Graph.MustAddEdge(ioid, ia.ID, LIHasNAttr, nil)
-	d.Graph.MustAddEdge(ia.ID, ac, LRefs, nil)
+	d.addAttrTwin(instOID, ioid, LIHasNAttr, ac, v)
 	return nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func boolKeys(m map[string]string) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }

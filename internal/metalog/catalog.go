@@ -5,14 +5,10 @@ import (
 	"sort"
 
 	"repro/internal/pg"
+	"repro/internal/sortedset"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
-
-// Missing is the placeholder stored at a property position when a node or
-// edge does not carry that property. It is an identifier outside the constant
-// domain, so it never compares equal to real data; materialization skips it.
-var Missing = value.IDV("⊥")
 
 // Catalog fixes, for every node and edge label, the ordered list of property
 // names used by the PG-to-relational mapping of Section 4 (step 1): an
@@ -112,26 +108,6 @@ func (c *Catalog) NodeArity(label string) int { return 1 + len(c.NodeProps[label
 // 3 (oid, from, to) + #props.
 func (c *Catalog) EdgeArity(label string) int { return 3 + len(c.EdgeProps[label]) }
 
-// nodePropPos returns the argument position of a property in the node
-// relation, or -1.
-func (c *Catalog) nodePropPos(label, prop string) int {
-	for i, p := range c.NodeProps[label] {
-		if p == prop {
-			return 1 + i
-		}
-	}
-	return -1
-}
-
-func (c *Catalog) edgePropPos(label, prop string) int {
-	for i, p := range c.EdgeProps[label] {
-		if p == prop {
-			return 3 + i
-		}
-	}
-	return -1
-}
-
 // ExtractFacts implements translation step (1) of Section 4: it loads a
 // property-graph instance into a relational database instance following the
 // catalog's column layout. Multi-labeled nodes produce one fact per label.
@@ -142,17 +118,7 @@ func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 			if !cat.HasNode(l) {
 				continue // label outside the catalog's scope
 			}
-			props := cat.NodeProps[l]
-			f := make([]value.Value, 1+len(props))
-			f[0] = value.IntV(int64(n.ID))
-			for i, pname := range props {
-				if v, ok := n.Props[pname]; ok {
-					f[i+1] = v
-				} else {
-					f[i+1] = Missing
-				}
-			}
-			if _, err := db.AddFact(l, f...); err != nil {
+			if _, err := db.AddFact(l, cat.NodeFact(l, n.ID, n.Props)...); err != nil {
 				return nil, fmt.Errorf("metalog: extracting node %d: %w", n.ID, err)
 			}
 		}
@@ -161,19 +127,7 @@ func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 		if !cat.HasEdge(e.Label) {
 			continue
 		}
-		props := cat.EdgeProps[e.Label]
-		f := make([]value.Value, 3+len(props))
-		f[0] = value.IntV(int64(e.ID))
-		f[1] = value.IntV(int64(e.From))
-		f[2] = value.IntV(int64(e.To))
-		for i, pname := range props {
-			if v, ok := e.Props[pname]; ok {
-				f[i+3] = v
-			} else {
-				f[i+3] = Missing
-			}
-		}
-		if _, err := db.AddFact(e.Label, f...); err != nil {
+		if _, err := db.AddFact(e.Label, cat.EdgeFact(e.Label, e.ID, e.From, e.To, e.Props)...); err != nil {
 			return nil, fmt.Errorf("metalog: extracting edge %d: %w", e.ID, err)
 		}
 	}
@@ -193,7 +147,9 @@ type MaterializeStats struct {
 // the intensional component; Section 6). Facts whose OID is an existing node
 // OID update that node; facts with Skolem/null OIDs create fresh nodes, one
 // per distinct identifier. Edge facts are deduplicated against existing
-// edges with the same label, endpoints and properties.
+// edges with the same label, endpoints and properties. Every write goes
+// through the graph's journaled mutators, so a caller's savepoint rolls the
+// whole flush back.
 func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Graph) (MaterializeStats, error) {
 	var stats MaterializeStats
 	idMap := map[string]pg.OID{}
@@ -219,17 +175,24 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 		stats.NodesCreated++
 		return n.ID, true, nil
 	}
+	setProps := func(oid pg.OID, props []PropValue) error {
+		n := g.Node(oid)
+		for _, p := range props {
+			if cur, ok := n.Props[p.Name]; !ok || !value.Equal(cur, p.Value) {
+				if err := g.SetNodeProp(oid, p.Name, p.Value); err != nil {
+					return err
+				}
+				stats.PropsSet++
+			}
+		}
+		return nil
+	}
 
 	// Existing-edge fingerprints for deduplication.
 	edgeSeen := map[string]bool{}
 	edgeFingerprint := func(label string, from, to pg.OID, props pg.Props) string {
-		keys := make([]string, 0, len(props))
-		for k := range props {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		s := fmt.Sprintf("%s|%d|%d", label, from, to)
-		for _, k := range keys {
+		for _, k := range sortedset.Keys(props) {
 			s += "|" + k + "=" + props[k].Canonical()
 		}
 		return s
@@ -238,104 +201,49 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 		edgeSeen[edgeFingerprint(e.Label, e.From, e.To, e.Props)] = true
 	}
 
-	nodeLabels := sortedKeys(tr.HeadNodeLabels)
-	for _, label := range nodeLabels {
-		props := cat.NodeProps[label]
-		for _, f := range db.SortedFacts(label) {
-			oid, created, err := resolveNode(f[0], []string{label})
+	err := WalkDerived(db, tr, cat, func(d *DerivedFact) error {
+		switch d.Kind {
+		case HeadNode:
+			oid, created, err := resolveNode(d.ID, []string{d.Label})
 			if err != nil {
-				return stats, err
+				return err
 			}
-			if !created {
-				n := g.Node(oid)
-				if !n.HasLabel(label) {
-					if err := g.AddLabel(oid, label); err != nil {
-						return stats, err
-					}
-					stats.NodesLabeled++
+			if !created && !g.Node(oid).HasLabel(d.Label) {
+				if err := g.AddLabel(oid, d.Label); err != nil {
+					return err
 				}
+				stats.NodesLabeled++
 			}
-			n := g.Node(oid)
-			for i, pname := range props {
-				v := f[i+1]
-				if value.Equal(v, Missing) || v.IsZero() {
-					continue
-				}
-				if cur, ok := n.Props[pname]; !ok || !value.Equal(cur, v) {
-					n.Props[pname] = v
-					stats.PropsSet++
-				}
-			}
-		}
-	}
-
-	// Apply in-place node updates (mtv_set_<Label> shadow predicates).
-	updatePreds := make([]string, 0, len(tr.UpdateNodePreds))
-	for p := range tr.UpdateNodePreds {
-		updatePreds = append(updatePreds, p)
-	}
-	sort.Strings(updatePreds)
-	for _, pred := range updatePreds {
-		label := tr.UpdateNodePreds[pred]
-		props := cat.NodeProps[label]
-		for _, f := range db.SortedFacts(pred) {
-			oid, ok := f[0].AsInt()
+			return setProps(oid, d.Props)
+		case UpdateNode:
+			oid, ok := d.ID.AsInt()
 			if !ok || g.Node(pg.OID(oid)) == nil {
-				return stats, fmt.Errorf("metalog: update of %s refers to unknown node %s", label, f[0])
+				return fmt.Errorf("metalog: update of %s refers to unknown node %s", d.Label, d.ID)
 			}
-			n := g.Node(pg.OID(oid))
-			for i, pname := range props {
-				v := f[i+1]
-				if value.Equal(v, Missing) || v.IsZero() {
-					continue
-				}
-				if cur, ok := n.Props[pname]; !ok || !value.Equal(cur, v) {
-					n.Props[pname] = v
-					stats.PropsSet++
-				}
-			}
+			return setProps(pg.OID(oid), d.Props)
 		}
-	}
-
-	edgeLabels := sortedKeys(tr.HeadEdgeLabels)
-	for _, label := range edgeLabels {
-		props := cat.EdgeProps[label]
-		for _, f := range db.SortedFacts(label) {
-			from, _, err := resolveNode(f[1], nil)
-			if err != nil {
-				return stats, err
-			}
-			to, _, err := resolveNode(f[2], nil)
-			if err != nil {
-				return stats, err
-			}
-			eprops := pg.Props{}
-			for i, pname := range props {
-				v := f[i+3]
-				if value.Equal(v, Missing) || v.IsZero() {
-					continue
-				}
-				eprops[pname] = v
-			}
-			fp := edgeFingerprint(label, from, to, eprops)
-			if edgeSeen[fp] {
-				continue
-			}
-			edgeSeen[fp] = true
-			if _, err := g.AddEdge(from, to, label, eprops); err != nil {
-				return stats, err
-			}
-			stats.EdgesCreated++
+		from, _, err := resolveNode(d.From, nil)
+		if err != nil {
+			return err
 		}
-	}
-	return stats, nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+		to, _, err := resolveNode(d.To, nil)
+		if err != nil {
+			return err
+		}
+		eprops := pg.Props{}
+		for _, p := range d.Props {
+			eprops[p.Name] = p.Value
+		}
+		fp := edgeFingerprint(d.Label, from, to, eprops)
+		if edgeSeen[fp] {
+			return nil
+		}
+		edgeSeen[fp] = true
+		if _, err := g.AddEdge(from, to, d.Label, eprops); err != nil {
+			return err
+		}
+		stats.EdgesCreated++
+		return nil
+	})
+	return stats, err
 }

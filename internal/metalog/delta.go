@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/overlay"
 	"repro/internal/pg"
+	"repro/internal/sortedset"
 	"repro/internal/vadalog"
-	"repro/internal/value"
 )
 
 // ApplyFactsDelta maintains an ExtractFacts database under a graph-level
@@ -76,7 +76,7 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 	}
 	addNode := func(n *pg.Node) {
 		for _, l := range n.Labels {
-			touch(l).add = append(touch(l).add, nodeFact(cat, l, n))
+			touch(l).add = append(touch(l).add, cat.NodeFact(l, n.ID, n.Props))
 		}
 	}
 	for _, n := range diff.RemovedNodes {
@@ -95,7 +95,7 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 		}
 	}
 	for _, e := range diff.AddedEdges {
-		touch(e.Label).add = append(touch(e.Label).add, edgeFact(cat, e))
+		touch(e.Label).add = append(touch(e.Label).add, cat.EdgeFact(e.Label, e.ID, e.From, e.To, e.Props))
 	}
 
 	out := db.Clone()
@@ -141,69 +141,24 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 // catalog's current column layout.
 func nodeCovered(cat *Catalog, n *pg.Node) bool {
 	for _, l := range n.Labels {
-		if !cat.HasNode(l) {
+		if !covered(cat.NodeProps, l, n.Props) {
 			return false
-		}
-		layout := cat.NodeProps[l]
-		for k := range n.Props {
-			if !layoutHas(layout, k) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-func edgeCovered(cat *Catalog, e *pg.Edge) bool {
-	if !cat.HasEdge(e.Label) {
+func edgeCovered(cat *Catalog, e *pg.Edge) bool { return covered(cat.EdgeProps, e.Label, e.Props) }
+
+func covered(layouts map[string][]string, label string, props pg.Props) bool {
+	layout, ok := layouts[label]
+	if !ok {
 		return false
 	}
-	layout := cat.EdgeProps[e.Label]
-	for k := range e.Props {
-		if !layoutHas(layout, k) {
+	for k := range props {
+		if !sortedset.Contains(layout, k) {
 			return false
 		}
 	}
 	return true
-}
-
-// layoutHas is a binary search over a catalog layout (kept sorted by ensure).
-func layoutHas(layout []string, key string) bool {
-	i := sort.SearchStrings(layout, key)
-	return i < len(layout) && layout[i] == key
-}
-
-// nodeFact builds the label's relational fact for a node, mirroring
-// ExtractFacts: oid first, then the catalog's property columns in order,
-// Missing where the node does not carry the property.
-func nodeFact(cat *Catalog, label string, n *pg.Node) vadalog.Fact {
-	props := cat.NodeProps[label]
-	f := make(vadalog.Fact, 1+len(props))
-	f[0] = value.IntV(int64(n.ID))
-	for i, p := range props {
-		if v, ok := n.Props[p]; ok {
-			f[i+1] = v
-		} else {
-			f[i+1] = Missing
-		}
-	}
-	return f
-}
-
-// edgeFact builds the relational fact for an edge, mirroring ExtractFacts:
-// (oid, from, to, property columns...).
-func edgeFact(cat *Catalog, e *pg.Edge) vadalog.Fact {
-	props := cat.EdgeProps[e.Label]
-	f := make(vadalog.Fact, 3+len(props))
-	f[0] = value.IntV(int64(e.ID))
-	f[1] = value.IntV(int64(e.From))
-	f[2] = value.IntV(int64(e.To))
-	for i, p := range props {
-		if v, ok := e.Props[p]; ok {
-			f[i+3] = v
-		} else {
-			f[i+3] = Missing
-		}
-	}
-	return f
 }

@@ -2,6 +2,7 @@ package metalog
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -24,9 +25,6 @@ func preparedRows(t *testing.T, f *pg.Frozen, pattern string, workers int) ([]Qu
 	prep, err := PrepareQuery(cat, pattern, st)
 	if err != nil {
 		t.Fatalf("prepare %q: %v", pattern, err)
-	}
-	if prep.Stale() {
-		t.Fatalf("prepare %q: unexpectedly stale against its own catalog", pattern)
 	}
 	db, err := ExtractFacts(f, cat)
 	if err != nil {
@@ -101,26 +99,48 @@ func TestPreparedProvenanceUsesWrittenOrder(t *testing.T) {
 	}
 }
 
-// TestPreparedStaleDatabase proves a pattern that extends the catalog beyond
-// the pre-extracted database reports ErrStaleDatabase from QueryDB, exactly
-// like the shared-database path (QueryDBCtx).
+// TestPreparedStaleDatabase: staleness is decided where a Prepared meets a
+// database. A planned pattern over an unknown label runs against the
+// pre-extracted database (the relation is simply empty); one that widens a
+// known label's layout is refused with ErrStaleDatabase, and QueryView —
+// extraction under the Prepared's own catalog — answers like one-shot Query.
 func TestPreparedStaleDatabase(t *testing.T) {
 	g := diffGraph(rand.New(rand.NewSource(5)))
 	f := g.Freeze()
 	cat := FromGraph(f)
 	st := ComputePlanStats(f, cat)
-	db, err := ExtractFacts(f, cat.Clone())
+	db, err := ExtractFacts(f, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := PrepareQuery(cat, `(x: NoSuchLabel)`, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Stale() {
-		t.Fatal("pattern over an unknown label should be stale")
-	}
-	if _, err := prep.QueryDB(context.Background(), db, vadalog.Options{}); err == nil {
-		t.Fatal("stale prepared query should refuse the pre-extracted database")
+	for _, tc := range []struct {
+		pattern string
+		stale   bool
+	}{
+		{`(x: NoSuchLabel)`, false},
+		{`(x: Company) [: NO_SUCH_EDGE] (y: Company)`, false},
+		{`(x: Company; nope: n) [: OWNS] (y: Company)`, true},
+		{`(x: Company) [: OWNS; nope: n] (y: Company)`, true},
+	} {
+		prep, err := PrepareQuery(cat.Clone(), tc.pattern, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Query(f, tc.pattern, vadalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := prep.QueryDB(context.Background(), db, vadalog.Options{})
+		if tc.stale != errors.Is(err, ErrStaleDatabase) || (!tc.stale && err != nil) {
+			t.Fatalf("pattern %q: QueryDB err = %v, want stale = %v", tc.pattern, err, tc.stale)
+		}
+		if tc.stale {
+			if got, err = prep.QueryView(context.Background(), f, vadalog.Options{}); err != nil {
+				t.Fatalf("pattern %q: QueryView: %v", tc.pattern, err)
+			}
+		}
+		if renderRows(got) != renderRows(want) {
+			t.Fatalf("pattern %q diverged from Query:\n%s\nvs\n%s", tc.pattern, renderRows(got), renderRows(want))
+		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 // immutable and safe for concurrent QueryDB calls (the engine never mutates
 // the program, and clones the database unless opts.OwnInput is set).
 type Prepared struct {
-	pattern string
-	vars    []string
-	cat     *Catalog
+	vars []string
+	cat  *Catalog
 
 	// unplanned is the written-order translation; planned is the cost-based
 	// transformation of it, nil when planning fell back entirely (the info
@@ -28,8 +27,6 @@ type Prepared struct {
 	planned   *vadalog.Program
 	info      *plan.Plan
 	estRows   float64
-
-	stale bool
 }
 
 // PlanLayout exports the catalog's column layouts in the planner's terms:
@@ -37,17 +34,8 @@ type Prepared struct {
 // props...), properties in catalog order. The maps and slices are copies —
 // later catalog growth does not reach a Layout already handed out.
 func (c *Catalog) PlanLayout() plan.Layout {
-	lay := plan.Layout{
-		NodeProps: make(map[string][]string, len(c.NodeProps)),
-		EdgeProps: make(map[string][]string, len(c.EdgeProps)),
-	}
-	for l, ps := range c.NodeProps {
-		lay.NodeProps[l] = append([]string(nil), ps...)
-	}
-	for l, ps := range c.EdgeProps {
-		lay.EdgeProps[l] = append([]string(nil), ps...)
-	}
-	return lay
+	cp := c.Clone()
+	return plan.Layout{NodeProps: cp.NodeProps, EdgeProps: cp.EdgeProps}
 }
 
 // ComputePlanStats builds the planner's statistics catalog for a graph view
@@ -65,18 +53,14 @@ func ComputePlanStats(g pg.View, cat *Catalog) *plan.Stats {
 // fault or unsupported shape falls back to the written-order program,
 // recorded in Plan().Fallback and the obs fallback counter.
 func PrepareQuery(cat *Catalog, pattern string, st *plan.Stats) (*Prepared, error) {
-	nodeW := layoutWidths(cat.NodeProps)
-	edgeW := layoutWidths(cat.EdgeProps)
 	tr, vars, err := buildQueryProgram(pattern, cat)
 	if err != nil {
 		return nil, err
 	}
 	p := &Prepared{
-		pattern:   pattern,
 		vars:      vars,
 		cat:       cat,
 		unplanned: tr.Program,
-		stale:     catalogGrew(cat, nodeW, edgeW),
 	}
 	planned, info, perr := plan.Compile(tr.Program, st, plan.Options{Demand: true})
 	if perr != nil {
@@ -108,57 +92,61 @@ func (p *Prepared) Vars() []string { return p.vars }
 // 0 when unplanned.
 func (p *Prepared) EstimatedRows() float64 { return p.estRows }
 
-// Stale reports that the pattern needs catalog layouts beyond the ones a
-// pre-extracted database was built with; QueryDB will fail with
-// ErrStaleDatabase and the caller must re-extract (see QueryWithCatalogCtx).
-func (p *Prepared) Stale() bool { return p.stale }
-
 // QueryDB evaluates the prepared pattern against a pre-extracted fact
 // database (see ExtractFacts), running the planned program when one exists.
 // Provenance runs always take the written-order program — proof trees are
-// explained against the program as written.
+// explained against the program as written. A database extracted under a
+// narrower layout than the pattern needs is refused with ErrStaleDatabase; a
+// label the database has no relation for is simply empty.
 func (p *Prepared) QueryDB(ctx context.Context, db *vadalog.Database, opts vadalog.Options) ([]QueryRow, error) {
-	if p.stale {
-		return nil, fmt.Errorf("prepared pattern: %w", ErrStaleDatabase)
+	for l := range p.cat.NodeProps {
+		if r := db.Relation(l); r != nil && r.Arity != p.cat.NodeArity(l) {
+			return nil, fmt.Errorf("node label %s: %w", l, ErrStaleDatabase)
+		}
+	}
+	for l := range p.cat.EdgeProps {
+		if r := db.Relation(l); r != nil && r.Arity != p.cat.EdgeArity(l) {
+			return nil, fmt.Errorf("edge label %s: %w", l, ErrStaleDatabase)
+		}
 	}
 	prog := p.planned
 	planned := prog != nil && !opts.Provenance
 	if !planned {
 		prog = p.unplanned
 	}
-	rows, err := runQueryProgram(ctx, prog, p.vars, db, p.cat, opts)
+	res, err := vadalog.RunCtx(ctx, prog, db, opts)
 	if err != nil {
 		return nil, err
+	}
+	pos := map[string]int{}
+	for i, prop := range p.cat.NodeProps[queryResultLabel] {
+		pos[prop] = i + 1
+	}
+	var rows []QueryRow
+	for _, f := range res.DB.SortedFacts(queryResultLabel) {
+		row := QueryRow{}
+		for _, v := range p.vars {
+			if cell := f[pos[v]]; Present(cell) {
+				row[v] = cell
+			}
+		}
+		rows = append(rows, row)
 	}
 	obs.CountPlanRun(planned, int64(p.estRows), int64(len(rows)))
 	return rows, nil
 }
 
-// layoutWidths snapshots the arity of every label's layout, for
-// PrepareQuery's staleness check.
-func layoutWidths(m map[string][]string) map[string]int {
-	out := make(map[string]int, len(m))
-	for l, ps := range m {
-		out[l] = len(ps)
+// QueryView evaluates the prepared pattern against a graph view: the facts
+// are extracted under the Prepared's own catalog, so every layout the pattern
+// needs is there. It is the one-shot path (Query) and the fallback for a
+// pattern QueryDB refuses on a shared database.
+func (p *Prepared) QueryView(ctx context.Context, g pg.View, opts vadalog.Options) ([]QueryRow, error) {
+	db, err := ExtractFacts(g, p.cat)
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// catalogGrew reports whether translation extended cat beyond the recorded
-// widths (ignoring the query-result layout, which every query adds).
-func catalogGrew(cat *Catalog, nodeW, edgeW map[string]int) bool {
-	for l, ps := range cat.NodeProps {
-		if l == queryResultLabel {
-			continue
-		}
-		if w, ok := nodeW[l]; !ok || len(ps) != w {
-			return true
-		}
-	}
-	for l, ps := range cat.EdgeProps {
-		if w, ok := edgeW[l]; !ok || len(ps) != w {
-			return true
-		}
-	}
-	return false
+	// The database was extracted for this call alone; hand it over so the
+	// engine skips its defensive clone.
+	opts.OwnInput = true
+	return p.QueryDB(ctx, db, opts)
 }

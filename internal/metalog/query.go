@@ -41,44 +41,21 @@ func (r QueryRow) OID(name string) (pg.OID, bool) {
 const queryResultLabel = "__QueryResult"
 
 // Query evaluates a MetaLog body pattern against the graph and returns the
-// matches in deterministic order. The catalog is inferred from the graph.
+// matches in deterministic order. The catalog is inferred from the graph; the
+// pattern may name labels or properties the graph lacks — they extract as
+// empty relations and Missing columns, and bind nothing.
 func Query(g pg.View, pattern string, opts vadalog.Options) ([]QueryRow, error) {
-	return QueryCtx(context.Background(), g, pattern, opts)
-}
-
-// QueryCtx is Query under a context: the evaluation stops cooperatively once
-// ctx is canceled or its deadline expires (see vadalog.RunCtx).
-func QueryCtx(ctx context.Context, g pg.View, pattern string, opts vadalog.Options) ([]QueryRow, error) {
-	return QueryWithCatalogCtx(ctx, g, FromGraph(g), pattern, opts)
-}
-
-// QueryWithCatalogCtx is QueryCtx with a caller-provided catalog
-// (schema-derived layouts). The catalog is extended with the query-result
-// layout and must be private to the call.
-func QueryWithCatalogCtx(ctx context.Context, g pg.View, cat *Catalog, pattern string, opts vadalog.Options) ([]QueryRow, error) {
-	// Translate before extracting: a pattern may mention labels or
-	// properties absent from the catalog, which Translate adds to the
-	// layouts — extraction then emits the corresponding null columns and
-	// the query binds them to Missing instead of failing on arity.
-	tr, vars, err := buildQueryProgram(pattern, cat)
+	p, err := PrepareQuery(FromGraph(g), pattern, nil)
 	if err != nil {
 		return nil, err
 	}
-	db, err := ExtractFacts(g, cat)
-	if err != nil {
-		return nil, err
-	}
-	// The fact database was extracted for this call alone; hand it over so
-	// the engine skips its defensive clone.
-	opts.OwnInput = true
-	return runQueryProgram(ctx, tr.Program, vars, db, cat, opts)
+	return p.QueryView(context.Background(), g, opts)
 }
 
-// ErrStaleDatabase reports that a prepared query (see PrepareQuery) needs
-// catalog layouts beyond the ones its pre-extracted database was built with —
-// the pattern mentions a label or property the extraction never emitted
-// columns for. Re-extract against the extended catalog (or fall back to
-// QueryWithCatalogCtx, which does) to serve such a query.
+// ErrStaleDatabase reports that a database handed to Prepared.QueryDB was
+// extracted under narrower layouts than the prepared pattern needs — the
+// pattern names a property the extraction emitted no column for.
+// Prepared.QueryView serves such a pattern.
 var ErrStaleDatabase = errors.New("metalog: query needs layouts absent from the pre-extracted database")
 
 // buildQueryProgram parses a body pattern, wraps it into a __QueryResult
@@ -112,32 +89,6 @@ func buildQueryProgram(pattern string, cat *Catalog) (*Translation, []string, er
 		return nil, nil, err
 	}
 	return tr, vars, nil
-}
-
-func runQueryProgram(ctx context.Context, prog *vadalog.Program, vars []string, db *vadalog.Database, cat *Catalog, opts vadalog.Options) ([]QueryRow, error) {
-	res, err := vadalog.RunCtx(ctx, prog, db, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	props := cat.NodeProps[queryResultLabel]
-	pos := map[string]int{}
-	for i, p := range props {
-		pos[p] = i + 1
-	}
-	var rows []QueryRow
-	for _, f := range res.DB.SortedFacts(queryResultLabel) {
-		row := QueryRow{}
-		for _, v := range vars {
-			cell := f[pos[v]]
-			if cell.IsZero() || value.Equal(cell, Missing) {
-				continue
-			}
-			row[v] = cell
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // ParseBody parses a comma-separated list of MetaLog body conjuncts (the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/sortedset"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
@@ -453,19 +454,8 @@ func (t *translator) nodeLiteral(n NodeAtom, idVar string, anon bool) (*vadalog.
 	props := t.cat.NodeProps[n.Label]
 	args := make([]vadalog.Term, 1+len(props))
 	args[0] = vadalog.Var{Name: idVar}
-	for i := range props {
-		args[i+1] = vadalog.Var{Name: t.fillerVar(anon)}
-	}
-	for _, pb := range n.Props {
-		pos := t.cat.nodePropPos(n.Label, pb.Name)
-		if pos < 0 {
-			return nil, fmt.Errorf("metalog: label %s has no property %s", n.Label, pb.Name)
-		}
-		if pb.IsConst {
-			args[pos] = vadalog.Const{Value: pb.Const}
-		} else {
-			args[pos] = vadalog.Var{Name: pb.Var}
-		}
+	if bad := propTerms(args[1:], props, n.Props, t.filler(anon)); bad != "" {
+		return nil, fmt.Errorf("metalog: label %s has no property %s", n.Label, bad)
 	}
 	return &vadalog.Literal{Kind: vadalog.LitAtom, Atom: vadalog.Atom{Pred: n.Label, Args: args}}, nil
 }
@@ -489,19 +479,8 @@ func (t *translator) edgeLiteral(e EdgeAtom, fromVar, toVar string, anon bool) (
 	args[0] = vadalog.Var{Name: idVar}
 	args[1] = vadalog.Var{Name: src}
 	args[2] = vadalog.Var{Name: dst}
-	for i := range props {
-		args[i+3] = vadalog.Var{Name: t.fillerVar(anon)}
-	}
-	for _, pb := range e.Props {
-		pos := t.cat.edgePropPos(e.Label, pb.Name)
-		if pos < 0 {
-			return vadalog.Literal{}, "", fmt.Errorf("metalog: edge label %s has no property %s", e.Label, pb.Name)
-		}
-		if pb.IsConst {
-			args[pos] = vadalog.Const{Value: pb.Const}
-		} else {
-			args[pos] = vadalog.Var{Name: pb.Var}
-		}
+	if bad := propTerms(args[3:], props, e.Props, t.filler(anon)); bad != "" {
+		return vadalog.Literal{}, "", fmt.Errorf("metalog: edge label %s has no property %s", e.Label, bad)
 	}
 	return vadalog.Literal{Kind: vadalog.LitAtom, Atom: vadalog.Atom{Pred: e.Label, Args: args}}, idVar, nil
 }
@@ -511,6 +490,11 @@ func (t *translator) fillerVar(anon bool) string {
 		return t.freshVar("_anonm")
 	}
 	return t.freshVar("_f")
+}
+
+// filler supplies the term of a property column a body atom does not bind.
+func (t *translator) filler(anon bool) func() vadalog.Term {
+	return func() vadalog.Term { return vadalog.Var{Name: t.fillerVar(anon)} }
 }
 
 // translatePath resolves a path expression between two endpoint variables,
@@ -690,19 +674,8 @@ func (t *translator) translateHeadChain(hc Chain, bodyLabels map[string]bool, li
 		props := t.cat.NodeProps[n.Label]
 		args := make([]vadalog.Term, 1+len(props))
 		args[0] = ids[i]
-		for j := range props {
-			args[j+1] = vadalog.Const{Value: Missing}
-		}
-		for _, pb := range n.Props {
-			pos := t.cat.nodePropPos(n.Label, pb.Name)
-			if pos < 0 {
-				return nil, fmt.Errorf("metalog: label %s has no property %s", n.Label, pb.Name)
-			}
-			if pb.IsConst {
-				args[pos] = vadalog.Const{Value: pb.Const}
-			} else {
-				args[pos] = vadalog.Var{Name: pb.Var}
-			}
+		if bad := propTerms(args[1:], props, n.Props, missingTerm); bad != "" {
+			return nil, fmt.Errorf("metalog: label %s has no property %s", n.Label, bad)
 		}
 		pred := n.Label
 		if n.ID.Var != "" && !n.ID.IsSkolem() && bodyLabels[n.Label] {
@@ -735,19 +708,8 @@ func (t *translator) translateHeadChain(hc Chain, bodyLabels map[string]bool, li
 		args[0] = idTerm
 		args[1] = ids[i]
 		args[2] = ids[i+1]
-		for j := range props {
-			args[j+3] = vadalog.Const{Value: Missing}
-		}
-		for _, pb := range e.Props {
-			pos := t.cat.edgePropPos(e.Label, pb.Name)
-			if pos < 0 {
-				return nil, fmt.Errorf("metalog: edge label %s has no property %s", e.Label, pb.Name)
-			}
-			if pb.IsConst {
-				args[pos] = vadalog.Const{Value: pb.Const}
-			} else {
-				args[pos] = vadalog.Var{Name: pb.Var}
-			}
+		if bad := propTerms(args[3:], props, e.Props, missingTerm); bad != "" {
+			return nil, fmt.Errorf("metalog: edge label %s has no property %s", e.Label, bad)
 		}
 		out = append(out, vadalog.Atom{Pred: e.Label, Args: args})
 		t.tr.HeadEdgeLabels[e.Label] = true
@@ -888,13 +850,13 @@ func (t *translator) addAnnotations(p *Program) {
 			}
 		}
 	}
-	for _, l := range sortedKeys(t.tr.BodyNodeLabels) {
+	for _, l := range sortedset.Keys(t.tr.BodyNodeLabels) {
 		prog.Annotations = append(prog.Annotations, vadalog.Annotation{
 			Name: "input",
 			Args: []string{l, "pg", fmt.Sprintf("(n:%s) return n", l)},
 		})
 	}
-	for _, l := range sortedKeys(t.tr.BodyEdgeLabels) {
+	for _, l := range sortedset.Keys(t.tr.BodyEdgeLabels) {
 		prog.Annotations = append(prog.Annotations, vadalog.Annotation{
 			Name: "input",
 			Args: []string{l, "pg", fmt.Sprintf("(a)-[e:%s]->(b) return (e,a,b)", l)},
@@ -907,7 +869,7 @@ func (t *translator) addAnnotations(p *Program) {
 	for l := range t.tr.HeadEdgeLabels {
 		outs[l] = true
 	}
-	for _, l := range sortedKeys(outs) {
+	for _, l := range sortedset.Keys(outs) {
 		prog.Annotations = append(prog.Annotations, vadalog.Annotation{Name: "output", Args: []string{l}})
 	}
 	prog.Annotations = append(prog.Annotations, p.Annotations...)

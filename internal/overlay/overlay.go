@@ -194,16 +194,9 @@ func (o *Overlay) Compact() (*pg.Frozen, error) {
 	if err := fault.Hit(siteCompact); err != nil {
 		return nil, err
 	}
-	g := pg.New()
-	for _, n := range o.Nodes() {
-		if _, err := g.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
-			return nil, fmt.Errorf("overlay: compacting: %w", err)
-		}
-	}
-	for _, e := range o.Edges() {
-		if _, err := g.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
-			return nil, fmt.Errorf("overlay: compacting: %w", err)
-		}
+	g, err := pg.CopyView(o)
+	if err != nil {
+		return nil, fmt.Errorf("overlay: compacting: %w", err)
 	}
 	return g.Freeze(), nil
 }

@@ -443,18 +443,4 @@ func (f *Frozen) propAt(keys []symtab.Sym, vals []value.Value, off []int32, row 
 // Freeze and Thaw are exact inverses up to representation: Thaw(Freeze(g))
 // has the same nodes, edges, labels and properties as g (the OID allocator
 // resumes past the highest OID present).
-func (f *Frozen) Thaw() *Graph {
-	f.facade()
-	g := New()
-	for _, n := range f.nodes {
-		if _, err := g.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
-			panic(err) // cannot happen: snapshot OIDs are unique
-		}
-	}
-	for _, e := range f.edges {
-		if _, err := g.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
-			panic(err) // cannot happen: endpoints were all added above
-		}
-	}
-	return g
-}
+func (f *Frozen) Thaw() *Graph { return mustCopy(f) }

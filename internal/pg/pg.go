@@ -410,20 +410,32 @@ func (g *Graph) RemoveNode(id OID) error {
 }
 
 // Clone returns a deep copy of the graph, preserving all OIDs.
-func (g *Graph) Clone() *Graph {
-	out := New()
-	for _, n := range g.Nodes() {
-		if _, err := out.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
-			panic(err) // cannot happen: source OIDs are unique
+func (g *Graph) Clone() *Graph { return mustCopy(g) }
+
+// CopyView builds a fresh mutable graph holding every node and edge of the
+// view, OIDs preserved. It fails only on a view that breaks the graph
+// invariants (a duplicate OID, an edge whose endpoint the view does not hold).
+func CopyView(v View) (*Graph, error) {
+	g := New()
+	for _, n := range v.Nodes() {
+		if _, err := g.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
+			return nil, err
 		}
 	}
-	for _, e := range g.Edges() {
-		if _, err := out.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
-			// Invariant: edge OIDs are unique and every endpoint was copied
-			// by the node loop above, so the insert cannot fail on a graph
-			// that satisfies its own invariants.
-			panic(err)
+	for _, e := range v.Edges() {
+		if _, err := g.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return g, nil
+}
+
+// mustCopy is CopyView for this package's own views, whose OIDs are unique
+// and whose edge endpoints are present by construction.
+func mustCopy(v View) *Graph {
+	g, err := CopyView(v)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

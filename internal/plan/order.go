@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/vadalog"
+	"repro/internal/value"
 )
 
 // siteOrder brackets one planning pass; chaos tests arm it to prove that a
@@ -130,7 +131,8 @@ func Compile(prog *vadalog.Program, st *Stats, opt Options) (*vadalog.Program, *
 // multiplicity depends on traversal order), first-match-only variants (the
 // cut is anchored to the leading atom), negated atoms or conditions over
 // variables unbound at their written position (their wildcard/error
-// semantics are position-dependent) — keep their written order, with the
+// semantics are position-dependent), conditions that can fail to evaluate
+// (see fallible) — keep their written order, with the
 // reason recorded in Fallback. These are exactly the Maintainer's
 // reordering hazards (internal/vadalog/delta.go assignTargets).
 func orderRule(r *vadalog.Rule, st *Stats, idb map[string]bool) RulePlan {
@@ -279,9 +281,36 @@ func reorderHazard(r *vadalog.Rule) string {
 					return "condition over unbound variables"
 				}
 			}
+			if fallible(l.Expr, true) {
+				return "condition that can fail to evaluate"
+			}
 		}
 	}
 	return ""
+}
+
+// fallible reports whether evaluating a condition can raise. Comparisons and
+// boolean connectives over variables and constants always yield a boolean;
+// arithmetic and calls check operand kinds at run time, and a bare value
+// (cond marks the top level) is rejected unless boolean. Which bindings reach
+// a condition depends on the join order, so a reorder could surface or hide
+// the error.
+func fallible(e *vadalog.Expr, cond bool) bool {
+	switch e.Kind {
+	case vadalog.ExprConst:
+		return cond && e.Val.K != value.Bool
+	case vadalog.ExprVar:
+		return cond
+	case vadalog.ExprUnary:
+		return e.Op != "not" || fallible(e.Left, false)
+	case vadalog.ExprBinary:
+		switch e.Op {
+		case "+", "-", "*", "/":
+			return true
+		}
+		return fallible(e.Left, false) || fallible(e.Right, false)
+	}
+	return true
 }
 
 const (

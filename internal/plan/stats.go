@@ -14,10 +14,9 @@
 package plan
 
 import (
-	"sort"
-
 	"repro/internal/graphstats"
 	"repro/internal/pg"
+	"repro/internal/sortedset"
 )
 
 // Layout names the relational columns each label's facts are extracted
@@ -68,7 +67,7 @@ func ComputeStats(g pg.View, lay Layout) *Stats {
 		Edges: g.NumEdges(),
 		Preds: make(map[string]PredStats, len(lay.NodeProps)+len(lay.EdgeProps)),
 	}
-	for _, label := range sortedKeys(lay.NodeProps) {
+	for _, label := range sortedset.Keys(lay.NodeProps) {
 		props := lay.NodeProps[label]
 		card := nodeCard[label]
 		ps := PredStats{Kind: "node", Card: card, Distinct: make([]int, 1+len(props))}
@@ -87,7 +86,7 @@ func ComputeStats(g pg.View, lay Layout) *Stats {
 		}
 		st.Preds[label] = ps
 	}
-	for _, label := range sortedKeys(lay.EdgeProps) {
+	for _, label := range sortedset.Keys(lay.EdgeProps) {
 		props := lay.EdgeProps[label]
 		card := edgeCard[label]
 		ps := PredStats{Kind: "edge", Card: card, Distinct: make([]int, 3+len(props))}
@@ -150,15 +149,6 @@ func clampDistinct(d, card int) int {
 		return card
 	}
 	return d
-}
-
-func sortedKeys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // distinctAt returns the distinct estimate for a column, defaulting

@@ -11,13 +11,14 @@ import (
 // expvar map. Tests read them through CountersSnapshot deltas so multiple
 // server instances per process (the test suites) stay unambiguous.
 var (
-	mRequests  atomic.Int64 // requests dispatched to any endpoint
-	mErrors    atomic.Int64 // requests answered with a typed error
-	mRejected  atomic.Int64 // requests shed by admission control (429)
-	mHits      atomic.Int64 // query cache hits
-	mMisses    atomic.Int64 // query cache misses (evaluations)
-	mReloads   atomic.Int64 // successful snapshot swaps
-	mReloadErr atomic.Int64 // failed reloads (snapshot kept)
+	mRequests        atomic.Int64 // requests dispatched to any endpoint
+	mErrors          atomic.Int64 // requests answered with a typed error
+	mRejected        atomic.Int64 // requests shed by admission control (429)
+	mHits            atomic.Int64 // query cache hits
+	mMisses          atomic.Int64 // query cache misses (evaluations)
+	mQueryReextracts atomic.Int64 // evaluations the shared database refused (per-request extraction)
+	mReloads         atomic.Int64 // successful snapshot swaps
+	mReloadErr       atomic.Int64 // failed reloads (snapshot kept)
 
 	mMutates        atomic.Int64 // applied mutation batches
 	mMutateErr      atomic.Int64 // failed batches (snapshot kept)
@@ -42,6 +43,7 @@ var (
 type CounterSnapshot struct {
 	Requests, Errors, Rejected int64
 	CacheHits, CacheMisses     int64
+	QueryReextracts            int64
 	Reloads, ReloadErrors      int64
 
 	Mutates, MutateErrors, MutateFallbacks int64
@@ -58,13 +60,14 @@ type CounterSnapshot struct {
 // CountersSnapshot returns the current process-wide serving counters.
 func CountersSnapshot() CounterSnapshot {
 	return CounterSnapshot{
-		Requests:     mRequests.Load(),
-		Errors:       mErrors.Load(),
-		Rejected:     mRejected.Load(),
-		CacheHits:    mHits.Load(),
-		CacheMisses:  mMisses.Load(),
-		Reloads:      mReloads.Load(),
-		ReloadErrors: mReloadErr.Load(),
+		Requests:        mRequests.Load(),
+		Errors:          mErrors.Load(),
+		Rejected:        mRejected.Load(),
+		CacheHits:       mHits.Load(),
+		CacheMisses:     mMisses.Load(),
+		QueryReextracts: mQueryReextracts.Load(),
+		Reloads:         mReloads.Load(),
+		ReloadErrors:    mReloadErr.Load(),
 
 		Mutates:         mMutates.Load(),
 		MutateErrors:    mMutateErr.Load(),
@@ -94,6 +97,7 @@ func registerExpvar() {
 		m.Set("rejected", expvar.Func(func() any { return mRejected.Load() }))
 		m.Set("cache_hits", expvar.Func(func() any { return mHits.Load() }))
 		m.Set("cache_misses", expvar.Func(func() any { return mMisses.Load() }))
+		m.Set("query_reextracts", expvar.Func(func() any { return mQueryReextracts.Load() }))
 		m.Set("reloads", expvar.Func(func() any { return mReloads.Load() }))
 		m.Set("reload_errors", expvar.Func(func() any { return mReloadErr.Load() }))
 		m.Set("mutates", expvar.Func(func() any { return mMutates.Load() }))

@@ -91,19 +91,19 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 			}
 			return fmt.Errorf("%w: %v", ErrBadMutation, err)
 		}
+		next = &snapshot{frozen: sn.frozen, view: ov, ov: ov,
+			pstats: sn.pstats, build: sn.build, file: sn.file}
 		db, ok := metalog.ApplyFactsDelta(sn.db, sn.cat, diff)
-		cat := sn.cat
-		if !ok {
+		if ok {
+			next.cat, next.db = sn.cat, db
+		} else {
 			// The batch needs columns the lineage catalog lacks: re-infer
 			// the catalog from the merged view and re-extract in full.
 			mMutateFallback.Add(1)
-			cat = metalog.FromGraph(ov)
-			if db, err = metalog.ExtractFacts(ov, cat); err != nil {
+			if err := s.buildSubstrate(next); err != nil {
 				return err
 			}
 		}
-		next = &snapshot{frozen: sn.frozen, view: ov, ov: ov, cat: cat, db: db,
-			pstats: sn.pstats, build: sn.build, file: sn.file}
 		info = MutateInfo{
 			Ops:          len(ops),
 			AddedNodes:   len(diff.AddedNodes),

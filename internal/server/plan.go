@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
 	"net/http"
 
 	"repro/internal/metalog"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/vadalog"
 )
 
 // The serving side of the cost-based query planner (internal/plan,
@@ -126,18 +124,7 @@ func (s *Server) handleExplain(r *http.Request) (*apiResult, *apiError) {
 		resp.Fallback = resp.Plan.Fallback
 	}
 	if req.Run {
-		ctx := r.Context()
-		if s.cfg.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-			defer cancel()
-		}
-		opts := vadalog.Options{
-			Workers:  s.cfg.EngineWorkers,
-			MaxFacts: s.cfg.MaxFacts,
-			OnFault:  s.cfg.OnFault,
-		}
-		rows, err := s.queryRows(ctx, sn, prep, req.Query, opts)
+		rows, err := s.queryRows(r.Context(), sn, prep)
 		if err != nil {
 			return nil, mapEvalError(err)
 		}

@@ -288,7 +288,7 @@ func NewFromGraph(cfg Config, g *pg.Graph) (*Server, error) {
 	if s.walRec != nil && s.walRec.Checkpoint != nil && s.walRec.Checkpoint.Base != "" {
 		first, err = s.buildFromPath(s.walRec.Checkpoint.Base)
 	} else {
-		first, err = s.buildSnapshot(g)
+		first, err = s.buildFromFrozen(g.Freeze(), nil)
 	}
 	if err != nil {
 		s.closeWALOnFailure()
@@ -439,7 +439,7 @@ func (s *Server) buildFromPath(path string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: loading %s: %w", path, err)
 	}
-	return s.buildSnapshot(g)
+	return s.buildFromFrozen(g.Freeze(), nil)
 }
 
 // isSnapshotFile sniffs the snapfile magic without consuming the file.
@@ -454,25 +454,30 @@ func isSnapshotFile(path string) bool {
 	return snapfile.Sniff(hdr[:n])
 }
 
-// buildSnapshot freezes a graph and precomputes the query substrate.
-func (s *Server) buildSnapshot(g *pg.Graph) (*snapshot, error) {
-	return s.buildFromFrozen(g.Freeze(), nil)
-}
-
-// buildFromFrozen precomputes the query substrate over an existing frozen
-// view: the inferred catalog and the extracted fact database shared
-// (read-only) by every query against this generation.
+// buildFromFrozen builds the generation serving an existing frozen view.
 func (s *Server) buildFromFrozen(frozen *pg.Frozen, build *snapfile.BuildInfo) (*snapshot, error) {
-	cat := metalog.FromGraph(frozen)
-	db, err := metalog.ExtractFacts(frozen, cat)
-	if err != nil {
+	sn := &snapshot{frozen: frozen, view: frozen, build: build}
+	if err := s.buildSubstrate(sn); err != nil {
 		return nil, fmt.Errorf("server: extracting facts: %w", err)
 	}
-	sn := &snapshot{frozen: frozen, view: frozen, cat: cat, db: db, build: build}
-	if !s.cfg.PlannerOff {
-		sn.pstats = metalog.ComputePlanStats(frozen, cat)
-	}
 	return sn, nil
+}
+
+// buildSubstrate fills in the query substrate of a generation from its view:
+// the inferred catalog and the extracted fact database shared (read-only) by
+// every query against it, and — with the planner on, for a generation that
+// carries no statistics forward from its base — the statistics catalog.
+func (s *Server) buildSubstrate(sn *snapshot) error {
+	sn.cat = metalog.FromGraph(sn.view)
+	db, err := metalog.ExtractFacts(sn.view, sn.cat)
+	if err != nil {
+		return err
+	}
+	sn.db = db
+	if sn.pstats == nil && !s.cfg.PlannerOff {
+		sn.pstats = metalog.ComputePlanStats(sn.view, sn.cat)
+	}
+	return nil
 }
 
 // ReloadInfo describes a completed snapshot swap.
@@ -642,17 +647,6 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 	}
 	mMisses.Add(1)
 
-	ctx := r.Context()
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	opts := vadalog.Options{
-		Workers:  s.cfg.EngineWorkers,
-		MaxFacts: s.cfg.MaxFacts,
-		OnFault:  s.cfg.OnFault,
-	}
 	var rows []metalog.QueryRow
 	var prep *metalog.Prepared
 	var err error
@@ -664,7 +658,7 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 		prep, _, err = s.preparedFor(sn, req.Query)
 	}
 	if err == nil {
-		rows, err = s.queryRows(ctx, sn, prep, req.Query, opts)
+		rows, err = s.queryRows(r.Context(), sn, prep)
 	}
 	if err != nil {
 		return nil, mapEvalError(err)
@@ -679,16 +673,28 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 	return &apiResult{body: out, gen: sn.gen, cache: "miss"}, nil
 }
 
-// queryRows runs a prepared query against the snapshot's database, which is
-// shared read-only across requests (the engine clones it: OwnInput stays
-// false). A stale pattern — one that mentions labels or properties the
-// shared database has no columns for — is re-extracted (and evaluated
-// written-order) against a fresh catalog clone: slower, but the result is
-// still cached under this generation.
-func (s *Server) queryRows(ctx context.Context, sn *snapshot, prep *metalog.Prepared, query string, opts vadalog.Options) ([]metalog.QueryRow, error) {
+// queryRows runs a prepared query, under the configured deadline and engine
+// options, against the snapshot's database, which is shared read-only across
+// requests (the engine clones it: OwnInput stays false). A pattern that names
+// a property the shared database has no column for is refused there, and the
+// Prepared evaluates itself against the view instead — a per-request
+// extraction under its own catalog: slower, but the result is still cached
+// under this generation.
+func (s *Server) queryRows(ctx context.Context, sn *snapshot, prep *metalog.Prepared) ([]metalog.QueryRow, error) {
+	if s.cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+		defer cancel()
+	}
+	opts := vadalog.Options{
+		Workers:  s.cfg.EngineWorkers,
+		MaxFacts: s.cfg.MaxFacts,
+		OnFault:  s.cfg.OnFault,
+	}
 	rows, err := prep.QueryDB(ctx, sn.db, opts)
 	if errors.Is(err, metalog.ErrStaleDatabase) {
-		rows, err = metalog.QueryWithCatalogCtx(ctx, sn.view, sn.cat.Clone(), query, opts)
+		mQueryReextracts.Add(1)
+		rows, err = prep.QueryView(ctx, sn.view, opts)
 	}
 	return rows, err
 }

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metalog"
 	"repro/internal/pg"
 	"repro/internal/supermodel"
+	"repro/internal/vadalog"
 	"repro/internal/value"
 )
 
@@ -437,35 +439,67 @@ func TestConcurrentQueriesShareSnapshot(t *testing.T) {
 	}
 }
 
-// TestQueryAbsentPropFallsBack: a pattern mentioning a property absent from
-// the snapshot's pre-extracted database takes the re-extraction slow path
-// (metalog.ErrStaleDatabase → QueryWithCatalogCtx against the frozen view)
-// and still answers 200, with the result cached like any other.
-func TestQueryAbsentPropFallsBack(t *testing.T) {
+// TestQueryAbsentLayouts: a pattern naming a property the snapshot's shared
+// database has no column for is refused by QueryDB and re-extracted per
+// request (metalog.ErrStaleDatabase → Prepared.QueryView); one naming an
+// absent label needs no column and is served from the shared database. Either
+// way the bytes equal one-shot metalog.Query's and a planner-off, cache-less
+// server's, and the result is cached like any other.
+func TestQueryAbsentLayouts(t *testing.T) {
 	s := newTestServer(t, Config{CacheSize: 8})
-	body := `{"query":"(x: Business; nope: v) [: CONTROLS] (y: Business)"}`
-	w := postJSON(t, s.Handler(), "/query", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	var resp queryResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Total != 1 {
-		t.Fatalf("total = %d: %s", resp.Total, w.Body.String())
-	}
-	for _, c := range resp.Columns {
-		if c == "v" {
-			t.Fatalf("absent property surfaced as column: %v", resp.Columns)
+	ref := newTestServer(t, Config{PlannerOff: true})
+	for _, tc := range []struct {
+		query      string
+		total      int
+		reextracts int64
+	}{
+		{`(x: Business; nope: v) [: CONTROLS] (y: Business)`, 1, 1},
+		{`(x: Business) [: CONTROLS; nope: v] (y: Business)`, 1, 1},
+		{`(x: Business) [: NO_SUCH_EDGE] (y: Business)`, 0, 0},
+		{`(x: NoSuchLabel; businessName: v)`, 0, 0},
+	} {
+		body := fmt.Sprintf(`{"query":%q}`, tc.query)
+		before := CountersSnapshot().QueryReextracts
+		w := postJSON(t, s.Handler(), "/query", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.query, w.Code, w.Body.String())
 		}
-	}
-	// Second request is served from the cache, byte-identical.
-	w2 := postJSON(t, s.Handler(), "/query", body)
-	if got := w2.Header().Get("X-KG-Cache"); got != "hit" {
-		t.Fatalf("X-KG-Cache = %q, want hit", got)
-	}
-	if w2.Body.String() != w.Body.String() {
-		t.Fatal("fallback result not cached bit-identically")
+		if d := CountersSnapshot().QueryReextracts - before; d != tc.reextracts {
+			t.Errorf("%s: re-extractions = %d, want %d", tc.query, d, tc.reextracts)
+		}
+		var resp queryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Total != tc.total {
+			t.Fatalf("%s: total = %d: %s", tc.query, resp.Total, w.Body.String())
+		}
+		for _, c := range resp.Columns {
+			if c == "v" {
+				t.Fatalf("%s: absent property surfaced as column: %v", tc.query, resp.Columns)
+			}
+		}
+		rows, err := metalog.Query(tinyGraph().Freeze(), tc.query, vadalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, aerr := marshalBody(buildQueryResponse(rows, 0))
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		if w.Body.String() != string(want) {
+			t.Errorf("%s: served\n%s\none-shot Query\n%s", tc.query, w.Body.String(), want)
+		}
+		if wr := postJSON(t, ref.Handler(), "/query", body); wr.Body.String() != w.Body.String() {
+			t.Errorf("%s: planner-off server answered\n%s\nwant\n%s", tc.query, wr.Body.String(), w.Body.String())
+		}
+		// Second request is served from the cache, byte-identical.
+		w2 := postJSON(t, s.Handler(), "/query", body)
+		if got := w2.Header().Get("X-KG-Cache"); got != "hit" {
+			t.Fatalf("%s: X-KG-Cache = %q, want hit", tc.query, got)
+		}
+		if w2.Body.String() != w.Body.String() {
+			t.Fatalf("%s: result not cached bit-identically", tc.query)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/metalog"
 	"repro/internal/overlay"
 	"repro/internal/wal"
 )
@@ -91,13 +90,12 @@ func (s *Server) replayWAL() error {
 			}
 			mWALReplayed.Add(1)
 		}
-		cat := metalog.FromGraph(ov)
-		db, err := metalog.ExtractFacts(ov, cat)
-		if err != nil {
+		next := &snapshot{gen: sn.gen, frozen: sn.frozen, view: ov, ov: ov,
+			pstats: sn.pstats, build: sn.build, file: sn.file}
+		if err := s.buildSubstrate(next); err != nil {
 			return fmt.Errorf("server: wal replay: %w", err)
 		}
-		s.snap.Store(&snapshot{gen: sn.gen, frozen: sn.frozen, view: ov, ov: ov,
-			cat: cat, db: db, pstats: sn.pstats, build: sn.build, file: sn.file})
+		s.snap.Store(next)
 	}
 	s.recovering.Store(false)
 	return nil

@@ -48,3 +48,14 @@ func Contains[T cmp.Ordered](s []T, v T) bool {
 func Sort[T cmp.Ordered](s []T) {
 	slices.Sort(s)
 }
+
+// Keys returns the keys of m in ascending order: the deterministic way to
+// iterate a map whose order is observable.
+func Keys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}

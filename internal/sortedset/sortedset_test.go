@@ -67,3 +67,12 @@ func TestSort(t *testing.T) {
 		t.Fatalf("Sort: got %v, want %v", s, want)
 	}
 }
+
+func TestKeys(t *testing.T) {
+	if got := Keys(map[string]bool{"b": true, "c": false, "a": true}); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("Keys: got %v", got)
+	}
+	if got := Keys(map[uint64]string(nil)); len(got) != 0 {
+		t.Fatalf("Keys(nil): got %v", got)
+	}
+}

@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/sortedset"
 	"repro/internal/value"
 )
 
@@ -382,20 +383,24 @@ func assignTargets(r Rule) map[string]bool {
 	return out
 }
 
-// buildDeletionProgram derives the over-deletion program: one variant per
-// rule per positive body atom occurrence, heads prefixed with del·.
-func buildDeletionProgram(p *Program) *Program {
+// buildDeltaProgram derives a delta-driven program: one variant per rule per
+// positive body atom occurrence, with the triggering occurrence read from its
+// shadow relation and front-loaded when no variable of the atom is an
+// assignment target (moving it ahead of the assignment would flip the
+// expression's reading). Variants head into the shadow of each head predicate
+// and, with keepHeads, into the head predicate itself.
+func buildDeltaProgram(p *Program, shadow func(string) string, keepHeads bool) *Program {
 	out := &Program{}
 	for _, r := range p.Rules {
 		if len(r.Body) == 0 {
-			continue // fact rules have no deletable body support
+			continue // fact rules have no body support to delete or extend
 		}
 		targets := assignTargets(r)
 		for i, l := range r.Body {
 			if l.Kind != LitAtom {
 				continue
 			}
-			delAtom := Atom{Pred: delPred(l.Atom.Pred), Args: l.Atom.Args}
+			trigger := Literal{Kind: LitAtom, Atom: Atom{Pred: shadow(l.Atom.Pred), Args: l.Atom.Args}}
 			frontable := true
 			for _, v := range l.Atom.Vars() {
 				if targets[v] {
@@ -406,7 +411,7 @@ func buildDeletionProgram(p *Program) *Program {
 			var body []Literal
 			if frontable {
 				body = make([]Literal, 0, len(r.Body))
-				body = append(body, Literal{Kind: LitAtom, Atom: delAtom})
+				body = append(body, trigger)
 				for j, bl := range r.Body {
 					if j != i {
 						body = append(body, bl)
@@ -414,11 +419,14 @@ func buildDeletionProgram(p *Program) *Program {
 				}
 			} else {
 				body = append([]Literal(nil), r.Body...)
-				body[i] = Literal{Kind: LitAtom, Atom: delAtom}
+				body[i] = trigger
 			}
-			heads := make([]Atom, len(r.Head))
-			for hi, h := range r.Head {
-				heads[hi] = Atom{Pred: delPred(h.Pred), Args: h.Args}
+			heads := make([]Atom, 0, len(r.Head)*2)
+			for _, h := range r.Head {
+				if keepHeads {
+					heads = append(heads, h)
+				}
+				heads = append(heads, Atom{Pred: shadow(h.Pred), Args: h.Args})
 			}
 			out.Rules = append(out.Rules, Rule{Head: heads, Body: body, Line: r.Line})
 		}
@@ -426,60 +434,21 @@ func buildDeletionProgram(p *Program) *Program {
 	return out
 }
 
-// buildInsertionProgram derives the delta-driven insertion program: one
-// variant per rule per positive body atom occurrence, with the triggering
-// occurrence read from its ins· delta relation and front-loaded when no
-// variable of the atom is an assignment target (the same reordering hazard
-// as the deletion program). Every variant heads into both the original
-// predicate and its ins· shadow, so each round's derivations become the next
-// round's delta: semi-naive evaluation expressed as a program transformation
-// over the unmodified engine. The shadows accumulate for the lifetime of one
-// batch, which re-joins earlier rounds' facts in later rounds — wasteful for
-// large deltas, but batch deltas are orders of magnitude smaller than the
-// relations they join against, and front-loading them is what keeps a batch
-// from scanning the full database (the engine traverses rule bodies
-// left-to-right).
-func buildInsertionProgram(p *Program) *Program {
-	out := &Program{}
-	for _, r := range p.Rules {
-		if len(r.Body) == 0 {
-			continue // fact rules are saturated by the initial fixpoint
-		}
-		targets := assignTargets(r)
-		for i, l := range r.Body {
-			if l.Kind != LitAtom {
-				continue
-			}
-			insAtom := Atom{Pred: insPred(l.Atom.Pred), Args: l.Atom.Args}
-			frontable := true
-			for _, v := range l.Atom.Vars() {
-				if targets[v] {
-					frontable = false
-					break
-				}
-			}
-			var body []Literal
-			if frontable {
-				body = make([]Literal, 0, len(r.Body))
-				body = append(body, Literal{Kind: LitAtom, Atom: insAtom})
-				for j, bl := range r.Body {
-					if j != i {
-						body = append(body, bl)
-					}
-				}
-			} else {
-				body = append([]Literal(nil), r.Body...)
-				body[i] = Literal{Kind: LitAtom, Atom: insAtom}
-			}
-			heads := make([]Atom, 0, len(r.Head)*2)
-			for _, h := range r.Head {
-				heads = append(heads, h, Atom{Pred: insPred(h.Pred), Args: h.Args})
-			}
-			out.Rules = append(out.Rules, Rule{Head: heads, Body: body, Line: r.Line})
-		}
-	}
-	return out
-}
+// buildDeletionProgram derives the over-deletion program: heads and the
+// triggering occurrence prefixed with del·.
+func buildDeletionProgram(p *Program) *Program { return buildDeltaProgram(p, delPred, false) }
+
+// buildInsertionProgram derives the delta-driven insertion program: the
+// triggering occurrence reads its ins· delta relation, and every variant
+// heads into both the original predicate and its ins· shadow, so each round's
+// derivations become the next round's delta: semi-naive evaluation expressed
+// as a program transformation over the unmodified engine. The shadows
+// accumulate for the lifetime of one batch, which re-joins earlier rounds'
+// facts in later rounds — wasteful for large deltas, but batch deltas are
+// orders of magnitude smaller than the relations they join against, and
+// front-loading them is what keeps a batch from scanning the full database
+// (the engine traverses rule bodies left-to-right).
+func buildInsertionProgram(p *Program) *Program { return buildDeltaProgram(p, insPred, true) }
 
 // buildRederivationProgram derives the guarded re-derivation program: one
 // cand·-guarded variant per head atom for guardable rules, the original rule
@@ -629,7 +598,7 @@ func batchTouchedDB(stats *DeltaStats) bool {
 // asserted fact. The returned slices are ordered deterministically (sorted
 // predicate, then the caller's per-predicate order).
 func (m *Maintainer) validate(d Delta) (dels, adds []predFact, err error) {
-	delPreds := sortedKeys(d.Del)
+	delPreds := sortedset.Keys(d.Del)
 	for _, pred := range delPreds {
 		er := m.edb[pred]
 		for _, f := range d.Del[pred] {
@@ -639,7 +608,7 @@ func (m *Maintainer) validate(d Delta) (dels, adds []predFact, err error) {
 			dels = append(dels, predFact{pred, f})
 		}
 	}
-	addPreds := sortedKeys(d.Add)
+	addPreds := sortedset.Keys(d.Add)
 	for _, pred := range addPreds {
 		arity := -1
 		if rel := m.db.Relation(pred); rel != nil {
@@ -658,15 +627,6 @@ func (m *Maintainer) validate(d Delta) (dels, adds []predFact, err error) {
 		}
 	}
 	return dels, adds, nil
-}
-
-func sortedKeys(m map[string][]Fact) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // retractEDB removes the batch deletions from the extensional store and

@@ -803,8 +803,14 @@ func (e *engine) runStratum(stratumIdx int, ruleIdxs []int) error {
 		return nil
 	}
 
-	// Delta rounds (or full naive re-evaluation when requested).
-	prev := startLens
+	return e.deltaRounds(stratumIdx, fixpointRules, startLens)
+}
+
+// deltaRounds runs a stratum to its fixpoint from a seeded delta: each round
+// joins every rule's growing occurrences against the facts added since the
+// previous round's length snapshot (prev for the first round), or, with
+// Options.Naive, re-evaluates those rules in full.
+func (e *engine) deltaRounds(stratumIdx int, rules []*cRule, prev map[string]int) error {
 	for round := 1; ; round++ {
 		e.rounds++
 		if err := e.checkCtx(); err != nil {
@@ -815,7 +821,7 @@ func (e *engine) runStratum(stratumIdx int, ruleIdxs []int) error {
 		}
 		cur := e.lens()
 		inserted := 0
-		for _, cr := range fixpointRules {
+		for _, cr := range rules {
 			if len(cr.growOccs) == 0 {
 				continue
 			}

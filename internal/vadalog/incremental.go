@@ -158,37 +158,5 @@ func (e *engine) resumeStratum(stratumIdx int, ruleIdxs []int, base map[string]i
 		}
 		rules = append(rules, cr)
 	}
-
-	prev := base
-	for round := 1; ; round++ {
-		e.rounds++
-		if err := e.checkCtx(); err != nil {
-			return err
-		}
-		if round > e.opts.MaxRounds {
-			return fmt.Errorf("vadalog: incremental fixpoint did not converge within %d rounds", e.opts.MaxRounds)
-		}
-		cur := e.lens()
-		inserted := 0
-		for _, cr := range rules {
-			if len(cr.growOccs) == 0 {
-				continue
-			}
-			for _, occ := range cr.growOccs {
-				w := deltaWindows{prev: prev, cur: cur, deltaStep: occ, growOccs: cr.growOccs}
-				n, err := e.eval(cr, w)
-				if err != nil {
-					return err
-				}
-				inserted += n
-			}
-		}
-		if e.trace != nil {
-			e.trace.AddRound(stratumIdx, round, inserted)
-		}
-		if inserted == 0 {
-			return nil
-		}
-		prev = cur
-	}
+	return e.deltaRounds(stratumIdx, rules, base)
 }
