@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = storage serve snapshot incr wal plan load
 
-.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc check bench $(addprefix bench-,$(BENCHES))
+.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench $(addprefix bench-,$(BENCHES))
 
 build:
 	$(GO) build ./...
@@ -75,10 +75,22 @@ cover: build
 test-bench: build
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+LOC_FILTER = grep '\.go$$' | grep -v '_test\.go$$' | grep -v '^bench/'
+
 # loc prints the non-test line count outside bench/ — the number CHANGES.md
 # records a simplification PR's net delta against.
 loc:
-	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
+	@git ls-files | $(LOC_FILTER) | xargs cat | wc -l
+
+# loc-delta BASE=<rev> prints that count at BASE (read from the object store,
+# no checkout), in the checked-out tree (what `make loc` prints: HEAD on a
+# clean checkout, HEAD plus the staged PR before it is committed) and the
+# difference — the number a simplification PR's CHANGES.md line records.
+loc-delta:
+	@test -n "$(BASE)" || { echo "usage: make loc-delta BASE=<rev>" >&2; exit 2; }
+	@base=$$(git ls-tree -r --name-only $(BASE) | $(LOC_FILTER) | sed 's|^|$(BASE):|' | xargs git show | wc -l) && \
+	head=$$($(MAKE) -s loc) && \
+	echo "$$base at $(BASE), $$head here, delta $$((head - base))"
 
 # check is the tier-1 gate: vet + full suite, the race-detector pass, the
 # chaos sweep, the fuzz smoke test, the coverage floor, and the benchmark

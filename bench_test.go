@@ -14,6 +14,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -126,7 +127,7 @@ func BenchmarkE10ControlMetaLog(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := metalog.Reason(prog, g, vadalog.Options{}); err != nil {
+				if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,7 +239,7 @@ func BenchmarkE11DescFrom(b *testing.B) {
 					b.StopTimer()
 					work := dict.Clone()
 					b.StartTimer()
-					if _, err := metalog.Reason(prog, work, vadalog.Options{Workers: w}); err != nil {
+					if _, err := metalog.Reason(context.Background(), prog, work, vadalog.Options{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -265,7 +266,7 @@ func BenchmarkE17TraceOverhead(b *testing.B) {
 					opts.Trace = obs.NewTrace()
 				}
 				b.StartTimer()
-				if _, err := metalog.Reason(prog, work, opts); err != nil {
+				if _, err := metalog.Reason(context.Background(), prog, work, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -447,7 +448,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("incremental/companies=%d", n), func(b *testing.B) {
 			b.StopTimer()
-			inc, err := vadalog.NewIncremental(prog, base.Clone(), vadalog.Options{})
+			inc, err := vadalog.NewIncremental(context.Background(), prog, base.Clone(), vadalog.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -457,7 +458,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 				if err := inc.Add("owns", value.IntV(0), value.IntV(1), value.FloatV(0.5+float64(i%1000)/1e7)); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := inc.Propagate(); err != nil {
+				if _, err := inc.Propagate(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -163,7 +164,7 @@ func runControl(scales []int, seed int64, workers int) {
 		if err != nil {
 			fatal(err)
 		}
-		mlRes, err := metalog.Reason(prog, g, engineOpts(workers))
+		mlRes, err := metalog.Reason(context.Background(), prog, g, engineOpts(workers))
 		if err != nil {
 			fatal(err)
 		}

@@ -8,7 +8,7 @@
 //	kggen -companies 10000 -seed 42 -mode shareholding -out graph.json
 //	kggen -companies 1000 -mode kg -out kg.json
 //	kggen -companies 1000 -mode shareholding -csv-prefix out/   # nodes/edges CSV
-//	kggen -companies 1000 -snap kg.snap   # binary snapshot for kgserve -snapshot
+//	kggen -companies 1000 -snap kg.snap   # binary snapshot for kgserve -in
 //	kggen -stream -companies 30000000 -workers 8 -snap big.snap   # 100M-edge scale
 //
 // -stream generates the shareholding graph as a batch stream through the

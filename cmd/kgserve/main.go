@@ -6,7 +6,7 @@
 // Usage:
 //
 //	kgserve -in kg.json -addr :8080
-//	kgserve -snapshot kg.snap -addr :8080   # mmap cold-start (see kgsnap)
+//	kgserve -in kg.snap -addr :8080         # binary snapshot (see kgsnap): mmap cold-start
 //	kgserve -in kg.json -companykg -cache 1024 -inflight 16 -debug
 //
 // Endpoints:
@@ -31,7 +31,8 @@
 // While the log replays on startup, every endpoint — /healthz included —
 // answers a typed 503 "recovering".
 //
-// With -debug, /debug/vars, /debug/pprof and /debug/latency are mounted.
+// With -debug, /debug/vars (the vadalog and kgserve counter maps, with
+// per-endpoint latency in the latter) and /debug/pprof are mounted.
 package main
 
 import (
@@ -51,8 +52,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "property graph JSON to serve")
-	snapshotPath := flag.String("snapshot", "", "binary snapshot file to serve (see kgsnap); mmap cold-start instead of parse+freeze")
+	in := flag.String("in", "", "dictionary to serve: property graph JSON, or a binary snapshot file (see kgsnap; sniffed by magic) for an mmap cold-start instead of parse+freeze")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	schemaFile := flag.String("schema", "", "GSL design file enabling /validate")
 	companyKG := flag.Bool("companykg", false, "use the built-in Company KG design for /validate")
@@ -69,7 +69,7 @@ func main() {
 	compactDir := flag.String("compact-dir", "", "persist compacted generations as binary snapshots in this directory")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: log every /mutate batch before acknowledging and replay it on startup (empty disables durability)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always, interval[:duration] or off")
-	debug := flag.Bool("debug", false, "mount /debug/vars, /debug/pprof and /debug/latency")
+	debug := flag.Bool("debug", false, "mount /debug/vars and /debug/pprof")
 	ff := cli.RegisterFaultFlags(flag.CommandLine, true)
 	flag.Parse()
 
@@ -80,16 +80,8 @@ func main() {
 	if done {
 		return
 	}
-	if *in != "" && *snapshotPath != "" {
-		fmt.Fprintln(os.Stderr, "kgserve: -in and -snapshot are mutually exclusive")
-		os.Exit(2)
-	}
-	source := *in
-	if *snapshotPath != "" {
-		source = *snapshotPath
-	}
-	if source == "" {
-		fmt.Fprintln(os.Stderr, "kgserve: need -in <graph.json> or -snapshot <graph.snap>")
+	if *in == "" {
+		fmt.Fprintln(os.Stderr, "kgserve: need -in <graph.json|graph.snap>")
 		os.Exit(2)
 	}
 
@@ -108,7 +100,7 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Source:        source,
+		Source:        *in,
 		Schema:        schema,
 		Strategy:      *strategy,
 		MaxInflight:   *inflight,

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := metalog.Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		log.Fatal(err)
 	}
 	directPairs := map[[2]int64]bool{}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 	}
 	fmt.Println("MetaLog program (Example 4.1):")
 	fmt.Print(prog.String())
-	res, err := metalog.Reason(prog, g, vadalog.Options{})
+	res, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -35,7 +36,7 @@ func main() {
 
 	prog := vadalog.MustParse(finance.ControlVadalog())
 	start := time.Now()
-	inc, err := vadalog.NewIncremental(prog, db, vadalog.Options{})
+	inc, err := vadalog.NewIncremental(context.Background(), prog, db, vadalog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if _, err := inc.Propagate(); err != nil {
+	if _, err := inc.Propagate(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	events := []struct {
@@ -82,7 +83,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		derived, err := inc.Propagate()
+		derived, err := inc.Propagate(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

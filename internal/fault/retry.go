@@ -33,10 +33,10 @@ type RetryPolicy struct {
 }
 
 // Do runs fn until it succeeds, the attempt budget is exhausted, or an
-// error is classified non-retryable. op names the operation in the
-// process-wide retry counters (internal/obs). The final error — nil on
-// success — is returned unchanged, so injected faults, typed sentinels and
-// wrapped causes keep matching through errors.Is/As.
+// error is classified non-retryable. op names the operation at the call site
+// only: the retry counters it feeds (obs.Engine) are process-wide. The final
+// error — nil on success — is returned unchanged, so injected faults, typed
+// sentinels and wrapped causes keep matching through errors.Is/As.
 func (p RetryPolicy) Do(op string, fn func() error) error {
 	attempts := p.MaxAttempts
 	if attempts < 1 {
@@ -60,7 +60,7 @@ func (p RetryPolicy) Do(op string, fn func() error) error {
 		err = fn()
 		if err == nil {
 			if attempt > 1 {
-				obs.CountRetryOutcome(true)
+				obs.Engine.RetrySucceeded.Add(1)
 			}
 			return nil
 		}
@@ -74,14 +74,14 @@ func (p RetryPolicy) Do(op string, fn func() error) error {
 		if attempt >= attempts {
 			break
 		}
-		obs.CountRetry(op)
+		obs.Engine.Retries.Add(1)
 		if rng == nil {
 			rng = rand.New(rand.NewSource(p.Seed))
 		}
 		sleep(p.backoff(attempt, rng))
 	}
 	if attempts > 1 {
-		obs.CountRetryOutcome(false)
+		obs.Engine.RetryExhausted.Add(1)
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package finance
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fingraph"
@@ -19,7 +20,7 @@ func metalogControlPairs(t *testing.T, topo *fingraph.Topology) map[ControlPair]
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := metalog.Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Map graph OIDs back to entity ids via fiscal codes.
@@ -249,7 +250,7 @@ func TestOwnershipAndFamilyPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := metalog.Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("ownership compaction: %v", err)
 	}
 	owns := g.EdgesByLabel("OWNS")
@@ -271,7 +272,7 @@ func TestOwnershipAndFamilyPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := metalog.Reason(famProg, g, vadalog.Options{}); err != nil {
+	if _, err := metalog.Reason(context.Background(), famProg, g, vadalog.Options{}); err != nil {
 		t.Fatalf("family program: %v", err)
 	}
 	fams := g.NodesByLabel("Family")
@@ -300,7 +301,7 @@ func TestOwnershipCompactionSums(t *testing.T) {
 		g.MustAddEdge(s, b, "BELONGS_TO", nil)
 	}
 	prog := metalog.MustParse(OwnershipProgram())
-	if _, err := metalog.Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	owns := g.EdgesByLabel("OWNS")
@@ -322,7 +323,7 @@ func TestCloseLinksDirectProgram(t *testing.T) {
 	}
 	g := topo.Shareholding()
 	prog := metalog.MustParse(CloseLinksDirectProgram())
-	if _, err := metalog.Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	links := g.EdgesByLabel("CLOSE_LINK")

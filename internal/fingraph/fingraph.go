@@ -482,9 +482,5 @@ func (t *Topology) CompanyKG() *pg.Graph {
 	return g
 }
 
-// OwnershipEdges extracts the (holder, company, pct) triples of the simple
-// shareholding graph, for native algorithms that bypass the graph store.
-func (t *Topology) OwnershipEdges() []Stake { return t.Stakes }
-
 // NumNodes returns the number of nodes of the simple shareholding graph.
 func (t *Topology) NumNodes() int { return t.Persons + t.Companies }

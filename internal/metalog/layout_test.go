@@ -35,7 +35,7 @@ func TestReasonRollsBackUnderSavepoint(t *testing.T) {
 		(x: A; k: n) -> (#sk(n): C; name: n), (x) [e: MADE] (#sk(n): C).
 	`)
 	snap := g.Begin()
-	res, err := Reason(prog, g, vadalog.Options{})
+	res, err := Reason(context.Background(), prog, g, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package metalog
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestExample41ControlMetaLog(t *testing.T) {
 			-> (x) [c: CONTROLS] (y).
 	`)
 	g := buildShareGraph(t)
-	res, err := Reason(prog, g, vadalog.Options{})
+	res, err := Reason(context.Background(), prog, g, vadalog.Options{})
 	if err != nil {
 		t.Fatalf("reason: %v", err)
 	}
@@ -214,7 +215,7 @@ func TestExample43DescFrom(t *testing.T) {
 	g.MustAddEdge(gen2, business, "SM_CHILD", nil)
 
 	prog := MustParse(`(x: SM_Node) ([: SM_CHILD]- . [: SM_PARENT])+ (y: SM_Node) -> (x) [w: DESCFROM] (y).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	names := map[pg.OID]string{}
@@ -242,7 +243,7 @@ func TestZeroOrMoreIncludesSelf(t *testing.T) {
 	b := g.AddNode([]string{"N"}, nil).ID
 	g.MustAddEdge(a, b, "R", nil)
 	prog := MustParse(`(x: N) ([: R])* (y: N) -> (x) [e: REACH] (y).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	got := map[string]bool{}
@@ -267,7 +268,7 @@ func TestAlternation(t *testing.T) {
 	g.MustAddEdge(a, b, "R", nil)
 	g.MustAddEdge(a, c, "S", nil)
 	prog := MustParse(`(x: N) ([: R] | [: S]) (y: N) -> (x) [e: EITHER] (y).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	if n := len(g.EdgesByLabel("EITHER")); n != 2 {
@@ -281,7 +282,7 @@ func TestInversePattern(t *testing.T) {
 	b := g.AddNode([]string{"N"}, nil).ID
 	g.MustAddEdge(a, b, "R", nil)
 	prog := MustParse(`(x: N) [: R]- (y: N) -> (x) [e: INV] (y).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	edges := g.EdgesByLabel("INV")
@@ -317,7 +318,7 @@ func TestLinkerSkolemInHead(t *testing.T) {
 	g.AddNode([]string{"A"}, pg.Props{"k": value.Str("v1")})
 	g.AddNode([]string{"A"}, pg.Props{"k": value.Str("v2")})
 	prog := MustParse(`(x: A; k: n) -> (#skC(n): C; name: n).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	cs := g.NodesByLabel("C")
@@ -336,7 +337,7 @@ func TestLinkerSkolemDeduplicates(t *testing.T) {
 	g.AddNode([]string{"A"}, pg.Props{"k": value.Str("same")})
 	g.AddNode([]string{"A"}, pg.Props{"k": value.Str("same")})
 	prog := MustParse(`(x: A; k: n) -> (#skC(n): C; name: n).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	if n := len(g.NodesByLabel("C")); n != 1 {
@@ -362,7 +363,7 @@ func TestIntensionalNodeProperty(t *testing.T) {
 		(p: Person) [: HOLDS] (s: Share) [: BELONGS_TO] (y: Business), c = count()
 			-> (y: Business; numberOfStakeholders: c).
 	`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	n := g.Node(biz)
@@ -377,7 +378,7 @@ func TestNegatedEdge(t *testing.T) {
 	b := g.AddNode([]string{"N"}, nil).ID
 	g.MustAddEdge(a, b, "R", nil)
 	prog := MustParse(`(x: N), (y: N), not (x) [: R] (y), x != y -> (x) [e: NOR] (y).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatalf("reason: %v", err)
 	}
 	edges := g.EdgesByLabel("NOR")
@@ -411,11 +412,11 @@ func TestMaterializeIdempotent(t *testing.T) {
 		(x: Business) -> (x) [c: CONTROLS] (x).
 	`)
 	g := buildShareGraph(t)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	before := g.NumEdges()
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != before {
@@ -428,7 +429,7 @@ func TestMissingPropertyNeverMatches(t *testing.T) {
 	g.AddNode([]string{"P"}, pg.Props{"name": value.Str("x")}) // no "age"
 	g.AddNode([]string{"P"}, pg.Props{"name": value.Str("y"), "age": value.IntV(40)})
 	prog := MustParse(`(p: P; age: a), a > 0 -> (p: Old).`)
-	if _, err := Reason(prog, g, vadalog.Options{}); err != nil {
+	if _, err := Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(g.NodesByLabel("Old")); n != 1 {

@@ -64,7 +64,7 @@ func PrepareQuery(cat *Catalog, pattern string, st *plan.Stats) (*Prepared, erro
 	}
 	planned, info, perr := plan.Compile(tr.Program, st, plan.Options{Demand: true})
 	if perr != nil {
-		obs.CountPlanFallback()
+		obs.Engine.PlanFallbacks.Add(1)
 		p.info = plan.Unplanned("planning failed: " + perr.Error())
 		return p, nil
 	}
@@ -73,7 +73,7 @@ func PrepareQuery(cat *Catalog, pattern string, st *plan.Stats) (*Prepared, erro
 		p.planned = planned
 		p.estRows = info.OutputEst(queryResultLabel)
 	} else {
-		obs.CountPlanFallback()
+		obs.Engine.PlanFallbacks.Add(1)
 	}
 	return p, nil
 }
@@ -132,7 +132,13 @@ func (p *Prepared) QueryDB(ctx context.Context, db *vadalog.Database, opts vadal
 		}
 		rows = append(rows, row)
 	}
-	obs.CountPlanRun(planned, int64(p.estRows), int64(len(rows)))
+	if planned {
+		obs.Engine.PlannedRuns.Add(1)
+		obs.Engine.PlanEstRows.Add(int64(p.estRows))
+		obs.Engine.PlanActualRows.Add(int64(len(rows)))
+	} else {
+		obs.Engine.UnplannedRuns.Add(1)
+	}
 	return rows, nil
 }
 

@@ -163,7 +163,7 @@ func TestExplainThroughMetaLog(t *testing.T) {
 			v = sum(w, <z>), v > 0.5
 			-> (x) [c: CONTROLS] (y).
 	`)
-	res, err := Reason(prog, g, vadalog.Options{Provenance: true})
+	res, err := Reason(context.Background(), prog, g, vadalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,15 +32,12 @@ type ReasonResult struct {
 // properties seed the catalog; the program may extend it with intensional
 // labels. The options — including Options.Workers, which selects the
 // parallel fixpoint engine — pass through to the Vadalog run unchanged.
-func Reason(prog *Program, g *pg.Graph, opts vadalog.Options) (*ReasonResult, error) {
-	return ReasonCtx(context.Background(), prog, g, opts)
-}
-
-// ReasonCtx is Reason under a context: the embedded Vadalog run honors ctx
-// and vadalog.Options.Timeout (typed vadalog.ErrCanceled / ErrTimeout), and
-// the loading and flushing phases check ctx at their boundaries, so a
-// MetaLog-level run inherits the engine's operational controls end to end.
-func ReasonCtx(ctx context.Context, prog *Program, g *pg.Graph, opts vadalog.Options) (*ReasonResult, error) {
+//
+// The embedded Vadalog run honors ctx and vadalog.Options.Timeout (typed
+// vadalog.ErrCanceled / ErrTimeout), and the loading and flushing phases
+// check ctx at their boundaries, so a MetaLog-level run inherits the engine's
+// operational controls end to end.
+func Reason(ctx context.Context, prog *Program, g *pg.Graph, opts vadalog.Options) (*ReasonResult, error) {
 	cat := FromGraph(g)
 	tr, err := Translate(prog, cat)
 	if err != nil {

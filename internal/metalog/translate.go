@@ -172,16 +172,6 @@ func Translate(p *Program, cat *Catalog) (*Translation, error) {
 	return t.tr, nil
 }
 
-// MustTranslate panics on translation errors; for embedded framework
-// programs.
-func MustTranslate(p *Program, cat *Catalog) *Translation {
-	tr, err := Translate(p, cat)
-	if err != nil {
-		panic(err)
-	}
-	return tr
-}
-
 func (t *translator) freshVar(prefix string) string {
 	t.fresh++
 	return fmt.Sprintf("%s%d", prefix, t.fresh)

@@ -1,6 +1,7 @@
 package metalog
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func reasonOn(t *testing.T, src string, g *pg.Graph) *ReasonResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Reason(prog, g, vadalog.Options{})
+	res, err := Reason(context.Background(), prog, g, vadalog.Options{})
 	if err != nil {
 		t.Fatalf("reason: %v", err)
 	}

@@ -16,7 +16,6 @@
 package models
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -123,14 +122,4 @@ func Models() []Model {
 	ms := []Model{CSVModel(), PGModel(), RDFSModel(), RelationalModel()}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 	return ms
-}
-
-// ModelByName returns the named model.
-func ModelByName(name string) (Model, error) {
-	for _, m := range Models() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Model{}, fmt.Errorf("models: unknown model %q", name)
 }

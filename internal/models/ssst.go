@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -43,7 +44,7 @@ func Translate(dict *pg.Graph, m Mapping, opts vadalog.Options) (*TranslateResul
 	res := &TranslateResult{Mapping: m, Dict: dict}
 
 	// Line 4: S⁻ ← Reason(S, M(M).Eliminate).
-	elim, err := metalog.Reason(elimProg, dict, opts)
+	elim, err := metalog.Reason(context.TODO(), elimProg, dict, opts)
 	if err != nil {
 		return nil, fmt.Errorf("models: Eliminate phase: %w", err)
 	}
@@ -51,7 +52,7 @@ func Translate(dict *pg.Graph, m Mapping, opts vadalog.Options) (*TranslateResul
 	res.EliminateRun = elim.RunStats
 
 	// Line 5: S′ ← Reason(S⁻, M(M).Copy).
-	cp, err := metalog.Reason(copyProg, dict, opts)
+	cp, err := metalog.Reason(context.TODO(), copyProg, dict, opts)
 	if err != nil {
 		return nil, fmt.Errorf("models: Copy phase: %w", err)
 	}

@@ -1,159 +1,67 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
-	"sync"
-	"sync/atomic"
 )
 
-// Process-wide engine counters. The engine bumps them on every run
-// completion; RegisterExpvar exposes them under the "vadalog" expvar map.
-var (
-	runsTotal    atomic.Int64
-	runsCanceled atomic.Int64
-	runsTimedOut atomic.Int64
-	runsErrored  atomic.Int64
-	roundsTotal  atomic.Int64
-	derivedTotal atomic.Int64
+// engineCounters is the process-wide counter set of the reasoning stack,
+// published as the expvar map "vadalog".
+type engineCounters[C any] struct {
+	// Finished engine runs, bumped on every run completion (vadalog): all of
+	// them, by non-ok Outcome.Status, and their rounds and derived facts.
+	Runs     C `expvar:"runs"`
+	Canceled C `expvar:"runs_canceled"`
+	TimedOut C `expvar:"runs_timed_out"`
+	Errored  C `expvar:"runs_errored"`
+	Rounds   C `expvar:"rounds"`
+	Derived  C `expvar:"facts_derived"`
 
-	// Retry counters, bumped by fault.RetryPolicy: individual retry
-	// attempts, and the outcomes of retry sequences (an operation that
-	// eventually succeeded after retrying, or gave up).
-	retriesTotal   atomic.Int64
-	retrySucceeded atomic.Int64
-	retryExhausted atomic.Int64
+	// Bumped by fault.RetryPolicy: individual retry attempts, and the
+	// outcomes of retry sequences (an operation that eventually succeeded
+	// after retrying, or gave up).
+	Retries        C `expvar:"retries"`
+	RetrySucceeded C `expvar:"retries_succeeded"`
+	RetryExhausted C `expvar:"retries_exhausted"`
 
-	// Planner counters, bumped by the cost-based query path
-	// (metalog.Prepared): runs that executed a planned program vs the
-	// written-order fallback, prepare-time fallbacks to unplanned, and the
-	// running estimated-vs-actual row totals of planned runs — the drift
-	// between the two is the cost model's calibration signal.
-	plannedRuns    atomic.Int64
-	unplannedRuns  atomic.Int64
-	planFallbacks  atomic.Int64
-	planEstRows    atomic.Int64
-	planActualRows atomic.Int64
-
-	registerOnce sync.Once
-)
-
-// CountPlanRun records one query evaluation: planned selects which run
-// counter grows, and planned runs also accumulate the plan's estimated rows
-// against the rows actually returned.
-func CountPlanRun(planned bool, estRows, actualRows int64) {
-	if planned {
-		plannedRuns.Add(1)
-		planEstRows.Add(estRows)
-		planActualRows.Add(actualRows)
-	} else {
-		unplannedRuns.Add(1)
-	}
+	// Bumped by the cost-based query path (metalog.Prepared): evaluations
+	// that executed a planned program vs the written-order one, prepare-time
+	// fallbacks to unplanned (no statistics, unsupported program shape, or a
+	// failed planning pass), and the running estimated-vs-actual row totals
+	// of planned runs — the drift between the two is the cost model's
+	// calibration signal.
+	PlannedRuns    C `expvar:"planned_runs"`
+	UnplannedRuns  C `expvar:"unplanned_runs"`
+	PlanFallbacks  C `expvar:"plan_fallbacks"`
+	PlanEstRows    C `expvar:"plan_est_rows"`
+	PlanActualRows C `expvar:"plan_actual_rows"`
 }
 
-// CountPlanFallback records one prepare-time fallback to written-order
-// evaluation (no statistics, unsupported program shape, or a failed
-// planning pass).
-func CountPlanFallback() { planFallbacks.Add(1) }
+// Engine is the live engine counter set; increment sites Add to its fields.
+var Engine engineCounters[Counter]
 
-// CountRetry records one retry attempt of the named operation. The name is
-// currently informational (the counters are process-global); it keeps the
-// call sites self-describing and leaves room for per-op maps.
-func CountRetry(string) { retriesTotal.Add(1) }
+var _ = Publish("vadalog", &Engine)
 
-// CountRetryOutcome records the end of a retry sequence: success after at
-// least one retry, or exhaustion of the attempt budget.
-func CountRetryOutcome(succeeded bool) {
-	if succeeded {
-		retrySucceeded.Add(1)
-	} else {
-		retryExhausted.Add(1)
-	}
-}
+// CounterSnapshot is a point-in-time copy of the engine counters.
+type CounterSnapshot = engineCounters[int64]
 
-// CountRun folds one finished engine run into the process-wide counters.
-// Status follows Outcome.Status: "ok", "canceled", "timeout" or "error".
-func CountRun(status string, rounds, derived int) {
-	runsTotal.Add(1)
-	roundsTotal.Add(int64(rounds))
-	derivedTotal.Add(int64(derived))
-	switch status {
-	case "canceled":
-		runsCanceled.Add(1)
-	case "timeout":
-		runsTimedOut.Add(1)
-	case "error":
-		runsErrored.Add(1)
-	}
-}
+// Counters returns the current process-wide engine counter values.
+func Counters() CounterSnapshot { return Snapshot[CounterSnapshot](&Engine) }
 
-// CounterSnapshot is a point-in-time copy of the process-wide counters.
-type CounterSnapshot struct {
-	Runs, Canceled, TimedOut, Errored int64
-	Rounds, Derived                   int64
+// DebugHandler serves /debug/vars (expvar, with every published counter set)
+// and /debug/pprof: the routes the expvar and net/http/pprof imports register
+// on the default mux.
+func DebugHandler() http.Handler { return http.DefaultServeMux }
 
-	Retries, RetrySucceeded, RetryExhausted int64
-
-	PlannedRuns, UnplannedRuns, PlanFallbacks int64
-	PlanEstRows, PlanActualRows               int64
-}
-
-// Counters returns the current process-wide counter values.
-func Counters() CounterSnapshot {
-	return CounterSnapshot{
-		Runs:           runsTotal.Load(),
-		Canceled:       runsCanceled.Load(),
-		TimedOut:       runsTimedOut.Load(),
-		Errored:        runsErrored.Load(),
-		Rounds:         roundsTotal.Load(),
-		Derived:        derivedTotal.Load(),
-		Retries:        retriesTotal.Load(),
-		RetrySucceeded: retrySucceeded.Load(),
-		RetryExhausted: retryExhausted.Load(),
-
-		PlannedRuns:    plannedRuns.Load(),
-		UnplannedRuns:  unplannedRuns.Load(),
-		PlanFallbacks:  planFallbacks.Load(),
-		PlanEstRows:    planEstRows.Load(),
-		PlanActualRows: planActualRows.Load(),
-	}
-}
-
-// RegisterExpvar publishes the engine counters as the expvar map "vadalog"
-// (served at /debug/vars). Safe to call more than once.
-func RegisterExpvar() {
-	registerOnce.Do(func() {
-		m := new(expvar.Map)
-		m.Set("runs", expvar.Func(func() any { return runsTotal.Load() }))
-		m.Set("runs_canceled", expvar.Func(func() any { return runsCanceled.Load() }))
-		m.Set("runs_timed_out", expvar.Func(func() any { return runsTimedOut.Load() }))
-		m.Set("runs_errored", expvar.Func(func() any { return runsErrored.Load() }))
-		m.Set("rounds", expvar.Func(func() any { return roundsTotal.Load() }))
-		m.Set("facts_derived", expvar.Func(func() any { return derivedTotal.Load() }))
-		m.Set("retries", expvar.Func(func() any { return retriesTotal.Load() }))
-		m.Set("retries_succeeded", expvar.Func(func() any { return retrySucceeded.Load() }))
-		m.Set("retries_exhausted", expvar.Func(func() any { return retryExhausted.Load() }))
-		m.Set("planned_runs", expvar.Func(func() any { return plannedRuns.Load() }))
-		m.Set("unplanned_runs", expvar.Func(func() any { return unplannedRuns.Load() }))
-		m.Set("plan_fallbacks", expvar.Func(func() any { return planFallbacks.Load() }))
-		m.Set("plan_est_rows", expvar.Func(func() any { return planEstRows.Load() }))
-		m.Set("plan_actual_rows", expvar.Func(func() any { return planActualRows.Load() }))
-		expvar.Publish("vadalog", m)
-	})
-}
-
-// ServeDebug starts an HTTP server on addr exposing /debug/vars (expvar,
-// including the engine counters) and /debug/pprof. It returns once the
-// listener is bound; the server runs until the process exits. The CLIs wire
-// this to their -pprof flag.
+// ServeDebug starts an HTTP server on addr serving DebugHandler. It returns
+// once the listener is bound; the server runs until the process exits. The
+// CLIs wire this to their -pprof flag.
 func ServeDebug(addr string) error {
-	RegisterExpvar()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	go http.Serve(ln, nil) //nolint:errcheck // best-effort debug endpoint
+	go http.Serve(ln, DebugHandler()) //nolint:errcheck // best-effort debug endpoint
 	return nil
 }

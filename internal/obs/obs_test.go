@@ -194,36 +194,3 @@ func TestTraceMultipleRuns(t *testing.T) {
 		t.Fatalf("serialized %d runs, want 2", len(decoded.Runs))
 	}
 }
-
-func TestCountRunSnapshot(t *testing.T) {
-	before := Counters()
-	CountRun("ok", 3, 100)
-	CountRun("canceled", 1, 5)
-	CountRun("timeout", 2, 7)
-	CountRun("error", 0, 0)
-	after := Counters()
-	if d := after.Runs - before.Runs; d != 4 {
-		t.Errorf("runs delta = %d", d)
-	}
-	if d := after.Canceled - before.Canceled; d != 1 {
-		t.Errorf("canceled delta = %d", d)
-	}
-	if d := after.TimedOut - before.TimedOut; d != 1 {
-		t.Errorf("timed out delta = %d", d)
-	}
-	if d := after.Errored - before.Errored; d != 1 {
-		t.Errorf("errored delta = %d", d)
-	}
-	if d := after.Rounds - before.Rounds; d != 6 {
-		t.Errorf("rounds delta = %d", d)
-	}
-	if d := after.Derived - before.Derived; d != 112 {
-		t.Errorf("derived delta = %d", d)
-	}
-}
-
-func TestRegisterExpvarIdempotent(t *testing.T) {
-	// Must not panic on double publish.
-	RegisterExpvar()
-	RegisterExpvar()
-}

@@ -69,7 +69,7 @@ type MutateInfo struct {
 // contained panics — the serving snapshot is untouched.
 func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 	if err := s.notRecovering(); err != nil {
-		mMutateErr.Add(1)
+		counters.MutateErrors.Add(1)
 		return MutateInfo{}, err
 	}
 	s.reloadMu.Lock()
@@ -99,7 +99,7 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 		} else {
 			// The batch needs columns the lineage catalog lacks: re-infer
 			// the catalog from the merged view and re-extract in full.
-			mMutateFallback.Add(1)
+			counters.MutateFallbacks.Add(1)
 			if err := s.buildSubstrate(next); err != nil {
 				return err
 			}
@@ -131,21 +131,21 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 			}
 			seq, err := s.wal.Append(payload)
 			if err != nil {
-				mWALAppendErr.Add(1)
+				counters.WALAppendErrors.Add(1)
 				return fmt.Errorf("server: wal append: %w", err)
 			}
 			info.Seq = seq
-			mWALAppends.Add(1)
+			counters.WALAppends.Add(1)
 		}
 		return nil
 	})
 	if err != nil {
-		mMutateErr.Add(1)
+		counters.MutateErrors.Add(1)
 		return MutateInfo{}, err
 	}
 	next.gen = sn.gen + 1
 	s.snap.Store(next)
-	mMutates.Add(1)
+	counters.Mutates.Add(1)
 	info.Generation = next.gen
 	info.Nodes = next.view.NumNodes()
 	info.Edges = next.view.NumEdges()
@@ -169,7 +169,7 @@ type CompactInfo struct {
 // no-op. On failure the overlay generation keeps serving.
 func (s *Server) Compact() (CompactInfo, error) {
 	if err := s.notRecovering(); err != nil {
-		mCompactErr.Add(1)
+		counters.CompactErrors.Add(1)
 		return CompactInfo{}, err
 	}
 	s.reloadMu.Lock()
@@ -202,21 +202,21 @@ func (s *Server) Compact() (CompactInfo, error) {
 		return nil
 	})
 	if err != nil {
-		mCompactErr.Add(1)
+		counters.CompactErrors.Add(1)
 		return CompactInfo{}, err
 	}
 	next.gen = sn.gen + 1
 	s.snap.Store(next)
-	mCompacts.Add(1)
+	counters.Compactions.Add(1)
 	if s.wal != nil && path != "" {
 		// The compacted generation is durable on disk: checkpoint the WAL
 		// against it so recovery replays only post-snapshot batches. Failure
 		// is tolerated — serving continues and the untruncated log replays
 		// idempotently over the OLD base to the same merged view.
 		if _, cerr := s.wal.Checkpoint(path); cerr != nil {
-			mWALCheckpointErr.Add(1)
+			counters.WALCheckpointErrors.Add(1)
 		} else {
-			mWALCheckpoints.Add(1)
+			counters.WALCheckpoints.Add(1)
 		}
 	}
 	return CompactInfo{Generation: next.gen, Compacted: true,

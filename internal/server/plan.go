@@ -29,10 +29,10 @@ type planKey struct {
 func (s *Server) preparedFor(sn *snapshot, query string) (*metalog.Prepared, string, error) {
 	key := planKey{gen: sn.gen, query: canonicalQuery(query)}
 	if p, ok := s.plans.get(key); ok {
-		mPlanHits.Add(1)
+		counters.PlanCacheHits.Add(1)
 		return p, "hit", nil
 	}
-	mPlanMisses.Add(1)
+	counters.PlanCacheMisses.Add(1)
 	// The catalog clone is private to the Prepared: translation extends it
 	// with the query-result layout.
 	p, err := metalog.PrepareQuery(sn.cat.Clone(), query, sn.pstats)
@@ -61,18 +61,17 @@ type plannerSection struct {
 }
 
 func (s *Server) plannerStats() *plannerSection {
-	oc := obs.Counters()
 	return &plannerSection{
 		Enabled:       !s.cfg.PlannerOff,
 		CacheCapacity: s.cfg.PlanCacheSize,
 		CacheEntries:  s.plans.len(),
-		CacheHits:     mPlanHits.Load(),
-		CacheMisses:   mPlanMisses.Load(),
-		PlannedRuns:   oc.PlannedRuns,
-		UnplannedRuns: oc.UnplannedRuns,
-		Fallbacks:     oc.PlanFallbacks,
-		EstRows:       oc.PlanEstRows,
-		ActualRows:    oc.PlanActualRows,
+		CacheHits:     counters.PlanCacheHits.Load(),
+		CacheMisses:   counters.PlanCacheMisses.Load(),
+		PlannedRuns:   obs.Engine.PlannedRuns.Load(),
+		UnplannedRuns: obs.Engine.UnplannedRuns.Load(),
+		Fallbacks:     obs.Engine.PlanFallbacks.Load(),
+		EstRows:       obs.Engine.PlanEstRows.Load(),
+		ActualRows:    obs.Engine.PlanActualRows.Load(),
 	}
 }
 

@@ -20,20 +20,18 @@
 //     stale generations stop being asked for;
 //   - per-request context deadlines ride the PR 2 cancellation path into
 //     the engine (vadalog.RunCtx), fault sites bracket the load, swap and
-//     handler boundaries for chaos testing, and obs supplies expvar
-//     counters and per-endpoint latency traces.
+//     handler boundaries for chaos testing, and obs supplies the expvar
+//     counter set and the per-endpoint latency aggregates published in it.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sort"
 	"strconv"
@@ -73,7 +71,8 @@ const (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Source is the property-graph JSON file served; /reload with an empty
+	// Source is the dictionary file served — property-graph JSON or a binary
+	// snapshot file, told apart by the file's magic; /reload with an empty
 	// path re-reads it. Optional when the server is built with
 	// NewFromGraph, in which case /reload requires an explicit path.
 	Source string
@@ -143,7 +142,8 @@ type Config struct {
 	// OnFault is the engine failure policy for query evaluation.
 	OnFault vadalog.FaultPolicy
 
-	// Debug mounts /debug/vars (expvar), /debug/pprof and /debug/latency.
+	// Debug mounts /debug/vars (expvar: the counter sets and per-endpoint
+	// latency) and /debug/pprof.
 	Debug bool
 }
 
@@ -211,7 +211,6 @@ type snapshot struct {
 
 	statsOnce sync.Once
 	stats     graphstats.Stats
-	statsJSON []byte
 }
 
 // Server serves MetaLog queries, graph statistics and schema validation
@@ -222,7 +221,6 @@ type Server struct {
 	pool  *pool
 	cache *lru[cacheKey, []byte]
 	plans *lru[planKey, *metalog.Prepared]
-	lat   *obs.LatencyTracker
 	mux   *http.ServeMux
 	http  *http.Server
 
@@ -339,7 +337,6 @@ func newServer(cfg Config) *Server {
 		pool:  newPool(cfg.MaxInflight),
 		cache: newLRU[cacheKey, []byte](cfg.CacheSize),
 		plans: newLRU[planKey, *metalog.Prepared](cfg.PlanCacheSize),
-		lat:   obs.NewLatencyTracker(),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.Handle("/healthz", s.endpoint("healthz", http.MethodGet, false, s.handleHealthz))
@@ -352,18 +349,7 @@ func newServer(cfg Config) *Server {
 	s.mux.Handle("/mutate", s.endpoint("mutate", http.MethodPost, false, s.handleMutate))
 	s.mux.Handle("/compact", s.endpoint("compact", http.MethodPost, false, s.handleCompact))
 	if cfg.Debug {
-		registerExpvar()
-		obs.RegisterExpvar()
-		s.mux.Handle("/debug/vars", expvar.Handler())
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		s.mux.HandleFunc("/debug/latency", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			s.lat.WriteJSON(w) //nolint:errcheck // best-effort debug endpoint
-		})
+		s.mux.Handle("/debug/", obs.DebugHandler())
 	}
 	s.http = &http.Server{Handler: s.mux}
 	return s
@@ -376,10 +362,6 @@ func (s *Server) current() *snapshot { return s.snap.Load() }
 // only ever increases: failed reloads keep the serving snapshot and its
 // generation.
 func (s *Server) Generation() uint64 { return s.current().gen }
-
-// Latency exposes the per-endpoint latency tracker (for tests and the
-// debug endpoint).
-func (s *Server) Latency() *obs.LatencyTracker { return s.lat }
 
 // Handler returns the HTTP handler serving all endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -499,7 +481,7 @@ func (s *Server) Reload(path string) (ReloadInfo, error) {
 		return ReloadInfo{}, fmt.Errorf("server: no reload path and no configured source")
 	}
 	if err := s.notRecovering(); err != nil {
-		mReloadErr.Add(1)
+		counters.ReloadErrors.Add(1)
 		return ReloadInfo{}, err
 	}
 	s.reloadMu.Lock()
@@ -519,20 +501,20 @@ func (s *Server) Reload(path string) (ReloadInfo, error) {
 			// cannot land, the reload must fail, or a crash after the swap
 			// would replay pre-reload batches over the post-reload source.
 			if _, err := s.wal.Checkpoint(path); err != nil {
-				mWALCheckpointErr.Add(1)
+				counters.WALCheckpointErrors.Add(1)
 				return fmt.Errorf("server: checkpointing wal for reload: %w", err)
 			}
-			mWALCheckpoints.Add(1)
+			counters.WALCheckpoints.Add(1)
 		}
 		return nil
 	})
 	if err != nil {
-		mReloadErr.Add(1)
+		counters.ReloadErrors.Add(1)
 		return ReloadInfo{}, err
 	}
 	next.gen = s.current().gen + 1
 	s.snap.Store(next)
-	mReloads.Add(1)
+	counters.Reloads.Add(1)
 	return ReloadInfo{Generation: next.gen, Nodes: next.frozen.NumNodes(), Edges: next.frozen.NumEdges()}, nil
 }
 
@@ -551,9 +533,10 @@ type apiResult struct {
 // body — so query responses stay bit-identical across a swap of identical
 // data.
 func (s *Server) endpoint(name, method string, pooled bool, h func(r *http.Request) (*apiResult, *apiError)) http.Handler {
+	lat := obs.PublishLatency(vars, "latency_"+name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		mRequests.Add(1)
+		counters.Requests.Add(1)
 		var res *apiResult
 		var aerr *apiError
 		gerr := fault.Guard("server/handler", func() error {
@@ -574,7 +557,7 @@ func (s *Server) endpoint(name, method string, pooled bool, h func(r *http.Reque
 			}
 			if pooled {
 				if !s.pool.tryAcquire() {
-					mRejected.Add(1)
+					counters.Rejected.Add(1)
 					aerr = errSaturated()
 					return nil
 				}
@@ -588,7 +571,7 @@ func (s *Server) endpoint(name, method string, pooled bool, h func(r *http.Reque
 			res, aerr = nil, mapEvalError(gerr)
 		}
 		if aerr != nil {
-			mErrors.Add(1)
+			counters.Errors.Add(1)
 			w.Header().Set("X-KG-Generation", strconv.FormatUint(s.Generation(), 10))
 			writeAPIError(w, aerr)
 		} else {
@@ -599,7 +582,7 @@ func (s *Server) endpoint(name, method string, pooled bool, h func(r *http.Reque
 			}
 			w.Write(res.body) //nolint:errcheck // client gone
 		}
-		s.lat.Observe(name, time.Since(start))
+		lat.Observe(time.Since(start))
 	})
 }
 
@@ -642,10 +625,10 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 	sn := s.current()
 	key := cacheKey{gen: sn.gen, query: canonicalQuery(req.Query), limit: req.Limit}
 	if cached, ok := s.cache.get(key); ok {
-		mHits.Add(1)
+		counters.CacheHits.Add(1)
 		return &apiResult{body: cached, gen: sn.gen, cache: "hit"}, nil
 	}
-	mMisses.Add(1)
+	counters.CacheMisses.Add(1)
 
 	var rows []metalog.QueryRow
 	var prep *metalog.Prepared
@@ -693,7 +676,7 @@ func (s *Server) queryRows(ctx context.Context, sn *snapshot, prep *metalog.Prep
 	}
 	rows, err := prep.QueryDB(ctx, sn.db, opts)
 	if errors.Is(err, metalog.ErrStaleDatabase) {
-		mQueryReextracts.Add(1)
+		counters.QueryReextracts.Add(1)
 		rows, err = prep.QueryView(ctx, sn.view, opts)
 	}
 	return rows, err
@@ -751,49 +734,30 @@ func (s *Server) handleStats(*http.Request) (*apiResult, *apiError) {
 	sn.statsOnce.Do(func() {
 		// The expensive graph walk runs once per generation — mutations,
 		// compactions and reloads install a fresh snapshot struct, so its
-		// sync.Once naturally re-arms. mStatsComputes counts the walks; tests
-		// assert N requests cost one.
-		mStatsComputes.Add(1)
+		// sync.Once naturally re-arms. counters.StatsComputes counts the
+		// walks; tests assert N requests cost one.
+		counters.StatsComputes.Add(1)
 		sn.stats = graphstats.Compute(sn.view)
-		// Snapshot-file generations carry their provenance header; plain
-		// JSON generations marshal the bare stats, so existing outputs stay
-		// bit-identical.
-		var payload any = sn.stats
-		if sn.build != nil {
-			payload = struct {
-				Build *snapfile.BuildInfo `json:"build"`
-				graphstats.Stats
-			}{sn.build, sn.stats}
-		}
-		b, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			b = []byte(`{"error":"stats marshal failed"}`)
-		}
-		sn.statsJSON = append(b, '\n')
 	})
-	if s.wal == nil && s.cfg.PlannerOff {
-		return &apiResult{body: sn.statsJSON, gen: sn.gen}, nil
-	}
-	// With the planner or a WAL active the response gains live sections — the
-	// planner's cache and run counters, the WAL's durability lag and
-	// compaction debt — re-marshaled per request around the cached graph
-	// stats. Planner-off WAL-less responses above stay bit-identical to
-	// previous builds.
-	var ws *wal.Stats
-	if s.wal != nil {
-		w := s.wal.Stats()
-		ws = &w
-	}
-	var ps *plannerSection
-	if !s.cfg.PlannerOff {
-		ps = s.plannerStats()
-	}
-	out, aerr := marshalBody(struct {
+	// One response value: the cached graph stats, the provenance header of a
+	// snapshot-file generation, and the live sections — the planner's cache
+	// and run counters, the WAL's durability lag and compaction debt — of the
+	// features that are on. A planner-off WAL-less server over a JSON source
+	// marshals the bare stats.
+	resp := struct {
 		Build *snapfile.BuildInfo `json:"build,omitempty"`
 		graphstats.Stats
 		Planner *plannerSection `json:"planner,omitempty"`
 		WAL     *wal.Stats      `json:"wal,omitempty"`
-	}{sn.build, sn.stats, ps, ws})
+	}{Build: sn.build, Stats: sn.stats}
+	if !s.cfg.PlannerOff {
+		resp.Planner = s.plannerStats()
+	}
+	if s.wal != nil {
+		ws := s.wal.Stats()
+		resp.WAL = &ws
+	}
+	out, aerr := marshalBody(resp)
 	if aerr != nil {
 		return nil, aerr
 	}

@@ -375,22 +375,6 @@ func TestPool(t *testing.T) {
 	}
 }
 
-func TestLatencyTracked(t *testing.T) {
-	s := newTestServer(t, Config{})
-	getPath(t, s.Handler(), "/healthz")
-	getPath(t, s.Handler(), "/healthz")
-	snap := s.Latency().Snapshot()
-	for _, op := range snap {
-		if op.Name == "healthz" {
-			if op.Count != 2 {
-				t.Errorf("healthz count = %d", op.Count)
-			}
-			return
-		}
-	}
-	t.Error("healthz missing from latency snapshot")
-}
-
 func TestConcurrentQueriesShareSnapshot(t *testing.T) {
 	// The catalog-clone discipline: concurrent queries with different
 	// variable sets against one shared snapshot must not interfere (this is
@@ -459,12 +443,12 @@ func TestQueryAbsentLayouts(t *testing.T) {
 		{`(x: NoSuchLabel; businessName: v)`, 0, 0},
 	} {
 		body := fmt.Sprintf(`{"query":%q}`, tc.query)
-		before := CountersSnapshot().QueryReextracts
+		delta := countersSince()
 		w := postJSON(t, s.Handler(), "/query", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", tc.query, w.Code, w.Body.String())
 		}
-		if d := CountersSnapshot().QueryReextracts - before; d != tc.reextracts {
+		if d := delta().QueryReextracts; d != tc.reextracts {
 			t.Errorf("%s: re-extractions = %d, want %d", tc.query, d, tc.reextracts)
 		}
 		var resp queryResponse

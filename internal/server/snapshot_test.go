@@ -90,17 +90,6 @@ func TestServeFromSnapshotFile(t *testing.T) {
 	if stats.Build == nil || stats.Build.Tool != "server-test" || stats.Build.Params["companies"] != "10" {
 		t.Fatalf("stats build info missing or wrong: %+v", stats.Build)
 	}
-
-	// JSON-loaded generations must NOT grow a build field: the existing
-	// /stats output stays bit-identical.
-	jstw := getPath(t, jsonSrv.Handler(), "/stats")
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(jstw.Body.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, has := raw["build"]; has {
-		t.Fatal("JSON-loaded /stats sprouted a build field")
-	}
 }
 
 // TestReloadIntoSnapshotFile: /reload with a .snap path swaps generations

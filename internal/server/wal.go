@@ -88,7 +88,7 @@ func (s *Server) replayWAL() error {
 			if _, err := ov.Apply(ops); err != nil {
 				return fmt.Errorf("server: wal replay: batch %d: %w", r.Seq, err)
 			}
-			mWALReplayed.Add(1)
+			counters.WALReplayed.Add(1)
 		}
 		next := &snapshot{gen: sn.gen, frozen: sn.frozen, view: ov, ov: ov,
 			pstats: sn.pstats, build: sn.build, file: sn.file}

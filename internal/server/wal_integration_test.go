@@ -143,11 +143,11 @@ func TestWALRecoveryAfterCompaction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mustMutate(t, s, walBatch(fmt.Sprint(i)))
 	}
-	before := CountersSnapshot()
+	delta := countersSince()
 	if w := postJSON(t, s.Handler(), "/compact", ""); w.Code != http.StatusOK {
 		t.Fatalf("compact: %d %s", w.Code, w.Body.String())
 	}
-	if d := CountersSnapshot().WALCheckpoints - before.WALCheckpoints; d != 1 {
+	if d := delta().WALCheckpoints; d != 1 {
 		t.Fatalf("compact stamped %d checkpoints, want 1", d)
 	}
 	mustMutate(t, s, walBatch("3"))
@@ -157,13 +157,13 @@ func TestWALRecoveryAfterCompaction(t *testing.T) {
 
 	// Only the two post-checkpoint batches replay; the first three live in
 	// the compacted snapshot the checkpoint points at.
-	before = CountersSnapshot()
+	delta = countersSince()
 	s2, err := NewFromGraph(cfg, mutateBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdownServer(t, s2)
-	if d := CountersSnapshot().WALReplayed - before.WALReplayed; d != 2 {
+	if d := delta().WALReplayed; d != 2 {
 		t.Fatalf("replayed %d batches after compaction, want 2", d)
 	}
 	if got := encodeView(t, s2); !bytes.Equal(got, want) {
@@ -198,22 +198,22 @@ func TestWALReloadCheckpoints(t *testing.T) {
 	}
 	mustMutate(t, s, walBatch("a"))
 	mustMutate(t, s, walBatch("b"))
-	before := CountersSnapshot()
+	delta := countersSince()
 	if w := postJSON(t, s.Handler(), "/reload", `{}`); w.Code != http.StatusOK {
 		t.Fatalf("reload: %d %s", w.Code, w.Body.String())
 	}
-	if d := CountersSnapshot().WALCheckpoints - before.WALCheckpoints; d != 1 {
+	if d := delta().WALCheckpoints; d != 1 {
 		t.Fatalf("reload stamped %d checkpoints, want 1", d)
 	}
 	shutdownServer(t, s)
 
-	before = CountersSnapshot()
+	delta = countersSince()
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdownServer(t, s2)
-	if d := CountersSnapshot().WALReplayed - before.WALReplayed; d != 0 {
+	if d := delta().WALReplayed; d != 0 {
 		t.Fatalf("replayed %d abandoned pre-reload batches, want 0", d)
 	}
 	if _, n := queryRows(t, s2, `(x: Business; fiscalCode: c)`); n != 2 {
@@ -368,8 +368,8 @@ func TestWALAsyncRecoveryFailureStaysUnready(t *testing.T) {
 }
 
 // TestWALStatsSection: with a WAL the /stats document carries a live "wal"
-// object (depth, fsync latency); without one the key is absent and the
-// cached bytes stay bit-identical across requests.
+// object (depth, fsync latency); TestStatsResponseLattice covers its absence
+// without one.
 func TestWALStatsSection(t *testing.T) {
 	s, err := NewFromGraph(Config{WALDir: filepath.Join(t.TempDir(), "wal")}, mutateBase(t))
 	if err != nil {
@@ -396,19 +396,6 @@ func TestWALStatsSection(t *testing.T) {
 	}
 	if doc.WAL.Syncs == 0 || doc.WAL.LastSyncNanos <= 0 {
 		t.Fatalf("wal stats carry no fsync latency: %+v", doc.WAL)
-	}
-
-	plain, err := NewFromGraph(Config{}, mutateBase(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := getPath(t, plain.Handler(), "/stats")
-	w2 := getPath(t, plain.Handler(), "/stats")
-	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
-		t.Fatal("wal-less stats responses are not bit-identical")
-	}
-	if bytes.Contains(w1.Body.Bytes(), []byte(`"wal"`)) {
-		t.Fatal("wal-less stats document grew a wal section")
 	}
 }
 
@@ -505,7 +492,7 @@ func TestChaosWALTruncationFailureTolerated(t *testing.T) {
 	mustMutate(t, s, walBatch("a"))
 	mustMutate(t, s, walBatch("b"))
 
-	before := CountersSnapshot()
+	delta := countersSince()
 	if err := fault.Arm("wal/rotate", fault.Plan{Mode: fault.ModeError}); err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +501,7 @@ func TestChaosWALTruncationFailureTolerated(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("compact under truncation fault: %d %s", w.Code, w.Body.String())
 	}
-	delta := CountersSnapshot()
-	if delta.WALCheckpointErrors-before.WALCheckpointErrors != 1 {
+	if delta().WALCheckpointErrors != 1 {
 		t.Fatal("truncation failure not counted")
 	}
 	// Serving continues: reads and writes keep landing on the compacted

@@ -149,17 +149,6 @@ func (n *Node) Attribute(name string) *Attribute {
 	return nil
 }
 
-// IDAttributes returns the identifying attributes, in declaration order.
-func (n *Node) IDAttributes() []*Attribute {
-	var out []*Attribute
-	for _, a := range n.Attributes {
-		if a.IsID {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Cardinality is one side of an SM_Edge's participation constraint.
 // Min is 0 or 1 (optional vs mandatory participation), Max1 caps the number
 // of connections at one. These encode the paper's isOpt/isFun flags.

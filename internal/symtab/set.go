@@ -25,24 +25,8 @@ func (s *Set) Add(name string) {
 	s.m[name] = struct{}{}
 }
 
-// Has reports whether the name is present.
-func (s *Set) Has(name string) bool {
-	_, ok := s.m[name]
-	return ok
-}
-
 // Len returns the number of distinct names.
 func (s *Set) Len() int { return len(s.m) }
-
-// SortedNames returns the names in ascending order.
-func (s *Set) SortedNames() []string {
-	out := make([]string, 0, len(s.m))
-	for n := range s.m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // MergeSorted unions any number of shard sets into one ascending name list.
 // The result depends only on the union of the inputs — the deterministic

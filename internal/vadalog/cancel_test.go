@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 	"repro/internal/value"
 )
@@ -209,10 +210,12 @@ func TestCancelDeterministicStats(t *testing.T) {
 	}
 }
 
-// TestIncrementalPropagateCancel: PropagateCtx honors cancellation with the
-// typed error, and the handle keeps working for a later propagation.
+// TestIncrementalPropagateCancel: Propagate honors cancellation with the
+// typed error, and the handle keeps working for a later propagation. Each
+// propagation is one run in the process counters, by its status, with its own
+// derived facts — not the engine's running totals.
 func TestIncrementalPropagateCancel(t *testing.T) {
-	inc, err := NewIncremental(tcProgram, deepChainDB(50), Options{})
+	inc, err := NewIncremental(context.Background(), tcProgram, deepChainDB(50), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,19 +223,28 @@ func TestIncrementalPropagateCancel(t *testing.T) {
 	if err := inc.Add("edge", value.IntV(50), value.IntV(51)); err != nil {
 		t.Fatal(err)
 	}
+	before := obs.Counters()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := inc.PropagateCtx(ctx); !errors.Is(err, ErrCanceled) {
+	canceled, err := inc.Propagate(ctx)
+	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	// The canceled propagation left the baseline untouched; a clean one
 	// completes the delta.
-	n, err := inc.Propagate()
+	n, err := inc.Propagate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 || inc.DB().TotalFacts() <= saturated {
 		t.Fatalf("re-propagation derived %d facts over %d", n, saturated)
+	}
+	after := obs.Counters()
+	if runs, c := after.Runs-before.Runs, after.Canceled-before.Canceled; runs != 2 || c != 1 {
+		t.Errorf("counted %d runs, %d canceled; want 2 and 1", runs, c)
+	}
+	if d := after.Derived - before.Derived; d != int64(canceled+n) {
+		t.Errorf("counted %d derived facts, the two propagations derived %d", d, canceled+n)
 	}
 }
 
@@ -243,7 +255,7 @@ func TestIncrementalTimeout(t *testing.T) {
 	`)
 	db := NewDatabase()
 	db.MustAddFact("nat", value.IntV(0))
-	_, err := NewIncremental(prog, db, Options{Timeout: 50 * time.Millisecond})
+	_, err := NewIncremental(context.Background(), prog, db, Options{Timeout: 50 * time.Millisecond})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("initial incremental run: err = %v, want ErrTimeout", err)
 	}

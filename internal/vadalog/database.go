@@ -692,29 +692,6 @@ func (d *Database) ReplaceFacts(pred string, arity int, facts []Fact) error {
 	return nil
 }
 
-// MergeInto copies every fact of d into dst. It reports the number of facts
-// that were new in dst.
-func (d *Database) MergeInto(dst *Database) (int, error) {
-	added := 0
-	for _, pred := range d.Predicates() {
-		r := d.rels[pred]
-		dr, err := dst.EnsureRelation(pred, r.Arity)
-		if err != nil {
-			return added, err
-		}
-		for _, f := range r.All() {
-			ok, err := dr.Insert(f)
-			if err != nil {
-				return added, err
-			}
-			if ok {
-				added++
-			}
-		}
-	}
-	return added, nil
-}
-
 // Dump renders the database deterministically, for tests and debugging.
 func (d *Database) Dump() string {
 	var b strings.Builder

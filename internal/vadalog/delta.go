@@ -499,17 +499,6 @@ func buildRederivationProgram(p *Program) *Program {
 	return out
 }
 
-// shadowDatabase returns a database sharing d's relation pointers, so a
-// transformed program can read (and, in the re-derivation phase, extend) the
-// live relations while keeping its del·/cand· relations private.
-func shadowDatabase(d *Database) *Database {
-	out := &Database{rels: make(map[string]*Relation, len(d.rels)+8)}
-	for pred, r := range d.rels {
-		out.rels[pred] = r
-	}
-	return out
-}
-
 // predFact pairs a predicate with one fact, the unit of batch application.
 type predFact struct {
 	pred string

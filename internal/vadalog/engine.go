@@ -77,7 +77,7 @@ const defaultMaxRounds = 1 << 20
 // the work completed before the interruption. Match with errors.Is.
 var (
 	// ErrCanceled reports that the context passed to RunCtx/RunInPlaceCtx
-	// (or PropagateCtx) was canceled.
+	// (or Propagate) was canceled.
 	ErrCanceled = errors.New("vadalog: run canceled")
 	// ErrTimeout reports that Options.Timeout — or a deadline already on the
 	// caller's context — expired.
@@ -241,12 +241,30 @@ func (e *engine) release() {
 func (e *engine) finish(start time.Time, err error) (*Result, error) {
 	err = canonicalRunErr(err)
 	stats := RunStats{Rounds: e.rounds, FactsDerived: e.derived, Duration: time.Since(start)}
+	e.recordRun(err, stats)
+	return &Result{DB: e.db, Analysis: e.an, Stats: stats, prov: e.prov}, err
+}
+
+// recordRun closes the trace with the engine's running totals and folds the
+// finished run — run holds its own rounds and derived facts, which for a
+// resumed propagation are less than the totals — into the process counters.
+func (e *engine) recordRun(err error, run RunStats) {
 	status := statusOf(err)
 	if e.trace != nil {
-		e.trace.Finish(status, stats.Rounds, stats.FactsDerived, stats.Duration)
+		e.trace.Finish(status, e.rounds, e.derived, run.Duration)
 	}
-	obs.CountRun(status, stats.Rounds, stats.FactsDerived)
-	return &Result{DB: e.db, Analysis: e.an, Stats: stats, prov: e.prov}, err
+	c := &obs.Engine
+	c.Runs.Add(1)
+	c.Rounds.Add(int64(run.Rounds))
+	c.Derived.Add(int64(run.FactsDerived))
+	switch status {
+	case "canceled":
+		c.Canceled.Add(1)
+	case "timeout":
+		c.TimedOut.Add(1)
+	case "error":
+		c.Errored.Add(1)
+	}
 }
 
 // ruleLabel names a rule by its head predicates.

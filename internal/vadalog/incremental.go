@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/value"
 )
 
@@ -27,14 +26,11 @@ type Incremental struct {
 // stratified negation or stratified aggregation are rejected: deletions and
 // non-monotonic re-aggregation would require view maintenance, which batch
 // recomputation covers.
-func NewIncremental(prog *Program, db *Database, opts Options) (*Incremental, error) {
-	return NewIncrementalCtx(context.Background(), prog, db, opts)
-}
-
-// NewIncrementalCtx is NewIncremental under a context: the initial fixpoint
-// honors ctx and Options.Timeout exactly like RunCtx (typed ErrCanceled /
-// ErrTimeout). An interrupted initial run returns the error and no handle.
-func NewIncrementalCtx(ctx context.Context, prog *Program, db *Database, opts Options) (*Incremental, error) {
+//
+// The initial fixpoint honors ctx and Options.Timeout exactly like RunCtx
+// (typed ErrCanceled / ErrTimeout). An interrupted initial run returns the
+// error and no handle.
+func NewIncremental(ctx context.Context, prog *Program, db *Database, opts Options) (*Incremental, error) {
 	for _, r := range prog.Rules {
 		for _, l := range r.Body {
 			if l.Kind == LitNegAtom {
@@ -55,7 +51,7 @@ func NewIncrementalCtx(ctx context.Context, prog *Program, db *Database, opts Op
 	e.stopPool()
 	_, err = e.finish(start, err)
 	// The construction context (and any Options.Timeout timer) covers only
-	// the initial fixpoint; each PropagateCtx installs its own.
+	// the initial fixpoint; each Propagate installs its own.
 	e.release()
 	e.ctx = context.Background()
 	if err != nil {
@@ -83,17 +79,13 @@ func (inc *Incremental) Add(pred string, vals ...value.Value) error {
 // fixpoint, returning the number of newly derived facts. Monotonic-aggregate
 // accumulators carry over, so running sums continue from their previous
 // values exactly as a full recomputation would reach them.
-func (inc *Incremental) Propagate() (int, error) {
-	return inc.PropagateCtx(context.Background())
-}
-
-// PropagateCtx is Propagate under a context: cancellation and Options.Timeout
-// interrupt the resumed fixpoint at round and shard boundaries with the same
-// typed errors as RunCtx. On interruption the already-propagated facts stay
-// in the database and the delta baseline is left untouched, so a later
-// PropagateCtx resumes from the last completed propagation (re-derivations
-// are deduplicated by insertion).
-func (inc *Incremental) PropagateCtx(ctx context.Context) (int, error) {
+//
+// Cancellation of ctx and Options.Timeout interrupt the resumed fixpoint at
+// round and shard boundaries with the same typed errors as RunCtx. On
+// interruption the already-propagated facts stay in the database and the
+// delta baseline is left untouched, so a later Propagate resumes from the
+// last completed propagation (re-derivations are deduplicated by insertion).
+func (inc *Incremental) Propagate(ctx context.Context) (int, error) {
 	e := inc.eng
 	if ctx == nil {
 		ctx = context.Background()
@@ -115,11 +107,7 @@ func (inc *Incremental) PropagateCtx(ctx context.Context) (int, error) {
 		}
 	}
 	err = canonicalRunErr(err)
-	status := statusOf(err)
-	if e.trace != nil {
-		e.trace.Finish(status, e.rounds, e.derived, time.Since(start))
-	}
-	obs.CountRun(status, e.rounds-roundsBefore, e.derived-before)
+	e.recordRun(err, RunStats{Rounds: e.rounds - roundsBefore, FactsDerived: e.derived - before, Duration: time.Since(start)})
 	if err != nil {
 		return e.derived - before, err
 	}

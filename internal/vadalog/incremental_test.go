@@ -1,6 +1,7 @@
 package vadalog
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,15 +11,15 @@ import (
 
 func TestIncrementalRejectsNonMonotonic(t *testing.T) {
 	neg := MustParse(`p(X) :- q(X), not r(X).`)
-	if _, err := NewIncremental(neg, NewDatabase(), Options{}); err == nil {
+	if _, err := NewIncremental(context.Background(), neg, NewDatabase(), Options{}); err == nil {
 		t.Error("negation must be rejected")
 	}
 	strat := MustParse(`s(G, T) :- q(G, V), T = sum(V).`)
-	if _, err := NewIncremental(strat, NewDatabase(), Options{}); err == nil {
+	if _, err := NewIncremental(context.Background(), strat, NewDatabase(), Options{}); err == nil {
 		t.Error("stratified aggregation must be rejected")
 	}
 	mono := MustParse(`s(G, T) :- q(G, V), T = msum(V, <V>).`)
-	if _, err := NewIncremental(mono, NewDatabase(), Options{}); err != nil {
+	if _, err := NewIncremental(context.Background(), mono, NewDatabase(), Options{}); err != nil {
 		t.Errorf("monotonic aggregation must be accepted: %v", err)
 	}
 }
@@ -30,7 +31,7 @@ func TestIncrementalTransitiveClosure(t *testing.T) {
 	`)
 	db := NewDatabase()
 	db.MustAddFact("edge", value.Str("a"), value.Str("b"))
-	inc, err := NewIncremental(prog, db, Options{})
+	inc, err := NewIncremental(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestIncrementalTransitiveClosure(t *testing.T) {
 	if err := inc.Add("edge", value.Str("b"), value.Str("c")); err != nil {
 		t.Fatal(err)
 	}
-	n, err := inc.Propagate()
+	n, err := inc.Propagate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestIncrementalTransitiveClosure(t *testing.T) {
 		t.Fatalf("propagate derived %d, tc = %d", n, inc.DB().Count("tc"))
 	}
 	// A second propagation with nothing new is a no-op.
-	n, err = inc.Propagate()
+	n, err = inc.Propagate(context.Background())
 	if err != nil || n != 0 {
 		t.Fatalf("idle propagate derived %d, %v", n, err)
 	}
@@ -57,7 +58,7 @@ func TestIncrementalTransitiveClosure(t *testing.T) {
 	if err := inc.Add("edge", value.Str("c"), value.Str("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Propagate(); err != nil {
+	if _, err := inc.Propagate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if inc.DB().Count("tc") != 9 {
@@ -86,7 +87,7 @@ func TestIncrementalEquivalentToBatch(t *testing.T) {
 		for _, ed := range all[:10] {
 			db.MustAddFact("edge", value.IntV(ed.x), value.IntV(ed.y))
 		}
-		inc, err := NewIncremental(prog, db, Options{})
+		inc, err := NewIncremental(context.Background(), prog, db, Options{})
 		if err != nil {
 			return false
 		}
@@ -96,7 +97,7 @@ func TestIncrementalEquivalentToBatch(t *testing.T) {
 					return false
 				}
 			}
-			if _, err := inc.Propagate(); err != nil {
+			if _, err := inc.Propagate(context.Background()); err != nil {
 				return false
 			}
 		}
@@ -130,7 +131,7 @@ func TestIncrementalControl(t *testing.T) {
 	}
 	db.MustAddFact("owns", value.Str("a"), value.Str("b"), value.FloatV(0.6))
 	db.MustAddFact("owns", value.Str("a"), value.Str("c"), value.FloatV(0.3))
-	inc, err := NewIncremental(prog, db, Options{})
+	inc, err := NewIncremental(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestIncrementalControl(t *testing.T) {
 	if err := inc.Add("owns", value.Str("b"), value.Str("c"), value.FloatV(0.3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Propagate(); err != nil {
+	if _, err := inc.Propagate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !has("a", "c") {
@@ -178,7 +179,7 @@ func TestIncrementalControlEquivalence(t *testing.T) {
 	for i := 0; i < n; i++ {
 		db.MustAddFact("company", value.IntV(int64(i)))
 	}
-	inc, err := NewIncremental(prog, db, Options{})
+	inc, err := NewIncremental(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestIncrementalControlEquivalence(t *testing.T) {
 		if err := inc.Add("owns", value.IntV(s.x), value.IntV(s.y), value.FloatV(s.w)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inc.Propagate(); err != nil {
+		if _, err := inc.Propagate(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,14 +229,14 @@ func TestIncrementalExistentials(t *testing.T) {
 	`)
 	db := NewDatabase()
 	db.MustAddFact("task", value.Str("t1"))
-	inc, err := NewIncremental(prog, db, Options{})
+	inc, err := NewIncremental(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := inc.Add("task", value.Str("t2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Propagate(); err != nil {
+	if _, err := inc.Propagate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	facts := inc.DB().SortedFacts("assigned")
@@ -254,14 +255,14 @@ func TestIncrementalProvenance(t *testing.T) {
 	`)
 	db := NewDatabase()
 	db.MustAddFact("edge", value.Str("a"), value.Str("b"))
-	inc, err := NewIncremental(prog, db, Options{Provenance: true})
+	inc, err := NewIncremental(context.Background(), prog, db, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := inc.Add("edge", value.Str("b"), value.Str("c")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Propagate(); err != nil {
+	if _, err := inc.Propagate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	proof, err := inc.Result().Explain("tc", Fact{value.Str("a"), value.Str("c")}, 0)

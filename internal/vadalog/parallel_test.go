@@ -2,6 +2,7 @@ package vadalog
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -438,7 +439,7 @@ func TestParallelIncremental(t *testing.T) {
 		tc(X,Z) :- tc(X,Y), edge(Y,Z).
 	`)
 	mk := func(workers int) *Database {
-		inc, err := NewIncremental(prog, randomEdgeDB(31, 25, 50), Options{Workers: workers})
+		inc, err := NewIncremental(context.Background(), prog, randomEdgeDB(31, 25, 50), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +447,7 @@ func TestParallelIncremental(t *testing.T) {
 			if err := inc.Add("edge", value.IntV(int64(i)), value.IntV(int64((i*7)%25))); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := inc.Propagate(); err != nil {
+			if _, err := inc.Propagate(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

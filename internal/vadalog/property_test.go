@@ -339,13 +339,6 @@ func TestDatabaseOperations(t *testing.T) {
 	if db.Count("p") != 2 || clone.Count("p") != 3 {
 		t.Error("clone shares storage")
 	}
-	other := NewDatabase()
-	other.MustAddFact("p", value.IntV(2)) // duplicate
-	other.MustAddFact("p", value.IntV(9))
-	added, err := other.MergeInto(db)
-	if err != nil || added != 1 {
-		t.Errorf("merge added %d, %v", added, err)
-	}
 	if _, err := db.AddFact("p", value.IntV(1), value.IntV(2)); err == nil {
 		t.Error("arity change must fail")
 	}

@@ -132,7 +132,7 @@ func TestServePipeline(t *testing.T) {
 
 // TestServePipelineSnapshot is the persistence leg of the serving pipeline
 // (DESIGN.md §12): generate → encode a binary snapshot (the kggen -snap /
-// kgsnap path) → cold-start a server from the file (kgserve -snapshot) →
+// kgsnap path) → cold-start a server from the file (kgserve -in) →
 // byte-compare /query against a server that parsed the JSON, then swap the
 // JSON server onto the snapshot via /reload and compare again. The replica
 // started from the mmap file must be indistinguishable on the wire, down
