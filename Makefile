@@ -2,7 +2,7 @@ GO ?= go
 
 BENCHES = storage serve snapshot incr wal plan load
 
-.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench $(addprefix bench-,$(BENCHES))
+.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench bench-pairs $(addprefix bench-,$(BENCHES))
 
 build:
 	$(GO) build ./...
@@ -20,10 +20,12 @@ test: build vet
 # scale too. The cancellation / trace-determinism tests rerun with -count=3:
 # they interrupt the worker pool mid-fan-out and compare run traces across
 # worker counts, the shapes most likely to surface a scheduling-dependent
-# race.
+# race; the sealed-relation test reruns with -count=10 because it races 16
+# queries to build the same lazily built indexes.
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks' ./internal/vadalog/
+	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries' ./internal/vadalog/
 	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestConcurrentBulkIngest' ./internal/pg/
@@ -91,6 +93,31 @@ loc-delta:
 	@base=$$(git ls-tree -r --name-only $(BASE) | $(LOC_FILTER) | sed 's|^|$(BASE):|' | xargs git show | wc -l) && \
 	head=$$($(MAKE) -s loc) && \
 	echo "$$base at $(BASE), $$head here, delta $$((head - base))"
+
+# bench-pairs BASE=<rev> W=<workload> [N=10] measures a performance claim the
+# way the benchmark driver does: BASE is checked out into a git worktree
+# under .bench_build/, both trees run the driver's command for one workload
+# once per pair with the pair number as the seed, alternating which tree goes
+# first, and cmd/benchpairs prints each side's median and quartiles per
+# end-to-end metric, the pair win count and the verdict. It reads bench/ and
+# writes only under .bench_build/ (ignored); ~1.5 min per pair.
+N ?= 10
+PAIRS_DIR = .bench_build/pairs
+
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pairs BASE=<rev> W=<workload> [N=10]" >&2; exit 2; }
+	@git worktree remove --force $(PAIRS_DIR)/base 2>/dev/null; rm -rf $(PAIRS_DIR); mkdir -p $(PAIRS_DIR)
+	git worktree add --detach $(PAIRS_DIR)/base $(BASE)
+	@trap 'git worktree remove --force $(PAIRS_DIR)/base' EXIT; \
+	run() { \
+		line=$$(cd $$2 && bash bench/run.sh --workload $(W) --seed $$3 --seconds 20 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$1 $$3 $$line" | tee -a $(PAIRS_DIR)/runs.txt; \
+	}; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run base $(PAIRS_DIR)/base $$i && run head . $$i; \
+		else run head . $$i && run base $(PAIRS_DIR)/base $$i; fi || exit 1; \
+	done; \
+	$(GO) run ./cmd/benchpairs < $(PAIRS_DIR)/runs.txt
 
 # check is the tier-1 gate: vet + full suite, the race-detector pass, the
 # chaos sweep, the fuzz smoke test, the coverage floor, and the benchmark

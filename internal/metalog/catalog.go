@@ -2,6 +2,7 @@ package metalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/pg"
@@ -111,15 +112,28 @@ func (c *Catalog) EdgeArity(label string) int { return 3 + len(c.EdgeProps[label
 // ExtractFacts implements translation step (1) of Section 4: it loads a
 // property-graph instance into a relational database instance following the
 // catalog's column layout. Multi-labeled nodes produce one fact per label.
+//
+// The database is sealed (vadalog.Database.Seal): every relation is an
+// immutable fact slice in ascending-OID order that clones, engine runs and
+// the generations ApplyFactsDelta derives all share by pointer, hash indexes
+// included. Nothing is hashed here — within a relation the OID column is
+// unique, so the facts are distinct by construction.
 func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
-	db := vadalog.NewDatabase()
+	facts := map[string][]vadalog.Fact{}
+	add := func(kind string, id pg.OID, pred string, f vadalog.Fact) error {
+		if fs := facts[pred]; len(fs) > 0 && len(fs[0]) != len(f) {
+			return fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, pred, len(fs[0]), len(f))
+		}
+		facts[pred] = append(facts[pred], f)
+		return nil
+	}
 	for _, n := range g.Nodes() {
-		for _, l := range n.Labels {
-			if !cat.HasNode(l) {
-				continue // label outside the catalog's scope
+		for i, l := range n.Labels {
+			if !cat.HasNode(l) || slices.Contains(n.Labels[:i], l) {
+				continue // label outside the catalog's scope, or repeated
 			}
-			if _, err := db.AddFact(l, cat.NodeFact(l, n.ID, n.Props)...); err != nil {
-				return nil, fmt.Errorf("metalog: extracting node %d: %w", n.ID, err)
+			if err := add("node", n.ID, l, cat.NodeFact(l, n.ID, n.Props)); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -127,8 +141,14 @@ func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 		if !cat.HasEdge(e.Label) {
 			continue
 		}
-		if _, err := db.AddFact(e.Label, cat.EdgeFact(e.Label, e.ID, e.From, e.To, e.Props)...); err != nil {
-			return nil, fmt.Errorf("metalog: extracting edge %d: %w", e.ID, err)
+		if err := add("edge", e.ID, e.Label, cat.EdgeFact(e.Label, e.ID, e.From, e.To, e.Props)); err != nil {
+			return nil, err
+		}
+	}
+	db := vadalog.NewDatabase()
+	for pred, fs := range facts {
+		if err := db.ReplaceFacts(pred, len(fs[0]), fs); err != nil {
+			return nil, err
 		}
 	}
 	return db, nil

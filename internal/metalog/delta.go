@@ -1,7 +1,8 @@
 package metalog
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/overlay"
 	"repro/internal/pg"
@@ -17,7 +18,9 @@ import (
 // because Nodes() and Edges() iterate ascending — so the maintained database
 // is indistinguishable (fact-for-fact, position-for-position) from a full
 // re-extraction. Position identity matters: engine derivation order, and
-// therefore query row order, follows relation insertion order.
+// therefore query row order, follows relation insertion order. Every other
+// relation of the (sealed) input is shared with the result by pointer, the
+// indexes queries have built on it included.
 //
 // The catalog is treated as fixed for the lifetime of a serving lineage. A
 // diff that needs columns the catalog lacks — a node or edge label the
@@ -28,8 +31,12 @@ import (
 // an emptied relation is harmless (queries see no matches) and keeping the
 // layout stable is what makes the incremental path equivalence-preserving.
 //
+// A label that names both a node and an edge relation falls back too: its
+// nodes-then-edges fact order is not the single ascending run the merge below
+// relies on.
+//
 // The input database is not modified; on ok=true the returned database is a
-// fresh clone with the delta folded in (or db itself when the diff is empty).
+// sealed clone with the delta folded in (or db itself when the diff is empty).
 func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*vadalog.Database, bool) {
 	if diff.Empty() {
 		return db, true
@@ -75,8 +82,10 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 		}
 	}
 	addNode := func(n *pg.Node) {
-		for _, l := range n.Labels {
-			touch(l).add = append(touch(l).add, cat.NodeFact(l, n.ID, n.Props))
+		for i, l := range n.Labels {
+			if !slices.Contains(n.Labels[:i], l) {
+				touch(l).add = append(touch(l).add, cat.NodeFact(l, n.ID, n.Props))
+			}
 		}
 	}
 	for _, n := range diff.RemovedNodes {
@@ -99,43 +108,41 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 	}
 
 	out := db.Clone()
-	preds := make([]string, 0, len(changes))
-	for p := range changes {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	for _, pred := range preds {
-		rd := changes[pred]
+	for pred, rd := range changes {
 		var arity int
-		switch {
-		case cat.HasNode(pred):
+		switch node, edge := cat.HasNode(pred), cat.HasEdge(pred); {
+		case node && !edge:
 			arity = cat.NodeArity(pred)
-		case cat.HasEdge(pred):
+		case edge && !node:
 			arity = cat.EdgeArity(pred)
 		default:
-			return nil, false // unreachable given the coverage checks above
+			return nil, false
 		}
-		var facts []vadalog.Fact
-		if r := out.Relation(pred); r != nil {
-			for _, f := range r.All() {
-				if oid, ok := f[0].AsInt(); ok && rd.del[oid] {
-					continue
-				}
+		// The kept facts are in ascending-OID order already and an OID names
+		// at most one fact of the relation: sort the few new facts and merge.
+		slices.SortFunc(rd.add, func(a, b vadalog.Fact) int { return cmp.Compare(oidOf(a), oidOf(b)) })
+		old := out.Facts(pred)
+		facts := make([]vadalog.Fact, 0, len(old)+len(rd.add))
+		add := rd.add
+		for _, f := range old {
+			oid := oidOf(f)
+			for len(add) > 0 && oidOf(add[0]) < oid {
+				facts, add = append(facts, add[0]), add[1:]
+			}
+			if !rd.del[oid] {
 				facts = append(facts, f)
 			}
 		}
-		facts = append(facts, rd.add...)
-		sort.Slice(facts, func(i, j int) bool {
-			a, _ := facts[i][0].AsInt()
-			b, _ := facts[j][0].AsInt()
-			return a < b
-		})
+		facts = append(facts, add...)
 		if err := out.ReplaceFacts(pred, arity, facts); err != nil {
 			return nil, false
 		}
 	}
 	return out, true
 }
+
+// oidOf reads the OID column every extracted fact starts with.
+func oidOf(f vadalog.Fact) int64 { return f[0].I }
 
 // nodeCovered reports whether every fact the node would extract to fits the
 // catalog's current column layout.

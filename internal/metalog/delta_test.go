@@ -303,3 +303,135 @@ func randDeltaOps(rng *rand.Rand, ov *overlay.Overlay, nodeLabels, edgeLabels, p
 	}
 	return ops
 }
+
+// repeatLabels is a view whose nodes list their first label twice — what a
+// pg.View implementation that does not normalize label lists may hand out.
+type repeatLabels struct{ pg.View }
+
+func (v repeatLabels) Nodes() []*pg.Node {
+	var out []*pg.Node
+	for _, n := range v.View.Nodes() {
+		cp := *n
+		cp.Labels = append(append([]string(nil), n.Labels...), n.Labels[0])
+		out = append(out, &cp)
+	}
+	return out
+}
+
+// TestExtractFactsRepeatedLabel: extraction keeps no dedup table, so a node
+// that repeats a label must still extract exactly one fact per label.
+func TestExtractFactsRepeatedLabel(t *testing.T) {
+	g := deltaBase(t)
+	cat := FromGraph(g)
+	want, err := ExtractFacts(g, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ExtractFacts(repeatLabels{g}, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count("Company") != 2 || got.Count("Bank") != 1 || got.Count("Person") != 1 {
+		t.Fatalf("facts per label: Company %d, Bank %d, Person %d", got.Count("Company"), got.Count("Bank"), got.Count("Person"))
+	}
+	factsDBEqual(t, "repeated label", got, want)
+}
+
+// TestApplyFactsDeltaMergeOrder drives the sorted merge through the diffs the
+// overlay never produces in one lineage but the contract covers: an OID
+// removed by one batch and added again by a later one (it must land back at
+// its ascending position, not at the end), a node repeating a label, and a
+// ChangedNodes entry whose label set changes, so that the fact leaves one
+// relation and enters another. After every step the maintained database is
+// position-for-position a fresh extraction of the same state.
+func TestApplyFactsDeltaMergeOrder(t *testing.T) {
+	g := deltaBase(t) // nodes 1..3 (acme, bcorp, carla), edges 4..6
+	cat := FromGraph(g)
+	db, err := ExtractFacts(g, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[pg.OID]*pg.Node{}
+	for _, n := range g.Nodes() {
+		nodes[n.ID] = n
+	}
+	edges := map[pg.OID]*pg.Edge{}
+	for _, e := range g.Edges() {
+		edges[e.ID] = e
+	}
+	step := func(tag string, diff overlay.Diff) {
+		t.Helper()
+		for _, n := range diff.RemovedNodes {
+			delete(nodes, n.ID)
+		}
+		for _, e := range diff.RemovedEdges {
+			delete(edges, e.ID)
+		}
+		for _, n := range diff.AddedNodes {
+			nodes[n.ID] = n
+		}
+		for _, c := range diff.ChangedNodes {
+			nodes[c.After.ID] = c.After
+		}
+		for _, e := range diff.AddedEdges {
+			edges[e.ID] = e
+		}
+		ref := pg.New()
+		for id := pg.OID(1); id <= 6; id++ {
+			if n := nodes[id]; n != nil {
+				if _, err := ref.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for id := pg.OID(1); id <= 6; id++ {
+			if e := edges[id]; e != nil {
+				if _, err := ref.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		next, ok := ApplyFactsDelta(db, cat, diff)
+		if !ok {
+			t.Fatalf("%s: expected the incremental path", tag)
+		}
+		want, err := ExtractFacts(ref, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factsDBEqual(t, tag, next, want)
+		db = next
+	}
+
+	// bcorp (2) goes, with the edges into it: owns 4 and controls 6.
+	step("remove", overlay.Diff{
+		RemovedNodes: []*pg.Node{nodes[2]},
+		RemovedEdges: []*pg.Edge{edges[4], edges[6]},
+	})
+	if db.Count("Bank") != 0 || db.Count("owns") != 1 {
+		t.Fatalf("after remove: Bank %d, owns %d", db.Count("Bank"), db.Count("owns"))
+	}
+	// The same OIDs come back: node 2 between 1 and nothing in Company,
+	// edge 4 ahead of edge 5 in owns. The node repeats a label.
+	step("re-add", overlay.Diff{
+		AddedNodes: []*pg.Node{{ID: 2, Labels: []string{"Bank", "Company", "Bank"}, Props: pg.Props{"name": value.Str("bcorp2")}}},
+		AddedEdges: []*pg.Edge{{ID: 4, From: 1, To: 2, Label: "owns", Props: pg.Props{"share": value.FloatV(0.9)}}},
+	})
+	if f := db.Facts("owns"); len(f) != 2 || f[0][0].I != 4 || db.Count("Bank") != 1 {
+		t.Fatalf("after re-add: owns %v, Bank %d", f, db.Count("Bank"))
+	}
+	// carla (3) turns from a Person into a Company and changes a property.
+	// Relations the diff does not name pass to the next generation as they
+	// are, indexes and all.
+	owns, bank := db.Relation("owns"), db.Relation("Bank")
+	step("relabel", overlay.Diff{ChangedNodes: []overlay.NodeChange{{
+		Before: nodes[3],
+		After:  &pg.Node{ID: 3, Labels: []string{"Company"}, Props: pg.Props{"name": value.Str("carla ltd")}},
+	}}})
+	if db.Count("Person") != 0 || db.Count("Company") != 3 {
+		t.Fatalf("after relabel: Person %d, Company %d", db.Count("Person"), db.Count("Company"))
+	}
+	if db.Relation("owns") != owns || db.Relation("Bank") != bank {
+		t.Fatal("an untouched relation was rebuilt instead of shared")
+	}
+}

@@ -19,9 +19,10 @@ import (
 // and runs the speedup gate below.
 //
 // Both sides run the same Prepared.QueryDB path — the unplanned side is
-// prepared with a nil statistics catalog — and each run evaluates a
-// pre-cloned database with OwnInput, so the comparison isolates evaluation
-// work from the engine's defensive copy (a constant both sides would pay).
+// prepared with a nil statistics catalog — against the one extracted
+// database. It is sealed, so the engine's per-run clone costs nothing and
+// the hash indexes persist from run to run: the comparison is evaluation
+// work on warm indexes, which is what a serving generation pays.
 
 // planBenchQuery probes one company's transitive ownership: the shape the
 // demand transformation exists for.
@@ -62,10 +63,10 @@ func planBenchSetup(tb testing.TB, companies int) planBench {
 	return planBench{db: db, planned: planned, unplanned: unplanned}
 }
 
-// run evaluates one prepared side on its own clone, returning the row count.
-func (pb planBench) run(tb testing.TB, prep *Prepared, clone *vadalog.Database) int {
+// run evaluates one prepared side, returning the row count.
+func (pb planBench) run(tb testing.TB, prep *Prepared) int {
 	tb.Helper()
-	rows, err := prep.QueryDB(context.Background(), clone, vadalog.Options{OwnInput: true})
+	rows, err := prep.QueryDB(context.Background(), pb.db, vadalog.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,10 +88,7 @@ func BenchmarkPlanPointQuery(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				clone := pb.db.Clone()
-				b.StartTimer()
-				pb.run(b, tc.prep, clone)
+				pb.run(b, tc.prep)
 			}
 		})
 	}
@@ -122,9 +120,8 @@ func TestPlanPointQueryGate(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			lats := make([]time.Duration, 0, perRound)
 			for i := 0; i < perRound; i++ {
-				clone := pb.db.Clone()
 				start := time.Now()
-				actual = pb.run(t, prep, clone)
+				actual = pb.run(t, prep)
 				lats = append(lats, time.Since(start))
 			}
 			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })

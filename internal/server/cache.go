@@ -7,10 +7,11 @@ import (
 )
 
 // cacheKey identifies one query result: the snapshot generation pins the
-// data the result was computed from, so a /reload swap invalidates every
-// cached entry implicitly — stale generations simply stop being asked for
-// and age out of the LRU. Canonicalized query text plus the row limit pin
-// the computation.
+// data the result was computed from, so a generation swap invalidates every
+// cached entry — no later request asks for an older generation, and
+// Server.install empties the LRU so the dead entries do not sit in memory
+// until newer ones push them out. Canonicalized query text plus the row
+// limit pin the computation.
 type cacheKey struct {
 	gen   uint64
 	query string
@@ -85,6 +86,19 @@ func (c *lru[K, V]) put(k K, v V) {
 		c.order.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
+}
+
+// clear drops every entry. An in-flight request of an older generation may
+// still put its result afterwards: that entry can never hit and leaves with
+// the next clear or by eviction.
+func (c *lru[K, V]) clear() {
+	if c.cap <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	clear(c.items)
 }
 
 func (c *lru[K, V]) len() int {

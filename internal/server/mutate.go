@@ -143,8 +143,7 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 		counters.MutateErrors.Add(1)
 		return MutateInfo{}, err
 	}
-	next.gen = sn.gen + 1
-	s.snap.Store(next)
+	s.install(next)
 	counters.Mutates.Add(1)
 	info.Generation = next.gen
 	info.Nodes = next.view.NumNodes()
@@ -205,8 +204,7 @@ func (s *Server) Compact() (CompactInfo, error) {
 		counters.CompactErrors.Add(1)
 		return CompactInfo{}, err
 	}
-	next.gen = sn.gen + 1
-	s.snap.Store(next)
+	s.install(next)
 	counters.Compactions.Add(1)
 	if s.wal != nil && path != "" {
 		// The compacted generation is durable on disk: checkpoint the WAL

@@ -12,8 +12,8 @@ import (
 // DESIGN.md §15): compiled queries — parsed, translated and planned against
 // the generation's statistics catalog — are cached per (generation,
 // canonical pattern), so the per-request work of the hot path is the engine
-// run alone. A snapshot swap invalidates implicitly, exactly like the
-// result cache: stale generations stop being asked for and age out.
+// run alone. A snapshot swap invalidates exactly like the result cache: the
+// key carries the generation, and Server.install empties the LRU.
 
 // planKey identifies one compiled plan in the plan LRU. Prepared queries are
 // immutable and safe for concurrent use, so hits share one entry across

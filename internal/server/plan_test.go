@@ -119,7 +119,9 @@ func TestPlanCacheHitMiss(t *testing.T) {
 // TestStatsCachedPerGeneration proves the expensive graph-statistics walk
 // runs once per snapshot generation however many /stats requests arrive, and
 // that every generation-advancing path — overlay mutation, compaction,
-// reload — invalidates the cache by installing a fresh snapshot.
+// reload — invalidates the cache by installing a fresh snapshot. The same
+// three swaps must leave the result and plan LRUs empty: their keys carry the
+// generation, so whatever the old generation cached can never hit again.
 func TestStatsCachedPerGeneration(t *testing.T) {
 	g := mutateBase(t)
 	src := filepath.Join(t.TempDir(), "base.json")
@@ -133,12 +135,23 @@ func TestStatsCachedPerGeneration(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewFromGraph(Config{}, g)
+	s, err := NewFromGraph(Config{CacheSize: 8}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	delta := countersSince()
 	computes := func() int64 { return delta().StatsComputes }
+	lrusEmptiedBy := func(swap string) {
+		t.Helper()
+		if s.cache.len() != 0 || s.plans.len() != 0 {
+			t.Fatalf("after %s: %d results and %d plans of dead generations still cached", swap, s.cache.len(), s.plans.len())
+		}
+		queryRows(t, s, `(x: Business; fiscalCode: c)`)
+		if s.cache.len() != 1 || s.plans.len() != 1 {
+			t.Fatalf("after %s: a query cached %d results and %d plans, want 1 each", swap, s.cache.len(), s.plans.len())
+		}
+	}
+	lrusEmptiedBy("start-up")
 
 	for i := 0; i < 3; i++ {
 		if w := getPath(t, s.Handler(), "/stats"); w.Code != http.StatusOK {
@@ -160,6 +173,7 @@ func TestStatsCachedPerGeneration(t *testing.T) {
 	if got := computes(); got != 2 {
 		t.Fatalf("stats computes after mutation = %d, want 2", got)
 	}
+	lrusEmptiedBy("/mutate")
 
 	if w := postJSON(t, s.Handler(), "/compact", ""); w.Code != http.StatusOK {
 		t.Fatalf("compact: %d %s", w.Code, w.Body.String())
@@ -168,6 +182,7 @@ func TestStatsCachedPerGeneration(t *testing.T) {
 	if got := computes(); got != 3 {
 		t.Fatalf("stats computes after compaction = %d, want 3", got)
 	}
+	lrusEmptiedBy("/compact")
 
 	if w := postJSON(t, s.Handler(), "/reload", fmt.Sprintf(`{"path":%q}`, src)); w.Code != http.StatusOK {
 		t.Fatalf("reload: %d %s", w.Code, w.Body.String())
@@ -176,6 +191,7 @@ func TestStatsCachedPerGeneration(t *testing.T) {
 	if got := computes(); got != 4 {
 		t.Fatalf("stats computes after reload = %d, want 4", got)
 	}
+	lrusEmptiedBy("/reload")
 }
 
 // TestStatsPlannerSection checks /stats surfaces the live planner block —

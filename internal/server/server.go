@@ -462,6 +462,18 @@ func (s *Server) buildSubstrate(sn *snapshot) error {
 	return nil
 }
 
+// install publishes next as the following generation (the caller holds
+// reloadMu) and empties the result and plan caches: their keys carry the
+// generation, so after the swap every entry is dead weight that would
+// otherwise stay resident until newer entries evict it — for good on a
+// server that writes more than it reads.
+func (s *Server) install(next *snapshot) {
+	next.gen = s.current().gen + 1
+	s.snap.Store(next)
+	s.cache.clear()
+	s.plans.clear()
+}
+
 // ReloadInfo describes a completed snapshot swap.
 type ReloadInfo struct {
 	Generation uint64 `json:"generation"`
@@ -512,8 +524,7 @@ func (s *Server) Reload(path string) (ReloadInfo, error) {
 		counters.ReloadErrors.Add(1)
 		return ReloadInfo{}, err
 	}
-	next.gen = s.current().gen + 1
-	s.snap.Store(next)
+	s.install(next)
 	counters.Reloads.Add(1)
 	return ReloadInfo{Generation: next.gen, Nodes: next.frozen.NumNodes(), Edges: next.frozen.NumEdges()}, nil
 }
@@ -657,12 +668,13 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 }
 
 // queryRows runs a prepared query, under the configured deadline and engine
-// options, against the snapshot's database, which is shared read-only across
-// requests (the engine clones it: OwnInput stays false). A pattern that names
-// a property the shared database has no column for is refused there, and the
-// Prepared evaluates itself against the view instead — a per-request
-// extraction under its own catalog: slower, but the result is still cached
-// under this generation.
+// options, against the snapshot's database. It is sealed, so the engine's
+// clone (OwnInput stays false) shares every relation and the indexes earlier
+// requests built, and each request pays for its own probes only. A pattern
+// that names a property the shared database has no column for is refused
+// there, and the Prepared evaluates itself against the view instead — a
+// per-request extraction under its own catalog: slower, but the result is
+// still cached under this generation.
 func (s *Server) queryRows(ctx context.Context, sn *snapshot, prep *metalog.Prepared) ([]metalog.QueryRow, error) {
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -1,6 +1,7 @@
 package vadalog
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -123,7 +124,14 @@ func tupleEqual(a, b []value.Value) bool {
 	return true
 }
 
-// Relation is an append-only set of facts of a fixed arity with hash indexes.
+// Relation is a set of facts of a fixed arity with hash indexes. It has two
+// forms. A mutable relation (NewRelation) is append-only with swap-removal and
+// keeps a dedup table and map indexes current on every write. A sealed
+// relation (Database.Seal, Database.ReplaceFacts) is an immutable fact slice:
+// it has no dedup table, its indexes are flat arrays built lazily and at most
+// once (sealed.go), and any number of databases and goroutines share it by
+// pointer. Writers never see one: the database hands them a private mutable
+// copy instead (Database.mutable).
 //
 // Facts keep their insertion order, which lets the semi-naive engine address
 // "old" and "delta" windows of the same relation by position ranges instead
@@ -157,7 +165,18 @@ type Relation struct {
 	// live relations hand removed Fact headers to callers, and recycling
 	// would overwrite them in place.
 	recycle bool
+
+	// sealed is non-nil exactly when the relation is sealed; dedup, dedupMore
+	// and indexes are then nil, and sealed holds the lazily built indexes.
+	sealed *sealedIndexes
 }
+
+// ErrSealed is returned by Insert and InsertValues on a sealed relation, and
+// is the panic value of Remove and Reset on one. Reaching it is a bug in the
+// caller: relations obtained from a database that may be sealed are read-only,
+// and writes go through the Database (AddFact, EnsureRelation, ReplaceFacts)
+// or an engine run, which replace a sealed relation by a mutable copy first.
+var ErrSealed = errors.New("vadalog: write to a sealed relation")
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
@@ -176,6 +195,9 @@ func (r *Relation) Len() int { return len(r.facts) }
 // maintenance path resets its pooled shadow relations between batches, so a
 // steady-state Apply stops paying slice and map regrowth for them.
 func (r *Relation) Reset() {
+	if r.sealed != nil {
+		panic(ErrSealed)
+	}
 	r.facts = r.facts[:0]
 	clear(r.dedup)
 	clear(r.dedupMore)
@@ -204,11 +226,16 @@ func (r *Relation) dedupFind(h uint64, f Fact) (int, bool) {
 	return 0, false
 }
 
-// Contains reports whether the tuple is already in the relation. It never
-// mutates the relation, so it is safe alongside concurrent reads.
+// Contains reports whether the tuple is already in the relation. It is safe
+// alongside concurrent reads: a mutable relation answers from its dedup table
+// without mutating anything, a sealed one probes its all-columns index (built
+// on first use, race-free).
 func (r *Relation) Contains(f Fact) bool {
 	if len(f) != r.Arity {
 		return false
+	}
+	if r.sealed != nil {
+		return r.exists(1<<uint(r.Arity)-1, f)
 	}
 	_, found := r.dedupFind(hashTuple(f), f)
 	return found
@@ -219,6 +246,9 @@ func (r *Relation) Contains(f Fact) bool {
 func (r *Relation) Insert(f Fact) (bool, error) {
 	if len(f) != r.Arity {
 		return false, fmt.Errorf("vadalog: arity mismatch: relation has arity %d, fact has %d", r.Arity, len(f))
+	}
+	if r.sealed != nil {
+		return false, ErrSealed
 	}
 	h := hashTuple(f)
 	if _, dup := r.dedupFind(h, f); dup {
@@ -235,6 +265,9 @@ func (r *Relation) Insert(f Fact) (bool, error) {
 func (r *Relation) InsertValues(vals []value.Value) (bool, error) {
 	if len(vals) != r.Arity {
 		return false, fmt.Errorf("vadalog: arity mismatch: relation has arity %d, fact has %d", r.Arity, len(vals))
+	}
+	if r.sealed != nil {
+		return false, ErrSealed
 	}
 	h := hashTuple(vals)
 	if _, dup := r.dedupFind(h, vals); dup {
@@ -289,13 +322,19 @@ func projectHash(f Fact, mask uint64) uint64 {
 
 // warmIndex builds (if absent) the index for the given mask. The engine
 // calls it for every mask a rule can consult before fanning that rule's
-// evaluation out to worker goroutines: index construction is the only lazy
-// mutation on the relation read path, so after warming, concurrent Lookup /
-// Contains / At / Len calls are race-free as long as no Insert runs
-// alongside them — which the parallel evaluator guarantees by buffering
-// emissions until its merge barrier.
+// evaluation out to worker goroutines: on a mutable relation index
+// construction is the only lazy mutation on the read path, so after warming,
+// concurrent VisitRange / Contains / At / Len calls are race-free as long as
+// no Insert runs alongside them — which the parallel evaluator guarantees by
+// buffering emissions until its merge barrier. A sealed relation builds its
+// indexes race-free by itself; warming one only moves the build ahead of the
+// fan-out.
 func (r *Relation) warmIndex(mask uint64) {
-	if mask != 0 {
+	switch {
+	case mask == 0:
+	case r.sealed != nil:
+		r.sealed.index(r.facts, mask)
+	default:
 		r.ensureIndex(mask)
 	}
 }
@@ -330,42 +369,6 @@ func (r *Relation) factMatches(pos int, mask uint64, bound []value.Value) bool {
 	return true
 }
 
-// Lookup returns the ascending positions of facts whose values at the masked
-// positions equal boundVals (given in ascending position order). A zero mask
-// matches every fact. The common, collision-free probe returns the index
-// bucket itself with no allocation; when distinct projections share a hash
-// the bucket is filtered by value comparison.
-func (r *Relation) Lookup(mask uint64, boundVals []value.Value) []int {
-	if mask == 0 {
-		out := make([]int, len(r.facts))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	idx := r.ensureIndex(mask)
-	if bits.OnesCount64(mask&(1<<uint(r.Arity)-1)) != len(boundVals) {
-		return nil // malformed probe: bound values don't line up with the mask
-	}
-	h := uint64(fnvOffset64)
-	for _, v := range boundVals {
-		h = hashValue(h, v)
-	}
-	cand := idx[h]
-	for i, pos := range cand {
-		if !r.factMatches(pos, mask, boundVals) {
-			out := append([]int(nil), cand[:i]...)
-			for _, p := range cand[i+1:] {
-				if r.factMatches(p, mask, boundVals) {
-					out = append(out, p)
-				}
-			}
-			return out
-		}
-	}
-	return cand
-}
-
 // All returns all facts in insertion order. The returned slice must not be
 // modified.
 func (r *Relation) All() []Fact { return r.facts }
@@ -393,6 +396,9 @@ func (r *Relation) Remove(facts []Fact) []Fact {
 // caller that drains the result between calls (the maintenance loop) reuses
 // one backing array instead of growing a fresh slice per relation.
 func (r *Relation) removeInto(removed []Fact, facts []Fact) []Fact {
+	if r.sealed != nil {
+		panic(ErrSealed)
+	}
 	for _, f := range facts {
 		if len(f) != r.Arity {
 			continue
@@ -510,7 +516,8 @@ func postingInsert(lst []int, pos int) []int {
 // columns equal boundVals, in ascending position order, stopping at the first
 // error from fn. Candidates are verified lazily, one at a time, so a caller
 // that stops early (the engine's first-match cut) never pays for the rest of
-// the hash bucket. mask 0 visits the whole window.
+// the hash bucket. mask 0 visits the whole window. It is the one probe API of
+// both relation forms.
 func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, fn func(pos int) error) error {
 	if lo < 0 {
 		lo = 0
@@ -529,7 +536,6 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 		}
 		return nil
 	}
-	idx := r.ensureIndex(mask)
 	if bits.OnesCount64(mask&(1<<uint(r.Arity)-1)) != len(boundVals) {
 		return nil // malformed probe: bound values don't line up with the mask
 	}
@@ -537,10 +543,31 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 	for _, v := range boundVals {
 		h = hashValue(h, v)
 	}
-	cand := idx[h]
-	cand = cand[sort.SearchInts(cand, lo):]
-	cand = cand[:sort.SearchInts(cand, hi)]
-	for _, pos := range cand {
+	if r.sealed != nil {
+		return visitPostings(r, r.sealed.index(r.facts, mask).bucket(h), mask, boundVals, lo, hi, fn)
+	}
+	return visitPostings(r, r.ensureIndex(mask)[h], mask, boundVals, lo, hi, fn)
+}
+
+// visitPostings walks the part of an ascending posting list that falls in
+// [lo, hi), verifying each candidate against the bound values.
+func visitPostings[P int | int32](r *Relation, cand []P, mask uint64, boundVals []value.Value, lo, hi int, fn func(pos int) error) error {
+	if lo > 0 {
+		i, j := 0, len(cand)
+		for i < j {
+			if m := int(uint(i+j) >> 1); int(cand[m]) < lo {
+				i = m + 1
+			} else {
+				j = m
+			}
+		}
+		cand = cand[i:]
+	}
+	for _, p := range cand {
+		pos := int(p)
+		if pos >= hi {
+			break
+		}
 		if !r.factMatches(pos, mask, boundVals) {
 			continue
 		}
@@ -549,6 +576,17 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 		}
 	}
 	return nil
+}
+
+// errFound stops an existence probe at its first verified candidate.
+var errFound = errors.New("vadalog: found")
+
+func stopAtFirst(int) error { return errFound }
+
+// exists reports whether some fact agrees with boundVals on the masked
+// columns (any fact at all for mask 0).
+func (r *Relation) exists(mask uint64, boundVals []value.Value) bool {
+	return r.VisitRange(mask, boundVals, 0, len(r.facts), stopAtFirst) != nil
 }
 
 // Sorted returns the facts sorted lexicographically by value order, for
@@ -581,14 +619,15 @@ func NewDatabase() *Database {
 // Relation returns the named relation, or nil if absent.
 func (d *Database) Relation(pred string) *Relation { return d.rels[pred] }
 
-// EnsureRelation returns the named relation, creating it with the given arity
-// if absent. It is an error to re-declare a relation with a different arity.
+// EnsureRelation returns the named relation for writing, creating it with the
+// given arity if absent and replacing a sealed one by a private mutable copy.
+// It is an error to re-declare a relation with a different arity.
 func (d *Database) EnsureRelation(pred string, arity int) (*Relation, error) {
 	if r, ok := d.rels[pred]; ok {
 		if r.Arity != arity {
 			return nil, fmt.Errorf("vadalog: predicate %s used with arity %d and %d", pred, r.Arity, arity)
 		}
-		return r, nil
+		return d.mutable(pred), nil
 	}
 	r := NewRelation(arity)
 	d.rels[pred] = r
@@ -659,36 +698,74 @@ func (d *Database) Predicates() []string {
 	return out
 }
 
-// Clone returns a deep copy of the database (facts are shared, as they are
-// immutable; relation bookkeeping is copied).
+// Clone returns an independent copy of the database: writes to either side,
+// through the Database or an engine run, never show on the other. Sealed
+// relations are shared by pointer, indexes included, so cloning a sealed
+// database costs O(#relations); mutable relations are copied (facts are
+// shared, as they are immutable; relation bookkeeping is rebuilt).
 func (d *Database) Clone() *Database {
-	out := NewDatabase()
+	out := &Database{rels: make(map[string]*Relation, len(d.rels))}
 	for pred, r := range d.rels {
-		nr := NewRelation(r.Arity)
-		for _, f := range r.All() {
-			if _, err := nr.Insert(f); err != nil {
-				panic(err) // same arity by construction
-			}
+		if r.sealed == nil {
+			r = r.mutableCopy()
 		}
-		out.rels[pred] = nr
+		out.rels[pred] = r
 	}
 	return out
 }
 
-// ReplaceFacts swaps the named relation for a fresh one holding the given
-// facts in the given order (deduplicated on insert). It lets maintenance
-// layers rebuild a relation in a canonical order — the incremental fact
-// extractor keeps extraction relations in ascending-OID order this way, so an
-// incrementally maintained database is indistinguishable from a freshly
-// extracted one, insertion order included.
-func (d *Database) ReplaceFacts(pred string, arity int, facts []Fact) error {
-	nr := NewRelation(arity)
-	for _, f := range facts {
-		if _, err := nr.Insert(f); err != nil {
-			return err
+// Seal makes every relation now in the database immutable, dropping its dedup
+// table and map indexes (sealed.go). It is one-way, and must happen before
+// the database is shared: sealing is itself a write.
+func (d *Database) Seal() {
+	for _, r := range d.rels {
+		if r.sealed == nil {
+			r.dedup, r.dedupMore, r.indexes = nil, nil, nil
+			r.sealed = &sealedIndexes{}
 		}
 	}
-	d.rels[pred] = nr
+}
+
+// mutable returns the named relation for writing, first replacing a sealed
+// one in this database's map by a mutable copy in the same insertion order.
+// Other databases sharing the sealed relation keep it.
+func (d *Database) mutable(pred string) *Relation {
+	r := d.rels[pred]
+	if r.sealed != nil {
+		r = r.mutableCopy()
+		d.rels[pred] = r
+	}
+	return r
+}
+
+// mutableCopy returns a mutable relation holding r's facts in r's order. The
+// facts of a relation are pairwise distinct, so none is probed for.
+func (r *Relation) mutableCopy() *Relation {
+	nr := &Relation{
+		Arity:   r.Arity,
+		facts:   make([]Fact, 0, len(r.facts)),
+		dedup:   make(map[uint64]int32, len(r.facts)),
+		indexes: make(map[uint64]map[uint64][]int),
+	}
+	for _, f := range r.facts {
+		nr.insertNew(hashTuple(f), f)
+	}
+	return nr
+}
+
+// ReplaceFacts swaps the named relation for a sealed one holding exactly the
+// given facts in the given order; the database takes ownership of the slice.
+// The facts must be pairwise distinct — nothing is hashed or probed here,
+// which is what lets the fact extractors (internal/metalog), whose facts are
+// keyed by a unique OID, build and rebuild relations in ascending-OID order
+// at the cost of the slice alone.
+func (d *Database) ReplaceFacts(pred string, arity int, facts []Fact) error {
+	for _, f := range facts {
+		if len(f) != arity {
+			return fmt.Errorf("vadalog: arity mismatch: relation %s has arity %d, fact has %d", pred, arity, len(f))
+		}
+	}
+	d.rels[pred] = &Relation{Arity: arity, facts: facts, sealed: &sealedIndexes{}}
 	return nil
 }
 

@@ -211,17 +211,12 @@ func NewMaintainerCtx(ctx context.Context, prog *Program, db *Database, opts Opt
 	opts.OwnInput = false
 
 	m := &Maintainer{prog: prog, db: db, opts: opts, edb: map[string]*Relation{}, pool: map[string]*Relation{}}
-	for pred, rel := range db.rels {
-		if rel.Len() == 0 {
-			continue
+	for pred := range db.rels {
+		// Maintenance retracts and asserts in place on any relation, and its
+		// shadow databases share db's relations by pointer: none stays sealed.
+		if rel := db.mutable(pred); rel.Len() > 0 {
+			m.edb[pred] = rel.mutableCopy()
 		}
-		er := NewRelation(rel.Arity)
-		for _, f := range rel.All() {
-			if _, err := er.Insert(f); err != nil {
-				return nil, err
-			}
-		}
-		m.edb[pred] = er
 	}
 	if _, err := RunInPlaceCtx(ctx, prog, db, opts); err != nil {
 		return nil, err
@@ -696,13 +691,7 @@ func (m *Maintainer) recompute(ctx context.Context) error {
 func (m *Maintainer) recomputeWith(ctx context.Context, opts Options) error {
 	fresh := NewDatabase()
 	for pred, er := range m.edb {
-		nr := NewRelation(er.Arity)
-		for _, f := range er.All() {
-			if _, err := nr.Insert(f); err != nil {
-				return err
-			}
-		}
-		fresh.rels[pred] = nr
+		fresh.rels[pred] = er.mutableCopy()
 	}
 	if _, err := RunInPlaceCtx(ctx, m.prog, fresh, opts); err != nil {
 		return err

@@ -26,9 +26,9 @@ func TestRelationRemove(t *testing.T) {
 
 	removed := r.Remove([]Fact{
 		{value.IntV(2), value.Str("b")},
-		{value.IntV(9), value.Str("z")},          // absent: skipped
-		{value.IntV(2), value.Str("b")},          // duplicate: skipped
-		{value.FloatV(3), value.Str("c")},                // wrong kind: not canonical-equal, skipped
+		{value.IntV(9), value.Str("z")},                 // absent: skipped
+		{value.IntV(2), value.Str("b")},                 // duplicate: skipped
+		{value.FloatV(3), value.Str("c")},               // wrong kind: not canonical-equal, skipped
 		{value.IntV(4), value.Str("d"), value.Str("x")}, // wrong arity: skipped
 	})
 	if len(removed) != 1 || !tupleEqual(removed[0], facts[1]) {
@@ -51,10 +51,10 @@ func TestRelationRemove(t *testing.T) {
 	if !r.Contains(facts[2]) {
 		t.Error("surviving fact lost")
 	}
-	if got := r.Lookup(1<<0, []value.Value{value.IntV(3)}); len(got) != 1 || got[0] != 2 {
+	if got := positions(r, 1<<0, []value.Value{value.IntV(3)}); len(got) != 1 || got[0] != 2 {
 		t.Errorf("index lookup after remove = %v, want [2]", got)
 	}
-	if got := r.Lookup(1<<0, []value.Value{value.IntV(4)}); len(got) != 1 || got[0] != 1 {
+	if got := positions(r, 1<<0, []value.Value{value.IntV(4)}); len(got) != 1 || got[0] != 1 {
 		t.Errorf("index lookup of moved fact = %v, want [1]", got)
 	}
 	if ok, _ := r.Insert(facts[1]); !ok {
@@ -124,12 +124,12 @@ func TestRelationRemoveModel(t *testing.T) {
 			if !r.Contains(f) {
 				t.Fatalf("seed %d: model fact %v lost", seed, f)
 			}
-			if got := r.Lookup(1<<0|1<<1, f); len(got) != 1 || !tupleEqual(r.At(got[0]), f) {
+			if got := positions(r, 1<<0|1<<1, f); len(got) != 1 || !tupleEqual(r.At(got[0]), f) {
 				t.Fatalf("seed %d: full-mask lookup of %v = %v", seed, f, got)
 			}
 		}
 		for first, want := range byFirst {
-			got := r.Lookup(1<<0, []value.Value{value.IntV(first)})
+			got := positions(r, 1<<0, []value.Value{value.IntV(first)})
 			if len(got) != want {
 				t.Fatalf("seed %d: lookup(%d) found %d positions, want %d", seed, first, len(got), want)
 			}
@@ -146,18 +146,21 @@ func TestReplaceFacts(t *testing.T) {
 	d := NewDatabase()
 	d.MustAddFact("p", value.IntV(2))
 	d.MustAddFact("p", value.IntV(1))
-	if err := d.ReplaceFacts("p", 1, []Fact{{value.IntV(1)}, {value.IntV(2)}, {value.IntV(1)}}); err != nil {
+	if err := d.ReplaceFacts("p", 1, []Fact{{value.IntV(1)}, {value.IntV(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	r := d.Relation("p")
-	if r.Len() != 2 || !tupleEqual(r.At(0), Fact{value.IntV(1)}) || !tupleEqual(r.At(1), Fact{value.IntV(2)}) {
-		t.Fatalf("replaced relation = %v", r.All())
+	if r.Len() != 2 || !tupleEqual(r.At(0), Fact{value.IntV(1)}) || !tupleEqual(r.At(1), Fact{value.IntV(2)}) || r.sealed == nil {
+		t.Fatalf("replaced relation = %v, sealed %v", r.All(), r.sealed != nil)
 	}
 	if err := d.ReplaceFacts("q", 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.Relation("q").Arity != 2 {
 		t.Fatal("new relation arity")
+	}
+	if err := d.ReplaceFacts("p", 1, []Fact{{value.IntV(1), value.IntV(2)}}); err == nil || d.Relation("p") != r {
+		t.Fatalf("a fact of the wrong arity must be refused and leave the relation: %v", err)
 	}
 }
 

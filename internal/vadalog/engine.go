@@ -513,10 +513,12 @@ func (s slotEnv) Lookup(name string) (value.Value, bool) {
 	return v, !v.IsZero()
 }
 
-// prepare validates arities, creates relations for every predicate, and
-// compiles all rules.
+// prepare validates arities, creates relations for every predicate, takes a
+// private mutable copy of every head predicate the database holds sealed (the
+// run writes to those and to nothing else), and compiles all rules.
 func (e *engine) prepare() error {
 	arities := map[string]int{}
+	heads := map[string]bool{}
 	note := func(pred string, n int, line int) error {
 		if prev, ok := arities[pred]; ok && prev != n {
 			return fmt.Errorf("vadalog: line %d: predicate %s used with arity %d and %d", line, pred, n, prev)
@@ -529,6 +531,7 @@ func (e *engine) prepare() error {
 			if err := note(h.Pred, len(h.Args), r.Line); err != nil {
 				return err
 			}
+			heads[h.Pred] = true
 		}
 		for _, l := range r.Body {
 			if l.Kind == LitAtom || l.Kind == LitNegAtom {
@@ -542,6 +545,9 @@ func (e *engine) prepare() error {
 		if rel := e.db.Relation(pred); rel != nil {
 			if rel.Arity != n {
 				return fmt.Errorf("vadalog: predicate %s has arity %d in program but %d in database", pred, n, rel.Arity)
+			}
+			if heads[pred] {
+				e.db.mutable(pred)
 			}
 			continue
 		}
@@ -1045,7 +1051,7 @@ type evalCtx struct {
 
 	// keyBufs holds one reusable lookup-key buffer per step depth, so keyed
 	// probes don't allocate per candidate binding. Depths never re-enter
-	// themselves within one traversal, and Lookup/VisitRange only read the
+	// themselves within one traversal, and VisitRange only reads the
 	// key synchronously, so per-depth reuse is safe.
 	keyBufs [][]value.Value
 
@@ -1129,10 +1135,7 @@ func (c *evalCtx) step(si int) error {
 		// FirstMatchOnly cut stops before the rest of the bucket is checked.
 		return rel.VisitRange(st.staticMask, c.stepKey(si, st), lo, hi, visit)
 	case stepNeg:
-		rel := e.db.Relation(st.pred)
-		keyVals := c.stepKey(si, st)
-		positions := rel.Lookup(st.staticMask, keyVals)
-		if len(positions) > 0 {
+		if e.db.Relation(st.pred).exists(st.staticMask, c.stepKey(si, st)) {
 			return nil // some matching fact exists: negation fails
 		}
 		return c.step(si + 1)

@@ -42,7 +42,7 @@ func generateProgram(rng *rand.Rand) string {
 
 	nRules := 3 + rng.Intn(5)
 	for i := 0; i < nRules; i++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0: // join of two earlier binaries
 			p := fresh("j")
 			fmt.Fprintf(&b, "%s(X,Z) :- %s(X,Y), %s(Y,Z).\n", p, pick(bins), pick(bins))
@@ -83,6 +83,8 @@ func generateProgram(rng *rand.Rand) string {
 			p := fresh("u")
 			fmt.Fprintf(&b, "%s(X) :- %s(X), not %s(X,X).\n", p, pick(uns), pick(bins))
 			uns = append(uns, p)
+		case 8: // an input relation as head: the run grows e itself
+			b.WriteString("e(X,Z) :- e(X,Y), e(Y,Z), X < Z.\n")
 		}
 	}
 	return b.String()
@@ -117,7 +119,10 @@ func randomInputDB(rng *rand.Rand) *Database {
 // SortedFacts for every predicate, on at least 100 generated programs.
 // Parallel runs at different worker counts must additionally agree on the
 // exact relation contents *including insertion order* (the bit-identical
-// guarantee of parallel.go).
+// guarantee of parallel.go). The same input sealed (what the fact extractors
+// hand the engine) must give the same database as the mutable one at both
+// worker counts, insertion order included, also when the program derives
+// into an input relation.
 func TestParallelDifferential(t *testing.T) {
 	shrinkShards(t)
 	const total = 120
@@ -147,13 +152,20 @@ func TestParallelDifferential(t *testing.T) {
 		par3Opts.Trace = obs.NewTrace()
 		par3, errPar3 := Run(prog, db, par3Opts)
 
-		if errSeq != nil || errPar8 != nil || errPar3 != nil {
+		sealed := db.Clone()
+		sealed.Seal()
+		sealedSeq, errSealedSeq := Run(prog, sealed, seqOpts)
+		sealedPar8Opts := opts
+		sealedPar8Opts.Workers = 8
+		sealedPar8, errSealedPar8 := Run(prog, sealed, sealedPar8Opts)
+
+		if errSeq != nil || errPar8 != nil || errPar3 != nil || errSealedSeq != nil || errSealedPar8 != nil {
 			// A generated program can err at runtime (e.g. an aggregate fed
 			// by a Skolem null through a join chain). All modes must agree
 			// that it errs; the comparison is then vacuous.
-			if errSeq == nil || errPar8 == nil || errPar3 == nil {
-				t.Fatalf("program %d: inconsistent errors: seq=%v par8=%v par3=%v\n%s",
-					i, errSeq, errPar8, errPar3, src)
+			if errSeq == nil || errPar8 == nil || errPar3 == nil || errSealedSeq == nil || errSealedPar8 == nil {
+				t.Fatalf("program %d: inconsistent errors: seq=%v par8=%v par3=%v sealed seq=%v sealed par8=%v\n%s",
+					i, errSeq, errPar8, errPar3, errSealedSeq, errSealedPar8, src)
 			}
 			continue
 		}
@@ -161,21 +173,19 @@ func TestParallelDifferential(t *testing.T) {
 			t.Fatalf("program %d: workers=1 and workers=8 disagree\nprogram:\n%s\nseq:\n%s\npar:\n%s",
 				i, src, seq.DB.Dump(), par8.DB.Dump())
 		}
-		// Bit-identical across parallel worker counts: same facts in the
-		// same insertion order for every relation.
-		for _, pred := range par8.DB.Predicates() {
-			f8, f3 := par8.DB.Facts(pred), par3.DB.Facts(pred)
-			if len(f8) != len(f3) {
-				t.Fatalf("program %d: %s has %d facts at workers=8 but %d at workers=3\n%s",
-					i, pred, len(f8), len(f3), src)
-			}
-			for k := range f8 {
-				for c := range f8[k] {
-					if !value.Equal(f8[k][c], f3[k][c]) {
-						t.Fatalf("program %d: %s insertion order diverges at position %d: %s vs %s\n%s",
-							i, pred, k, f8[k], f3[k], src)
-					}
-				}
+		// Bit-identical across parallel worker counts, and between the
+		// mutable and the sealed input at one worker count: same facts in
+		// the same insertion order for every relation.
+		for _, pair := range []struct {
+			a, b   *Database
+			an, bn string
+		}{
+			{par8.DB, par3.DB, "workers=8", "workers=3"},
+			{par8.DB, sealedPar8.DB, "workers=8", "sealed workers=8"},
+			{seq.DB, sealedSeq.DB, "workers=1", "sealed workers=1"},
+		} {
+			if err := sameInsertionOrder(pair.a, pair.b); err != nil {
+				t.Fatalf("program %d: %s vs %s: %v\n%s", i, pair.an, pair.bn, err, src)
 			}
 		}
 		// The run traces — firings, probes, derived counts, round deltas —
@@ -198,6 +208,26 @@ func TestParallelDifferential(t *testing.T) {
 		t.Fatalf("only %d/%d generated programs were comparable (need >= %d)", compared, total, needed)
 	}
 	t.Logf("compared %d/%d generated programs", compared, total)
+}
+
+// sameInsertionOrder reports the first relation or position at which two
+// databases differ, comparing facts position by position.
+func sameInsertionOrder(a, b *Database) error {
+	if ap, bp := a.Predicates(), b.Predicates(); strings.Join(ap, ",") != strings.Join(bp, ",") {
+		return fmt.Errorf("predicates %v vs %v", ap, bp)
+	}
+	for _, pred := range a.Predicates() {
+		fa, fb := a.Facts(pred), b.Facts(pred)
+		if len(fa) != len(fb) {
+			return fmt.Errorf("%s has %d facts vs %d", pred, len(fa), len(fb))
+		}
+		for k := range fa {
+			if !tupleEqual(fa[k], fb[k]) {
+				return fmt.Errorf("%s insertion order diverges at position %d: %s vs %s", pred, k, fa[k], fb[k])
+			}
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

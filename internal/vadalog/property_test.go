@@ -354,8 +354,8 @@ func TestRelationLookupWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Lookup on first column.
-	pos := r.Lookup(1, []value.Value{value.IntV(0)})
+	// Probe on the first column.
+	pos := positions(r, 1, []value.Value{value.IntV(0)})
 	if len(pos) != 4 { // i = 0,3,6,9
 		t.Errorf("positions = %v", pos)
 	}
