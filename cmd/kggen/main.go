@@ -9,13 +9,15 @@
 //	kggen -companies 1000 -mode kg -out kg.json
 //	kggen -companies 1000 -mode shareholding -csv-prefix out/   # nodes/edges CSV
 //	kggen -companies 1000 -snap kg.snap   # binary snapshot for kgserve -in
-//	kggen -stream -companies 30000000 -workers 8 -snap big.snap   # 100M-edge scale
+//	kggen -companies 30000000 -workers 8 -snap big.snap   # 100M-edge scale
 //
-// -stream generates the shareholding graph as a batch stream through the
-// parallel bulk loader, straight into a frozen snapshot — the mutable graph
-// is never built, so memory stays bounded by the columnar result instead of
-// the per-construct maps. Stream output is byte-identical to the
-// materialized pipeline for the same seed and size.
+// A shareholding graph asked for as a snapshot only (-snap without -out or
+// -csv-prefix) is generated as a batch stream through the parallel bulk
+// loader, straight into the frozen snapshot — the mutable graph is never
+// built, so memory stays bounded by the columnar result instead of the
+// per-construct maps. The snapshot is byte-identical to the one the
+// materialized pipeline writes for the same seed and size, so which pipeline
+// ran is not something a caller chooses or can observe in the file.
 package main
 
 import (
@@ -37,18 +39,35 @@ func main() {
 	out := flag.String("out", "", "write the graph as JSON to this file (default stdout)")
 	snap := flag.String("snap", "", "write the frozen graph as a binary snapshot to this file (see internal/snapfile)")
 	csvPrefix := flag.String("csv-prefix", "", "also write <prefix>nodes.csv and <prefix>edges.csv")
-	stream := flag.Bool("stream", false, "stream generation through the bulk loader directly into -snap (shareholding mode only; never materializes the mutable graph)")
-	workers := flag.Int("workers", 0, "bulk-loader worker count for -stream (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "bulk-loader worker count when the graph streams into -snap (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "rows per streamed batch (0 = 65536)")
 	codeFormat := flag.Int("code-format", fingraph.FormatLegacy, "fiscal-code format version: 1 = 8-digit codes, 2 = 10-digit (required past 1e8 entities)")
 	flag.Parse()
 
-	if *stream {
-		runStream(*companies, *seed, *mode, *snap, *workers, *batch, *codeFormat)
-		return
-	}
 	cfg := fingraph.DefaultConfig(*companies, *seed)
 	cfg.FormatVersion = *codeFormat
+	writeSnapshot := func(frozen *pg.Frozen) {
+		info := snapfile.BuildInfo{
+			Tool:        "kggen",
+			Source:      "fingraph/" + *mode,
+			CreatedUnix: time.Now().Unix(),
+			Params: map[string]string{
+				"companies":  fmt.Sprint(*companies),
+				"seed":       fmt.Sprint(*seed),
+				"mode":       *mode,
+				"codeFormat": fmt.Sprint(*codeFormat),
+			},
+		}
+		size, err := snapfile.WriteFile(*snap, frozen, info)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "kggen: wrote snapshot %s (%d bytes)\n", *snap, size)
+	}
+	if *mode == "shareholding" && *snap != "" && *out == "" && *csvPrefix == "" {
+		writeSnapshot(streamShareholding(cfg, *workers, *batch))
+		return
+	}
 	topo := fingraph.GenerateTopology(cfg)
 	var g *pg.Graph
 	switch *mode {
@@ -63,21 +82,7 @@ func main() {
 		g.NumNodes(), g.NumEdges(), topo.Companies, topo.Persons, len(topo.Stakes))
 
 	if *snap != "" {
-		info := snapfile.BuildInfo{
-			Tool:        "kggen",
-			Source:      "fingraph/" + *mode,
-			CreatedUnix: time.Now().Unix(),
-			Params: map[string]string{
-				"companies": fmt.Sprint(*companies),
-				"seed":      fmt.Sprint(*seed),
-				"mode":      *mode,
-			},
-		}
-		size, err := snapfile.WriteFile(*snap, g.Freeze(), info)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kggen: wrote snapshot %s (%d bytes)\n", *snap, size)
+		writeSnapshot(g.Freeze())
 	}
 
 	// JSON goes to stdout by default, but not when only a snapshot was
@@ -122,19 +127,9 @@ func main() {
 	}
 }
 
-// runStream is the kggen -stream pipeline: two-pass generation → sharded
-// bulk load → frozen snapshot → snapfile, with the mutable graph never in
-// memory.
-func runStream(companies int, seed int64, mode, snap string, workers, batch, codeFormat int) {
-	if mode != "shareholding" {
-		fatal(fmt.Errorf("-stream supports -mode shareholding only (got %q)", mode))
-	}
-	if snap == "" {
-		fatal(fmt.Errorf("-stream requires -snap: the streamed graph exists only as a frozen snapshot"))
-	}
-	cfg := fingraph.DefaultConfig(companies, seed)
-	cfg.FormatVersion = codeFormat
-
+// streamShareholding is the pipeline for a shareholding graph nobody needs in
+// mutable form: two-pass generation → sharded bulk load → frozen snapshot.
+func streamShareholding(cfg fingraph.Config, workers, batch int) *pg.Frozen {
 	start := time.Now()
 	ld := pg.NewBulkLoader(workers)
 	stats, err := fingraph.StreamTopology(cfg, fingraph.StreamOptions{BatchSize: batch}, ld)
@@ -149,24 +144,7 @@ func runStream(companies int, seed int64, mode, snap string, workers, batch, cod
 	fmt.Fprintf(os.Stderr, "kggen: streamed %d nodes, %d edges (%d companies, %d persons) in %s (%.0f edges/sec)\n",
 		frozen.NumNodes(), frozen.NumEdges(), stats.Companies, stats.Persons,
 		loadDur.Round(time.Millisecond), float64(stats.Edges)/loadDur.Seconds())
-
-	info := snapfile.BuildInfo{
-		Tool:        "kggen",
-		Source:      "fingraph/stream",
-		CreatedUnix: time.Now().Unix(),
-		Params: map[string]string{
-			"companies":  fmt.Sprint(companies),
-			"seed":       fmt.Sprint(seed),
-			"mode":       mode,
-			"stream":     "true",
-			"codeFormat": fmt.Sprint(codeFormat),
-		},
-	}
-	size, err := snapfile.WriteFile(snap, frozen, info)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "kggen: wrote snapshot %s (%d bytes)\n", snap, size)
+	return frozen
 }
 
 func fatal(err error) {

@@ -30,7 +30,6 @@
 package metalog
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/vadalog"
@@ -69,10 +68,7 @@ type PropBinding struct {
 
 func (p PropBinding) String() string {
 	if p.IsConst {
-		if p.Const.K == value.String {
-			return fmt.Sprintf("%s: %q", p.Name, p.Const.S)
-		}
-		return p.Name + ": " + p.Const.String()
+		return p.Name + ": " + p.Const.Literal()
 	}
 	return p.Name + ": " + p.Var
 }

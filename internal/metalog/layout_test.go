@@ -3,6 +3,7 @@ package metalog
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/pg"
@@ -49,9 +50,10 @@ func TestReasonRollsBackUnderSavepoint(t *testing.T) {
 }
 
 // TestQueryDBUnderPreparedCatalog is the kgquery -explain shape: prepare
-// against the graph-inferred catalog, extract under that (now extended)
-// catalog, run. A pattern naming an absent property is not stale against a
-// database extracted after it was prepared.
+// against the graph-inferred catalog with statistics, and run over the view.
+// The Prepared extends a catalog of its own, so a pattern naming an absent
+// property is not stale against the database it extracts — and the caller's
+// catalog is left as it was.
 func TestQueryDBUnderPreparedCatalog(t *testing.T) {
 	f := queryGraph(t).Freeze()
 	for _, pattern := range []string{
@@ -59,15 +61,15 @@ func TestQueryDBUnderPreparedCatalog(t *testing.T) {
 		`(x: Business) [: OWNS; nope: n] (y: Business)`,
 	} {
 		cat := FromGraph(f)
+		before := cat.Clone()
 		prep, err := PrepareQuery(cat, pattern, ComputePlanStats(f, cat))
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := ExtractFacts(f, cat)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(cat, before) {
+			t.Fatalf("pattern %q: PrepareQuery extended its caller's catalog", pattern)
 		}
-		got, err := prep.QueryDB(context.Background(), db, vadalog.Options{OwnInput: true})
+		got, err := prep.QueryView(context.Background(), f, vadalog.Options{})
 		if err != nil {
 			t.Fatalf("pattern %q: %v", pattern, err)
 		}

@@ -39,7 +39,7 @@ var metalogSyntax = vadalog.Syntax{
 
 type parser struct{ *vadalog.Parser }
 
-// newParser scans src for Parse and ParseBody, which put the "metalog:"
+// newParser scans src for Parse and ParsePattern, which put the "metalog:"
 // prefix on every error.
 func newParser(src string) (*parser, error) {
 	core, err := vadalog.NewParser(src, metalogSyntax)

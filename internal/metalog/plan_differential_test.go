@@ -17,7 +17,7 @@ import (
 // the planner is a pure program transformation, never a semantics change.
 
 // preparedRows runs a pattern through the planned path: statistics catalog,
-// PrepareQuery, QueryDB against a fresh extraction.
+// PrepareQuery, QueryView (a fresh extraction under the Prepared's catalog).
 func preparedRows(t *testing.T, f *pg.Frozen, pattern string, workers int) ([]QueryRow, *Prepared) {
 	t.Helper()
 	cat := FromGraph(f)
@@ -26,11 +26,7 @@ func preparedRows(t *testing.T, f *pg.Frozen, pattern string, workers int) ([]Qu
 	if err != nil {
 		t.Fatalf("prepare %q: %v", pattern, err)
 	}
-	db, err := ExtractFacts(f, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := prep.QueryDB(context.Background(), db, vadalog.Options{Workers: workers, OwnInput: true})
+	rows, err := prep.QueryView(context.Background(), f, vadalog.Options{Workers: workers})
 	if err != nil {
 		t.Fatalf("planned run %q: %v", pattern, err)
 	}

@@ -13,7 +13,7 @@ import (
 // Prepared is a compiled query: the pattern parsed, translated and — when
 // the statistics catalog admits it — planned once, to be run many times
 // against databases extracted under the same catalog. This is the serving
-// layer's plan-cache entry: after PrepareQuery returns, a Prepared is
+// layer's plan-cache entry: after PrepareBody returns, a Prepared is
 // immutable and safe for concurrent QueryDB calls (the engine never mutates
 // the program, and clones the database unless opts.OwnInput is set).
 type Prepared struct {
@@ -45,15 +45,26 @@ func ComputePlanStats(g pg.View, cat *Catalog) *plan.Stats {
 	return plan.ComputeStats(g, cat.PlanLayout())
 }
 
-// PrepareQuery parses, translates and plans a pattern against cat. The
-// catalog is extended with the query-result layout (and any layouts the
-// pattern introduces) and must be private to the Prepared — Catalog.Clone a
-// shared one. A nil stats catalog skips planning: the Prepared still works,
-// reporting an unplanned Plan. Planning never fails a query: any planner
-// fault or unsupported shape falls back to the written-order program,
-// recorded in Plan().Fallback and the obs fallback counter.
+// PrepareQuery parses a pattern and compiles it with PrepareBody.
 func PrepareQuery(cat *Catalog, pattern string, st *plan.Stats) (*Prepared, error) {
-	tr, vars, err := buildQueryProgram(pattern, cat)
+	pat, err := ParsePattern(pattern)
+	if err != nil {
+		return nil, err
+	}
+	return PrepareBody(cat, pat.Body, st)
+}
+
+// PrepareBody translates and plans a parsed pattern against cat. Translation
+// extends the catalog with the query-result layout (and any layouts the
+// pattern introduces), so the Prepared works on a clone of its own: cat may
+// be shared, and is left as it was. A nil stats catalog skips planning: the
+// Prepared still works, reporting an unplanned Plan. Planning never fails a
+// query: any planner fault or unsupported shape falls back to the
+// written-order program, recorded in Plan().Fallback and the obs fallback
+// counter.
+func PrepareBody(cat *Catalog, body []BodyElem, st *plan.Stats) (*Prepared, error) {
+	cat = cat.Clone()
+	tr, vars, err := buildQueryProgram(body, cat)
 	if err != nil {
 		return nil, err
 	}

@@ -58,15 +58,11 @@ func Query(g pg.View, pattern string, opts vadalog.Options) ([]QueryRow, error) 
 // Prepared.QueryView serves such a pattern.
 var ErrStaleDatabase = errors.New("metalog: query needs layouts absent from the pre-extracted database")
 
-// buildQueryProgram parses a body pattern, wraps it into a __QueryResult
-// rule, and translates it against cat (extending cat with any layouts the
-// pattern introduces plus the query-result layout). It returns the compiled
-// program and the sorted pattern variables.
-func buildQueryProgram(pattern string, cat *Catalog) (*Translation, []string, error) {
-	body, err := ParseBody(pattern)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildQueryProgram wraps a parsed body pattern into a __QueryResult rule and
+// translates it against cat (extending cat with any layouts the pattern
+// introduces plus the query-result layout). It returns the compiled program
+// and the sorted pattern variables.
+func buildQueryProgram(body []BodyElem, cat *Catalog) (*Translation, []string, error) {
 	vars := patternVariables(body)
 	if len(vars) == 0 {
 		return nil, nil, fmt.Errorf("metalog: query pattern has no named variables")
@@ -91,37 +87,48 @@ func buildQueryProgram(pattern string, cat *Catalog) (*Translation, []string, er
 	return tr, vars, nil
 }
 
-// ParseBody parses a comma-separated list of MetaLog body conjuncts (the
-// left-hand side of a rule), for query patterns.
-func ParseBody(src string) ([]BodyElem, error) {
-	body, err := parseBody(src)
-	if err != nil {
-		return nil, fmt.Errorf("metalog: %w", err)
-	}
-	return body, nil
+// Pattern is a parsed query pattern: a comma-separated list of MetaLog body
+// conjuncts (the left-hand side of a rule) and the key that identifies it.
+// Key is the scanner's token stream (vadalog.Parser.Key), so two texts share
+// a key only if they share a parse: layout and comments between tokens are
+// not part of a pattern's identity, the inside of a string constant is. The
+// key is itself pattern text, and parses to an equal Body.
+type Pattern struct {
+	Body []BodyElem
+	Key  string
 }
 
-func parseBody(src string) ([]BodyElem, error) {
+// ParsePattern parses query pattern text, once, into its body and key.
+func ParsePattern(src string) (Pattern, error) {
+	pat, err := parsePattern(src)
+	if err != nil {
+		return Pattern{}, fmt.Errorf("metalog: %w", err)
+	}
+	return pat, nil
+}
+
+func parsePattern(src string) (Pattern, error) {
 	p, err := newParser(src)
 	if err != nil {
-		return nil, err
+		return Pattern{}, err
 	}
-	var out []BodyElem
+	var pat Pattern
 	for {
 		elem, err := p.parseBodyElem()
 		if err != nil {
-			return nil, err
+			return Pattern{}, err
 		}
-		out = append(out, elem)
+		pat.Body = append(pat.Body, elem)
 		if !p.At(",") {
 			break
 		}
 		p.Advance()
 	}
 	if t := p.Peek(); t.Kind != vadalog.TokEOF {
-		return nil, fmt.Errorf("line %d: unexpected %q after pattern", t.Line, t.Text)
+		return Pattern{}, fmt.Errorf("line %d: unexpected %q after pattern", t.Line, t.Text)
 	}
-	return out, nil
+	pat.Key = p.Key()
+	return pat, nil
 }
 
 // patternVariables collects the named (non-anonymous) variables of a body,

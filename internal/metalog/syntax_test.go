@@ -64,8 +64,8 @@ func TestExponentLiterals(t *testing.T) {
 // error carrying the line, not an evaluation-time surprise.
 func TestAggregateArityRejected(t *testing.T) {
 	for _, agg := range []string{`sum()`, `pack(c)`, `msum(<x>)`, `msum(c)`} {
-		if _, err := ParseBody("(x: A; p: c),\nv = " + agg); err == nil || !strings.HasPrefix(err.Error(), "metalog: line 2:") {
-			t.Errorf("ParseBody with %s: err = %v, want a metalog: line 2: error", agg, err)
+		if _, err := ParsePattern("(x: A; p: c),\nv = " + agg); err == nil || !strings.HasPrefix(err.Error(), "metalog: line 2:") {
+			t.Errorf("ParsePattern with %s: err = %v, want a metalog: line 2: error", agg, err)
 		}
 		if _, err := Parse("(x: A; p: c),\n\nv = " + agg + " -> (x: B; q: v)."); err == nil || !strings.HasPrefix(err.Error(), "metalog: line 3:") {
 			t.Errorf("Parse with %s: err = %v, want a metalog: line 3: error", agg, err)
@@ -74,30 +74,67 @@ func TestAggregateArityRejected(t *testing.T) {
 }
 
 // TestBodyFloatRoundTrip: bodies holding floats whose shortest rendering uses
-// an exponent survive print → parse → print unchanged.
+// an exponent, or is integral, survive print → parse → print unchanged, and
+// parse back to the same constants — a Float that printed as "1" would come
+// back an Int, which a constant in an atom position does not match.
 func TestBodyFloatRoundTrip(t *testing.T) {
 	body := []BodyElem{
 		{Kind: BodyChain, Chain: Chain{Nodes: []NodeAtom{{
 			ID: Ident{Var: "x"}, Label: "A",
-			Props: []PropBinding{{Name: "p", Var: "c"}, {Name: "q", IsConst: true, Const: value.FloatV(1e21)}},
+			Props: []PropBinding{{Name: "p", Var: "c"}, {Name: "q", IsConst: true, Const: value.FloatV(1e21)},
+				{Name: "r", IsConst: true, Const: value.FloatV(1)}, {Name: "s", IsConst: true, Const: value.FloatV(-3)},
+				{Name: "t", IsConst: true, Const: value.IntV(1)}},
 		}}}},
+		{Kind: BodyExpr, Expr: &vadalog.Expr{Kind: vadalog.ExprBinary, Op: ">",
+			Left:  &vadalog.Expr{Kind: vadalog.ExprVar, Name: "c"},
+			Right: &vadalog.Expr{Kind: vadalog.ExprConst, Val: value.FloatV(2)}}},
 		{Kind: BodyExpr, Expr: vadalog.MustParse(`r(C) :- s(C), C > 1e+06.`).Rules[0].Body[1].Expr},
 		{Kind: BodyExpr, Expr: &vadalog.Expr{Kind: vadalog.ExprBinary, Op: "<",
 			Left:  &vadalog.Expr{Kind: vadalog.ExprVar, Name: "c"},
 			Right: &vadalog.Expr{Kind: vadalog.ExprConst, Val: value.FloatV(2.5e22)}}},
 	}
 	printed := printBody(body)
-	for _, want := range []string{"1e+21", "1e+06", "2.5e+22"} {
+	for _, want := range []string{"1e+21", "1e+06", "2.5e+22", "r: 1.0", "s: -3.0", "t: 1)", "c > 2.0"} {
 		if !strings.Contains(printed, want) {
 			t.Fatalf("printed body %q does not render %s", printed, want)
 		}
 	}
-	reparsed, err := ParseBody(printed)
+	reparsed, err := ParsePattern(printed)
 	if err != nil {
 		t.Fatalf("printed body %q does not reparse: %v", printed, err)
 	}
-	if again := printBody(reparsed); again != printed {
+	if again := printBody(reparsed.Body); again != printed {
 		t.Errorf("round trip changed the body:\n%s\n%s", printed, again)
+	}
+	if !reflect.DeepEqual(reparsed.Body, body) {
+		t.Errorf("round trip changed a constant's kind or value:\n%#v\n%#v", body, reparsed.Body)
+	}
+}
+
+// TestPatternKey: the key is the token stream — layout and comments between
+// tokens do not reach it, the inside of a string constant does — and it is
+// itself a pattern that parses to the same body.
+func TestPatternKey(t *testing.T) {
+	parse := func(src string) Pattern {
+		t.Helper()
+		p, err := ParsePattern(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		return p
+	}
+	a := parse("  (x: Business; name: \"A  B\")\n\t[: OWNS]   (y: Business), % who\n x!=y ")
+	if want := `( x : Business ; name : "A  B" ) [ : OWNS ] ( y : Business ) , x != y`; a.Key != want {
+		t.Errorf("key = %q, want %q", a.Key, want)
+	}
+	if b := parse(`(x:Business;name:"A  B")[:OWNS](y:Business),x != y`); b.Key != a.Key {
+		t.Errorf("layout reached the key: %q vs %q", b.Key, a.Key)
+	}
+	if b := parse(`(x: Business; name: "A B") [: OWNS] (y: Business), x != y`); b.Key == a.Key {
+		t.Errorf("two string constants share the key %q", a.Key)
+	}
+	if again := parse(a.Key); again.Key != a.Key || !reflect.DeepEqual(again.Body, a.Body) {
+		t.Errorf("the key %q does not parse back to its pattern", a.Key)
 	}
 }
 
@@ -132,12 +169,12 @@ func TestExpressionsParseAsVadalog(t *testing.T) {
 			t.Errorf("vadalog %q: %v", src, err)
 			continue
 		}
-		body, err := ParseBody(`(x: A), ` + src)
+		pat, err := ParsePattern(`(x: A), ` + src)
 		if err != nil {
 			t.Errorf("metalog %q: %v", src, err)
 			continue
 		}
-		want, got := prog.Rules[0].Body[1].Expr, body[1].Expr
+		want, got := prog.Rules[0].Body[1].Expr, pat.Body[1].Expr
 		if want == nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%q: metalog parsed %v, vadalog %v", src, got, want)
 		}

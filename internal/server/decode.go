@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -62,6 +61,8 @@ type queryRequest struct {
 	Query string `json:"query"`
 	// Limit caps the number of rows returned; 0 returns all.
 	Limit int `json:"limit"`
+
+	pattern metalog.Pattern // Query, parsed by the decoder
 }
 
 // explainRequest is the POST /explain payload: the pattern to plan, and
@@ -69,6 +70,8 @@ type queryRequest struct {
 type explainRequest struct {
 	Query string `json:"query"`
 	Run   bool   `json:"run"`
+
+	pattern metalog.Pattern // Query, parsed by the decoder
 }
 
 // reloadRequest is the POST /reload payload; an empty body (or empty path)
@@ -87,93 +90,77 @@ type validateRequest struct {
 // megabyte of conjuncts is an attack, not a query.
 const maxQueryLen = 1 << 16
 
-// readBody reads at most maxBody bytes, distinguishing "too large" from
-// transport errors. A zero-length body is returned as-is; the per-request
-// decoders decide whether that is allowed.
-func readBody(r io.Reader, maxBody int64) ([]byte, *apiError) {
-	if maxBody <= 0 {
-		maxBody = defaultMaxBody
+// parsePattern is the one place a request's pattern text is checked and
+// parsed: blank and oversized texts are refused, a syntax error comes back
+// as bad_query rather than as an evaluation failure, and the handlers
+// evaluate and key their caches by the value returned.
+func parsePattern(text string) (metalog.Pattern, *apiError) {
+	text = strings.TrimSpace(text)
+	if text == "" {
+		return metalog.Pattern{}, errBadRequest("empty query")
 	}
-	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+	if len(text) > maxQueryLen {
+		return metalog.Pattern{}, errTooLarge(maxQueryLen)
+	}
+	pat, err := metalog.ParsePattern(text)
 	if err != nil {
-		return nil, errBadRequest("reading body: %v", err)
+		return pat, &apiError{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()}
 	}
-	if int64(len(body)) > maxBody {
-		return nil, errTooLarge(maxBody)
-	}
-	return body, nil
+	return pat, nil
 }
 
 // decodeQueryRequest parses and validates a /query body. It is the surface
 // FuzzDecodeQuery exercises: any input must produce either a request or a
-// typed error, never a panic. The MetaLog pattern is parsed here too, so
-// syntax errors come back as bad_query before a worker slot is taken.
+// typed error, never a panic.
 func decodeQueryRequest(body []byte) (*queryRequest, *apiError) {
 	req := &queryRequest{}
 	if err := strictUnmarshal(body, req); err != nil {
 		return nil, errBadRequest("decoding query request: %v", err)
 	}
-	req.Query = strings.TrimSpace(req.Query)
-	if req.Query == "" {
-		return nil, errBadRequest("empty query")
-	}
-	if len(req.Query) > maxQueryLen {
-		return nil, errTooLarge(maxQueryLen)
-	}
 	if req.Limit < 0 {
 		return nil, errBadRequest("negative limit %d", req.Limit)
 	}
-	if _, err := metalog.ParseBody(req.Query); err != nil {
-		return nil, &apiError{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()}
+	var aerr *apiError
+	if req.pattern, aerr = parsePattern(req.Query); aerr != nil {
+		return nil, aerr
 	}
 	return req, nil
 }
 
 // decodeExplainRequest parses and validates an /explain body, with the same
-// guarantees as decodeQueryRequest (FuzzExplain exercises it): any input is
-// either a request or a typed error, never a panic.
+// guarantees as decodeQueryRequest (FuzzExplain exercises it).
 func decodeExplainRequest(body []byte) (*explainRequest, *apiError) {
 	req := &explainRequest{}
 	if err := strictUnmarshal(body, req); err != nil {
 		return nil, errBadRequest("decoding explain request: %v", err)
 	}
-	req.Query = strings.TrimSpace(req.Query)
-	if req.Query == "" {
-		return nil, errBadRequest("empty query")
-	}
-	if len(req.Query) > maxQueryLen {
-		return nil, errTooLarge(maxQueryLen)
-	}
-	if _, err := metalog.ParseBody(req.Query); err != nil {
-		return nil, &apiError{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()}
+	var aerr *apiError
+	if req.pattern, aerr = parsePattern(req.Query); aerr != nil {
+		return nil, aerr
 	}
 	return req, nil
 }
 
-// decodeReloadRequest parses a /reload body; empty bodies are valid and mean
-// "reload the configured source".
-func decodeReloadRequest(body []byte) (*reloadRequest, *apiError) {
-	req := &reloadRequest{}
-	if len(bytes.TrimSpace(body)) == 0 {
+// decodeOptional returns the decoder of an endpoint whose body may be
+// empty: /reload (the configured source) and /validate (the configured
+// strategy).
+func decodeOptional[T any](endpoint string) func([]byte) (*T, *apiError) {
+	return func(body []byte) (*T, *apiError) {
+		req := new(T)
+		if len(bytes.TrimSpace(body)) == 0 {
+			return req, nil
+		}
+		if err := strictUnmarshal(body, req); err != nil {
+			return nil, errBadRequest("decoding %s request: %v", endpoint, err)
+		}
 		return req, nil
 	}
-	if err := strictUnmarshal(body, req); err != nil {
-		return nil, errBadRequest("decoding reload request: %v", err)
-	}
-	return req, nil
 }
 
-// decodeValidateRequest parses a /validate body; empty bodies are valid.
-func decodeValidateRequest(body []byte) (*validateRequest, *apiError) {
-	req := &validateRequest{}
-	if len(bytes.TrimSpace(body)) == 0 {
-		return req, nil
-	}
-	if err := strictUnmarshal(body, req); err != nil {
-		return nil, errBadRequest("decoding validate request: %v", err)
-	}
-	return req, nil
-}
+var (
+	decodeReloadRequest   = decodeOptional[reloadRequest]("reload")
+	decodeValidateRequest = decodeOptional[validateRequest]("validate")
+)
 
 // strictUnmarshal decodes JSON rejecting unknown fields and trailing data,
 // so typos in request payloads fail loudly instead of being ignored.
@@ -189,23 +176,28 @@ func strictUnmarshal(body []byte, dst any) error {
 	return nil
 }
 
-// mapEvalError classifies an evaluation failure into the typed error space:
-// deadline and cancellation map onto their own codes (the PR 2 sentinels),
-// injected faults and contained panics onto theirs, everything else onto a
-// generic eval_failed.
-func mapEvalError(err error) *apiError {
+// mapError classifies a failure into the typed error space: deadline and
+// cancellation map onto their own codes (the PR 2 sentinels), injected
+// faults and contained panics onto theirs, a batch the overlay refused onto
+// a 400, and everything else onto the caller's code — eval_failed for an
+// evaluation, load_failed, mutate_failed and compact_failed for the swaps.
+func mapError(err error, code string) *apiError {
 	var pe *fault.PanicError
+	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, vadalog.ErrTimeout):
-		return &apiError{Status: http.StatusGatewayTimeout, Code: "timeout", Message: err.Error()}
+		status, code = http.StatusGatewayTimeout, "timeout"
 	case errors.Is(err, vadalog.ErrCanceled):
 		// The client went away; the status is moot but keep it typed.
-		return &apiError{Status: http.StatusRequestTimeout, Code: "canceled", Message: err.Error()}
+		status, code = http.StatusRequestTimeout, "canceled"
 	case errors.As(err, &pe):
-		return &apiError{Status: http.StatusInternalServerError, Code: "panic", Message: err.Error()}
+		code = "panic"
 	case errors.Is(err, fault.ErrInjected):
-		return &apiError{Status: http.StatusInternalServerError, Code: "injected", Message: err.Error()}
-	default:
-		return &apiError{Status: http.StatusInternalServerError, Code: "eval_failed", Message: err.Error()}
+		code = "injected"
+	case errors.Is(err, ErrBadMutation):
+		status, code = http.StatusBadRequest, "bad_mutation"
 	}
+	return &apiError{Status: status, Code: code, Message: err.Error()}
 }
+
+func mapEvalError(err error) *apiError { return mapError(err, "eval_failed") }

@@ -1,9 +1,26 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/metalog"
 )
+
+// keyReparses is what the result and plan caches rest on: the key of an
+// accepted pattern is itself a pattern, with the same key and an equal body
+// — so two texts that share a key share a parse.
+func keyReparses(t *testing.T, pat metalog.Pattern) {
+	t.Helper()
+	again, err := metalog.ParsePattern(pat.Key)
+	if err != nil {
+		t.Fatalf("key %q of an accepted pattern does not parse: %v", pat.Key, err)
+	}
+	if again.Key != pat.Key || !reflect.DeepEqual(again.Body, pat.Body) {
+		t.Fatalf("key %q parses to another pattern (key %q)", pat.Key, again.Key)
+	}
+}
 
 // FuzzDecodeQuery exercises the /query request decoder — the surface raw
 // client bytes cross before any worker slot is taken. The contract under
@@ -29,6 +46,9 @@ func FuzzDecodeQuery(f *testing.F) {
 		`{"query":"` + strings.Repeat("(x: A),", 200) + `(y: B)"}`,
 		"\xff\xfe{\"query\":\"(x: A)\"}",
 		`{"limit":9223372036854775807,"query":"(x: A)"}`,
+		// What the key must keep and what it must drop: blanks inside a
+		// string constant, layout and a comment between tokens.
+		`{"query":"(x: E; name: \"A  B\") % two blanks\n\t[: R]-  (y), x != y, c > -1e-3"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -50,10 +70,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		if req.Query == "" || req.Limit < 0 {
 			t.Fatalf("decoder accepted invalid request: %+v", req)
 		}
-		// Canonicalization must be stable (cache keys depend on it).
-		if canonicalQuery(req.Query) != canonicalQuery(canonicalQuery(req.Query)) {
-			t.Fatal("canonicalQuery is not idempotent")
-		}
+		keyReparses(t, req.pattern)
 	})
 }
 
@@ -136,6 +153,7 @@ func FuzzExplain(f *testing.F) {
 		`null`,
 		`{"query":"` + strings.Repeat("(x: A),", 200) + `(y: B)"}`,
 		"\xff\xfe{\"query\":\"(x: A)\"}",
+		`{"query":"(x: E; name: \"A  B\") % two blanks\n\t[: R]-  (y), x != y, c > -1e-3","run":true}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -157,8 +175,6 @@ func FuzzExplain(f *testing.F) {
 		if req.Query == "" {
 			t.Fatalf("decoder accepted invalid request: %+v", req)
 		}
-		if canonicalQuery(req.Query) != canonicalQuery(canonicalQuery(req.Query)) {
-			t.Fatal("canonicalQuery is not idempotent")
-		}
+		keyReparses(t, req.pattern)
 	})
 }

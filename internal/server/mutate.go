@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -68,16 +69,8 @@ type MutateInfo struct {
 // applied batch swaps in. On any error — validation, injected faults,
 // contained panics — the serving snapshot is untouched.
 func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
-	if err := s.notRecovering(); err != nil {
-		counters.MutateErrors.Add(1)
-		return MutateInfo{}, err
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	sn := s.current()
-	var next *snapshot
 	var info MutateInfo
-	err := fault.Guard("server/mutate", func() error {
+	next, err := s.swap("mutate", &counters.Mutates, &counters.MutateErrors, func(sn *snapshot) (*snapshot, func(), error) {
 		ov := sn.ov
 		if ov == nil {
 			ov = overlay.New(sn.frozen)
@@ -87,12 +80,11 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 		diff, err := ov.Apply(ops)
 		if err != nil {
 			if errors.Is(err, fault.ErrInjected) {
-				return err
+				return nil, nil, err
 			}
-			return fmt.Errorf("%w: %v", ErrBadMutation, err)
+			return nil, nil, fmt.Errorf("%w: %v", ErrBadMutation, err)
 		}
-		next = &snapshot{frozen: sn.frozen, view: ov, ov: ov,
-			pstats: sn.pstats, build: sn.build, file: sn.file}
+		next := sn.over(ov)
 		db, ok := metalog.ApplyFactsDelta(sn.db, sn.cat, diff)
 		if ok {
 			next.cat, next.db = sn.cat, db
@@ -101,7 +93,7 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 			// the catalog from the merged view and re-extract in full.
 			counters.MutateFallbacks.Add(1)
 			if err := s.buildSubstrate(next); err != nil {
-				return err
+				return nil, nil, err
 			}
 		}
 		info = MutateInfo{
@@ -127,24 +119,21 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 			// rejected and logged are mutually exclusive, on both sides.
 			payload, err := overlay.EncodeOps(ops)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			seq, err := s.wal.Append(payload)
 			if err != nil {
 				counters.WALAppendErrors.Add(1)
-				return fmt.Errorf("server: wal append: %w", err)
+				return nil, nil, fmt.Errorf("server: wal append: %w", err)
 			}
 			info.Seq = seq
 			counters.WALAppends.Add(1)
 		}
-		return nil
+		return next, nil, nil
 	})
 	if err != nil {
-		counters.MutateErrors.Add(1)
 		return MutateInfo{}, err
 	}
-	s.install(next)
-	counters.Mutates.Add(1)
 	info.Generation = next.gen
 	info.Nodes = next.view.NumNodes()
 	info.Edges = next.view.NumEdges()
@@ -167,58 +156,77 @@ type CompactInfo struct {
 // persisting it as a binary snapshot file. Without a pending overlay it is a
 // no-op. On failure the overlay generation keeps serving.
 func (s *Server) Compact() (CompactInfo, error) {
-	if err := s.notRecovering(); err != nil {
-		counters.CompactErrors.Add(1)
-		return CompactInfo{}, err
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	sn := s.current()
-	if sn.ov == nil {
-		return CompactInfo{Generation: sn.gen, Compacted: false,
-			Nodes: sn.view.NumNodes(), Edges: sn.view.NumEdges()}, nil
-	}
-	var next *snapshot
 	var path string
-	err := fault.Guard("server/compact", func() error {
-		frozen, err := sn.ov.Compact()
-		if err != nil {
-			return err
+	compacted := false
+	sn, err := s.swap("compact", &counters.Compactions, &counters.CompactErrors, func(cur *snapshot) (*snapshot, func(), error) {
+		if cur.ov == nil {
+			return nil, nil, nil
 		}
-		ns, err := s.buildFromFrozen(frozen, nil)
+		frozen, err := cur.ov.Compact()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if dir := s.cfg.CompactDir; dir != "" {
-			path = filepath.Join(dir, fmt.Sprintf("gen%06d.snap", sn.gen+1))
+		next, err := s.buildFromFrozen(frozen)
+		if err != nil {
+			return nil, nil, err
+		}
+		compacted = true
+		var after func()
+		if s.cfg.CompactDir != "" {
+			path = s.compactPath(cur)
 			info := snapfile.BuildInfo{Tool: "kgserve", Source: "compaction",
 				CreatedUnix: time.Now().Unix()}
 			if _, err := snapfile.WriteFile(path, frozen, info); err != nil {
-				return err
+				return nil, nil, err
+			}
+			if s.wal != nil {
+				// The compacted generation is durable on disk: once it
+				// serves, checkpoint the WAL against it so recovery replays
+				// only post-snapshot batches. Failure is tolerated (and
+				// counted) — serving continues and the untruncated log
+				// replays idempotently over the OLD base to the same merged
+				// view.
+				after = func() { s.checkpoint(path) } //nolint:errcheck // tolerated
 			}
 		}
-		next = ns
-		return nil
+		return next, after, nil
 	})
 	if err != nil {
-		counters.CompactErrors.Add(1)
 		return CompactInfo{}, err
 	}
-	s.install(next)
-	counters.Compactions.Add(1)
-	if s.wal != nil && path != "" {
-		// The compacted generation is durable on disk: checkpoint the WAL
-		// against it so recovery replays only post-snapshot batches. Failure
-		// is tolerated — serving continues and the untruncated log replays
-		// idempotently over the OLD base to the same merged view.
-		if _, cerr := s.wal.Checkpoint(path); cerr != nil {
-			counters.WALCheckpointErrors.Add(1)
-		} else {
-			counters.WALCheckpoints.Add(1)
-		}
+	return CompactInfo{Generation: sn.gen, Compacted: compacted,
+		Nodes: sn.view.NumNodes(), Edges: sn.view.NumEdges(), Path: path}, nil
+}
+
+// compactPath names the snapshot file the compaction of sn persists. With a
+// log, the number is the generation its next checkpoint will stamp: it is
+// persisted with the checkpoint and only ever grows for a WAL directory,
+// where the serving generation restarts at 1 in every process — and a
+// compaction that reused the path the checkpoint in force names as its base
+// would, should its own checkpoint then fail or the process die first, leave
+// a base that already holds the batches recovery replays over it. A reload
+// can make any path the base, so that one path is stepped over by number.
+// Without a log nothing recovers from the file, and it is named for the
+// generation it holds.
+func (s *Server) compactPath(sn *snapshot) string {
+	n, base := sn.gen+1, ""
+	if s.wal != nil {
+		n, base = s.wal.Generation()+1, s.wal.Base()
 	}
-	return CompactInfo{Generation: next.gen, Compacted: true,
-		Nodes: next.view.NumNodes(), Edges: next.view.NumEdges(), Path: path}, nil
+	for {
+		path := filepath.Join(s.cfg.CompactDir, fmt.Sprintf("gen%06d.snap", n))
+		if !sameFile(path, base) {
+			return path
+		}
+		n++
+	}
+}
+
+// sameFile reports whether two paths name one existing file.
+func sameFile(a, b string) bool {
+	fa, errA := os.Stat(a)
+	fb, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(fa, fb)
 }
 
 // startAutoCompact launches the periodic compactor when configured.
@@ -291,44 +299,21 @@ func decodeMutateRequest(body []byte) ([]overlay.Op, *apiError) {
 // ---- endpoint handlers ----
 
 func (s *Server) handleMutate(r *http.Request) (*apiResult, *apiError) {
-	body, aerr := readBody(r.Body, s.cfg.MaxBody)
-	if aerr != nil {
-		return nil, aerr
-	}
-	ops, aerr := decodeMutateRequest(body)
+	ops, aerr := request(s, r, decodeMutateRequest)
 	if aerr != nil {
 		return nil, aerr
 	}
 	info, err := s.Mutate(ops)
 	if err != nil {
-		if errors.Is(err, ErrBadMutation) {
-			return nil, &apiError{Status: http.StatusBadRequest, Code: "bad_mutation", Message: err.Error()}
-		}
-		e := mapEvalError(err)
-		if e.Code == "eval_failed" {
-			e.Code = "mutate_failed"
-		}
-		return nil, e
+		return nil, mapError(err, "mutate_failed")
 	}
-	out, aerr := marshalBody(info)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &apiResult{body: out, gen: info.Generation}, nil
+	return reply(info, info.Generation)
 }
 
 func (s *Server) handleCompact(*http.Request) (*apiResult, *apiError) {
 	info, err := s.Compact()
 	if err != nil {
-		e := mapEvalError(err)
-		if e.Code == "eval_failed" {
-			e.Code = "compact_failed"
-		}
-		return nil, e
+		return nil, mapError(err, "compact_failed")
 	}
-	out, aerr := marshalBody(info)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &apiResult{body: out, gen: info.Generation}, nil
+	return reply(info, info.Generation)
 }

@@ -9,37 +9,32 @@ import (
 )
 
 // The serving side of the cost-based query planner (internal/plan,
-// DESIGN.md §15): compiled queries — parsed, translated and planned against
-// the generation's statistics catalog — are cached per (generation,
-// canonical pattern), so the per-request work of the hot path is the engine
-// run alone. A snapshot swap invalidates exactly like the result cache: the
-// key carries the generation, and Server.install empties the LRU.
+// DESIGN.md §15): compiled queries — translated and planned against the
+// generation's statistics catalog — are cached in the generation's plan LRU
+// under the pattern's canonical key, so the per-request work of the hot path
+// is the engine run alone. Prepared queries are immutable and safe for
+// concurrent use, so hits share one entry across requests.
 
-// planKey identifies one compiled plan in the plan LRU. Prepared queries are
-// immutable and safe for concurrent use, so hits share one entry across
-// requests.
-type planKey struct {
-	gen   uint64
-	query string
-}
-
-// preparedFor returns the compiled plan for a pattern under a snapshot,
-// consulting the plan cache. The second return reports the cache
-// disposition ("hit" or "miss").
-func (s *Server) preparedFor(sn *snapshot, query string) (*metalog.Prepared, string, error) {
-	key := planKey{gen: sn.gen, query: canonicalQuery(query)}
-	if p, ok := s.plans.get(key); ok {
+// preparedFor returns the compiled query for a pattern under a snapshot,
+// consulting its plan cache. The second return reports the cache disposition
+// ("hit" or "miss"). With the planner off a query is compiled per request
+// without a statistics catalog, so evaluation is written-order and nothing
+// is cached or counted.
+func (s *Server) preparedFor(sn *snapshot, pat metalog.Pattern) (*metalog.Prepared, string, error) {
+	if s.cfg.PlannerOff {
+		p, err := metalog.PrepareBody(sn.cat, pat.Body, nil)
+		return p, "", err
+	}
+	if p, ok := sn.plans.get(pat.Key); ok {
 		counters.PlanCacheHits.Add(1)
 		return p, "hit", nil
 	}
 	counters.PlanCacheMisses.Add(1)
-	// The catalog clone is private to the Prepared: translation extends it
-	// with the query-result layout.
-	p, err := metalog.PrepareQuery(sn.cat.Clone(), query, sn.pstats)
+	p, err := metalog.PrepareBody(sn.cat, pat.Body, sn.pstats)
 	if err != nil {
 		return nil, "miss", err
 	}
-	s.plans.put(key, p)
+	sn.plans.put(pat.Key, p, s.cfg.PlanCacheSize)
 	return p, "miss", nil
 }
 
@@ -60,11 +55,11 @@ type plannerSection struct {
 	ActualRows    int64 `json:"actualRows"`
 }
 
-func (s *Server) plannerStats() *plannerSection {
+func (s *Server) plannerStats(sn *snapshot) *plannerSection {
 	return &plannerSection{
 		Enabled:       !s.cfg.PlannerOff,
 		CacheCapacity: s.cfg.PlanCacheSize,
-		CacheEntries:  s.plans.len(),
+		CacheEntries:  sn.plans.len(),
 		CacheHits:     counters.PlanCacheHits.Load(),
 		CacheMisses:   counters.PlanCacheMisses.Load(),
 		PlannedRuns:   obs.Engine.PlannedRuns.Load(),
@@ -89,26 +84,18 @@ type explainResponse struct {
 }
 
 func (s *Server) handleExplain(r *http.Request) (*apiResult, *apiError) {
-	body, aerr := readBody(r.Body, s.cfg.MaxBody)
-	if aerr != nil {
-		return nil, aerr
-	}
-	req, aerr := decodeExplainRequest(body)
+	req, aerr := request(s, r, decodeExplainRequest)
 	if aerr != nil {
 		return nil, aerr
 	}
 	sn := s.current()
 	if s.cfg.PlannerOff {
-		out, aerr := marshalBody(explainResponse{
+		return reply(explainResponse{
 			Generation: sn.gen, Planner: "off",
 			Fallback: "planner disabled by configuration",
-		})
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &apiResult{body: out, gen: sn.gen}, nil
+		}, sn.gen)
 	}
-	prep, disposition, err := s.preparedFor(sn, req.Query)
+	prep, disposition, err := s.preparedFor(sn, req.pattern)
 	if err != nil {
 		return nil, mapEvalError(err)
 	}

@@ -119,9 +119,10 @@ func TestPlanCacheHitMiss(t *testing.T) {
 // TestStatsCachedPerGeneration proves the expensive graph-statistics walk
 // runs once per snapshot generation however many /stats requests arrive, and
 // that every generation-advancing path — overlay mutation, compaction,
-// reload — invalidates the cache by installing a fresh snapshot. The same
-// three swaps must leave the result and plan LRUs empty: their keys carry the
-// generation, so whatever the old generation cached can never hit again.
+// reload — invalidates the cache by installing a fresh snapshot. The result
+// and plan LRUs belong to a generation the same way: after each of the three
+// swaps the serving generation's are empty, and one query fills one entry in
+// each.
 func TestStatsCachedPerGeneration(t *testing.T) {
 	g := mutateBase(t)
 	src := filepath.Join(t.TempDir(), "base.json")
@@ -143,12 +144,13 @@ func TestStatsCachedPerGeneration(t *testing.T) {
 	computes := func() int64 { return delta().StatsComputes }
 	lrusEmptiedBy := func(swap string) {
 		t.Helper()
-		if s.cache.len() != 0 || s.plans.len() != 0 {
-			t.Fatalf("after %s: %d results and %d plans of dead generations still cached", swap, s.cache.len(), s.plans.len())
+		sn := s.current()
+		if sn.results.len() != 0 || sn.plans.len() != 0 {
+			t.Fatalf("after %s: generation %d starts with %d results and %d plans cached", swap, sn.gen, sn.results.len(), sn.plans.len())
 		}
 		queryRows(t, s, `(x: Business; fiscalCode: c)`)
-		if s.cache.len() != 1 || s.plans.len() != 1 {
-			t.Fatalf("after %s: a query cached %d results and %d plans, want 1 each", swap, s.cache.len(), s.plans.len())
+		if sn.results.len() != 1 || sn.plans.len() != 1 {
+			t.Fatalf("after %s: a query cached %d results and %d plans, want 1 each", swap, sn.results.len(), sn.plans.len())
 		}
 	}
 	lrusEmptiedBy("start-up")

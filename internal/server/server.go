@@ -15,9 +15,10 @@
 //   - compute endpoints (/query, /stats, /validate) pass admission control
 //     first: a bounded worker pool that sheds load with a typed 429 instead
 //     of queueing, keeping tail latency bounded under overload;
-//   - query results are cached in an LRU keyed by (snapshot generation,
-//     canonical query text, limit) — a swap invalidates implicitly because
-//     stale generations stop being asked for;
+//   - query results and compiled plans are cached in LRUs that belong to
+//     the generation they were computed from, keyed by the pattern's token
+//     stream — a swap invalidates by construction: the new generation
+//     starts with none, and the old one's go with it;
 //   - per-request context deadlines ride the PR 2 cancellation path into
 //     the engine (vadalog.RunCtx), fault sites bracket the load, swap and
 //     handler boundaries for chaos testing, and obs supplies the expvar
@@ -100,8 +101,8 @@ type Config struct {
 	// disables the deadline.
 	Timeout time.Duration
 
-	// CacheSize is the query-result LRU capacity in entries; 0 disables
-	// caching.
+	// CacheSize is the capacity, in entries, of each generation's
+	// query-result LRU; 0 disables caching.
 	CacheSize int
 	// MaxBody caps request body bytes (defaults to 1 MiB).
 	MaxBody int64
@@ -110,9 +111,9 @@ type Config struct {
 	// written-order programs, /explain answers with planner "off", and no
 	// statistics catalog is computed at snapshot build.
 	PlannerOff bool
-	// PlanCacheSize is the compiled-plan LRU capacity in entries, keyed by
-	// (generation, canonical pattern). 0 selects the 128 default; negative
-	// disables plan caching (plans are still computed, per request).
+	// PlanCacheSize is the capacity, in entries, of each generation's
+	// compiled-plan LRU. 0 selects the 128 default; negative disables plan
+	// caching (plans are still computed, per request).
 	PlanCacheSize int
 
 	// CompactEvery starts a background compactor that folds the live write
@@ -199,30 +200,35 @@ type snapshot struct {
 	// recomputes from scratch.
 	pstats *plan.Stats
 
-	// build is the provenance header of the snapshot file this generation
-	// was opened from; nil for JSON loads and in-memory graphs. Surfaced by
-	// /stats so an operator can tell which build a replica serves.
-	build *snapfile.BuildInfo
-	// file keeps an mmap-backed snapshot alive for the generation's whole
-	// lifetime (the frozen view's columns alias the mapping). It is never
-	// closed on swap: old readers may still drain, and the retired pages
-	// are reclaimable by the OS anyway.
+	// file is the snapshot file this generation was opened from; nil for
+	// JSON loads, in-memory graphs and compactions. It keeps an mmap-backed
+	// snapshot alive for the generation's whole lifetime (the frozen view's
+	// columns alias the mapping) — never closed on swap: old readers may
+	// still drain, and the retired pages are reclaimable by the OS anyway —
+	// and /stats surfaces its provenance header, so an operator can tell
+	// which build a replica serves.
 	file *snapfile.Snapshot
 
 	statsOnce sync.Once
 	stats     graphstats.Stats
+
+	// results and plans cache what requests computed from this generation —
+	// response bodies and compiled queries (plan.go). A request reads and
+	// fills the caches of the generation it evaluates against, so an entry
+	// can only ever answer for the data it was computed from, and a retired
+	// generation takes its entries along.
+	results lru[resultKey, []byte]
+	plans   lru[string, *metalog.Prepared]
 }
 
 // Server serves MetaLog queries, graph statistics and schema validation
 // over a shared frozen snapshot. Create one with New or NewFromGraph.
 type Server struct {
-	cfg   Config
-	snap  atomic.Pointer[snapshot]
-	pool  *pool
-	cache *lru[cacheKey, []byte]
-	plans *lru[planKey, *metalog.Prepared]
-	mux   *http.ServeMux
-	http  *http.Server
+	cfg  Config
+	snap atomic.Pointer[snapshot]
+	pool *pool
+	mux  *http.ServeMux
+	http *http.Server
 
 	// reloadMu serializes snapshot builds — reloads, mutation batches and
 	// compactions — so generations are assigned in swap order; readers
@@ -234,10 +240,9 @@ type Server struct {
 	compactOnce sync.Once
 	compactWG   sync.WaitGroup
 
-	// Durability (see wal.go): the open log, the recovery carried from Open
-	// to replayWAL, and the readiness gate for async recovery.
+	// Durability (see wal.go): the open log and the readiness gate for async
+	// recovery.
 	wal         *wal.Log
-	walRec      *wal.Recovery
 	recovering  atomic.Bool
 	recoverFail atomic.Pointer[string]
 	recoverWG   sync.WaitGroup
@@ -250,24 +255,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Source == "" {
 		return nil, fmt.Errorf("server: Config.Source required (or use NewFromGraph)")
 	}
-	s := newServer(cfg)
-	if s.cfg.WALDir != "" {
-		if err := s.openWAL(); err != nil {
-			return nil, err
-		}
-	}
-	first, err := s.buildFromPath(s.walBase())
-	if err != nil {
-		s.closeWALOnFailure()
-		return nil, err
-	}
-	first.gen = 1
-	s.snap.Store(first)
-	if err := s.startRecovery(); err != nil {
-		return nil, err
-	}
-	s.startAutoCompact()
-	return s, nil
+	return open(cfg, nil)
 }
 
 // NewFromGraph builds a server from an in-memory graph — the entry point
@@ -275,18 +263,36 @@ func New(cfg Config) (*Server, error) {
 // retained; later mutations of g are invisible to the server. A configured
 // WAL replays over the graph, unless a checkpoint names an on-disk base.
 func NewFromGraph(cfg Config, g *pg.Graph) (*Server, error) {
+	return open(cfg, g)
+}
+
+// open is the construction both entry points share: open the log, build
+// generation 1, replay, start the compactor. Generation 1 is built from the
+// base the log's checkpoint names (a compacted snapshot or a reloaded
+// source) when it names one, and else from the caller's: g, or cfg.Source
+// without one.
+func open(cfg Config, g *pg.Graph) (*Server, error) {
 	s := newServer(cfg)
+	var logged []wal.Record
 	if s.cfg.WALDir != "" {
-		if err := s.openWAL(); err != nil {
+		var err error
+		if logged, err = s.openWAL(); err != nil {
 			return nil, err
 		}
 	}
+	path := s.cfg.Source
+	if g != nil {
+		path = ""
+	}
+	if s.wal != nil && s.wal.Base() != "" {
+		path = s.wal.Base()
+	}
 	var first *snapshot
 	var err error
-	if s.walRec != nil && s.walRec.Checkpoint != nil && s.walRec.Checkpoint.Base != "" {
-		first, err = s.buildFromPath(s.walRec.Checkpoint.Base)
+	if path != "" {
+		first, err = s.buildFromPath(path)
 	} else {
-		first, err = s.buildFromFrozen(g.Freeze(), nil)
+		first, err = s.buildFromFrozen(g.Freeze())
 	}
 	if err != nil {
 		s.closeWALOnFailure()
@@ -294,7 +300,7 @@ func NewFromGraph(cfg Config, g *pg.Graph) (*Server, error) {
 	}
 	first.gen = 1
 	s.snap.Store(first)
-	if err := s.startRecovery(); err != nil {
+	if err := s.startRecovery(logged); err != nil {
 		return nil, err
 	}
 	s.startAutoCompact()
@@ -304,17 +310,17 @@ func NewFromGraph(cfg Config, g *pg.Graph) (*Server, error) {
 // startRecovery runs the WAL replay — inline, or in the background with
 // WALAsyncRecovery, in which case the recovering gate answers 503 until the
 // replay lands.
-func (s *Server) startRecovery() error {
+func (s *Server) startRecovery(logged []wal.Record) error {
 	if s.wal == nil {
 		return nil
 	}
 	if s.cfg.WALAsyncRecovery {
 		s.recovering.Store(true)
 		s.recoverWG.Add(1)
-		go s.finishRecovery()
+		go s.finishRecovery(logged)
 		return nil
 	}
-	if err := s.replayWAL(); err != nil {
+	if err := s.replayWAL(logged); err != nil {
 		s.closeWALOnFailure()
 		return err
 	}
@@ -332,12 +338,7 @@ func (s *Server) closeWALOnFailure() {
 
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:   cfg,
-		pool:  newPool(cfg.MaxInflight),
-		cache: newLRU[cacheKey, []byte](cfg.CacheSize),
-		plans: newLRU[planKey, *metalog.Prepared](cfg.PlanCacheSize),
-	}
+	s := &Server{cfg: cfg, pool: newPool(cfg.MaxInflight)}
 	s.mux = http.NewServeMux()
 	s.mux.Handle("/healthz", s.endpoint("healthz", http.MethodGet, false, s.handleHealthz))
 	s.mux.Handle("/query", s.endpoint("query", http.MethodPost, true, s.handleQuery))
@@ -409,7 +410,7 @@ func (s *Server) buildFromPath(path string) (*snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: loading %s: %w", path, err)
 		}
-		sn, err := s.buildFromFrozen(sf.Frozen, &sf.Info)
+		sn, err := s.buildFromFrozen(sf.Frozen)
 		if err != nil {
 			sf.Close() //nolint:errcheck // already failing
 			return nil, err
@@ -421,7 +422,7 @@ func (s *Server) buildFromPath(path string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: loading %s: %w", path, err)
 	}
-	return s.buildFromFrozen(g.Freeze(), nil)
+	return s.buildFromFrozen(g.Freeze())
 }
 
 // isSnapshotFile sniffs the snapfile magic without consuming the file.
@@ -437,12 +438,20 @@ func isSnapshotFile(path string) bool {
 }
 
 // buildFromFrozen builds the generation serving an existing frozen view.
-func (s *Server) buildFromFrozen(frozen *pg.Frozen, build *snapfile.BuildInfo) (*snapshot, error) {
-	sn := &snapshot{frozen: frozen, view: frozen, build: build}
+func (s *Server) buildFromFrozen(frozen *pg.Frozen) (*snapshot, error) {
+	sn := &snapshot{frozen: frozen, view: frozen}
 	if err := s.buildSubstrate(sn); err != nil {
 		return nil, fmt.Errorf("server: extracting facts: %w", err)
 	}
 	return sn, nil
+}
+
+// over returns the generation that serves ov layered over sn's frozen base
+// (Mutate, and the WAL replay). What belongs to the base carries forward —
+// the planner statistics and the file mapping; its caches start empty, and
+// its catalog and fact database are the caller's to fill.
+func (sn *snapshot) over(ov *overlay.Overlay) *snapshot {
+	return &snapshot{frozen: sn.frozen, view: ov, ov: ov, pstats: sn.pstats, file: sn.file}
 }
 
 // buildSubstrate fills in the query substrate of a generation from its view:
@@ -462,16 +471,50 @@ func (s *Server) buildSubstrate(sn *snapshot) error {
 	return nil
 }
 
-// install publishes next as the following generation (the caller holds
-// reloadMu) and empties the result and plan caches: their keys carry the
-// generation, so after the swap every entry is dead weight that would
-// otherwise stay resident until newer entries evict it — for good on a
-// server that writes more than it reads.
+// install publishes next as the following generation; the caller holds
+// reloadMu.
 func (s *Server) install(next *snapshot) {
 	next.gen = s.current().gen + 1
 	s.snap.Store(next)
-	s.cache.clear()
-	s.plans.clear()
+}
+
+// swap is the one path from the serving generation to the next, shared by
+// Mutate, Compact and Reload: refuse during recovery, serialize on reloadMu,
+// run build against the serving generation inside a fault guard, install
+// what it returns, count the outcome. On any failure — injected faults and
+// contained panics included — the serving generation is untouched. build
+// may decline (a nil generation: nothing is installed or counted), and may
+// return a function to run after the install, still under the lock. Where a
+// build writes the log relative to the install is its own decision; wal.go
+// gives the three orderings and why.
+func (s *Server) swap(op string, done, failed *obs.Counter,
+	build func(cur *snapshot) (next *snapshot, after func(), err error)) (*snapshot, error) {
+	if err := s.notRecovering(); err != nil {
+		failed.Add(1)
+		return nil, err
+	}
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	cur := s.current()
+	var next *snapshot
+	var after func()
+	err := fault.Guard("server/"+op, func() (err error) {
+		next, after, err = build(cur)
+		return err
+	})
+	if err != nil {
+		failed.Add(1)
+		return nil, err
+	}
+	if next == nil {
+		return cur, nil
+	}
+	s.install(next)
+	done.Add(1)
+	if after != nil {
+		after()
+	}
+	return next, nil
 }
 
 // ReloadInfo describes a completed snapshot swap.
@@ -492,40 +535,28 @@ func (s *Server) Reload(path string) (ReloadInfo, error) {
 	if path == "" {
 		return ReloadInfo{}, fmt.Errorf("server: no reload path and no configured source")
 	}
-	if err := s.notRecovering(); err != nil {
-		counters.ReloadErrors.Add(1)
-		return ReloadInfo{}, err
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	var next *snapshot
-	err := fault.Guard("server/reload", func() error {
-		var err error
-		if next, err = s.buildFromPath(path); err != nil {
-			return err
+	next, err := s.swap("reload", &counters.Reloads, &counters.ReloadErrors, func(*snapshot) (*snapshot, func(), error) {
+		next, err := s.buildFromPath(path)
+		if err != nil {
+			return nil, nil, err
 		}
 		if err := fault.Hit(siteSwap); err != nil {
-			return err
+			return nil, nil, err
 		}
 		if s.wal != nil {
 			// A reload abandons the logged batches by design: the new source
 			// is the state. Checkpoint BEFORE the swap — if the checkpoint
 			// cannot land, the reload must fail, or a crash after the swap
 			// would replay pre-reload batches over the post-reload source.
-			if _, err := s.wal.Checkpoint(path); err != nil {
-				counters.WALCheckpointErrors.Add(1)
-				return fmt.Errorf("server: checkpointing wal for reload: %w", err)
+			if err := s.checkpoint(path); err != nil {
+				return nil, nil, fmt.Errorf("server: checkpointing wal for reload: %w", err)
 			}
-			counters.WALCheckpoints.Add(1)
 		}
-		return nil
+		return next, nil, nil
 	})
 	if err != nil {
-		counters.ReloadErrors.Add(1)
 		return ReloadInfo{}, err
 	}
-	s.install(next)
-	counters.Reloads.Add(1)
 	return ReloadInfo{Generation: next.gen, Nodes: next.frozen.NumNodes(), Edges: next.frozen.NumEdges()}, nil
 }
 
@@ -535,6 +566,30 @@ type apiResult struct {
 	body  []byte
 	gen   uint64
 	cache string // "", "hit" or "miss"
+}
+
+// reply marshals v as the body of a successful response computed from
+// generation gen.
+func reply(v any, gen uint64) (*apiResult, *apiError) {
+	body, aerr := marshalBody(v)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return &apiResult{body: body, gen: gen}, nil
+}
+
+// request reads a request body — at most Config.MaxBody bytes, telling "too
+// large" from a transport error — and decodes it. A zero-length body goes to
+// the decoder as it is; the decoder decides whether that is allowed.
+func request[T any](s *Server, r *http.Request, decode func([]byte) (T, *apiError)) (req T, aerr *apiError) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBody+1))
+	if err != nil {
+		return req, errBadRequest("reading body: %v", err)
+	}
+	if int64(len(body)) > s.cfg.MaxBody {
+		return req, errTooLarge(s.cfg.MaxBody)
+	}
+	return decode(body)
 }
 
 // endpoint wraps a handler with the cross-cutting request path: method
@@ -601,16 +656,12 @@ func (s *Server) endpoint(name, method string, pooled bool, h func(r *http.Reque
 
 func (s *Server) handleHealthz(*http.Request) (*apiResult, *apiError) {
 	sn := s.current()
-	body, err := marshalBody(struct {
+	return reply(struct {
 		Status     string `json:"status"`
 		Generation uint64 `json:"generation"`
 		Nodes      int    `json:"nodes"`
 		Edges      int    `json:"edges"`
-	}{"ok", sn.gen, sn.view.NumNodes(), sn.view.NumEdges()})
-	if err != nil {
-		return nil, err
-	}
-	return &apiResult{body: body, gen: sn.gen}, nil
+	}{"ok", sn.gen, sn.view.NumNodes(), sn.view.NumEdges()}, sn.gen)
 }
 
 // queryResponse is the /query body: the sorted column set, one object per
@@ -624,33 +675,21 @@ type queryResponse struct {
 }
 
 func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
-	body, aerr := readBody(r.Body, s.cfg.MaxBody)
-	if aerr != nil {
-		return nil, aerr
-	}
-	req, aerr := decodeQueryRequest(body)
+	req, aerr := request(s, r, decodeQueryRequest)
 	if aerr != nil {
 		return nil, aerr
 	}
 
 	sn := s.current()
-	key := cacheKey{gen: sn.gen, query: canonicalQuery(req.Query), limit: req.Limit}
-	if cached, ok := s.cache.get(key); ok {
+	key := resultKey{query: req.pattern.Key, limit: req.Limit}
+	if cached, ok := sn.results.get(key); ok {
 		counters.CacheHits.Add(1)
 		return &apiResult{body: cached, gen: sn.gen, cache: "hit"}, nil
 	}
 	counters.CacheMisses.Add(1)
 
 	var rows []metalog.QueryRow
-	var prep *metalog.Prepared
-	var err error
-	if s.cfg.PlannerOff {
-		// Planner disabled: prepared per request without a statistics
-		// catalog, so evaluation is written-order and no plan is cached.
-		prep, err = metalog.PrepareQuery(sn.cat.Clone(), req.Query, nil)
-	} else {
-		prep, _, err = s.preparedFor(sn, req.Query)
-	}
+	prep, _, err := s.preparedFor(sn, req.pattern)
 	if err == nil {
 		rows, err = s.queryRows(r.Context(), sn, prep)
 	}
@@ -658,12 +697,11 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 		return nil, mapEvalError(err)
 	}
 
-	resp := buildQueryResponse(rows, req.Limit)
-	out, aerr := marshalBody(resp)
+	out, aerr := marshalBody(buildQueryResponse(rows, req.Limit))
 	if aerr != nil {
 		return nil, aerr
 	}
-	s.cache.put(key, out)
+	sn.results.put(key, out, s.cfg.CacheSize)
 	return &apiResult{body: out, gen: sn.gen, cache: "miss"}, nil
 }
 
@@ -761,19 +799,18 @@ func (s *Server) handleStats(*http.Request) (*apiResult, *apiError) {
 		graphstats.Stats
 		Planner *plannerSection `json:"planner,omitempty"`
 		WAL     *wal.Stats      `json:"wal,omitempty"`
-	}{Build: sn.build, Stats: sn.stats}
+	}{Stats: sn.stats}
+	if sn.file != nil {
+		resp.Build = &sn.file.Info
+	}
 	if !s.cfg.PlannerOff {
-		resp.Planner = s.plannerStats()
+		resp.Planner = s.plannerStats(sn)
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()
 		resp.WAL = &ws
 	}
-	out, aerr := marshalBody(resp)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &apiResult{body: out, gen: sn.gen}, nil
+	return reply(resp, sn.gen)
 }
 
 func (s *Server) handleValidate(r *http.Request) (*apiResult, *apiError) {
@@ -781,11 +818,7 @@ func (s *Server) handleValidate(r *http.Request) (*apiResult, *apiError) {
 		return nil, &apiError{Status: http.StatusNotFound, Code: "no_schema",
 			Message: "server was started without a schema; /validate is unavailable"}
 	}
-	body, aerr := readBody(r.Body, s.cfg.MaxBody)
-	if aerr != nil {
-		return nil, aerr
-	}
-	req, aerr := decodeValidateRequest(body)
+	req, aerr := request(s, r, decodeValidateRequest)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -800,17 +833,13 @@ func (s *Server) handleValidate(r *http.Request) (*apiResult, *apiError) {
 	sn := s.current()
 	violations := models.ValidateInstance(sn.view, view)
 	violations = append(violations, models.ValidateModifiers(sn.view, s.cfg.Schema)...)
-	out, aerr := marshalBody(struct {
+	return reply(struct {
 		Schema     string             `json:"schema"`
 		Strategy   string             `json:"strategy"`
 		Conforms   bool               `json:"conforms"`
 		Count      int                `json:"count"`
 		Violations []models.Violation `json:"violations"`
-	}{s.cfg.Schema.Name, strategy, len(violations) == 0, len(violations), violations})
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &apiResult{body: out, gen: sn.gen}, nil
+	}{s.cfg.Schema.Name, strategy, len(violations) == 0, len(violations), violations}, sn.gen)
 }
 
 func (s *Server) handleSchema(*http.Request) (*apiResult, *apiError) {
@@ -825,35 +854,19 @@ func (s *Server) handleSchema(*http.Request) (*apiResult, *apiError) {
 		resp.Name = s.cfg.Schema.Name
 		resp.GSL = gsl.Serialize(s.cfg.Schema)
 	}
-	body, aerr := marshalBody(resp)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &apiResult{body: body, gen: sn.gen}, nil
+	return reply(resp, sn.gen)
 }
 
 func (s *Server) handleReload(r *http.Request) (*apiResult, *apiError) {
-	body, aerr := readBody(r.Body, s.cfg.MaxBody)
-	if aerr != nil {
-		return nil, aerr
-	}
-	req, aerr := decodeReloadRequest(body)
+	req, aerr := request(s, r, decodeReloadRequest)
 	if aerr != nil {
 		return nil, aerr
 	}
 	info, err := s.Reload(req.Path)
 	if err != nil {
-		e := mapEvalError(err)
-		if e.Code == "eval_failed" {
-			e.Code = "load_failed"
-		}
-		return nil, e
+		return nil, mapError(err, "load_failed")
 	}
-	out, aerr := marshalBody(info)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &apiResult{body: out, gen: info.Generation}, nil
+	return reply(info, info.Generation)
 }
 
 func marshalBody(v any) ([]byte, *apiError) {

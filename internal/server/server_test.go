@@ -310,14 +310,14 @@ func TestReloadErrors(t *testing.T) {
 }
 
 func TestCacheLRU(t *testing.T) {
-	c := newLRU[cacheKey, []byte](2)
-	k := func(q string) cacheKey { return cacheKey{gen: 1, query: q} }
-	c.put(k("a"), []byte("A"))
-	c.put(k("b"), []byte("B"))
+	c := &lru[resultKey, []byte]{}
+	k := func(q string) resultKey { return resultKey{query: q} }
+	c.put(k("a"), []byte("A"), 2)
+	c.put(k("b"), []byte("B"), 2)
 	if _, ok := c.get(k("a")); !ok {
 		t.Fatal("a evicted too early")
 	}
-	c.put(k("c"), []byte("C")) // evicts b (a was just used)
+	c.put(k("c"), []byte("C"), 2) // evicts b (a was just used)
 	if _, ok := c.get(k("b")); ok {
 		t.Error("b should have been evicted")
 	}
@@ -328,23 +328,86 @@ func TestCacheLRU(t *testing.T) {
 		t.Errorf("len = %d", c.len())
 	}
 	// Overwrite keeps one entry.
-	c.put(k("a"), []byte("A2"))
+	c.put(k("a"), []byte("A2"), 2)
 	if got, _ := c.get(k("a")); string(got) != "A2" {
 		t.Errorf("overwrite lost: %q", got)
 	}
 
-	off := newLRU[cacheKey, []byte](0)
-	off.put(k("x"), []byte("X"))
+	off := &lru[resultKey, []byte]{}
+	off.put(k("x"), []byte("X"), 0)
 	if _, ok := off.get(k("x")); ok {
 		t.Error("disabled cache returned a hit")
 	}
 }
 
+// TestCanonicalQuery: texts that differ only in layout and comments outside
+// string constants are one pattern, and share one cache entry.
 func TestCanonicalQuery(t *testing.T) {
-	a := canonicalQuery("  (x: Business)\n\t[: OWNS]   (y: Business)  ")
-	b := canonicalQuery("(x: Business) [: OWNS] (y: Business)")
-	if a != b {
-		t.Errorf("canonical forms differ: %q vs %q", a, b)
+	s := newTestServer(t, Config{CacheSize: 16})
+	a := postJSON(t, s.Handler(), "/query", fmt.Sprintf(`{"query":%q}`,
+		"  (x: Business)\n\t[: CONTROLS]   (y: Business) % who controls whom\n"))
+	b := postJSON(t, s.Handler(), "/query", `{"query":"(x:Business)[:CONTROLS](y:Business)"}`)
+	if a.Code != http.StatusOK || b.Code != http.StatusOK {
+		t.Fatalf("status %d / %d: %s %s", a.Code, b.Code, a.Body.String(), b.Body.String())
+	}
+	if got := a.Header().Get("X-KG-Cache") + "," + b.Header().Get("X-KG-Cache"); got != "miss,hit" {
+		t.Errorf("cache dispositions = %s, want miss,hit", got)
+	}
+	if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+		t.Errorf("one pattern, two answers:\n%s\n%s", a.Body.String(), b.Body.String())
+	}
+	if sn := s.current(); sn.results.len() != 1 || sn.plans.len() != 1 {
+		t.Errorf("one pattern cached %d results and %d plans", sn.results.len(), sn.plans.len())
+	}
+}
+
+// TestQueryKeyKeepsStringConstants: what identifies a query is its token
+// stream, so two patterns that differ inside a string constant are two
+// queries — to the result LRU, to the plan LRU alone (CacheSize 0), and to
+// /explain. A key that collapsed the blanks answered the second pattern
+// with the first one's rows.
+func TestQueryKeyKeepsStringConstants(t *testing.T) {
+	g := pg.New()
+	for _, name := range []string{"A  B", "A  B", "A B"} {
+		g.AddNode([]string{"Entity"}, pg.Props{"name": value.Str(name)})
+	}
+	const wide, narrow = `(x: Entity; name: "A  B")`, `(x: Entity; name: "A B")`
+	for _, size := range []int{16, 0} {
+		s, err := NewFromGraph(Config{CacheSize: size}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, n := queryRows(t, s, wide); n != 2 {
+			t.Fatalf("CacheSize %d: %s matched %d rows, want 2", size, wide, n)
+		}
+		w := postJSON(t, s.Handler(), "/query", fmt.Sprintf(`{"query":%q}`, narrow))
+		var resp queryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("CacheSize %d: %v: %s", size, err, w.Body.String())
+		}
+		if resp.Count != 1 || w.Header().Get("X-KG-Cache") != "miss" {
+			t.Fatalf("CacheSize %d: %s answered %d rows as a cache %s, want 1 row and a miss",
+				size, narrow, resp.Count, w.Header().Get("X-KG-Cache"))
+		}
+	}
+
+	s, err := NewFromGraph(Config{}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pattern string
+		rows    int
+	}{{wide, 2}, {narrow, 1}} {
+		w := postJSON(t, s.Handler(), "/explain", fmt.Sprintf(`{"query":%q,"run":true}`, tc.pattern))
+		var resp explainResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("explain %s: %v: %s", tc.pattern, err, w.Body.String())
+		}
+		if resp.ActualRows == nil || *resp.ActualRows != tc.rows || w.Header().Get("X-KG-Cache") != "miss" {
+			t.Fatalf("explain %s: %s (plan cache %s), want %d actual rows from a plan of its own",
+				tc.pattern, w.Body.String(), w.Header().Get("X-KG-Cache"), tc.rows)
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // Durability wiring: when Config.WALDir is set, every applied /mutate batch
 // is appended to a write-ahead log (internal/wal) *before* the generation
 // swap that acknowledges it, and startup replays the log over the base
-// snapshot — so a crash loses nothing a client was told succeeded. The order
-// of operations pins the invariant both ways:
+// snapshot — so a crash loses nothing a client was told succeeded. The three
+// swaps share one scaffold (Server.swap) but not their order of operations,
+// which pins the invariant both ways:
 //
 //   - Mutate: validate (apply to a clone) → WAL append (+fsync under the
 //     "always" policy) → swap. A failed append rejects the batch with the
@@ -35,19 +36,19 @@ import (
 // included — with a typed 503 "recovering" until the replay lands, giving
 // operators a readiness probe over a real listener.
 
-// openWAL opens the configured log and stashes the recovery state for
-// replayWAL.
-func (s *Server) openWAL() error {
+// openWAL opens the configured log and returns the acknowledged batches it
+// holds past its checkpoint, for replayWAL.
+func (s *Server) openWAL() ([]wal.Record, error) {
 	pol, every, err := wal.ParseSyncPolicy(s.cfg.walSyncSpec())
 	if err != nil {
-		return fmt.Errorf("server: %w", err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	l, rec, err := wal.Open(s.cfg.WALDir, wal.Options{Sync: pol, SyncEvery: every})
 	if err != nil {
-		return fmt.Errorf("server: opening wal: %w", err)
+		return nil, fmt.Errorf("server: opening wal: %w", err)
 	}
-	s.wal, s.walRec = l, rec
-	return nil
+	s.wal = l
+	return rec.Records, nil
 }
 
 func (c Config) walSyncSpec() string {
@@ -57,14 +58,14 @@ func (c Config) walSyncSpec() string {
 	return c.WALSync
 }
 
-// walBase resolves the path the recovered log replays over: the checkpoint
-// base when one was stamped (a compacted snapshot or a reloaded source),
-// otherwise the originally configured source.
-func (s *Server) walBase() string {
-	if s.walRec != nil && s.walRec.Checkpoint != nil && s.walRec.Checkpoint.Base != "" {
-		return s.walRec.Checkpoint.Base
+// checkpoint stamps the log's checkpoint against base and counts the outcome.
+func (s *Server) checkpoint(base string) error {
+	if _, err := s.wal.Checkpoint(base); err != nil {
+		counters.WALCheckpointErrors.Add(1)
+		return err
 	}
-	return s.cfg.Source
+	counters.WALCheckpoints.Add(1)
+	return nil
 }
 
 // replayWAL reconstructs the pre-crash overlay: every recovered batch is
@@ -72,15 +73,13 @@ func (s *Server) walBase() string {
 // then the query substrate is rebuilt once. The recovered snapshot replaces
 // the base under the same generation — no reader has observed either while
 // recovery gates the endpoints. Clears the recovering flag on success.
-func (s *Server) replayWAL() error {
-	rec := s.walRec
-	s.walRec = nil
+func (s *Server) replayWAL(logged []wal.Record) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if rec != nil && len(rec.Records) > 0 {
+	if len(logged) > 0 {
 		sn := s.current()
 		ov := overlay.New(sn.frozen)
-		for _, r := range rec.Records {
+		for _, r := range logged {
 			ops, err := overlay.DecodeOps(r.Payload)
 			if err != nil {
 				return fmt.Errorf("server: wal replay: batch %d: %w", r.Seq, err)
@@ -90,8 +89,8 @@ func (s *Server) replayWAL() error {
 			}
 			counters.WALReplayed.Add(1)
 		}
-		next := &snapshot{gen: sn.gen, frozen: sn.frozen, view: ov, ov: ov,
-			pstats: sn.pstats, build: sn.build, file: sn.file}
+		next := sn.over(ov)
+		next.gen = sn.gen
 		if err := s.buildSubstrate(next); err != nil {
 			return fmt.Errorf("server: wal replay: %w", err)
 		}
@@ -105,9 +104,9 @@ func (s *Server) replayWAL() error {
 // open the readiness gate. A replay failure leaves the server permanently
 // unready (503 with the failure), never serving a state that is missing
 // acknowledged writes.
-func (s *Server) finishRecovery() {
+func (s *Server) finishRecovery(logged []wal.Record) {
 	defer s.recoverWG.Done()
-	if err := s.replayWAL(); err != nil {
+	if err := s.replayWAL(logged); err != nil {
 		msg := err.Error()
 		s.recoverFail.Store(&msg)
 	}

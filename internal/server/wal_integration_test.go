@@ -528,6 +528,72 @@ func TestChaosWALTruncationFailureTolerated(t *testing.T) {
 	}
 }
 
+// TestChaosCompactNeverReusesSnapshotPath: the compacted snapshot is named
+// from the log's checkpoint generation, which is persisted and only grows —
+// not from the serving generation, which restarts at 1 in every process. A
+// second process compacting into the directory of the first would otherwise
+// write over the very file the checkpoint in force names as its base; when
+// its own checkpoint then fails (tolerated), recovery replays the logged
+// batch over a base that already holds it.
+func TestChaosCompactNeverReusesSnapshotPath(t *testing.T) {
+	leak := testutil.CheckGoroutineLeak(t)
+	defer leak()
+	defer fault.Reset()
+	dir := t.TempDir()
+	cfg := Config{WALDir: filepath.Join(dir, "wal"), WALSync: "interval:1h", CompactDir: filepath.Join(dir, "snaps")}
+	if err := os.MkdirAll(cfg.CompactDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	start := func() *Server {
+		t.Helper()
+		s, err := NewFromGraph(cfg, mutateBase(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	compact := func(s *Server) string {
+		t.Helper()
+		w := postJSON(t, s.Handler(), "/compact", "")
+		var info CompactInfo
+		if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil || w.Code != http.StatusOK || !info.Compacted {
+			t.Fatalf("compact: %d %s (%v)", w.Code, w.Body.String(), err)
+		}
+		return info.Path
+	}
+
+	s := start()
+	mustMutate(t, s, walBatch("a"))
+	first := compact(s)
+	shutdownServer(t, s)
+
+	s = start()
+	mustMutate(t, s, walBatch("b"))
+	delta := countersSince()
+	// The batch is unsynced under the hour-long interval, so the checkpoint
+	// has to fsync it first — and fails there, before anything is stamped.
+	if err := fault.Arm("wal/fsync", fault.Plan{Mode: fault.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	second := compact(s)
+	fault.Reset()
+	if delta().WALCheckpointErrors != 1 {
+		t.Fatal("the compaction's checkpoint did not fail")
+	}
+	if second == first {
+		t.Fatalf("the second process compacted over %s, the checkpoint's base", first)
+	}
+	want := encodeView(t, s)
+	shutdownServer(t, s)
+
+	s = start()
+	defer shutdownServer(t, s)
+	if got := encodeView(t, s); !bytes.Equal(got, want) {
+		_, n := queryRows(t, s, `(x: Business; fiscalCode: c)`)
+		t.Fatalf("recovery over the first compaction's base is not bit-identical: %d Business rows, 4 served", n)
+	}
+}
+
 // TestChaosWALReplayFault: an injected failure at the replay site surfaces
 // as a typed constructor error — the server never starts over a log it
 // could not read.

@@ -46,13 +46,8 @@ func (v Var) String() string { return v.Name }
 // facts are fed back into rules).
 type Const struct{ Value value.Value }
 
-func (Const) isTerm() {}
-func (c Const) String() string {
-	if c.Value.K == value.String {
-		return fmt.Sprintf("%q", c.Value.S)
-	}
-	return c.Value.String()
-}
+func (Const) isTerm()          {}
+func (c Const) String() string { return c.Value.Literal() }
 
 // SkolemTerm is an explicit linker Skolem functor application #name(args),
 // usable in rule heads (Section 4, "Linker Skolem Functors"). Its arguments

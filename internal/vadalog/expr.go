@@ -58,10 +58,7 @@ func (a *Aggregate) Monotonic() bool { return len(a.Contributors) > 0 }
 func (e *Expr) String() string {
 	switch e.Kind {
 	case ExprConst:
-		if e.Val.K == value.String {
-			return fmt.Sprintf("%q", e.Val.S)
-		}
-		return e.Val.String()
+		return e.Val.Literal()
 	case ExprVar:
 		return e.Name
 	case ExprBinary:

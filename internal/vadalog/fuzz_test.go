@@ -17,6 +17,8 @@ func FuzzParse(f *testing.F) {
 		`@input("a","csv","x.csv"). @output("p").`,
 		`p("unterminated`,
 		`p(1.5e3) :- q(0.5).`,
+		// An integral Float has to print as one: "1" reparses as an Int.
+		`p(1.0, -3.0) :- q(X), X > 2.0.`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -43,5 +45,25 @@ func TestParseNegativeConstants(t *testing.T) {
 		if c, ok := args[i].(Const); !ok || c.Value != w {
 			t.Errorf("arg %d = %#v, want constant %v", i, args[i], w)
 		}
+	}
+}
+
+// TestPrintedConstantsKeepTheirKind: an integral Float prints with a
+// fraction, so the printed program reparses to the constants it was printed
+// from — "1" would come back an Int, which an atom argument does not match.
+func TestPrintedConstantsKeepTheirKind(t *testing.T) {
+	prog := MustParse(`p(1.0, -3.0, 2, "1.0", 1e+21) :- q(X), X > 2.0.`)
+	again, err := Parse(prog.String())
+	if err != nil {
+		t.Fatalf("printed program %q does not reparse: %v", prog.String(), err)
+	}
+	want := []value.Value{value.FloatV(1), value.FloatV(-3), value.IntV(2), value.Str("1.0"), value.FloatV(1e21)}
+	for i, w := range want {
+		if c, ok := again.Rules[0].Head[0].Args[i].(Const); !ok || c.Value != w {
+			t.Errorf("printed %q: arg %d came back %#v, want constant %#v", prog.String(), i, again.Rules[0].Head[0].Args[i], w)
+		}
+	}
+	if c := again.Rules[0].Body[1].Expr.Right; c.Kind != ExprConst || c.Val != value.FloatV(2) {
+		t.Errorf("printed %q: condition constant came back %#v", prog.String(), c)
 	}
 }

@@ -150,6 +150,22 @@ func NewParser(src string, syn Syntax) (*Parser, error) {
 	return &Parser{toks: toks}, nil
 }
 
+// Key renders the whole scanned token stream canonically: the token texts
+// joined by single spaces, string tokens verbatim. Two sources share a key
+// exactly when they scan to the same tokens — so whitespace and comments
+// between tokens never reach it, a blank inside a string constant always
+// does — and the key is itself a source that scans back to those tokens.
+func (p *Parser) Key() string {
+	var b strings.Builder
+	for i, t := range p.toks[:len(p.toks)-1] { // all but EOF
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t.Text)
+	}
+	return b.String()
+}
+
 // Peek returns the current token without consuming it.
 func (p *Parser) Peek() Token { return p.PeekAt(0) }
 

@@ -181,6 +181,26 @@ func (v Value) String() string {
 	}
 }
 
+// Literal renders v the way the rule languages write a constant, so that
+// ParseLiteral reads it back with the same kind: a string quoted, and an
+// integral Float with a fraction ("1.0", where String gives "1") — without
+// it the constant would come back an Int, and constants in atom positions
+// match kind-sensitively.
+func (v Value) Literal() string {
+	switch v.K {
+	case String:
+		return strconv.Quote(v.S)
+	case Float:
+		s := v.String()
+		if !strings.ContainsAny(s, ".eEIN") { // no fraction or exponent; not Inf/NaN
+			s += ".0"
+		}
+		return s
+	default:
+		return v.String()
+	}
+}
+
 // AsFloat converts numeric values to float64. It reports false for
 // non-numeric values.
 func (v Value) AsFloat() (float64, bool) {

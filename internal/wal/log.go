@@ -25,6 +25,7 @@ type Log struct {
 
 	gen     uint64
 	nextSeq uint64
+	base    string // Base of the checkpoint in force; "" before the first
 
 	// needRotate forces the next Append to rotate first — set when a
 	// checkpoint landed but its rotation failed, so no record may land in a
@@ -76,6 +77,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if cp != nil {
 		l.gen = cp.Generation
 		l.nextSeq = cp.Seq + 1
+		l.base = cp.Base
 	}
 
 	// Drop torn segment creations (no header) and headerless damage in last
@@ -343,7 +345,7 @@ func (l *Log) Checkpoint(basePath string) (Checkpoint, error) {
 	if err := writeCheckpoint(l.dir, cp); err != nil {
 		return Checkpoint{}, err
 	}
-	l.gen = cp.Generation
+	l.gen, l.base = cp.Generation, cp.Base
 	if err := l.rotateLocked(); err != nil {
 		// The checkpoint is durable but no new-generation segment exists
 		// yet. Appending to the condemned segment would lose data (the next
@@ -401,6 +403,15 @@ func (l *Log) Generation() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.gen
+}
+
+// Base returns the base path of the checkpoint in force — what recovery
+// rebuilds the pre-log state from, and so the one file a later base must not
+// be written over. Empty before the first checkpoint.
+func (l *Log) Base() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base
 }
 
 // Stats returns a point-in-time view of the log.

@@ -284,6 +284,9 @@ func TestCheckpointTruncates(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{SegmentBytes: 256})
 	appendN(t, l, 30, 0)
+	if b := l.Base(); b != "" {
+		t.Fatalf("base before the first checkpoint = %q", b)
+	}
 	cp, err := l.Checkpoint("/snapshots/gen31.snap")
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -291,8 +294,8 @@ func TestCheckpointTruncates(t *testing.T) {
 	if cp.Generation != 2 || cp.Seq != 30 || cp.Base != "/snapshots/gen31.snap" {
 		t.Fatalf("checkpoint = %+v", cp)
 	}
-	if g := l.Generation(); g != 2 {
-		t.Fatalf("generation after checkpoint = %d, want 2", g)
+	if g, b := l.Generation(), l.Base(); g != 2 || b != cp.Base {
+		t.Fatalf("after checkpoint: generation %d base %q, want 2 and %q", g, b, cp.Base)
 	}
 	// Old-generation segments are gone; one fresh gen-2 segment remains.
 	segs, err := listSegments(dir)
@@ -317,6 +320,9 @@ func TestCheckpointTruncates(t *testing.T) {
 	if len(rec.Records) != 5 || rec.Records[0].Seq != 31 {
 		t.Fatalf("recovered %d records starting at %d, want 5 from 31",
 			len(rec.Records), rec.Records[0].Seq)
+	}
+	if b := l2.Base(); b != "/snapshots/gen31.snap" {
+		t.Fatalf("base after reopening = %q", b)
 	}
 }
 
@@ -498,8 +504,12 @@ func TestFaultRotateDuringCheckpoint(t *testing.T) {
 		t.Fatalf("Checkpoint under rotate fault = %v, want injected", err)
 	}
 	fault.Reset()
-	// The checkpoint landed; the forced rotation happens on the next append,
-	// which must go to a generation-2 segment.
+	// The checkpoint landed, so its base is the one in force; the forced
+	// rotation happens on the next append, which must go to a generation-2
+	// segment.
+	if b := l.Base(); b != "base" {
+		t.Fatalf("base after a landed checkpoint = %q, want %q", b, "base")
+	}
 	if seq, err := l.Append(payloadN(5)); err != nil || seq != 6 {
 		t.Fatalf("Append after failed rotation = (%d, %v), want (6, nil)", seq, err)
 	}
