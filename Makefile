@@ -1,8 +1,6 @@
 GO ?= go
 
-BENCHES = storage serve snapshot incr wal plan load
-
-.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench bench-pairs $(addprefix bench-,$(BENCHES))
+.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench bench-pairs
 
 build:
 	$(GO) build ./...
@@ -124,55 +122,10 @@ bench-pairs:
 # module.
 check: test test-race test-chaos fuzz-smoke cover test-bench
 
+# bench runs the benchmark spine — every workload in BENCHMARK.json, one
+# result line each, stamped with the hardware and commit that produced it
+# (bench/README.md). It is the one place a recorded timing comes from; the
+# few `go test -bench` microbenchmarks left in the tree are development aids
+# whose output is never committed.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# bench-<name> captures one family of microbenchmarks into BENCH_<name>.json
-# via cmd/benchjson. Each committed file is the baseline its experiment is
-# judged against; regenerate on comparable hardware before comparing numbers.
-# Fixed iteration counts keep the wall-clock bounded. What each one holds,
-# with its EXPERIMENTS.md entry:
-#
-#   storage   E19: frozen vs mutable label scans and adjacency walks in
-#             internal/pg; hashed vs string-keyed Relation insert/probe paths.
-#   serve     E20: /query throughput over a real listener at 1/2/8 clients,
-#             the latency-bound variant whose C8/C1 ratio is the concurrency
-#             acceptance criterion, and the cache fast path.
-#   snapshot  E21: parse+freeze of the E19 reference JSON versus
-#             snapfile.Open of the same graph (validation-only, and with the
-#             lazy facade forced), plus the encode path; target: open at
-#             least 50x faster than parse-freeze.
-#   incr      E22: one 0.1% edge-churn batch through Maintainer.Apply versus
-#             the full fixpoint rebuild it replaces; the <1% criterion is
-#             enforced on every `go test ./...` by TestIncrChurnRatio.
-#   wal       E23: /mutate latency (mean plus p50/p99) with the write-ahead
-#             log disabled and under each fsync policy; gate: "interval"
-#             costs less than 10% over no WAL at all.
-#   plan      E24: one company's ownership-closure point query over the E1
-#             shareholding graph, written-order versus the cost-based plan;
-#             gate: planned at least 5x faster.
-#   load      E25: stream-vs-materialize load legs at 1M/10M/100M edges, each
-#             in a fresh child process so peak RSS (VmHWM) is per-leg, plus
-#             the delayed-backend worker floor pair (-strip-procs keeps gate
-#             lookups name-stable); gates, read from the JSON: W=8 ingest at
-#             least 3x W=1 edges/sec against the backend floor, stream peak
-#             RSS at most 25% of the materializing generator's at 10M edges.
-#             The 100M leg needs ~20 GB and a few minutes.
-bench-storage:  B_RUN = -bench 'BenchmarkStorage' -benchmem ./internal/pg/ ./internal/vadalog/
-bench-serve:    B_RUN = -bench 'BenchmarkServe' -benchtime 200x -benchmem ./internal/server/
-bench-snapshot: B_RUN = -bench 'BenchmarkSnapshot' -benchtime 2s -benchmem ./internal/snapfile/
-bench-incr:     B_RUN = -bench 'BenchmarkIncr' -benchmem ./internal/vadalog/
-bench-wal:      B_RUN = -bench 'BenchmarkWALMutate' -benchtime 300x -benchmem ./internal/server/
-bench-wal:      B_GATE = RUN_WAL_GATE=1 $(GO) test -run '^TestWALIntervalOverheadGate$$' -count=1 ./internal/server/
-bench-plan:     B_RUN = -bench 'BenchmarkPlanPointQuery' -benchtime 30x -benchmem ./internal/metalog/
-bench-plan:     B_GATE = RUN_PLAN_GATE=1 $(GO) test -run '^TestPlanPointQueryGate$$' -count=1 ./internal/metalog/
-bench-load:     B_ENV = LOADBENCH_FULL=1
-bench-load:     B_RUN = -bench 'BenchmarkLoad' -benchtime 1x -timeout 60m ./internal/fingraph/
-bench-load:     B_JSON = -strip-procs
-bench-load:     B_GATE = RUN_LOAD_GATE=1 $(GO) test -run '^TestBenchLoadGates$$' -count=1 ./internal/fingraph/
-
-$(addprefix bench-,$(BENCHES)): bench-%: build
-	$(B_ENV) $(GO) test -run '^$$' $(B_RUN) | tee BENCH_$*.txt
-	$(GO) run ./cmd/benchjson $(B_JSON) < BENCH_$*.txt > BENCH_$*.json
-	rm -f BENCH_$*.txt
-	$(B_GATE)
+	bash bench/run.sh

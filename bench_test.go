@@ -1,16 +1,16 @@
-// Benchmarks regenerating the paper's evaluation artifacts. Each Benchmark
-// function maps to a row of the experiment index in DESIGN.md / EXPERIMENTS.md:
+// Microbenchmarks with no successor in the bench/ spine and no kgbench
+// experiment that prints the same table. They are unrecorded and ungated:
+// nothing commits their output, and every number the documents quote comes
+// from bench/ (`make bench`, `make bench-pairs`) or is printed by kgbench.
 //
-//	BenchmarkE1GraphStats          §2.1 statistics table
-//	BenchmarkE6SSSTToPG            Figure 6 translation (MetaLog pipeline)
-//	BenchmarkE8SSSTToRelational    Figure 8 translation (MetaLog pipeline)
-//	BenchmarkE10Control*           Examples 4.1/4.2 control sweep
-//	BenchmarkE11DescFrom           Example 4.3/4.4 path-pattern reasoning
-//	BenchmarkE14Phases             §6 load/reason/flush breakdown
+//	BenchmarkE1GraphStats          §2.1 statistics, worker sweep (make test-race runs it)
+//	BenchmarkE11DescFrom           Example 4.3/4.4 path-pattern reasoning (make test-race runs it)
 //	BenchmarkE17TraceOverhead      run-trace instrumentation cost on E11
-//	BenchmarkAblation*             DESIGN.md ablations A1–A4
+//	BenchmarkMTVCompile            MetaLog-to-Vadalog compilation of the PG mapping
+//	BenchmarkGSLRoundTrip          dictionary round trip of the Figure 4 design
+//	BenchmarkAblationIncremental   insert-only propagation vs recomputation (A4)
 //
-// Use cmd/kgbench for the human-readable tables.
+// Use cmd/kgbench for the paper's tables at any scale.
 package repro_test
 
 import (
@@ -22,7 +22,6 @@ import (
 	"repro/internal/finance"
 	"repro/internal/fingraph"
 	"repro/internal/graphstats"
-	"repro/internal/instance"
 	"repro/internal/metalog"
 	"repro/internal/models"
 	"repro/internal/obs"
@@ -69,72 +68,8 @@ func BenchmarkE1GraphStats(b *testing.B) {
 	}
 }
 
-// BenchmarkE6SSSTToPG runs the Figure 6 translation through the MetaLog
-// mapping pipeline.
-func BenchmarkE6SSSTToPG(b *testing.B) {
-	schema := supermodel.CompanyKG()
-	for _, strategy := range []string{"multi-label", "child-edges"} {
-		b.Run(strategy, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dict := supermodel.NewDictionary()
-				if err := supermodel.ToDictionary(schema, dict); err != nil {
-					b.Fatal(err)
-				}
-				m, err := models.SelectMapping(schema.OID, 124, 125, "pg", strategy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := models.Translate(dict, m, vadalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE8SSSTToRelational runs the Figure 8 translation.
-func BenchmarkE8SSSTToRelational(b *testing.B) {
-	schema := supermodel.CompanyKG()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dict := supermodel.NewDictionary()
-		if err := supermodel.ToDictionary(schema, dict); err != nil {
-			b.Fatal(err)
-		}
-		m, err := models.SelectMapping(schema.OID, 124, 125, "relational", "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := models.Translate(dict, m, vadalog.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10ControlMetaLog runs Example 4.1 end to end (translate, load,
-// reason, flush) over the shareholding graph.
-func BenchmarkE10ControlMetaLog(b *testing.B) {
-	for _, n := range controlScales {
-		topo := fingraph.GenerateTopology(fingraph.DefaultConfig(n, 42))
-		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := topo.Shareholding() // fresh graph: flush mutates it
-				b.StartTimer()
-				prog, err := metalog.Parse(finance.ControlEntityProgram())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := metalog.Reason(context.Background(), prog, g, vadalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
+// controlDatabase extracts the ownership relations the control program
+// reads from a generated topology.
 func controlDatabase(topo *fingraph.Topology) *vadalog.Database {
 	own := finance.BuildOwnership(topo)
 	db := vadalog.NewDatabase()
@@ -147,39 +82,6 @@ func controlDatabase(topo *fingraph.Topology) *vadalog.Database {
 		}
 	}
 	return db
-}
-
-// BenchmarkE10ControlVadalog runs Example 4.2 over extracted relations.
-func BenchmarkE10ControlVadalog(b *testing.B) {
-	for _, n := range controlScales {
-		topo := fingraph.GenerateTopology(fingraph.DefaultConfig(n, 42))
-		db := controlDatabase(topo)
-		prog := vadalog.MustParse(finance.ControlVadalog())
-		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := vadalog.Run(prog, db, vadalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE10ControlNative runs the native worklist baseline.
-func BenchmarkE10ControlNative(b *testing.B) {
-	for _, n := range controlScales {
-		topo := fingraph.GenerateTopology(fingraph.DefaultConfig(n, 42))
-		own := finance.BuildOwnership(topo)
-		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if pairs := finance.NativeControl(own, false); len(pairs) == 0 {
-					b.Fatal("no control pairs")
-				}
-			}
-		})
-	}
 }
 
 // descFromSchema builds a generalization hierarchy of the given depth where
@@ -269,130 +171,6 @@ func BenchmarkE17TraceOverhead(b *testing.B) {
 				if _, err := metalog.Reason(context.Background(), prog, work, opts); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkE14Phases measures the Algorithm 2 phase breakdown of Section 6
-// on a pyramid-heavy instance, reporting load/reason/flush as custom
-// metrics (ns per phase).
-func BenchmarkE14Phases(b *testing.B) {
-	sigma := metalog.MustParse(`
-		(p: Person) [: HOLDS; right: "ownership", percentage: hp] (s: Share; percentage: sp)
-			[: BELONGS_TO] (y: Business),
-			q = hp * sp, w = sum(q)
-			-> (p) [o: OWNS; percentage: w] (y).
-		(x: Business) -> (x) [c: CONTROLS] (x).
-		(x: Business) [: CONTROLS] (z: Business) [: OWNS; percentage: w] (y: Business),
-			v = sum(w, <z>), v > 0.5
-			-> (x) [c: CONTROLS] (y).
-	`)
-	for _, n := range []int{250, 1000} {
-		cfg := fingraph.DefaultConfig(n, 42)
-		cfg.PyramidFraction = 0.4
-		cfg.PyramidDepth = 25
-		topo := fingraph.GenerateTopology(cfg)
-		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
-			var load, reason, flush int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				data := topo.CompanyKG()
-				d, err := instance.NewDictionary(supermodel.CompanyKG())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := instance.Materialize(d, instance.PGSource{Data: data}, sigma, 1, vadalog.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				load += res.LoadDuration.Nanoseconds()
-				reason += res.ReasonDuration.Nanoseconds()
-				flush += res.FlushDuration.Nanoseconds()
-			}
-			b.ReportMetric(float64(load)/float64(b.N), "load-ns/op")
-			b.ReportMetric(float64(reason)/float64(b.N), "reason-ns/op")
-			b.ReportMetric(float64(flush)/float64(b.N), "flush-ns/op")
-		})
-	}
-}
-
-// BenchmarkAblationSemiNaive compares semi-naive and naive fixpoint
-// evaluation on the control program (ablation A2).
-func BenchmarkAblationSemiNaive(b *testing.B) {
-	topo := fingraph.GenerateTopology(fingraph.DefaultConfig(2000, 42))
-	db := controlDatabase(topo)
-	prog := vadalog.MustParse(finance.ControlVadalog())
-	for _, mode := range []struct {
-		name  string
-		naive bool
-	}{{"semi-naive", false}, {"naive", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := vadalog.Run(prog, db, vadalog.Options{Naive: mode.naive}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStrategies compares the MetaLog mapping pipeline against
-// the native translation twins (ablation A3).
-func BenchmarkAblationStrategies(b *testing.B) {
-	schema := supermodel.CompanyKG()
-	b.Run("metalog/pg-multi-label", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dict := supermodel.NewDictionary()
-			if err := supermodel.ToDictionary(schema, dict); err != nil {
-				b.Fatal(err)
-			}
-			m, _ := models.SelectMapping(schema.OID, 124, 125, "pg", "multi-label")
-			if _, err := models.Translate(dict, m, vadalog.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("native/pg-multi-label", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := models.NativeToPG(schema, "multi-label"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("metalog/relational", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dict := supermodel.NewDictionary()
-			if err := supermodel.ToDictionary(schema, dict); err != nil {
-				b.Fatal(err)
-			}
-			m, _ := models.SelectMapping(schema.OID, 124, 125, "relational", "")
-			if _, err := models.Translate(dict, m, vadalog.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("native/relational", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if v := models.NativeToRelational(schema); len(v.Relations) == 0 {
-				b.Fatal("empty translation")
-			}
-		}
-	})
-}
-
-// BenchmarkCloseLinks sweeps the integrated-ownership close-links
-// computation.
-func BenchmarkCloseLinks(b *testing.B) {
-	for _, n := range []int{500, 2000} {
-		topo := fingraph.GenerateTopology(fingraph.DefaultConfig(n, 42))
-		own := finance.BuildOwnership(topo)
-		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				finance.CloseLinks(own, own.Entities, 0.2, 1e-9, 100)
 			}
 		})
 	}

@@ -22,36 +22,31 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/metalog"
 	"repro/internal/pg"
 	"repro/internal/vadalog"
 )
 
 func main() {
-	in := flag.String("in", "", "property graph JSON")
+	in := flag.String("in", "", "property graph (JSON or snapshot)")
 	limit := flag.Int("limit", 0, "maximum rows to print (0 = all)")
 	explain := flag.Bool("explain", false, "print the cost-based plan to stderr and run the planned program")
 	flag.Parse()
 	if *in == "" || flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "kgquery: usage: kgquery -in <graph.json> '<pattern>'")
+		fmt.Fprintln(os.Stderr, "kgquery: usage: kgquery -in <graph.json|graph.snap> '<pattern>'")
 		os.Exit(2)
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	g, err := pg.ReadJSON(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-
 	// Queries only read the graph: extract facts from a frozen snapshot.
+	g, err := cli.OpenGraph(*in)
+	if err != nil {
+		fatal(err)
+	}
 	var rows []metalog.QueryRow
 	if *explain {
-		rows, err = explainedQuery(g.Freeze(), flag.Arg(0))
+		rows, err = explainedQuery(g, flag.Arg(0))
 	} else {
-		rows, err = metalog.Query(g.Freeze(), flag.Arg(0), vadalog.Options{})
+		rows, err = metalog.Query(g, flag.Arg(0), vadalog.Options{})
 	}
 	if err != nil {
 		fatal(err)

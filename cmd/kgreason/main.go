@@ -39,7 +39,7 @@ var builtins = map[string]func() string{
 }
 
 func main() {
-	in := flag.String("in", "", "Company KG data instance (JSON)")
+	in := flag.String("in", "", "Company KG data instance (JSON or snapshot)")
 	out := flag.String("out", "", "write the enriched graph to this file (default stdout)")
 	components := flag.String("component", "ownership,control", "comma-separated built-in components to run, in order")
 	sigma := flag.String("sigma", "", "additional MetaLog program file to run last")
@@ -67,15 +67,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	f, err := os.Open(*in)
+	input, err := cli.OpenGraph(*in)
 	if err != nil {
 		fatal(err)
 	}
-	data, err := pg.ReadJSON(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
+	data := input.Thaw() // materialization writes the derived constructs back
 
 	kg, err := core.NewKG(supermodel.CompanyKG())
 	if err != nil {
@@ -105,7 +101,7 @@ func main() {
 	}
 
 	if *explain {
-		explainComponents(data, kg.IntensionalComponents(), kg.IntensionalPrograms())
+		explainComponents(input, kg.IntensionalComponents(), kg.IntensionalPrograms())
 	}
 
 	opts := vadalog.Options{Workers: *workers, Timeout: *timeout, OnFault: onFault}
@@ -172,8 +168,7 @@ func main() {
 // per-rule join orders and cardinality estimates against the data instance's
 // statistics catalog (DESIGN.md §15). Analysis only: materialization always
 // executes the programs as written.
-func explainComponents(data *pg.Graph, names []string, progs []*metalog.Program) {
-	frozen := data.Freeze()
+func explainComponents(frozen *pg.Frozen, names []string, progs []*metalog.Program) {
 	cat := metalog.FromGraph(frozen)
 	st := metalog.ComputePlanStats(frozen, cat)
 	for i, prog := range progs {

@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/gsl"
 	"repro/internal/models"
-	"repro/internal/pg"
 	"repro/internal/supermodel"
 )
 
@@ -26,16 +26,11 @@ func main() {
 	render := flag.String("render", "text", "output: text, dot, gsl, rdfs, csv, metamodel, supermodel")
 	companyKG := flag.Bool("companykg", false, "use the built-in Company KG design of Figure 4")
 	dict := flag.String("dict", "", "store the design into this graph dictionary (JSON)")
-	list := flag.String("list", "", "list the schemas stored in this graph dictionary (JSON) and exit")
+	list := flag.String("list", "", "list the schemas stored in this graph dictionary (JSON or snapshot) and exit")
 	flag.Parse()
 
 	if *list != "" {
-		f, err := os.Open(*list)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := pg.ReadJSON(f)
-		f.Close()
+		g, err := cli.OpenGraph(*list)
 		if err != nil {
 			fatal(err)
 		}

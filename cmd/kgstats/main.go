@@ -5,39 +5,33 @@
 // Usage:
 //
 //	kgstats -in graph.json
+//	kgstats -in graph.snap          (what kggen -snap writes; mapped, not parsed)
 //	kggen -companies 10000 | kgstats
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/graphstats"
-	"repro/internal/pg"
 )
 
 func main() {
-	in := flag.String("in", "", "property graph JSON (default: stdin)")
+	in := flag.String("in", "", "property graph, JSON or snapshot (default: stdin)")
 	flag.Parse()
 
-	var r io.Reader = os.Stdin
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
-	g, err := pg.ReadJSON(r)
-	if err != nil {
-		fatal(err)
+	if *in == "" {
+		*in = "-"
 	}
 	// The statistics tasks fan out across workers; a frozen snapshot gives
 	// them CSR adjacency and lock-free concurrent reads.
-	fmt.Print(graphstats.Compute(g.Freeze()).Table())
+	g, err := cli.OpenGraph(*in)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Print(graphstats.Compute(g).Table())
 }
 
 func fatal(err error) {

@@ -15,14 +15,14 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/gsl"
 	"repro/internal/models"
-	"repro/internal/pg"
 	"repro/internal/supermodel"
 )
 
 func main() {
-	in := flag.String("in", "", "property-graph data instance (JSON)")
+	in := flag.String("in", "", "property-graph data instance (JSON or snapshot)")
 	schemaFile := flag.String("schema", "", "GSL design file")
 	companyKG := flag.Bool("companykg", false, "validate against the built-in Company KG design")
 	strategy := flag.String("strategy", "multi-label", "PG translation strategy")
@@ -51,22 +51,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*in)
+	// Validation is read-only; both passes share one frozen snapshot.
+	fz, err := cli.OpenGraph(*in)
 	if err != nil {
 		fatal(err)
 	}
-	g, err := pg.ReadJSON(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-
 	view, err := models.NativeToPG(schema, *strategy)
 	if err != nil {
 		fatal(err)
 	}
-	// Validation is read-only; both passes share one frozen snapshot.
-	fz := g.Freeze()
 	violations := models.ValidateInstance(fz, view)
 	violations = append(violations, models.ValidateModifiers(fz, schema)...)
 	if len(violations) == 0 {

@@ -17,14 +17,14 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/metalog"
-	"repro/internal/pg"
 	"repro/internal/vadalog"
 )
 
 func main() {
 	in := flag.String("in", "", "MetaLog program (default: stdin)")
-	graph := flag.String("graph", "", "property-graph instance (JSON) to derive the catalog from")
+	graph := flag.String("graph", "", "property-graph instance (JSON or snapshot) to derive the catalog from")
 	analyze := flag.Bool("analyze", false, "print the static analysis of the translated program")
 	flag.Parse()
 
@@ -45,12 +45,7 @@ func main() {
 
 	cat := metalog.NewCatalog()
 	if *graph != "" {
-		f, err := os.Open(*graph)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := pg.ReadJSON(f)
-		f.Close()
+		g, err := cli.OpenGraph(*graph)
 		if err != nil {
 			fatal(err)
 		}

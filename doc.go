@@ -17,7 +17,7 @@
 //   - internal/fingraph — the synthetic financial-graph substrate
 //   - internal/finance — control, ownership, close links, groups, families
 //
-// The benchmarks in bench_test.go regenerate every evaluation artifact of
-// the paper; see DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-versus-measured results.
+// cmd/kgbench prints every evaluation artifact of the paper at any scale and
+// the bench/ module records the timings; see DESIGN.md for the system
+// inventory and EXPERIMENTS.md for paper-versus-measured results.
 package repro

@@ -183,8 +183,8 @@ func min(a, b int) int {
 // TestStreamIngest10MSmoke pushes the streaming data plane through a
 // ~10M-edge load end to end: two-pass generation, sharded parallel ingest,
 // and the FrozenFromColumns validation wall, without ever materializing the
-// mutable graph. It is the in-suite scale check below the bench-load 100M
-// run; -short skips it, and it skips under the race detector, whose memory
+// mutable graph. It is the one check at the paper's scale that runs on every
+// `go test ./...`; -short skips it, and it skips under the race detector, whose memory
 // multiplier does not fit this scale (the concurrent-ingest race coverage
 // runs at small scale in internal/pg instead).
 func TestStreamIngest10MSmoke(t *testing.T) {

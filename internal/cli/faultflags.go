@@ -1,6 +1,8 @@
-// Package cli holds the flag plumbing shared by the command-line tools, so
+// Package cli holds what the command-line tools share: the flag plumbing, so
 // the robustness surface (retries, fault policy, chaos reproduction) is
-// spelled identically across kgreason, kgbench, and vadalog.
+// spelled identically across kgreason, kgbench, and vadalog, and the one way
+// a graph file is told apart and opened (OpenGraph, IsSnapshot), so every
+// tool and the server read what kggen and kgsnap write.
 package cli
 
 import (

@@ -231,7 +231,7 @@ func (d *Dictionary) LoadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 		SourceNode:  map[pg.OID]pg.OID{},
 	}
 	for _, n := range data.Nodes() {
-		typ, err := d.mostSpecificType(n.Labels)
+		typ, err := d.Schema.MostSpecificType(n.Labels)
 		if err != nil {
 			return nil, fmt.Errorf("instance: node %d: %w", n.ID, err)
 		}
@@ -264,41 +264,6 @@ func (d *Dictionary) LoadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 		out.EdgeCount++
 	}
 	return out, nil
-}
-
-// mostSpecificType resolves a label set to the most specific schema node:
-// the label that is not an ancestor of any other label present.
-func (d *Dictionary) mostSpecificType(labels []string) (string, error) {
-	var candidates []string
-	for _, l := range labels {
-		if _, ok := d.nodeConstruct[l]; ok {
-			candidates = append(candidates, l)
-		}
-	}
-	if len(candidates) == 0 {
-		return "", fmt.Errorf("no schema label among %v", labels)
-	}
-	best := ""
-	for _, c := range candidates {
-		isAncestorOfOther := false
-		for _, o := range candidates {
-			if o == c {
-				continue
-			}
-			for _, anc := range d.Schema.Ancestors(o) {
-				if anc == c {
-					isAncestorOfOther = true
-				}
-			}
-		}
-		if !isAncestorOfOther {
-			if best != "" && best != c {
-				return "", fmt.Errorf("ambiguous most-specific type among %v (%s vs %s)", labels, best, c)
-			}
-			best = c
-		}
-	}
-	return best, nil
 }
 
 // Row is one tuple of a relational data instance.

@@ -1,6 +1,8 @@
 package instance
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/metalog"
@@ -363,14 +365,21 @@ func TestMostSpecificType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, err := d.mostSpecificType([]string{"Person", "LegalPerson", "Business"})
+	typ, err := d.Schema.MostSpecificType([]string{"Person", "LegalPerson", "Business"})
 	if err != nil || typ != "Business" {
-		t.Errorf("mostSpecificType = %q, %v", typ, err)
+		t.Errorf("MostSpecificType = %q, %v", typ, err)
 	}
-	if _, err := d.mostSpecificType([]string{"Unknown"}); err == nil {
-		t.Error("unknown labels must fail")
+	if _, err := d.Schema.MostSpecificType([]string{"Unknown"}); !errors.Is(err, supermodel.ErrNoSchemaLabel) {
+		t.Errorf("unknown labels = %v, want ErrNoSchemaLabel", err)
 	}
-	if _, err := d.mostSpecificType([]string{"Business", "Place"}); err == nil {
-		t.Error("ambiguous label sets must fail")
+	if _, err := d.Schema.MostSpecificType([]string{"Business", "Place"}); err == nil || errors.Is(err, supermodel.ErrNoSchemaLabel) {
+		t.Errorf("ambiguous label set = %v, want the ambiguity error", err)
+	}
+	// The load refuses the ambiguous node with that same error.
+	g := pg.New()
+	g.AddNode([]string{"Business", "Place"}, pg.Props{"fiscalCode": value.Str("X")})
+	_, wantErr := d.Schema.MostSpecificType([]string{"Business", "Place"})
+	if _, err := d.LoadPG(g, 1); err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
+		t.Errorf("LoadPG of an ambiguous node = %v, want %v", err, wantErr)
 	}
 }

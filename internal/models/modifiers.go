@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -19,18 +20,24 @@ import (
 
 // ValidateModifiers checks every node of the instance against the enum,
 // range and default modifiers of its (effective) attributes. Nodes are
-// matched to schema types by their most specific label.
+// matched to schema types by their most specific label
+// (Schema.MostSpecificType, the decision Algorithm 2's load makes); a label
+// set with no single one is a violation.
 func ValidateModifiers(g pg.View, s *supermodel.Schema) []Violation {
 	var out []Violation
 	report := func(subject, detail string, args ...any) {
 		out = append(out, Violation{Kind: "modifier", Subject: subject, Detail: fmt.Sprintf(detail, args...)})
 	}
 	for _, n := range g.Nodes() {
-		typ := mostSpecificSchemaLabel(s, n.Labels)
-		if typ == "" {
+		subject := fmt.Sprintf("node %d", n.ID)
+		typ, err := s.MostSpecificType(n.Labels)
+		if errors.Is(err, supermodel.ErrNoSchemaLabel) {
 			continue // unknown labels are ValidateInstance's business
 		}
-		subject := fmt.Sprintf("node %d", n.ID)
+		if err != nil {
+			report(subject, "%v", err) // Algorithm 2 refuses to load this node
+			continue
+		}
 		for _, a := range s.EffectiveAttributes(typ) {
 			v, has := n.Props[a.Name]
 			if !has {
@@ -76,9 +83,9 @@ func ValidateModifiers(g pg.View, s *supermodel.Schema) []Violation {
 func ApplyDefaults(g *pg.Graph, s *supermodel.Schema) int {
 	set := 0
 	for _, n := range g.Nodes() {
-		typ := mostSpecificSchemaLabel(s, n.Labels)
-		if typ == "" {
-			continue
+		typ, err := s.MostSpecificType(n.Labels)
+		if err != nil {
+			continue // no type to take defaults from; ValidateModifiers reports it
 		}
 		for _, a := range s.EffectiveAttributes(typ) {
 			if _, has := n.Props[a.Name]; has {
@@ -103,33 +110,4 @@ func parseTyped(raw string, t supermodel.DataType) value.Value {
 		}
 	}
 	return value.Str(raw)
-}
-
-// mostSpecificSchemaLabel picks the node's deepest schema label: the one
-// none of the node's other labels descend from.
-func mostSpecificSchemaLabel(s *supermodel.Schema, labels []string) string {
-	var candidates []string
-	for _, l := range labels {
-		if s.Node(l) != nil {
-			candidates = append(candidates, l)
-		}
-	}
-	best := ""
-	for _, c := range candidates {
-		isAncestor := false
-		for _, o := range candidates {
-			if o == c {
-				continue
-			}
-			for _, anc := range s.Ancestors(o) {
-				if anc == c {
-					isAncestor = true
-				}
-			}
-		}
-		if !isAncestor && best == "" {
-			best = c
-		}
-	}
-	return best
 }

@@ -43,6 +43,19 @@ func TestValidateModifiers(t *testing.T) {
 	if !strings.Contains(got[1].Detail, "not in enum") {
 		t.Errorf("second violation = %v", got[1])
 	}
+
+	// A label set with two unrelated most-specific types is a node Algorithm
+	// 2 refuses to load: validation says so instead of picking one.
+	kg := supermodel.CompanyKG()
+	amb := pg.New()
+	amb.AddNode([]string{"Business", "Place"}, pg.Props{"fiscalCode": value.Str("X")})
+	got = ValidateModifiers(amb, kg)
+	if len(got) != 1 || got[0].Kind != "modifier" || !strings.Contains(got[0].Detail, "ambiguous most-specific type") {
+		t.Errorf("ambiguous label set: violations = %v, want the one ambiguity", got)
+	}
+	if n := ApplyDefaults(amb, kg); n != 0 {
+		t.Errorf("ApplyDefaults set %d properties on a node with no single type", n)
+	}
 }
 
 func TestValidateModifiersInheritedAttributes(t *testing.T) {

@@ -1,12 +1,12 @@
 package pg_test
 
-// Storage microbenchmarks (EXPERIMENTS.md E19). The two shapes that dominate
-// the reasoning pipeline's read side are label scans (MetaLog fact
-// extraction walks NodesByLabel/EdgesByLabel per catalog entry) and
-// adjacency walks (graph statistics and instance views walk Out/In per
-// node). Each is measured against every View implementation so
-// BENCH_storage.json can compare the mutable builder against the frozen
-// snapshot on identical data.
+// Storage microbenchmarks. The two shapes that dominate the reasoning
+// pipeline's read side are label scans (MetaLog fact extraction walks
+// NodesByLabel/EdgesByLabel per catalog entry) and adjacency walks (graph
+// statistics and instance views walk Out/In per node). Each runs against the
+// mutable builder and the frozen snapshot on identical data. Unrecorded and
+// ungated — for use while working on a View implementation; where they show
+// end to end is metalog.extract_s and vadalog.fixpoint_s in the bench/ spine.
 
 import (
 	"testing"

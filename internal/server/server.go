@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fault"
 	"repro/internal/graphstats"
 	"repro/internal/gsl"
@@ -405,7 +406,7 @@ func (s *Server) buildFromPath(path string) (*snapshot, error) {
 	if err := fault.Hit(siteLoad); err != nil {
 		return nil, err
 	}
-	if isSnapshotFile(path) {
+	if cli.IsSnapshot(path) {
 		sf, err := snapfile.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("server: loading %s: %w", path, err)
@@ -423,18 +424,6 @@ func (s *Server) buildFromPath(path string) (*snapshot, error) {
 		return nil, fmt.Errorf("server: loading %s: %w", path, err)
 	}
 	return s.buildFromFrozen(g.Freeze())
-}
-
-// isSnapshotFile sniffs the snapfile magic without consuming the file.
-func isSnapshotFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [8]byte
-	n, _ := f.Read(hdr[:])
-	return snapfile.Sniff(hdr[:n])
 }
 
 // buildFromFrozen builds the generation serving an existing frozen view.

@@ -74,6 +74,26 @@ func shutdownServer(t *testing.T, s *Server) {
 	}
 }
 
+// walSourceConfig writes mutateBase as a JSON source file and returns the
+// configuration of a server that loads it and logs beside it — the shape a
+// reload needs, since a reload re-reads Config.Source.
+func walSourceConfig(t *testing.T) Config {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kg.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mutateBase(t).WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return Config{Source: path, WALDir: filepath.Join(dir, "wal")}
+}
+
 // TestWALMutateDurableRestart is the basic durability round trip: batches
 // acknowledged by one server instance are all present after a restart over
 // the same log, with sequence numbers surfaced to the client and never
@@ -179,18 +199,7 @@ func TestWALRecoveryAfterCompaction(t *testing.T) {
 // abandoned with the old state and a restart replays nothing over the new
 // source.
 func TestWALReloadCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kg.json")
-	g := mutateBase(t)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	cfg := Config{Source: path, WALDir: filepath.Join(dir, "wal")}
+	cfg := walSourceConfig(t)
 
 	s, err := New(cfg)
 	if err != nil {
@@ -501,8 +510,11 @@ func TestChaosWALTruncationFailureTolerated(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("compact under truncation fault: %d %s", w.Code, w.Body.String())
 	}
-	if delta().WALCheckpointErrors != 1 {
-		t.Fatal("truncation failure not counted")
+	// The CHECKPOINT rename was durable before the rotation failed, so the
+	// checkpoint landed: counted as one, not as an error.
+	if d := delta(); d.WALCheckpoints != 1 || d.WALCheckpointErrors != 0 {
+		t.Fatalf("checkpoint whose rotation failed counted as %d landed, %d failed; want 1, 0",
+			d.WALCheckpoints, d.WALCheckpointErrors)
 	}
 	// Serving continues: reads and writes keep landing on the compacted
 	// generation.
@@ -525,6 +537,54 @@ func TestChaosWALTruncationFailureTolerated(t *testing.T) {
 	}
 	if info := mustMutate(t, s2, walBatch("d")); info.Seq != 4 {
 		t.Fatalf("post-recovery seq = %d, want 4", info.Seq)
+	}
+}
+
+// TestChaosReloadSurvivesRotateFault: a reload checkpoints the log against
+// the reloaded source before it swaps. When that checkpoint's CHECKPOINT
+// rename lands and only the rotation after it fails, the log's base already
+// is the reload source — so the reload must go through. Read as "reload
+// failed", the process keeps serving the old base plus its batches while a
+// restart comes up on the new source without them: acknowledged writes gone.
+// Whatever Reload answers, a restart on the same log directory must serve
+// exactly what the first process last served.
+func TestChaosReloadSurvivesRotateFault(t *testing.T) {
+	leak := testutil.CheckGoroutineLeak(t)
+	defer leak()
+	defer fault.Reset()
+	cfg := walSourceConfig(t)
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMutate(t, s, walBatch("a"))
+	mustMutate(t, s, walBatch("b"))
+	if err := fault.Arm("wal/rotate", fault.Plan{Mode: fault.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	_, reloadErr := s.Reload("")
+	fault.Reset()
+	// A write acknowledged after the reload rides the rotation the
+	// checkpoint left pending.
+	mustMutate(t, s, walBatch("c"))
+	want := encodeView(t, s)
+	_, rows := queryRows(t, s, `(x: Business; fiscalCode: c)`)
+	shutdownServer(t, s)
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s2)
+	if _, n := queryRows(t, s2, `(x: Business; fiscalCode: c)`); n != rows {
+		t.Fatalf("restart serves %d businesses, the first process last served %d (Reload returned %v)", n, rows, reloadErr)
+	}
+	if got := encodeView(t, s2); !bytes.Equal(got, want) {
+		t.Fatalf("restart is not bit-identical to what the first process last served (Reload returned %v)", reloadErr)
+	}
+	if reloadErr != nil || rows != 3 {
+		t.Fatalf("Reload = %v serving %d businesses; want nil and 3 (the fresh source plus batch c)", reloadErr, rows)
 	}
 }
 

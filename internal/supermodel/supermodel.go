@@ -12,6 +12,7 @@
 package supermodel
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -437,6 +438,51 @@ func (s *Schema) Ancestors(node string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ErrNoSchemaLabel is MostSpecificType's error for a label set that names no
+// node of the schema at all — data outside the design, as opposed to data
+// the design cannot place.
+var ErrNoSchemaLabel = errors.New("no schema label")
+
+// MostSpecificType resolves a data node's label set to the schema node it
+// instantiates: the one schema label present that is not an ancestor of any
+// other label present (multi-label tagging is resolved against the
+// generalization hierarchy). A set with no schema label fails with
+// ErrNoSchemaLabel; a set with two unrelated most-specific labels is
+// ambiguous and fails too — Algorithm 2's load and instance validation
+// decide this here, once.
+func (s *Schema) MostSpecificType(labels []string) (string, error) {
+	var candidates []string
+	for _, l := range labels {
+		if s.Node(l) != nil {
+			candidates = append(candidates, l)
+		}
+	}
+	if len(candidates) == 0 {
+		return "", fmt.Errorf("%w among %v", ErrNoSchemaLabel, labels)
+	}
+	best := ""
+	for _, c := range candidates {
+		isAncestorOfOther := false
+		for _, o := range candidates {
+			if o == c {
+				continue
+			}
+			for _, anc := range s.Ancestors(o) {
+				if anc == c {
+					isAncestorOfOther = true
+				}
+			}
+		}
+		if !isAncestorOfOther {
+			if best != "" && best != c {
+				return "", fmt.Errorf("ambiguous most-specific type among %v (%s vs %s)", labels, best, c)
+			}
+			best = c
+		}
+	}
+	return best, nil
 }
 
 // Descendants returns every transitive descendant of a node, sorted.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -59,86 +60,61 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
-	cp, err := readCheckpoint(dir)
+	sc, err := readDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	live, stale, err := replayable(segs, cp, true)
-	if err != nil {
-		return nil, nil, err
-	}
+	rec, live := sc.rec, sc.live
 
-	rec := &Recovery{Checkpoint: cp, StaleSegments: stale}
-	l := &Log{dir: dir, opts: opts, gen: 1, nextSeq: 1}
-	if cp != nil {
-		l.gen = cp.Generation
-		l.nextSeq = cp.Seq + 1
-		l.base = cp.Base
+	// Repairs, exactly what rec reports: stale segments go, and the one
+	// segment that may be damaged — the last — loses its torn tail, or goes
+	// whole when it never got a header and so holds no acknowledged data.
+	for _, s := range sc.stale {
+		if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, nil, fmt.Errorf("wal: removing stale segment %s: %w", s.name, err)
+		}
 	}
-
-	// Drop torn segment creations (no header) and headerless damage in last
-	// position; collect records; truncate a torn tail in place.
-	var tail *segScan
-	for i := range live {
-		s := &live[i]
-		if s.err != nil || s.headless {
-			// Only reachable in last position (validateChain). A file that
-			// never got its header holds no acknowledged data: remove it.
-			rec.TornSegment = s.name
-			rec.TornBytes += s.size
+	if n := len(live); n > 0 {
+		switch s := &live[n-1]; {
+		case s.damaged():
 			if err := os.Remove(s.path); err != nil {
 				return nil, nil, fmt.Errorf("wal: removing torn segment %s: %w", s.name, err)
 			}
-			continue
-		}
-		for _, r := range s.records {
-			if cp != nil && r.Seq <= cp.Seq {
-				continue // pre-checkpoint record in a kept segment
-			}
-			rec.Records = append(rec.Records, r)
-		}
-		if s.torn {
-			rec.TornSegment = s.name
-			rec.TornBytes += s.size - s.validLen
+			live = live[:n-1]
+		case s.torn:
 			if err := os.Truncate(s.path, s.validLen); err != nil {
 				return nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", s.name, err)
 			}
 			s.size = s.validLen
 		}
-		if s.gen > l.gen {
-			l.gen = s.gen
-		}
-		if last := s.firstSeq + uint64(len(s.records)); last > l.nextSeq {
-			l.nextSeq = last
-		}
-		tail = s
+	}
+
+	l := &Log{dir: dir, opts: opts, gen: 1, nextSeq: 1}
+	if cp := rec.Checkpoint; cp != nil {
+		l.gen = cp.Generation
+		l.nextSeq = cp.Seq + 1
+		l.base = cp.Base
+	}
+	for _, s := range live {
+		l.gen = max(l.gen, s.gen)
+		l.nextSeq = max(l.nextSeq, s.firstSeq+uint64(len(s.records)))
+		l.sealed += s.size
+		l.segs++
 	}
 
 	// Position for appending: continue the intact highest segment, or start
 	// a fresh one.
-	if tail != nil {
+	if n := len(live); n > 0 {
+		tail := live[n-1]
 		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: opening %s for append: %w", tail.name, err)
 		}
 		l.f = f
 		l.size = tail.size
-		for i := range live {
-			s := &live[i]
-			if s.err == nil && !s.headless && s != tail {
-				l.sealed += s.size
-				l.segs++
-			}
-		}
-		l.segs++
-	} else {
-		if err := l.newSegmentLocked(); err != nil {
-			return nil, nil, err
-		}
+		l.sealed -= tail.size
+	} else if err := l.newSegmentLocked(); err != nil {
+		return nil, nil, err
 	}
 
 	if opts.Sync == SyncInterval {
@@ -325,9 +301,12 @@ func (l *Log) syncLoop() {
 // Checkpoint marks every logged batch as folded into the durable base at
 // basePath and truncates the log: generation++, atomic CHECKPOINT publish,
 // rotation to a fresh segment of the new generation, deletion of the sealed
-// older-generation segments. On error the log stays consistent — either the
-// old checkpoint still rules (nothing changed), or the new one landed and
-// the remaining steps are completed by the next Append/Open.
+// older-generation segments. It has two outcomes. An error means nothing
+// changed: the old checkpoint still rules. Nil means the new checkpoint is
+// durable and in force — even when the rotation after it failed, because
+// that is remembered (needRotate) and completed by the next Append or Open,
+// and a caller told "failed" would go on serving a base the log no longer
+// recovers from.
 func (l *Log) Checkpoint(basePath string) (Checkpoint, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -347,38 +326,33 @@ func (l *Log) Checkpoint(basePath string) (Checkpoint, error) {
 	}
 	l.gen, l.base = cp.Generation, cp.Base
 	if err := l.rotateLocked(); err != nil {
-		// The checkpoint is durable but no new-generation segment exists
-		// yet. Appending to the condemned segment would lose data (the next
-		// Open deletes pre-checkpoint segments), so force rotation before
-		// any further append.
+		// No new-generation segment exists yet. Appending to the condemned
+		// one would lose data (the next Open deletes pre-checkpoint
+		// segments), so force rotation before any further append.
 		l.needRotate = true
-		return cp, fmt.Errorf("wal: rotating after checkpoint: %w", err)
+		return cp, nil
 	}
-	l.removeStaleLocked(cp.Generation)
+	l.needRotate = false // this rotation also settles one an earlier checkpoint left pending
+	l.removeStaleLocked()
 	return cp, nil
 }
 
-// removeStaleLocked deletes sealed segments of generations before minGen,
+// removeStaleLocked deletes the sealed segments of generations before the
+// current one and recounts segments and sealed bytes from what survived —
 // best-effort: survivors are removed by the next Open.
-func (l *Log) removeStaleLocked(minGen uint64) {
+func (l *Log) removeStaleLocked() {
 	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if gen, _, ok := parseSegName(e.Name()); ok && gen < minGen {
-			os.Remove(filepath.Join(l.dir, e.Name())) //nolint:errcheck // next Open retries
-		}
-	}
-	// Recount segments and sealed bytes from what survived.
-	entries, err = os.ReadDir(l.dir)
 	if err != nil {
 		return
 	}
 	l.segs, l.sealed = 0, 0
 	active := filepath.Base(l.f.Name())
 	for _, e := range entries {
-		if _, _, ok := parseSegName(e.Name()); !ok {
+		gen, _, ok := parseSegName(e.Name())
+		if !ok {
+			continue
+		}
+		if gen < l.gen && os.Remove(filepath.Join(l.dir, e.Name())) == nil {
 			continue
 		}
 		l.segs++

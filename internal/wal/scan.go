@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,7 +103,7 @@ func listSegments(dir string) ([]segScan, error) {
 
 // Recovery is what Open found on disk: the checkpoint (nil when none), the
 // acknowledged post-checkpoint records in sequence order, and what cleanup
-// the scan performed.
+// Open performed (Replay: would perform).
 type Recovery struct {
 	Checkpoint *Checkpoint
 	Records    []Record
@@ -255,10 +254,34 @@ type SegmentInfo struct {
 
 // Replay computes what a recovery would replay — checkpoint, filtered
 // records in sequence order, torn-tail accounting — without mutating the
-// directory. Open performs the same collection plus the repairs (tail
-// truncation, stale-segment deletion) and leaves the log open for appends;
-// Replay is the read-only view behind kgwal -dump.
+// directory. Open starts from the same reading, then performs the repairs it
+// reports (tail truncation, torn- and stale-segment deletion) and leaves the
+// log open for appends; Replay is the read-only view behind kgwal -dump.
 func Replay(dir string) (*Recovery, error) {
+	sc, err := readDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return sc.rec, nil
+}
+
+// dirScan is the one reading of a log directory: what a recovery replays,
+// and the segment scans Open's repairs and append position derive from.
+type dirScan struct {
+	rec *Recovery
+	// live is the replayable chain in replay order, validated. Only its
+	// last segment can be damaged: torn (rec.TornBytes past validLen), or
+	// never given a valid header (no records, the whole file is torn).
+	live []segScan
+	// stale holds the pre-checkpoint segments — irrelevant however damaged,
+	// the checkpoint base already contains everything they held.
+	stale []segScan
+}
+
+// readDir reads a log directory without mutating it: checkpoint, segments
+// split into stale and live, the live chain validated, the acknowledged
+// post-checkpoint records collected and the torn tail accounted.
+func readDir(dir string) (*dirScan, error) {
 	cp, err := readCheckpoint(dir)
 	if err != nil {
 		return nil, err
@@ -267,57 +290,34 @@ func Replay(dir string) (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
-	live, stale, err := replayable(segs, cp, false)
-	if err != nil {
+	sc := &dirScan{rec: &Recovery{Checkpoint: cp}}
+	for _, s := range segs {
+		if cp != nil && s.gen < cp.Generation {
+			sc.stale = append(sc.stale, s)
+		} else {
+			sc.live = append(sc.live, s)
+		}
+	}
+	if err := validateChain(sc.live, cp); err != nil {
 		return nil, err
 	}
-	rec := &Recovery{Checkpoint: cp, StaleSegments: stale}
-	for i := range live {
-		s := &live[i]
-		if s.err != nil || s.headless {
-			rec.TornSegment = s.name
-			rec.TornBytes += s.size
-			continue
-		}
+	rec := sc.rec
+	rec.StaleSegments = len(sc.stale)
+	for _, s := range sc.live {
 		for _, r := range s.records {
 			if cp != nil && r.Seq <= cp.Seq {
-				continue
+				continue // pre-checkpoint record in a kept segment
 			}
 			rec.Records = append(rec.Records, r)
 		}
-		if s.torn {
+		if s.damaged() || s.torn {
 			rec.TornSegment = s.name
 			rec.TornBytes += s.size - s.validLen
 		}
 	}
-	return rec, nil
+	return sc, nil
 }
 
-// replayable filters scans down to the segments Open replays and appends
-// after: stale generations dropped (and deleted), the chain validated.
-func replayable(segs []segScan, cp *Checkpoint, removeStale bool) ([]segScan, int, error) {
-	minGen := uint64(0)
-	if cp != nil {
-		minGen = cp.Generation
-	}
-	live := segs[:0:0]
-	stale := 0
-	for _, s := range segs {
-		// Pre-checkpoint segments are irrelevant however damaged they are —
-		// the checkpoint base already contains everything they held.
-		if s.gen < minGen {
-			stale++
-			if removeStale {
-				if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-					return nil, 0, fmt.Errorf("wal: removing stale segment %s: %w", s.name, err)
-				}
-			}
-			continue
-		}
-		live = append(live, s)
-	}
-	if err := validateChain(live, cp); err != nil {
-		return nil, 0, err
-	}
-	return live, stale, nil
-}
+// damaged reports a segment that never got a valid header: it holds no
+// acknowledged data (validLen 0) and, in last position, is a torn creation.
+func (s *segScan) damaged() bool { return s.err != nil || s.headless }

@@ -500,13 +500,23 @@ func TestFaultRotateDuringCheckpoint(t *testing.T) {
 	if err := fault.Arm("wal/rotate", fault.Plan{Mode: fault.ModeError}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Checkpoint("base"); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("Checkpoint under rotate fault = %v, want injected", err)
+	// Two outcomes, not three: the CHECKPOINT rename is durable, so the call
+	// reports the checkpoint it landed and no error — the failed rotation is
+	// remembered, not returned.
+	if cp, err := l.Checkpoint("base"); err != nil || cp.Generation != 2 || cp.Seq != 5 {
+		t.Fatalf("Checkpoint under rotate fault = (%+v, %v), want generation 2 seq 5 and no error", cp, err)
+	}
+	// While the rotation cannot happen, no append may land in the condemned
+	// generation-1 segment.
+	if err := fault.Arm("wal/rotate", fault.Plan{Mode: fault.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(payloadN(5)); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Append with the rotation still failing = %v, want injected", err)
 	}
 	fault.Reset()
-	// The checkpoint landed, so its base is the one in force; the forced
-	// rotation happens on the next append, which must go to a generation-2
-	// segment.
+	// Its base is the one in force; the forced rotation happens on the next
+	// append, which must go to a generation-2 segment.
 	if b := l.Base(); b != "base" {
 		t.Fatalf("base after a landed checkpoint = %q, want %q", b, "base")
 	}
@@ -523,6 +533,30 @@ func TestFaultRotateDuringCheckpoint(t *testing.T) {
 	}
 	if len(rec.Records) != 1 || rec.Records[0].Seq != 6 {
 		t.Fatalf("recovered %+v, want just seq 6", rec.Records)
+	}
+}
+
+// TestFaultCheckpointClearsPendingRotation: a second checkpoint that does
+// rotate settles the rotation the first one left pending. Were it still
+// pending, the next append would try to create the segment that now exists
+// and refuse every write from then on.
+func TestFaultCheckpointClearsPendingRotation(t *testing.T) {
+	defer fault.Reset()
+	l, _ := mustOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	appendN(t, l, 5, 0)
+	if err := fault.Arm("wal/rotate", fault.Plan{Mode: fault.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Checkpoint("a"); err != nil {
+		t.Fatalf("Checkpoint under rotate fault: %v", err)
+	}
+	fault.Reset()
+	if cp, err := l.Checkpoint("b"); err != nil || cp.Generation != 3 {
+		t.Fatalf("second Checkpoint = (%+v, %v), want generation 3", cp, err)
+	}
+	if seq, err := l.Append(payloadN(5)); err != nil || seq != 6 {
+		t.Fatalf("Append after the settled rotation = (%d, %v), want (6, nil)", seq, err)
 	}
 }
 
