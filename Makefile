@@ -5,8 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite (build outputs under
+# .bench_build/ aside), so `make check` carries the formatting gate.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	test -z "$$out" || { echo "gofmt -l prints:"; echo "$$out"; exit 1; }
 
 test: build vet
 	$(GO) test ./...
@@ -19,11 +23,12 @@ test: build vet
 # they interrupt the worker pool mid-fan-out and compare run traces across
 # worker counts, the shapes most likely to surface a scheduling-dependent
 # race; the sealed-relation test reruns with -count=10 because it races 16
-# queries to build the same lazily built indexes.
+# queries to build the same lazily built indexes, and the frozen-lookup test
+# because it races point lookups against the one build of the pointer facade.
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks' ./internal/vadalog/
-	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries' ./internal/vadalog/
+	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestFrozenLookupsRaceFacadeBuild' ./internal/vadalog/ ./internal/pg/
 	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestConcurrentBulkIngest' ./internal/pg/

@@ -9,13 +9,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/pg"
-	"repro/internal/sortedset"
 )
 
 // Stats mirrors the figures of Section 2.1.
@@ -59,12 +59,13 @@ func Compute(g pg.View) Stats { return ComputeWorkers(g, runtime.NumCPU()) }
 
 // ComputeWorkers is Compute with an explicit degree of parallelism. The four
 // independent analyses — SCC, WCC, degree statistics with the power-law fit,
-// and clustering — run as concurrent tasks, and the clustering sample is
-// additionally sharded across workers. The result is identical for every
-// workers value: the graph is read-only during computation, the analyses
-// share no state, and the clustering partial sums are reduced in a fixed
-// shard order that does not depend on the worker count (the workers == 1
-// path folds the very same shards in the very same order).
+// and clustering — run as concurrent tasks over one topology read from the
+// view up front, and the clustering sample is additionally sharded across
+// workers. The result is identical for every workers value: the topology is
+// read-only during computation, the analyses share no other state, and the
+// clustering partial sums are reduced in a fixed shard order that does not
+// depend on the worker count (the workers == 1 path folds the very same
+// shards in the very same order).
 func ComputeWorkers(g pg.View, workers int) Stats {
 	const maxClusteringNodes = 200_000
 
@@ -73,15 +74,16 @@ func ComputeWorkers(g pg.View, workers int) Stats {
 		return s
 	}
 
+	t := newTopology(g)
 	var sccs, wccs [][]pg.OID
 	runTasks(workers,
-		func() { sccs = SCC(g) },
-		func() { wccs = WCC(g) },
+		func() { sccs = t.scc() },
+		func() { wccs = t.wcc() },
 		func() {
 			var inSum, outSum, inActive, outActive int
-			var indegrees []int
-			for _, n := range g.Nodes() {
-				in, out := g.InDegree(n.ID), g.OutDegree(n.ID)
+			indegrees := t.inDegrees()
+			for row, in := range indegrees {
+				out := t.outDegree(row)
 				inSum += in
 				outSum += out
 				if in > 0 {
@@ -96,7 +98,6 @@ func ComputeWorkers(g pg.View, workers int) Stats {
 				if out > s.MaxOutDegree {
 					s.MaxOutDegree = out
 				}
-				indegrees = append(indegrees, in)
 			}
 			s.AvgInDegreeAll = float64(inSum) / float64(s.Nodes)
 			s.AvgOutDegreeAll = float64(outSum) / float64(s.Nodes)
@@ -108,7 +109,7 @@ func ComputeWorkers(g pg.View, workers int) Stats {
 			}
 			s.PowerLawAlpha, s.PowerLawXMin = PowerLawMLE(indegrees)
 		},
-		func() { s.AvgClusteringCoefficient = avgClusteringWorkers(g, maxClusteringNodes, workers) },
+		func() { s.AvgClusteringCoefficient = t.avgClustering(maxClusteringNodes, workers) },
 	)
 
 	s.SCCCount = len(sccs)
@@ -127,6 +128,66 @@ func ComputeWorkers(g pg.View, workers int) Stats {
 	}
 	s.WCCAvgSize = float64(s.Nodes) / float64(max(1, s.WCCCount))
 	return s
+}
+
+// topology is all the analyses read of a graph: which nodes there are and
+// how edges connect them. It is built from the view's two row scans — no
+// pointer structs, no per-node adjacency calls — and addresses a node by its
+// row, the position of its OID in ascending order, so the analyses index
+// slices where they would otherwise hash OIDs.
+type topology struct {
+	ids      []pg.OID // node OIDs, ascending
+	from, to []int32  // each edge's endpoint rows, in ascending edge-OID order
+	// Out-adjacency CSR by row: the successors of row i are
+	// succ[outOff[i]:outOff[i+1]], in edge-OID order.
+	outOff []int32
+	succ   []int32
+}
+
+func newTopology(g pg.View) *topology {
+	t := &topology{
+		ids:  make([]pg.OID, 0, g.NumNodes()),
+		from: make([]int32, 0, g.NumEdges()),
+		to:   make([]int32, 0, g.NumEdges()),
+	}
+	g.ScanNodes(func(n *pg.NodeRow) bool {
+		t.ids = append(t.ids, n.ID)
+		return true
+	})
+	row := func(id pg.OID) int32 {
+		i, _ := slices.BinarySearch(t.ids, id) // a view's edges end at its nodes
+		return int32(i)
+	}
+	g.ScanEdges(func(e *pg.EdgeRow) bool {
+		t.from = append(t.from, row(e.From))
+		t.to = append(t.to, row(e.To))
+		return true
+	})
+	t.outOff = make([]int32, len(t.ids)+1)
+	for _, f := range t.from {
+		t.outOff[f+1]++
+	}
+	for i := range t.ids {
+		t.outOff[i+1] += t.outOff[i]
+	}
+	t.succ = make([]int32, len(t.from))
+	next := slices.Clone(t.outOff[:len(t.ids)])
+	for i, f := range t.from {
+		t.succ[next[f]] = t.to[i]
+		next[f]++
+	}
+	return t
+}
+
+func (t *topology) outDegree(row int) int { return int(t.outOff[row+1] - t.outOff[row]) }
+
+// inDegrees returns the in-degree of every node, in OID order.
+func (t *topology) inDegrees() []int {
+	out := make([]int, len(t.ids))
+	for _, to := range t.to {
+		out[to]++
+	}
+	return out
 }
 
 // runTasks executes the tasks on up to workers goroutines and waits for all
@@ -157,45 +218,44 @@ func runTasks(workers int, tasks ...func()) {
 // iterative Tarjan algorithm (the recursion is unrolled so that graphs with
 // millions of nodes do not overflow the stack). Components are returned with
 // their member node OIDs sorted, and components sorted by first member.
-func SCC(g pg.View) [][]pg.OID {
-	nodes := g.Nodes()
-	index := make(map[pg.OID]int, len(nodes))
-	low := make(map[pg.OID]int, len(nodes))
-	onStack := make(map[pg.OID]bool, len(nodes))
-	var stack []pg.OID
-	var comps [][]pg.OID
-	counter := 0
+func SCC(g pg.View) [][]pg.OID { return newTopology(g).scc() }
 
-	type frame struct {
-		v     pg.OID
-		edges []*pg.Edge
-		next  int
+func (t *topology) scc() [][]pg.OID {
+	const unseen = -1
+	n := len(t.ids)
+	index := make([]int32, n)
+	for i := range index {
+		index[i] = unseen
+	}
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	var stack []int32
+	var comps [][]pg.OID
+	var counter int32
+
+	// A frame walks succ[next:end], the successors of v.
+	type frame struct{ v, next, end int32 }
+	visit := func(v int32) frame {
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		onStack[v] = true
+		return frame{v, t.outOff[v], t.outOff[v+1]}
 	}
 
-	for _, root := range nodes {
-		if _, seen := index[root.ID]; seen {
+	for root := int32(0); int(root) < n; root++ {
+		if index[root] != unseen {
 			continue
 		}
-		frames := []frame{{v: root.ID, edges: g.Out(root.ID)}}
-		index[root.ID] = counter
-		low[root.ID] = counter
-		counter++
-		stack = append(stack, root.ID)
-		onStack[root.ID] = true
-
+		frames := []frame{visit(root)}
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			advanced := false
-			for f.next < len(f.edges) {
-				w := f.edges[f.next].To
+			for f.next < f.end {
+				w := t.succ[f.next]
 				f.next++
-				if _, seen := index[w]; !seen {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w, edges: g.Out(w)})
+				if index[w] == unseen {
+					frames = append(frames, visit(w))
 					advanced = true
 					break
 				}
@@ -208,7 +268,7 @@ func SCC(g pg.View) [][]pg.OID {
 			}
 			// All successors done: pop the frame.
 			if low[f.v] == index[f.v] {
-				var comp []pg.OID
+				var comp []int32
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -218,8 +278,12 @@ func SCC(g pg.View) [][]pg.OID {
 						break
 					}
 				}
-				sortedset.Sort(comp)
-				comps = append(comps, comp)
+				slices.Sort(comp) // ascending rows are ascending OIDs
+				members := make([]pg.OID, len(comp))
+				for i, r := range comp {
+					members[i] = t.ids[r]
+				}
+				comps = append(comps, members)
 			}
 			v := f.v
 			frames = frames[:len(frames)-1]
@@ -235,11 +299,16 @@ func SCC(g pg.View) [][]pg.OID {
 	return comps
 }
 
-// WCC returns the weakly connected components via union-find.
-func WCC(g pg.View) [][]pg.OID {
-	parent := map[pg.OID]pg.OID{}
-	var find func(x pg.OID) pg.OID
-	find = func(x pg.OID) pg.OID {
+// WCC returns the weakly connected components via union-find, members
+// sorted and components sorted by first member.
+func WCC(g pg.View) [][]pg.OID { return newTopology(g).wcc() }
+
+func (t *topology) wcc() [][]pg.OID {
+	parent := make([]int32, len(t.ids))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
 		r := x
 		for parent[r] != r {
 			r = parent[r]
@@ -249,11 +318,8 @@ func WCC(g pg.View) [][]pg.OID {
 		}
 		return r
 	}
-	for _, n := range g.Nodes() {
-		parent[n.ID] = n.ID
-	}
-	for _, e := range g.Edges() {
-		a, b := find(e.From), find(e.To)
+	for i := range t.from {
+		a, b := find(t.from[i]), find(t.to[i])
 		if a != b {
 			if a < b {
 				parent[b] = a
@@ -262,17 +328,19 @@ func WCC(g pg.View) [][]pg.OID {
 			}
 		}
 	}
-	groups := map[pg.OID][]pg.OID{}
-	for _, n := range g.Nodes() {
-		r := find(n.ID)
-		groups[r] = append(groups[r], n.ID)
+	// The smaller root always wins a union, so a component's root is its
+	// first member: walking the rows in order meets every root before the
+	// rest of its component, and the components come out sorted.
+	compOf := make([]int32, len(t.ids))
+	var comps [][]pg.OID
+	for i := range parent {
+		r := find(int32(i))
+		if r == int32(i) {
+			compOf[i] = int32(len(comps))
+			comps = append(comps, nil)
+		}
+		comps[compOf[r]] = append(comps[compOf[r]], t.ids[i])
 	}
-	comps := make([][]pg.OID, 0, len(groups))
-	for _, members := range groups {
-		sortedset.Sort(members)
-		comps = append(comps, members)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
 	return comps
 }
 
@@ -281,7 +349,7 @@ func WCC(g pg.View) [][]pg.OID {
 // nodes the coefficient is averaged over the first sampleCap nodes in OID
 // order (deterministic sampling).
 func AvgClustering(g pg.View, sampleCap int) float64 {
-	return avgClusteringWorkers(g, sampleCap, 1)
+	return newTopology(g).avgClustering(sampleCap, 1)
 }
 
 const (
@@ -313,38 +381,34 @@ func clusterShards(n int) [][2]int {
 	return out
 }
 
-func avgClusteringWorkers(g pg.View, sampleCap, workers int) float64 {
-	nodes := g.Nodes()
-	if len(nodes) == 0 {
+func (t *topology) avgClustering(sampleCap, workers int) float64 {
+	if len(t.ids) == 0 {
 		return 0
 	}
-	// Undirected neighbor sets, excluding self-loops.
-	neigh := make(map[pg.OID]map[pg.OID]bool, len(nodes))
-	add := func(a, b pg.OID) {
+	// Undirected neighbor sets by row, excluding self-loops.
+	neigh := make([]map[int32]bool, len(t.ids))
+	add := func(a, b int32) {
 		if a == b {
 			return
 		}
-		m := neigh[a]
-		if m == nil {
-			m = map[pg.OID]bool{}
-			neigh[a] = m
+		if neigh[a] == nil {
+			neigh[a] = map[int32]bool{}
 		}
-		m[b] = true
+		neigh[a][b] = true
 	}
-	for _, e := range g.Edges() {
-		add(e.From, e.To)
-		add(e.To, e.From)
+	for i := range t.from {
+		add(t.from[i], t.to[i])
+		add(t.to[i], t.from[i])
 	}
-	sample := nodes
-	if sampleCap > 0 && len(nodes) > sampleCap {
-		sample = nodes[:sampleCap]
+	sample := len(t.ids)
+	if sampleCap > 0 && sample > sampleCap {
+		sample = sampleCap
 	}
-	plan := clusterShards(len(sample))
+	plan := clusterShards(sample)
 	partial := make([]float64, len(plan))
 	shard := func(s int) {
 		var sum float64
-		for _, n := range sample[plan[s][0]:plan[s][1]] {
-			ns := neigh[n.ID]
+		for _, ns := range neigh[plan[s][0]:plan[s][1]] {
 			k := len(ns)
 			if k < 2 {
 				continue
@@ -389,7 +453,7 @@ func avgClusteringWorkers(g pg.View, sampleCap, workers int) float64 {
 	for _, p := range partial {
 		total += p
 	}
-	return total / float64(len(sample))
+	return total / float64(sample)
 }
 
 // PowerLawMLE fits a discrete power law p(k) ∝ k^-α to the degree sample via
@@ -424,21 +488,14 @@ func DegreeHistogram(degrees []int) map[int]int {
 }
 
 // InDegrees returns the in-degree of every node, in OID order.
-func InDegrees(g pg.View) []int {
-	nodes := g.Nodes()
-	out := make([]int, len(nodes))
-	for i, n := range nodes {
-		out[i] = g.InDegree(n.ID)
-	}
-	return out
-}
+func InDegrees(g pg.View) []int { return newTopology(g).inDegrees() }
 
 // OutDegrees returns the out-degree of every node, in OID order.
 func OutDegrees(g pg.View) []int {
-	nodes := g.Nodes()
-	out := make([]int, len(nodes))
-	for i, n := range nodes {
-		out[i] = g.OutDegree(n.ID)
+	t := newTopology(g)
+	out := make([]int, len(t.ids))
+	for i := range out {
+		out[i] = t.outDegree(i)
 	}
 	return out
 }

@@ -44,26 +44,35 @@ func (c *Catalog) Clone() *Catalog {
 }
 
 // FromGraph infers a catalog from the labels and properties present in a
-// graph instance.
+// graph instance. It reads the view through its row scans and touches the
+// layouts only for a label or a (label, key) pair it has not seen, so on a
+// frozen snapshot it costs one pass over the columns and no facade.
 func FromGraph(g pg.View) *Catalog {
 	c := NewCatalog()
-	for _, n := range g.Nodes() {
+	g.ScanNodes(func(n *pg.NodeRow) bool {
 		for _, l := range n.Labels {
-			props := make([]string, 0, len(n.Props))
-			for k := range n.Props {
-				props = append(props, k)
-			}
-			c.EnsureNode(l, props...)
+			learn(c.NodeProps, l, n.Props)
 		}
-	}
-	for _, e := range g.Edges() {
-		props := make([]string, 0, len(e.Props))
-		for k := range e.Props {
-			props = append(props, k)
-		}
-		c.EnsureEdge(e.Label, props...)
-	}
+		return true
+	})
+	g.ScanEdges(func(e *pg.EdgeRow) bool {
+		learn(c.EdgeProps, e.Label, e.Props)
+		return true
+	})
 	return c
+}
+
+// learn registers a label and the property keys of one construct carrying
+// it; the layout itself is the record of what is known already.
+func learn(m map[string][]string, label string, props pg.PropList) {
+	if _, ok := m[label]; !ok {
+		ensure(m, label, nil)
+	}
+	for _, p := range props {
+		if !sortedset.Contains(m[label], p.Key) {
+			ensure(m, label, []string{p.Key})
+		}
+	}
 }
 
 func ensure(m map[string][]string, label string, props []string) {
@@ -120,30 +129,35 @@ func (c *Catalog) EdgeArity(label string) int { return 3 + len(c.EdgeProps[label
 // unique, so the facts are distinct by construction.
 func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 	facts := map[string][]vadalog.Fact{}
-	add := func(kind string, id pg.OID, pred string, f vadalog.Fact) error {
+	var err error
+	add := func(kind string, id pg.OID, pred string, f vadalog.Fact) bool {
 		if fs := facts[pred]; len(fs) > 0 && len(fs[0]) != len(f) {
-			return fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, pred, len(fs[0]), len(f))
+			err = fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, pred, len(fs[0]), len(f))
+			return false
 		}
 		facts[pred] = append(facts[pred], f)
-		return nil
+		return true
 	}
-	for _, n := range g.Nodes() {
+	g.ScanNodes(func(n *pg.NodeRow) bool {
 		for i, l := range n.Labels {
 			if !cat.HasNode(l) || slices.Contains(n.Labels[:i], l) {
 				continue // label outside the catalog's scope, or repeated
 			}
-			if err := add("node", n.ID, l, cat.NodeFact(l, n.ID, n.Props)); err != nil {
-				return nil, err
+			if !add("node", n.ID, l, encode(cat.NodeProps[l], n.Props.Get, n.ID)) {
+				return false
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range g.Edges() {
-		if !cat.HasEdge(e.Label) {
-			continue
-		}
-		if err := add("edge", e.ID, e.Label, cat.EdgeFact(e.Label, e.ID, e.From, e.To, e.Props)); err != nil {
-			return nil, err
-		}
+	g.ScanEdges(func(e *pg.EdgeRow) bool {
+		return !cat.HasEdge(e.Label) ||
+			add("edge", e.ID, e.Label, encode(cat.EdgeProps[e.Label], e.Props.Get, e.ID, e.From, e.To))
+	})
+	if err != nil {
+		return nil, err
 	}
 	db := vadalog.NewDatabase()
 	for pred, fs := range facts {

@@ -304,18 +304,16 @@ func randDeltaOps(rng *rand.Rand, ov *overlay.Overlay, nodeLabels, edgeLabels, p
 	return ops
 }
 
-// repeatLabels is a view whose nodes list their first label twice — what a
-// pg.View implementation that does not normalize label lists may hand out.
+// repeatLabels is a view whose node rows list their first label twice — what
+// a pg.View implementation that does not normalize label lists may hand out.
 type repeatLabels struct{ pg.View }
 
-func (v repeatLabels) Nodes() []*pg.Node {
-	var out []*pg.Node
-	for _, n := range v.View.Nodes() {
-		cp := *n
-		cp.Labels = append(append([]string(nil), n.Labels...), n.Labels[0])
-		out = append(out, &cp)
-	}
-	return out
+func (v repeatLabels) ScanNodes(visit func(*pg.NodeRow) bool) {
+	v.View.ScanNodes(func(r *pg.NodeRow) bool {
+		cp := *r
+		cp.Labels = append(append([]string(nil), r.Labels...), r.Labels[0])
+		return visit(&cp)
+	})
 }
 
 // TestExtractFactsRepeatedLabel: extraction keeps no dedup table, so a node

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/overlay"
 	"repro/internal/pg"
 	"repro/internal/vadalog"
 	"repro/internal/value"
@@ -95,18 +96,59 @@ func renderRows(rows []QueryRow) string {
 	return b.String()
 }
 
+// substrateEqual requires the three passes a serving generation is built
+// from — inferred catalog, extracted facts, planner statistics — to agree
+// between two views of the same graph, the facts position for position.
+func substrateEqual(t *testing.T, tag string, got, want pg.View) {
+	t.Helper()
+	gc, wc := FromGraph(got), FromGraph(want)
+	if !reflect.DeepEqual(gc, wc) {
+		t.Fatalf("%s: catalogs diverge:\n%v\n%v", tag, gc, wc)
+	}
+	gdb, err := ExtractFacts(got, gc)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	wdb, err := ExtractFacts(want, wc)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	factsDBEqual(t, tag, gdb, wdb)
+	if gs, ws := ComputePlanStats(got, gc), ComputePlanStats(want, wc); !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("%s: planner statistics diverge:\n%+v\n%+v", tag, gs, ws)
+	}
+}
+
 // TestFrozenDifferentialSweep runs >100 generated queries against the
-// mutable graph and its frozen snapshot and requires byte-identical rows.
+// mutable graph and its frozen snapshot and requires byte-identical rows;
+// the substrate passes must agree across all three views — mutable, frozen,
+// and an overlay with pending batches against its own compaction.
 func TestFrozenDifferentialSweep(t *testing.T) {
 	queries := 0
 	for seed := int64(0); seed < 10; seed++ {
-		g := diffGraph(rand.New(rand.NewSource(seed)))
+		rng := rand.New(rand.NewSource(seed))
+		g := diffGraph(rng)
 		f := g.Freeze()
 
-		// The inferred catalogs must agree before any query runs.
-		if gc, fc := FromGraph(g), FromGraph(f); !reflect.DeepEqual(gc, fc) {
-			t.Fatalf("seed %d: catalogs diverge:\n%v\n%v", seed, gc, fc)
+		// Catalog, facts and statistics must agree before any query runs.
+		substrateEqual(t, fmt.Sprintf("seed %d, frozen vs mutable", seed), f, g)
+
+		// "Listed" is a label and, here, a property key too: Freeze interns
+		// it with the labels, so the compaction's rows hold it ahead of keys
+		// that sort before it by name.
+		ov := overlay.New(f)
+		for batch := 0; batch < 3; batch++ {
+			ops := randDeltaOps(rng, ov, []string{"Company", "Listed", "Person"},
+				[]string{"OWNS", "WORKS_FOR"}, []string{"Listed", "age", "cap", "name"})
+			if _, err := ov.Apply(ops); err != nil {
+				t.Fatalf("seed %d, batch %d: %v", seed, batch, err)
+			}
 		}
+		compacted, err := ov.Compact()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		substrateEqual(t, fmt.Sprintf("seed %d, overlay vs compaction", seed), ov, compacted)
 
 		for _, q := range diffQueries {
 			queries++

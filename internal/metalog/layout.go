@@ -29,21 +29,24 @@ func Present(v value.Value) bool { return !v.IsZero() && !value.Equal(v, Missing
 
 // NodeFact encodes a node-shaped construct under the label's layout.
 func (c *Catalog) NodeFact(label string, id pg.OID, props map[string]value.Value) vadalog.Fact {
-	return encode(c.NodeProps[label], props, id)
+	return encode(c.NodeProps[label], pg.Props(props).Get, id)
 }
 
 // EdgeFact encodes an edge-shaped construct under the label's layout.
 func (c *Catalog) EdgeFact(label string, id, from, to pg.OID, props map[string]value.Value) vadalog.Fact {
-	return encode(c.EdgeProps[label], props, id, from, to)
+	return encode(c.EdgeProps[label], pg.Props(props).Get, id, from, to)
 }
 
-func encode(layout []string, props map[string]value.Value, ids ...pg.OID) vadalog.Fact {
+// encode lays a construct out as a fact: its identifiers, then the layout's
+// columns, each read through prop — a property map's Get or a scanned row's,
+// always by key — and Missing where the construct has no such property.
+func encode(layout []string, prop func(key string) (value.Value, bool), ids ...pg.OID) vadalog.Fact {
 	f := make(vadalog.Fact, len(ids)+len(layout))
 	for i, id := range ids {
 		f[i] = value.IntV(int64(id))
 	}
 	for i, p := range layout {
-		if v, ok := props[p]; ok {
+		if v, ok := prop(p); ok {
 			f[len(ids)+i] = v
 		} else {
 			f[len(ids)+i] = Missing

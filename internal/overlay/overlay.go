@@ -274,6 +274,51 @@ func (o *Overlay) Edges() []*pg.Edge {
 	return out
 }
 
+// ScanNodes visits the merged nodes in ascending OID order, as Nodes lists
+// them: the base's scan minus the deleted rows, a modified node's
+// replacement in its row's place, then the added nodes.
+func (o *Overlay) ScanNodes(visit func(*pg.NodeRow) bool) {
+	var own pg.NodeRow // presents the delta's pointer structs
+	more := true
+	o.base.ScanNodes(func(r *pg.NodeRow) bool {
+		if o.delNodes[r.ID] {
+			return true
+		}
+		if m, ok := o.modNodes[r.ID]; ok {
+			own.SetNode(m)
+			r = &own
+		}
+		more = visit(r)
+		return more
+	})
+	for _, id := range o.addNodeIDs {
+		if !more {
+			return
+		}
+		own.SetNode(o.addNodes[id])
+		more = visit(&own)
+	}
+}
+
+// ScanEdges visits the merged edges in ascending OID order.
+func (o *Overlay) ScanEdges(visit func(*pg.EdgeRow) bool) {
+	more := true
+	o.base.ScanEdges(func(r *pg.EdgeRow) bool {
+		if !o.delEdges[r.ID] {
+			more = visit(r)
+		}
+		return more
+	})
+	var own pg.EdgeRow
+	for _, id := range o.addEdgeIDs {
+		if !more {
+			return
+		}
+		own.SetEdge(o.addEdges[id])
+		more = visit(&own)
+	}
+}
+
 // NodesByLabel lists the merged nodes carrying a label in ascending OID
 // order: a two-pointer merge of the base label scan with the base nodes
 // that gained the label here, then the added nodes (largest OIDs last).
@@ -380,14 +425,14 @@ func (o *Overlay) InDegree(id pg.OID) int {
 }
 
 // NodeLabels lists the labels carried by at least one merged node, sorted.
+// Base membership is counted on the label columns, so listing labels never
+// materializes the base's facade.
 func (o *Overlay) NodeLabels() []string {
 	base := o.base.NodeLabels()
 	if len(o.nodeLabelDelta) == 0 {
 		return base
 	}
-	return mergedLabels(base, o.nodeLabelDelta, func(l string) int {
-		return len(o.base.NodesByLabel(l))
-	})
+	return mergedLabels(base, o.nodeLabelDelta, o.base.NodeLabelCount)
 }
 
 // EdgeLabels lists the labels carried by at least one merged edge, sorted.
@@ -396,9 +441,7 @@ func (o *Overlay) EdgeLabels() []string {
 	if len(o.edgeLabelDelta) == 0 {
 		return base
 	}
-	return mergedLabels(base, o.edgeLabelDelta, func(l string) int {
-		return len(o.base.EdgesByLabel(l))
-	})
+	return mergedLabels(base, o.edgeLabelDelta, o.base.EdgeLabelCount)
 }
 
 func mergedLabels(base []string, delta map[string]int, baseCount func(string) int) []string {

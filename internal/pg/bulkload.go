@@ -83,9 +83,9 @@ var (
 // row; producers emit one batch stream per schema shape (persons,
 // companies, …).
 type NodeBatch struct {
-	Labels []string // shared by every row; strictly ascending
-	Keys   []string // shared by every row; strictly ascending
-	OIDs   []OID    // strictly ascending, above all previously staged node OIDs
+	Labels []string      // shared by every row; strictly ascending
+	Keys   []string      // shared by every row; strictly ascending
+	OIDs   []OID         // strictly ascending, above all previously staged node OIDs
 	Vals   []value.Value // len(OIDs)*len(Keys), row-major in Keys order
 }
 

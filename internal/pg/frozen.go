@@ -3,21 +3,23 @@ package pg
 // Frozen is the immutable second phase of a graph dictionary's lifecycle.
 // Freeze repacks the mutable store's map-of-pointers representation into
 // columnar arrays — interned label symbols, CSR-packed label membership,
-// property columns, and CSR in/out adjacency. A thin pointer facade over the
-// columns, materialized once on first use, lets Frozen serve the same View
-// method set as Graph.
+// property columns, and CSR in/out adjacency.
 //
-// The physical layout is chosen for the read patterns of the reasoning
-// pipeline: label scans and adjacency walks return pre-built shared slices
-// with zero allocation, and a single snapshot is safe for any number of
-// concurrent readers because nothing on the read path mutates past the
-// one-time facade build. (Graph, by contrast, allocates a fresh slice per
-// call, and its contract reserves the right to build lazy state.)
+// Whole-graph readers walk the columns: ScanNodes/ScanEdges hand out one
+// reused row, and counts, degrees, label listings and single properties are
+// column arithmetic. Only the View methods that return every pointer struct
+// at once (Nodes, Edges, NodesByLabel, EdgesByLabel) materialize the pointer
+// facade — one Node/Edge and one property map per construct, roughly 1.3 kB
+// per edge — on first use; until then Node, Edge, Out and In build just the
+// rows asked for. A single snapshot is safe for any number of concurrent
+// readers: nothing on the read path mutates past the one-time facade and
+// label-summary builds.
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/symtab"
 	"repro/internal/value"
@@ -57,26 +59,31 @@ type Frozen struct {
 	inOff  []int32
 	inAdj  []int32
 
-	// Facade: pointer structs over the columns, so readers written against
-	// Graph's method set work unchanged. Label string slices share one
-	// backing array; property maps are materialized per construct.
+	// Facade: pointer structs over the columns, for the readers that want
+	// every construct as a *Node/*Edge. Label string slices share one backing
+	// array; property maps are materialized per construct.
 	//
 	// However the snapshot was built — Freeze, BulkLoader.Finish or
 	// FrozenFromColumns (the open path of an on-disk snapshot, where
 	// cold-start latency is the budget) — the facade allocations (pointer
 	// rows, property maps, label indexes) are deferred to the first call that
-	// needs them, guarded by facadeOnce (see materializeFacade). Column-only
-	// reads (counts, degrees, NodeProp/EdgeProp, Columns) never pay for it.
-	facadeOnce sync.Once
-	nodes      []*Node
-	edges      []*Edge
-	outEdges   []*Edge // outAdj resolved to facade pointers
-	inEdges    []*Edge
+	// needs all of them, guarded by facadeOnce (see materializeFacade);
+	// facadeBuilt is set once they are readable. Scans and column-only reads
+	// never pay for it, and point lookups use it only when it is there.
+	facadeOnce  sync.Once
+	facadeBuilt atomic.Bool
+	nodes       []*Node
+	edges       []*Edge
+	outEdges    []*Edge // outAdj resolved to facade pointers
+	inEdges     []*Edge
+	byLabel     map[symtab.Sym][]*Node
+	byEdgeLabel map[symtab.Sym][]*Edge
 
-	byLabel        map[symtab.Sym][]*Node
-	byEdgeLabel    map[symtab.Sym][]*Edge
-	nodeLabelNames []string // sorted
-	edgeLabelNames []string // sorted
+	// The label columns summarized — distinct names and rows per label — on
+	// the first call that lists or counts labels.
+	labelsOnce   sync.Once
+	nodeLabelSum labelSummary
+	edgeLabelSum labelSummary
 }
 
 // Freeze snapshots the graph into its immutable frozen form. The snapshot
@@ -279,28 +286,51 @@ func rowOf(oids []OID, id OID) (int32, bool) {
 // facade materializes the pointer facade on the first read that needs it.
 func (f *Frozen) facade() { f.facadeOnce.Do(f.materializeFacade) }
 
+// FacadeBuilt reports whether some reader has made the snapshot materialize
+// its pointer facade. A serving generation is expected to answer false.
+func (f *Frozen) FacadeBuilt() bool { return f.facadeBuilt.Load() }
+
 // NumNodes returns the number of nodes.
 func (f *Frozen) NumNodes() int { return len(f.nodeOIDs) }
 
 // NumEdges returns the number of edges.
 func (f *Frozen) NumEdges() int { return len(f.edgeOIDs) }
 
-// Node returns the node with the given OID, or nil.
+// Node returns the node with the given OID, or nil: the facade's shared
+// struct when the facade exists, otherwise one built from the columns for
+// this call.
 func (f *Frozen) Node(id OID) *Node {
-	if row, ok := rowOf(f.nodeOIDs, id); ok {
-		f.facade()
+	row, ok := rowOf(f.nodeOIDs, id)
+	if !ok {
+		return nil
+	}
+	if f.facadeBuilt.Load() {
 		return f.nodes[row]
 	}
-	return nil
+	n := f.makeNode(row, f.labelNames(nil, row))
+	return &n
 }
 
-// Edge returns the edge with the given OID, or nil.
+// labelNames appends the names of a node row's labels to buf.
+func (f *Frozen) labelNames(buf []string, row int32) []string {
+	for _, s := range f.nodeLabels[f.nodeLabelOff[row]:f.nodeLabelOff[row+1]] {
+		buf = append(buf, f.syms.Name(s))
+	}
+	return buf
+}
+
+// Edge returns the edge with the given OID, or nil; shared or built for this
+// call as for Node.
 func (f *Frozen) Edge(id OID) *Edge {
-	if row, ok := rowOf(f.edgeOIDs, id); ok {
-		f.facade()
+	row, ok := rowOf(f.edgeOIDs, id)
+	if !ok {
+		return nil
+	}
+	if f.facadeBuilt.Load() {
 		return f.edges[row]
 	}
-	return nil
+	e := f.makeEdge(row)
+	return &e
 }
 
 // Nodes returns all nodes in ascending OID order. The slice is shared.
@@ -313,6 +343,52 @@ func (f *Frozen) Nodes() []*Node {
 func (f *Frozen) Edges() []*Edge {
 	f.facade()
 	return f.edges
+}
+
+// ScanNodes visits every node row of the columns in ascending OID order. It
+// never touches the facade.
+func (f *Frozen) ScanNodes(visit func(*NodeRow) bool) {
+	var row NodeRow
+	var labels []string
+	for i, id := range f.nodeOIDs {
+		labels = f.labelNames(labels[:0], int32(i))
+		row.ID, row.Labels = id, nil // nil when unlabeled, as in makeNode
+		if len(labels) > 0 {
+			row.Labels = labels
+		}
+		row.Props, row.buf = f.rowProps(row.buf, f.nodePropKeys, f.nodePropVals, f.nodePropOff[i], f.nodePropOff[i+1], false)
+		if !visit(&row) {
+			return
+		}
+	}
+}
+
+// ScanEdges visits every edge row of the columns in ascending OID order.
+func (f *Frozen) ScanEdges(visit func(*EdgeRow) bool) {
+	var row EdgeRow
+	for i, id := range f.edgeOIDs {
+		row.ID, row.Label, row.From, row.To = id, f.syms.Name(f.edgeLabel[i]), f.edgeFrom[i], f.edgeTo[i]
+		row.Props, row.buf = f.rowProps(row.buf, f.edgePropKeys, f.edgePropVals, f.edgePropOff[i], f.edgePropOff[i+1], true)
+		if !visit(&row) {
+			return
+		}
+	}
+}
+
+// rowProps is makeProps for a scanned row: the columnar window [lo,hi) laid
+// out in buf, in symbol order, with the same nil convention.
+func (f *Frozen) rowProps(buf PropList, keys []symtab.Sym, vals []value.Value, lo, hi int32, nilWhenEmpty bool) (props, _ PropList) {
+	if hi == lo && nilWhenEmpty {
+		return nil, buf
+	}
+	if buf == nil {
+		buf = make(PropList, 0, hi-lo)
+	}
+	buf = buf[:0]
+	for p := lo; p < hi; p++ {
+		buf = append(buf, Prop{f.syms.Name(keys[p]), vals[p]})
+	}
+	return buf, buf
 }
 
 // NodesByLabel returns the nodes carrying the label, in OID order. The
@@ -336,23 +412,32 @@ func (f *Frozen) EdgesByLabel(label string) []*Edge {
 }
 
 // Out returns the outgoing edges of a node in edge-OID order: a shared
-// window of the CSR adjacency array, with no per-call allocation.
-func (f *Frozen) Out(id OID) []*Edge {
-	if row, ok := rowOf(f.nodeOIDs, id); ok {
-		f.facade()
-		return f.outEdges[f.outOff[row]:f.outOff[row+1]:f.outOff[row+1]]
-	}
-	return nil
-}
+// window of the facade's resolved adjacency when the facade exists (no
+// per-call allocation), otherwise the window's edges built for this call.
+func (f *Frozen) Out(id OID) []*Edge { return f.incident(id, f.outOff, f.outAdj, &f.outEdges) }
 
-// In returns the incoming edges of a node in edge-OID order, as a shared
-// CSR window.
-func (f *Frozen) In(id OID) []*Edge {
-	if row, ok := rowOf(f.nodeOIDs, id); ok {
-		f.facade()
-		return f.inEdges[f.inOff[row]:f.inOff[row+1]:f.inOff[row+1]]
+// In returns the incoming edges of a node in edge-OID order, shared or built
+// for this call as for Out.
+func (f *Frozen) In(id OID) []*Edge { return f.incident(id, f.inOff, f.inAdj, &f.inEdges) }
+
+// incident serves Out and In from one direction's CSR arrays; resolved is
+// that direction's facade array, read only once facadeBuilt says it is there.
+func (f *Frozen) incident(id OID, off, adj []int32, resolved *[]*Edge) []*Edge {
+	row, ok := rowOf(f.nodeOIDs, id)
+	if !ok {
+		return nil
 	}
-	return nil
+	lo, hi := off[row], off[row+1]
+	if f.facadeBuilt.Load() {
+		return (*resolved)[lo:hi:hi]
+	}
+	edges := make([]Edge, hi-lo)
+	out := make([]*Edge, hi-lo)
+	for i, r := range adj[lo:hi] {
+		edges[i] = f.makeEdge(r)
+		out[i] = &edges[i]
+	}
+	return out
 }
 
 // OutDegree returns the number of outgoing edges of a node. It reads only
@@ -372,16 +457,59 @@ func (f *Frozen) InDegree(id OID) int {
 	return 0
 }
 
-// NodeLabels returns every node label present, sorted. The slice is shared.
+// labelSummary lists the distinct labels of a label column, sorted, and how
+// many rows carry each.
+type labelSummary struct {
+	names []string
+	count map[string]int
+}
+
+func summarizeLabels(syms *symtab.Table, col []symtab.Sym) labelSummary {
+	bySym := make(map[symtab.Sym]int)
+	for _, s := range col {
+		bySym[s]++
+	}
+	sum := labelSummary{names: make([]string, 0, len(bySym)), count: make(map[string]int, len(bySym))}
+	for s, n := range bySym {
+		name := syms.Name(s)
+		sum.names = append(sum.names, name)
+		sum.count[name] = n
+	}
+	sort.Strings(sum.names)
+	return sum
+}
+
+func (f *Frozen) summarizeLabels() {
+	f.labelsOnce.Do(func() {
+		f.nodeLabelSum = summarizeLabels(f.syms, f.nodeLabels)
+		f.edgeLabelSum = summarizeLabels(f.syms, f.edgeLabel)
+	})
+}
+
+// NodeLabels returns every node label present, sorted, mirroring
+// Graph.NodeLabels on the label column. The slice is shared.
 func (f *Frozen) NodeLabels() []string {
-	f.facade()
-	return f.nodeLabelNames
+	f.summarizeLabels()
+	return f.nodeLabelSum.names
 }
 
 // EdgeLabels returns every edge label present, sorted. The slice is shared.
 func (f *Frozen) EdgeLabels() []string {
-	f.facade()
-	return f.edgeLabelNames
+	f.summarizeLabels()
+	return f.edgeLabelSum.names
+}
+
+// NodeLabelCount returns the number of nodes carrying the label — the
+// length of NodesByLabel(label) without the facade it needs.
+func (f *Frozen) NodeLabelCount(label string) int {
+	f.summarizeLabels()
+	return f.nodeLabelSum.count[label]
+}
+
+// EdgeLabelCount returns the number of edges carrying the label.
+func (f *Frozen) EdgeLabelCount(label string) int {
+	f.summarizeLabels()
+	return f.edgeLabelSum.count[label]
 }
 
 // Symbols exposes the snapshot's interned name table: labels first (node

@@ -11,7 +11,6 @@ package pg
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/symtab"
 	"repro/internal/value"
@@ -262,28 +261,14 @@ func (f *Frozen) materializeFacade() {
 	f.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		lo, hi := f.nodeLabelOff[i], f.nodeLabelOff[i+1]
-		var ls []string // nil when unlabeled, matching the mutable store
-		if hi > lo {
-			ls = labelStrings[lo:hi:hi]
-		}
-		nodeArr[i] = Node{
-			ID:     f.nodeOIDs[i],
-			Labels: ls,
-			Props:  makeProps(f.syms, f.nodePropKeys, f.nodePropVals, f.nodePropOff[i], f.nodePropOff[i+1], false),
-		}
+		nodeArr[i] = f.makeNode(int32(i), labelStrings[lo:hi:hi])
 		f.nodes[i] = &nodeArr[i]
 	}
 
 	edgeArr := make([]Edge, m)
 	f.edges = make([]*Edge, m)
 	for i := 0; i < m; i++ {
-		edgeArr[i] = Edge{
-			ID:    f.edgeOIDs[i],
-			Label: f.syms.Name(f.edgeLabel[i]),
-			From:  f.edgeFrom[i],
-			To:    f.edgeTo[i],
-			Props: makeProps(f.syms, f.edgePropKeys, f.edgePropVals, f.edgePropOff[i], f.edgePropOff[i+1], true),
-		}
+		edgeArr[i] = f.makeEdge(int32(i))
 		f.edges[i] = &edgeArr[i]
 	}
 
@@ -297,8 +282,31 @@ func (f *Frozen) materializeFacade() {
 	}
 
 	f.buildLabelIndexes()
-	f.nodeLabelNames = collectLabelNames(f.syms, f.nodeLabels)
-	f.edgeLabelNames = collectLabelNames(f.syms, f.edgeLabel)
+	f.facadeBuilt.Store(true)
+}
+
+// makeNode and makeEdge are the one place a column row becomes a pointer
+// struct — for the facade, and for a point lookup that finds no facade.
+// labels is the row's label column resolved to names.
+func (f *Frozen) makeNode(row int32, labels []string) Node {
+	if len(labels) == 0 {
+		labels = nil // unlabeled, matching the mutable store
+	}
+	return Node{
+		ID:     f.nodeOIDs[row],
+		Labels: labels,
+		Props:  makeProps(f.syms, f.nodePropKeys, f.nodePropVals, f.nodePropOff[row], f.nodePropOff[row+1], false),
+	}
+}
+
+func (f *Frozen) makeEdge(row int32) Edge {
+	return Edge{
+		ID:    f.edgeOIDs[row],
+		Label: f.syms.Name(f.edgeLabel[row]),
+		From:  f.edgeFrom[row],
+		To:    f.edgeTo[row],
+		Props: makeProps(f.syms, f.edgePropKeys, f.edgePropVals, f.edgePropOff[row], f.edgePropOff[row+1], true),
+	}
 }
 
 // rowFinder resolves OIDs against an ascending OID column, with an O(1)
@@ -362,19 +370,4 @@ func makeProps(syms *symtab.Table, keys []symtab.Sym, vals []value.Value, lo, hi
 		props[syms.Name(keys[p])] = vals[p]
 	}
 	return props
-}
-
-// collectLabelNames derives the sorted distinct label names of a label
-// column, mirroring Graph.NodeLabels/EdgeLabels on the frozen columns.
-func collectLabelNames(syms *symtab.Table, col []symtab.Sym) []string {
-	seen := make(map[symtab.Sym]bool)
-	names := make([]string, 0, 8)
-	for _, s := range col {
-		if !seen[s] {
-			seen[s] = true
-			names = append(names, syms.Name(s))
-		}
-	}
-	sort.Strings(names)
-	return names
 }

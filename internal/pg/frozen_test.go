@@ -186,6 +186,117 @@ func TestFrozenViewEquivalence(t *testing.T) {
 	}
 }
 
+// checkFacadeFreeReads compares, against the graph f was frozen from, every
+// read a frozen snapshot answers without its facade: point lookups,
+// adjacency, label listings and counts, the row scans and Thaw. It reports
+// with t.Errorf, so readers racing the facade build can run it too.
+func checkFacadeFreeReads(t *testing.T, f *Frozen, g *Graph) {
+	t.Helper()
+	nodes, edges := g.Nodes(), g.Edges()
+	for _, n := range nodes {
+		if got := f.Node(n.ID); !reflect.DeepEqual(got, n) {
+			t.Errorf("Node(%d) = %+v, want %+v", n.ID, got, n)
+		}
+		if got, want := f.Out(n.ID), g.Out(n.ID); !reflect.DeepEqual(got, want) {
+			t.Errorf("Out(%d) = %v, want %v", n.ID, got, want)
+		}
+		if got, want := f.In(n.ID), g.In(n.ID); !reflect.DeepEqual(got, want) {
+			t.Errorf("In(%d) = %v, want %v", n.ID, got, want)
+		}
+	}
+	for _, e := range edges {
+		if got := f.Edge(e.ID); !reflect.DeepEqual(got, e) {
+			t.Errorf("Edge(%d) = %+v, want %+v", e.ID, got, e)
+		}
+	}
+	if f.Node(1<<40) != nil || f.Edge(1<<40) != nil || f.Out(1<<40) != nil || f.In(1<<40) != nil {
+		t.Errorf("lookup of an absent OID returned a construct")
+	}
+	if got, want := f.NodeLabels(), g.NodeLabels(); !reflect.DeepEqual(got, want) {
+		t.Errorf("NodeLabels = %v, want %v", got, want)
+	}
+	if got, want := f.EdgeLabels(), g.EdgeLabels(); !reflect.DeepEqual(got, want) {
+		t.Errorf("EdgeLabels = %v, want %v", got, want)
+	}
+	for _, l := range append(g.NodeLabels(), "NoSuchLabel") {
+		if got, want := f.NodeLabelCount(l), len(g.NodesByLabel(l)); got != want {
+			t.Errorf("NodeLabelCount(%q) = %d, want %d", l, got, want)
+		}
+	}
+	for _, l := range append(g.EdgeLabels(), "NoSuchLabel") {
+		if got, want := f.EdgeLabelCount(l), len(g.EdgesByLabel(l)); got != want {
+			t.Errorf("EdgeLabelCount(%q) = %d, want %d", l, got, want)
+		}
+	}
+	i := 0
+	f.ScanNodes(func(r *NodeRow) bool {
+		if n := nodes[i]; r.ID != n.ID || !reflect.DeepEqual(r.Labels, n.Labels) || !reflect.DeepEqual(propMap(r.Props), n.Props) {
+			t.Errorf("ScanNodes row %d = %+v, want %+v", i, r, n)
+		}
+		i++
+		return true
+	})
+	i = 0
+	f.ScanEdges(func(r *EdgeRow) bool {
+		if e := edges[i]; r.ID != e.ID || r.Label != e.Label || r.From != e.From || r.To != e.To || (r.Props == nil) != (e.Props == nil) || len(r.Props) != len(e.Props) {
+			t.Errorf("ScanEdges row %d = %+v, want %+v", i, r, e)
+		}
+		i++
+		return true
+	})
+}
+
+// TestFrozenReadsWithoutFacade: the reads the serving path makes of a
+// snapshot answer from the columns — equal to the mutable graph's, facade
+// unbuilt — and answer the same once a listing has built it.
+func TestFrozenReadsWithoutFacade(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		g := randomFrozenGraph(rand.New(rand.NewSource(seed)))
+		f := g.Freeze()
+		checkFacadeFreeReads(t, f, g)
+		if !bytes.Equal(graphJSON(t, f.Thaw()), graphJSON(t, g)) {
+			t.Fatalf("seed %d: Thaw diverges from the source graph", seed)
+		}
+		if f.FacadeBuilt() {
+			t.Fatalf("seed %d: a point lookup, label listing, scan or Thaw built the facade", seed)
+		}
+		if f.Nodes(); !f.FacadeBuilt() {
+			t.Fatalf("seed %d: Nodes() did not build the facade", seed)
+		}
+		checkFacadeFreeReads(t, f, g)
+	}
+}
+
+// TestFrozenLookupsRaceFacadeBuild: readers doing point lookups and scans
+// while one goroutine makes the first Nodes() call see the same constructs
+// whichever side of the build each read lands on. make test-race reruns it
+// ten times under the race detector.
+func TestFrozenLookupsRaceFacadeBuild(t *testing.T) {
+	g := randomFrozenGraph(rand.New(rand.NewSource(7)))
+	f := g.Freeze()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			if w == 3 {
+				f.Nodes()
+				return
+			}
+			for iter := 0; iter < 4; iter++ {
+				checkFacadeFreeReads(t, f, g)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if !f.FacadeBuilt() {
+		t.Fatal("Nodes() did not build the facade")
+	}
+}
+
 // TestFreezeDeterministicSymbols: symbol assignment is a pure function of
 // graph content — two equal-content graphs (here: g and its round-trip twin)
 // freeze to identical symbol tables.

@@ -34,6 +34,13 @@ type OID int64
 // Props is the property map σ restricted to one node or edge.
 type Props map[string]value.Value
 
+// Get returns the map's value for a property key; PropList.Get is the same
+// read of a scanned row.
+func (p Props) Get(key string) (value.Value, bool) {
+	v, ok := p[key]
+	return v, ok
+}
+
 // Node is a vertex of the property graph.
 type Node struct {
 	ID     OID
@@ -159,13 +166,18 @@ func (g *Graph) AddNode(labels []string, props Props) *Node {
 // AddNodeWithID creates a node with a caller-chosen OID, used when importing
 // serialized graphs. It fails if the OID is already taken.
 func (g *Graph) AddNodeWithID(id OID, labels []string, props Props) (*Node, error) {
+	return g.insertNode(id, labels, cloneProps(props))
+}
+
+// insertNode is AddNodeWithID taking ownership of props.
+func (g *Graph) insertNode(id OID, labels []string, props Props) (*Node, error) {
 	if _, ok := g.nodes[id]; ok {
 		return nil, fmt.Errorf("pg: node OID %d already exists", id)
 	}
 	if _, ok := g.edges[id]; ok {
 		return nil, fmt.Errorf("pg: OID %d already used by an edge", id)
 	}
-	n := &Node{ID: id, Labels: normalizeLabels(labels), Props: cloneProps(props)}
+	n := &Node{ID: id, Labels: normalizeLabels(labels), Props: props}
 	g.record(undoOp{kind: undoAddNode, id: id, prevNext: g.next})
 	g.nodes[id] = n
 	if id >= g.next {
@@ -244,6 +256,11 @@ func (g *Graph) MustAddEdge(from, to OID, label string, props Props) *Edge {
 
 // AddEdgeWithID creates an edge with a caller-chosen OID, for import.
 func (g *Graph) AddEdgeWithID(id, from, to OID, label string, props Props) (*Edge, error) {
+	return g.insertEdge(id, from, to, label, cloneEdgeProps(props))
+}
+
+// insertEdge is AddEdgeWithID taking ownership of props.
+func (g *Graph) insertEdge(id, from, to OID, label string, props Props) (*Edge, error) {
 	if _, ok := g.edges[id]; ok {
 		return nil, fmt.Errorf("pg: edge OID %d already exists", id)
 	}
@@ -256,7 +273,7 @@ func (g *Graph) AddEdgeWithID(id, from, to OID, label string, props Props) (*Edg
 	if _, ok := g.nodes[to]; !ok {
 		return nil, fmt.Errorf("pg: edge target OID %d does not exist", to)
 	}
-	e := &Edge{ID: id, Label: label, From: from, To: to, Props: cloneEdgeProps(props)}
+	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props}
 	g.record(undoOp{kind: undoAddEdge, id: id, prevNext: g.next})
 	g.edges[id] = e
 	if id >= g.next {
@@ -300,6 +317,28 @@ func (g *Graph) Edges() []*Edge {
 		out[i] = g.edges[id]
 	}
 	return out
+}
+
+// ScanNodes visits every node as a row, in ascending OID order.
+func (g *Graph) ScanNodes(visit func(*NodeRow) bool) {
+	var row NodeRow
+	for _, n := range g.Nodes() {
+		row.SetNode(n)
+		if !visit(&row) {
+			return
+		}
+	}
+}
+
+// ScanEdges visits every edge as a row, in ascending OID order.
+func (g *Graph) ScanEdges(visit func(*EdgeRow) bool) {
+	var row EdgeRow
+	for _, e := range g.Edges() {
+		row.SetEdge(e)
+		if !visit(&row) {
+			return
+		}
+	}
 }
 
 // NodesByLabel returns the nodes carrying the given label, in OID order.
@@ -413,21 +452,41 @@ func (g *Graph) RemoveNode(id OID) error {
 func (g *Graph) Clone() *Graph { return mustCopy(g) }
 
 // CopyView builds a fresh mutable graph holding every node and edge of the
-// view, OIDs preserved. It fails only on a view that breaks the graph
-// invariants (a duplicate OID, an edge whose endpoint the view does not hold).
+// view, OIDs preserved. It reads the view through its scans, so copying a
+// frozen snapshot (Thaw, the overlay's Compact) builds no pointer facade. It
+// fails only on a view that breaks the graph invariants (a duplicate OID, an
+// edge whose endpoint the view does not hold).
 func CopyView(v View) (*Graph, error) {
 	g := New()
-	for _, n := range v.Nodes() {
-		if _, err := g.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
-			return nil, err
-		}
+	var err error
+	v.ScanNodes(func(r *NodeRow) bool {
+		_, err = g.insertNode(r.ID, r.Labels, propMap(r.Props))
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range v.Edges() {
-		if _, err := g.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
-			return nil, err
+	v.ScanEdges(func(r *EdgeRow) bool {
+		var props Props // nil when empty, as cloneEdgeProps keeps it
+		if len(r.Props) > 0 {
+			props = propMap(r.Props)
 		}
+		_, err = g.insertEdge(r.ID, r.From, r.To, r.Label, props)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// propMap rebuilds a property map from a row's list.
+func propMap(list PropList) Props {
+	m := make(Props, len(list))
+	for _, p := range list {
+		m[p.Key] = p.Val
+	}
+	return m
 }
 
 // mustCopy is CopyView for this package's own views, whose OIDs are unique

@@ -1,5 +1,12 @@
 package pg
 
+import (
+	"slices"
+	"strings"
+
+	"repro/internal/value"
+)
+
 // View is the read interface shared by the two phases of a graph
 // dictionary's lifecycle:
 //
@@ -34,6 +41,16 @@ type View interface {
 	Nodes() []*Node
 	Edges() []*Edge
 
+	// ScanNodes and ScanEdges hand every construct to visit as a flat row,
+	// in ascending OID order, until visit returns false. The row and its
+	// slices are reused between visits: a visitor that keeps anything of a
+	// row copies it (the strings and values themselves are immutable). A
+	// scan is the whole-graph read that builds nothing per construct —
+	// *Frozen walks its columns for it, with no pointer struct or property
+	// map — so prefer it to Nodes/Edges wherever rows in order are enough.
+	ScanNodes(visit func(*NodeRow) bool)
+	ScanEdges(visit func(*EdgeRow) bool)
+
 	// NodesByLabel and EdgesByLabel list the constructs carrying a label,
 	// in ascending OID order.
 	NodesByLabel(label string) []*Node
@@ -50,6 +67,81 @@ type View interface {
 	// NodeLabels and EdgeLabels list the labels present, sorted.
 	NodeLabels() []string
 	EdgeLabels() []string
+}
+
+// Prop is one property of a scanned row.
+type Prop struct {
+	Key string
+	Val value.Value
+}
+
+// PropList is a construct's property map flattened for a scanned row: each
+// key once, in an order the implementation chooses (a bulk-loaded snapshot's
+// is not name order) — so read a property with Get, never by position.
+type PropList []Prop
+
+// Get returns the list's value for a property key.
+func (l PropList) Get(key string) (value.Value, bool) {
+	for i := range l {
+		if l[i].Key == key {
+			return l[i].Val, true
+		}
+	}
+	return value.Value{}, false
+}
+
+// NodeRow is a node as a scan presents it: the fields of Node with the
+// property map flattened. Labels is sorted and nil for an unlabeled node;
+// Props is nil exactly when the Node's map is.
+type NodeRow struct {
+	ID     OID
+	Labels []string
+	Props  PropList
+
+	buf PropList // the store Props is cut from, kept across rows whose Props is nil
+}
+
+// EdgeRow is an edge as a scan presents it; Props as for NodeRow.
+type EdgeRow struct {
+	ID    OID
+	Label string
+	From  OID
+	To    OID
+	Props PropList
+
+	buf PropList
+}
+
+// SetNode makes the row present n, properties in key order — how a view
+// that holds pointer structs (Graph, an overlay's delta) fills the row its
+// scan hands out. The labels are n's own slice.
+func (r *NodeRow) SetNode(n *Node) {
+	r.ID, r.Labels = n.ID, n.Labels
+	r.Props, r.buf = flattenProps(n.Props, r.buf)
+}
+
+// SetEdge makes the row present e, properties in key order.
+func (r *EdgeRow) SetEdge(e *Edge) {
+	r.ID, r.Label, r.From, r.To = e.ID, e.Label, e.From, e.To
+	r.Props, r.buf = flattenProps(e.Props, r.buf)
+}
+
+// flattenProps lays a property map out in buf, sorted by key, and returns
+// the list with the (possibly grown) buffer. The list is nil exactly when
+// the map is.
+func flattenProps(p Props, buf PropList) (props, _ PropList) {
+	if p == nil {
+		return nil, buf
+	}
+	if buf == nil {
+		buf = make(PropList, 0, len(p))
+	}
+	buf = buf[:0]
+	for k, v := range p {
+		buf = append(buf, Prop{k, v})
+	}
+	slices.SortFunc(buf, func(a, b Prop) int { return strings.Compare(a.Key, b.Key) })
+	return buf, buf
 }
 
 // Both lifecycle phases implement the shared read interface.

@@ -14,9 +14,8 @@
 package plan
 
 import (
-	"repro/internal/graphstats"
 	"repro/internal/pg"
-	"repro/internal/sortedset"
+	"repro/internal/value"
 )
 
 // Layout names the relational columns each label's facts are extracted
@@ -50,77 +49,105 @@ type Stats struct {
 	Preds map[string]PredStats `json:"preds"`
 }
 
-// statsSample caps the rows scanned per label for distinct counting.
-// Cardinalities stay exact (they come from the per-label postings); distinct
-// counts on larger labels are linearly extrapolated from the first
-// statsSample rows, which keeps the pass O(min(card, sample)) per label —
+// statsSample caps the rows sampled per label for distinct counting.
+// Cardinalities stay exact (every row of the pass is counted); distinct
+// counts on larger labels are linearly extrapolated from the label's first
+// statsSample rows, which keeps the hashing O(min(card, sample)) per label —
 // cheap enough for snapshot-load time on paper-scale graphs.
 const statsSample = 50000
 
 // ComputeStats builds the statistics catalog for a graph view under a
-// column layout. The pass is deterministic: labels come from the layout in
-// sorted order, rows in the view's per-label scan order.
+// column layout, in one row scan of the nodes and one of the edges. The pass
+// is deterministic: rows arrive in ascending OID order, so a label's sample
+// is its first statsSample rows in any implementation of the view.
 func ComputeStats(g pg.View, lay Layout) *Stats {
-	nodeCard, edgeCard := graphstats.LabelCardinalities(g)
+	nodes, edges := newLabelAccs("node", lay.NodeProps), newLabelAccs("edge", lay.EdgeProps)
+	g.ScanNodes(func(n *pg.NodeRow) bool {
+		for _, l := range n.Labels {
+			if a := nodes[l]; a != nil {
+				a.add(n.Props, 0, 0)
+			}
+		}
+		return true
+	})
+	g.ScanEdges(func(e *pg.EdgeRow) bool {
+		if a := edges[e.Label]; a != nil {
+			a.add(e.Props, e.From, e.To)
+		}
+		return true
+	})
 	st := &Stats{
 		Nodes: g.NumNodes(),
 		Edges: g.NumEdges(),
-		Preds: make(map[string]PredStats, len(lay.NodeProps)+len(lay.EdgeProps)),
+		Preds: make(map[string]PredStats, len(nodes)+len(edges)),
 	}
-	for _, label := range sortedset.Keys(lay.NodeProps) {
-		props := lay.NodeProps[label]
-		card := nodeCard[label]
-		ps := PredStats{Kind: "node", Card: card, Distinct: make([]int, 1+len(props))}
-		ps.Distinct[0] = card // oid column is a key
-		nodes := g.NodesByLabel(label)
-		sample := len(nodes)
-		if sample > statsSample {
-			sample = statsSample
-		}
-		for pi, prop := range props {
-			seen := make(map[string]struct{}, min(sample, 1024))
-			for _, n := range nodes[:sample] {
-				seen[propKey(n.Props, prop)] = struct{}{}
-			}
-			ps.Distinct[1+pi] = scaleDistinct(len(seen), sample, card)
-		}
-		st.Preds[label] = ps
+	for label, a := range nodes {
+		st.Preds[label] = a.stats()
 	}
-	for _, label := range sortedset.Keys(lay.EdgeProps) {
-		props := lay.EdgeProps[label]
-		card := edgeCard[label]
-		ps := PredStats{Kind: "edge", Card: card, Distinct: make([]int, 3+len(props))}
-		ps.Distinct[0] = card // oid column is a key
-		edges := g.EdgesByLabel(label)
-		sample := len(edges)
-		if sample > statsSample {
-			sample = statsSample
-		}
-		from := make(map[pg.OID]struct{}, min(sample, 1024))
-		to := make(map[pg.OID]struct{}, min(sample, 1024))
-		for _, e := range edges[:sample] {
-			from[e.From] = struct{}{}
-			to[e.To] = struct{}{}
-		}
-		ps.Distinct[1] = scaleDistinct(len(from), sample, card)
-		ps.Distinct[2] = scaleDistinct(len(to), sample, card)
-		for pi, prop := range props {
-			seen := make(map[string]struct{}, min(sample, 1024))
-			for _, e := range edges[:sample] {
-				seen[propKey(e.Props, prop)] = struct{}{}
-			}
-			ps.Distinct[3+pi] = scaleDistinct(len(seen), sample, card)
-		}
-		st.Preds[label] = ps
+	for label, a := range edges { // a label naming both is costed as the edge relation
+		st.Preds[label] = a.stats()
 	}
 	return st
+}
+
+// labelAcc accumulates one label's statistics during the scan.
+type labelAcc struct {
+	kind  string // "node" or "edge"
+	card  int
+	props []string
+	// Distinct cells per property column, and for an edge label distinct
+	// endpoints (nil for a node label), over the first statsSample rows.
+	seen     []map[string]struct{}
+	from, to map[pg.OID]struct{}
+}
+
+func newLabelAccs(kind string, layouts map[string][]string) map[string]*labelAcc {
+	accs := make(map[string]*labelAcc, len(layouts))
+	for label, props := range layouts {
+		a := &labelAcc{kind: kind, props: props, seen: make([]map[string]struct{}, len(props))}
+		for i := range a.seen {
+			a.seen[i] = map[string]struct{}{}
+		}
+		if kind == "edge" {
+			a.from, a.to = map[pg.OID]struct{}{}, map[pg.OID]struct{}{}
+		}
+		accs[label] = a
+	}
+	return accs
+}
+
+func (a *labelAcc) add(props pg.PropList, from, to pg.OID) {
+	a.card++
+	if a.card > statsSample {
+		return
+	}
+	for i, p := range a.props {
+		a.seen[i][propKey(props.Get(p))] = struct{}{}
+	}
+	if a.from != nil {
+		a.from[from] = struct{}{}
+		a.to[to] = struct{}{}
+	}
+}
+
+// stats closes the accumulator: relational columns are (oid, props...) for
+// a node label and (oid, from, to, props...) for an edge label.
+func (a *labelAcc) stats() PredStats {
+	sample := min(a.card, statsSample)
+	ps := PredStats{Kind: a.kind, Card: a.card, Distinct: []int{a.card}} // the oid column is a key
+	if a.from != nil {
+		ps.Distinct = append(ps.Distinct, scaleDistinct(len(a.from), sample, a.card), scaleDistinct(len(a.to), sample, a.card))
+	}
+	for _, seen := range a.seen {
+		ps.Distinct = append(ps.Distinct, scaleDistinct(len(seen), sample, a.card))
+	}
+	return ps
 }
 
 // propKey is the distinct-count identity of one property cell; absent
 // properties share one ⊥ bucket, matching the Missing null the extraction
 // emits for them.
-func propKey(props pg.Props, name string) string {
-	v, ok := props[name]
+func propKey(v value.Value, ok bool) string {
 	if !ok {
 		return "\x00⊥"
 	}

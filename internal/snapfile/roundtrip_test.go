@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/pg"
+	"repro/internal/pg/pgtest"
 	"repro/internal/snapfile"
 	"repro/internal/value"
 )
@@ -191,6 +192,51 @@ func TestOpenRoundTrip(t *testing.T) {
 	if snap.Mapped() {
 		t.Fatal("snapshot still mapped after Close")
 	}
+}
+
+// TestOpenBulkLoadedScans: an opened, bulk-loaded snapshot scans to exactly
+// what it lists, on rows whose stored order is not key-name order — "owner"
+// is a label too, so it was interned with the labels, ahead of "name" — and
+// on the shapes the row conventions turn on: unlabeled nodes, property-less
+// nodes and edges. Scanning builds no facade.
+func TestOpenBulkLoadedScans(t *testing.T) {
+	ld := pg.NewBulkLoader(2)
+	feed := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(ld.AddNodes(pg.NodeBatch{Labels: []string{"owner"}, Keys: []string{"name", "owner"}, OIDs: []pg.OID{1, 2},
+		Vals: []value.Value{value.Str("a"), value.IntV(1), value.Str("b"), value.IntV(2)}}))
+	feed(ld.AddNodes(pg.NodeBatch{OIDs: []pg.OID{3}}))
+	feed(ld.AddNodes(pg.NodeBatch{Labels: []string{"firm", "owner"}, OIDs: []pg.OID{4}}))
+	feed(ld.AddEdges(pg.EdgeBatch{Label: "owns", Keys: []string{"name", "owner"}, OIDs: []pg.OID{5}, From: []pg.OID{1}, To: []pg.OID{4},
+		Vals: []value.Value{value.Str("e"), value.FloatV(0.5)}}))
+	feed(ld.AddEdges(pg.EdgeBatch{Label: "", OIDs: []pg.OID{6, 7}, From: []pg.OID{2, 3}, To: []pg.OID{3, 3}}))
+	f, err := ld.Finish()
+	feed(err)
+	path := filepath.Join(t.TempDir(), "bulk.snap")
+	_, err = snapfile.WriteFile(path, f, snapfile.BuildInfo{Tool: "test"})
+	feed(err)
+	snap, err := snapfile.Open(path)
+	feed(err)
+	defer snap.Close()
+
+	var keys []string
+	snap.Frozen.ScanNodes(func(r *pg.NodeRow) bool {
+		for _, p := range r.Props {
+			keys = append(keys, p.Key)
+		}
+		return false
+	})
+	if !reflect.DeepEqual(keys, []string{"owner", "name"}) {
+		t.Fatalf("first row's keys in stored order = %v, want symbol order [owner name]", keys)
+	}
+	if snap.Frozen.FacadeBuilt() {
+		t.Fatal("a scan materialized the facade")
+	}
+	pgtest.CheckScans(t, snap.Frozen)
 }
 
 // TestOpenMmapFaultFallsBack: an injected fault at snapfile/mmap must not

@@ -25,9 +25,9 @@ import (
 // same differential check.
 func generateMaintProgram(rng *rand.Rand) string {
 	var b strings.Builder
-	bins := []string{"e"}     // arity-2 predicates usable as join inputs
-	uns := []string{"n"}      // arity-1 predicates
-	intBins := []string{"e"}  // arity-2 with integer columns (filters, arithmetic)
+	bins := []string{"e"}    // arity-2 predicates usable as join inputs
+	uns := []string{"n"}     // arity-1 predicates
+	intBins := []string{"e"} // arity-2 with integer columns (filters, arithmetic)
 	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
 	idx := 0
 	fresh := func(prefix string) string { idx++; return fmt.Sprintf("%s%d", prefix, idx) }
