@@ -243,7 +243,7 @@ func (r *Result) ApplyToPG(data *pg.Graph) (ApplyStats, error) {
 		n := data.Node(dataOID)
 		for _, k := range sortedset.Keys(ent.Attrs) {
 			v := ent.Attrs[k]
-			if cur, ok := n.Props[k]; !ok || !value.Equal(cur, v) {
+			if cur, ok := n.Props[k]; !ok || !value.Identical(cur, v) {
 				if err := data.SetNodeProp(dataOID, k, v); err != nil {
 					return stats, err
 				}

@@ -310,6 +310,32 @@ func TestExample61InstanceCopy(t *testing.T) {
 	}
 }
 
+// TestFlushKeepsKindChanges: a derived attribute equal to the stored one
+// numerically but not in kind (Float 2.0 over Int 2) is an update, through
+// the entity attributes and ApplyToPG alike.
+func TestFlushKeepsKindChanges(t *testing.T) {
+	d, err := NewDictionary(supermodel.CompanyKG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := pg.New()
+	biz := g.AddNode([]string{"Business"}, pg.Props{
+		"fiscalCode": value.Str("B1"), "numberOfStakeholders": value.IntV(2), "shareholdingCapital": value.FloatV(2),
+	}).ID
+	sigma := metalog.MustParse(`(y: Business; shareholdingCapital: c) -> (y: Business; numberOfStakeholders: c).`)
+	res, err := Materialize(d, PGSource{Data: g}, sigma, 1, vadalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := res.ApplyToPG(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := g.Node(biz).Props["numberOfStakeholders"]; v.K != value.Float || v.F != 2 || res.Derived.UpdatedProps != 1 || stats.PropsSet != 1 {
+		t.Fatalf("numberOfStakeholders = %s %s, %d updated, %d set; want float 2, 1 and 1", v.K, v, res.Derived.UpdatedProps, stats.PropsSet)
+	}
+}
+
 // TestIntensionalNodeCreation: a Σ that derives new Family entities and
 // BELONGS_TO_FAMILY edges.
 func TestIntensionalNodeCreation(t *testing.T) {

@@ -163,7 +163,7 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 					continue
 				}
 			}
-			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Equal(cur, p.Value) {
+			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Identical(cur, p.Value) {
 				ent.Attrs[p.Name] = p.Value
 				out.UpdatedProps++
 				if err := d.setInstanceAttr(l.InstanceOID, ioid, ent.Type, p.Name, p.Value); err != nil {

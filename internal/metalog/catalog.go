@@ -5,8 +5,10 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/overlay"
 	"repro/internal/pg"
 	"repro/internal/sortedset"
+	"repro/internal/symtab"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
@@ -122,50 +124,170 @@ func (c *Catalog) EdgeArity(label string) int { return 3 + len(c.EdgeProps[label
 // property-graph instance into a relational database instance following the
 // catalog's column layout. Multi-labeled nodes produce one fact per label.
 //
-// The database is sealed (vadalog.Database.Seal): every relation is an
-// immutable fact slice in ascending-OID order that clones, engine runs and
-// the generations ApplyFactsDelta derives all share by pointer, hash indexes
-// included. Nothing is hashed here — within a relation the OID column is
-// unique, so the facts are distinct by construction.
+// Nothing is copied out of a frozen graph: every relation is sealed
+// (vadalog.Database.InstallRows) over a rows list in ascending-OID order —
+// for a *pg.Frozen the ids of its node or edge rows, for an
+// *overlay.Overlay its base's rows minus the tombstones with the delta's
+// constructs materialized in their places, and for any other view (a
+// mutable *pg.Graph) every tuple materialized. Clones, engine runs and the
+// generations ApplyFactsDelta derives all share the relations by pointer,
+// hash indexes included. Nothing is hashed either — within a relation the
+// OID column is unique, so the facts are distinct by construction.
 func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
-	facts := map[string][]vadalog.Fact{}
-	var err error
-	add := func(kind string, id pg.OID, pred string, f vadalog.Fact) bool {
-		if fs := facts[pred]; len(fs) > 0 && len(fs[0]) != len(f) {
-			err = fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, pred, len(fs[0]), len(f))
-			return false
-		}
-		facts[pred] = append(facts[pred], f)
-		return true
-	}
-	g.ScanNodes(func(n *pg.NodeRow) bool {
-		for i, l := range n.Labels {
-			if !cat.HasNode(l) || slices.Contains(n.Labels[:i], l) {
-				continue // label outside the catalog's scope, or repeated
+	x := &extraction{cat: cat, rels: map[string]*rows{}}
+	switch g := g.(type) {
+	case *pg.Frozen:
+		x.base(g)
+		for row := range x.cols.NodeOIDs {
+			if !x.baseRow(x.nodeTo, false, int32(row)) {
+				break
 			}
-			if !add("node", n.ID, l, encode(cat.NodeProps[l], n.Props.Get, n.ID)) {
+		}
+		for row := range x.cols.EdgeOIDs {
+			if x.err != nil || !x.baseRow(x.edgeTo, true, int32(row)) {
+				break
+			}
+		}
+	case *overlay.Overlay:
+		x.base(g.Base())
+		g.ScanNodeRows(func(row int32, n *pg.Node) bool {
+			if n == nil {
+				return x.baseRow(x.nodeTo, false, row)
+			}
+			return x.node(n.ID, n.Labels, n.Props.Get)
+		})
+		if x.err == nil {
+			g.ScanEdgeRows(func(row int32, e *pg.Edge) bool {
+				if e == nil {
+					return x.baseRow(x.edgeTo, true, row)
+				}
+				return x.edge(e.ID, e.From, e.To, e.Label, e.Props.Get)
+			})
+		}
+	default:
+		g.ScanNodes(func(n *pg.NodeRow) bool { return x.node(n.ID, n.Labels, n.Props.Get) })
+		if x.err == nil {
+			g.ScanEdges(func(e *pg.EdgeRow) bool { return x.edge(e.ID, e.From, e.To, e.Label, e.Props.Get) })
+		}
+	}
+	if x.err != nil {
+		return nil, x.err
+	}
+	db := vadalog.NewDatabase()
+	for pred, r := range x.rels {
+		db.InstallRows(pred, r.arity, r)
+	}
+	return db, nil
+}
+
+// extraction is one ExtractFacts call: the relations by predicate, the first
+// arity conflict, and — over frozen columns — the base graph and, per label
+// symbol, where its node and edge rows go.
+type extraction struct {
+	cat  *Catalog
+	rels map[string]*rows
+	err  error
+
+	frozen         *pg.Frozen
+	cols           pg.Columns
+	nodeTo, edgeTo []*target
+}
+
+// target is where the rows of one label symbol go: the label's reading of
+// the columns and its relation, both nil for a label outside the catalog.
+type target struct {
+	c *columns
+	r *rows
+}
+
+func (x *extraction) base(f *pg.Frozen) {
+	x.frozen, x.cols = f, f.Columns()
+	x.nodeTo = make([]*target, len(x.cols.SymNames)+1)
+	x.edgeTo = make([]*target, len(x.cols.SymNames)+1)
+}
+
+// rel returns the relation of a construct's fact under a label, created by
+// the label's first fact, sized for the base graph's constructs carrying it;
+// nil, recording the error, when the label's facts so far have another arity.
+func (x *extraction) rel(kind string, id pg.OID, label string, arity int) *rows {
+	r := x.rels[label]
+	if r == nil {
+		r = &rows{arity: arity}
+		if x.frozen != nil {
+			n := x.frozen.NodeLabelCount(label)
+			if kind == "edge" {
+				n = x.frozen.EdgeLabelCount(label)
+			}
+			r.ids = make([]int32, 0, n)
+		}
+		x.rels[label] = r
+	} else if r.arity != arity {
+		x.err = fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, label, r.arity, arity)
+		return nil
+	}
+	return r
+}
+
+// baseRow records a node (edge) row of the base graph in the relation of
+// each of its labels; a frozen row's labels are unique.
+func (x *extraction) baseRow(to []*target, edge bool, row int32) bool {
+	var syms []symtab.Sym
+	if edge {
+		syms = x.cols.EdgeLabels[row : row+1]
+	} else {
+		syms = x.cols.NodeLabels[x.cols.NodeLabelOff[row]:x.cols.NodeLabelOff[row+1]]
+	}
+	for _, s := range syms {
+		t := to[s]
+		if t == nil {
+			t = &target{}
+			to[s] = t
+			label := x.cols.SymNames[s-1]
+			if layout, ok := x.cat.NodeProps[label]; ok && !edge {
+				t.c = newColumns(x.frozen, false, layout, row)
+				t.r = x.rel("node", x.cols.NodeOIDs[row], label, 1+len(layout))
+			} else if layout, ok := x.cat.EdgeProps[label]; ok && edge {
+				t.c = newColumns(x.frozen, true, layout, row)
+				t.r = x.rel("edge", x.cols.EdgeOIDs[row], label, 3+len(layout))
+			}
+			if t.c != nil && t.r == nil {
 				return false
 			}
 		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	g.ScanEdges(func(e *pg.EdgeRow) bool {
-		return !cat.HasEdge(e.Label) ||
-			add("edge", e.ID, e.Label, encode(cat.EdgeProps[e.Label], e.Props.Get, e.ID, e.From, e.To))
-	})
-	if err != nil {
-		return nil, err
-	}
-	db := vadalog.NewDatabase()
-	for pred, fs := range facts {
-		if err := db.ReplaceFacts(pred, len(fs[0]), fs); err != nil {
-			return nil, err
+		if t.c != nil {
+			t.r.addRow(t.c, row)
 		}
 	}
-	return db, nil
+	return true
+}
+
+// node materializes a node's facts, one per catalog label; a repeated label
+// counts once.
+func (x *extraction) node(id pg.OID, labels []string, prop func(string) (value.Value, bool)) bool {
+	for i, l := range labels {
+		if !x.cat.HasNode(l) || slices.Contains(labels[:i], l) {
+			continue
+		}
+		r := x.rel("node", id, l, x.cat.NodeArity(l))
+		if r == nil {
+			return false
+		}
+		r.add(encode(x.cat.NodeProps[l], prop, id))
+	}
+	return true
+}
+
+// edge materializes an edge's fact when the catalog knows its label.
+func (x *extraction) edge(id, from, to pg.OID, label string, prop func(string) (value.Value, bool)) bool {
+	if !x.cat.HasEdge(label) {
+		return true
+	}
+	r := x.rel("edge", id, label, x.cat.EdgeArity(label))
+	if r == nil {
+		return false
+	}
+	r.add(encode(x.cat.EdgeProps[label], prop, id, from, to))
+	return true
 }
 
 // MaterializeStats reports what Materialize changed in the target graph.
@@ -212,7 +334,7 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 	setProps := func(oid pg.OID, props []PropValue) error {
 		n := g.Node(oid)
 		for _, p := range props {
-			if cur, ok := n.Props[p.Name]; !ok || !value.Equal(cur, p.Value) {
+			if cur, ok := n.Props[p.Name]; !ok || !value.Identical(cur, p.Value) {
 				if err := g.SetNodeProp(oid, p.Name, p.Value); err != nil {
 					return err
 				}

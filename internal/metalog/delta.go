@@ -14,13 +14,17 @@ import (
 // mutation batch, given the batch's net effect as an overlay.Diff. It is the
 // incremental counterpart of re-running ExtractFacts over the mutated view:
 // only the relations named by the diff are touched, and each touched relation
-// is rebuilt in ascending-OID order — the exact order ExtractFacts produces,
-// because the row scans iterate ascending — so the maintained database
-// is indistinguishable (fact-for-fact, position-for-position) from a full
-// re-extraction. Position identity matters: engine derivation order, and
-// therefore query row order, follows relation insertion order. Every other
-// relation of the (sealed) input is shared with the result by pointer, the
-// indexes queries have built on it included.
+// is rebuilt as a merge in ascending-OID order: its row ids into the base
+// graph kept as ids and its materialized tuples kept as tuples, the diff's
+// retracted OIDs dropped, and the diff's new tuples, encoded under the
+// catalog, inserted at their OIDs. That is the order and the form
+// ExtractFacts produces over the mutated overlay — base rows minus
+// tombstones, the delta's constructs materialized — so the maintained
+// database is indistinguishable (fact-for-fact, position-for-position) from a
+// full re-extraction. Position identity matters: engine derivation order,
+// and therefore query row order, follows relation insertion order. Every
+// other relation of the (sealed) input is shared with the result by pointer,
+// the indexes queries have built on it included.
 //
 // The catalog is treated as fixed for the lifetime of a serving lineage. A
 // diff that needs columns the catalog lacks — a node or edge label the
@@ -33,7 +37,8 @@ import (
 //
 // A label that names both a node and an edge relation falls back too: its
 // nodes-then-edges fact order is not the single ascending run the merge below
-// relies on.
+// relies on. So does a relation ExtractFacts did not build under this
+// catalog, which has no row list to merge into.
 //
 // The input database is not modified; on ok=true the returned database is a
 // sealed clone with the delta folded in (or db itself when the diff is empty).
@@ -118,25 +123,38 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 		default:
 			return nil, false
 		}
-		// The kept facts are in ascending-OID order already and an OID names
-		// at most one fact of the relation: sort the few new facts and merge.
+		from := &rows{}
+		if old := out.Relation(pred); old != nil {
+			r, ok := old.Rows().(*rows)
+			if !ok || old.Arity != arity {
+				return nil, false // not extracted under this layout: re-extract
+			}
+			from = r
+		}
+		// The kept rows are in ascending-OID order already and an OID names at
+		// most one fact of the relation: sort the few new tuples and merge.
+		// Kept rows stay ids into the base; kept and new tuples stay tuples.
 		slices.SortFunc(rd.add, func(a, b vadalog.Fact) int { return cmp.Compare(oidOf(a), oidOf(b)) })
-		old := out.Facts(pred)
-		facts := make([]vadalog.Fact, 0, len(old)+len(rd.add))
+		next := &rows{arity: arity, cols: from.cols, ids: make([]int32, 0, len(from.ids)+len(rd.add))}
 		add := rd.add
-		for _, f := range old {
-			oid := oidOf(f)
+		for _, id := range from.ids {
+			oid := from.oid(id)
 			for len(add) > 0 && oidOf(add[0]) < oid {
-				facts, add = append(facts, add[0]), add[1:]
+				next.add(add[0])
+				add = add[1:]
 			}
-			if !rd.del[oid] {
-				facts = append(facts, f)
+			switch {
+			case rd.del[oid]:
+			case id < 0:
+				next.add(from.mat[^id])
+			default:
+				next.ids = append(next.ids, id)
 			}
 		}
-		facts = append(facts, add...)
-		if err := out.ReplaceFacts(pred, arity, facts); err != nil {
-			return nil, false
+		for _, f := range add {
+			next.add(f)
 		}
+		out.InstallRows(pred, arity, next)
 	}
 	return out, true
 }

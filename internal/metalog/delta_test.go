@@ -3,11 +3,13 @@ package metalog
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/overlay"
 	"repro/internal/pg"
+	"repro/internal/snapfile"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
@@ -162,6 +164,28 @@ func TestApplyFactsDeltaFallback(t *testing.T) {
 // every batch that incremental maintenance matches a full re-extraction —
 // including the catalog-growth fallback a serving lineage would take.
 func TestApplyFactsDeltaSweep(t *testing.T) {
+	applyFactsDeltaSweep(t, func(t *testing.T, g *pg.Graph) *pg.Frozen { return g.Freeze() })
+}
+
+// TestApplyFactsDeltaSweepSnapfile runs the same lineages over a base opened
+// from a snapshot file, mmapped where the platform allows: the maintained
+// relations keep row ids into the mapping.
+func TestApplyFactsDeltaSweepSnapfile(t *testing.T) {
+	applyFactsDeltaSweep(t, func(t *testing.T, g *pg.Graph) *pg.Frozen {
+		path := filepath.Join(t.TempDir(), "base.snap")
+		if _, err := snapfile.WriteFile(path, g.Freeze(), snapfile.BuildInfo{Tool: "sweep"}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapfile.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { snap.Close() }) //nolint:errcheck // read-only mapping
+		return snap.Frozen
+	})
+}
+
+func applyFactsDeltaSweep(t *testing.T, base func(*testing.T, *pg.Graph) *pg.Frozen) {
 	nodeLabels := []string{"Company", "Person"}
 	edgeLabels := []string{"owns", "controls"}
 	propKeys := []string{"name", "share"}
@@ -193,7 +217,7 @@ func TestApplyFactsDeltaSweep(t *testing.T) {
 				}
 			}
 
-			frozen := g.Freeze()
+			frozen := base(t, g)
 			cat := FromGraph(frozen)
 			db, err := ExtractFacts(frozen, cat)
 			if err != nil {
@@ -306,7 +330,9 @@ type repeatLabels struct{ pg.View }
 func (v repeatLabels) ScanNodes(visit func(*pg.NodeRow) bool) {
 	v.View.ScanNodes(func(r *pg.NodeRow) bool {
 		cp := *r
-		cp.Labels = append(append([]string(nil), r.Labels...), r.Labels[0])
+		if len(r.Labels) > 0 {
+			cp.Labels = append(append([]string(nil), r.Labels...), r.Labels[0])
+		}
 		return visit(&cp)
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pg"
 	"repro/internal/sortedset"
+	"repro/internal/symtab"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
@@ -14,9 +15,10 @@ import (
 // 4; the input and output views of Algorithm 2). An L-labeled node is the
 // fact L(id, p1, …, pn) and an L-labeled edge the fact L(id, from, to,
 // f1, …, fm), property columns in catalog order, Missing where the construct
-// does not carry the property. NodeFact and EdgeFact are the only encoders,
-// WalkDerived the only decoder, Present the only reading of Missing; every
-// loader, flusher and delta maintainer goes through them.
+// does not carry the property. encode (behind NodeFact and EdgeFact) is the
+// only encoder of a materialized tuple and columns.cell the only reading of a
+// frozen row as one, WalkDerived the only decoder, Present the only reading
+// of Missing; every loader, flusher and delta maintainer goes through them.
 
 // Missing is the placeholder stored at a property position when a node or
 // edge does not carry that property. It is an identifier outside the constant
@@ -25,7 +27,7 @@ var Missing = value.IDV("⊥")
 
 // Present reports whether a property column of a fact holds a value: neither
 // Missing nor the zero Value of a column the engine left unbound.
-func Present(v value.Value) bool { return !v.IsZero() && !value.Equal(v, Missing) }
+func Present(v value.Value) bool { return !v.IsZero() && !value.Identical(v, Missing) }
 
 // NodeFact encodes a node-shaped construct under the label's layout.
 func (c *Catalog) NodeFact(label string, id pg.OID, props map[string]value.Value) vadalog.Fact {
@@ -53,6 +55,121 @@ func encode(layout []string, prop func(key string) (value.Value, bool), ids ...p
 		}
 	}
 	return f
+}
+
+// rows is an extracted relation: the vadalog.Rows a sealed relation reads,
+// laid out like encode lays out a fact. A non-negative id is a row of one
+// frozen graph's columns — read in place, never copied — and a negative id ^i
+// names mat[i], a tuple encode materialized for a construct the columns do
+// not hold as it is: an overlay's replaced or added constructs, every
+// construct of a graph that is not frozen, an edge in a relation its label
+// shares with nodes. Rows are distinct because their OIDs are.
+type rows struct {
+	arity int
+	ids   []int32
+	mat   []vadalog.Fact
+	cols  *columns // nil when every id is negative
+}
+
+// columns is one label's reading of a frozen graph's node or edge columns:
+// cell 0 is the OID, an edge's cells 1 and 2 its endpoints, and layout column
+// i the row's value under key symbol layout[i] — found by symbol, not by
+// position, since a bulk-loaded snapshot does not store keys in name order —
+// or Missing. hint[i] is where that key sat in the label's first row, which
+// in uniform rows is where it sits in all of them.
+type columns struct {
+	ids      int // identifier cells: 1 for a node, 3 for an edge
+	oids     []pg.OID
+	from, to []pg.OID
+	off      []int32
+	keys     []symtab.Sym
+	vals     []value.Value
+	layout   []symtab.Sym // symtab.None for a key the graph does not hold
+	hint     []int32
+}
+
+// newColumns reads f's node (or edge) columns under a label's layout, taking
+// the hints from the label's first row.
+func newColumns(f *pg.Frozen, edge bool, layout []string, first int32) *columns {
+	all := f.Columns()
+	c := &columns{ids: 1, oids: all.NodeOIDs, off: all.NodePropOff, keys: all.NodePropKeys, vals: all.NodePropVals,
+		layout: make([]symtab.Sym, len(layout)), hint: make([]int32, len(layout))}
+	if edge {
+		c.ids, c.oids, c.from, c.to = 3, all.EdgeOIDs, all.EdgeFrom, all.EdgeTo
+		c.off, c.keys, c.vals = all.EdgePropOff, all.EdgePropKeys, all.EdgePropVals
+	}
+	lo, hi := c.off[first], c.off[first+1]
+	for i, key := range layout {
+		c.layout[i], _ = f.Symbols().Lookup(key)
+		if p := slices.Index(c.keys[lo:hi], c.layout[i]); p >= 0 {
+			c.hint[i] = int32(p)
+		}
+	}
+	return c
+}
+
+func (c *columns) cell(row int32, col int) value.Value {
+	switch {
+	case col == 0:
+		return value.IntV(int64(c.oids[row]))
+	case col >= c.ids:
+		sym, lo, hi := c.layout[col-c.ids], c.off[row], c.off[row+1]
+		if p := lo + c.hint[col-c.ids]; p < hi && c.keys[p] == sym {
+			return c.vals[p]
+		}
+		for p := lo; p < hi; p++ {
+			if c.keys[p] == sym {
+				return c.vals[p]
+			}
+		}
+		return Missing
+	case col == 1:
+		return value.IntV(int64(c.from[row]))
+	default:
+		return value.IntV(int64(c.to[row]))
+	}
+}
+
+// Len and Cell make rows the vadalog.Rows of its relation.
+func (r *rows) Len() int { return len(r.ids) }
+
+func (r *rows) Cell(pos, col int) value.Value {
+	id := r.ids[pos]
+	if id < 0 {
+		return r.mat[^id][col]
+	}
+	return r.cols.cell(id, col)
+}
+
+// add appends a materialized tuple.
+func (r *rows) add(f vadalog.Fact) {
+	r.ids = append(r.ids, ^int32(len(r.mat)))
+	r.mat = append(r.mat, f)
+}
+
+// addRow appends row id of c, materializing it when r reads other columns
+// (only ever an edge of a label that also names nodes).
+func (r *rows) addRow(c *columns, id int32) {
+	if r.cols == nil {
+		r.cols = c
+	}
+	if r.cols != c {
+		f := make(vadalog.Fact, r.arity)
+		for col := range f {
+			f[col] = c.cell(id, col)
+		}
+		r.add(f)
+		return
+	}
+	r.ids = append(r.ids, id)
+}
+
+// oid returns the OID of the tuple an id names.
+func (r *rows) oid(id int32) int64 {
+	if id < 0 {
+		return oidOf(r.mat[^id])
+	}
+	return int64(r.cols.oids[id])
 }
 
 // propTerms is the encoder at the level of rule atoms: it lays a pattern

@@ -237,6 +237,21 @@ func TestExample43DescFrom(t *testing.T) {
 	}
 }
 
+// TestFlushKeepsKindChanges: an update whose value equals the stored one
+// numerically but not in kind (Int 2 to Float 2.0) is a change, and the flush
+// writes it.
+func TestFlushKeepsKindChanges(t *testing.T) {
+	g := pg.New()
+	n := g.AddNode([]string{"N"}, pg.Props{"v": value.IntV(2), "w": value.FloatV(2)}).ID
+	res, err := Reason(context.Background(), MustParse(`(x: N; w: w) -> (x: N; v: w).`), g, vadalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := g.Node(n).Props["v"]; v.K != value.Float || v.F != 2 || res.Materialize.PropsSet != 1 {
+		t.Fatalf("v = %s %s after the flush, %d props set; want float 2 and 1", v.K, v, res.Materialize.PropsSet)
+	}
+}
+
 func TestZeroOrMoreIncludesSelf(t *testing.T) {
 	g := pg.New()
 	a := g.AddNode([]string{"N"}, nil).ID

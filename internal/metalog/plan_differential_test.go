@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/pg"
 	"repro/internal/vadalog"
+	"repro/internal/value"
 )
 
 // The planner differential sweep: every generated query must produce
@@ -137,6 +138,46 @@ func TestPreparedStaleDatabase(t *testing.T) {
 		}
 		if renderRows(got) != renderRows(want) {
 			t.Fatalf("pattern %q diverged from Query:\n%s\nvs\n%s", tc.pattern, renderRows(got), renderRows(want))
+		}
+	}
+}
+
+// TestRepeatedVariableMatchesByIdentity: a pattern variable bound twice by
+// one atom matches by identity, as a join does — Int 1 and Float 1.0 differ
+// — so the planned program, which may evaluate that atom first, answers like
+// the written-order one, which probes it with the variable already bound.
+func TestRepeatedVariableMatchesByIdentity(t *testing.T) {
+	g := pg.New()
+	kinds := g.AddNode([]string{"N"}, pg.Props{"a": value.IntV(1), "b": value.FloatV(1)})
+	same := g.AddNode([]string{"N"}, pg.Props{"a": value.IntV(2), "b": value.IntV(2)})
+	for i := 0; i < 40; i++ {
+		r := g.AddNode([]string{"R"}, pg.Props{"k": value.IntV(int64(1 + i%2))})
+		for _, n := range []*pg.Node{kinds, same} {
+			if _, err := g.AddEdge(r.ID, n.ID, "E", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f := g.Freeze()
+	for q, want := range map[string]int{
+		`(x: N; a: v, b: v)`:                            1,
+		`(r: R; k: v) [: E] (x: N; a: v, b: v)`:         20,
+		`(x: N; a: v, b: v) [: E]- (r: R; k: v)`:        20,
+		`(x: N; a: v, b: w) [: E]- (r: R; k: v), w = v`: 40,
+	} {
+		unplanned, err := Query(f, q, vadalog.Options{})
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		planned, prep := preparedRows(t, f, q, 1)
+		if renderRows(planned) != renderRows(unplanned) || len(unplanned) != want {
+			t.Errorf("%q (planned %v): %d planned rows, %d written-order rows, want %d\n%s\nvs\n%s",
+				q, prep.Planned(), len(planned), len(unplanned), want, renderRows(planned), renderRows(unplanned))
+		}
+		for _, row := range unplanned {
+			if v := row["v"]; len(unplanned) < 40 && (v.K != value.Int || v.I != 2) {
+				t.Errorf("%q: v bound to %s %s", q, v.K, v)
+			}
 		}
 	}
 }

@@ -161,7 +161,9 @@ func sameNode(a, b *pg.Node) bool {
 	}
 	for k, v := range a.Props {
 		bv, ok := b.Props[k]
-		if !ok || !sameValue(v, bv) {
+		// Identity, not value.Equal: a kind change (Int 1 to Float 1.0) is a
+		// change, since fact extraction keeps kinds apart.
+		if !ok || !value.Identical(v, bv) {
 			return false
 		}
 	}

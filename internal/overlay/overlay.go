@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/pg"
-	"repro/internal/value"
 )
 
 // The package's fault sites: batch application and compaction. Chaos tests
@@ -281,6 +280,47 @@ func (o *Overlay) ScanEdges(visit func(*pg.EdgeRow) bool) {
 	}
 }
 
+// ScanNodeRows visits the merged nodes in ascending OID order, as ScanNodes
+// does, but presents no base row: a base node the overlay leaves as it is
+// comes as its row index in Base().Columns() and a nil node, a replaced base
+// node or an added one as row -1 and the node itself. It is the walk of a
+// reader that keeps row ids into the base instead of copies of it.
+func (o *Overlay) ScanNodeRows(visit func(row int32, n *pg.Node) bool) {
+	for i, id := range o.base.Columns().NodeOIDs {
+		switch m, mod := o.modNodes[id]; {
+		case o.delNodes[id]:
+		case mod:
+			if !visit(-1, m) {
+				return
+			}
+		default:
+			if !visit(int32(i), nil) {
+				return
+			}
+		}
+	}
+	for _, id := range o.addNodeIDs {
+		if !visit(-1, o.addNodes[id]) {
+			return
+		}
+	}
+}
+
+// ScanEdgeRows is ScanNodeRows for the merged edges; a base edge is never
+// replaced, only deleted.
+func (o *Overlay) ScanEdgeRows(visit func(row int32, e *pg.Edge) bool) {
+	for i, id := range o.base.Columns().EdgeOIDs {
+		if !o.delEdges[id] && !visit(int32(i), nil) {
+			return
+		}
+	}
+	for _, id := range o.addEdgeIDs {
+		if !visit(-1, o.addEdges[id]) {
+			return
+		}
+	}
+}
+
 // NodesByLabel lists the merged nodes carrying a label in ascending OID
 // order: a two-pointer merge of the base label scan with the base nodes
 // that gained the label here, then the added nodes (largest OIDs last).
@@ -473,11 +513,4 @@ func copyNode(n *pg.Node) *pg.Node {
 		out.Labels = append([]string(nil), n.Labels...)
 	}
 	return out
-}
-
-// sameValue is strict value identity: kind-sensitive, NaN-safe. Numeric
-// cross-kind equality (value.Equal's Int 1 == Float 1.0) must NOT collapse
-// a kind change — downstream fact extraction is kind-sensitive.
-func sameValue(a, b value.Value) bool {
-	return a.K == b.K && a.Canonical() == b.Canonical()
 }

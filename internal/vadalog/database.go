@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -91,33 +92,10 @@ func hashTuple(vals []value.Value) uint64 {
 	return h
 }
 
-// canonicalEqual mirrors canonical-string equality (value.Canonical) without
-// materializing the strings. It is deliberately NOT value.Equal: Compare
-// merges Int 1 with Float 1.0 numerically, while the canonical forms — and
-// therefore the dedup and index keys — keep the kinds apart.
-func canonicalEqual(a, b value.Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	switch a.K {
-	case value.Int, value.Null:
-		return a.I == b.I
-	case value.Float:
-		if a.F != a.F {
-			return b.F != b.F // every NaN prints "NaN"
-		}
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
-	case value.Bool:
-		return a.B == b.B
-	default:
-		return a.S == b.S
-	}
-}
-
-// tupleEqual reports canonical equality of two same-arity tuples.
+// tupleEqual reports the identity of two same-arity tuples.
 func tupleEqual(a, b []value.Value) bool {
 	for i := range a {
-		if !canonicalEqual(a[i], b[i]) {
+		if !value.Identical(a[i], b[i]) {
 			return false
 		}
 	}
@@ -125,25 +103,26 @@ func tupleEqual(a, b []value.Value) bool {
 }
 
 // Relation is a set of facts of a fixed arity with hash indexes. It has two
-// forms. A mutable relation (NewRelation) is append-only with swap-removal and
-// keeps a dedup table and map indexes current on every write. A sealed
-// relation (Database.Seal, Database.ReplaceFacts) is an immutable fact slice:
-// it has no dedup table, its indexes are flat arrays built lazily and at most
-// once (sealed.go), and any number of databases and goroutines share it by
-// pointer. Writers never see one: the database hands them a private mutable
-// copy instead (Database.mutable).
+// forms. A mutable relation (NewRelation) owns its facts, is append-only with
+// swap-removal, and keeps a dedup table and map indexes current on every
+// write. A sealed relation (Database.InstallRows) reads its tuples from a
+// Rows source it does not own: it has no dedup table, its indexes are flat
+// arrays over positions built lazily and at most once (sealed.go), and any
+// number of databases and goroutines share it by pointer. Writers never see
+// one: the database hands them a private mutable copy instead
+// (Database.mutable).
 //
 // Facts keep their insertion order, which lets the semi-naive engine address
 // "old" and "delta" windows of the same relation by position ranges instead
 // of copying snapshots.
 //
 // Deduplication and the join indexes key on tuple hashes over the values'
-// canonical identity instead of concatenated canonical strings: an insert
-// and an index probe allocate no key material, and hash collisions are
-// resolved by comparing tuples under canonicalEqual — never by re-encoding.
+// identity (value.Identical) instead of concatenated canonical strings: an
+// insert and an index probe allocate no key material, and hash collisions are
+// resolved by comparing values — never by re-encoding.
 type Relation struct {
 	Arity int
-	facts []Fact
+	facts []Fact // the mutable form's tuples; nil when sealed
 
 	// dedup maps a full-tuple hash to the first fact position with that
 	// hash; dedupMore holds the rare further positions whose distinct tuples
@@ -166,15 +145,27 @@ type Relation struct {
 	// would overwrite them in place.
 	recycle bool
 
-	// sealed is non-nil exactly when the relation is sealed; dedup, dedupMore
-	// and indexes are then nil, and sealed holds the lazily built indexes.
-	sealed *sealedIndexes
+	// sealed is non-nil exactly when the relation is sealed; facts, dedup,
+	// dedupMore and indexes are then nil, and sealed holds the row source and
+	// the lazily built indexes.
+	sealed *sealedRel
+}
+
+// Rows is what a sealed relation reads its tuples from: a fixed sequence of
+// Len tuples, addressed one cell at a time. Cell(pos, col) is column col of
+// the tuple at position pos; the cold readers (At, All, Sorted, and the
+// mutable copy a writer gets) assemble whole tuples from it. A Rows source
+// must not change once installed, must answer concurrent readers, and must
+// hold pairwise distinct tuples: nothing probes it for duplicates.
+type Rows interface {
+	Len() int
+	Cell(pos, col int) value.Value
 }
 
 // ErrSealed is returned by Insert and InsertValues on a sealed relation, and
 // is the panic value of Remove and Reset on one. Reaching it is a bug in the
 // caller: relations obtained from a database that may be sealed are read-only,
-// and writes go through the Database (AddFact, EnsureRelation, ReplaceFacts)
+// and writes go through the Database (AddFact, EnsureRelation, InstallRows)
 // or an engine run, which replace a sealed relation by a mutable copy first.
 var ErrSealed = errors.New("vadalog: write to a sealed relation")
 
@@ -188,7 +179,20 @@ func NewRelation(arity int) *Relation {
 }
 
 // Len returns the number of facts.
-func (r *Relation) Len() int { return len(r.facts) }
+func (r *Relation) Len() int {
+	if r.sealed != nil {
+		return r.sealed.rows.Len()
+	}
+	return len(r.facts)
+}
+
+// Rows returns the row source of a sealed relation, nil for a mutable one.
+func (r *Relation) Rows() Rows {
+	if r.sealed == nil {
+		return nil
+	}
+	return r.sealed.rows
+}
 
 // Reset empties the relation while keeping its allocated capacity: the fact
 // slots, dedup buckets and per-mask index maps are all retained. The
@@ -206,8 +210,46 @@ func (r *Relation) Reset() {
 	}
 }
 
-// At returns the fact at the given position.
-func (r *Relation) At(pos int) Fact { return r.facts[pos] }
+// At returns the fact at the given position: the stored fact of a mutable
+// relation, a tuple assembled for this call from a sealed one's row source.
+func (r *Relation) At(pos int) Fact {
+	if r.sealed == nil {
+		return r.facts[pos]
+	}
+	f := make(Fact, r.Arity)
+	for col := range f {
+		f[col] = r.sealed.rows.Cell(pos, col)
+	}
+	return f
+}
+
+// repeatsMatch reports whether the positions of fact f repeating a variable
+// first bound in the same atom (p(X, X)) hold a value identical to it.
+func repeatsMatch(f Fact, st *cStep, slots []value.Value) bool {
+	for _, i := range st.checkPos {
+		if !value.Identical(f[i], slots[st.argSlot[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindCells is the join's read of candidate pos of a sealed relation: it
+// binds the step's first occurrences of its variables from the row's cells
+// into slots and reports whether the repeated positions match, as
+// repeatsMatch does for a stored fact.
+func (r *Relation) bindCells(pos int, st *cStep, slots []value.Value) bool {
+	rows := r.sealed.rows
+	for _, i := range st.binderPos {
+		slots[st.argSlot[i]] = rows.Cell(pos, i)
+	}
+	for _, i := range st.checkPos {
+		if !value.Identical(rows.Cell(pos, i), slots[st.argSlot[i]]) {
+			return false
+		}
+	}
+	return true
+}
 
 // dedupFind scans the positions hashed to h for one whose tuple equals f.
 func (r *Relation) dedupFind(h uint64, f Fact) (int, bool) {
@@ -333,7 +375,7 @@ func (r *Relation) warmIndex(mask uint64) {
 	switch {
 	case mask == 0:
 	case r.sealed != nil:
-		r.sealed.index(r.facts, mask)
+		r.sealed.index(r.Arity, mask)
 	default:
 		r.ensureIndex(mask)
 	}
@@ -355,13 +397,23 @@ func (r *Relation) ensureIndex(mask uint64) map[uint64][]int {
 // factMatches reports whether fact pos agrees with bound (the values of the
 // masked positions, in ascending position order).
 func (r *Relation) factMatches(pos int, mask uint64, bound []value.Value) bool {
+	if r.sealed != nil {
+		j := 0
+		for m := mask & (1<<uint(r.Arity) - 1); m != 0; m &= m - 1 {
+			if !value.Identical(r.sealed.rows.Cell(pos, bits.TrailingZeros64(m)), bound[j]) {
+				return false
+			}
+			j++
+		}
+		return true
+	}
 	f := r.facts[pos]
 	j := 0
 	for i, v := range f {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		if !canonicalEqual(v, bound[j]) {
+		if !value.Identical(v, bound[j]) {
 			return false
 		}
 		j++
@@ -369,9 +421,19 @@ func (r *Relation) factMatches(pos int, mask uint64, bound []value.Value) bool {
 	return true
 }
 
-// All returns all facts in insertion order. The returned slice must not be
-// modified.
-func (r *Relation) All() []Fact { return r.facts }
+// All returns all facts in insertion order: a mutable relation's own slice,
+// which must not be modified, or tuples assembled for this call from a
+// sealed one's row source.
+func (r *Relation) All() []Fact {
+	if r.sealed == nil {
+		return r.facts
+	}
+	out := make([]Fact, r.Len())
+	for pos := range out {
+		out[pos] = r.At(pos)
+	}
+	return out
+}
 
 // Remove deletes the given facts from the relation and returns the facts
 // actually removed (facts that were absent, malformed, or listed twice are
@@ -522,8 +584,8 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(r.facts) {
-		hi = len(r.facts)
+	if n := r.Len(); hi > n {
+		hi = n
 	}
 	if lo >= hi {
 		return nil
@@ -544,7 +606,7 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 		h = hashValue(h, v)
 	}
 	if r.sealed != nil {
-		return visitPostings(r, r.sealed.index(r.facts, mask).bucket(h), mask, boundVals, lo, hi, fn)
+		return visitPostings(r, r.sealed.index(r.Arity, mask).bucket(h), mask, boundVals, lo, hi, fn)
 	}
 	return visitPostings(r, r.ensureIndex(mask)[h], mask, boundVals, lo, hi, fn)
 }
@@ -586,13 +648,16 @@ func stopAtFirst(int) error { return errFound }
 // exists reports whether some fact agrees with boundVals on the masked
 // columns (any fact at all for mask 0).
 func (r *Relation) exists(mask uint64, boundVals []value.Value) bool {
-	return r.VisitRange(mask, boundVals, 0, len(r.facts), stopAtFirst) != nil
+	return r.VisitRange(mask, boundVals, 0, r.Len(), stopAtFirst) != nil
 }
 
 // Sorted returns the facts sorted lexicographically by value order, for
 // deterministic output.
 func (r *Relation) Sorted() []Fact {
-	out := append([]Fact(nil), r.facts...)
+	out := r.All()
+	if r.sealed == nil {
+		out = slices.Clone(out)
+	}
 	sort.Slice(out, func(i, j int) bool { return factLess(out[i], out[j]) })
 	return out
 }
@@ -714,18 +779,6 @@ func (d *Database) Clone() *Database {
 	return out
 }
 
-// Seal makes every relation now in the database immutable, dropping its dedup
-// table and map indexes (sealed.go). It is one-way, and must happen before
-// the database is shared: sealing is itself a write.
-func (d *Database) Seal() {
-	for _, r := range d.rels {
-		if r.sealed == nil {
-			r.dedup, r.dedupMore, r.indexes = nil, nil, nil
-			r.sealed = &sealedIndexes{}
-		}
-	}
-}
-
 // mutable returns the named relation for writing, first replacing a sealed
 // one in this database's map by a mutable copy in the same insertion order.
 // Other databases sharing the sealed relation keep it.
@@ -738,35 +791,31 @@ func (d *Database) mutable(pred string) *Relation {
 	return r
 }
 
-// mutableCopy returns a mutable relation holding r's facts in r's order. The
-// facts of a relation are pairwise distinct, so none is probed for.
+// mutableCopy returns a mutable relation holding r's facts in r's order (a
+// sealed relation's assembled from its rows). The facts of a relation are
+// pairwise distinct, so none is probed for.
 func (r *Relation) mutableCopy() *Relation {
+	n := r.Len()
 	nr := &Relation{
 		Arity:   r.Arity,
-		facts:   make([]Fact, 0, len(r.facts)),
-		dedup:   make(map[uint64]int32, len(r.facts)),
+		facts:   make([]Fact, 0, n),
+		dedup:   make(map[uint64]int32, n),
 		indexes: make(map[uint64]map[uint64][]int),
 	}
-	for _, f := range r.facts {
+	for pos := 0; pos < n; pos++ {
+		f := r.At(pos)
 		nr.insertNew(hashTuple(f), f)
 	}
 	return nr
 }
 
-// ReplaceFacts swaps the named relation for a sealed one holding exactly the
-// given facts in the given order; the database takes ownership of the slice.
-// The facts must be pairwise distinct — nothing is hashed or probed here,
-// which is what lets the fact extractors (internal/metalog), whose facts are
-// keyed by a unique OID, build and rebuild relations in ascending-OID order
-// at the cost of the slice alone.
-func (d *Database) ReplaceFacts(pred string, arity int, facts []Fact) error {
-	for _, f := range facts {
-		if len(f) != arity {
-			return fmt.Errorf("vadalog: arity mismatch: relation %s has arity %d, fact has %d", pred, arity, len(f))
-		}
-	}
-	d.rels[pred] = &Relation{Arity: arity, facts: facts, sealed: &sealedIndexes{}}
-	return nil
+// InstallRows swaps the named relation for a sealed one of the given arity
+// reading its tuples from rows, in rows' order. Nothing is copied, hashed or
+// probed here, which is what lets the fact extractors (internal/metalog),
+// whose relations are row ids into a frozen graph's columns keyed by a unique
+// OID, build and rebuild relations at the cost of the row ids alone.
+func (d *Database) InstallRows(pred string, arity int, rows Rows) {
+	d.rels[pred] = &Relation{Arity: arity, sealed: &sealedRel{rows: rows}}
 }
 
 // Dump renders the database deterministically, for tests and debugging.

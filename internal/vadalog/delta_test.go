@@ -1,6 +1,7 @@
 package vadalog
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -142,25 +143,32 @@ func TestRelationRemoveModel(t *testing.T) {
 	}
 }
 
-func TestReplaceFacts(t *testing.T) {
+// TestInstallRows: an installed relation is sealed over the rows in their
+// order, its cold readers assemble tuples the caller may keep, and the first
+// write replaces it by a mutable copy in the same order.
+func TestInstallRows(t *testing.T) {
 	d := NewDatabase()
 	d.MustAddFact("p", value.IntV(2))
 	d.MustAddFact("p", value.IntV(1))
-	if err := d.ReplaceFacts("p", 1, []Fact{{value.IntV(1)}, {value.IntV(2)}}); err != nil {
-		t.Fatal(err)
-	}
+	d.InstallRows("p", 1, toColumns(1, []Fact{{value.IntV(1)}, {value.IntV(2)}}))
 	r := d.Relation("p")
 	if r.Len() != 2 || !tupleEqual(r.At(0), Fact{value.IntV(1)}) || !tupleEqual(r.At(1), Fact{value.IntV(2)}) || r.sealed == nil {
-		t.Fatalf("replaced relation = %v, sealed %v", r.All(), r.sealed != nil)
+		t.Fatalf("installed relation = %v, sealed %v", r.All(), r.sealed != nil)
 	}
-	if err := d.ReplaceFacts("q", 2, nil); err != nil {
-		t.Fatal(err)
+	r.At(0)[0] = value.IntV(9)
+	r.All()[1][0] = value.IntV(9)
+	if got := fmt.Sprint(r.All(), r.Sorted()); got != "[(1) (2)] [(1) (2)]" {
+		t.Fatalf("a scribbled tuple reached the relation: %s", got)
 	}
-	if d.Relation("q").Arity != 2 {
+	d.InstallRows("q", 2, toColumns(2, nil))
+	if d.Relation("q").Arity != 2 || d.Count("q") != 0 {
 		t.Fatal("new relation arity")
 	}
-	if err := d.ReplaceFacts("p", 1, []Fact{{value.IntV(1), value.IntV(2)}}); err == nil || d.Relation("p") != r {
-		t.Fatalf("a fact of the wrong arity must be refused and leave the relation: %v", err)
+	if added, err := d.AddFact("p", value.IntV(3)); err != nil || !added {
+		t.Fatalf("AddFact: %v %v", added, err)
+	}
+	if got := fmt.Sprint(d.Facts("p")); got != "[(1) (2) (3)]" || d.Relation("p").sealed != nil || r.Len() != 2 {
+		t.Fatalf("after AddFact: %s, the installed relation holds %d", got, r.Len())
 	}
 }
 

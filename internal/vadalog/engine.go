@@ -585,6 +585,7 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 		return s
 	}
 
+	uses := varUses(r)
 	bound := map[string]bool{}
 	for _, l := range r.Body {
 		switch l.Kind {
@@ -616,9 +617,11 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 					case boundInStep[t.Name]:
 						st.checkPos = append(st.checkPos, i)
 					default:
-						if l.Kind == LitNegAtom {
-							// Anonymous variables in negated atoms act as
-							// wildcards (checked by safety for named vars).
+						if l.Kind == LitNegAtom || uses[t.Name] == 1 {
+							// A variable occurring nowhere else is a
+							// wildcard: nothing reads its binding, so the
+							// join does not read its column. (Safety checks
+							// the named variables of negated atoms.)
 							continue
 						}
 						st.binderPos = append(st.binderPos, i)
@@ -756,6 +759,43 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 		}
 	}
 	return cr, nil
+}
+
+// varUses counts the occurrences of every variable of a rule: one per atom
+// argument, head and Skolem arguments included, and one per expression that
+// mentions it.
+func varUses(r Rule) map[string]int {
+	uses := map[string]int{}
+	var term func(t Term)
+	term = func(t Term) {
+		switch t := t.(type) {
+		case Var:
+			uses[t.Name]++
+		case SkolemTerm:
+			for _, a := range t.Args {
+				term(a)
+			}
+		}
+	}
+	for _, h := range r.Head {
+		for _, t := range h.Args {
+			term(t)
+		}
+	}
+	for _, l := range r.Body {
+		if l.Kind != LitExpr {
+			for _, t := range l.Atom.Args {
+				term(t)
+			}
+			continue
+		}
+		set := map[string]bool{}
+		l.Expr.vars(set)
+		for v := range set {
+			uses[v]++
+		}
+	}
+	return uses
 }
 
 // checkCtx polls the run context; it returns the raw context error, which
@@ -1095,18 +1135,20 @@ func (c *evalCtx) step(si int) error {
 				return errEvalCancelled
 			}
 			c.probes++
-			f := rel.At(pos)
-			for _, i := range st.binderPos {
-				slots[st.argSlot[i]] = f[i]
-			}
-			// checkPos positions repeat a variable whose binder is
-			// earlier in this same atom, so check after binding.
-			ok := true
-			for _, i := range st.checkPos {
-				if !value.Equal(f[i], slots[st.argSlot[i]]) {
-					ok = false
-					break
+			// One branch per candidate picks the relation's form: a mutable
+			// relation's fact is read in place, a sealed one's cells
+			// through its rows.
+			var ok bool
+			if rel.sealed == nil {
+				f := rel.facts[pos]
+				for _, i := range st.binderPos {
+					slots[st.argSlot[i]] = f[i]
 				}
+				// checkPos positions repeat a variable whose binder is
+				// earlier in this same atom, so check after binding.
+				ok = len(st.checkPos) == 0 || repeatsMatch(f, st, slots)
+			} else {
+				ok = rel.bindCells(pos, st, slots)
 			}
 			if ok {
 				if e.prov != nil {

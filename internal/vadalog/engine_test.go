@@ -495,6 +495,31 @@ func TestRepeatedVariableInAtom(t *testing.T) {
 	}
 }
 
+// TestRepeatedVariableMatchesByIdentity: a variable repeated inside one atom
+// matches the way a join matches it — by identity, so Int 1 and Float 1.0
+// differ — and the answer does not depend on which atom binds the variable
+// first, over mutable and sealed relations alike.
+func TestRepeatedVariableMatchesByIdentity(t *testing.T) {
+	db := NewDatabase()
+	db.MustAddFact("r", value.IntV(1))
+	db.MustAddFact("r", value.IntV(2))
+	db.MustAddFact("p", value.IntV(1), value.FloatV(1))
+	db.MustAddFact("p", value.IntV(2), value.IntV(2))
+	sealed := db.Clone()
+	seal(sealed)
+	for _, src := range []string{`q(X) :- r(X), p(X, X).`, `q(X) :- p(X, X), r(X).`} {
+		for name, in := range map[string]*Database{"mutable": db, "sealed": sealed} {
+			res, err := Run(MustParse(src), in, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(factStrings(res.Output("q")), " "); got != "(2)" {
+				t.Errorf("%s over %s relations: q = %s, want (2)", src, name, got)
+			}
+		}
+	}
+}
+
 func TestConstantsInAtoms(t *testing.T) {
 	res := runProg(t, `
 		redThing(X) :- item(X, "red", _).

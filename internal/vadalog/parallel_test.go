@@ -153,7 +153,7 @@ func TestParallelDifferential(t *testing.T) {
 		par3, errPar3 := Run(prog, db, par3Opts)
 
 		sealed := db.Clone()
-		sealed.Seal()
+		seal(sealed)
 		sealedSeq, errSealedSeq := Run(prog, sealed, seqOpts)
 		sealedPar8Opts := opts
 		sealedPar8Opts.Workers = 8

@@ -6,19 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// sealedIndexes is the index state of a sealed relation: one flat index per
-// probed mask, built on first use, at most once, and kept for as long as any
-// database holds the relation. Readers take the published map with one
-// atomic load; a miss builds under the mutex and publishes a copy with the
-// new entry, so concurrent queries forcing the same index wait for one build
-// instead of racing to repeat it.
-type sealedIndexes struct {
+// sealedRel is the state of a sealed relation: the row source it reads its
+// tuples from, and one flat index per probed mask, built on first use, at
+// most once, and kept for as long as any database holds the relation.
+// Readers take the published map with one atomic load; a miss builds under
+// the mutex and publishes a copy with the new entry, so concurrent queries
+// forcing the same index wait for one build instead of racing to repeat it.
+type sealedRel struct {
+	rows   Rows
 	mu     sync.Mutex
 	byMask atomic.Pointer[map[uint64]*flatIndex]
 	builds int // index builds so far, under mu; what the once-only test reads
 }
 
-func (s *sealedIndexes) index(facts []Fact, mask uint64) *flatIndex {
+func (s *sealedRel) index(arity int, mask uint64) *flatIndex {
 	if m := s.byMask.Load(); m != nil {
 		if ix := (*m)[mask]; ix != nil {
 			return ix
@@ -32,7 +33,7 @@ func (s *sealedIndexes) index(facts []Fact, mask uint64) *flatIndex {
 			return ix
 		}
 	}
-	next := map[uint64]*flatIndex{mask: buildFlatIndex(facts, mask)}
+	next := map[uint64]*flatIndex{mask: buildFlatIndex(s.rows, mask&(1<<uint(arity)-1))}
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
@@ -43,7 +44,7 @@ func (s *sealedIndexes) index(facts []Fact, mask uint64) *flatIndex {
 	return next[mask]
 }
 
-// flatIndex is a hash index over an immutable fact slice in two flat arrays:
+// flatIndex is a hash index over an immutable row source in two flat arrays:
 // the fact positions grouped by hash bucket, ascending within each bucket (so
 // the engine's window restriction binary-searches a bucket exactly as it does
 // a mutable posting list), and the bucket boundaries. With fewer facts than
@@ -61,13 +62,19 @@ type flatIndex struct {
 // mostly in the low half of the word.
 const hashMix = 0x9e3779b97f4a7c15
 
-func buildFlatIndex(facts []Fact, mask uint64) *flatIndex {
-	n := len(facts)
+// buildFlatIndex indexes the rows on the columns of mask, which names no
+// column past the arity.
+func buildFlatIndex(rows Rows, mask uint64) *flatIndex {
+	n := rows.Len()
 	b := uint(bits.Len(uint(n))) // 2^b > n: under one fact per bucket on average
 	ix := &flatIndex{shift: 64 - b, starts: make([]int32, 1<<b+1), pos: make([]int32, n)}
 	buckets := make([]uint32, n)
-	for i, f := range facts {
-		bk := uint32(projectHash(f, mask) * hashMix >> ix.shift)
+	for i := range buckets {
+		h := uint64(fnvOffset64)
+		for m := mask; m != 0; m &= m - 1 { // ascending columns, as projectHash folds them
+			h = hashValue(h, rows.Cell(i, bits.TrailingZeros64(m)))
+		}
+		bk := uint32(h * hashMix >> ix.shift)
 		buckets[i] = bk
 		ix.starts[bk+1]++
 	}

@@ -19,6 +19,39 @@ func positions(r *Relation, mask uint64, bound []value.Value) []int {
 	return out
 }
 
+// columnRows is a Rows source that stores its tuples by column, as the fact
+// extractors' sources read frozen graph columns: no tuple exists until a
+// cold reader assembles one.
+type columnRows [][]value.Value
+
+func (c columnRows) Len() int {
+	if len(c) == 0 {
+		return 0
+	}
+	return len(c[0])
+}
+
+func (c columnRows) Cell(pos, col int) value.Value { return c[col][pos] }
+
+func toColumns(arity int, facts []Fact) columnRows {
+	c := make(columnRows, arity)
+	for _, f := range facts {
+		for col, v := range f {
+			c[col] = append(c[col], v)
+		}
+	}
+	return c
+}
+
+// seal turns every relation of db sealed, over a column store of its facts
+// in their order.
+func seal(db *Database) {
+	for _, pred := range db.Predicates() {
+		r := db.Relation(pred)
+		db.InstallRows(pred, r.Arity, toColumns(r.Arity, r.All()))
+	}
+}
+
 // ownershipDB is a small serving-shaped database: Entity(oid, code) and
 // OWNS(oid, from, to), each entity owning the next three.
 func ownershipDB(n int) *Database {
@@ -55,7 +88,7 @@ func TestSealedConcurrentQueries(t *testing.T) {
 		}
 	}
 	shared := mutable.Clone()
-	shared.Seal()
+	seal(shared)
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -92,11 +125,11 @@ func TestSealedConcurrentQueries(t *testing.T) {
 }
 
 // TestSealedCloneIsolation: a clone of a sealed database shares every
-// relation by pointer, and no write on the clone — AddFact, ReplaceFacts, an
+// relation by pointer, and no write on the clone — AddFact, InstallRows, an
 // engine run deriving into an input relation — reaches the original.
 func TestSealedCloneIsolation(t *testing.T) {
 	orig := ownershipDB(20)
-	orig.Seal()
+	seal(orig)
 	before := orig.Clone()
 	rels := map[string]*Relation{}
 	for _, pred := range orig.Predicates() {
@@ -130,10 +163,8 @@ func TestSealedCloneIsolation(t *testing.T) {
 	check("AddFact")
 
 	c = orig.Clone()
-	if err := c.ReplaceFacts("OWNS", 3, []Fact{{value.IntV(1), value.IntV(2), value.IntV(3)}}); err != nil {
-		t.Fatal(err)
-	}
-	check("ReplaceFacts")
+	c.InstallRows("OWNS", 3, toColumns(3, []Fact{{value.IntV(1), value.IntV(2), value.IntV(3)}}))
+	check("InstallRows")
 
 	prog := MustParse(`OWNS(0, X, Z) :- OWNS(_, X, Y), OWNS(_, Y, Z).`)
 	for _, workers := range []int{1, 8} {
@@ -157,7 +188,7 @@ func TestSealedCloneIsolation(t *testing.T) {
 func TestSealedRelationRefusesWrites(t *testing.T) {
 	db := ownershipDB(5)
 	mutable := db.Clone()
-	db.Seal()
+	seal(db)
 	r := db.Relation("OWNS")
 	f := r.At(0)
 	if _, err := r.Insert(Fact{value.IntV(1), value.IntV(2), value.IntV(3)}); !errors.Is(err, ErrSealed) {

@@ -286,6 +286,31 @@ func Compare(a, b Value) int {
 // comparison semantics of MetaLog conditions.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Identical reports whether a and b are the same value: equal kinds and equal
+// payloads, drawing exactly the distinctions Canonical draws without building
+// the strings — every NaN is identical to every other, +0 and -0 are not, and
+// Int 1 is not Float 1.0. It is the identity of stored data: fact dedup, join
+// matches and the decision whether a write changes a property. Equal is the
+// comparison of conditions.
+func Identical(a, b Value) bool {
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case Int, Null:
+		return a.I == b.I
+	case Float:
+		if a.F != a.F {
+			return b.F != b.F // every NaN prints "NaN"
+		}
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case Bool:
+		return a.B == b.B
+	default:
+		return a.S == b.S
+	}
+}
+
 // Add returns a+b for numeric values and string concatenation for strings.
 func Add(a, b Value) (Value, error) {
 	if a.K == String && b.K == String {

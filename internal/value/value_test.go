@@ -111,6 +111,24 @@ func TestNumericCrossKindEquality(t *testing.T) {
 	}
 }
 
+// TestIdenticalIsCanonicalEquality: Identical draws exactly the distinctions
+// the canonical forms draw — kind, payload, one NaN, two zeros.
+func TestIdenticalIsCanonicalEquality(t *testing.T) {
+	vs := []Value{{}, IntV(1), IntV(0), FloatV(1), FloatV(0), FloatV(math.Copysign(0, -1)),
+		FloatV(math.NaN()), FloatV(math.Float64frombits(0x7ff8000000000001)), FloatV(math.Inf(1)),
+		Str("1"), Str(""), BoolV(true), BoolV(false), NullV(1), IDV("1"), IDV("⊥")}
+	for _, a := range vs {
+		for _, b := range vs {
+			if got, want := Identical(a, b), a.Canonical() == b.Canonical(); got != want {
+				t.Errorf("Identical(%s %s, %s %s) = %v, canonical forms equal: %v", a.K, a.Canonical(), b.K, b.Canonical(), got, want)
+			}
+		}
+	}
+	if !Equal(IntV(1), FloatV(1)) || Identical(IntV(1), FloatV(1)) {
+		t.Error("Int 1 and Float 1.0 must be Equal but not Identical")
+	}
+}
+
 func TestSkolemProperties(t *testing.T) {
 	a := Skolem("f", Str("x"), IntV(1))
 	b := Skolem("f", Str("x"), IntV(1))
