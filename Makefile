@@ -64,7 +64,7 @@ fuzz-smoke: build
 # each carries the same gate (70% of statements) so their suites cannot
 # silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg
+COVER_PKGS = server snapfile overlay wal plan pg instance
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

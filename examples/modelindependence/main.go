@@ -80,7 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("instance super-constructs: %d entities, %d edges (ground + derived)\n",
-		len(res.Loaded.Entities), res.Loaded.EdgeCount)
+		len(res.Loaded.Entities), len(res.Loaded.Edges))
 	fmt.Printf("derived %d CONTROLS edges (load %v, reason %v, flush %v)\n\n",
 		len(res.Derived.NewEdges), res.LoadDuration.Round(1000), res.ReasonDuration.Round(1000), res.FlushDuration.Round(1000))
 

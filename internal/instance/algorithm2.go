@@ -26,6 +26,7 @@ var (
 
 // Source abstracts the data instance D of Algorithm 2: whatever target
 // model it lives in, it can be loaded into the instance super-constructs.
+// A load builds its instance aside; Materialize attaches it.
 type Source interface {
 	load(d *Dictionary, instanceOID int64) (*Loaded, error)
 }
@@ -41,7 +42,7 @@ func (s PGSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
 	if err := fault.Hit(siteLoad); err != nil {
 		return nil, err
 	}
-	return d.LoadPG(s.Data, instanceOID)
+	return d.loadPG(s.Data, instanceOID)
 }
 
 // RelationalSource is a relational data instance (tables of the Figure 8
@@ -52,14 +53,15 @@ func (s RelationalSource) load(d *Dictionary, instanceOID int64) (*Loaded, error
 	if err := fault.Hit(siteLoad); err != nil {
 		return nil, err
 	}
-	return d.LoadRelational(s.Inst, instanceOID)
+	return d.loadRelational(s.Inst, instanceOID)
 }
 
 // RetryingSource retries a transiently failing Source under the policy,
-// rolling the dictionary back between attempts so a retried load replays on
-// exactly the pre-attempt state (same OIDs, same serialization — the
-// "bit-identical to a no-fault run" guarantee the chaos suite asserts).
-// Contained panics are never retried; they surface as *fault.PanicError.
+// handing each failed attempt's OIDs back to the dictionary so a retried load
+// replays on exactly the pre-attempt allocator (same OIDs, same rendered
+// dictionary — the "bit-identical to a no-fault run" guarantee the chaos
+// suite asserts). Contained panics are never retried; they surface as
+// *fault.PanicError.
 type RetryingSource struct {
 	Inner  Source
 	Policy fault.RetryPolicy
@@ -67,19 +69,14 @@ type RetryingSource struct {
 
 func (s RetryingSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
 	var loaded *Loaded
+	mark := d.next
 	err := s.Policy.Do("instance/load", func() error {
-		snap := d.Graph.Begin()
-		err := fault.Guard("instance/load", func() error {
+		d.next = mark
+		return fault.Guard("instance/load", func() error {
 			var lerr error
 			loaded, lerr = s.Inner.load(d, instanceOID)
 			return lerr
 		})
-		if err != nil {
-			snap.Rollback()
-			return err
-		}
-		snap.Commit()
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -112,16 +109,18 @@ type Result struct {
 // Vadalog by MTV), and flushes the derived facts back into the instance
 // constructs via the output views V_O^Σ.
 //
-// Failure semantics (DESIGN.md §9). The whole run executes under one
-// dictionary savepoint and every phase under a fault guard, so Materialize
-// is atomic and crash-contained: on any error — including a panic anywhere
-// in the pipeline, which surfaces as a *fault.PanicError — the dictionary
-// rolls back byte-identical to its pre-call state. The one deliberate
-// exception: when opts.OnFault is vadalog.BestEffort and the reasoning
-// fails partway, the strata that completed are a sound prefix of the
-// saturation, so their facts are flushed and committed, and the Result comes
-// back alongside the *vadalog.PartialError describing what was salvaged. A
-// flush failure always rolls back, best effort or not.
+// Failure semantics (DESIGN.md §9). The instance is built aside and attached
+// to the dictionary only once every phase succeeded, and every phase runs
+// under a fault guard, so Materialize is atomic and crash-contained: on any
+// error — including a panic anywhere in the pipeline, which surfaces as a
+// *fault.PanicError — nothing is attached and the OID allocator is handed
+// back, so the dictionary is exactly as it was before the call. The one
+// deliberate exception: when opts.OnFault is vadalog.BestEffort and the
+// reasoning fails partway, the strata that completed are a sound prefix of
+// the saturation, so their facts are flushed and the instance attached, and
+// the Result comes back alongside the *vadalog.PartialError describing what
+// was salvaged. A flush failure always discards the instance, best effort or
+// not.
 func Materialize(d *Dictionary, src Source, sigma *metalog.Program, instanceOID int64, opts vadalog.Options) (*Result, error) {
 	cat := CatalogFromSchema(d.Schema)
 	tr, err := metalog.Translate(sigma, cat)
@@ -129,9 +128,9 @@ func Materialize(d *Dictionary, src Source, sigma *metalog.Program, instanceOID 
 		return nil, fmt.Errorf("instance: translating Σ: %w", err)
 	}
 
-	snap := d.Graph.Begin()
+	mark := d.next
 	fail := func(e error) (*Result, error) {
-		snap.Rollback()
+		d.next = mark
 		return nil, e
 	}
 
@@ -191,7 +190,7 @@ func Materialize(d *Dictionary, src Source, sigma *metalog.Program, instanceOID 
 	}
 	flushDur := time.Since(flushStart)
 
-	snap.Commit()
+	d.attached = append(d.attached, loaded)
 	res := &Result{
 		Loaded:         loaded,
 		Catalog:        cat,
@@ -258,11 +257,7 @@ func (r *Result) ApplyToPG(data *pg.Graph) (ApplyStats, error) {
 		if !ok1 || !ok2 {
 			return stats, fmt.Errorf("instance: derived edge %s endpoints not in target graph", de.Type)
 		}
-		props := pg.Props{}
-		for k, v := range de.Attrs {
-			props[k] = v
-		}
-		if _, err := data.AddEdge(from, to, de.Type, props); err != nil {
+		if _, err := data.AddEdge(from, to, de.Type, de.Attrs); err != nil {
 			return stats, err
 		}
 		stats.EdgesCreated++
@@ -277,26 +272,14 @@ func (r *Result) ApplyToPG(data *pg.Graph) (ApplyStats, error) {
 // property graph with its intensional components materialized.
 func (r *Result) ExportPG() *pg.Graph {
 	out := pg.New()
-	s := r.Loaded.Dict.Schema
+	l := r.Loaded
 	rev := map[pg.OID]pg.OID{}
-	for _, ioid := range sortedset.Keys(r.Loaded.Entities) {
-		ent := r.Loaded.Entities[ioid]
-		labels := append([]string{ent.Type}, s.Ancestors(ent.Type)...)
-		props := pg.Props{}
-		for k, v := range ent.Attrs {
-			props[k] = v
-		}
-		n := out.AddNode(labels, props)
-		rev[ioid] = n.ID
+	for _, ioid := range sortedset.Keys(l.Entities) {
+		ent := l.Entities[ioid]
+		rev[ioid] = out.AddNode(l.Dict.upcasts[ent.Type], ent.Attrs).ID
 	}
-	// Replay every instance edge from the dictionary (this visit never fails).
-	_ = r.Loaded.eachEdge(func(_ pg.OID, typ string, from, to pg.OID, attrs pg.Props) error {
-		if f, ok1 := rev[from]; ok1 {
-			if t, ok2 := rev[to]; ok2 {
-				out.MustAddEdge(f, t, typ, attrs)
-			}
-		}
-		return nil
-	})
+	for _, e := range l.Edges {
+		out.MustAddEdge(rev[e.From], rev[e.To], e.Type, e.Attrs)
+	}
 	return out
 }

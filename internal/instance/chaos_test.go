@@ -20,8 +20,8 @@ import (
 // panic modes and both engine configurations, asserting the pipeline's two
 // robustness invariants on each run —
 //
-//  1. Atomicity: if Materialize returns an error, the dictionary is
-//     byte-identical to its pre-call state.
+//  1. Atomicity: if Materialize returns an error, the rendered dictionary
+//     is byte-identical to its pre-call state.
 //  2. Containment: an injected panic surfaces as a typed *fault.PanicError,
 //     never a process crash, and no goroutines leak.
 //
@@ -30,13 +30,17 @@ import (
 // never fire; the harness asserts those runs succeed untouched, which guards
 // against a site accidentally firing somewhere it should not exist.
 
-// dictSerial captures the dictionary graph's observable state. Injection
-// must be disarmed before calling it — the pg/write-json site sits on this
-// path too.
+// dictSerial captures the dictionary's observable state: its Figure 9
+// rendering, schema and instance constructs at their OIDs. Injection must be
+// disarmed before calling it — the pg/write-json site sits on this path too.
 func dictSerial(t *testing.T, d *Dictionary) string {
 	t.Helper()
+	g, err := d.Constructs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := d.Graph.WriteJSON(&buf); err != nil {
+	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -115,8 +119,8 @@ func TestChaosSweep(t *testing.T) {
 
 // TestChaosRetrySuccessIsBitIdentical: a load that fails transiently and
 // succeeds on retry produces exactly the dictionary and derived set of a run
-// that never faulted — the rollback between attempts restores the OID
-// allocator, so the replay allocates identical OIDs.
+// that never faulted — each failed attempt hands its OIDs back, so the replay
+// allocates identical OIDs.
 func TestChaosRetrySuccessIsBitIdentical(t *testing.T) {
 	defer fault.Reset()
 
@@ -150,7 +154,7 @@ func TestChaosRetrySuccessIsBitIdentical(t *testing.T) {
 
 // TestChaosRetryPanicNotRetried: a contained panic during load is a bug, not
 // a transient failure — the retry wrapper must give up immediately and the
-// dictionary must roll back.
+// dictionary must stay as it was.
 func TestChaosRetryPanicNotRetried(t *testing.T) {
 	defer fault.Reset()
 	d, data, sigma := chaosFixture(t)
@@ -201,9 +205,9 @@ func TestChaosBestEffortSalvage(t *testing.T) {
 	if n := len(res.Derived.NewEdges); n != 0 {
 		t.Errorf("salvaged run derived %d edges from a stratum that never ran", n)
 	}
-	// …but the loaded instance was committed, not rolled back.
+	// …but the loaded instance was attached, not discarded.
 	if after := dictSerial(t, d); after == before {
-		t.Error("best-effort salvage rolled the loaded instance back")
+		t.Error("best-effort salvage discarded the loaded instance")
 	}
 	// FailFast over the same fault discards everything.
 	d2, data2, sigma2 := chaosFixture(t)
@@ -222,9 +226,9 @@ func TestChaosBestEffortSalvage(t *testing.T) {
 }
 
 // TestMaterializeFlushErrorRollsBack: a natural (non-injected) flush-time
-// failure — Σ deriving an edge type outside the schema — also restores the
-// dictionary byte-identically, even though the load phase had already
-// written the full instance into it.
+// failure — Σ deriving an edge type outside the schema — also leaves the
+// dictionary byte-identical, even though the load phase had already built the
+// full instance and allocated its OIDs.
 func TestMaterializeFlushErrorRollsBack(t *testing.T) {
 	d, data, _ := chaosFixture(t)
 	before := dictSerial(t, d)
@@ -235,6 +239,14 @@ func TestMaterializeFlushErrorRollsBack(t *testing.T) {
 	}
 	if after := dictSerial(t, d); after != before {
 		t.Error("flush failure left the loaded instance in the dictionary")
+	}
+	// The failed run's OIDs were handed back: a run after it allocates what
+	// a run on a fresh dictionary does.
+	mustMaterialize(t, d, PGSource{Data: data}, metalog.MustParse(controlSigma), 1)
+	fresh, freshData, sigma := chaosFixture(t)
+	mustMaterialize(t, fresh, PGSource{Data: freshData}, sigma, 1)
+	if dictSerial(t, d) != dictSerial(t, fresh) {
+		t.Error("the run after a failed one allocated different OIDs")
 	}
 }
 

@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -74,6 +75,52 @@ func TestLoadRelationalMissingIdentifier(t *testing.T) {
 	}}
 	if _, err := d.LoadRelational(ri, 1); err == nil || !strings.Contains(err.Error(), "identifier") {
 		t.Errorf("row without identifier must fail, got %v", err)
+	}
+}
+
+// TestLoadRelationalUnrelatedTypesShareKey: a PhysicalPerson and a Business
+// with the same fiscal code are two entities no table-per-class join can
+// merge; the load must name both types and the key, not keep one of them or
+// blame an attribute of the other.
+func TestLoadRelationalUnrelatedTypesShareKey(t *testing.T) {
+	for _, biz := range []Row{
+		{"fiscalCode": value.Str("X1")},
+		{"fiscalCode": value.Str("X1"), "shareholdingCapital": value.FloatV(1)},
+	} {
+		d := newCompanyDict(t)
+		ri := &RelationalInstance{Tables: map[string][]Row{
+			"PhysicalPerson": {{"fiscalCode": value.Str("X1"), "name": value.Str("Ann"), "gender": value.Str("female")}},
+			"Business":       {biz},
+		}}
+		before := d.next
+		_, err := d.LoadRelational(ri, 1)
+		var ce *EntityConflictError
+		if !errors.As(err, &ce) {
+			t.Fatalf("Business row %v: err = %v, want *EntityConflictError", biz, err)
+		}
+		if types := map[string]bool{ce.Types[0]: true, ce.Types[1]: true}; !types["PhysicalPerson"] || !types["Business"] || ce.Key != `"X1"` {
+			t.Errorf("conflict = %+v, want PhysicalPerson and Business on \"X1\"", *ce)
+		}
+		if msg := err.Error(); !strings.Contains(msg, ce.Types[0]) || !strings.Contains(msg, ce.Types[1]) || !strings.Contains(msg, ce.Key) {
+			t.Errorf("error %q does not name both types and the key", msg)
+		}
+		if d.next != before || len(d.attached) != 0 {
+			t.Error("a failed load kept its OIDs or attached its instance")
+		}
+	}
+}
+
+// TestConstructsRefusesOIDClash: a construct added to the dictionary graph
+// after an instance was loaded takes an OID the instance level already
+// allocated, and the rendering reports it instead of dropping either.
+func TestConstructsRefusesOIDClash(t *testing.T) {
+	d := newCompanyDict(t)
+	if _, err := d.LoadPG(buildCompanyData(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	d.Graph.AddNode([]string{"Late"}, nil)
+	if _, err := d.Constructs(); err == nil || !strings.Contains(err.Error(), "already") {
+		t.Errorf("Constructs over a clashing OID = %v, want the clash", err)
 	}
 }
 

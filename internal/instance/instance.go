@@ -15,10 +15,18 @@
 //	(a:I_SM_Attribute {instanceOID, value}) -SM_REFERENCES-> (sa:SM_Attribute)
 //	I_SM_HAS_NODE_ATTR  i -> a      I_SM_HAS_EDGE_ATTR  e -> a
 //	I_SM_FROM           e -> i      I_SM_TO             e -> i
+//
+// The dictionary keeps that encoding as rows, not as graph writes: one
+// Entity per I_SM_Node and one Edge per I_SM_Edge, each with its attribute
+// values. Every construct of the encoding — the twins and the linking edges
+// included — still owns an OID, allocated arithmetically in creation order,
+// and Dictionary.Constructs renders the graph of Figure 9 from the rows when
+// something asks for it.
 package instance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,8 +48,19 @@ const (
 	LITo       = "I_SM_TO"
 )
 
-// Dictionary wraps a graph dictionary holding a super-schema together with
-// the index structures needed to create and navigate instance constructs.
+// OIDs each instance construct takes, consecutively, from the allocator.
+const (
+	entitySpan = 2 // the I_SM_Node, its SM_REFERENCES
+	edgeSpan   = 4 // the I_SM_Edge, its SM_REFERENCES, I_SM_FROM, I_SM_TO
+	twinSpan   = 3 // the I_SM_Attribute, the owner's I_SM_HAS_*_ATTR, its SM_REFERENCES
+)
+
+// Dictionary is a graph dictionary holding a super-schema, the index of its
+// constructs, and the instance level of every data instance attached to it.
+//
+// Graph holds the schema constructs only. The instance constructs live in the
+// attached Loaded instances, at OIDs allocated above every OID of Graph, so
+// nothing may be added to Graph once an instance is loaded.
 type Dictionary struct {
 	Graph  *pg.Graph
 	Schema *supermodel.Schema
@@ -49,8 +68,14 @@ type Dictionary struct {
 	// Construct OIDs of the schema in the dictionary.
 	nodeConstruct map[string]pg.OID            // node type name -> SM_Node OID
 	edgeConstruct map[string]pg.OID            // edge type name -> SM_Edge OID
-	nodeAttr      map[string]map[string]pg.OID // node type -> attr name -> SM_Attribute OID
+	nodeAttr      map[string]map[string]pg.OID // node type -> effective attr name -> SM_Attribute OID
 	edgeAttr      map[string]map[string]pg.OID
+	// upcasts lists each node type followed by its ancestors: the labels an
+	// entity of that type is viewed and exported under.
+	upcasts map[string][]string
+
+	next     pg.OID    // the OID the next instance construct takes
+	attached []*Loaded // in attach order
 }
 
 // NewDictionary stores the super-schema into a fresh dictionary and indexes
@@ -73,8 +98,11 @@ func IndexDictionary(g *pg.Graph, s *supermodel.Schema) (*Dictionary, error) {
 		edgeConstruct: map[string]pg.OID{},
 		nodeAttr:      map[string]map[string]pg.OID{},
 		edgeAttr:      map[string]map[string]pg.OID{},
+		upcasts:       map[string][]string{},
+		next:          1,
 	}
 	// Resolve constructs through SM_HAS_NODE_TYPE / SM_HAS_EDGE_TYPE names.
+	ownAttr := map[string]map[string]pg.OID{}
 	for _, n := range g.NodesByLabel(supermodel.LNode) {
 		if !inSchema(n, s.OID) {
 			continue
@@ -84,7 +112,7 @@ func IndexDictionary(g *pg.Graph, s *supermodel.Schema) (*Dictionary, error) {
 			return nil, fmt.Errorf("instance: SM_Node %d has no type", n.ID)
 		}
 		d.nodeConstruct[name] = n.ID
-		d.nodeAttr[name] = attrIndex(g, n.ID, supermodel.LHasNodeProp)
+		ownAttr[name] = attrIndex(g, n.ID, supermodel.LHasNodeProp)
 	}
 	for _, e := range g.NodesByLabel(supermodel.LEdge) {
 		if !inSchema(e, s.OID) {
@@ -101,6 +129,28 @@ func IndexDictionary(g *pg.Graph, s *supermodel.Schema) (*Dictionary, error) {
 		if _, ok := d.nodeConstruct[n.Name]; !ok {
 			return nil, fmt.Errorf("instance: dictionary misses construct for node %s", n.Name)
 		}
+	}
+	// A type's attributes are its own, then each ancestor's (in name order)
+	// that no earlier one declares.
+	for name := range ownAttr {
+		upcasts := append([]string{name}, s.Ancestors(name)...)
+		eff := map[string]pg.OID{}
+		for _, from := range upcasts {
+			for attr, oid := range ownAttr[from] {
+				if _, ok := eff[attr]; !ok {
+					eff[attr] = oid
+				}
+			}
+		}
+		d.nodeAttr[name] = eff
+		d.upcasts[name] = upcasts
+	}
+	// Instance OIDs start above the schema's.
+	if ns := g.Nodes(); len(ns) > 0 {
+		d.next = ns[len(ns)-1].ID + 1
+	}
+	if es := g.Edges(); len(es) > 0 && es[len(es)-1].ID >= d.next {
+		d.next = es[len(es)-1].ID + 1
 	}
 	return d, nil
 }
@@ -131,6 +181,20 @@ func attrIndex(g pg.View, owner pg.OID, label string) map[string]pg.OID {
 	return out
 }
 
+// alloc reserves n consecutive OIDs and returns the first.
+func (d *Dictionary) alloc(n int) pg.OID {
+	oid := d.next
+	d.next += pg.OID(n)
+	return oid
+}
+
+// attrConstruct resolves the attribute construct for a (possibly inherited)
+// attribute of the given type.
+func (d *Dictionary) attrConstruct(nodeType, attr string) (pg.OID, bool) {
+	oid, ok := d.nodeAttr[nodeType][attr]
+	return oid, ok
+}
+
 // Entity is one instance node loaded into the super-components: its
 // I_SM_Node OID in the dictionary, its most specific type, and its
 // attribute values.
@@ -138,6 +202,47 @@ type Entity struct {
 	IOID  pg.OID
 	Type  string
 	Attrs map[string]value.Value
+
+	// twins lists the entity's I_SM_Attribute twins in creation order. Nil
+	// stands for the twins the entity was created with: one per attribute,
+	// in name order, right after its own OIDs.
+	twins []twin
+}
+
+// twin is one I_SM_Attribute twin: the attribute it holds and its OID.
+type twin struct {
+	attr string
+	oid  pg.OID
+}
+
+// twinList returns the entity's attribute twins in creation order.
+func (e *Entity) twinList() []twin {
+	if e.twins != nil {
+		return e.twins
+	}
+	return contiguousTwins(e.IOID+entitySpan, e.Attrs)
+}
+
+// contiguousTwins lays out the twins of a construct created with the given
+// attributes: one per attribute in name order, from first on.
+func contiguousTwins(first pg.OID, attrs map[string]value.Value) []twin {
+	names := sortedset.Keys(attrs)
+	out := make([]twin, len(names))
+	for i, name := range names {
+		out[i] = twin{name, first + pg.OID(i*twinSpan)}
+	}
+	return out
+}
+
+// Edge is one instance edge: its I_SM_Edge OID, its type, the I_SM_Node
+// OIDs of its endpoints, and its attribute values. Its twins take the OIDs
+// right after its own, one per attribute in name order; edges are never
+// updated.
+type Edge struct {
+	IOID     pg.OID
+	Type     string
+	From, To pg.OID
+	Attrs    map[string]value.Value
 }
 
 // Loaded is the result of loading a data instance into the dictionary's
@@ -148,88 +253,152 @@ type Loaded struct {
 
 	// Entities indexed by the I_SM_Node OID.
 	Entities map[pg.OID]*Entity
+	// Edges holds the instance edges in OID order: the loaded ones, then
+	// those Flush derived.
+	Edges []Edge
 	// SourceNode maps a source PG node OID to its I_SM_Node OID (PG source
 	// only).
 	SourceNode map[pg.OID]pg.OID
-	// EdgeCount is the number of I_SM_Edge constructs created.
-	EdgeCount int
 }
 
-// attrValueOf resolves the attribute construct for a (possibly inherited)
-// attribute of the given type.
-func (d *Dictionary) attrConstruct(nodeType, attr string) (pg.OID, bool) {
-	if oid, ok := d.nodeAttr[nodeType][attr]; ok {
-		return oid, true
+func (d *Dictionary) newLoaded(instanceOID int64) *Loaded {
+	return &Loaded{
+		Dict:        d,
+		InstanceOID: instanceOID,
+		Entities:    map[pg.OID]*Entity{},
+		SourceNode:  map[pg.OID]pg.OID{},
 	}
-	for _, anc := range d.Schema.Ancestors(nodeType) {
-		if oid, ok := d.nodeAttr[anc][attr]; ok {
-			return oid, true
+}
+
+// addEntity creates an entity with one twin per attribute. The attributes
+// must be ones its type declares; callers filter them.
+func (l *Loaded) addEntity(nodeType string, attrs map[string]value.Value) (*Entity, error) {
+	if _, ok := l.Dict.nodeConstruct[nodeType]; !ok {
+		return nil, fmt.Errorf("instance: unknown node type %q", nodeType)
+	}
+	ent := &Entity{IOID: l.Dict.alloc(entitySpan + twinSpan*len(attrs)), Type: nodeType, Attrs: attrs}
+	l.Entities[ent.IOID] = ent
+	return ent, nil
+}
+
+// setAttr sets one attribute value of an entity; an attribute it had no
+// value for gets a new twin.
+func (l *Loaded) setAttr(ent *Entity, name string, v value.Value) {
+	if _, had := ent.Attrs[name]; !had {
+		ent.twins = append(ent.twinList(), twin{name, l.Dict.alloc(twinSpan)})
+	}
+	ent.Attrs[name] = v
+}
+
+// addEdge creates an instance edge between two entities, with one twin per
+// attribute.
+func (l *Loaded) addEdge(edgeType string, from, to pg.OID, attrs map[string]value.Value) error {
+	d := l.Dict
+	if _, ok := d.edgeConstruct[edgeType]; !ok {
+		return fmt.Errorf("instance: unknown edge type %q", edgeType)
+	}
+	bad := ""
+	for name := range attrs {
+		if _, ok := d.edgeAttr[edgeType][name]; !ok && (bad == "" || name < bad) {
+			bad = name
 		}
 	}
-	return 0, false
-}
-
-// addInstanceNode creates an I_SM_Node with its attribute twins.
-func (d *Dictionary) addInstanceNode(instOID int64, nodeType string, attrs map[string]value.Value) (pg.OID, error) {
-	construct, ok := d.nodeConstruct[nodeType]
-	if !ok {
-		return 0, fmt.Errorf("instance: unknown node type %q", nodeType)
+	if bad != "" {
+		return fmt.Errorf("instance: edge type %s has no attribute %q", edgeType, bad)
 	}
-	in := d.Graph.AddNode([]string{LINode}, pg.Props{"instanceOID": value.IntV(instOID)})
-	d.Graph.MustAddEdge(in.ID, construct, LRefs, nil)
-	for _, name := range sortedset.Keys(attrs) { // creation order fixes the twins' OIDs
-		ac, ok := d.attrConstruct(nodeType, name)
-		if !ok {
-			return 0, fmt.Errorf("instance: node type %s has no attribute %q", nodeType, name)
-		}
-		d.addAttrTwin(instOID, in.ID, LIHasNAttr, ac, attrs[name])
-	}
-	return in.ID, nil
-}
-
-// addAttrTwin creates the I_SM_Attribute holding one attribute value of an
-// instance node or edge, linked from its owner and to its schema construct.
-func (d *Dictionary) addAttrTwin(instOID int64, owner pg.OID, has string, ac pg.OID, v value.Value) {
-	ia := d.Graph.AddNode([]string{LIAttr}, pg.Props{
-		"instanceOID": value.IntV(instOID),
-		"value":       v,
+	l.Edges = append(l.Edges, Edge{
+		IOID: d.alloc(edgeSpan + twinSpan*len(attrs)), Type: edgeType, From: from, To: to, Attrs: attrs,
 	})
-	d.Graph.MustAddEdge(owner, ia.ID, has, nil)
-	d.Graph.MustAddEdge(ia.ID, ac, LRefs, nil)
+	return nil
 }
 
-// addInstanceEdge creates an I_SM_Edge between two I_SM_Nodes.
-func (d *Dictionary) addInstanceEdge(instOID int64, edgeType string, from, to pg.OID, attrs map[string]value.Value) (pg.OID, error) {
-	construct, ok := d.edgeConstruct[edgeType]
-	if !ok {
-		return 0, fmt.Errorf("instance: unknown edge type %q", edgeType)
-	}
-	ie := d.Graph.AddNode([]string{LIEdge}, pg.Props{"instanceOID": value.IntV(instOID)})
-	d.Graph.MustAddEdge(ie.ID, construct, LRefs, nil)
-	d.Graph.MustAddEdge(ie.ID, from, LIFrom, nil)
-	d.Graph.MustAddEdge(ie.ID, to, LITo, nil)
-	for _, name := range sortedset.Keys(attrs) {
-		ac, ok := d.edgeAttr[edgeType][name]
-		if !ok {
-			return 0, fmt.Errorf("instance: edge type %s has no attribute %q", edgeType, name)
+// Constructs renders the dictionary as Figure 9 encodes it: a copy of Graph
+// plus, for every attached instance, its I_SM_Node, I_SM_Edge and
+// I_SM_Attribute nodes and their SM_REFERENCES, I_SM_FROM, I_SM_TO and
+// I_SM_HAS_*_ATTR edges, each at the OID allocated to it. It builds the graph
+// on every call; it fails only if Graph gained a construct at an OID the
+// instance level had allocated.
+func (d *Dictionary) Constructs() (*pg.Graph, error) {
+	g := d.Graph.Clone()
+	var err error // the first failed insertion; later ones are skipped
+	node := func(id pg.OID, label string, props pg.Props) {
+		if err == nil {
+			_, err = g.AddNodeWithID(id, []string{label}, props)
 		}
-		d.addAttrTwin(instOID, ie.ID, LIHasEAttr, ac, attrs[name])
 	}
-	return ie.ID, nil
+	edge := func(id, from, to pg.OID, label string) {
+		if err == nil {
+			_, err = g.AddEdgeWithID(id, from, to, label, nil)
+		}
+	}
+	for _, l := range d.attached {
+		inst := value.IntV(l.InstanceOID)
+		addTwin := func(t twin, owner pg.OID, has string, construct pg.OID, v value.Value) {
+			node(t.oid, LIAttr, pg.Props{"instanceOID": inst, "value": v})
+			edge(t.oid+1, owner, t.oid, has)
+			edge(t.oid+2, t.oid, construct, LRefs)
+		}
+		for _, ioid := range sortedset.Keys(l.Entities) {
+			ent := l.Entities[ioid]
+			node(ioid, LINode, pg.Props{"instanceOID": inst})
+			edge(ioid+1, ioid, d.nodeConstruct[ent.Type], LRefs)
+			for _, t := range ent.twinList() {
+				addTwin(t, ioid, LIHasNAttr, d.nodeAttr[ent.Type][t.attr], ent.Attrs[t.attr])
+			}
+		}
+		for _, e := range l.Edges {
+			node(e.IOID, LIEdge, pg.Props{"instanceOID": inst})
+			edge(e.IOID+1, e.IOID, d.edgeConstruct[e.Type], LRefs)
+			edge(e.IOID+2, e.IOID, e.From, LIFrom)
+			edge(e.IOID+3, e.IOID, e.To, LITo)
+			for _, t := range contiguousTwins(e.IOID+edgeSpan, e.Attrs) {
+				addTwin(t, e.IOID, LIHasEAttr, d.edgeAttr[e.Type][t.attr], e.Attrs[t.attr])
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("instance: rendering the dictionary: %w", err)
+	}
+	return g, nil
 }
 
 // LoadPG loads a property-graph data instance into the instance
 // super-constructs: the quasi-inverse (V(M).copy)⁻¹ for the PG model, which
 // reads the data back into the super-model. Each data node must carry
 // exactly one most-specific schema label (multi-label tagging is resolved
-// against the generalization hierarchy).
+// against the generalization hierarchy). The loaded instance is attached to
+// the dictionary; on failure nothing is.
 func (d *Dictionary) LoadPG(data pg.View, instanceOID int64) (*Loaded, error) {
-	out := &Loaded{
-		Dict:        d,
-		InstanceOID: instanceOID,
-		Entities:    map[pg.OID]*Entity{},
-		SourceNode:  map[pg.OID]pg.OID{},
+	return d.attach(func() (*Loaded, error) { return d.loadPG(data, instanceOID) })
+}
+
+// LoadRelational loads a relational data instance into the instance
+// super-constructs: the quasi-inverse for the relational model. Entities
+// split across table-per-class relations are re-joined on their inherited
+// identifiers, junction tables become I_SM_Edges, and foreign-key columns
+// of functional edges become I_SM_Edges as well. The loaded instance is
+// attached to the dictionary; on failure nothing is.
+func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (*Loaded, error) {
+	return d.attach(func() (*Loaded, error) { return d.loadRelational(ri, instanceOID) })
+}
+
+// attach runs a load and attaches what it built. A load that fails attaches
+// nothing and hands its OIDs back.
+func (d *Dictionary) attach(load func() (*Loaded, error)) (*Loaded, error) {
+	mark := d.next
+	l, err := load()
+	if err != nil {
+		d.next = mark
+		return nil, err
 	}
+	d.attached = append(d.attached, l)
+	return l, nil
+}
+
+// loadPG is LoadPG building its instance aside. On failure the OIDs it
+// allocated stay allocated; its callers restore the allocator.
+func (d *Dictionary) loadPG(data pg.View, instanceOID int64) (*Loaded, error) {
+	out := d.newLoaded(instanceOID)
 	var err error
 	data.ScanNodes(func(n *pg.NodeRow) bool {
 		var typ string
@@ -243,32 +412,32 @@ func (d *Dictionary) LoadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 				attrs[p.Key] = p.Val
 			}
 		}
-		var ioid pg.OID
-		if ioid, err = d.addInstanceNode(instanceOID, typ, attrs); err != nil {
+		var ent *Entity
+		if ent, err = out.addEntity(typ, attrs); err != nil {
 			return false
 		}
-		out.Entities[ioid] = &Entity{IOID: ioid, Type: typ, Attrs: attrs}
-		out.SourceNode[n.ID] = ioid
+		out.SourceNode[n.ID] = ent.IOID
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
 	data.ScanEdges(func(e *pg.EdgeRow) bool {
-		if _, ok := d.edgeConstruct[e.Label]; !ok {
+		declared, ok := d.edgeAttr[e.Label]
+		if !ok {
 			return true // label outside the schema (e.g. auxiliary data)
 		}
-		attrs := map[string]value.Value{}
+		var attrs map[string]value.Value
 		for _, p := range e.Props {
-			if _, ok := d.edgeAttr[e.Label][p.Key]; ok {
+			if _, ok := declared[p.Key]; ok {
+				if attrs == nil {
+					attrs = map[string]value.Value{}
+				}
 				attrs[p.Key] = p.Val
 			}
 		}
-		if _, err = d.addInstanceEdge(instanceOID, e.Label, out.SourceNode[e.From], out.SourceNode[e.To], attrs); err != nil {
-			return false
-		}
-		out.EdgeCount++
-		return true
+		err = out.addEdge(e.Label, out.SourceNode[e.From], out.SourceNode[e.To], attrs)
+		return err == nil
 	})
 	if err != nil {
 		return nil, err
@@ -287,39 +456,60 @@ type RelationalInstance struct {
 	Tables map[string][]Row
 }
 
-// LoadRelational loads a relational data instance into the instance
-// super-constructs: the quasi-inverse for the relational model. Entities
-// split across table-per-class relations are re-joined on their inherited
-// identifiers, junction tables become I_SM_Edges, and foreign-key columns
-// of functional edges become I_SM_Edges as well.
-func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (*Loaded, error) {
-	out := &Loaded{
-		Dict:        d,
-		InstanceOID: instanceOID,
-		Entities:    map[pg.OID]*Entity{},
-		SourceNode:  map[pg.OID]pg.OID{},
-	}
+// EntityConflictError is LoadRelational's error for rows of two node types,
+// neither a generalization of the other, that carry the same identifier
+// values. The table-per-class rows of one entity share its identifier, but
+// rows of unrelated types cannot describe one entity, and merging them would
+// drop one of the two.
+type EntityConflictError struct {
+	Types [2]string // the type the identifier was first loaded as, then the row's
+	Key   string    // the identifier values, canonical, in attribute-name order
+}
+
+func (e *EntityConflictError) Error() string {
+	return fmt.Sprintf("instance: rows of unrelated types %s and %s share the identifier (%s)",
+		e.Types[0], e.Types[1], e.Key)
+}
+
+// loadRelational is LoadRelational building its instance aside. On failure
+// the OIDs it allocated stay allocated; its callers restore the allocator.
+func (d *Dictionary) loadRelational(ri *RelationalInstance, instanceOID int64) (*Loaded, error) {
+	out := d.newLoaded(instanceOID)
 	s := d.Schema
 
-	idKey := func(nodeType string, r Row) (string, error) {
-		ids := s.EffectiveIDAttributes(nodeType)
-		if len(ids) == 0 {
-			return "", fmt.Errorf("instance: node type %s has no identifier", nodeType)
-		}
-		parts := make([]string, 0, len(ids))
-		names := make([]string, 0, len(ids))
-		for _, a := range ids {
+	// idNames lists a type's effective identifier attributes in name order,
+	// the order a key joins their values in.
+	idNames := func(nodeType string) []string {
+		var names []string
+		for _, a := range s.EffectiveIDAttributes(nodeType) {
 			names = append(names, a.Name)
 		}
 		sort.Strings(names)
-		for _, n := range names {
-			v, ok := r[n]
+		return names
+	}
+	// key joins the canonical values of the row's prefix+name columns; it
+	// names the first column the row lacks.
+	key := func(r Row, prefix string, names []string) (string, string) {
+		parts := make([]string, len(names))
+		for i, n := range names {
+			v, ok := r[prefix+n]
 			if !ok {
-				return "", fmt.Errorf("instance: row of %s misses identifier column %s", nodeType, n)
+				return "", prefix + n
 			}
-			parts = append(parts, v.Canonical())
+			parts[i] = v.Canonical()
 		}
-		return strings.Join(parts, "\x00"), nil
+		return strings.Join(parts, "\x00"), ""
+	}
+	idKey := func(nodeType string, r Row) (string, error) {
+		names := idNames(nodeType)
+		if len(names) == 0 {
+			return "", fmt.Errorf("instance: node type %s has no identifier", nodeType)
+		}
+		k, missing := key(r, "", names)
+		if missing != "" {
+			return "", fmt.Errorf("instance: row of %s misses identifier column %s", nodeType, missing)
+		}
+		return k, nil
 	}
 
 	// Pass 1: group rows by entity key; the most specific relation holding
@@ -330,15 +520,16 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 		attrs map[string]value.Value
 	}
 	entities := map[string]*pending{}
-	deeper := func(a, b string) string {
-		// Returns the more specific of two types (the one that descends
-		// from the other); unrelated types are an error resolved upstream.
-		for _, anc := range s.Ancestors(a) {
-			if anc == b {
-				return a
-			}
+	// deeper returns the more specific of the type a key was loaded as and
+	// the type of a row carrying it, one of which must descend from the other.
+	deeper := func(loaded, row, key string) (string, error) {
+		switch {
+		case loaded == row || slices.Contains(s.Ancestors(row), loaded):
+			return row, nil
+		case slices.Contains(s.Ancestors(loaded), row):
+			return loaded, nil
 		}
-		return b
+		return "", &EntityConflictError{Types: [2]string{loaded, row}, Key: strings.ReplaceAll(key, "\x00", ", ")}
 	}
 	for _, n := range s.Nodes {
 		rows := ri.Tables[n.Name]
@@ -351,8 +542,8 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 			if !ok {
 				p = &pending{typ: n.Name, attrs: map[string]value.Value{}}
 				entities[key] = p
-			} else {
-				p.typ = deeper(n.Name, p.typ)
+			} else if p.typ, err = deeper(p.typ, n.Name, key); err != nil {
+				return nil, err
 			}
 			for col, v := range r {
 				if _, ok := d.attrConstruct(n.Name, col); ok {
@@ -364,30 +555,19 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 	byKey := map[string]pg.OID{}
 	for _, k := range sortedset.Keys(entities) {
 		p := entities[k]
-		ioid, err := d.addInstanceNode(instanceOID, p.typ, p.attrs)
+		ent, err := out.addEntity(p.typ, p.attrs)
 		if err != nil {
 			return nil, err
 		}
-		out.Entities[ioid] = &Entity{IOID: ioid, Type: p.typ, Attrs: p.attrs}
-		byKey[k] = ioid
+		byKey[k] = ent.IOID
 	}
 
 	lookupRef := func(target string, r Row, prefix string) (pg.OID, error) {
-		ids := s.EffectiveIDAttributes(target)
-		names := make([]string, 0, len(ids))
-		for _, a := range ids {
-			names = append(names, a.Name)
+		k, missing := key(r, prefix, idNames(target))
+		if missing != "" {
+			return 0, fmt.Errorf("instance: missing foreign-key column %s", missing)
 		}
-		sort.Strings(names)
-		parts := make([]string, 0, len(names))
-		for _, n := range names {
-			v, ok := r[prefix+n]
-			if !ok {
-				return 0, fmt.Errorf("instance: missing foreign-key column %s%s", prefix, n)
-			}
-			parts = append(parts, v.Canonical())
-		}
-		ioid, ok := byKey[strings.Join(parts, "\x00")]
+		ioid, ok := byKey[k]
 		if !ok {
 			return 0, fmt.Errorf("instance: dangling foreign key to %s", target)
 		}
@@ -410,16 +590,9 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 				if err != nil {
 					return nil, fmt.Errorf("instance: junction %s: %w", e.Name, err)
 				}
-				attrs := map[string]value.Value{}
-				for _, a := range e.Attributes {
-					if v, ok := r[a.Name]; ok {
-						attrs[a.Name] = v
-					}
-				}
-				if _, err := d.addInstanceEdge(instanceOID, e.Name, from, to, attrs); err != nil {
+				if err := out.addEdge(e.Name, from, to, edgeAttrs(e, r)); err != nil {
 					return nil, err
 				}
-				out.EdgeCount++
 			}
 		default:
 			holder, target := e.From, e.To
@@ -427,8 +600,12 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 				holder, target = e.To, e.From
 			}
 			prefix := strings.ToLower(e.Name) + "_"
+			fkColumn := prefix
+			if ids := idNames(target); len(ids) > 0 {
+				fkColumn += ids[0]
+			}
 			for _, r := range ri.Tables[holder] {
-				if _, ok := r[prefix+firstIDField(s, target)]; !ok {
+				if _, ok := r[fkColumn]; !ok {
 					continue // optional participation: FK columns absent
 				}
 				fromKey, err := idKey(holder, r)
@@ -439,36 +616,30 @@ func (d *Dictionary) LoadRelational(ri *RelationalInstance, instanceOID int64) (
 				if err != nil {
 					return nil, fmt.Errorf("instance: edge %s: %w", e.Name, err)
 				}
-				attrs := map[string]value.Value{}
-				for _, a := range e.Attributes {
-					if v, ok := r[a.Name]; ok {
-						attrs[a.Name] = v
-					}
-				}
 				from := byKey[fromKey]
 				src, dst := from, to
 				if holder != e.From {
 					src, dst = to, from
 				}
-				if _, err := d.addInstanceEdge(instanceOID, e.Name, src, dst, attrs); err != nil {
+				if err := out.addEdge(e.Name, src, dst, edgeAttrs(e, r)); err != nil {
 					return nil, err
 				}
-				out.EdgeCount++
 			}
 		}
 	}
 	return out, nil
 }
 
-func firstIDField(s *supermodel.Schema, nodeType string) string {
-	ids := s.EffectiveIDAttributes(nodeType)
-	names := make([]string, 0, len(ids))
-	for _, a := range ids {
-		names = append(names, a.Name)
+// edgeAttrs picks an edge's declared attributes out of the row holding it.
+func edgeAttrs(e *supermodel.Edge, r Row) map[string]value.Value {
+	var attrs map[string]value.Value
+	for _, a := range e.Attributes {
+		if v, ok := r[a.Name]; ok {
+			if attrs == nil {
+				attrs = map[string]value.Value{}
+			}
+			attrs[a.Name] = v
+		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return ""
-	}
-	return names[0]
+	return attrs
 }

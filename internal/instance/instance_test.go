@@ -76,10 +76,13 @@ func TestFigure9InstanceConstructs(t *testing.T) {
 	if len(loaded.Entities) != 4 {
 		t.Fatalf("expected 4 entities, got %d", len(loaded.Entities))
 	}
-	if loaded.EdgeCount != 4 {
-		t.Fatalf("expected 4 instance edges, got %d", loaded.EdgeCount)
+	if len(loaded.Edges) != 4 {
+		t.Fatalf("expected 4 instance edges, got %d", len(loaded.Edges))
 	}
-	g := d.Graph
+	g, err := d.Constructs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := len(g.NodesByLabel(LINode)); n != 4 {
 		t.Errorf("I_SM_Node count = %d", n)
 	}
@@ -110,6 +113,10 @@ func TestFigure9InstanceConstructs(t *testing.T) {
 		if io := ia.Props["instanceOID"]; io.I != 234 {
 			t.Errorf("I_SM_Attribute %d has wrong instanceOID %v", ia.ID, io)
 		}
+	}
+	// The rendering is built from the rows: the schema graph holds none of it.
+	if n := len(d.Graph.NodesByLabel(LINode)); n != 0 {
+		t.Errorf("the dictionary graph holds %d I_SM_Nodes", n)
 	}
 }
 
@@ -199,36 +206,7 @@ func TestAlgorithm2RelationalSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table-per-class rows: each business appears in Person, LegalPerson
-	// and Business; OWNS is an (intensional, thus junction) relation — here
-	// we feed ground OWNS rows as the extensional sums of HOLDS, which is
-	// how a relational deployment stores the materialized edges.
-	str, flt := value.Str, value.FloatV
-	ri := &RelationalInstance{Tables: map[string][]Row{}}
-	for _, code := range []string{"IT1", "IT2", "IT3", "IT4"} {
-		ri.Tables["Person"] = append(ri.Tables["Person"], Row{"fiscalCode": str(code)})
-		ri.Tables["LegalPerson"] = append(ri.Tables["LegalPerson"], Row{
-			"fiscalCode": str(code), "businessName": str("biz-" + code), "legalNature": str("spa"),
-		})
-		ri.Tables["Business"] = append(ri.Tables["Business"], Row{
-			"fiscalCode": str(code), "shareholdingCapital": flt(1000),
-		})
-	}
-	own := func(x, y string, w float64) Row {
-		return Row{
-			"fk_owns_src_fiscalCode": str(x),
-			"fk_owns_dst_fiscalCode": str(y),
-			"percentage":             flt(w),
-		}
-	}
-	ri.Tables["OWNS"] = []Row{
-		own("IT1", "IT2", 0.6),
-		own("IT1", "IT3", 0.3),
-		own("IT2", "IT3", 0.3),
-		own("IT3", "IT4", 0.4),
-	}
-
-	res, err := Materialize(d, RelationalSource{Inst: ri}, sigma, 888, vadalog.Options{})
+	res, err := Materialize(d, RelationalSource{Inst: companyTables()}, sigma, 888, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,24 +242,8 @@ func TestExample61InstanceCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := pg.New()
-	person := g.AddNode([]string{"PhysicalPerson"}, pg.Props{
-		"fiscalCode": value.Str("P1"), "name": value.Str("Ann"), "gender": value.Str("female"),
-	}).ID
-	share := g.AddNode([]string{"Share"}, pg.Props{
-		"shareCode": value.Str("S1"), "percentage": value.FloatV(1.0),
-	}).ID
-	biz := g.AddNode([]string{"Business"}, pg.Props{
-		"fiscalCode": value.Str("B1"), "shareholdingCapital": value.FloatV(10),
-	}).ID
-	g.MustAddEdge(person, share, "HOLDS", pg.Props{"right": value.Str("ownership"), "percentage": value.FloatV(1.0)})
-	g.MustAddEdge(share, biz, "BELONGS_TO", nil)
-
-	sigma := metalog.MustParse(`
-		(p: Person) [: HOLDS] (s: Share) [: BELONGS_TO] (y: Business), c = count()
-			-> (y: Business; numberOfStakeholders: c).
-	`)
-	res, err := Materialize(d, PGSource{Data: g}, sigma, 234, vadalog.Options{})
+	g, biz := example61Data()
+	res, err := Materialize(d, PGSource{Data: g}, metalog.MustParse(example61Sigma), 234, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +257,14 @@ func TestExample61InstanceCopy(t *testing.T) {
 		t.Errorf("numberOfStakeholders = %v", got)
 	}
 	// The I_SM_Attribute twin exists in the dictionary too (Example 6.1).
+	dict, err := d.Constructs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, ia := range d.Graph.NodesByLabel(LIAttr) {
-		for _, e := range d.Graph.Out(ia.ID) {
-			if e.Label == LRefs && d.Graph.Node(e.To).Props["name"].S == "numberOfStakeholders" {
+	for _, ia := range dict.NodesByLabel(LIAttr) {
+		for _, e := range dict.Out(ia.ID) {
+			if e.Label == LRefs && dict.Node(e.To).Props["name"].S == "numberOfStakeholders" {
 				if ia.Props["value"].I == 1 {
 					found = true
 				}
@@ -344,25 +310,8 @@ func TestIntensionalNodeCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := pg.New()
-	add := func(code, name string) pg.OID {
-		return g.AddNode([]string{"PhysicalPerson"}, pg.Props{
-			"fiscalCode": value.Str(code), "name": value.Str(name), "gender": value.Str("other"),
-		}).ID
-	}
-	a := add("P1", "Rossi Mario")
-	b := add("P2", "Rossi Luigi")
-	c := add("P3", "Bianchi Anna")
-	_ = a
-	_ = b
-	_ = c
-	// One family per surname (first token of the name), linked via the
-	// linker Skolem functor so that the same surname maps to one Family.
-	sigma := metalog.MustParse(`
-		(p: PhysicalPerson; name: n), f = concat(n)
-			-> (#skFam(f): Family; familyName: f), (p) [e: BELONGS_TO_FAMILY] (#skFam(f): Family).
-	`)
-	res, err := Materialize(d, PGSource{Data: g}, sigma, 1, vadalog.Options{})
+	g := familyData()
+	res, err := Materialize(d, PGSource{Data: g}, metalog.MustParse(familySigma), 1, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ func TestLoadRelationalBothFKDirections(t *testing.T) {
 	if len(loaded.Entities) != 4 {
 		t.Fatalf("entities = %d", len(loaded.Entities))
 	}
-	if loaded.EdgeCount != 2 {
-		t.Fatalf("edges = %d, want ASSIGNED_TO + MAKES", loaded.EdgeCount)
+	if len(loaded.Edges) != 2 {
+		t.Fatalf("edges = %d, want ASSIGNED_TO + MAKES", len(loaded.Edges))
 	}
 
 	// The views expose the edges with the schema's orientation: ASSIGNED_TO

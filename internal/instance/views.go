@@ -42,79 +42,27 @@ func CatalogFromSchema(s *supermodel.Schema) *metalog.Catalog {
 // catalog (metalog's fact layout).
 func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
 	db := vadalog.NewDatabase()
-	s := l.Dict.Schema
 	for _, ioid := range sortedset.Keys(l.Entities) {
 		ent := l.Entities[ioid]
-		labels := append([]string{ent.Type}, s.Ancestors(ent.Type)...)
-		for _, label := range labels {
+		for _, label := range l.Dict.upcasts[ent.Type] {
 			if _, err := db.AddFact(label, cat.NodeFact(label, ioid, ent.Attrs)...); err != nil {
 				return nil, err
 			}
 		}
 	}
-	err := l.eachEdge(func(ie pg.OID, typ string, from, to pg.OID, attrs pg.Props) error {
-		if typ == "" || from == 0 || to == 0 {
-			return fmt.Errorf("instance: malformed I_SM_Edge %d", ie)
+	for _, e := range l.Edges {
+		if _, err := db.AddFact(e.Type, cat.EdgeFact(e.Type, e.IOID, e.From, e.To, e.Attrs)...); err != nil {
+			return nil, err
 		}
-		_, err := db.AddFact(typ, cat.EdgeFact(typ, ie, from, to, attrs)...)
-		return err
-	})
-	if err != nil {
-		return nil, err
 	}
 	return db, nil
-}
-
-// eachEdge decodes the instance's I_SM_Edge constructs, in dictionary order,
-// into their type, endpoints and attributes. A construct the dictionary holds
-// incompletely reaches visit with the zero type or endpoint.
-func (l *Loaded) eachEdge(visit func(ie pg.OID, typ string, from, to pg.OID, attrs pg.Props) error) error {
-	g := l.Dict.Graph
-	for _, ie := range g.NodesByLabel(LIEdge) {
-		if io, ok := ie.Props["instanceOID"]; !ok || io.I != l.InstanceOID {
-			continue
-		}
-		var typ string
-		var from, to pg.OID
-		attrs := pg.Props{}
-		for _, e := range g.Out(ie.ID) {
-			switch e.Label {
-			case LRefs:
-				typ, _ = constructTypeName(g, e.To, supermodel.LHasEdgeType)
-			case LIFrom:
-				from = e.To
-			case LITo:
-				to = e.To
-			case LIHasEAttr:
-				ia := g.Node(e.To)
-				for _, re := range g.Out(ia.ID) {
-					if re.Label == LRefs {
-						attrs[g.Node(re.To).Props["name"].S] = ia.Props["value"]
-					}
-				}
-			}
-		}
-		if err := visit(ie.ID, typ, from, to, attrs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DerivedEdge is one intensional edge produced by the reasoning process.
-type DerivedEdge struct {
-	IOID  pg.OID
-	Type  string
-	From  pg.OID
-	To    pg.OID
-	Attrs map[string]value.Value
 }
 
 // Derived is the output of the flush phase: the derived components written
 // back into the instance super-constructs (Algorithm 2, line 9).
 type Derived struct {
 	NewEntities  []*Entity
-	NewEdges     []DerivedEdge
+	NewEdges     []Edge
 	UpdatedProps int
 }
 
@@ -126,6 +74,7 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 	out := &Derived{}
 	d := l.Dict
 	idMap := map[string]pg.OID{}
+	firstEdge := len(l.Edges)
 
 	resolve := func(v value.Value, createType string) (pg.OID, error) {
 		if oid, ok := v.AsInt(); ok {
@@ -141,15 +90,13 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 		if createType == "" {
 			return 0, fmt.Errorf("instance: derived edge endpoint %s does not correspond to any entity", v)
 		}
-		ioid, err := d.addInstanceNode(l.InstanceOID, createType, nil)
+		ent, err := l.addEntity(createType, map[string]value.Value{})
 		if err != nil {
 			return 0, err
 		}
-		ent := &Entity{IOID: ioid, Type: createType, Attrs: map[string]value.Value{}}
-		l.Entities[ioid] = ent
 		out.NewEntities = append(out.NewEntities, ent)
-		idMap[key] = ioid
-		return ioid, nil
+		idMap[key] = ent.IOID
+		return ent.IOID, nil
 	}
 
 	// setAttrs writes a fact's present properties onto an entity. Derived node
@@ -158,17 +105,15 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 	setAttrs := func(ioid pg.OID, props []metalog.PropValue, declaredOnly bool) error {
 		ent := l.Entities[ioid]
 		for _, p := range props {
-			if declaredOnly {
-				if _, ok := d.attrConstruct(ent.Type, p.Name); !ok {
+			if _, ok := d.attrConstruct(ent.Type, p.Name); !ok {
+				if declaredOnly {
 					continue
 				}
+				return fmt.Errorf("instance: node type %s has no attribute %q", ent.Type, p.Name)
 			}
 			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Identical(cur, p.Value) {
-				ent.Attrs[p.Name] = p.Value
+				l.setAttr(ent, p.Name, p.Value)
 				out.UpdatedProps++
-				if err := d.setInstanceAttr(l.InstanceOID, ioid, ent.Type, p.Name, p.Value); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
@@ -202,48 +147,18 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 		if err != nil {
 			return err
 		}
-		attrs := make(map[string]value.Value, len(f.Props))
-		for _, p := range f.Props {
-			attrs[p.Name] = p.Value
+		var attrs map[string]value.Value
+		if len(f.Props) > 0 {
+			attrs = make(map[string]value.Value, len(f.Props))
+			for _, p := range f.Props {
+				attrs[p.Name] = p.Value
+			}
 		}
-		ieOID, err := d.addInstanceEdge(l.InstanceOID, f.Label, from, to, attrs)
-		if err != nil {
-			return err
-		}
-		out.NewEdges = append(out.NewEdges, DerivedEdge{
-			IOID: ieOID, Type: f.Label, From: from, To: to, Attrs: attrs,
-		})
-		l.EdgeCount++
-		return nil
+		return l.addEdge(f.Label, from, to, attrs)
 	})
 	if err != nil {
 		return nil, err
 	}
+	out.NewEdges = l.Edges[firstEdge:len(l.Edges):len(l.Edges)]
 	return out, nil
-}
-
-// setInstanceAttr updates or creates the I_SM_Attribute twin for one
-// attribute of an instance node.
-func (d *Dictionary) setInstanceAttr(instOID int64, ioid pg.OID, nodeType, attr string, v value.Value) error {
-	ac, ok := d.attrConstruct(nodeType, attr)
-	if !ok {
-		return fmt.Errorf("instance: node type %s has no attribute %q", nodeType, attr)
-	}
-	// Update in place if the twin exists.
-	for _, e := range d.Graph.Out(ioid) {
-		if e.Label != LIHasNAttr {
-			continue
-		}
-		ia := d.Graph.Node(e.To)
-		for _, re := range d.Graph.Out(ia.ID) {
-			if re.Label == LRefs && re.To == ac {
-				// Through SetNodeProp, not a direct map write: Materialize
-				// flushes under a savepoint, and only journaled writes roll
-				// back (pg/snapshot.go).
-				return d.Graph.SetNodeProp(ia.ID, "value", v)
-			}
-		}
-	}
-	d.addAttrTwin(instOID, ioid, LIHasNAttr, ac, v)
-	return nil
 }

@@ -208,7 +208,7 @@ func (g *Graph) AddLabel(id OID, label string) error {
 // SetNodeProp sets one property of an existing node. Unlike writing
 // node.Props directly, the mutation is journaled, so an open Snapshot can
 // roll it back; code mutating properties on a graph that may be inside a
-// savepoint (the instance flush path) must use it.
+// savepoint must use it.
 func (g *Graph) SetNodeProp(id OID, key string, v value.Value) error {
 	n, ok := g.nodes[id]
 	if !ok {

@@ -9,18 +9,15 @@ import "repro/internal/sortedset"
 // Begin. Commit discards the savepoint's entries (keeping them only while
 // an enclosing savepoint is still open).
 //
-// This is the copy-on-write discipline the materialization pipeline's
-// atomicity invariant rests on: nothing is copied up front — the graph at
-// dictionary scale is far too large — and each journal entry captures the
-// minimal prior state (the old property value, the allocator position) at
-// the moment of the write. Cost is O(mutations), not O(graph).
+// Nothing is copied up front: each journal entry captures the minimal prior
+// state (the old property value, the allocator position) at the moment of
+// the write. Cost is O(mutations), not O(graph).
 //
-// Savepoints nest with LIFO discipline (the retryable source wrapper opens
-// a per-attempt savepoint inside Materialize's outer one); finishing them
-// out of order, or mutating a graph through anything but its own methods
-// while a savepoint is open, breaks the journal. Property writes therefore
-// must go through SetNodeProp while a snapshot may be active (the instance
-// flush path does); writing node.Props directly bypasses the journal.
+// Savepoints nest with LIFO discipline; finishing them out of order, or
+// mutating a graph through anything but its own methods while a savepoint
+// is open, breaks the journal. Property writes therefore must go through
+// SetNodeProp while a snapshot may be active; writing node.Props directly
+// bypasses the journal.
 
 type undoKind uint8
 
