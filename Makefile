@@ -60,11 +60,11 @@ fuzz-smoke: build
 		$(GO) test -fuzz "^$${t%%:*}\$$" -fuzztime 10s -run '^$$' ./internal/$${t##*:}/ || exit 1; \
 	done
 
-# cover enforces the per-package coverage floors on the newest subsystems —
-# each carries the same gate (70% of statements) so their suites cannot
-# silently rot. Profiles are written to temp files and removed; only the
+# cover enforces the per-package coverage floors on the newest subsystems and
+# the reasoning engine — each carries the same gate (70% of statements) so
+# their suites cannot silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg instance
+COVER_PKGS = server snapfile overlay wal plan pg instance vadalog
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

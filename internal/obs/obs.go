@@ -29,7 +29,8 @@ type RuleStats struct {
 	Rule  int    `json:"rule"`
 	Line  int    `json:"line,omitempty"`
 	Label string `json:"label,omitempty"`
-	// Evals counts rule evaluations (one per window per fixpoint round),
+	// Evals counts rule evaluations (one per full evaluation, one per
+	// non-empty delta window of a semi-naive round),
 	// Firings complete body matches, Derived newly inserted facts, and
 	// Probes candidate facts visited at join steps.
 	Evals   int64 `json:"evals"`

@@ -25,9 +25,10 @@ func (f Fact) String() string {
 }
 
 // encodeKey renders a tuple as one canonical string. The relation's dedup
-// and join indexes no longer use it (they work on interned symbols, below);
-// it remains the key format of the aggregate group keys and the provenance
-// store, where a printable, order-free key is worth the allocation.
+// and join indexes and the monotonic aggregates' state do not use it (they
+// key on tuple hashes, below); it remains the group key of the stratified
+// aggregates, whose sorted order is their emission order, and the key of the
+// provenance store, where a printable key is worth the allocation.
 func encodeKey(vals []value.Value) string {
 	var buf [96]byte
 	b := buf[:0]

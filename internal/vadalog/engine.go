@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -305,10 +306,11 @@ type engine struct {
 	rounds      int
 	derived     int
 
-	// headScratch is the reusable head-tuple buffer of the sequential emit
-	// sink; parallel shards buffer emissions per shard instead and never
-	// call emit.
+	// headScratch and exScratch are the reusable head-tuple and
+	// existential-value buffers of the sequential emit sink; parallel shards
+	// buffer emissions per shard instead and never call emit.
 	headScratch []value.Value
+	exScratch   []value.Value
 
 	// Provenance bookkeeping (Options.Provenance): the stack of body facts
 	// matched by the evaluation in progress, and the first derivation of
@@ -351,7 +353,7 @@ type cStep struct {
 	assignSlot int // stepAssign: target slot; -1 when the expr is a condition
 
 	agg          *Aggregate
-	aggMonotonic bool
+	contribSlots []int // monotonic aggregate: slots of the contributor variables
 }
 
 // cHeadArg describes one head atom argument.
@@ -359,7 +361,7 @@ type cHeadArg struct {
 	kind    headArgKind
 	cval    value.Value
 	slot    int
-	exName  string     // existential variable
+	exIdx   int        // existential variable: index into existFunctors
 	functor string     // explicit Skolem functor
 	skArgs  []cHeadArg // Skolem arguments (const or slot only)
 }
@@ -378,100 +380,6 @@ type cHead struct {
 	args []cHeadArg
 }
 
-// aggAccum is the accumulator of one aggregate group.
-type aggAccum struct {
-	seen  map[string]bool
-	sum   float64
-	prod  float64
-	count int64
-	min   value.Value
-	max   value.Value
-	// packItems collects name=value pairs for pack.
-	packItems []string
-	// groupVals keeps the group variable values for stratified emission.
-	groupVals []value.Value
-	allInts   bool
-}
-
-func newAggAccum() *aggAccum {
-	return &aggAccum{seen: map[string]bool{}, prod: 1, allInts: true}
-}
-
-func (a *aggAccum) update(op string, v value.Value, v2 value.Value) error {
-	switch op {
-	case "count":
-		a.count++
-	case "sum", "avg":
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("vadalog: %s over non-numeric value %s", op, v)
-		}
-		if v.K != value.Int {
-			a.allInts = false
-		}
-		a.sum += f
-		a.count++
-	case "prod":
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("vadalog: prod over non-numeric value %s", v)
-		}
-		if v.K != value.Int {
-			a.allInts = false
-		}
-		a.prod *= f
-		a.count++
-	case "min":
-		if a.count == 0 || value.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-		a.count++
-	case "max":
-		if a.count == 0 || value.Compare(v, a.max) > 0 {
-			a.max = v
-		}
-		a.count++
-	case "pack":
-		a.packItems = append(a.packItems, v.String()+"="+v2.String())
-		a.count++
-	default:
-		return fmt.Errorf("vadalog: unknown aggregate %q", op)
-	}
-	return nil
-}
-
-func (a *aggAccum) current(op string) value.Value {
-	switch op {
-	case "count":
-		return value.IntV(a.count)
-	case "sum":
-		if a.allInts {
-			return value.IntV(int64(a.sum))
-		}
-		return value.FloatV(a.sum)
-	case "avg":
-		if a.count == 0 {
-			return value.FloatV(0)
-		}
-		return value.FloatV(a.sum / float64(a.count))
-	case "prod":
-		if a.allInts {
-			return value.IntV(int64(a.prod))
-		}
-		return value.FloatV(a.prod)
-	case "min":
-		return a.min
-	case "max":
-		return a.max
-	case "pack":
-		items := append([]string(nil), a.packItems...)
-		sort.Strings(items)
-		return value.Str(strings.Join(items, "|"))
-	default:
-		return value.Value{}
-	}
-}
-
 // cRule is a compiled rule with its evaluation plan.
 type cRule struct {
 	idx   int
@@ -480,17 +388,17 @@ type cRule struct {
 	steps []cStep
 	heads []cHead
 
-	// existFunctors maps each existential head variable to its generated
-	// Skolem functor name; frontierSlots are the universal head variable
-	// slots, in sorted name order, used as Skolem arguments.
-	existNames    []string
-	existFunctors map[string]string
+	// existFunctors holds the generated Skolem functor of each existential
+	// head variable, in sorted variable-name order; frontierSlots are the
+	// universal head variable slots, in sorted name order, used as Skolem
+	// arguments.
+	existFunctors []string
 	frontierSlots []int
 
 	aggStep    int // index into steps of the aggregate assignment, or -1
 	stratAgg   bool
-	groupSlots []int // slots of the grouping variables (stratified + monotonic)
-	aggState   map[string]*aggAccum
+	groupSlots []int    // slots of the grouping variables (stratified + monotonic)
+	mono       *monoAgg // the monotonic aggregate's state; nil without one
 
 	// touchesGrow reports whether any body atom reads a predicate that grows
 	// during this rule's stratum fixpoint; growOccs are the indices of such
@@ -574,8 +482,7 @@ func (e *engine) prepare() error {
 // maintenance path) compile once and reuse.
 func compileProgRule(prog *Program, idx int) (*cRule, error) {
 	r := prog.Rules[idx]
-	cr := &cRule{idx: idx, rule: r, slots: map[string]int{}, aggStep: -1,
-		existFunctors: map[string]string{}, aggState: map[string]*aggAccum{}}
+	cr := &cRule{idx: idx, rule: r, slots: map[string]int{}, aggStep: -1}
 	slotOf := func(name string) int {
 		if s, ok := cr.slots[name]; ok {
 			return s
@@ -644,12 +551,17 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 				if agg := l.Expr.findAggregate(); agg != nil {
 					st.kind = stepAgg
 					st.agg = agg
-					st.aggMonotonic = agg.Monotonic()
 					if cr.aggStep >= 0 {
 						return nil, fmt.Errorf("vadalog: rule %d (line %d): multiple aggregates", idx, r.Line)
 					}
 					cr.aggStep = len(cr.steps)
 					cr.stratAgg = !agg.Monotonic()
+					if agg.Monotonic() {
+						for _, name := range agg.Contributors {
+							st.contribSlots = append(st.contribSlots, slotOf(name))
+						}
+						cr.mono = newMonoAgg(agg.Op)
+					}
 				} else {
 					st.kind = stepAssign
 				}
@@ -662,17 +574,17 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 	}
 
 	// Heads: resolve slots, existentials and Skolem functors.
-	exVars := map[string]bool{}
-	for _, v := range r.ExistentialVars() {
-		exVars[v] = true
-		cr.existNames = append(cr.existNames, v)
-		cr.existFunctors[v] = fmt.Sprintf("ex_r%d_%s", idx, v)
+	exNames := append([]string(nil), r.ExistentialVars()...)
+	sort.Strings(exNames)
+	exVars := map[string]int{} // existential variable → index in existFunctors
+	for i, v := range exNames {
+		exVars[v] = i
+		cr.existFunctors = append(cr.existFunctors, fmt.Sprintf("ex_r%d_%s", idx, v))
 	}
-	sort.Strings(cr.existNames)
 	// Frontier: universal head variables, sorted by name for determinism.
 	var frontier []string
 	for _, v := range r.HeadVars() {
-		if !exVars[v] {
+		if _, ex := exVars[v]; !ex {
 			frontier = append(frontier, v)
 		}
 	}
@@ -691,8 +603,8 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 		case Const:
 			return cHeadArg{kind: headConst, cval: t.Value}, nil
 		case Var:
-			if exVars[t.Name] {
-				return cHeadArg{kind: headExist, exName: t.Name}, nil
+			if i, ex := exVars[t.Name]; ex {
+				return cHeadArg{kind: headExist, exIdx: i}, nil
 			}
 			return cHeadArg{kind: headSlot, slot: cr.slots[t.Name]}, nil
 		case SkolemTerm:
@@ -731,7 +643,7 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 		target = cr.steps[cr.aggStep].assignSlot
 		groupNames := map[string]bool{}
 		for _, v := range r.HeadVars() {
-			if exVars[v] {
+			if _, ex := exVars[v]; ex {
 				continue
 			}
 			if s, ok := cr.slots[v]; ok && s != target {
@@ -873,7 +785,8 @@ func (e *engine) runStratum(stratumIdx int, ruleIdxs []int) error {
 // deltaRounds runs a stratum to its fixpoint from a seeded delta: each round
 // joins every rule's growing occurrences against the facts added since the
 // previous round's length snapshot (prev for the first round), or, with
-// Options.Naive, re-evaluates those rules in full.
+// Options.Naive, re-evaluates those rules in full. An occurrence whose window
+// is empty this round is not evaluated.
 func (e *engine) deltaRounds(stratumIdx int, rules []*cRule, prev map[string]int) error {
 	for round := 1; ; round++ {
 		e.rounds++
@@ -898,6 +811,12 @@ func (e *engine) deltaRounds(stratumIdx int, rules []*cRule, prev map[string]int
 				continue
 			}
 			for _, occ := range cr.growOccs {
+				// No match completes through an empty delta window. Only a
+				// monotonic aggregate before the delta step sees the
+				// evaluation anyway: it absorbs the contributors it reaches.
+				if pred := cr.steps[occ].pred; prev[pred] == cur[pred] && !(cr.mono != nil && cr.aggStep < occ) {
+					continue
+				}
 				w := deltaWindows{prev: prev, cur: cur, deltaStep: occ, growOccs: cr.growOccs}
 				n, err := e.eval(cr, w)
 				if err != nil {
@@ -1209,7 +1128,7 @@ func (c *evalCtx) step(si int) error {
 		slots[st.assignSlot] = value.Value{}
 		return err
 	case stepAgg:
-		return e.stepMonotonicAgg(cr, st, slots, func() error { return c.step(si + 1) })
+		return c.stepMonotonicAgg(si, st)
 	default:
 		return fmt.Errorf("vadalog: invalid step kind")
 	}
@@ -1245,30 +1164,19 @@ func (c *evalCtx) stepKey(si int, st *cStep) []value.Value {
 // the new running value bound; seen contributors are pruned, which both
 // guarantees convergence and makes re-derivations across semi-naive rounds
 // harmless (DESIGN.md, "Monotonic aggregation").
-func (e *engine) stepMonotonicAgg(cr *cRule, st *cStep, slots []value.Value, cont func() error) error {
-	group := make([]value.Value, len(cr.groupSlots))
-	for i, s := range cr.groupSlots {
-		group[i] = slots[s]
-	}
-	gkey := encodeKey(group)
-	acc, ok := cr.aggState[gkey]
-	if !ok {
-		acc = newAggAccum()
-		cr.aggState[gkey] = acc
-	}
-	contrib := make([]value.Value, len(st.agg.Contributors))
-	for i, name := range st.agg.Contributors {
-		v, ok := slotEnv{slots: slots, names: cr.slots}.Lookup(name)
-		if !ok {
-			return fmt.Errorf("vadalog: rule %d: contributor %s unbound", cr.idx, name)
+func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
+	cr, slots := c.cr, c.slots
+	for i, s := range st.contribSlots {
+		if slots[s].IsZero() {
+			return fmt.Errorf("vadalog: rule %d: contributor %s unbound", cr.idx, st.agg.Contributors[i])
 		}
-		contrib[i] = v
 	}
-	ckey := encodeKey(contrib)
-	if acc.seen[ckey] {
+	m := cr.mono
+	g := m.group(cr.groupSlots, slots)
+	if !m.admit(g, st.contribSlots, slots) {
 		return nil
 	}
-	acc.seen[ckey] = true
+	acc := &m.accs[g]
 	var av value.Value
 	if st.agg.Arg != nil {
 		v, err := st.agg.Arg.Eval(slotEnv{slots: slots, names: cr.slots})
@@ -1281,7 +1189,7 @@ func (e *engine) stepMonotonicAgg(cr *cRule, st *cStep, slots []value.Value, con
 		return err
 	}
 	slots[st.assignSlot] = acc.current(st.agg.Op)
-	err := cont()
+	err := c.step(si + 1)
 	slots[st.assignSlot] = value.Value{}
 	return err
 }
@@ -1298,7 +1206,7 @@ func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
 			return e.evalStratifiedAggSharded(cr, driver)
 		}
 	}
-	groups := map[string]*aggAccum{}
+	groups := map[string]*aggGroup{}
 	c := &evalCtx{
 		e: e, cr: cr, w: fullWindows{},
 		slots:       make([]value.Value, len(cr.slots)),
@@ -1320,7 +1228,7 @@ func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
 // accumulator keyed by the grouping variables. Contributor-free aggregates
 // absorb every distinct body match; listed contributors would make the
 // aggregate monotonic, so they cannot reach this path.
-func accumulateGroup(cr *cRule, slots []value.Value, groups map[string]*aggAccum) error {
+func accumulateGroup(cr *cRule, slots []value.Value, groups map[string]*aggGroup) error {
 	aggSt := &cr.steps[cr.aggStep]
 	group := make([]value.Value, len(cr.groupSlots))
 	for i, s := range cr.groupSlots {
@@ -1329,8 +1237,7 @@ func accumulateGroup(cr *cRule, slots []value.Value, groups map[string]*aggAccum
 	gkey := encodeKey(group)
 	acc, ok := groups[gkey]
 	if !ok {
-		acc = newAggAccum()
-		acc.groupVals = group
+		acc = &aggGroup{aggAccum: newAggAccum(aggSt.agg.Op), vals: group}
 		groups[gkey] = acc
 	}
 	var av, av2 value.Value
@@ -1353,7 +1260,7 @@ func accumulateGroup(cr *cRule, slots []value.Value, groups map[string]*aggAccum
 
 // emitAggGroups runs the post-aggregate steps for every collected group, in
 // sorted group-key order, and emits the rule heads.
-func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggAccum) (int, error) {
+func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggGroup) (int, error) {
 	slots := make([]value.Value, len(cr.slots))
 	aggSt := &cr.steps[cr.aggStep]
 	gkeys := make([]string, 0, len(groups))
@@ -1370,7 +1277,7 @@ func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggAccum) (int, err
 			slots[i] = value.Value{}
 		}
 		for i, s := range cr.groupSlots {
-			slots[s] = acc.groupVals[i]
+			slots[s] = acc.vals[i]
 		}
 		slots[aggSt.assignSlot] = acc.current(aggSt.agg.Op)
 		ok := true
@@ -1416,7 +1323,8 @@ func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggAccum) (int, err
 // (Relation.InsertValues), so the duplicate firings of a fixpoint round —
 // usually the majority — allocate nothing.
 func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
-	exVals := skolemExVals(cr, slots)
+	var exVals []value.Value
+	exVals, e.exScratch = skolemExVals(cr, slots, e.exScratch)
 	inserted := 0
 	for hi := range cr.heads {
 		h := &cr.heads[hi]
@@ -1463,7 +1371,7 @@ func errMaxFacts(limit int) error {
 // hands the resulting facts to the sink. Existential variables are realized
 // with frontier-keyed Skolem identifiers shared across the head conjunction.
 func headFacts(cr *cRule, slots []value.Value, sink func(pred string, f Fact) error) error {
-	exVals := skolemExVals(cr, slots)
+	exVals, _ := skolemExVals(cr, slots, nil)
 	for hi := range cr.heads {
 		h := &cr.heads[hi]
 		f := make(Fact, len(h.args))
@@ -1481,28 +1389,30 @@ func headFacts(cr *cRule, slots []value.Value, sink func(pred string, f Fact) er
 	return nil
 }
 
-// skolemExVals realizes the rule's existential head variables as
-// frontier-keyed Skolem values under the current slots; nil when the rule has
-// none.
-func skolemExVals(cr *cRule, slots []value.Value) map[string]value.Value {
-	if len(cr.existNames) == 0 {
-		return nil
+// skolemExVals realizes the rule's existential head variables, in
+// existFunctors order, as frontier-keyed Skolem values under the current
+// slots; nil when the rule has none. The frontier and the values are laid out
+// in buf, which comes back grown for the caller's next firing.
+func skolemExVals(cr *cRule, slots, buf []value.Value) (exVals, grown []value.Value) {
+	if len(cr.existFunctors) == 0 {
+		return nil, buf
 	}
-	frontier := make([]value.Value, len(cr.frontierSlots))
+	nf := len(cr.frontierSlots)
+	buf = slices.Grow(buf[:0], nf+len(cr.existFunctors))[:nf+len(cr.existFunctors)]
+	frontier, exVals := buf[:nf], buf[nf:]
 	for i, s := range cr.frontierSlots {
 		frontier[i] = slots[s]
 	}
-	exVals := make(map[string]value.Value, len(cr.existNames))
-	for _, name := range cr.existNames {
-		exVals[name] = value.Skolem(cr.existFunctors[name], frontier...)
+	for i, functor := range cr.existFunctors {
+		exVals[i] = value.Skolem(functor, frontier...)
 	}
-	return exVals
+	return exVals, buf
 }
 
 // resolveHeadArg materializes one head argument under the current slots. A
 // top-level function rather than a closure inside headFacts: recursive
 // closures allocate, and this runs once per head argument per firing.
-func resolveHeadArg(cr *cRule, slots []value.Value, exVals map[string]value.Value, ha *cHeadArg) (value.Value, error) {
+func resolveHeadArg(cr *cRule, slots, exVals []value.Value, ha *cHeadArg) (value.Value, error) {
 	switch ha.kind {
 	case headConst:
 		return ha.cval, nil
@@ -1513,7 +1423,7 @@ func resolveHeadArg(cr *cRule, slots []value.Value, exVals map[string]value.Valu
 		}
 		return v, nil
 	case headExist:
-		return exVals[ha.exName], nil
+		return exVals[ha.exIdx], nil
 	case headSkolem:
 		args := make([]value.Value, len(ha.skArgs))
 		for i := range ha.skArgs {

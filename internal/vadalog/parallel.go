@@ -346,15 +346,15 @@ func (e *engine) evalStratifiedAggSharded(cr *cRule, driver int) (int, error) {
 	rel := e.db.Relation(st.pred)
 	plan := shardPlan(rel.Len())
 	if plan == nil {
-		return e.emitAggGroups(cr, map[string]*aggAccum{})
+		return e.emitAggGroups(cr, map[string]*aggGroup{})
 	}
 	e.prewarmIndexes(cr)
-	shardGroups := make([]map[string]*aggAccum, len(plan))
+	shardGroups := make([]map[string]*aggGroup, len(plan))
 	firings := make([]int64, len(plan))
 	probes := make([]int64, len(plan))
 	var cancel atomicBool
 	err := e.pool.runShards(e.ctx, len(plan), &cancel, func(s int) error {
-		groups := map[string]*aggAccum{}
+		groups := map[string]*aggGroup{}
 		c := &evalCtx{
 			e: e, cr: cr, w: fullWindows{},
 			slots:       make([]value.Value, len(cr.slots)),
@@ -382,11 +382,11 @@ func (e *engine) evalStratifiedAggSharded(cr *cRule, driver int) (int, error) {
 		return 0, err
 	}
 	op := cr.steps[cr.aggStep].agg.Op
-	merged := map[string]*aggAccum{}
+	merged := map[string]*aggGroup{}
 	for _, sg := range shardGroups {
 		for gkey, acc := range sg {
 			if dst, ok := merged[gkey]; ok {
-				dst.merge(acc, op)
+				dst.merge(&acc.aggAccum, op)
 			} else {
 				merged[gkey] = acc
 			}
@@ -397,32 +397,30 @@ func (e *engine) evalStratifiedAggSharded(cr *cRule, driver int) (int, error) {
 
 // merge folds the accumulator b into a. Every operator merges associatively
 // over disjoint match partitions; min/max guard the "no updates yet" state
-// through the update count.
+// through the update count. The exact integer fold survives the merge while
+// both sides are exact and the combined value stays in int64.
 func (a *aggAccum) merge(b *aggAccum, op string) {
 	switch op {
-	case "count":
-		a.count += b.count
 	case "sum", "avg":
-		a.sum += b.sum
-		a.count += b.count
+		a.fnum += b.fnum
+		if a.exact = a.exact && b.exact; a.exact {
+			a.inum, a.exact = addInt64(a.inum, b.inum)
+		}
 	case "prod":
-		a.prod *= b.prod
-		a.count += b.count
+		a.fnum *= b.fnum
+		if a.exact = a.exact && b.exact; a.exact {
+			a.inum, a.exact = mulInt64(a.inum, b.inum)
+		}
 	case "min":
-		if b.count > 0 && (a.count == 0 || value.Compare(b.min, a.min) < 0) {
-			a.min = b.min
+		if b.count > 0 && (a.count == 0 || value.Compare(b.ext, a.ext) < 0) {
+			a.ext = b.ext
 		}
-		a.count += b.count
 	case "max":
-		if b.count > 0 && (a.count == 0 || value.Compare(b.max, a.max) > 0) {
-			a.max = b.max
+		if b.count > 0 && (a.count == 0 || value.Compare(b.ext, a.ext) > 0) {
+			a.ext = b.ext
 		}
-		a.count += b.count
 	case "pack":
 		a.packItems = append(a.packItems, b.packItems...)
-		a.count += b.count
 	}
-	if !b.allInts {
-		a.allInts = false
-	}
+	a.count += b.count
 }
