@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench bench-pairs
+.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench examples loc loc-delta check bench bench-pairs
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,17 @@ cover: build
 test-bench: build
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# examples runs every program under examples/ (the README's entry point) and
+# fails on the first non-zero exit; their output is not checked. ~6 s on two
+# cores, most of it compiling.
+EXAMPLES = $(notdir $(wildcard examples/*))
+
+examples: build
+	@for x in $(EXAMPLES); do \
+		echo "go run ./examples/$$x"; \
+		$(GO) run ./examples/$$x > /dev/null || exit 1; \
+	done
+
 LOC_FILTER = grep '\.go$$' | grep -v '_test\.go$$' | grep -v '^bench/'
 
 # loc prints the non-test line count outside bench/ — the number CHANGES.md
@@ -125,9 +136,9 @@ bench-pairs:
 	$(GO) run ./cmd/benchpairs < $(PAIRS_DIR)/runs.txt
 
 # check is the tier-1 gate: vet + full suite, the race-detector pass, the
-# chaos sweep, the fuzz smoke test, the coverage floor, and the benchmark
-# module.
-check: test test-race test-chaos fuzz-smoke cover test-bench
+# chaos sweep, the fuzz smoke test, the coverage floor, the benchmark
+# module, and the examples.
+check: test test-race test-chaos fuzz-smoke cover test-bench examples
 
 # bench runs the benchmark spine — every workload in BENCHMARK.json, one
 # result line each, stamped with the hardware and commit that produced it

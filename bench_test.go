@@ -1,16 +1,10 @@
-// Microbenchmarks with no successor in the bench/ spine and no kgbench
-// experiment that prints the same table. They are unrecorded and ungated:
-// nothing commits their output, and every number the documents quote comes
-// from bench/ (`make bench`, `make bench-pairs`) or is printed by kgbench.
+// The two root benchmarks `make test-race` runs for one iteration each, so
+// the concurrent statistics tasks and the sharded fixpoint run under the race
+// detector at benchmark scale. Their output is never recorded: every timing
+// the documents quote comes from bench/ (`make bench`, `make bench-pairs`).
 //
-//	BenchmarkE1GraphStats          §2.1 statistics, worker sweep (make test-race runs it)
-//	BenchmarkE11DescFrom           Example 4.3/4.4 path-pattern reasoning (make test-race runs it)
-//	BenchmarkE17TraceOverhead      run-trace instrumentation cost on E11
-//	BenchmarkMTVCompile            MetaLog-to-Vadalog compilation of the PG mapping
-//	BenchmarkGSLRoundTrip          dictionary round trip of the Figure 4 design
-//	BenchmarkAblationIncremental   insert-only propagation vs recomputation (A4)
-//
-// Use cmd/kgbench for the paper's tables at any scale.
+//	BenchmarkE1GraphStats   §2.1 statistics, worker sweep
+//	BenchmarkE11DescFrom    Example 4.3/4.4 path-pattern reasoning, worker sweep
 package repro_test
 
 import (
@@ -19,19 +13,15 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/finance"
 	"repro/internal/fingraph"
 	"repro/internal/graphstats"
 	"repro/internal/metalog"
-	"repro/internal/models"
-	"repro/internal/obs"
 	"repro/internal/pg"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
-	"repro/internal/value"
 )
 
-var controlScales = []int{500, 2000, 8000}
+var statsScales = []int{500, 2000, 8000}
 
 // benchWorkerCounts returns the worker counts the parallel-evaluation
 // benchmarks sweep: sequential, two workers, and all CPUs (deduplicated, so
@@ -51,7 +41,7 @@ func benchWorkerCounts() []int {
 // BenchmarkE1GraphStats computes the Section 2.1 statistics table, sweeping
 // the worker count of the parallel statistics computation.
 func BenchmarkE1GraphStats(b *testing.B) {
-	for _, n := range controlScales {
+	for _, n := range statsScales {
 		topo := fingraph.GenerateTopology(fingraph.DefaultConfig(n, 42))
 		g := topo.Shareholding()
 		for _, w := range benchWorkerCounts() {
@@ -66,22 +56,6 @@ func BenchmarkE1GraphStats(b *testing.B) {
 			})
 		}
 	}
-}
-
-// controlDatabase extracts the ownership relations the control program
-// reads from a generated topology.
-func controlDatabase(topo *fingraph.Topology) *vadalog.Database {
-	own := finance.BuildOwnership(topo)
-	db := vadalog.NewDatabase()
-	for _, e := range own.Entities {
-		db.MustAddFact("company", value.IntV(int64(e)))
-	}
-	for owner, stakes := range own.Out {
-		for _, st := range stakes {
-			db.MustAddFact("owns", value.IntV(int64(owner)), value.IntV(int64(st.Company)), value.FloatV(st.Pct))
-		}
-	}
-	return db
 }
 
 // descFromSchema builds a generalization hierarchy of the given depth where
@@ -147,99 +121,5 @@ func BenchmarkE11DescFrom(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkE17TraceOverhead measures the cost of run-trace instrumentation
-// (per-rule counters plus per-eval timing) on the widest E11 shape, with
-// and without a trace attached. The target recorded in EXPERIMENTS.md is
-// under 5% overhead for the traced variant.
-func BenchmarkE17TraceOverhead(b *testing.B) {
-	prog := metalog.MustParse(`(x: SM_Node) ([: SM_CHILD]- . [: SM_PARENT])+ (y: SM_Node) -> (x) [w: DESCFROM] (y).`)
-	dict := descFromSchema(b, 6, 4)
-	for _, traced := range []bool{false, true} {
-		b.Run(fmt.Sprintf("traced=%v", traced), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				work := dict.Clone()
-				opts := vadalog.Options{Workers: runtime.NumCPU()}
-				if traced {
-					opts.Trace = obs.NewTrace()
-				}
-				b.StartTimer()
-				if _, err := metalog.Reason(context.Background(), prog, work, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMTVCompile measures MetaLog-to-Vadalog compilation of the full
-// PG mapping program (the largest program in the repository).
-func BenchmarkMTVCompile(b *testing.B) {
-	m := models.PGMapping(123, 124, 125, "multi-label")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		prog, err := metalog.Parse(m.Eliminate)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := metalog.Translate(prog, metalog.NewCatalog()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGSLRoundTrip measures GSL parse+serialize of the Figure 4 design.
-func BenchmarkGSLRoundTrip(b *testing.B) {
-	kgSchema := supermodel.CompanyKG()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dict := supermodel.NewDictionary()
-		if err := supermodel.ToDictionary(kgSchema, dict); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := supermodel.FromDictionary(dict, kgSchema.OID, kgSchema.Name); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationIncremental compares incremental propagation of one new
-// stake against full recomputation of the control program (the maintenance
-// extension of DESIGN.md; ablation A4).
-func BenchmarkAblationIncremental(b *testing.B) {
-	prog := vadalog.MustParse(finance.ControlVadalog())
-	for _, n := range []int{2000, 8000} {
-		topo := fingraph.GenerateTopology(fingraph.DefaultConfig(n, 42))
-		base := controlDatabase(topo)
-		b.Run(fmt.Sprintf("recompute/companies=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				db := base.Clone()
-				db.MustAddFact("owns", value.IntV(0), value.IntV(1), value.FloatV(0.6))
-				if _, err := vadalog.Run(prog, db, vadalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("incremental/companies=%d", n), func(b *testing.B) {
-			b.StopTimer()
-			inc, err := vadalog.NewIncremental(context.Background(), prog, base.Clone(), vadalog.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for i := 0; i < b.N; i++ {
-				// A fresh stake each iteration (weights vary so facts are new).
-				if err := inc.Add("owns", value.IntV(0), value.IntV(1), value.FloatV(0.5+float64(i%1000)/1e7)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := inc.Propagate(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

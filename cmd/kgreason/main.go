@@ -22,8 +22,8 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/finance"
+	"repro/internal/instance"
 	"repro/internal/metalog"
 	"repro/internal/obs"
 	"repro/internal/pg"
@@ -48,7 +48,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock bound per reasoning run (0 = none)")
 	traceFile := flag.String("trace", "", "write the JSON run trace (one section per component run) to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-	ff := cli.RegisterFaultFlags(flag.CommandLine, true)
+	ff := cli.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
 
 	onFault, done, err := ff.Apply(os.Stdout)
@@ -73,9 +73,13 @@ func main() {
 	}
 	data := input.Thaw() // materialization writes the derived constructs back
 
-	kg, err := core.NewKG(supermodel.CompanyKG())
-	if err != nil {
-		fatal(err)
+	var comps []instance.Component
+	add := func(name, src string) {
+		prog, err := metalog.Parse(src)
+		if err != nil {
+			fatal(fmt.Errorf("intensional component %q: %w", name, err))
+		}
+		comps = append(comps, instance.Component{Name: name, Sigma: prog})
 	}
 	for _, name := range strings.Split(*components, ",") {
 		name = strings.TrimSpace(name)
@@ -86,22 +90,18 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown component %q (have ownership, control, family)", name))
 		}
-		if err := kg.AddIntensional(name, gen()); err != nil {
-			fatal(err)
-		}
+		add(name, gen())
 	}
 	if *sigma != "" {
 		src, err := os.ReadFile(*sigma)
 		if err != nil {
 			fatal(err)
 		}
-		if err := kg.AddIntensional(*sigma, string(src)); err != nil {
-			fatal(err)
-		}
+		add(*sigma, string(src))
 	}
 
 	if *explain {
-		explainComponents(input, kg.IntensionalComponents(), kg.IntensionalPrograms())
+		explainComponents(input, comps)
 	}
 
 	opts := vadalog.Options{Workers: *workers, Timeout: *timeout, OnFault: onFault}
@@ -110,11 +110,11 @@ func main() {
 		trace = obs.NewTrace()
 		opts.Trace = trace
 	}
-	src := core.PGData(data)
+	var src instance.Source = instance.PGSource{Data: data}
 	if ff.Retries > 1 {
-		src = core.RetryingData(src, ff.RetryPolicy())
+		src = instance.RetryingSource{Inner: src, Policy: ff.RetryPolicy()}
 	}
-	res, err := kg.Materialize(src, 1, opts)
+	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), src, comps, 1, opts)
 	if trace != nil {
 		// Written before the error check so interrupted materializations
 		// still leave their partial trace behind.
@@ -128,17 +128,16 @@ func main() {
 		// the salvaged steps; report them and write the enriched graph, but
 		// exit nonzero so scripts see the run was incomplete.
 		var pe *vadalog.PartialError
-		if errors.As(err, &pe) && res != nil {
+		if errors.As(err, &pe) && steps != nil {
 			fmt.Fprintf(os.Stderr, "kgreason: %v — writing the salvaged prefix\n", err)
 			salvaged = true
 		} else {
 			fatal(err)
 		}
 	}
-	names := kg.IntensionalComponents()
-	for i, step := range res.Steps {
+	for i, step := range steps {
 		fmt.Fprintf(os.Stderr, "kgreason: %-12s load=%-12v reason=%-12v flush=%-12v derived: %d entities, %d edges, %d properties\n",
-			names[i], step.LoadDuration, step.ReasonDuration, step.FlushDuration,
+			comps[i].Name, step.LoadDuration, step.ReasonDuration, step.FlushDuration,
 			len(step.Derived.NewEntities), len(step.Derived.NewEdges), step.Derived.UpdatedProps)
 	}
 
@@ -168,26 +167,26 @@ func main() {
 // per-rule join orders and cardinality estimates against the data instance's
 // statistics catalog (DESIGN.md §15). Analysis only: materialization always
 // executes the programs as written.
-func explainComponents(frozen *pg.Frozen, names []string, progs []*metalog.Program) {
+func explainComponents(frozen *pg.Frozen, comps []instance.Component) {
 	cat := metalog.FromGraph(frozen)
 	st := metalog.ComputePlanStats(frozen, cat)
-	for i, prog := range progs {
-		tr, err := metalog.Translate(prog, cat.Clone())
+	for _, c := range comps {
+		tr, err := metalog.Translate(c.Sigma, cat.Clone())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", names[i], err)
+			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", c.Name, err)
 			continue
 		}
 		_, pl, err := plan.Compile(tr.Program, st, plan.Options{Demand: true})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", names[i], err)
+			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", c.Name, err)
 			continue
 		}
 		out, err := json.MarshalIndent(pl, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", names[i], err)
+			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", c.Name, err)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "kgreason: plan for %s:\n%s\n", names[i], out)
+		fmt.Fprintf(os.Stderr, "kgreason: plan for %s:\n%s\n", c.Name, out)
 	}
 }
 

@@ -70,7 +70,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: log every /mutate batch before acknowledging and replay it on startup (empty disables durability)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always, interval[:duration] or off")
 	debug := flag.Bool("debug", false, "mount /debug/vars and /debug/pprof")
-	ff := cli.RegisterFaultFlags(flag.CommandLine, true)
+	ff := cli.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
 
 	policy, done, err := ff.Apply(os.Stdout)

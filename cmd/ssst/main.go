@@ -19,7 +19,6 @@ import (
 	"repro/internal/gsl"
 	"repro/internal/models"
 	"repro/internal/supermodel"
-	"repro/internal/vadalog"
 )
 
 func main() {
@@ -50,18 +49,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	dict := supermodel.NewDictionary()
-	if err := supermodel.ToDictionary(schema, dict); err != nil {
-		fatal(err)
-	}
-	m, err := models.SelectMapping(schema.OID, schema.OID+1, schema.OID+2, *target, *strategy)
+	res, err := models.TranslateSchema(schema, *target, *strategy)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := models.Translate(dict, m, vadalog.Options{})
-	if err != nil {
-		fatal(err)
-	}
+	m := res.Mapping
 	if *stats {
 		fmt.Fprintf(os.Stderr, "ssst: eliminate derived %d facts in %v; copy derived %d facts in %v\n",
 			res.EliminateRun.FactsDerived, res.EliminateRun.Duration,

@@ -33,7 +33,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the run (0 = none); an exceeded bound exits with the partial stats reported")
 	traceFile := flag.String("trace", "", "write the JSON run trace (per-rule counters, round deltas) to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
-	ff := cli.RegisterFaultFlags(flag.CommandLine, true)
+	ff := cli.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
 
 	onFault, done, err := ff.Apply(os.Stdout)

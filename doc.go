@@ -3,9 +3,11 @@
 // (EDBT 2022): the KGModel framework for designing Knowledge Graphs at
 // meta-level and deploying them into arbitrary target systems.
 //
-// The implementation lives under internal/ as a set of small packages:
+// The implementation lives under internal/ as a set of small packages. The
+// three steps of the methodology each have one entry point: gsl.Parse
+// (design), models.TranslateSchema (deploy, Algorithm 1) and
+// instance.MaterializeStaged (materialize, Algorithm 2).
 //
-//   - internal/core — the KGModel facade: design, deploy, materialize
 //   - internal/supermodel — meta-model, super-model, super-schemas (§3)
 //   - internal/gsl — the Graph Schema Language and the Γ renderers (§3)
 //   - internal/metalog — MetaLog and the MTV compiler to Vadalog (§4)
@@ -17,7 +19,7 @@
 //   - internal/fingraph — the synthetic financial-graph substrate
 //   - internal/finance — control, ownership, close links, groups, families
 //
-// cmd/kgbench prints every evaluation artifact of the paper at any scale and
-// the bench/ module records the timings; see DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-versus-measured results.
+// The cmd/ tools and examples/ run each step from the command line; the
+// bench/ module records the timings. See DESIGN.md for the system inventory
+// and EXPERIMENTS.md for paper-versus-measured results.
 package repro

@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/finance"
 	"repro/internal/fingraph"
+	"repro/internal/gsl"
+	"repro/internal/instance"
+	"repro/internal/metalog"
 	"repro/internal/models"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
@@ -24,15 +26,11 @@ func main() {
 	// Section 3.3 (HOLDS/BELONGS_TO decoupling, total/disjoint person
 	// generalization, intensional OWNS/CONTROLS/Family constructs, ...).
 	schema := supermodel.CompanyKG()
-	kg, err := core.NewKG(schema)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("== Figure 4: the Company KG design ==")
-	fmt.Println(kg.Text())
+	fmt.Println(gsl.RenderText(schema))
 
 	// Figure 6: the property-graph translation with multi-label tagging.
-	pgRes, err := kg.Translate("pg", "multi-label")
+	pgRes, err := models.TranslateSchema(schema, "pg", "multi-label")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,27 +44,27 @@ func main() {
 	}
 
 	// Figure 8: the relational translation (table-per-class), with DDL.
-	ddl, err := kg.DeploySQL()
+	relRes, err := models.TranslateSchema(schema, "relational", "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	relView, err := models.ReadRelationalSchema(relRes.Dict, relRes.Mapping.TargetOID)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== Figure 8: relational schema as DDL (excerpt) ==")
-	printFirstLines(ddl, 24)
+	printFirstLines(models.EmitSQL(relView), 24)
 
 	// RDF-S for triplestore targets — generalizations survive natively.
 	fmt.Println("== RDF-S deployment (excerpt) ==")
-	printFirstLines(kg.DeployRDFS(), 8)
+	printFirstLines(models.EmitRDFS(schema), 8)
 
-	// The intensional components of Section 2.1, registered in dependency
-	// order: ownership compaction feeds control, which feeds the families.
-	for _, c := range []struct{ name, src string }{
-		{"ownership", finance.OwnershipProgram()},
-		{"control", finance.ControlProgram()},
-		{"family", finance.FamilyProgram()},
-	} {
-		if err := kg.AddIntensional(c.name, c.src); err != nil {
-			log.Fatal(err)
-		}
+	// The intensional components of Section 2.1, in dependency order:
+	// ownership compaction feeds control, which feeds the families.
+	comps := []instance.Component{
+		{Name: "ownership", Sigma: metalog.MustParse(finance.OwnershipProgram())},
+		{Name: "control", Sigma: metalog.MustParse(finance.ControlProgram())},
+		{Name: "family", Sigma: metalog.MustParse(finance.FamilyProgram())},
 	}
 
 	// A synthetic register extract standing in for the Chambers of Commerce
@@ -75,14 +73,13 @@ func main() {
 	data := topo.CompanyKG()
 	fmt.Printf("== Register extract: %d nodes, %d edges ==\n", data.NumNodes(), data.NumEdges())
 
-	res, err := kg.Materialize(core.PGData(data), 1, vadalog.Options{})
+	steps, err := instance.MaterializeStaged(schema, instance.PGSource{Data: data}, comps, 1, vadalog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	names := kg.IntensionalComponents()
-	for i, step := range res.Steps {
+	for i, step := range steps {
 		fmt.Printf("  %-10s load=%-11v reason=%-11v flush=%-11v -> %d entities, %d edges, %d properties\n",
-			names[i], step.LoadDuration.Round(1000), step.ReasonDuration.Round(1000), step.FlushDuration.Round(1000),
+			comps[i].Name, step.LoadDuration.Round(1000), step.ReasonDuration.Round(1000), step.FlushDuration.Round(1000),
 			len(step.Derived.NewEntities), len(step.Derived.NewEdges), step.Derived.UpdatedProps)
 	}
 	fmt.Printf("== Materialized intensional component ==\n")

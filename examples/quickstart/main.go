@@ -1,7 +1,8 @@
-// Quickstart: design a small Knowledge Graph in GSL, attach an intensional
-// component in MetaLog, deploy it to SQL, and materialize the derived
-// knowledge over a data instance — the full KGModel methodology in ~80
-// lines.
+// Quickstart: design a small Knowledge Graph in GSL, write an intensional
+// component in MetaLog, deploy the design to SQL, and materialize the derived
+// knowledge over a data instance — the full KGModel methodology in under 100
+// lines, one package per step: gsl (design), models (deploy), instance
+// (materialize).
 //
 //	go run ./examples/quickstart
 package main
@@ -10,7 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/gsl"
+	"repro/internal/instance"
+	"repro/internal/metalog"
+	"repro/internal/models"
 	"repro/internal/pg"
 	"repro/internal/vadalog"
 	"repro/internal/value"
@@ -19,7 +23,7 @@ import (
 func main() {
 	// 1. Design the extensional component in the textual GSL dialect
 	//    (Section 3 of the paper; kgse renders the same design visually).
-	kg, err := core.ParseGSL(`schema SupplyChain oid 42 {
+	schema, err := gsl.Parse(`schema SupplyChain oid 42 {
 		node Company {
 			vat: string @id @unique
 			country: string
@@ -38,11 +42,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("== GSL design ==")
-	fmt.Println(kg.Text())
+	fmt.Println(gsl.RenderText(schema))
 
-	// 2. Attach the intensional component: DEPENDS_ON is the transitive
+	// 2. Write the intensional component: DEPENDS_ON is the transitive
 	//    closure of supply relationships (a MetaLog path pattern).
-	err = kg.AddIntensional("dependencies", `
+	dependencies, err := metalog.Parse(`
 		(x: Company) ([: SUPPLIES])+ (y: Company) -> (x) [d: DEPENDS_ON] (y).
 	`)
 	if err != nil {
@@ -51,12 +55,16 @@ func main() {
 
 	// 3. Deploy: SSST translates the super-schema into the relational model
 	//    and emits DDL (Section 5).
-	ddl, err := kg.DeploySQL()
+	rel, err := models.TranslateSchema(schema, "relational", "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	view, err := models.ReadRelationalSchema(rel.Dict, rel.Mapping.TargetOID)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== Relational deployment (SSST + DDL emitter) ==")
-	fmt.Println(ddl)
+	fmt.Println(models.EmitSQL(view))
 
 	// 4. Build a data instance and materialize (Algorithm 2, Section 6).
 	data := pg.New()
@@ -71,12 +79,14 @@ func main() {
 	data.MustAddEdge(bolt, acme, "SUPPLIES", pg.Props{"volume": value.FloatV(100)})
 	data.MustAddEdge(chip, bolt, "SUPPLIES", pg.Props{"volume": value.FloatV(60)})
 
-	res, err := kg.Materialize(core.PGData(data), 1, vadalog.Options{})
+	//    The component is checked against the design first: a label or
+	//    property the schema does not declare is refused.
+	comps := []instance.Component{{Name: "dependencies", Sigma: dependencies}}
+	steps, err := instance.MaterializeStaged(schema, instance.PGSource{Data: data}, comps, 1, vadalog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, edges, _ := res.Totals()
-	fmt.Printf("== Materialization: %d DEPENDS_ON edges derived ==\n", edges)
+	fmt.Printf("== Materialization: %d DEPENDS_ON edges derived ==\n", len(steps[0].Derived.NewEdges))
 	names := map[pg.OID]string{}
 	for _, n := range data.NodesByLabel("Company") {
 		names[n.ID] = n.Props["vat"].S

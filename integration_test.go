@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/finance"
 	"repro/internal/fingraph"
 	"repro/internal/graphstats"
 	"repro/internal/gsl"
 	"repro/internal/instance"
+	"repro/internal/metalog"
 	"repro/internal/models"
 	"repro/internal/pg"
 	"repro/internal/supermodel"
@@ -30,21 +30,26 @@ func TestFullLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GSL round trip: %v", err)
 	}
-	kg, err := core.NewKG(reparsed)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// 2. Deploy to every target family.
-	ddl, err := kg.DeploySQL()
+	relRes, err := models.TranslateSchema(reparsed, "relational", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	constraints, err := kg.DeployPGConstraints()
+	relView, err := models.ReadRelationalSchema(relRes.Dict, relRes.Mapping.TargetOID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdfs := kg.DeployRDFS()
+	pgRes, err := models.TranslateSchema(reparsed, "pg", "multi-label")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pgView, err := models.ReadPGSchema(pgRes.Dict, pgRes.Mapping.TargetOID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddl, constraints := models.EmitSQL(relView), models.EmitPGConstraints(pgView)
+	rdfs := models.EmitRDFS(reparsed)
 	for name, artifact := range map[string]string{"ddl": ddl, "constraints": constraints, "rdfs": rdfs} {
 		if len(artifact) < 200 {
 			t.Errorf("%s artifact suspiciously small: %d bytes", name, len(artifact))
@@ -64,20 +69,21 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// 4. Materialize the intensional components (Algorithm 2, staged).
-	for _, c := range []struct{ name, src string }{
-		{"ownership", finance.OwnershipProgram()},
-		{"control", finance.ControlProgram()},
-		{"family", finance.FamilyProgram()},
-	} {
-		if err := kg.AddIntensional(c.name, c.src); err != nil {
-			t.Fatal(err)
-		}
+	comps := []instance.Component{
+		{Name: "ownership", Sigma: metalog.MustParse(finance.OwnershipProgram())},
+		{Name: "control", Sigma: metalog.MustParse(finance.ControlProgram())},
+		{Name: "family", Sigma: metalog.MustParse(finance.FamilyProgram())},
 	}
-	res, err := kg.Materialize(core.PGData(data), 10, vadalog.Options{})
+	steps, err := instance.MaterializeStaged(reparsed, instance.PGSource{Data: data}, comps, 10, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entities, edges, props := res.Totals()
+	var entities, edges, props int
+	for _, s := range steps {
+		entities += len(s.Derived.NewEntities)
+		edges += len(s.Derived.NewEdges)
+		props += s.Derived.UpdatedProps
+	}
 	if edges == 0 || props == 0 || entities == 0 {
 		t.Fatalf("materialization derived too little: %d/%d/%d", entities, edges, props)
 	}
@@ -126,17 +132,10 @@ func TestFullLifecycle(t *testing.T) {
 	}
 }
 
-// TestRelationalToPGCircle: relational rows in (through the core facade),
-// reasoning at super-model level, property graph out — the exported graph
-// validates against the translated PG schema.
+// TestRelationalToPGCircle: relational rows in, reasoning at super-model
+// level, property graph out — the exported graph validates against the
+// translated PG schema.
 func TestRelationalToPGCircle(t *testing.T) {
-	kg, err := core.NewKG(supermodel.CompanyKG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kg.AddIntensional("control", finance.ControlProgram()); err != nil {
-		t.Fatal(err)
-	}
 	str, flt := value.Str, value.FloatV
 	tables := map[string][]instance.Row{}
 	for _, code := range []string{"A", "B", "C"} {
@@ -152,14 +151,16 @@ func TestRelationalToPGCircle(t *testing.T) {
 		{"fk_owns_src_fiscalCode": str("A"), "fk_owns_dst_fiscalCode": str("B"), "percentage": flt(0.9)},
 		{"fk_owns_src_fiscalCode": str("B"), "fk_owns_dst_fiscalCode": str("C"), "percentage": flt(0.8)},
 	}
-	res, err := kg.Materialize(core.RelationalData(tables), 1, vadalog.Options{})
+	src := instance.RelationalSource{Inst: &instance.RelationalInstance{Tables: tables}}
+	comps := []instance.Component{{Name: "control", Sigma: metalog.MustParse(finance.ControlProgram())}}
+	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), src, comps, 1, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Steps) != 1 {
-		t.Fatalf("steps = %d", len(res.Steps))
+	if len(steps) != 1 {
+		t.Fatalf("steps = %d", len(steps))
 	}
-	out := res.Steps[0].ExportPG()
+	out := steps[0].ExportPG()
 	// A controls B, B controls C, A controls C (transitively) + 3 self.
 	if n := len(out.EdgesByLabel("CONTROLS")); n != 6 {
 		t.Errorf("CONTROLS edges = %d, want 6", n)

@@ -1,6 +1,6 @@
 // Package cli holds what the command-line tools share: the flag plumbing, so
 // the robustness surface (retries, fault policy, chaos reproduction) is
-// spelled identically across kgreason, kgbench, and vadalog, and the one way
+// spelled identically across kgreason, kgserve, and vadalog, and the one way
 // a graph file is told apart and opened (OpenGraph, IsSnapshot), so every
 // tool and the server read what kggen and kgsnap write.
 package cli
@@ -33,14 +33,10 @@ type FaultFlags struct {
 	chaos   string
 }
 
-// RegisterFaultFlags declares the shared robustness flags on fs. Tools whose
-// data is generated in memory rather than loaded from an external source
-// pass withRetries=false to omit the meaningless -retries flag.
-func RegisterFaultFlags(fs *flag.FlagSet, withRetries bool) *FaultFlags {
-	ff := &FaultFlags{Retries: 1}
-	if withRetries {
-		fs.IntVar(&ff.Retries, "retries", 1, "attempts for transiently failing data loads (1 = no retry)")
-	}
+// RegisterFaultFlags declares the shared robustness flags on fs.
+func RegisterFaultFlags(fs *flag.FlagSet) *FaultFlags {
+	ff := &FaultFlags{}
+	fs.IntVar(&ff.Retries, "retries", 1, "attempts for transiently failing data loads (1 = no retry)")
 	fs.StringVar(&ff.onFault, "on-fault", "fail-fast", "reasoning fault policy: fail-fast or best-effort")
 	fs.StringVar(&ff.chaos, "chaos", "", "")
 	HideFlags(fs, "chaos")

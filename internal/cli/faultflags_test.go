@@ -12,10 +12,10 @@ import (
 
 var siteCLITest = fault.Site("cli/test")
 
-func parse(t *testing.T, withRetries bool, args ...string) *FaultFlags {
+func parse(t *testing.T, args ...string) *FaultFlags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	ff := RegisterFaultFlags(fs, withRetries)
+	ff := RegisterFaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func parse(t *testing.T, withRetries bool, args ...string) *FaultFlags {
 }
 
 func TestFaultFlagsDefaults(t *testing.T) {
-	ff := parse(t, true)
+	ff := parse(t)
 	policy, done, err := ff.Apply(nil)
 	if err != nil || done {
 		t.Fatalf("Apply() = %v, done=%v", err, done)
@@ -37,7 +37,7 @@ func TestFaultFlagsDefaults(t *testing.T) {
 }
 
 func TestFaultFlagsBestEffortAndRetries(t *testing.T) {
-	ff := parse(t, true, "-on-fault", "best-effort", "-retries", "4")
+	ff := parse(t, "-on-fault", "best-effort", "-retries", "4")
 	policy, done, err := ff.Apply(nil)
 	if err != nil || done {
 		t.Fatalf("Apply() = %v, done=%v", err, done)
@@ -51,7 +51,7 @@ func TestFaultFlagsBestEffortAndRetries(t *testing.T) {
 }
 
 func TestFaultFlagsBadPolicy(t *testing.T) {
-	ff := parse(t, false)
+	ff := parse(t)
 	ff.onFault = "never-fail"
 	if _, _, err := ff.Apply(nil); err == nil {
 		t.Error("unknown -on-fault value must error")
@@ -59,7 +59,7 @@ func TestFaultFlagsBadPolicy(t *testing.T) {
 }
 
 func TestFaultFlagsChaosList(t *testing.T) {
-	ff := parse(t, false, "-chaos", "list")
+	ff := parse(t, "-chaos", "list")
 	var buf bytes.Buffer
 	_, done, err := ff.Apply(&buf)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestFaultFlagsChaosList(t *testing.T) {
 
 func TestFaultFlagsChaosArm(t *testing.T) {
 	defer fault.Reset()
-	ff := parse(t, false, "-chaos", "cli/test:error:2")
+	ff := parse(t, "-chaos", "cli/test:error:2")
 	if _, done, err := ff.Apply(nil); err != nil || done {
 		t.Fatalf("Apply() = %v, done=%v", err, done)
 	}
@@ -89,7 +89,7 @@ func TestFaultFlagsChaosArm(t *testing.T) {
 
 func TestFaultFlagsChaosBadSpec(t *testing.T) {
 	defer fault.Reset()
-	ff := parse(t, false, "-chaos", "no/such/site:error")
+	ff := parse(t, "-chaos", "no/such/site:error")
 	if _, _, err := ff.Apply(nil); err == nil {
 		t.Error("arming an unregistered site must error")
 	}
@@ -97,7 +97,7 @@ func TestFaultFlagsChaosBadSpec(t *testing.T) {
 
 func TestHideFlagsOmitsChaosFromUsage(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	RegisterFaultFlags(fs, true)
+	RegisterFaultFlags(fs)
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
 	fs.Usage()

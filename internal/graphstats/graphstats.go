@@ -500,8 +500,7 @@ func OutDegrees(g pg.View) []int {
 	return out
 }
 
-// Table renders the statistics in the layout of Section 2.1, for kgstats and
-// kgbench output.
+// Table renders the statistics in the layout of Section 2.1, for kgstats.
 func (s Stats) Table() string {
 	var b strings.Builder
 	row := func(name, val string) { fmt.Fprintf(&b, "%-34s %s\n", name, val) }

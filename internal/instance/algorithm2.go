@@ -3,12 +3,15 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/metalog"
 	"repro/internal/pg"
 	"repro/internal/sortedset"
+	"repro/internal/supermodel"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
@@ -34,7 +37,7 @@ type Source interface {
 // PGSource is a property-graph data instance. The load phase only reads the
 // graph, so any pg.View works — including a pg.Frozen snapshot, which makes
 // the load side safe to share across concurrent materializations. Callers
-// that want the derived components applied back (core.Materialize,
+// that want the derived components applied back (MaterializeStaged,
 // Result.ApplyToPG) must supply a mutable *pg.Graph.
 type PGSource struct{ Data pg.View }
 
@@ -206,6 +209,117 @@ func Materialize(d *Dictionary, src Source, sigma *metalog.Program, instanceOID 
 		return res, salvaged
 	}
 	return res, nil
+}
+
+// Component is one named intensional component: a MetaLog program Σ.
+type Component struct {
+	Name  string
+	Sigma *metalog.Program
+}
+
+// MaterializeStaged runs Algorithm 2 once per component, in order, against
+// the same data instance, and returns one Result per step. Each step gets a
+// fresh dictionary (instanceOID+i), so instance constructs do not accumulate
+// across steps — the staging-area flush of Section 6. When src is a mutable
+// *pg.Graph (directly or inside a RetryingSource) the derived components are
+// applied back to it after each step, so later components read what earlier
+// ones derived.
+//
+// Every component is first checked against the schema, before any step runs:
+// the intensional language "should refer to the schema constructs" (§1), so a
+// program naming a label or property the schema does not declare is refused.
+//
+// Under vadalog.BestEffort a step that fails mid-reasoning with a
+// *vadalog.PartialError is kept and applied, and the steps so far come back
+// alongside the wrapped error; later components do not run, since they must
+// not read an unsaturated prefix. Every other error returns nil steps.
+func MaterializeStaged(schema *supermodel.Schema, src Source, comps []Component, instanceOID int64, opts vadalog.Options) ([]*Result, error) {
+	for _, c := range comps {
+		if err := checkComponent(schema, c); err != nil {
+			return nil, err
+		}
+	}
+	data, writeBack := mutablePG(src)
+	var steps []*Result
+	for i, c := range comps {
+		d, err := NewDictionary(schema)
+		if err != nil {
+			return nil, err
+		}
+		res, err := Materialize(d, src, c.Sigma, instanceOID+int64(i), opts)
+		if err != nil {
+			err = fmt.Errorf("instance: materializing %q: %w", c.Name, err)
+			var pe *vadalog.PartialError
+			if !errors.As(err, &pe) || res == nil {
+				return nil, err
+			}
+		}
+		steps = append(steps, res)
+		if writeBack {
+			if _, aerr := res.ApplyToPG(data); aerr != nil {
+				return nil, fmt.Errorf("instance: applying %q: %w", c.Name, aerr)
+			}
+		}
+		if err != nil {
+			return steps, err
+		}
+	}
+	return steps, nil
+}
+
+// checkComponent translates the component against the schema's catalog and
+// refuses it if translation fails or introduces a construct the schema does
+// not declare, naming the unknown constructs in sorted order.
+func checkComponent(schema *supermodel.Schema, c Component) error {
+	cat := CatalogFromSchema(schema)
+	before := catalogConstructs(cat)
+	if _, err := metalog.Translate(c.Sigma, cat); err != nil {
+		return fmt.Errorf("instance: intensional component %q: %w", c.Name, err)
+	}
+	var unknown []string
+	for k := range catalogConstructs(cat) {
+		if !before[k] {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return fmt.Errorf("instance: intensional component %q references constructs outside the schema: %s",
+			c.Name, strings.Join(unknown, ", "))
+	}
+	return nil
+}
+
+// catalogConstructs lists the catalog's constructs as "node L", "node L.p",
+// "edge L" and "edge L.p" keys.
+func catalogConstructs(cat *metalog.Catalog) map[string]bool {
+	out := map[string]bool{}
+	add := func(kind string, labels map[string][]string) {
+		for l, props := range labels {
+			out[kind+l] = true
+			for _, p := range props {
+				out[kind+l+"."+p] = true
+			}
+		}
+	}
+	add("node ", cat.NodeProps)
+	add("edge ", cat.EdgeProps)
+	return out
+}
+
+// mutablePG unwraps src down to a mutable property graph, looking through a
+// RetryingSource. A PGSource over an immutable view (a pg.Frozen snapshot)
+// or a relational source reports false: there is no graph to write back to.
+func mutablePG(src Source) (*pg.Graph, bool) {
+	if rs, ok := src.(RetryingSource); ok {
+		src = rs.Inner
+	}
+	ps, ok := src.(PGSource)
+	if !ok {
+		return nil, false
+	}
+	g, ok := ps.Data.(*pg.Graph)
+	return g, ok
 }
 
 // ApplyStats reports what ApplyToPG changed in the target graph.

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gsl"
 	"repro/internal/supermodel"
-	"repro/internal/vadalog"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -62,15 +61,7 @@ func TestGoldenArtifacts(t *testing.T) {
 
 	// SSST artifacts, through the MetaLog pipeline.
 	run := func(model, strategy string) *TranslateResult {
-		dict := supermodel.NewDictionary()
-		if err := supermodel.ToDictionary(schema, dict); err != nil {
-			t.Fatal(err)
-		}
-		m, err := SelectMapping(schema.OID, 124, 125, model, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Translate(dict, m, vadalog.Options{})
+		res, err := TranslateSchema(schema, model, strategy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,6 @@
 // baselines.
 package models
 
-import (
-	"sort"
-)
-
 // ConstructSpec declares one construct of a model and the super-construct it
 // specializes, as in the "Node: SM_Node" suffix notation of Figure 5.
 type ConstructSpec struct {
@@ -115,11 +111,4 @@ func CSVModel() Model {
 			{"Column", "SM_Attribute"},
 		},
 	}
-}
-
-// Models returns the registered models, sorted by name.
-func Models() []Model {
-	ms := []Model{CSVModel(), PGModel(), RDFSModel(), RelationalModel()}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-	return ms
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metalog"
 	"repro/internal/pg"
+	"repro/internal/supermodel"
 	"repro/internal/vadalog"
 	"repro/internal/value"
 )
@@ -59,6 +60,22 @@ func Translate(dict *pg.Graph, m Mapping, opts vadalog.Options) (*TranslateResul
 	res.CopyStats = cp.Materialize
 	res.CopyRun = cp.RunStats
 	return res, nil
+}
+
+// TranslateSchema runs Algorithm 1 for a super-schema: it stores the schema
+// into a fresh dictionary, selects the mapping for the target model and
+// strategy ("" picks the model's default), and translates. S⁻ and S′ take the
+// OIDs right above the schema's.
+func TranslateSchema(s *supermodel.Schema, model, strategy string) (*TranslateResult, error) {
+	m, err := SelectMapping(s.OID, s.OID+1, s.OID+2, model, strategy)
+	if err != nil {
+		return nil, err
+	}
+	dict := supermodel.NewDictionary()
+	if err := supermodel.ToDictionary(s, dict); err != nil {
+		return nil, err
+	}
+	return Translate(dict, m, vadalog.Options{})
 }
 
 // --- Typed views over translated schemas -------------------------------

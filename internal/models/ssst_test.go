@@ -5,23 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/supermodel"
-	"repro/internal/vadalog"
 )
 
-// translateCompanyKG runs SSST over the Figure 4 schema with the given
-// mapping and returns the dictionary.
+// translateCompanyKG runs SSST over the Figure 4 schema (OID 123) with the
+// given mapping; S⁻ and S′ land at OIDs 124 and 125.
 func translateCompanyKG(t *testing.T, model, strategy string) *TranslateResult {
 	t.Helper()
-	s := supermodel.CompanyKG()
-	dict := supermodel.NewDictionary()
-	if err := supermodel.ToDictionary(s, dict); err != nil {
-		t.Fatal(err)
-	}
-	m, err := SelectMapping(supermodel.CompanyKGOID, 124, 125, model, strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Translate(dict, m, vadalog.Options{})
+	res, err := TranslateSchema(supermodel.CompanyKG(), model, strategy)
 	if err != nil {
 		t.Fatalf("SSST translate: %v", err)
 	}
