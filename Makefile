@@ -64,7 +64,7 @@ fuzz-smoke: build
 # the reasoning engine — each carries the same gate (70% of statements) so
 # their suites cannot silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg instance vadalog
+COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

@@ -56,20 +56,11 @@ func main() {
 		return
 	}
 
-	var schema *supermodel.Schema
-	switch {
-	case *companyKG:
-		schema = supermodel.CompanyKG()
-	case *in != "":
-		src, err := os.ReadFile(*in)
-		if err != nil {
-			fatal(err)
-		}
-		schema, err = gsl.Parse(string(src))
-		if err != nil {
-			fatal(err)
-		}
-	default:
+	schema, err := cli.LoadSchema(*in, *companyKG)
+	if err != nil {
+		fatal(err)
+	}
+	if schema == nil {
 		fmt.Fprintln(os.Stderr, "kgse: need -in <design.gsl> or -companykg")
 		flag.Usage()
 		os.Exit(2)

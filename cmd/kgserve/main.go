@@ -17,7 +17,9 @@
 //	                plan and estimates for the pattern under the current
 //	                generation; "run": true adds the actual row count
 //	GET  /stats     §2.1 topological statistics of the snapshot
-//	POST /validate  {"strategy": "multi-label"} (needs -schema/-companykg)
+//	POST /validate  {"strategy": "child-edges"} — an empty strategy is the
+//	                default PG mapping, multi-label (needs -schema/-companykg;
+//	                SSST translates the design once, at startup)
 //	GET  /schema    catalog layout (+ GSL design when configured)
 //	POST /reload    {"path": "other.json"} — atomic generation swap; the
 //	                path may also be a binary .snap file (sniffed by magic)
@@ -46,9 +48,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/gsl"
 	"repro/internal/server"
-	"repro/internal/supermodel"
 )
 
 func main() {
@@ -56,7 +56,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	schemaFile := flag.String("schema", "", "GSL design file enabling /validate")
 	companyKG := flag.Bool("companykg", false, "use the built-in Company KG design for /validate")
-	strategy := flag.String("strategy", "multi-label", "PG translation strategy for /validate")
 	inflight := flag.Int("inflight", 8, "max concurrently executing compute requests (excess get 429)")
 	engineWorkers := flag.Int("engine-workers", 1, "vadalog workers per admitted query")
 	maxFacts := flag.Int("max-facts", 1_000_000, "per-query derived-fact valve (0 = unlimited)")
@@ -85,24 +84,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var schema *supermodel.Schema
-	switch {
-	case *companyKG:
-		schema = supermodel.CompanyKG()
-	case *schemaFile != "":
-		src, err := os.ReadFile(*schemaFile)
-		if err != nil {
-			fatal(err)
-		}
-		if schema, err = gsl.Parse(string(src)); err != nil {
-			fatal(err)
-		}
+	schema, err := cli.LoadSchema(*schemaFile, *companyKG)
+	if err != nil {
+		fatal(err)
 	}
 
 	srv, err := server.New(server.Config{
 		Source:        *in,
 		Schema:        schema,
-		Strategy:      *strategy,
 		MaxInflight:   *inflight,
 		EngineWorkers: *engineWorkers,
 		MaxFacts:      *maxFacts,

@@ -16,9 +16,7 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/gsl"
 	"repro/internal/models"
-	"repro/internal/supermodel"
 )
 
 func main() {
@@ -33,20 +31,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kgvalidate: need -in <data.json>")
 		os.Exit(2)
 	}
-	var schema *supermodel.Schema
-	switch {
-	case *companyKG:
-		schema = supermodel.CompanyKG()
-	case *schemaFile != "":
-		src, err := os.ReadFile(*schemaFile)
-		if err != nil {
-			fatal(err)
-		}
-		schema, err = gsl.Parse(string(src))
-		if err != nil {
-			fatal(err)
-		}
-	default:
+	schema, err := cli.LoadSchema(*schemaFile, *companyKG)
+	if err != nil {
+		fatal(err)
+	}
+	if schema == nil {
 		fmt.Fprintln(os.Stderr, "kgvalidate: need -schema <design.gsl> or -companykg")
 		os.Exit(2)
 	}
@@ -56,7 +45,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	view, err := models.NativeToPG(schema, *strategy)
+	// SSST translates the design into the PG model (Algorithm 1); the view
+	// is read off its target schema.
+	res, err := models.TranslateSchema(schema, "pg", *strategy)
+	if err != nil {
+		fatal(err)
+	}
+	view, err := models.ReadPGSchema(res.Dict, res.Mapping.TargetOID)
 	if err != nil {
 		fatal(err)
 	}

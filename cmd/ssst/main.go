@@ -16,9 +16,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/gsl"
+	"repro/internal/cli"
 	"repro/internal/models"
-	"repro/internal/supermodel"
 )
 
 func main() {
@@ -31,20 +30,11 @@ func main() {
 	stats := flag.Bool("stats", false, "print translation statistics")
 	flag.Parse()
 
-	var schema *supermodel.Schema
-	switch {
-	case *companyKG:
-		schema = supermodel.CompanyKG()
-	case *in != "":
-		src, err := os.ReadFile(*in)
-		if err != nil {
-			fatal(err)
-		}
-		schema, err = gsl.Parse(string(src))
-		if err != nil {
-			fatal(err)
-		}
-	default:
+	schema, err := cli.LoadSchema(*in, *companyKG)
+	if err != nil {
+		fatal(err)
+	}
+	if schema == nil {
 		fmt.Fprintln(os.Stderr, "ssst: need -in <design.gsl> or -companykg")
 		os.Exit(2)
 	}

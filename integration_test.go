@@ -60,11 +60,7 @@ func TestFullLifecycle(t *testing.T) {
 	// PG schema before loading.
 	topo := fingraph.GenerateTopology(fingraph.DefaultConfig(150, 99))
 	data := topo.CompanyKG()
-	view, err := models.NativeToPG(reparsed, "multi-label")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations := models.ValidateInstance(data, view); len(violations) != 0 {
+	if violations := models.ValidateInstance(data, pgView); len(violations) != 0 {
 		t.Fatalf("generated instance must conform: %v", violations[:min(3, len(violations))])
 	}
 
@@ -90,7 +86,7 @@ func TestFullLifecycle(t *testing.T) {
 
 	// 5. The enriched instance still conforms to the schema (intensional
 	// constructs included — they are part of Figure 6).
-	if violations := models.ValidateInstance(data, view); len(violations) != 0 {
+	if violations := models.ValidateInstance(data, pgView); len(violations) != 0 {
 		t.Errorf("enriched instance must still conform; first: %v", violations[0])
 	}
 
@@ -114,7 +110,7 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatalf("serialization lost data: %d/%d vs %d/%d",
 			reloaded.NumNodes(), reloaded.NumEdges(), data.NumNodes(), data.NumEdges())
 	}
-	if violations := models.ValidateInstance(reloaded, view); len(violations) != 0 {
+	if violations := models.ValidateInstance(reloaded, pgView); len(violations) != 0 {
 		t.Errorf("reloaded instance must conform; first: %v", violations[0])
 	}
 
@@ -165,7 +161,11 @@ func TestRelationalToPGCircle(t *testing.T) {
 	if n := len(out.EdgesByLabel("CONTROLS")); n != 6 {
 		t.Errorf("CONTROLS edges = %d, want 6", n)
 	}
-	view, err := models.NativeToPG(supermodel.CompanyKG(), "multi-label")
+	res, err := models.TranslateSchema(supermodel.CompanyKG(), "pg", "multi-label")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := models.ReadPGSchema(res.Dict, res.Mapping.TargetOID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@
 // constructs the target model supports, and the Copy programs downcast S⁻
 // into the target schema S′ by renaming super-constructs into model
 // constructs. Both phases are compiled by MTV and executed by the Vadalog
-// engine, exactly as in the paper's architecture; native Go twins
-// (native.go) cross-validate the MetaLog path and serve as ablation
-// baselines.
+// engine, exactly as in the paper's architecture, and SSST is the only way
+// production code gets a PG or relational schema. The native Go twins of the
+// mappings (NativeToPG, NativeToRelational) live in test files: they are the
+// oracles the MetaLog path is held to, not alternatives to it.
 package models
 
 // ConstructSpec declares one construct of a model and the super-construct it
@@ -38,9 +39,6 @@ func (m Model) Construct(superConstruct string) string {
 	}
 	return ""
 }
-
-// Supports reports whether the model specializes the super-construct.
-func (m Model) Supports(superConstruct string) bool { return m.Construct(superConstruct) != "" }
 
 // PGModel is the essential property-graph model of Figure 5: labeled nodes
 // and relationships with properties, multi-label tagging, a uniqueness

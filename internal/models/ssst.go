@@ -65,10 +65,15 @@ func Translate(dict *pg.Graph, m Mapping, opts vadalog.Options) (*TranslateResul
 // TranslateSchema runs Algorithm 1 for a super-schema: it stores the schema
 // into a fresh dictionary, selects the mapping for the target model and
 // strategy ("" picks the model's default), and translates. S⁻ and S′ take the
-// OIDs right above the schema's.
+// OIDs right above the schema's. A schema that fails Validate is refused
+// before anything is stored: the dictionary encoding assumes its references
+// resolve.
 func TranslateSchema(s *supermodel.Schema, model, strategy string) (*TranslateResult, error) {
 	m, err := SelectMapping(s.OID, s.OID+1, s.OID+2, model, strategy)
 	if err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	dict := supermodel.NewDictionary()
@@ -135,39 +140,6 @@ type PGRelView struct {
 type PGSchemaView struct {
 	Nodes []PGNodeView
 	Rels  []PGRelView
-}
-
-// NodeByLabel returns the node view carrying the given label, preferring
-// the one for which the label is primary (smallest label set).
-func (v *PGSchemaView) NodeByLabel(label string) *PGNodeView {
-	var best *PGNodeView
-	for i := range v.Nodes {
-		n := &v.Nodes[i]
-		has := false
-		for _, l := range n.Labels {
-			if l == label {
-				has = true
-			}
-		}
-		if !has {
-			continue
-		}
-		if best == nil || len(n.Labels) < len(best.Labels) {
-			best = n
-		}
-	}
-	return best
-}
-
-// RelsByName returns the relationship views with the given name.
-func (v *PGSchemaView) RelsByName(name string) []PGRelView {
-	var out []PGRelView
-	for _, r := range v.Rels {
-		if r.Name == name {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 func readProps(dict pg.View, owner pg.OID, edgeLabel string) []PropView {
@@ -247,6 +219,23 @@ func ReadPGSchema(dict pg.View, oid int64) (*PGSchemaView, error) {
 	}
 	sortPGView(v)
 	return v, nil
+}
+
+// sortPGView puts a view in its canonical order: node views by label set,
+// relationship views by name, then source and target label sets.
+func sortPGView(v *PGSchemaView) {
+	sort.Slice(v.Nodes, func(i, j int) bool {
+		return fmt.Sprint(v.Nodes[i].Labels) < fmt.Sprint(v.Nodes[j].Labels)
+	})
+	sort.Slice(v.Rels, func(i, j int) bool {
+		if v.Rels[i].Name != v.Rels[j].Name {
+			return v.Rels[i].Name < v.Rels[j].Name
+		}
+		if a, b := fmt.Sprint(v.Rels[i].FromLabels), fmt.Sprint(v.Rels[j].FromLabels); a != b {
+			return a < b
+		}
+		return fmt.Sprint(v.Rels[i].ToLabels) < fmt.Sprint(v.Rels[j].ToLabels)
+	})
 }
 
 // FKView is a foreign key of a translated relational schema.

@@ -18,25 +18,53 @@ func translateCompanyKG(t *testing.T, model, strategy string) *TranslateResult {
 	return res
 }
 
+// Test-only lookups over the typed views and the model dictionaries.
+
+// NodeByLabel returns the node view carrying the given label, preferring
+// the one for which the label is primary (smallest label set).
+func (v *PGSchemaView) NodeByLabel(label string) *PGNodeView {
+	var best *PGNodeView
+	for i := range v.Nodes {
+		n := &v.Nodes[i]
+		has := false
+		for _, l := range n.Labels {
+			if l == label {
+				has = true
+			}
+		}
+		if !has {
+			continue
+		}
+		if best == nil || len(n.Labels) < len(best.Labels) {
+			best = n
+		}
+	}
+	return best
+}
+
+// RelsByName returns the relationship views with the given name.
+func (v *PGSchemaView) RelsByName(name string) []PGRelView {
+	var out []PGRelView
+	for _, r := range v.Rels {
+		if r.Name == name {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Supports reports whether the model specializes the super-construct.
+func (m Model) Supports(superConstruct string) bool { return m.Construct(superConstruct) != "" }
+
 // TestFigure6Translation reproduces Figure 6: the Company KG super-schema
-// translated to the PG model with multi-label tagging. The MetaLog pipeline
-// result must agree exactly with the native translation.
+// translated to the PG model with multi-label tagging. TestPGOracleTable holds
+// the whole view to the native translation; these are the figure's spot
+// checks.
 func TestFigure6Translation(t *testing.T) {
 	res := translateCompanyKG(t, "pg", "multi-label")
 	got, err := ReadPGSchema(res.Dict, 125)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want, err := NativeToPG(supermodel.CompanyKG(), "multi-label")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Nodes, want.Nodes) {
-		t.Errorf("PG node views differ.\nMetaLog: %+v\nNative:  %+v", got.Nodes, want.Nodes)
-	}
-	if !reflect.DeepEqual(got.Rels, want.Rels) {
-		t.Errorf("PG relationship views differ (%d vs %d).\nMetaLog: %+v\nNative:  %+v",
-			len(got.Rels), len(want.Rels), got.Rels, want.Rels)
 	}
 
 	// Figure 6 spot checks: Business carries its whole ancestry as labels.
@@ -136,16 +164,6 @@ func TestPGChildEdgesStrategy(t *testing.T) {
 	got, err := ReadPGSchema(res.Dict, 125)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want, err := NativeToPG(supermodel.CompanyKG(), "child-edges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Nodes, want.Nodes) {
-		t.Errorf("PG node views differ.\nMetaLog: %+v\nNative:  %+v", got.Nodes, want.Nodes)
-	}
-	if !reflect.DeepEqual(got.Rels, want.Rels) {
-		t.Errorf("PG relationship views differ.\nMetaLog: %+v\nNative:  %+v", got.Rels, want.Rels)
 	}
 	isa := got.RelsByName("IS_A_Business_LegalPerson")
 	if len(isa) != 1 {

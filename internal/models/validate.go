@@ -13,9 +13,11 @@ import (
 // graph databases, translated schemas "can be enforced with ad-hoc
 // methodologies" (citing Bonifati et al. on schema validation for graph
 // databases). This file implements that enforcement for property-graph
-// instances: a data graph is checked against the PGSchemaView produced by
-// SSST — label sets, property presence and types, uniqueness modifiers,
-// relationship signatures and cardinalities.
+// instances: ValidateInstance checks a data graph against the PGSchemaView
+// SSST produces — label sets, property presence and types, identifier and
+// uniqueness values, and relationship signatures. It checks no
+// cardinalities: the PG view carries none, and ValidateCardinalities, which
+// reads them off the super-schema, has no production caller yet.
 
 // Violation is one schema violation found in a data instance.
 type Violation struct {
@@ -56,12 +58,16 @@ func ValidateInstance(g pg.View, view *PGSchemaView) []Violation {
 		out = append(out, Violation{Kind: kind, Subject: subject, Detail: fmt.Sprintf(detail, args...)})
 	}
 
-	// Index the schema: label-set signature -> node view; every label known.
+	// Index the schema: label-set signature -> node view; every label known;
+	// each node view's primary label, which scopes its identifier and unique
+	// values.
 	nodeBySig := map[string]*PGNodeView{}
 	knownLabel := map[string]bool{}
+	primary := map[*PGNodeView]string{}
 	for i := range view.Nodes {
 		nv := &view.Nodes[i]
 		nodeBySig[strings.Join(nv.Labels, ":")] = nv
+		primary[nv] = nv.PrimaryLabel(view.Nodes)
 		for _, l := range nv.Labels {
 			knownLabel[l] = true
 		}
@@ -100,7 +106,7 @@ func ValidateInstance(g pg.View, view *PGSchemaView) []Violation {
 				report("bad-type", subject, "property %s has kind %s, want %s", p.Name, v.K, p.DataType)
 			}
 			if p.IsID || p.Unique {
-				key := nv.PrimaryLabel(view.Nodes) + "." + p.Name
+				key := primary[nv] + "." + p.Name
 				seen := uniqueSeen[key]
 				if seen == nil {
 					seen = map[string]pg.OID{}

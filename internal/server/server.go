@@ -80,11 +80,10 @@ type Config struct {
 	Source string
 
 	// Schema enables /validate and enriches /schema; nil disables both
-	// behaviors (validate answers with a typed no_schema error).
+	// behaviors (validate answers with a typed no_schema error). SSST
+	// translates it into the PG model once per PG mapping of the repository
+	// when the server is built; a schema it cannot translate fails New.
 	Schema *supermodel.Schema
-	// Strategy is the SSST PG translation strategy used by /validate when
-	// the request does not override it. Defaults to "multi-label".
-	Strategy string
 
 	// MaxInflight bounds the number of concurrently executing compute
 	// requests (/query, /stats, /validate); excess requests are shed with a
@@ -150,9 +149,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Strategy == "" {
-		c.Strategy = "multi-label"
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 8
 	}
@@ -231,6 +227,12 @@ type Server struct {
 	mux  *http.ServeMux
 	http *http.Server
 
+	// pgViews holds the PG schemas SSST translated cfg.Schema into, keyed by
+	// strategy, and schemaGSL the design /schema returns. Both are built once
+	// by translateSchema and only read afterwards.
+	pgViews   map[string]*models.PGSchemaView
+	schemaGSL string
+
 	// reloadMu serializes snapshot builds — reloads, mutation batches and
 	// compactions — so generations are assigned in swap order; readers
 	// never take it.
@@ -274,6 +276,9 @@ func NewFromGraph(cfg Config, g *pg.Graph) (*Server, error) {
 // without one.
 func open(cfg Config, g *pg.Graph) (*Server, error) {
 	s := newServer(cfg)
+	if err := s.translateSchema(); err != nil {
+		return nil, err
+	}
 	var logged []wal.Record
 	if s.cfg.WALDir != "" {
 		var err error
@@ -306,6 +311,33 @@ func open(cfg Config, g *pg.Graph) (*Server, error) {
 	}
 	s.startAutoCompact()
 	return s, nil
+}
+
+// translateSchema runs SSST (Algorithm 1) over cfg.Schema once for each PG
+// mapping in the repository — the views /validate reads — and renders the
+// design /schema returns. Without a schema there is nothing to do.
+func (s *Server) translateSchema() error {
+	schema := s.cfg.Schema
+	if schema == nil {
+		return nil
+	}
+	s.pgViews = map[string]*models.PGSchemaView{}
+	for _, m := range models.Repo(schema.OID, schema.OID+1, schema.OID+2) {
+		if m.Model != "pg" {
+			continue
+		}
+		res, err := models.TranslateSchema(schema, m.Model, m.Strategy)
+		if err != nil {
+			return fmt.Errorf("server: translating schema %s (%s): %w", schema.Name, m.Strategy, err)
+		}
+		view, err := models.ReadPGSchema(res.Dict, res.Mapping.TargetOID)
+		if err != nil {
+			return fmt.Errorf("server: translating schema %s (%s): %w", schema.Name, m.Strategy, err)
+		}
+		s.pgViews[m.Strategy] = view
+	}
+	s.schemaGSL = gsl.Serialize(schema)
+	return nil
 }
 
 // startRecovery runs the WAL replay — inline, or in the background with
@@ -811,16 +843,15 @@ func (s *Server) handleValidate(r *http.Request) (*apiResult, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	strategy := req.Strategy
-	if strategy == "" {
-		strategy = s.cfg.Strategy
-	}
-	view, err := models.NativeToPG(s.cfg.Schema, strategy)
+	// The strategy resolves as SSST resolves it: empty names the repository's
+	// default PG mapping, an unknown one is refused. Only the mapping's
+	// strategy is read, so the OIDs do not matter.
+	m, err := models.SelectMapping(0, 0, 0, "pg", req.Strategy)
 	if err != nil {
-		return nil, errBadRequest("translating schema: %v", err)
+		return nil, errBadRequest("%v", err)
 	}
 	sn := s.current()
-	violations := models.ValidateInstance(sn.view, view)
+	violations := models.ValidateInstance(sn.view, s.pgViews[m.Strategy])
 	violations = append(violations, models.ValidateModifiers(sn.view, s.cfg.Schema)...)
 	return reply(struct {
 		Schema     string             `json:"schema"`
@@ -828,7 +859,7 @@ func (s *Server) handleValidate(r *http.Request) (*apiResult, *apiError) {
 		Conforms   bool               `json:"conforms"`
 		Count      int                `json:"count"`
 		Violations []models.Violation `json:"violations"`
-	}{s.cfg.Schema.Name, strategy, len(violations) == 0, len(violations), violations}, sn.gen)
+	}{s.cfg.Schema.Name, m.Strategy, len(violations) == 0, len(violations), violations}, sn.gen)
 }
 
 func (s *Server) handleSchema(*http.Request) (*apiResult, *apiError) {
@@ -841,7 +872,7 @@ func (s *Server) handleSchema(*http.Request) (*apiResult, *apiError) {
 	}{NodeLabels: sn.cat.NodeProps, EdgeLabels: sn.cat.EdgeProps}
 	if s.cfg.Schema != nil {
 		resp.Name = s.cfg.Schema.Name
-		resp.GSL = gsl.Serialize(s.cfg.Schema)
+		resp.GSL = s.schemaGSL
 	}
 	return reply(resp, sn.gen)
 }

@@ -264,9 +264,25 @@ func TestValidateEndpoints(t *testing.T) {
 		t.Errorf("expected violations on the tiny graph, got %+v", resp)
 	}
 
+	// An unknown strategy is refused with the repository's own message,
+	// which lists the strategies it has.
 	w = postJSON(t, s.Handler(), "/validate", `{"strategy":"no-such-strategy"}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("bad strategy: status %d", w.Code)
+	if w.Code != http.StatusBadRequest || errCode(t, w) != "bad_request" ||
+		!strings.Contains(w.Body.String(), `has no strategy \"no-such-strategy\" (have multi-label, child-edges)`) {
+		t.Fatalf("bad strategy: status %d body %s", w.Code, w.Body.String())
+	}
+}
+
+// TestUntranslatableSchemaFailsConstruction: SSST runs when the server is
+// built, so a schema it cannot translate fails NewFromGraph instead of the
+// first /validate.
+func TestUntranslatableSchemaFailsConstruction(t *testing.T) {
+	s := supermodel.NewSchema("Dangling", 9)
+	s.MustAddNode("Company", false, supermodel.Attr("vat", supermodel.String).ID())
+	s.Edges = append(s.Edges, &supermodel.Edge{Name: "SUPPLIES", From: "Company", To: "Nowhere"})
+	if _, err := NewFromGraph(Config{Schema: s}, tinyGraph()); err == nil ||
+		!strings.Contains(err.Error(), "unknown target node Nowhere") {
+		t.Fatalf("NewFromGraph = %v, want the translation error", err)
 	}
 }
 
