@@ -61,10 +61,10 @@ fuzz-smoke: build
 	done
 
 # cover enforces the per-package coverage floors on the newest subsystems and
-# the reasoning engine — each carries the same gate (70% of statements) so
+# the reasoning engine and its value domain — each carries the same gate (70% of statements) so
 # their suites cannot silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models
+COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models value
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

@@ -1,0 +1,99 @@
+package vadalog
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/internal/testutil"
+	"repro/internal/value"
+)
+
+// TestMonoAggFillAllocation: filling a monotonic aggregate's state allocates
+// about what the state holds at the end. Slices grown by append would copy
+// and re-zero the state several times over; fixed-size pages never copy what
+// they already hold.
+func TestMonoAggFillAllocation(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const n = 100_000
+	groupSlots, contribSlots := []int{0, 1}, []int{2}
+	slots := make([]value.Value, 3)
+	var before, filled, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := newMonoAgg("sum", groupSlots, contribSlots)
+	for i := 0; i < n; i++ {
+		slots[0], slots[1], slots[2] = value.IntV(int64(i)), value.IntV(int64(i%7)), value.IntV(int64(i))
+		k, seen := m.probe(slots)
+		if seen {
+			t.Fatalf("contributor %d reported seen", i)
+		}
+		acc := m.accum(k)
+		if err := acc.update("sum", slots[2], value.Value{}); err != nil {
+			t.Fatal(err)
+		}
+		m.admit(k, &acc, slots)
+	}
+	runtime.ReadMemStats(&filled)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	allocated := filled.TotalAlloc - before.TotalAlloc
+	held := after.HeapAlloc - before.HeapAlloc
+	for i := 0; i < n; i++ {
+		slots[0], slots[1], slots[2] = value.IntV(int64(i)), value.IntV(int64(i%7)), value.IntV(int64(i))
+		if _, seen := m.probe(slots); !seen {
+			t.Fatalf("contributor %d lost after the fill", i)
+		}
+	}
+	ratio := float64(allocated) / float64(held)
+	t.Logf("filling %d groups allocated %d B for %d B of final state (%.2fx)", n, allocated, held, ratio)
+	if ratio > 2 {
+		t.Errorf("the fill allocated %.2fx the final state, want <= 2x", ratio)
+	}
+}
+
+// TestCondStepAllocsNothing: evaluating a condition over bound slots passes
+// the slot environment by pointer, so a step allocates nothing.
+func TestCondStepAllocsNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	prog, err := Parse(`q(X) :- p(X, Y), Y > 0.5, X != 3.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(context.Background(), prog, NewDatabase(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+	cr := e.rules[0]
+	cond := -1
+	for si, st := range cr.steps {
+		if st.kind == stepCond {
+			cond = si
+			break
+		}
+	}
+	if cond < 0 {
+		t.Fatal("no condition step compiled")
+	}
+	matches := 0
+	c := newEvalCtx(e, cr, fullWindows{}, len(cr.steps))
+	c.onMatch = func() error { matches++; return nil }
+	c.slots[cr.slots["X"]] = value.IntV(1)
+	c.slots[cr.slots["Y"]] = value.FloatV(0.75)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.step(cond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if matches == 0 {
+		t.Fatal("the conditions never held")
+	}
+	if allocs != 0 {
+		t.Errorf("a condition step allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -31,14 +31,18 @@ func (f Fact) String() string {
 // provenance store, where a printable key is worth the allocation.
 func encodeKey(vals []value.Value) string {
 	var buf [96]byte
-	b := buf[:0]
+	return string(appendKey(buf[:0], vals))
+}
+
+// appendKey appends the encodeKey form of vals to b.
+func appendKey(b []byte, vals []value.Value) []byte {
 	for i, v := range vals {
 		if i > 0 {
 			b = append(b, 0)
 		}
 		b = v.AppendCanonical(b)
 	}
-	return string(b)
+	return b
 }
 
 // canonicalNaNBits is the single bit pattern every NaN hashes under: all NaN

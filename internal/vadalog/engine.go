@@ -406,13 +406,14 @@ type cRule struct {
 	growOccs []int
 }
 
-// slotEnv adapts the slot array to the expression Env interface.
+// slotEnv adapts the slot array to the expression Env interface. Only its
+// pointer is an Env, so an evaluation passes one pointer and boxes nothing.
 type slotEnv struct {
 	slots []value.Value
 	names map[string]int
 }
 
-func (s slotEnv) Lookup(name string) (value.Value, bool) {
+func (s *slotEnv) Lookup(name string) (value.Value, bool) {
 	i, ok := s.names[name]
 	if !ok {
 		return value.Value{}, false
@@ -560,7 +561,6 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 						for _, name := range agg.Contributors {
 							st.contribSlots = append(st.contribSlots, slotOf(name))
 						}
-						cr.mono = newMonoAgg(agg.Op)
 					}
 				} else {
 					st.kind = stepAssign
@@ -657,6 +657,9 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 		sort.Strings(names)
 		for _, n := range names {
 			cr.groupSlots = append(cr.groupSlots, cr.slots[n])
+		}
+		if st := &cr.steps[cr.aggStep]; !cr.stratAgg {
+			cr.mono = newMonoAgg(st.agg.Op, cr.groupSlots, st.contribSlots)
 		}
 	}
 
@@ -952,12 +955,7 @@ func driverStep(cr *cRule, w windows) int {
 // the number of new facts inserted.
 func (e *engine) evalRule(cr *cRule, w windows) (int, error) {
 	inserted := 0
-	c := &evalCtx{
-		e: e, cr: cr, w: w,
-		slots:     make([]value.Value, len(cr.slots)),
-		limit:     len(cr.steps),
-		shardStep: -1,
-	}
+	c := newEvalCtx(e, cr, w, len(cr.steps))
 	c.onMatch = func() error {
 		n, err := e.emit(cr, c.slots)
 		inserted += n
@@ -1015,6 +1013,26 @@ type evalCtx struct {
 	keyBufs [][]value.Value
 
 	onMatch func() error
+
+	// env is the expression environment over slots; conditions,
+	// assignments and aggregate arguments all evaluate through &env.
+	env slotEnv
+	// groupVals and groupKey are the stratified collect phase's reusable
+	// grouping values and their key encoding (accumulateGroup).
+	groupVals []value.Value
+	groupKey  []byte
+}
+
+// newEvalCtx returns an unsharded traversal of the rule's body under the
+// windows, stopping at step limit.
+func newEvalCtx(e *engine, cr *cRule, w windows, limit int) *evalCtx {
+	slots := make([]value.Value, len(cr.slots))
+	return &evalCtx{
+		e: e, cr: cr, w: w, slots: slots,
+		limit:     limit,
+		shardStep: -1,
+		env:       slotEnv{slots: slots, names: cr.slots},
+	}
 }
 
 // errFirstMatch unwinds a FirstMatchOnly traversal back to the leading atom
@@ -1101,7 +1119,7 @@ func (c *evalCtx) step(si int) error {
 		}
 		return c.step(si + 1)
 	case stepCond:
-		v, err := st.expr.Eval(slotEnv{slots: slots, names: cr.slots})
+		v, err := st.expr.Eval(&c.env)
 		if err != nil {
 			return err
 		}
@@ -1119,7 +1137,7 @@ func (c *evalCtx) step(si int) error {
 		}
 		return c.step(si + 1)
 	case stepAssign:
-		v, err := st.expr.Eval(slotEnv{slots: slots, names: cr.slots})
+		v, err := st.expr.Eval(&c.env)
 		if err != nil {
 			return err
 		}
@@ -1163,7 +1181,9 @@ func (c *evalCtx) stepKey(si int, st *cStep) []value.Value {
 // unseen contributor tuples update the group accumulator and continue with
 // the new running value bound; seen contributors are pruned, which both
 // guarantees convergence and makes re-derivations across semi-naive rounds
-// harmless (DESIGN.md, "Monotonic aggregation").
+// harmless (DESIGN.md, "Monotonic aggregation"). The state records a
+// contributor only once its fold has succeeded: one whose fold fails stays
+// unseen, so every later evaluation that meets it fails as well.
 func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 	cr, slots := c.cr, c.slots
 	for i, s := range st.contribSlots {
@@ -1172,14 +1192,14 @@ func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 		}
 	}
 	m := cr.mono
-	g := m.group(cr.groupSlots, slots)
-	if !m.admit(g, st.contribSlots, slots) {
+	k, seen := m.probe(slots)
+	if seen {
 		return nil
 	}
-	acc := &m.accs[g]
+	acc := m.accum(k)
 	var av value.Value
 	if st.agg.Arg != nil {
-		v, err := st.agg.Arg.Eval(slotEnv{slots: slots, names: cr.slots})
+		v, err := st.agg.Arg.Eval(&c.env)
 		if err != nil {
 			return err
 		}
@@ -1188,6 +1208,7 @@ func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 	if err := acc.update(st.agg.Op, av, value.Value{}); err != nil {
 		return err
 	}
+	m.admit(k, &acc, slots)
 	slots[st.assignSlot] = acc.current(st.agg.Op)
 	err := c.step(si + 1)
 	slots[st.assignSlot] = value.Value{}
@@ -1207,14 +1228,9 @@ func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
 		}
 	}
 	groups := map[string]*aggGroup{}
-	c := &evalCtx{
-		e: e, cr: cr, w: fullWindows{},
-		slots:       make([]value.Value, len(cr.slots)),
-		limit:       cr.aggStep,
-		lenientCond: true,
-		shardStep:   -1,
-	}
-	c.onMatch = func() error { return accumulateGroup(cr, c.slots, groups) }
+	c := newEvalCtx(e, cr, fullWindows{}, cr.aggStep)
+	c.lenientCond = true
+	c.onMatch = func() error { return c.accumulateGroup(groups) }
 	err := c.step(0)
 	e.curFirings += c.firings
 	e.curProbes += c.probes
@@ -1227,29 +1243,31 @@ func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
 // accumulateGroup folds one complete pre-aggregate body match into the group
 // accumulator keyed by the grouping variables. Contributor-free aggregates
 // absorb every distinct body match; listed contributors would make the
-// aggregate monotonic, so they cannot reach this path.
-func accumulateGroup(cr *cRule, slots []value.Value, groups map[string]*aggGroup) error {
+// aggregate monotonic, so they cannot reach this path. The key is encoded
+// into a reusable buffer; only a new group allocates its key and values.
+func (c *evalCtx) accumulateGroup(groups map[string]*aggGroup) error {
+	cr, slots := c.cr, c.slots
 	aggSt := &cr.steps[cr.aggStep]
-	group := make([]value.Value, len(cr.groupSlots))
-	for i, s := range cr.groupSlots {
-		group[i] = slots[s]
+	c.groupVals = c.groupVals[:0]
+	for _, s := range cr.groupSlots {
+		c.groupVals = append(c.groupVals, slots[s])
 	}
-	gkey := encodeKey(group)
-	acc, ok := groups[gkey]
+	c.groupKey = appendKey(c.groupKey[:0], c.groupVals)
+	acc, ok := groups[string(c.groupKey)]
 	if !ok {
-		acc = &aggGroup{aggAccum: newAggAccum(aggSt.agg.Op), vals: group}
-		groups[gkey] = acc
+		acc = &aggGroup{aggAccum: newAggAccum(aggSt.agg.Op), vals: slices.Clone(c.groupVals)}
+		groups[string(c.groupKey)] = acc
 	}
 	var av, av2 value.Value
 	if aggSt.agg.Arg != nil {
-		v, err := aggSt.agg.Arg.Eval(slotEnv{slots: slots, names: cr.slots})
+		v, err := aggSt.agg.Arg.Eval(&c.env)
 		if err != nil {
 			return err
 		}
 		av = v
 	}
 	if aggSt.agg.Arg2 != nil {
-		v, err := aggSt.agg.Arg2.Eval(slotEnv{slots: slots, names: cr.slots})
+		v, err := aggSt.agg.Arg2.Eval(&c.env)
 		if err != nil {
 			return err
 		}
@@ -1262,6 +1280,7 @@ func accumulateGroup(cr *cRule, slots []value.Value, groups map[string]*aggGroup
 // sorted group-key order, and emits the rule heads.
 func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggGroup) (int, error) {
 	slots := make([]value.Value, len(cr.slots))
+	env := &slotEnv{slots: slots, names: cr.slots}
 	aggSt := &cr.steps[cr.aggStep]
 	gkeys := make([]string, 0, len(groups))
 	for k := range groups {
@@ -1285,7 +1304,7 @@ func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggGroup) (int, err
 			st := &cr.steps[si]
 			switch st.kind {
 			case stepCond:
-				v, err := st.expr.Eval(slotEnv{slots: slots, names: cr.slots})
+				v, err := st.expr.Eval(env)
 				if err != nil {
 					return inserted, err
 				}
@@ -1293,7 +1312,7 @@ func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggGroup) (int, err
 					ok = false
 				}
 			case stepAssign:
-				v, err := st.expr.Eval(slotEnv{slots: slots, names: cr.slots})
+				v, err := st.expr.Eval(env)
 				if err != nil {
 					return inserted, err
 				}

@@ -1,6 +1,7 @@
 package vadalog
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -272,5 +273,44 @@ func TestMonotonicAggDifferential(t *testing.T) {
 		if got := outputKeys(res.DB, "out"); strings.Join(got, "|") != strings.Join(want, "|") {
 			t.Errorf("seed %d: %s\n got %q\nwant %q", seed, src, got, want)
 		}
+	}
+}
+
+// TestMonotonicAggFailedFoldNotAdmitted: a contributor whose fold fails is
+// not recorded as folded in. An Incremental propagation that errors on it
+// must error again on the next propagation, as a fresh run over the same
+// facts does, instead of silently dropping it.
+func TestMonotonicAggFailedFoldNotAdmitted(t *testing.T) {
+	const src = `s(X, V) :- p(X, Y, W), V = msum(W, <Y>).`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	db := NewDatabase()
+	db.MustAddFact("p", value.IntV(1), value.IntV(1), value.FloatV(0.5))
+	inc, err := NewIncremental(ctx, prog, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Add("p", value.IntV(1), value.IntV(2), value.Str("oops")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Propagate(ctx); err == nil {
+		t.Fatal("Propagate over a non-numeric weight succeeded")
+	}
+	if err := inc.Add("p", value.IntV(1), value.IntV(3), value.FloatV(0.25)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Propagate(ctx); err == nil {
+		t.Errorf("second Propagate succeeded with s = %v: the failed contributor was dropped", factStrings(inc.DB().Facts("s")))
+	}
+
+	fresh := NewDatabase()
+	fresh.MustAddFact("p", value.IntV(1), value.IntV(1), value.FloatV(0.5))
+	fresh.MustAddFact("p", value.IntV(1), value.IntV(2), value.Str("oops"))
+	fresh.MustAddFact("p", value.IntV(1), value.IntV(3), value.FloatV(0.25))
+	if _, err := Run(prog, fresh, Options{}); err == nil {
+		t.Error("a fresh run over the same facts succeeded")
 	}
 }

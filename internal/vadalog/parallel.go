@@ -264,15 +264,9 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 	var overBudget atomicBool
 	err := e.pool.runShards(e.ctx, len(plan), &cancel, func(s int) error {
 		var buf []pendingFact
-		c := &evalCtx{
-			e: e, cr: cr, w: w,
-			slots:     make([]value.Value, len(cr.slots)),
-			limit:     len(cr.steps),
-			shardStep: driver,
-			shardLo:   lo + plan[s][0],
-			shardHi:   lo + plan[s][1],
-			cancelled: &cancel,
-		}
+		c := newEvalCtx(e, cr, w, len(cr.steps))
+		c.shardStep, c.shardLo, c.shardHi = driver, lo+plan[s][0], lo+plan[s][1]
+		c.cancelled = &cancel
 		c.onMatch = func() error {
 			return headFacts(cr, c.slots, func(pred string, f Fact) error {
 				if budget >= 0 && pending.Add(1) > budget {
@@ -355,17 +349,11 @@ func (e *engine) evalStratifiedAggSharded(cr *cRule, driver int) (int, error) {
 	var cancel atomicBool
 	err := e.pool.runShards(e.ctx, len(plan), &cancel, func(s int) error {
 		groups := map[string]*aggGroup{}
-		c := &evalCtx{
-			e: e, cr: cr, w: fullWindows{},
-			slots:       make([]value.Value, len(cr.slots)),
-			limit:       cr.aggStep,
-			lenientCond: true,
-			shardStep:   driver,
-			shardLo:     plan[s][0],
-			shardHi:     plan[s][1],
-			cancelled:   &cancel,
-		}
-		c.onMatch = func() error { return accumulateGroup(cr, c.slots, groups) }
+		c := newEvalCtx(e, cr, fullWindows{}, cr.aggStep)
+		c.lenientCond = true
+		c.shardStep, c.shardLo, c.shardHi = driver, plan[s][0], plan[s][1]
+		c.cancelled = &cancel
+		c.onMatch = func() error { return c.accumulateGroup(groups) }
 		err := c.step(0)
 		firings[s], probes[s] = c.firings, c.probes
 		if err != nil {

@@ -86,18 +86,21 @@ func IDV(term string) Value { return Value{K: ID, S: term} }
 // names and argument tuples always yield the same identifier, and distinct
 // functors have disjoint ranges (the functor name is part of the canonical
 // term).
+//
+// The term is appended into one buffer, on the stack while it fits, so the
+// term string is the only allocation.
 func Skolem(functor string, args ...Value) Value {
-	var b strings.Builder
-	b.WriteString(functor)
-	b.WriteByte('(')
+	var stack [128]byte
+	b := append(stack[:0], functor...)
+	b = append(b, '(')
 	for i, a := range args {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(a.Canonical())
+		b = a.AppendCanonical(b)
 	}
-	b.WriteByte(')')
-	return Value{K: ID, S: b.String()}
+	b = append(b, ')')
+	return Value{K: ID, S: string(b)}
 }
 
 // IsZero reports whether v is the zero (Invalid) Value.

@@ -2,6 +2,7 @@ package value
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +160,63 @@ func TestSkolemNoConcatCollision(t *testing.T) {
 	}
 	if Equal(Skolem("f", Str("1")), Skolem("f", IntV(1))) {
 		t.Fatal("string/int collision in skolem args")
+	}
+}
+
+// skolemOracle is the original construction of a Skolem term: the functor,
+// then the argument canonical strings joined by commas, in parentheses.
+// Skolem must build exactly this string, byte for byte.
+func skolemOracle(functor string, args ...Value) string {
+	parts := make([]string, len(args))
+	for i, a := range args {
+		parts[i] = a.Canonical()
+	}
+	return functor + "(" + strings.Join(parts, ",") + ")"
+}
+
+func TestSkolemMatchesOracle(t *testing.T) {
+	nested := Skolem("inner", Str("a\"b"), IntV(-1))
+	long := strings.Repeat("x", 300)
+	cases := []struct {
+		name    string
+		functor string
+		args    []Value
+	}{
+		{"no args", "f", nil},
+		{"two ints", "f", []Value{IntV(1), IntV(2)}},
+		{"negative ints", "neg", []Value{IntV(-7), IntV(math.MinInt64), IntV(math.MaxInt64)}},
+		{"quotes and escapes", "s", []Value{Str(`say "hi"`), Str("tab\tnl\nbs\\"), Str("")}},
+		{"unicode and invalid utf8", "u", []Value{Str("héllo ☃"), Str("\xff\xfe"), Str("a\x00b")}},
+		{"floats", "fl", []Value{FloatV(0), FloatV(math.Copysign(0, -1)), FloatV(math.NaN()), FloatV(math.Inf(1)), FloatV(math.Inf(-1))}},
+		{"integral and exponent floats", "fl", []Value{FloatV(1), FloatV(2.5), FloatV(1e21), FloatV(1.5e-300), FloatV(-3e7)}},
+		{"bools", "b", []Value{BoolV(true), BoolV(false)}},
+		{"nulls", "n", []Value{NullV(0), NullV(42), NullV(-3)}},
+		{"nested ids", "outer", []Value{nested, Skolem("z", nested), IDV("")}},
+		{"invalid", "inv", []Value{{}, IntV(1)}},
+		{"longer than stack buffer", "longFunctorName", []Value{Str(long), Str(long), IntV(123456789)}},
+		{"many args", "m", []Value{IntV(1), Str("2"), FloatV(3), BoolV(true), NullV(5), IDV("f(6)"), {}, Str(long)}},
+		{"empty functor", "", []Value{IntV(1)}},
+	}
+	for _, c := range cases {
+		got := Skolem(c.functor, c.args...)
+		want := skolemOracle(c.functor, c.args...)
+		if got.K != ID || got.S != want {
+			t.Errorf("%s: Skolem = %v %q, want id %q", c.name, got.K, got.S, want)
+		}
+	}
+}
+
+// TestSkolemOneAllocation: a Skolem term over scalar arguments builds in
+// one buffer, so the term string is its only allocation.
+func TestSkolemOneAllocation(t *testing.T) {
+	a, b := IntV(12345), IntV(-678)
+	var sink Value
+	allocs := testing.AllocsPerRun(100, func() { sink = Skolem("own", a, b) })
+	if sink.S != "own(12345,-678)" {
+		t.Fatalf("Skolem = %q", sink.S)
+	}
+	if allocs != 1 {
+		t.Errorf("Skolem with two Int arguments allocates %.1f objects, want 1", allocs)
 	}
 }
 
