@@ -93,8 +93,7 @@ func (rt *RunTrace) AddRound(stratum, round, delta int) {
 	rt.Rounds = append(rt.Rounds, RoundStats{Stratum: stratum, Round: round, Delta: delta})
 }
 
-// Finish records the run outcome. Incremental propagation calls it after
-// every Propagate; the last call wins.
+// Finish records the run outcome.
 func (rt *RunTrace) Finish(status string, rounds, derived int, wall time.Duration) {
 	rt.Outcome = Outcome{Status: status, Rounds: rounds, Derived: derived, DurationNanos: wall.Nanoseconds()}
 }

@@ -244,11 +244,12 @@ type monoContrib struct {
 }
 
 // monoAgg is the state of a rule's monotonic aggregate, kept across the
-// rounds of a run and across Incremental propagations: the groups, and per
-// group the contributor tuples already folded in. Groups and contributors are
-// keyed by tuple hash (hashValue) and told apart by value.Identical: Int 1,
-// Float 1.0 and String "1" are distinct, every NaN is one value, +0 and -0
-// are two — exactly the identity the canonical key strings draw.
+// rounds of a run and across the batches a Maintainer resumes: the groups,
+// and per group the contributor tuples already folded in. Groups and
+// contributors are keyed by tuple hash (hashValue) and told apart by
+// value.Identical: Int 1, Float 1.0 and String "1" are distinct, every NaN
+// is one value, +0 and -0 are two — exactly the identity the canonical key
+// strings draw.
 //
 // Storage is paged (DESIGN.md §5): group g has its chain link and numeric
 // fold in groups, its values in groupVals and, for min and max only, its

@@ -210,55 +210,42 @@ func TestCancelDeterministicStats(t *testing.T) {
 	}
 }
 
-// TestIncrementalPropagateCancel: Propagate honors cancellation with the
-// typed error, and the handle keeps working for a later propagation. Each
-// propagation is one run in the process counters, by its status, with its own
-// derived facts — not the engine's running totals.
-func TestIncrementalPropagateCancel(t *testing.T) {
-	inc, err := NewIncremental(context.Background(), tcProgram, deepChainDB(50), Options{})
+// TestCancelMaintainerResume: a canceled insertion batch of a resumable
+// program comes back as ErrCanceled and rolls back; the same batch then
+// resumes. Each resumed batch is one run in the process counters, by its
+// status, with its own derived facts, not the kept engine's running totals.
+func TestCancelMaintainerResume(t *testing.T) {
+	prog := MustParse(tcNullSrc)
+	m, err := NewMaintainer(prog, deepChainDB(50), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	saturated := inc.DB().TotalFacts()
-	if err := inc.Add("edge", value.IntV(50), value.IntV(51)); err != nil {
-		t.Fatal(err)
-	}
-	before := obs.Counters()
+	before := m.DB().Dump()
+	d := NewDelta()
+	d.AddFact("edge", value.IntV(50), value.IntV(51))
+	c0 := obs.Counters()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	canceled, err := inc.Propagate(ctx)
-	if !errors.Is(err, ErrCanceled) {
+	if _, err := m.ApplyCtx(ctx, d); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// The canceled propagation left the baseline untouched; a clean one
-	// completes the delta.
-	n, err := inc.Propagate(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if got := m.DB().Dump(); got != before {
+		t.Fatal("canceled batch left the database changed")
 	}
-	if n == 0 || inc.DB().TotalFacts() <= saturated {
-		t.Fatalf("re-propagation derived %d facts over %d", n, saturated)
+	c1 := obs.Counters()
+	if c := c1.Canceled - c0.Canceled; c != 1 {
+		t.Errorf("counted %d canceled runs, want 1", c)
 	}
-	after := obs.Counters()
-	if runs, c := after.Runs-before.Runs, after.Canceled-before.Canceled; runs != 2 || c != 1 {
-		t.Errorf("counted %d runs, %d canceled; want 2 and 1", runs, c)
+	stats := applyResumed(t, m, d)
+	c2 := obs.Counters()
+	if runs := c2.Runs - c1.Runs; runs != 1 {
+		t.Errorf("the resumed batch counted %d runs, want 1", runs)
 	}
-	if d := after.Derived - before.Derived; d != int64(canceled+n) {
-		t.Errorf("counted %d derived facts, the two propagations derived %d", d, canceled+n)
+	// Added also counts the asserted edge, which the engine did not derive.
+	if got, want := c2.Derived-c1.Derived, int64(stats.Added-1); got != want || want == 0 {
+		t.Errorf("counted %d derived facts, the batch derived %d", got, want)
 	}
-}
-
-// TestIncrementalTimeout: Options.Timeout applies per propagation.
-func TestIncrementalTimeout(t *testing.T) {
-	prog := MustParse(`
-		nat(Y) :- nat(X), Y = X + 1, Y < 100000000.
-	`)
-	db := NewDatabase()
-	db.MustAddFact("nat", value.IntV(0))
-	_, err := NewIncremental(context.Background(), prog, db, Options{Timeout: 50 * time.Millisecond})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("initial incremental run: err = %v, want ErrTimeout", err)
-	}
+	maintainerVsFresh(t, m, prog)
 }
 
 // TestStatsOnError: non-cancellation errors (the MaxFacts valve) also come

@@ -1,10 +1,9 @@
 package vadalog
 
-// Incremental maintenance under both insertions AND retractions: the live
-// write path of the serving roadmap. Incremental (incremental.go) resumes the
-// semi-naive fixpoint for monotonically growing inputs; the Maintainer in
-// this file additionally supports deleting extensional facts, using the
-// classic delete-and-rederive (DRed) algorithm — see Hogan et al.,
+// Incremental maintenance under insertions and retractions: the live write
+// path of the serving roadmap. The Maintainer in this file keeps a database
+// saturated under batches of extensional changes, using the classic
+// delete-and-rederive (DRed) algorithm for retractions — see Hogan et al.,
 // "Knowledge Graphs" (§reasoning) for the technique space, and the paper's §6
 // for why a full rebuild per change (~160 min at Bank of Italy scale) is the
 // thing to avoid.
@@ -52,12 +51,14 @@ package vadalog
 // derivations become the next round's delta — semi-naive evaluation
 // expressed as a program transformation over the unmodified engine.
 //
-// Programs outside the supported class — stratified negation, aggregation
+// Programs outside the DRed class — stratified negation, aggregation
 // (monotonic aggregation included: accumulators cannot be un-contributed),
-// or existential head variables — fall back transparently to a full
-// recomputation from the maintained extensional store; the result is still
-// exactly what a fresh Run over the mutated input would produce, and
-// DeltaStats.Recomputed reports that the fast path was bypassed.
+// or existential head variables — take no transformed program. Without
+// negation or a stratified aggregate, the maintainer keeps the saturated
+// engine, and an insertion-only batch resumes its semi-naive fixpoint with
+// the monotonic accumulators carried over. Any other batch recomputes from
+// the maintained extensional store, exactly as a fresh Run over the mutated
+// input, and DeltaStats.Recomputed reports it.
 
 import (
 	"context"
@@ -135,25 +136,30 @@ func (d Delta) Empty() bool {
 type DeltaStats struct {
 	// Added counts facts newly present after the insertion phase: asserted
 	// facts that were not already in the database, plus everything the
-	// resumed fixpoint derived from them.
+	// fixpoint derived from them. A recomputed batch reports only the newly
+	// asserted extensional facts.
 	Added int
-	// Deleted counts facts removed net of restorations.
+	// Deleted counts facts removed net of restorations. A recomputed batch
+	// reports only the retracted extensional facts.
 	Deleted int
 	// OverDeleted counts the facts the DRed over-deletion phase removed
 	// before re-derivation (always ≥ the net Deleted).
 	OverDeleted int
 	// Rederived counts over-deleted facts the re-derivation phase restored.
 	Rederived int
-	// Recomputed reports that the batch was applied by full recomputation —
-	// either because the program is outside the incremental class, or as
-	// recovery after a failed incremental attempt was rolled back.
+	// Recomputed reports that the batch was applied by full recomputation:
+	// the program is outside the DRed class and the batch could not resume
+	// its fixpoint (see Maintainer).
 	Recomputed bool
 	// Duration is the wall-clock time of the batch.
 	Duration time.Duration
 }
 
 // Maintainer keeps a database saturated under batches of extensional
-// insertions and deletions. It is not safe for concurrent use.
+// insertions and deletions. A program in the DRed class is maintained by
+// delete-and-rederive. One outside it with no negation and no stratified
+// aggregate resumes its kept engine on an insertion-only batch. Every other
+// batch recomputes. It is not safe for concurrent use.
 type Maintainer struct {
 	prog *Program
 	db   *Database
@@ -165,9 +171,21 @@ type Maintainer struct {
 	// recompute the whole database from it.
 	edb map[string]*Relation
 
-	// unsupported, when non-empty, names the program feature that forces the
-	// full-recompute path for every batch.
+	// unsupported, when non-empty, names the program feature that keeps the
+	// program off the DRed path.
 	unsupported string
+
+	// resumable marks a program outside the DRed class whose insertion-only
+	// batches resume eng, its saturated engine, from lens, the relation
+	// lengths eng last saturated: the start of the next batch's delta
+	// window. eng and lens are nil for other programs.
+	resumable bool
+	eng       *engine
+	lens      map[string]int
+
+	// dirty records that the current batch wrote to the live database, so a
+	// failure must recompute it.
+	dirty bool
 
 	// delProg, candProg and insProg are the cached maintenance program
 	// transformations, pre-analyzed once so each Apply skips the per-run
@@ -192,9 +210,8 @@ type Maintainer struct {
 }
 
 // NewMaintainer runs the initial fixpoint (saturating db in place) and
-// returns a maintenance handle. Unlike NewIncremental it accepts any program
-// the engine accepts: programs outside the incremental class are maintained
-// by transparent full recomputation.
+// returns a maintenance handle. It accepts any program the engine accepts:
+// programs outside the DRed class resume or recompute (see Maintainer).
 func NewMaintainer(prog *Program, db *Database, opts Options) (*Maintainer, error) {
 	return NewMaintainerCtx(context.Background(), prog, db, opts)
 }
@@ -203,7 +220,8 @@ func NewMaintainer(prog *Program, db *Database, opts Options) (*Maintainer, erro
 // fixpoint. Options are sanitized for maintenance: Trace and Provenance are
 // disabled (the internal DRed phases would pollute both) and OnFault is
 // forced to fail-fast (a salvaged partial stratum has no maintenance
-// semantics). Workers, MaxRounds, MaxFacts and Timeout apply per phase.
+// semantics). Workers, MaxRounds, MaxFacts and Timeout apply per phase; a
+// resumed batch is one phase.
 func NewMaintainerCtx(ctx context.Context, prog *Program, db *Database, opts Options) (*Maintainer, error) {
 	opts.Trace = nil
 	opts.Provenance = false
@@ -218,10 +236,11 @@ func NewMaintainerCtx(ctx context.Context, prog *Program, db *Database, opts Opt
 			m.edb[pred] = rel.mutableCopy()
 		}
 	}
-	if _, err := RunInPlaceCtx(ctx, prog, db, opts); err != nil {
+	m.unsupported = dredClass(prog)
+	m.resumable = m.unsupported != "" && resumable(prog)
+	if err := m.saturate(ctx, db, opts); err != nil {
 		return nil, err
 	}
-	m.unsupported = dredClass(prog)
 	if m.unsupported == "" {
 		for _, p := range []struct {
 			dst  **maintProg
@@ -328,11 +347,11 @@ func (m *Maintainer) pooledRelation(pred string, arity int) *Relation {
 // *Relation handles taken from it may be replaced by a batch.
 func (m *Maintainer) DB() *Database { return m.db }
 
-// Incremental reports whether batches take the incremental path; when false,
-// Unsupported names the program feature that forces full recomputation.
+// Incremental reports whether batches take the DRed path; when false,
+// Unsupported names the program feature that keeps them off it.
 func (m *Maintainer) Incremental() bool { return m.unsupported == "" }
 
-// Unsupported names the feature outside the incremental class, or "".
+// Unsupported names the feature outside the DRed class, or "".
 func (m *Maintainer) Unsupported() string { return m.unsupported }
 
 // AssertedFacts returns the currently asserted extensional facts of a
@@ -361,6 +380,23 @@ func dredClass(p *Program) string {
 		}
 	}
 	return ""
+}
+
+// resumable reports whether a program outside the DRed class can resume its
+// fixpoint under insertions: it has no negation and no stratified aggregate,
+// so its only blockers are monotonic aggregates and existential heads.
+func resumable(p *Program) bool {
+	for _, r := range p.Rules {
+		if hasStratifiedAggregate(r) {
+			return false
+		}
+		for _, l := range r.Body {
+			if l.Kind == LitNegAtom {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // assignTargets collects the variables assigned by expression literals of a
@@ -513,6 +549,7 @@ func (m *Maintainer) Apply(d Delta) (DeltaStats, error) {
 // Apply returns the poisoning error.
 func (m *Maintainer) ApplyCtx(ctx context.Context, d Delta) (DeltaStats, error) {
 	var stats DeltaStats
+	m.dirty = false
 	if m.broken != nil {
 		return stats, m.broken
 	}
@@ -538,11 +575,12 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, d Delta) (DeltaStats, error) 
 		if err := fault.Hit(siteDelta); err != nil {
 			return err
 		}
-		if m.unsupported != "" {
+		resumes := m.resumable && len(undoDel) == 0
+		if m.unsupported != "" && !resumes {
 			stats.Recomputed = true
 			stats.Deleted = len(undoDel)
 			stats.Added = len(undoAdd)
-			return m.recompute(ctx)
+			return m.recomputeWith(ctx, m.opts)
 		}
 		if len(undoDel) > 0 {
 			if err := m.applyDeletions(ctx, undoDel, &stats); err != nil {
@@ -553,14 +591,18 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, d Delta) (DeltaStats, error) 
 			return err
 		}
 		if len(adds) > 0 {
-			if err := m.applyAdditions(ctx, adds, &stats); err != nil {
+			insert := m.applyAdditions
+			if resumes {
+				insert = m.resume
+			}
+			if err := insert(ctx, adds, &stats); err != nil {
 				return err
 			}
 		}
 		return fault.Hit(siteDelta)
 	})
 	if err != nil {
-		m.rollback(undoDel, undoAdd, stats.Recomputed || batchTouchedDB(&stats))
+		m.rollback(undoDel, undoAdd)
 		stats = DeltaStats{Duration: time.Since(start)}
 		if m.broken != nil {
 			return stats, fmt.Errorf("%w (additionally, recovery failed: %v)", err, m.broken)
@@ -569,12 +611,6 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, d Delta) (DeltaStats, error) 
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
-}
-
-// batchTouchedDB reports whether a failed batch may have mutated the
-// derived database (as opposed to failing before any db write).
-func batchTouchedDB(stats *DeltaStats) bool {
-	return stats.Added > 0 || stats.OverDeleted > 0 || stats.Rederived > 0
 }
 
 // validate checks the whole batch before anything mutates: predicates and
@@ -651,10 +687,10 @@ func (m *Maintainer) assertEDB(adds []predFact) []predFact {
 }
 
 // rollback reverts the extensional store to its pre-batch state and, when
-// the derived database may have been touched, recomputes it from scratch
-// under a background context (the batch's cancellation must not strand the
-// database mid-rollback). A failed recomputation poisons the maintainer.
-func (m *Maintainer) rollback(undoDel, undoAdd []predFact, dbDirty bool) {
+// the batch wrote to the live database, recomputes it from scratch under a
+// background context (the batch's cancellation must not strand the database
+// mid-rollback). A failed recomputation poisons the maintainer.
+func (m *Maintainer) rollback(undoDel, undoAdd []predFact) {
 	for _, a := range undoAdd {
 		er := m.edb[a.pred]
 		er.Remove([]Fact{a.f})
@@ -673,7 +709,7 @@ func (m *Maintainer) rollback(undoDel, undoAdd []predFact, dbDirty bool) {
 			return
 		}
 	}
-	if !dbDirty {
+	if !m.dirty {
 		return
 	}
 	opts := m.opts
@@ -683,21 +719,109 @@ func (m *Maintainer) rollback(undoDel, undoAdd []predFact, dbDirty bool) {
 	}
 }
 
-// recompute rebuilds the derived database from the extensional store.
-func (m *Maintainer) recompute(ctx context.Context) error {
-	return m.recomputeWith(ctx, m.opts)
-}
-
+// recomputeWith rebuilds the derived database from the extensional store.
+// A failed rebuild leaves the live database and the kept engine as they
+// were.
 func (m *Maintainer) recomputeWith(ctx context.Context, opts Options) error {
 	fresh := NewDatabase()
 	for pred, er := range m.edb {
 		fresh.rels[pred] = er.mutableCopy()
 	}
-	if _, err := RunInPlaceCtx(ctx, m.prog, fresh, opts); err != nil {
+	if err := m.saturate(ctx, fresh, opts); err != nil {
 		return err
 	}
 	m.db.rels = fresh.rels
+	if m.eng != nil {
+		m.eng.db = m.db
+	}
 	return nil
+}
+
+// saturate runs the program over db to its fixpoint. For a resumable
+// program it keeps the engine, with its monotonic accumulators, and the
+// relation lengths it reached.
+func (m *Maintainer) saturate(ctx context.Context, db *Database, opts Options) error {
+	e, _, err := runInPlace(ctx, m.prog, db, opts)
+	if err == nil && m.resumable {
+		m.eng, m.lens = e, e.lens()
+	}
+	return err
+}
+
+// resume applies an insertion-only batch of a resumable program: the
+// asserted facts go straight into the live relations, and the kept engine
+// resumes every stratum's fixpoint with whatever grew since its last
+// saturation as the initial delta. Monotonic accumulators carry over, so
+// running sums continue from their saturated values exactly as a full
+// recomputation reaches them.
+func (m *Maintainer) resume(ctx context.Context, adds []predFact, stats *DeltaStats) error {
+	m.dirty = true
+	for _, a := range adds {
+		if _, err := m.db.AddFact(a.pred, a.f...); err != nil {
+			return err
+		}
+	}
+	e := m.eng
+	e.ctx = ctx
+	if m.opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		e.ctx, cancel = context.WithTimeout(ctx, m.opts.Timeout)
+		defer cancel()
+	}
+	// MaxFacts, the run counters and the trace count this batch only.
+	e.derived, e.rounds = 0, 0
+	start := time.Now()
+	e.startPool()
+	var err error
+	for si, stratum := range e.an.Strata {
+		if err = e.resumeStratum(si, stratum, m.lens); err != nil {
+			break
+		}
+	}
+	e.stopPool()
+	if _, err = e.finish(start, err); err != nil {
+		return err
+	}
+	lens := e.lens()
+	for pred, n := range lens {
+		stats.Added += n - m.lens[pred]
+	}
+	m.lens = lens
+	return nil
+}
+
+// resumeStratum runs the stratum's fixpoint treating every relation that
+// grew since base as the initial delta (new EDB facts and lower-stratum
+// derivations alike).
+func (e *engine) resumeStratum(stratumIdx int, ruleIdxs []int, base map[string]int) error {
+	if err := e.checkCtx(); err != nil {
+		return err
+	}
+	grow := headPreds(e.prog, ruleIdxs)
+	// Changed predicates: anything that grew since the last saturation,
+	// plus the stratum's own heads (which may grow during this fixpoint).
+	deltaPred := map[string]bool{}
+	for pred, rel := range e.db.rels {
+		if rel.Len() > base[pred] {
+			deltaPred[pred] = true
+		}
+	}
+	for p := range grow {
+		deltaPred[p] = true
+	}
+
+	rules := make([]*cRule, 0, len(ruleIdxs))
+	for _, ri := range ruleIdxs {
+		cr := e.rules[ri]
+		cr.growOccs = cr.growOccs[:0]
+		for si, st := range cr.steps {
+			if st.kind == stepJoin && deltaPred[st.pred] {
+				cr.growOccs = append(cr.growOccs, si)
+			}
+		}
+		rules = append(rules, cr)
+	}
+	return e.deltaRounds(stratumIdx, rules, base)
 }
 
 // applyDeletions runs the two DRed phases for the batch retractions.
@@ -728,6 +852,7 @@ func (m *Maintainer) applyDeletions(ctx context.Context, dels []predFact, stats 
 	sort.Strings(delRels)
 	gross, reasserted := 0, 0
 	var cands []predFact
+	m.dirty = true
 	for _, dp := range delRels {
 		pred := strings.TrimPrefix(dp, delPrefix)
 		rel := m.db.Relation(pred)
@@ -791,6 +916,7 @@ func (m *Maintainer) applyAdditions(ctx context.Context, adds []predFact, stats 
 		before[pred] = rel.Len()
 	}
 	scratch := m.shadowFor(m.insProg)
+	m.dirty = true
 	for _, a := range adds {
 		rel, err := m.db.EnsureRelation(a.pred, len(a.f))
 		if err != nil {

@@ -15,14 +15,19 @@ import (
 // must be result-identical to (mutate the source EDB → full rebuild), at
 // every batch boundary, for sequential and parallel engines alike. Batches
 // mix additions with retractions, including retraction-only batches that
-// drive DRed through heavy over-deletion.
+// drive DRed through heavy over-deletion. Programs fall in three classes:
+// DRed, resumed (a monotonic aggregate or an existential head: insertion-only
+// batches resume the kept engine) and recomputed (negation or a stratified
+// aggregate).
 // ---------------------------------------------------------------------------
 
-// generateMaintProgram emits a random program from the incremental class —
-// joins, recursion, filters, assignments, Skolem heads, multi-head rules,
-// unions — and, a fraction of the time, a program with negation or
-// aggregation so the transparent full-recompute fallback is swept by the
-// same differential check.
+// generateMaintProgram emits a random program from the DRed class — joins,
+// recursion, filters, assignments, Skolem heads, multi-head rules, unions —
+// and, a fraction of the time, one with a monotonic sum or an existential
+// head (resumed) or with negation or a stratified sum (recomputed), so every
+// maintenance path is swept by the same differential check. A monotonic sum
+// keeps its running value out of the head: only the threshold's outcome is
+// independent of the order contributions arrive in.
 func generateMaintProgram(rng *rand.Rand) string {
 	var b strings.Builder
 	bins := []string{"e"}    // arity-2 predicates usable as join inputs
@@ -34,7 +39,7 @@ func generateMaintProgram(rng *rand.Rand) string {
 
 	nRules := 3 + rng.Intn(4)
 	for i := 0; i < nRules; i++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0, 1: // join of two earlier binaries
 			p := fresh("j")
 			fmt.Fprintf(&b, "%s(X,Z) :- %s(X,Y), %s(Y,Z).\n", p, pick(bins), pick(bins))
@@ -75,7 +80,7 @@ func generateMaintProgram(rng *rand.Rand) string {
 			p := fresh("u")
 			fmt.Fprintf(&b, "%s(X) :- %s(X,Y).\n", p, pick(bins))
 			uns = append(uns, p)
-		case 9: // outside the incremental class: fallback sweep
+		case 9: // recomputed: negation or a stratified sum
 			p := fresh("z")
 			if rng.Intn(2) == 0 {
 				fmt.Fprintf(&b, "%s(X) :- %s(X), not %s(X,X).\n", p, pick(uns), pick(bins))
@@ -84,6 +89,21 @@ func generateMaintProgram(rng *rand.Rand) string {
 				fmt.Fprintf(&b, "%s(X,V) :- %s(X,Y), V = sum(Y).\n", p, pick(intBins))
 				bins = append(bins, p)
 			}
+		case 10: // resumed: a monotonic sum under a threshold
+			p := fresh("m")
+			src := pick(intBins)
+			if rng.Intn(2) == 0 {
+				fmt.Fprintf(&b, "%s(X) :- %s(X,Y), V = msum(Y, <Y>), V > %d.\n", p, src, rng.Intn(12))
+				uns = append(uns, p)
+			} else { // the control shape: recursion through the sum
+				fmt.Fprintf(&b, "%s(X,Y) :- %s(X,Y), X < Y.\n", p, src)
+				fmt.Fprintf(&b, "%s(X,Y) :- %s(X,Z), %s(Z,Y), V = msum(Y, <Z>), V > %d.\n", p, p, src, rng.Intn(16))
+				bins = append(bins, p)
+			}
+		case 11: // resumed: an existential head
+			p := fresh("x")
+			fmt.Fprintf(&b, "%s(X,N) :- %s(X,Y).\n", p, pick(bins))
+			bins = append(bins, p)
 		}
 	}
 	return b.String()
@@ -169,12 +189,13 @@ func applyToEDB(t *testing.T, edb *Database, d Delta) {
 // TestMaintainerDifferential is the incremental-maintenance wall: 120
 // generated programs, three mutation batches each (mixed, retraction-heavy,
 // addition-only), checked against a from-scratch rebuild after every batch,
-// at Workers=1 and Workers=8. Zero divergence is the acceptance bar.
+// at Workers=1 and Workers=8. Zero divergence is the acceptance bar, and
+// each batch must take its class's path.
 func TestMaintainerDifferential(t *testing.T) {
 	shrinkShards(t)
 	const total = 120
 	rng := rand.New(rand.NewSource(23))
-	incremental, fallback := 0, 0
+	var dred, resumed, recomputed int
 
 	for i := 0; i < total; i++ {
 		src := generateMaintProgram(rng)
@@ -192,10 +213,13 @@ func TestMaintainerDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: maintainer: %v\n%s", i, err, src)
 		}
-		if seqM.Incremental() {
-			incremental++
-		} else {
-			fallback++
+		switch {
+		case seqM.Incremental():
+			dred++
+		case seqM.resumable:
+			resumed++
+		default:
+			recomputed++
 		}
 
 		parM, err := NewMaintainer(prog, edb0.Clone(), Options{Workers: 8, MaxFacts: 200_000})
@@ -206,11 +230,15 @@ func TestMaintainerDifferential(t *testing.T) {
 		refEDB := edb0.Clone()
 		for batch, kind := range []int{0, 1, 2} {
 			d := maintBatch(rng, seqM, kind)
-			if _, err := seqM.Apply(d); err != nil {
-				t.Fatalf("program %d batch %d: %v\n%s", i, batch, err, src)
-			}
-			if _, err := parM.Apply(d); err != nil {
-				t.Fatalf("program %d batch %d (W=8): %v\n%s", i, batch, err, src)
+			wantRecomputed := !seqM.Incremental() && !(seqM.resumable && len(d.Del) == 0)
+			for _, m := range []*Maintainer{seqM, parM} {
+				stats, err := m.Apply(d)
+				if err != nil {
+					t.Fatalf("program %d batch %d (W=%d): %v\n%s", i, batch, m.opts.Workers, err, src)
+				}
+				if stats.Recomputed != wantRecomputed {
+					t.Fatalf("program %d batch %d (W=%d): Recomputed = %v\n%s", i, batch, m.opts.Workers, stats.Recomputed, src)
+				}
 			}
 
 			applyToEDB(t, refEDB, d)
@@ -229,9 +257,9 @@ func TestMaintainerDifferential(t *testing.T) {
 			}
 		}
 	}
-	if incremental == 0 || fallback == 0 {
-		t.Fatalf("sweep did not cover both classes: %d incremental, %d fallback", incremental, fallback)
+	if dred == 0 || resumed == 0 || recomputed == 0 {
+		t.Fatalf("sweep did not cover every class: %d DRed, %d resumed, %d recomputed", dred, resumed, recomputed)
 	}
-	t.Logf("120 programs, 3 batches each, W∈{1,8}: zero divergence (%d incremental, %d fallback)",
-		incremental, fallback)
+	t.Logf("120 programs, 3 batches each, W∈{1,8}: zero divergence (%d DRed, %d resumed, %d recomputed)",
+		dred, resumed, recomputed)
 }

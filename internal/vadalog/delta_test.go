@@ -1,6 +1,8 @@
 package vadalog
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -492,42 +494,119 @@ func TestMaintainerValidation(t *testing.T) {
 }
 
 // TestMaintainerFaultRestore: an injected failure mid-batch rolls the
-// maintained database back to exactly its pre-batch state.
+// maintained database back to exactly its pre-batch state, for a mixed batch
+// on the DRed path and an insertion-only one on the resume path.
 func TestMaintainerFaultRestore(t *testing.T) {
 	defer fault.Reset()
-	prog := MustParse(`
-		tc(X,Y) :- edge(X,Y).
-		tc(X,Z) :- tc(X,Y), edge(Y,Z).
-	`)
-	for _, after := range []int{1, 2, 3} {
-		fault.Reset()
-		db := NewDatabase()
-		for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
-			db.MustAddFact("edge", value.Str(e[0]), value.Str(e[1]))
+	for _, src := range []string{tcProgram.String(), tcNullSrc} {
+		prog := MustParse(src)
+		for _, after := range []int{1, 2, 3} {
+			fault.Reset()
+			db := NewDatabase()
+			for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+				db.MustAddFact("edge", value.Str(e[0]), value.Str(e[1]))
+			}
+			m, err := NewMaintainer(prog, db, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := m.DB().Dump()
+			if err := fault.Arm("vadalog/delta", fault.Plan{Mode: fault.ModeError, After: after}); err != nil {
+				t.Fatal(err)
+			}
+			d := NewDelta()
+			if m.Incremental() {
+				d.DelFact("edge", value.Str("b"), value.Str("c"))
+			}
+			d.AddFact("edge", value.Str("d"), value.Str("e"))
+			if _, err := m.Apply(d); err == nil {
+				t.Fatalf("after=%d: armed fault must fail the batch", after)
+			}
+			if got := m.DB().Dump(); got != before {
+				t.Fatalf("after=%d: failed batch must restore the database:\n--- got ---\n%s\n--- want ---\n%s", after, got, before)
+			}
+			// The maintainer stays usable: the same batch succeeds once disarmed.
+			fault.Reset()
+			if _, err := m.Apply(d); err != nil {
+				t.Fatalf("after=%d: post-recovery batch: %v", after, err)
+			}
+			maintainerVsFresh(t, m, prog)
 		}
-		m, err := NewMaintainer(prog, db, Options{})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestMaintainerFaultInsertionPhase: a batch that fails while its
+// insertions run — canceled, or past MaxFacts — leaves no trace in the live
+// database, on the DRed path and on the resume path alike, and the next
+// batch equals a fresh run. Both programs derive 20 facts from two 5-chains;
+// joining the chains derives 25 more, past the limit of 24 per phase.
+func TestMaintainerFaultInsertionPhase(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name, src, pred string
+		link            func(from, to int64) []value.Value
+	}{
+		{"dred", tcProgram.String(), "edge", func(x, y int64) []value.Value {
+			return []value.Value{value.IntV(x), value.IntV(y)}
+		}},
+		{"resume", `
+			controls(X, Y) :- owns(X, Y, W), W > 0.5.
+			controls(X, Y) :- controls(X, Z), owns(Z, Y, W), V = msum(W, <Z>), V > 0.5.
+		`, "owns", func(x, y int64) []value.Value {
+			return []value.Value{value.IntV(x), value.IntV(y), value.FloatV(0.6)}
+		}},
+	} {
+		for _, fail := range []struct {
+			name string
+			ctx  context.Context
+			want func(error) bool
+		}{
+			{"canceled", canceled, func(err error) bool { return errors.Is(err, ErrCanceled) }},
+			{"MaxFacts", context.Background(), func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "fact limit")
+			}},
+		} {
+			t.Run(tc.name+"/"+fail.name, func(t *testing.T) {
+				prog := MustParse(tc.src)
+				db := NewDatabase()
+				for i := int64(0); i < 10; i++ {
+					if i != 4 && i != 9 {
+						db.MustAddFact(tc.pred, tc.link(i, i+1)...)
+					}
+				}
+				m, err := NewMaintainer(prog, db, Options{MaxFacts: 24})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := m.DB().Dump()
+				join := NewDelta()
+				join.AddFact(tc.pred, tc.link(4, 5)...)
+				if _, err := m.ApplyCtx(fail.ctx, join); !fail.want(err) {
+					t.Fatalf("err = %v", err)
+				}
+				if got := m.DB().Dump(); got != before {
+					t.Fatalf("failed batch left the database changed:\n--- got ---\n%s\n--- want ---\n%s", got, before)
+				}
+				for _, a := range m.AssertedFacts(tc.pred) {
+					if a.String() == Fact(tc.link(4, 5)).String() {
+						t.Fatal("failed batch left its fact asserted")
+					}
+				}
+				// Extending a chain derives 5 facts: within the limit, which
+				// counts this batch only.
+				next := NewDelta()
+				next.AddFact(tc.pred, tc.link(9, 10)...)
+				stats, err := m.Apply(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Recomputed {
+					t.Error("insertion-only batch recomputed")
+				}
+				maintainerVsFresh(t, m, prog)
+			})
 		}
-		before := m.DB().Dump()
-		if err := fault.Arm("vadalog/delta", fault.Plan{Mode: fault.ModeError, After: after}); err != nil {
-			t.Fatal(err)
-		}
-		d := NewDelta()
-		d.DelFact("edge", value.Str("b"), value.Str("c"))
-		d.AddFact("edge", value.Str("d"), value.Str("e"))
-		if _, err := m.Apply(d); err == nil {
-			t.Fatalf("after=%d: armed fault must fail the batch", after)
-		}
-		if got := m.DB().Dump(); got != before {
-			t.Fatalf("after=%d: failed batch must restore the database:\n--- got ---\n%s\n--- want ---\n%s", after, got, before)
-		}
-		// The maintainer stays usable: the same batch succeeds once disarmed.
-		fault.Reset()
-		if _, err := m.Apply(d); err != nil {
-			t.Fatalf("after=%d: post-recovery batch: %v", after, err)
-		}
-		maintainerVsFresh(t, m, prog)
 	}
 }
 

@@ -78,7 +78,7 @@ const defaultMaxRounds = 1 << 20
 // the work completed before the interruption. Match with errors.Is.
 var (
 	// ErrCanceled reports that the context passed to RunCtx/RunInPlaceCtx
-	// (or Propagate) was canceled.
+	// (or Maintainer.ApplyCtx) was canceled.
 	ErrCanceled = errors.New("vadalog: run canceled")
 	// ErrTimeout reports that Options.Timeout — or a deadline already on the
 	// caller's context — expired.
@@ -168,16 +168,24 @@ func RunInPlace(prog *Program, db *Database, opts Options) (*Result, error) {
 
 // RunInPlaceCtx is RunInPlace under a context (see RunCtx).
 func RunInPlaceCtx(ctx context.Context, prog *Program, db *Database, opts Options) (*Result, error) {
+	_, res, err := runInPlace(ctx, prog, db, opts)
+	return res, err
+}
+
+// runInPlace is RunInPlaceCtx that also returns the released engine, whose
+// fixpoint a Maintainer resumes.
+func runInPlace(ctx context.Context, prog *Program, db *Database, opts Options) (*engine, *Result, error) {
 	e, err := newEngine(ctx, prog, db, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer e.release()
 	start := time.Now()
 	e.startPool()
 	err = e.run()
 	e.stopPool()
-	return e.finish(start, err)
+	res, err := e.finish(start, err)
+	return e, res, err
 }
 
 // newEngine analyzes and compiles the program and builds an engine bound to
@@ -242,22 +250,14 @@ func (e *engine) release() {
 func (e *engine) finish(start time.Time, err error) (*Result, error) {
 	err = canonicalRunErr(err)
 	stats := RunStats{Rounds: e.rounds, FactsDerived: e.derived, Duration: time.Since(start)}
-	e.recordRun(err, stats)
-	return &Result{DB: e.db, Analysis: e.an, Stats: stats, prov: e.prov}, err
-}
-
-// recordRun closes the trace with the engine's running totals and folds the
-// finished run — run holds its own rounds and derived facts, which for a
-// resumed propagation are less than the totals — into the process counters.
-func (e *engine) recordRun(err error, run RunStats) {
 	status := statusOf(err)
 	if e.trace != nil {
-		e.trace.Finish(status, e.rounds, e.derived, run.Duration)
+		e.trace.Finish(status, e.rounds, e.derived, stats.Duration)
 	}
 	c := &obs.Engine
 	c.Runs.Add(1)
-	c.Rounds.Add(int64(run.Rounds))
-	c.Derived.Add(int64(run.FactsDerived))
+	c.Rounds.Add(int64(stats.Rounds))
+	c.Derived.Add(int64(stats.FactsDerived))
 	switch status {
 	case "canceled":
 		c.Canceled.Add(1)
@@ -266,6 +266,7 @@ func (e *engine) recordRun(err error, run RunStats) {
 	case "error":
 		c.Errored.Add(1)
 	}
+	return &Result{DB: e.db, Analysis: e.an, Stats: stats, prov: e.prov}, err
 }
 
 // ruleLabel names a rule by its head predicates.

@@ -1,7 +1,6 @@
 package vadalog
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -276,41 +275,32 @@ func TestMonotonicAggDifferential(t *testing.T) {
 	}
 }
 
-// TestMonotonicAggFailedFoldNotAdmitted: a contributor whose fold fails is
-// not recorded as folded in. An Incremental propagation that errors on it
-// must error again on the next propagation, as a fresh run over the same
-// facts does, instead of silently dropping it.
+// TestMonotonicAggFailedFoldNotAdmitted: a resumed batch whose contributor
+// fails to fold errors, and the maintainer is left exactly as before it; a
+// later batch then equals a fresh run, which does not see the failed
+// contributor.
 func TestMonotonicAggFailedFoldNotAdmitted(t *testing.T) {
-	const src = `s(X, V) :- p(X, Y, W), V = msum(W, <Y>).`
-	prog, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	prog := MustParse(`s(X, V) :- p(X, Y, W), V = msum(W, <Y>).`)
 	db := NewDatabase()
 	db.MustAddFact("p", value.IntV(1), value.IntV(1), value.FloatV(0.5))
-	inc, err := NewIncremental(ctx, prog, db, Options{})
+	m, err := NewMaintainer(prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.Add("p", value.IntV(1), value.IntV(2), value.Str("oops")); err != nil {
-		t.Fatal(err)
+	before := m.DB().Dump()
+	d := NewDelta()
+	d.AddFact("p", value.IntV(1), value.IntV(2), value.Str("oops"))
+	if _, err := m.Apply(d); err == nil {
+		t.Fatal("a batch over a non-numeric weight succeeded")
 	}
-	if _, err := inc.Propagate(ctx); err == nil {
-		t.Fatal("Propagate over a non-numeric weight succeeded")
+	if got := m.DB().Dump(); got != before {
+		t.Fatalf("failed batch left the database changed:\n%s", got)
 	}
-	if err := inc.Add("p", value.IntV(1), value.IntV(3), value.FloatV(0.25)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.Propagate(ctx); err == nil {
-		t.Errorf("second Propagate succeeded with s = %v: the failed contributor was dropped", factStrings(inc.DB().Facts("s")))
-	}
-
-	fresh := NewDatabase()
-	fresh.MustAddFact("p", value.IntV(1), value.IntV(1), value.FloatV(0.5))
-	fresh.MustAddFact("p", value.IntV(1), value.IntV(2), value.Str("oops"))
-	fresh.MustAddFact("p", value.IntV(1), value.IntV(3), value.FloatV(0.25))
-	if _, err := Run(prog, fresh, Options{}); err == nil {
-		t.Error("a fresh run over the same facts succeeded")
+	d = NewDelta()
+	d.AddFact("p", value.IntV(1), value.IntV(3), value.FloatV(0.25))
+	applyResumed(t, m, d)
+	maintainerVsFresh(t, m, prog)
+	if got := factStrings(m.DB().SortedFacts("s")); len(got) != 2 || got[1] != "(1,0.75)" {
+		t.Errorf("s = %v, want the running sums 0.5 and 0.75", got)
 	}
 }

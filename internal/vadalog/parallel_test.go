@@ -2,7 +2,6 @@ package vadalog
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -462,28 +461,24 @@ func TestParallelProvenanceFallsBack(t *testing.T) {
 	}
 }
 
+// TestParallelIncremental: resumed batches agree between worker counts.
 func TestParallelIncremental(t *testing.T) {
 	shrinkShards(t)
-	prog := MustParse(`
-		tc(X,Y) :- edge(X,Y).
-		tc(X,Z) :- tc(X,Y), edge(Y,Z).
-	`)
+	prog := MustParse(tcNullSrc)
 	mk := func(workers int) *Database {
-		inc, err := NewIncremental(context.Background(), prog, randomEdgeDB(31, 25, 50), Options{Workers: workers})
+		m, err := NewMaintainer(prog, randomEdgeDB(31, 25, 50), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if err := inc.Add("edge", value.IntV(int64(i)), value.IntV(int64((i*7)%25))); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := inc.Propagate(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			d := NewDelta()
+			d.AddFact("edge", value.IntV(int64(i)), value.IntV(int64((i*7)%25)))
+			applyResumed(t, m, d)
 		}
-		return inc.DB()
+		maintainerVsFresh(t, m, prog)
+		return m.DB()
 	}
 	if seq, par := mk(1), mk(8); seq.Dump() != par.Dump() {
-		t.Fatal("incremental propagation disagrees between worker counts")
+		t.Fatal("resumed batches disagree between worker counts")
 	}
 }

@@ -6,7 +6,7 @@ import "sort"
 // written order (compileProgRule): whether an expression literal would be an
 // assignment or a condition, and which variables a literal touches. The
 // cost-based planner (internal/plan) reorders rule bodies as a program
-// transformation — the same pattern as the incremental Maintainer — and
+// transformation — the same pattern as the Maintainer's DRed programs — and
 // needs exactly this classification to know which literals are
 // position-sensitive and must pin a rule to its written order.
 
