@@ -22,14 +22,15 @@ test: build vet
 # scale too. The cancellation / trace-determinism tests rerun with -count=3:
 # they interrupt the worker pool mid-fan-out and compare run traces across
 # worker counts, the shapes most likely to surface a scheduling-dependent
-# race; the sealed-relation tests rerun with -count=10 because each races 16
+# race; so do the production-size merge and the MaxFacts valve, whose shard
+# buffers the engine reuses across evaluations; the sealed-relation tests rerun with -count=10 because each races 16
 # queries to build the same lazily built indexes — over a column store in
 # vadalog, over row ids into frozen columns in metalog — and the
 # frozen-readers test because it races the one label-summary build and the
 # per-call row builds.
 test-race: build
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks' ./internal/vadalog/
+	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve' ./internal/vadalog/
 	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestFrozenReadersRaceLabelSummary' ./internal/vadalog/ ./internal/pg/ ./internal/metalog/
 	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/

@@ -141,8 +141,8 @@ type aggGroup struct {
 	vals []value.Value
 }
 
-// pageBits sets the page size of the monotonic aggregates' state: 1,024
-// entries a page.
+// pageBits sets the page size of the monotonic aggregates' state and of the
+// parallel shards' emission buffers: 1,024 entries a page.
 const (
 	pageBits = 10
 	pageLen  = 1 << pageBits
@@ -159,13 +159,27 @@ type paged[T any] struct {
 	pages [][]T
 }
 
-// push adds a zero entry and returns its index.
+// push adds an entry and returns its index. The entry is zero unless reset
+// kept the page it lands on.
 func (p *paged[T]) push() int32 {
-	if p.n&pageMask == 0 {
+	if p.n&pageMask == 0 && int(p.n>>pageBits) == len(p.pages) {
 		p.pages = append(p.pages, make([]T, pageLen*p.width))
 	}
 	p.n++
 	return p.n - 1
+}
+
+// reset empties p for entries of the given width, keeping the leading pages
+// that hold a page of such entries, so a buffer refilled on every round
+// allocates only when a round outgrows the rounds before it.
+func (p *paged[T]) reset(width int) {
+	for i, pg := range p.pages {
+		if len(pg) < pageLen*width {
+			p.pages = p.pages[:i]
+			break
+		}
+	}
+	p.width, p.n = width, 0
 }
 
 // row returns the elements of entry i.

@@ -97,3 +97,30 @@ func TestCondStepAllocsNothing(t *testing.T) {
 		t.Errorf("a condition step allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestShardedRoundAllocation: a sharded closure allocates per derived fact
+// about the fact itself and its share of the relation's tables. Shards write
+// into paged buffers the engine keeps across rounds, so a duplicate emission
+// allocates nothing, and the merge inserts through the dedup table's 8-byte
+// slots without hashing again.
+func TestShardedRoundAllocation(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	db := layeredEdgeDB(11, 5, 1000, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(tcProgram, db, Options{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := float64(res.Stats.FactsDerived)
+	objs := float64(after.Mallocs-before.Mallocs) / derived
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / derived
+	t.Logf("%d facts in %d rounds: %.2f objects and %.0f B per derived fact", res.Stats.FactsDerived, res.Stats.Rounds, objs, bytes)
+	if objs > 1.15 || bytes > 400 {
+		t.Errorf("a sharded closure allocates %.2f objects and %.0f B per derived fact, want <= 1.15 and <= 400", objs, bytes)
+	}
+}

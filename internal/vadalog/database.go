@@ -129,12 +129,8 @@ type Relation struct {
 	Arity int
 	facts []Fact // the mutable form's tuples; nil when sealed
 
-	// dedup maps a full-tuple hash to the first fact position with that
-	// hash; dedupMore holds the rare further positions whose distinct tuples
-	// share a hash. Splitting the two keeps the common case at one map word
-	// per fact with no slice allocation.
-	dedup     map[uint64]int32
-	dedupMore map[uint64][]int32
+	// dedup leads from a tuple hash to the position of the equal fact.
+	dedup tupleTable
 
 	// indexes maps a bitmask of bound positions to an index from the
 	// projected-tuple hash to ascending fact positions. Once built for a
@@ -150,10 +146,147 @@ type Relation struct {
 	// would overwrite them in place.
 	recycle bool
 
-	// sealed is non-nil exactly when the relation is sealed; facts, dedup,
-	// dedupMore and indexes are then nil, and sealed holds the row source and
-	// the lazily built indexes.
+	// sealed is non-nil exactly when the relation is sealed; facts, dedup
+	// and indexes are then empty, and sealed holds the row source and the
+	// lazily built indexes.
 	sealed *sealedRel
+}
+
+// tupleTable is a mutable relation's dedup table: open addressing with
+// linear probing at a load of at most 1/2, in 8-byte slots that hold a
+// tuple's 32-bit fingerprint over its position+1 (0 marks a free slot). A
+// slot's home is a function of its fingerprint alone, so tuples with equal
+// fingerprints sit in successive slots of one probe run, tupleEqual tells
+// them apart, and growing re-places slots without touching a fact. One
+// probe (find) returns either the equal fact or the free slot its insert
+// writes; removal shifts the rest of the run back instead of leaving
+// tombstones (DESIGN.md §10).
+type tupleTable struct {
+	slots []uint64
+	used  int
+	shift uint8 // 32 - log2(len(slots))
+}
+
+const minTupleSlots = 16
+
+// fingerprint folds a 64-bit tuple hash into the 32 bits a slot keeps.
+func fingerprint(h uint64) uint32 { return uint32(h>>32) ^ uint32(h) }
+
+// home is the first slot of fingerprint fp's probe run; Fibonacci hashing
+// spreads the fingerprint's bits over the table.
+func (t *tupleTable) home(fp uint32) int { return int((fp * 0x9e3779b9) >> t.shift) }
+
+// find returns the position of the fact in facts equal to vals (whose
+// hashTuple is h) and its slot, or position -1 and the free slot an insert
+// of vals writes (-1 while the table holds no slots). It reads only, so it
+// is safe alongside other reads.
+func (t *tupleTable) find(facts []Fact, h uint64, vals []value.Value) (pos, slot int) {
+	if len(t.slots) == 0 {
+		return -1, -1
+	}
+	fp, mask := fingerprint(h), len(t.slots)-1
+	for i := t.home(fp); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if uint32(s>>32) == fp {
+			if p := int(uint32(s)) - 1; tupleEqual(facts[p], vals) {
+				return p, i
+			}
+		}
+	}
+}
+
+// insert records position pos for hash h at slot, which find(h) returned
+// with no write to t since; slot -1 (or any slot of a table that has none)
+// probes for a free one.
+func (t *tupleTable) insert(h uint64, slot, pos int) {
+	fp := fingerprint(h)
+	if len(t.slots) == 0 {
+		t.resize(minTupleSlots)
+		slot = -1
+	}
+	if slot < 0 {
+		slot = t.free(fp)
+	}
+	t.slots[slot] = uint64(fp)<<32 | uint64(pos+1)
+	t.used++
+	if 2*t.used > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+}
+
+// free returns the first free slot of fp's probe run.
+func (t *tupleTable) free(fp uint32) int {
+	mask := len(t.slots) - 1
+	i := t.home(fp)
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// reserve sizes an empty table for n entries; for none it stays unallocated.
+func (t *tupleTable) reserve(n int) {
+	if n == 0 {
+		return
+	}
+	size := minTupleSlots
+	for size < 2*n {
+		size *= 2
+	}
+	t.resize(size)
+}
+
+// resize moves the slots into a table of n slots, n a power of two.
+func (t *tupleTable) resize(n int) {
+	old := t.slots
+	t.slots, t.shift = make([]uint64, n), uint8(32-bits.Len(uint(n-1)))
+	for _, s := range old {
+		if s != 0 {
+			t.slots[t.free(uint32(s>>32))] = s
+		}
+	}
+}
+
+// slotOf returns the slot recording position pos for hash h.
+func (t *tupleTable) slotOf(h uint64, pos int) int {
+	fp, mask := fingerprint(h), len(t.slots)-1
+	want := uint64(fp)<<32 | uint64(pos+1)
+	i := t.home(fp)
+	for t.slots[i] != want {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove drops the slot recording position pos for hash h by backward-shift
+// deletion: each later slot of the run whose home lies at or before the hole
+// moves into it, so every remaining entry stays reachable from its home.
+func (t *tupleTable) remove(h uint64, pos int) {
+	mask := len(t.slots) - 1
+	i := t.slotOf(h, pos)
+	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		if k := t.home(uint32(t.slots[j] >> 32)); (j-k)&mask >= (j-i)&mask {
+			t.slots[i], i = t.slots[j], j
+		}
+	}
+	t.slots[i] = 0
+	t.used--
+}
+
+// repoint rewrites the slot recording position from for hash h to record
+// position to, in place.
+func (t *tupleTable) repoint(h uint64, from, to int) {
+	i := t.slotOf(h, from)
+	t.slots[i] = t.slots[i]>>32<<32 | uint64(to+1)
+}
+
+// reset empties the table, keeping its slots.
+func (t *tupleTable) reset() {
+	clear(t.slots)
+	t.used = 0
 }
 
 // Rows is what a sealed relation reads its tuples from: a fixed sequence of
@@ -176,11 +309,7 @@ var ErrSealed = errors.New("vadalog: write to a sealed relation")
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{
-		Arity:   arity,
-		dedup:   make(map[uint64]int32),
-		indexes: make(map[uint64]map[uint64][]int),
-	}
+	return &Relation{Arity: arity, indexes: make(map[uint64]map[uint64][]int)}
 }
 
 // Len returns the number of facts.
@@ -200,7 +329,7 @@ func (r *Relation) Rows() Rows {
 }
 
 // Reset empties the relation while keeping its allocated capacity: the fact
-// slots, dedup buckets and per-mask index maps are all retained. The
+// slots, dedup slots and per-mask index maps are all retained. The
 // maintenance path resets its pooled shadow relations between batches, so a
 // steady-state Apply stops paying slice and map regrowth for them.
 func (r *Relation) Reset() {
@@ -208,8 +337,7 @@ func (r *Relation) Reset() {
 		panic(ErrSealed)
 	}
 	r.facts = r.facts[:0]
-	clear(r.dedup)
-	clear(r.dedupMore)
+	r.dedup.reset()
 	for _, idx := range r.indexes {
 		clear(idx)
 	}
@@ -256,23 +384,6 @@ func (r *Relation) bindCells(pos int, st *cStep, slots []value.Value) bool {
 	return true
 }
 
-// dedupFind scans the positions hashed to h for one whose tuple equals f.
-func (r *Relation) dedupFind(h uint64, f Fact) (int, bool) {
-	pos, ok := r.dedup[h]
-	if !ok {
-		return 0, false
-	}
-	if tupleEqual(r.facts[pos], f) {
-		return int(pos), true
-	}
-	for _, p := range r.dedupMore[h] {
-		if tupleEqual(r.facts[p], f) {
-			return int(p), true
-		}
-	}
-	return 0, false
-}
-
 // Contains reports whether the tuple is already in the relation. It is safe
 // alongside concurrent reads: a mutable relation answers from its dedup table
 // without mutating anything, a sealed one probes its all-columns index (built
@@ -284,8 +395,8 @@ func (r *Relation) Contains(f Fact) bool {
 	if r.sealed != nil {
 		return r.exists(1<<uint(r.Arity)-1, f)
 	}
-	_, found := r.dedupFind(hashTuple(f), f)
-	return found
+	pos, _ := r.dedup.find(r.facts, hashTuple(f), f)
+	return pos >= 0
 }
 
 // Insert adds a fact, reporting whether it was new. It is an error to insert
@@ -298,10 +409,11 @@ func (r *Relation) Insert(f Fact) (bool, error) {
 		return false, ErrSealed
 	}
 	h := hashTuple(f)
-	if _, dup := r.dedupFind(h, f); dup {
+	pos, slot := r.dedup.find(r.facts, h, f)
+	if pos >= 0 {
 		return false, nil
 	}
-	r.insertNew(h, f)
+	r.appendNew(h, slot, f)
 	return true, nil
 }
 
@@ -316,9 +428,16 @@ func (r *Relation) InsertValues(vals []value.Value) (bool, error) {
 	if r.sealed != nil {
 		return false, ErrSealed
 	}
-	h := hashTuple(vals)
-	if _, dup := r.dedupFind(h, vals); dup {
-		return false, nil
+	return r.insertHashed(hashTuple(vals), vals), nil
+}
+
+// insertHashed is InsertValues for a tuple of the relation's arity whose
+// hashTuple h the caller already holds: the parallel merge inserts what the
+// shards hashed without hashing again.
+func (r *Relation) insertHashed(h uint64, vals []value.Value) bool {
+	pos, slot := r.dedup.find(r.facts, h, vals)
+	if pos >= 0 {
+		return false
 	}
 	var f Fact
 	if r.recycle && len(r.facts) < cap(r.facts) {
@@ -332,21 +451,22 @@ func (r *Relation) InsertValues(vals []value.Value) (bool, error) {
 		f = make(Fact, len(vals))
 	}
 	copy(f, vals)
-	r.insertNew(h, f)
-	return true, nil
+	r.appendNew(h, slot, f)
+	return true
 }
 
-// insertNew appends a fact known to be absent, updating the dedup table and
-// every materialized index. The relation takes ownership of f.
-func (r *Relation) insertNew(h uint64, f Fact) {
+// appendNew appends a fact known to be absent, recording it at the dedup
+// slot find returned for it and in every materialized index. The relation
+// takes ownership of f. The fact slice doubles when full: append grows a
+// large slice by a quarter, which copies every fact header about five times
+// over a fixpoint's growth instead of about once.
+func (r *Relation) appendNew(h uint64, slot int, f Fact) {
 	pos := len(r.facts)
-	if _, taken := r.dedup[h]; taken {
-		if r.dedupMore == nil {
-			r.dedupMore = make(map[uint64][]int32)
-		}
-		r.dedupMore[h] = append(r.dedupMore[h], int32(pos))
-	} else {
-		r.dedup[h] = int32(pos)
+	r.dedup.insert(h, slot, pos)
+	if pos == cap(r.facts) && pos > 0 {
+		grown := make([]Fact, pos, 2*pos)
+		copy(grown, r.facts)
+		r.facts = grown
 	}
 	r.facts = append(r.facts, f)
 	for mask, idx := range r.indexes {
@@ -443,7 +563,7 @@ func (r *Relation) All() []Fact {
 // Remove deletes the given facts from the relation and returns the facts
 // actually removed (facts that were absent, malformed, or listed twice are
 // skipped). Removal costs O(k) in the number of facts removed, not O(n) in
-// the relation size: each removed fact is unlinked from the dedup maps and
+// the relation size: each removed fact is unlinked from the dedup table and
 // every posting list it appears in, and the relation's last fact is swapped
 // into the vacated position with its own entries repointed. Incremental
 // maintenance retracts a handful of facts from relations five orders of
@@ -471,8 +591,8 @@ func (r *Relation) removeInto(removed []Fact, facts []Fact) []Fact {
 			continue
 		}
 		h := hashTuple(f)
-		pos, ok := r.dedupFind(h, f)
-		if !ok {
+		pos, _ := r.dedup.find(r.facts, h, f)
+		if pos < 0 {
 			continue // absent, or a duplicate of an earlier removal
 		}
 		removed = append(removed, r.facts[pos])
@@ -486,7 +606,7 @@ func (r *Relation) removeInto(removed []Fact, facts []Fact) []Fact {
 func (r *Relation) removeAt(pos int, h uint64) {
 	last := len(r.facts) - 1
 	gone := r.facts[pos]
-	r.dedupUnlink(h, int32(pos))
+	r.dedup.remove(h, pos)
 	for mask, idx := range r.indexes {
 		ph := projectHash(gone, mask)
 		if lst := postingDelete(idx[ph], pos); len(lst) > 0 {
@@ -498,7 +618,7 @@ func (r *Relation) removeAt(pos int, h uint64) {
 	if pos != last {
 		moved := r.facts[last]
 		r.facts[pos] = moved
-		r.dedupRepoint(hashTuple(moved), int32(last), int32(pos))
+		r.dedup.repoint(hashTuple(moved), last, pos)
 		for mask, idx := range r.indexes {
 			// last is the highest position in the relation, so it is the
 			// final element of its ascending posting list; drop it there and
@@ -511,54 +631,6 @@ func (r *Relation) removeAt(pos int, h uint64) {
 	}
 	r.facts[last] = nil // release the tail slot for GC
 	r.facts = r.facts[:last]
-}
-
-// dedupUnlink removes the dedup entry mapping hash h to position pos,
-// promoting an overflow position into the primary map when one exists.
-func (r *Relation) dedupUnlink(h uint64, pos int32) {
-	if p, ok := r.dedup[h]; ok && p == pos {
-		if more := r.dedupMore[h]; len(more) > 0 {
-			r.dedup[h] = more[len(more)-1]
-			r.shrinkMore(h, len(more)-1)
-		} else {
-			delete(r.dedup, h)
-		}
-		return
-	}
-	more := r.dedupMore[h]
-	for i, p := range more {
-		if p == pos {
-			more[i] = more[len(more)-1]
-			r.shrinkMore(h, len(more)-1)
-			return
-		}
-	}
-}
-
-// shrinkMore truncates the overflow list for h to n entries, dropping the
-// key entirely when none remain.
-func (r *Relation) shrinkMore(h uint64, n int) {
-	if n == 0 {
-		delete(r.dedupMore, h)
-	} else {
-		r.dedupMore[h] = r.dedupMore[h][:n]
-	}
-}
-
-// dedupRepoint rewrites the dedup entry for hash h from position from to
-// position to, wherever it lives.
-func (r *Relation) dedupRepoint(h uint64, from, to int32) {
-	if p, ok := r.dedup[h]; ok && p == from {
-		r.dedup[h] = to
-		return
-	}
-	more := r.dedupMore[h]
-	for i, p := range more {
-		if p == from {
-			more[i] = to
-			return
-		}
-	}
 }
 
 // postingDelete removes pos from an ascending posting list in place.
@@ -804,12 +876,12 @@ func (r *Relation) mutableCopy() *Relation {
 	nr := &Relation{
 		Arity:   r.Arity,
 		facts:   make([]Fact, 0, n),
-		dedup:   make(map[uint64]int32, n),
 		indexes: make(map[uint64]map[uint64][]int),
 	}
+	nr.dedup.reserve(n)
 	for pos := 0; pos < n; pos++ {
 		f := r.At(pos)
-		nr.insertNew(hashTuple(f), f)
+		nr.appendNew(hashTuple(f), -1, f)
 	}
 	return nr
 }

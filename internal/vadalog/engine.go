@@ -299,8 +299,12 @@ type engine struct {
 	curFirings int64
 	curProbes  int64
 	// pool is the worker pool for parallel rule evaluation; nil when the
-	// run is sequential (Workers <= 1, or Provenance is on).
-	pool *workerPool
+	// run is sequential (Workers <= 1, or Provenance is on). shardBufs holds
+	// each shard's emissions per head of the rule under sharded evaluation
+	// ([shard][head]); kept across the run's sharded evaluations, dropped
+	// with the pool.
+	pool      *workerPool
+	shardBufs [][]headBuf
 
 	rules       []*cRule
 	cachedRules []*cRule // pre-compiled rules to adopt instead of compiling
@@ -1352,12 +1356,8 @@ func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
 			e.headScratch = make([]value.Value, len(h.args))
 		}
 		vals := e.headScratch[:len(h.args)]
-		for i := range h.args {
-			v, err := resolveHeadArg(cr, slots, exVals, &h.args[i])
-			if err != nil {
-				return inserted, err
-			}
-			vals[i] = v
+		if err := resolveHead(cr, h, slots, exVals, vals); err != nil {
+			return inserted, err
 		}
 		rel := e.db.Relation(h.pred)
 		added, err := rel.InsertValues(vals)
@@ -1387,24 +1387,16 @@ func errMaxFacts(limit int) error {
 	return fmt.Errorf("vadalog: derived fact limit %d exceeded", limit)
 }
 
-// headFacts instantiates every head atom of the rule under the slots and
-// hands the resulting facts to the sink. Existential variables are realized
-// with frontier-keyed Skolem identifiers shared across the head conjunction.
-func headFacts(cr *cRule, slots []value.Value, sink func(pred string, f Fact) error) error {
-	exVals, _ := skolemExVals(cr, slots, nil)
-	for hi := range cr.heads {
-		h := &cr.heads[hi]
-		f := make(Fact, len(h.args))
-		for i := range h.args {
-			v, err := resolveHeadArg(cr, slots, exVals, &h.args[i])
-			if err != nil {
-				return err
-			}
-			f[i] = v
-		}
-		if err := sink(h.pred, f); err != nil {
+// resolveHead instantiates head atom h of the rule under the slots into
+// vals, one value per argument. Existential variables are realized by
+// skolemExVals, once per firing and shared across the head conjunction.
+func resolveHead(cr *cRule, h *cHead, slots, exVals, vals []value.Value) error {
+	for i := range h.args {
+		v, err := resolveHeadArg(cr, slots, exVals, &h.args[i])
+		if err != nil {
 			return err
 		}
+		vals[i] = v
 	}
 	return nil
 }
@@ -1430,7 +1422,7 @@ func skolemExVals(cr *cRule, slots, buf []value.Value) (exVals, grown []value.Va
 }
 
 // resolveHeadArg materializes one head argument under the current slots. A
-// top-level function rather than a closure inside headFacts: recursive
+// top-level function rather than a closure inside resolveHead: recursive
 // closures allocate, and this runs once per head argument per firing.
 func resolveHeadArg(cr *cRule, slots, exVals []value.Value, ha *cHeadArg) (value.Value, error) {
 	switch ha.kind {

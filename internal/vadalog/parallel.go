@@ -7,9 +7,10 @@ package vadalog
 // semi-naive rounds, the first join's window otherwise — into contiguous
 // position shards that a fixed pool of worker goroutines drains. While the
 // shards run, the database is strictly read-only: every hash index a rule
-// can touch is built up front (prewarmIndexes), and emitted facts go to
-// per-shard buffers instead of the relations. At the barrier the buffers are
-// deduplicated and inserted in shard index order.
+// can touch is built up front (prewarmIndexes), and each shard writes its
+// head tuples, with their hashes, into paged per-head buffers instead of the
+// relations. At the barrier the buffers are inserted in shard index order,
+// deduplicated by the relations' own tables (DESIGN.md §7).
 //
 // Determinism. The shard plan depends only on the window size, never on the
 // worker count, and the merge consumes shards in index order, so the
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/value"
@@ -167,6 +169,7 @@ func (e *engine) stopPool() {
 		e.pool.close()
 		e.pool = nil
 	}
+	e.shardBufs = nil
 }
 
 // minShardSize is the smallest driver window worth splitting: below it, the
@@ -216,11 +219,32 @@ func (e *engine) prewarmIndexes(cr *cRule) {
 	}
 }
 
-// pendingFact is a head fact emitted by a shard, buffered until the merge
-// barrier.
-type pendingFact struct {
-	pred string
-	f    Fact
+// headBuf is one shard's emissions for one head of the rule under
+// evaluation: the head tuples and their hashTuple, in firing order. A firing
+// pushes one entry to the buffer of every head, so entry k of each belongs
+// to the shard's k-th firing.
+type headBuf struct {
+	vals   paged[value.Value]
+	hashes paged[uint64]
+}
+
+// shardBuffers returns the emptied buffers of shards shards for the heads of
+// the rule.
+func (e *engine) shardBuffers(shards int, cr *cRule) [][]headBuf {
+	for len(e.shardBufs) < shards {
+		e.shardBufs = append(e.shardBufs, nil)
+	}
+	bufs := e.shardBufs[:shards]
+	for s := range bufs {
+		for len(bufs[s]) < len(cr.heads) {
+			bufs[s] = append(bufs[s], headBuf{})
+		}
+		for hi := range cr.heads {
+			bufs[s][hi].vals.reset(len(cr.heads[hi].args))
+			bufs[s][hi].hashes.reset(1)
+		}
+	}
+	return bufs
 }
 
 // evalRuleSharded evaluates a rule by sharding the driver step's window
@@ -244,7 +268,7 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 	}
 	plan := shardPlan(hi - lo)
 	e.prewarmIndexes(cr)
-	buffers := make([][]pendingFact, len(plan))
+	bufs := e.shardBuffers(len(plan), cr)
 	// Per-shard observability counters, summed after the barrier. The shard
 	// plan is worker-count independent, so the sums are too.
 	firings := make([]int64, len(plan))
@@ -263,27 +287,32 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 	var pending atomic.Int64
 	var overBudget atomicBool
 	err := e.pool.runShards(e.ctx, len(plan), &cancel, func(s int) error {
-		var buf []pendingFact
+		heads := bufs[s]
+		var exScratch []value.Value
 		c := newEvalCtx(e, cr, w, len(cr.steps))
 		c.shardStep, c.shardLo, c.shardHi = driver, lo+plan[s][0], lo+plan[s][1]
 		c.cancelled = &cancel
 		c.onMatch = func() error {
-			return headFacts(cr, c.slots, func(pred string, f Fact) error {
+			var exVals []value.Value
+			exVals, exScratch = skolemExVals(cr, c.slots, exScratch)
+			for hi := range cr.heads {
 				if budget >= 0 && pending.Add(1) > budget {
 					overBudget.Store(true)
 					return errEvalCancelled
 				}
-				buf = append(buf, pendingFact{pred: pred, f: f})
-				return nil
-			})
+				b := &heads[hi]
+				k := b.vals.push()
+				row := b.vals.row(k)
+				if err := resolveHead(cr, &cr.heads[hi], c.slots, exVals, row); err != nil {
+					return err
+				}
+				*b.hashes.at(b.hashes.push()) = hashTuple(row)
+			}
+			return nil
 		}
 		err := c.step(0)
 		firings[s], probes[s] = c.firings, c.probes
-		if err != nil {
-			return err
-		}
-		buffers[s] = buf
-		return nil
+		return err
 	})
 	for s := range plan {
 		e.curFirings += firings[s]
@@ -300,24 +329,38 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 		// the sequential engine's precise accounting.
 		return e.evalRule(cr, w)
 	}
-	return e.mergePending(buffers)
+	if e.trace == nil {
+		return e.mergeShards(cr, bufs)
+	}
+	start := time.Now()
+	n, err := e.mergeShards(cr, bufs)
+	e.trace.AddMerge(cr.idx, time.Since(start))
+	return n, err
 }
 
-// mergePending inserts the shard buffers in shard index order. The shard
-// plan is a function of the window size alone and each buffer preserves its
-// shard's visit order, so the insertion order — and with it the relation
-// contents after every rule evaluation — is identical for every worker
-// count, without any sorting at the barrier. Insert deduplicates against
-// both earlier buffers and the existing relations.
-func (e *engine) mergePending(buffers [][]pendingFact) (int, error) {
+// mergeShards inserts the shard buffers in shard index order, each shard's
+// firings in its visit order and each firing's heads in head order. The
+// shard plan is a function of the window size alone, so the insertion order
+// — and with it the relation contents after every rule evaluation — is
+// identical for every worker count, without any sorting at the barrier.
+// insertHashed deduplicates against earlier buffers and the existing facts
+// alike, reusing the shards' hashes; prepare gave every head relation its
+// head's arity.
+func (e *engine) mergeShards(cr *cRule, bufs [][]headBuf) (int, error) {
+	rels := make([]*Relation, len(cr.heads))
+	for hi := range cr.heads {
+		if rels[hi] = e.db.Relation(cr.heads[hi].pred); rels[hi].sealed != nil {
+			return 0, ErrSealed
+		}
+	}
 	inserted := 0
-	for _, buf := range buffers {
-		for _, p := range buf {
-			added, err := e.db.Relation(p.pred).Insert(p.f)
-			if err != nil {
-				return inserted, err
-			}
-			if added {
+	for _, heads := range bufs {
+		for k := int32(0); k < heads[0].hashes.n; k++ {
+			for hi, rel := range rels {
+				b := &heads[hi]
+				if !rel.insertHashed(*b.hashes.at(k), b.vals.row(k)) {
+					continue
+				}
 				inserted++
 				e.derived++
 				if e.opts.MaxFacts > 0 && e.derived > e.opts.MaxFacts {

@@ -2,6 +2,7 @@ package vadalog
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -480,5 +481,136 @@ func TestParallelIncremental(t *testing.T) {
 	}
 	if seq, par := mk(1), mk(8); seq.Dump() != par.Dump() {
 		t.Fatal("resumed batches disagree between worker counts")
+	}
+}
+
+// layeredEdgeDB is a layered random DAG: layers of width nodes, each with
+// degree edges into random nodes of the next layer. Its closure is bounded
+// by the depth, and every round's delta window is wide.
+func layeredEdgeDB(seed int64, layers, width, degree int) *Database {
+	rng := rand.New(rand.NewSource(seed))
+	db := NewDatabase()
+	for l := 0; l+1 < layers; l++ {
+		for i := 0; i < width; i++ {
+			for d := 0; d < degree; d++ {
+				db.MustAddFact("edge", value.IntV(int64(l*width+i)), value.IntV(int64((l+1)*width+rng.Intn(width))))
+			}
+		}
+	}
+	return db
+}
+
+// TestShardedMergeAtProductionShardSizes runs the shard buffers and the
+// merge at the default minShardSize and maxShards: a closure whose windows
+// exceed 2*minShardSize and whose shards fill more than one buffer page, a
+// two-head rule with both heads on one predicate (their interleaving is
+// insertion order), and a Skolem head. Workers 2 and 8 agree on insertion
+// order and trace, Workers 1 on the facts; the MaxFacts limit errors at
+// every worker count as it does sequentially.
+func TestShardedMergeAtProductionShardSizes(t *testing.T) {
+	prog := MustParse(`
+		tc(X,Y) :- edge(X,Y).
+		tc(X,Z) :- tc(X,Y), edge(Y,Z).
+		sym(X,Y), sym(Y,X) :- edge(X,Y).
+		holds(X,S), share(S,Y) :- edge(X,Y).
+	`)
+	db := layeredEdgeDB(5, 5, 300, 3)
+
+	// The buffers outlive each evaluation until the pool stops: look at
+	// them before it does.
+	e, err := newEngine(context.Background(), prog, db.Clone(), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.startPool()
+	err = e.run()
+	pages := 0
+	for _, heads := range e.shardBufs {
+		for _, b := range heads {
+			pages = max(pages, len(b.vals.pages))
+		}
+	}
+	e.stopPool()
+	e.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages < 2 {
+		t.Fatalf("no shard buffered more than one %d-entry page (max %d pages)", pageLen, pages)
+	}
+
+	run := func(workers, maxFacts int) (*Result, string, error) {
+		tr := obs.NewTrace()
+		res, err := Run(prog, db, Options{Workers: workers, MaxFacts: maxFacts, Trace: tr})
+		var b bytes.Buffer
+		if werr := tr.WriteJSON(&b); werr != nil {
+			t.Fatal(werr)
+		}
+		return res, b.String(), err
+	}
+	seq, _, err := run(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par2, trace2, err := run(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par8, trace8, err := run(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameInsertionOrder(par2.DB, par8.DB); err != nil {
+		t.Fatalf("workers=2 vs workers=8: %v", err)
+	}
+	if trace2 != trace8 {
+		t.Fatalf("run traces diverge between workers=2 and workers=8:\n%s\nvs\n%s", trace2, trace8)
+	}
+	if seq.DB.Dump() != par2.DB.Dump() {
+		t.Fatal("workers=1 and workers=2 derive different facts")
+	}
+	if len(par2.Output("share")) == 0 || len(par2.Output("sym")) == 0 {
+		t.Fatal("the Skolem and two-head rules derived nothing")
+	}
+
+	// Limits that trip in round 0, in a middle round, and one fact short of
+	// the fixpoint.
+	total := seq.Stats.FactsDerived
+	t.Logf("%d facts, %d rounds", total, seq.Stats.Rounds)
+	for _, limit := range []int{3000, total / 2, total - 1} {
+		seqRes, _, seqErr := run(1, limit)
+		if seqErr == nil {
+			t.Fatalf("MaxFacts %d: the sequential run did not error", limit)
+		}
+		for _, workers := range []int{2, 8} {
+			res, _, err := run(workers, limit)
+			if err == nil || err.Error() != seqErr.Error() || res.Stats.FactsDerived != seqRes.Stats.FactsDerived {
+				t.Fatalf("MaxFacts %d, workers=%d: %v after %d facts; workers=1: %v after %d",
+					limit, workers, err, res.Stats.FactsDerived, seqErr, seqRes.Stats.FactsDerived)
+			}
+		}
+	}
+}
+
+// TestShardedMergeNanos: a sharded rule reports its merge barrier's wall
+// time as merge_ns, which WriteJSONTimings shows and WriteJSON strips.
+func TestShardedMergeNanos(t *testing.T) {
+	tr := obs.NewTrace()
+	if _, err := Run(tcProgram, layeredEdgeDB(3, 4, 400, 3), Options{Workers: 2, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	rule := tr.Runs()[0].Rules[1]
+	if rule.MergeNanos <= 0 || rule.MergeNanos > rule.WallNanos {
+		t.Fatalf("recursive rule: merge_ns %d, wall_ns %d; want 0 < merge <= wall", rule.MergeNanos, rule.WallNanos)
+	}
+	var plain, timed bytes.Buffer
+	if err := tr.WriteJSON(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteJSONTimings(&timed); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plain.String(), "merge_ns") || !strings.Contains(timed.String(), "merge_ns") {
+		t.Fatal("merge_ns must show in WriteJSONTimings only")
 	}
 }
