@@ -23,14 +23,16 @@ test: build vet
 # they interrupt the worker pool mid-fan-out and compare run traces across
 # worker counts, the shapes most likely to surface a scheduling-dependent
 # race; so do the production-size merge and the MaxFacts valve, whose shard
-# buffers the engine reuses across evaluations; the sealed-relation tests rerun with -count=10 because each races 16
+# buffers the engine reuses across evaluations, and the insertion-order
+# golden, whose relation pages and shard buffers are reused across rounds
+# and batches; the sealed-relation tests rerun with -count=10 because each races 16
 # queries to build the same lazily built indexes — over a column store in
 # vadalog, over row ids into frozen columns in metalog — and the
 # frozen-readers test because it races the one label-summary build and the
 # per-call row builds.
 test-race: build
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve' ./internal/vadalog/
+	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve|TestInsertionOrderGolden' ./internal/vadalog/
 	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestFrozenReadersRaceLabelSummary' ./internal/vadalog/ ./internal/pg/ ./internal/metalog/
 	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/

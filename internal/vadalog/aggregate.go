@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -141,45 +142,77 @@ type aggGroup struct {
 	vals []value.Value
 }
 
-// pageBits sets the page size of the monotonic aggregates' state and of the
-// parallel shards' emission buffers: 1,024 entries a page.
+// pageBits sets the page size of paged arrays: 1,024 entries a page.
 const (
 	pageBits = 10
 	pageLen  = 1 << pageBits
 	pageMask = pageLen - 1
 )
 
-// paged is a growable array of fixed-width entries kept in fixed-size pages.
-// Growing adds a page and never copies or re-zeroes the entries already held,
-// so a state of n entries allocates about n entries, where a slice grown by
-// append copies its multi-MB tail again on every growth.
+// paged is a growable array of fixed-width entries kept in pages: relation
+// rows, monotonic aggregate state, shard emission buffers. The first page
+// doubles from 8 entries up to pageLen, so a small state stays small (a full
+// page of width 3 is ~147 KB); past it, growth appends a full page and never
+// copies what is held, where append would copy a multi-MB tail on every
+// growth. Entry i is on page i>>pageBits either way.
 type paged[T any] struct {
 	width int   // elements per entry
 	n     int32 // entries held
+	cap   int32 // entries the pages have room for
 	pages [][]T
 }
 
 // push adds an entry and returns its index. The entry is zero unless reset
 // kept the page it lands on.
 func (p *paged[T]) push() int32 {
-	if p.n&pageMask == 0 && int(p.n>>pageBits) == len(p.pages) {
-		p.pages = append(p.pages, make([]T, pageLen*p.width))
+	if p.n == p.cap {
+		p.grow()
 	}
 	p.n++
 	return p.n - 1
 }
 
-// reset empties p for entries of the given width, keeping the leading pages
-// that hold a page of such entries, so a buffer refilled on every round
-// allocates only when a round outgrows the rounds before it.
-func (p *paged[T]) reset(width int) {
-	for i, pg := range p.pages {
-		if len(pg) < pageLen*width {
-			p.pages = p.pages[:i]
-			break
-		}
+// grow makes room for more entries: it appends a full page, or doubles the
+// first page while that is short of pageLen entries (and so the only page).
+func (p *paged[T]) grow() {
+	if p.cap >= pageLen {
+		p.pages = append(p.pages, make([]T, pageLen*p.width))
+		p.cap += pageLen
+		return
 	}
-	p.width, p.n = width, 0
+	p.cap = min(max(8, 2*p.cap), pageLen)
+	first := make([]T, int(p.cap)*p.width)
+	if len(p.pages) > 0 {
+		copy(first, p.pages[0])
+	}
+	p.pages = append(p.pages[:0], first)
+}
+
+// reset empties p for entries of the given width, keeping the leading pages
+// that hold a page of such entries, or else a short first page, so a buffer
+// refilled on every round or batch allocates only when it outgrows the
+// fills before it.
+func (p *paged[T]) reset(width int) {
+	keep := 0
+	for keep < len(p.pages) && len(p.pages[keep]) >= pageLen*width {
+		keep++
+	}
+	p.width, p.n, p.cap = width, 0, int32(keep*pageLen)
+	if keep == 0 && len(p.pages) > 0 && len(p.pages[0]) >= width {
+		keep, p.cap = 1, int32(len(p.pages[0])/width)
+	}
+	p.pages = p.pages[:keep]
+}
+
+// clone returns a copy of p's entries in pages of its own.
+func (p *paged[T]) clone() paged[T] {
+	q := *p
+	q.pages = make([][]T, (p.n+pageMask)>>pageBits)
+	for i := range q.pages {
+		q.pages[i] = slices.Clone(p.pages[i])
+	}
+	q.cap = min(p.cap, int32(len(q.pages)*pageLen))
+	return q
 }
 
 // row returns the elements of entry i.

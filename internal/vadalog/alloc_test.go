@@ -98,29 +98,61 @@ func TestCondStepAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestShardedRoundAllocation: a sharded closure allocates per derived fact
-// about the fact itself and its share of the relation's tables. Shards write
-// into paged buffers the engine keeps across rounds, so a duplicate emission
-// allocates nothing, and the merge inserts through the dedup table's 8-byte
-// slots without hashing again.
+// TestShardedRoundAllocation: a closure allocates per derived fact its share
+// of the relation's pages and tables, and next to no objects: a new tuple is
+// copied into the relation's paged rows, shards write into paged buffers the
+// engine keeps across rounds, and the merge inserts through the dedup
+// table's 8-byte slots without hashing again. W=1 is the sequential sink,
+// which inserts from one scratch tuple.
 func TestShardedRoundAllocation(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
-	db := layeredEdgeDB(11, 5, 1000, 3)
+	for _, workers := range []int{2, 1} {
+		db := layeredEdgeDB(11, 5, 1000, 3)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(tcProgram, db, Options{Workers: workers})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived := float64(res.Stats.FactsDerived)
+		objs := float64(after.Mallocs-before.Mallocs) / derived
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / derived
+		t.Logf("W=%d: %d facts in %d rounds: %.3f objects and %.0f B per derived fact", workers, res.Stats.FactsDerived, res.Stats.Rounds, objs, bytes)
+		if objs > 0.1 || bytes > 300 {
+			t.Errorf("W=%d: a closure allocates %.3f objects and %.0f B per derived fact, want <= 0.1 and <= 300", workers, objs, bytes)
+		}
+	}
+}
+
+// TestSmallRelationFootprint: a relation of a few facts allocates a few
+// rows, not a page. A query's output relations are this small, and a full
+// first page of width 3 would cost ~147 KB.
+func TestSmallRelationFootprint(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	facts := make([]Fact, 8)
+	for i := range facts {
+		facts[i] = Fact{value.IntV(int64(i)), value.Str("x"), value.FloatV(float64(i))}
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := Run(tcProgram, db, Options{Workers: 2})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	r := NewRelation(3)
+	for _, f := range facts {
+		if _, err := r.Insert(f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	derived := float64(res.Stats.FactsDerived)
-	objs := float64(after.Mallocs-before.Mallocs) / derived
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / derived
-	t.Logf("%d facts in %d rounds: %.2f objects and %.0f B per derived fact", res.Stats.FactsDerived, res.Stats.Rounds, objs, bytes)
-	if objs > 1.15 || bytes > 400 {
-		t.Errorf("a sharded closure allocates %.2f objects and %.0f B per derived fact, want <= 1.15 and <= 400", objs, bytes)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<10 {
+		t.Errorf("a relation of %d facts allocated %d B, want <= 8 KB", len(facts), got)
+	} else {
+		t.Logf("a relation of %d facts allocated %d B", len(facts), got)
 	}
 }

@@ -108,18 +108,20 @@ func tupleEqual(a, b []value.Value) bool {
 }
 
 // Relation is a set of facts of a fixed arity with hash indexes. It has two
-// forms. A mutable relation (NewRelation) owns its facts, is append-only with
-// swap-removal, and keeps a dedup table and map indexes current on every
-// write. A sealed relation (Database.InstallRows) reads its tuples from a
-// Rows source it does not own: it has no dedup table, its indexes are flat
-// arrays over positions built lazily and at most once (sealed.go), and any
-// number of databases and goroutines share it by pointer. Writers never see
-// one: the database hands them a private mutable copy instead
-// (Database.mutable).
+// forms. A mutable relation (NewRelation) owns its tuples, kept as rows in
+// pages, is append-only with swap-removal, and keeps a dedup table and map
+// indexes current on every write. A sealed relation (Database.InstallRows)
+// reads its tuples from a Rows source it does not own: it has no dedup
+// table, its indexes are flat arrays over positions built lazily and at
+// most once (sealed.go), and any number of databases and goroutines share it
+// by pointer. Writers never see one: the database hands them a private
+// mutable copy instead (Database.mutable).
 //
 // Facts keep their insertion order, which lets the semi-naive engine address
 // "old" and "delta" windows of the same relation by position ranges instead
-// of copying snapshots.
+// of copying snapshots. A position is a row id: the mutable form keeps row
+// pos at entry pos of one paged array of the relation's width, so a tuple
+// costs its cells and no allocation of its own.
 //
 // Deduplication and the join indexes key on tuple hashes over the values'
 // identity (value.Identical) instead of concatenated canonical strings: an
@@ -127,7 +129,7 @@ func tupleEqual(a, b []value.Value) bool {
 // resolved by comparing values — never by re-encoding.
 type Relation struct {
 	Arity int
-	facts []Fact // the mutable form's tuples; nil when sealed
+	rows  paged[value.Value] // the mutable form's tuples; empty when sealed
 
 	// dedup leads from a tuple hash to the position of the equal fact.
 	dedup tupleTable
@@ -137,19 +139,15 @@ type Relation struct {
 	// mask, an index is maintained incrementally by Insert. Probes verify
 	// the candidate facts value-by-value, so a hash collision costs a
 	// filtered copy, never a wrong answer.
-	indexes map[uint64]map[uint64][]int
+	indexes map[uint64]map[uint64][]int32
 
-	// recycle marks a pooled scratch relation: Reset keeps the fact-slot
-	// backing array and InsertValues may overwrite slots beyond len(facts).
-	// It must stay false on any relation whose facts outlive its contents —
-	// live relations hand removed Fact headers to callers, and recycling
-	// would overwrite them in place.
-	recycle bool
-
-	// sealed is non-nil exactly when the relation is sealed; facts, dedup
+	// sealed is non-nil exactly when the relation is sealed; rows, dedup
 	// and indexes are then empty, and sealed holds the row source and the
 	// lazily built indexes.
 	sealed *sealedRel
+
+	// view is the slice All last returned, rewritten by the next call.
+	view []Fact
 }
 
 // tupleTable is a mutable relation's dedup table: open addressing with
@@ -176,11 +174,11 @@ func fingerprint(h uint64) uint32 { return uint32(h>>32) ^ uint32(h) }
 // spreads the fingerprint's bits over the table.
 func (t *tupleTable) home(fp uint32) int { return int((fp * 0x9e3779b9) >> t.shift) }
 
-// find returns the position of the fact in facts equal to vals (whose
+// find returns the position of the row in rows equal to vals (whose
 // hashTuple is h) and its slot, or position -1 and the free slot an insert
 // of vals writes (-1 while the table holds no slots). It reads only, so it
 // is safe alongside other reads.
-func (t *tupleTable) find(facts []Fact, h uint64, vals []value.Value) (pos, slot int) {
+func (t *tupleTable) find(rows *paged[value.Value], h uint64, vals []value.Value) (pos, slot int) {
 	if len(t.slots) == 0 {
 		return -1, -1
 	}
@@ -191,7 +189,7 @@ func (t *tupleTable) find(facts []Fact, h uint64, vals []value.Value) (pos, slot
 			return -1, i
 		}
 		if uint32(s>>32) == fp {
-			if p := int(uint32(s)) - 1; tupleEqual(facts[p], vals) {
+			if p := int(uint32(s)) - 1; tupleEqual(rows.row(int32(p)), vals) {
 				return p, i
 			}
 		}
@@ -225,18 +223,6 @@ func (t *tupleTable) free(fp uint32) int {
 		i = (i + 1) & mask
 	}
 	return i
-}
-
-// reserve sizes an empty table for n entries; for none it stays unallocated.
-func (t *tupleTable) reserve(n int) {
-	if n == 0 {
-		return
-	}
-	size := minTupleSlots
-	for size < 2*n {
-		size *= 2
-	}
-	t.resize(size)
 }
 
 // resize moves the slots into a table of n slots, n a power of two.
@@ -300,7 +286,7 @@ type Rows interface {
 	Cell(pos, col int) value.Value
 }
 
-// ErrSealed is returned by Insert and InsertValues on a sealed relation, and
+// ErrSealed is returned by Insert on a sealed relation, and
 // is the panic value of Remove and Reset on one. Reaching it is a bug in the
 // caller: relations obtained from a database that may be sealed are read-only,
 // and writes go through the Database (AddFact, EnsureRelation, InstallRows)
@@ -309,7 +295,7 @@ var ErrSealed = errors.New("vadalog: write to a sealed relation")
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{Arity: arity, indexes: make(map[uint64]map[uint64][]int)}
+	return &Relation{Arity: arity, rows: paged[value.Value]{width: arity}, indexes: make(map[uint64]map[uint64][]int32)}
 }
 
 // Len returns the number of facts.
@@ -317,8 +303,11 @@ func (r *Relation) Len() int {
 	if r.sealed != nil {
 		return r.sealed.rows.Len()
 	}
-	return len(r.facts)
+	return int(r.rows.n)
 }
+
+// row returns row pos of a mutable relation, in place.
+func (r *Relation) row(pos int) []value.Value { return r.rows.row(int32(pos)) }
 
 // Rows returns the row source of a sealed relation, nil for a mutable one.
 func (r *Relation) Rows() Rows {
@@ -328,26 +317,25 @@ func (r *Relation) Rows() Rows {
 	return r.sealed.rows
 }
 
-// Reset empties the relation while keeping its allocated capacity: the fact
-// slots, dedup slots and per-mask index maps are all retained. The
-// maintenance path resets its pooled shadow relations between batches, so a
-// steady-state Apply stops paying slice and map regrowth for them.
+// Reset empties the relation while keeping its row pages, dedup slots and
+// per-mask index maps: the maintenance path resets its pooled shadow
+// relations between batches, so a steady-state Apply stops paying for their
+// regrowth.
 func (r *Relation) Reset() {
 	if r.sealed != nil {
 		panic(ErrSealed)
 	}
-	r.facts = r.facts[:0]
+	r.rows.reset(r.Arity)
 	r.dedup.reset()
 	for _, idx := range r.indexes {
 		clear(idx)
 	}
 }
 
-// At returns the fact at the given position: the stored fact of a mutable
-// relation, a tuple assembled for this call from a sealed one's row source.
+// At returns a copy of the fact at the given position.
 func (r *Relation) At(pos int) Fact {
 	if r.sealed == nil {
-		return r.facts[pos]
+		return slices.Clone(Fact(r.row(pos)))
 	}
 	f := make(Fact, r.Arity)
 	for col := range f {
@@ -395,12 +383,13 @@ func (r *Relation) Contains(f Fact) bool {
 	if r.sealed != nil {
 		return r.exists(1<<uint(r.Arity)-1, f)
 	}
-	pos, _ := r.dedup.find(r.facts, hashTuple(f), f)
+	pos, _ := r.dedup.find(&r.rows, hashTuple(f), f)
 	return pos >= 0
 }
 
-// Insert adds a fact, reporting whether it was new. It is an error to insert
-// a fact of the wrong arity.
+// Insert adds a copy of a fact, reporting whether it was new; the caller
+// keeps f, and may reuse it as scratch. A duplicate costs no allocation. It
+// is an error to insert a fact of the wrong arity.
 func (r *Relation) Insert(f Fact) (bool, error) {
 	if len(f) != r.Arity {
 		return false, fmt.Errorf("vadalog: arity mismatch: relation has arity %d, fact has %d", r.Arity, len(f))
@@ -408,75 +397,36 @@ func (r *Relation) Insert(f Fact) (bool, error) {
 	if r.sealed != nil {
 		return false, ErrSealed
 	}
-	h := hashTuple(f)
-	pos, slot := r.dedup.find(r.facts, h, f)
-	if pos >= 0 {
-		return false, nil
-	}
-	r.appendNew(h, slot, f)
-	return true, nil
+	return r.insertHashed(hashTuple(f), f), nil
 }
 
-// InsertValues is Insert for a caller-owned scratch tuple: the values are
-// copied into a fresh Fact only when no equal fact is present. Dup-heavy
-// emitters (a fixpoint round re-deriving mostly known facts) therefore pay
-// no allocation per duplicate.
-func (r *Relation) InsertValues(vals []value.Value) (bool, error) {
-	if len(vals) != r.Arity {
-		return false, fmt.Errorf("vadalog: arity mismatch: relation has arity %d, fact has %d", r.Arity, len(vals))
-	}
-	if r.sealed != nil {
-		return false, ErrSealed
-	}
-	return r.insertHashed(hashTuple(vals), vals), nil
-}
-
-// insertHashed is InsertValues for a tuple of the relation's arity whose
-// hashTuple h the caller already holds: the parallel merge inserts what the
-// shards hashed without hashing again.
+// insertHashed is Insert for a tuple of the relation's arity whose hashTuple
+// h the caller already holds: the parallel merge inserts what the shards
+// hashed without hashing again.
 func (r *Relation) insertHashed(h uint64, vals []value.Value) bool {
-	pos, slot := r.dedup.find(r.facts, h, vals)
+	pos, slot := r.dedup.find(&r.rows, h, vals)
 	if pos >= 0 {
 		return false
 	}
-	var f Fact
-	if r.recycle && len(r.facts) < cap(r.facts) {
-		// A pooled relation reuses the fact slot a prior generation left
-		// behind the logical end of the slice.
-		if old := r.facts[:len(r.facts)+1][len(r.facts)]; cap(old) >= len(vals) {
-			f = old[:len(vals)]
-		}
-	}
-	if f == nil {
-		f = make(Fact, len(vals))
-	}
-	copy(f, vals)
-	r.appendNew(h, slot, f)
+	r.appendNew(h, slot, vals)
 	return true
 }
 
-// appendNew appends a fact known to be absent, recording it at the dedup
-// slot find returned for it and in every materialized index. The relation
-// takes ownership of f. The fact slice doubles when full: append grows a
-// large slice by a quarter, which copies every fact header about five times
-// over a fixpoint's growth instead of about once.
-func (r *Relation) appendNew(h uint64, slot int, f Fact) {
-	pos := len(r.facts)
-	r.dedup.insert(h, slot, pos)
-	if pos == cap(r.facts) && pos > 0 {
-		grown := make([]Fact, pos, 2*pos)
-		copy(grown, r.facts)
-		r.facts = grown
-	}
-	r.facts = append(r.facts, f)
+// appendNew copies a tuple known to be absent into a new row, recording it
+// at the dedup slot find returned for it and in every materialized index.
+func (r *Relation) appendNew(h uint64, slot int, vals []value.Value) {
+	pos := r.rows.push()
+	row := r.rows.row(pos)
+	copy(row, vals)
+	r.dedup.insert(h, slot, int(pos))
 	for mask, idx := range r.indexes {
-		ph := projectHash(f, mask)
+		ph := projectHash(row, mask)
 		idx[ph] = append(idx[ph], pos)
 	}
 }
 
 // projectHash hashes the values at the masked positions of a tuple.
-func projectHash(f Fact, mask uint64) uint64 {
+func projectHash(f []value.Value, mask uint64) uint64 {
 	h := uint64(fnvOffset64)
 	for i, v := range f {
 		if mask&(1<<uint(i)) == 0 {
@@ -506,13 +456,13 @@ func (r *Relation) warmIndex(mask uint64) {
 	}
 }
 
-func (r *Relation) ensureIndex(mask uint64) map[uint64][]int {
+func (r *Relation) ensureIndex(mask uint64) map[uint64][]int32 {
 	if idx, ok := r.indexes[mask]; ok {
 		return idx
 	}
-	idx := make(map[uint64][]int)
-	for pos, f := range r.facts {
-		ph := projectHash(f, mask)
+	idx := make(map[uint64][]int32)
+	for pos := int32(0); pos < r.rows.n; pos++ {
+		ph := projectHash(r.rows.row(pos), mask)
 		idx[ph] = append(idx[ph], pos)
 	}
 	r.indexes[mask] = idx
@@ -532,9 +482,8 @@ func (r *Relation) factMatches(pos int, mask uint64, bound []value.Value) bool {
 		}
 		return true
 	}
-	f := r.facts[pos]
 	j := 0
-	for i, v := range f {
+	for i, v := range r.row(pos) {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
@@ -546,23 +495,31 @@ func (r *Relation) factMatches(pos int, mask uint64, bound []value.Value) bool {
 	return true
 }
 
-// All returns all facts in insertion order: a mutable relation's own slice,
-// which must not be modified, or tuples assembled for this call from a
-// sealed one's row source.
+// All returns the facts in insertion order: a sealed relation's assembled
+// for the call, a mutable one's as views of its rows in one slice the
+// relation reuses, valid until its next write or All call and not to be
+// modified. A maintained relation is read after every batch, and a copy
+// per read would cost the relation's size in garbage each time; a reader
+// that keeps facts across a write copies them, as At and Remove do.
 func (r *Relation) All() []Fact {
-	if r.sealed == nil {
-		return r.facts
+	n := r.Len()
+	if r.sealed != nil {
+		out := make([]Fact, n)
+		for pos := range out {
+			out[pos] = r.At(pos)
+		}
+		return out
 	}
-	out := make([]Fact, r.Len())
-	for pos := range out {
-		out[pos] = r.At(pos)
+	r.view = slices.Grow(r.view[:0], n)
+	for pos := 0; pos < n; pos++ {
+		r.view = append(r.view, r.row(pos))
 	}
-	return out
+	return r.view
 }
 
-// Remove deletes the given facts from the relation and returns the facts
-// actually removed (facts that were absent, malformed, or listed twice are
-// skipped). Removal costs O(k) in the number of facts removed, not O(n) in
+// Remove deletes the given facts from the relation and returns copies of the
+// facts actually removed (facts that were absent, malformed, or listed twice
+// are skipped). Removal costs O(k) in the number of facts removed, not O(n) in
 // the relation size: each removed fact is unlinked from the dedup table and
 // every posting list it appears in, and the relation's last fact is swapped
 // into the vacated position with its own entries repointed. Incremental
@@ -575,49 +532,42 @@ func (r *Relation) All() []Fact {
 // filtering binary-searches on. Because positions shift, Remove must never
 // run while an engine holds position windows over the relation — the
 // maintenance layer only calls it between evaluation phases.
-func (r *Relation) Remove(facts []Fact) []Fact {
-	return r.removeInto(nil, facts)
-}
-
-// removeInto is Remove accumulating into a caller-supplied buffer, so a
-// caller that drains the result between calls (the maintenance loop) reuses
-// one backing array instead of growing a fresh slice per relation.
-func (r *Relation) removeInto(removed []Fact, facts []Fact) []Fact {
+func (r *Relation) Remove(batch []Fact) []Fact {
 	if r.sealed != nil {
 		panic(ErrSealed)
 	}
-	for _, f := range facts {
+	var removed []Fact
+	for _, f := range batch {
 		if len(f) != r.Arity {
 			continue
 		}
 		h := hashTuple(f)
-		pos, _ := r.dedup.find(r.facts, h, f)
+		pos, _ := r.dedup.find(&r.rows, h, f)
 		if pos < 0 {
 			continue // absent, or a duplicate of an earlier removal
 		}
-		removed = append(removed, r.facts[pos])
+		removed = append(removed, r.At(pos))
 		r.removeAt(pos, h)
 	}
 	return removed
 }
 
-// removeAt unlinks the fact at pos (whose full-tuple hash is h) and moves the
-// relation's last fact into its place.
+// removeAt unlinks the row at pos (whose full-tuple hash is h) and copies the
+// relation's last row into its place.
 func (r *Relation) removeAt(pos int, h uint64) {
-	last := len(r.facts) - 1
-	gone := r.facts[pos]
+	last := r.Len() - 1
+	gone := r.row(pos)
 	r.dedup.remove(h, pos)
 	for mask, idx := range r.indexes {
 		ph := projectHash(gone, mask)
-		if lst := postingDelete(idx[ph], pos); len(lst) > 0 {
+		if lst := postingDelete(idx[ph], int32(pos)); len(lst) > 0 {
 			idx[ph] = lst
 		} else {
 			delete(idx, ph)
 		}
 	}
 	if pos != last {
-		moved := r.facts[last]
-		r.facts[pos] = moved
+		moved := r.row(last)
 		r.dedup.repoint(hashTuple(moved), last, pos)
 		for mask, idx := range r.indexes {
 			// last is the highest position in the relation, so it is the
@@ -626,29 +576,25 @@ func (r *Relation) removeAt(pos int, h uint64) {
 			// moved share the bucket, the delete above left last in place.
 			mph := projectHash(moved, mask)
 			lst := idx[mph]
-			idx[mph] = postingInsert(lst[:len(lst)-1], pos)
+			idx[mph] = postingInsert(lst[:len(lst)-1], int32(pos))
 		}
+		copy(gone, moved)
 	}
-	r.facts[last] = nil // release the tail slot for GC
-	r.facts = r.facts[:last]
+	r.rows.n--
 }
 
 // postingDelete removes pos from an ascending posting list in place.
-func postingDelete(lst []int, pos int) []int {
-	i := sort.SearchInts(lst, pos)
-	if i >= len(lst) || lst[i] != pos {
-		return lst
+func postingDelete(lst []int32, pos int32) []int32 {
+	if i, ok := slices.BinarySearch(lst, pos); ok {
+		return slices.Delete(lst, i, i+1)
 	}
-	return append(lst[:i], lst[i+1:]...)
+	return lst
 }
 
 // postingInsert inserts pos into an ascending posting list.
-func postingInsert(lst []int, pos int) []int {
-	i := sort.SearchInts(lst, pos)
-	lst = append(lst, 0)
-	copy(lst[i+1:], lst[i:])
-	lst[i] = pos
-	return lst
+func postingInsert(lst []int32, pos int32) []int32 {
+	i, _ := slices.BinarySearch(lst, pos)
+	return slices.Insert(lst, i, pos)
 }
 
 // VisitRange invokes fn for every fact position in [lo, hi) whose mask-selected
@@ -690,16 +636,9 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 
 // visitPostings walks the part of an ascending posting list that falls in
 // [lo, hi), verifying each candidate against the bound values.
-func visitPostings[P int | int32](r *Relation, cand []P, mask uint64, boundVals []value.Value, lo, hi int, fn func(pos int) error) error {
+func visitPostings(r *Relation, cand []int32, mask uint64, boundVals []value.Value, lo, hi int, fn func(pos int) error) error {
 	if lo > 0 {
-		i, j := 0, len(cand)
-		for i < j {
-			if m := int(uint(i+j) >> 1); int(cand[m]) < lo {
-				i = m + 1
-			} else {
-				j = m
-			}
-		}
+		i, _ := slices.BinarySearch(cand, int32(lo))
 		cand = cand[i:]
 	}
 	for _, p := range cand {
@@ -729,7 +668,7 @@ func (r *Relation) exists(mask uint64, boundVals []value.Value) bool {
 }
 
 // Sorted returns the facts sorted lexicographically by value order, for
-// deterministic output.
+// deterministic output: All's facts, in a slice of their own.
 func (r *Relation) Sorted() []Fact {
 	out := r.All()
 	if r.sealed == nil {
@@ -794,7 +733,8 @@ func (d *Database) MustAddFact(pred string, vals ...value.Value) {
 	}
 }
 
-// Facts returns the facts of a predicate in insertion order, or nil.
+// Facts returns the facts of a predicate in insertion order (Relation.All),
+// or nil.
 func (d *Database) Facts(pred string) []Fact {
 	r := d.rels[pred]
 	if r == nil {
@@ -843,8 +783,8 @@ func (d *Database) Predicates() []string {
 // Clone returns an independent copy of the database: writes to either side,
 // through the Database or an engine run, never show on the other. Sealed
 // relations are shared by pointer, indexes included, so cloning a sealed
-// database costs O(#relations); mutable relations are copied (facts are
-// shared, as they are immutable; relation bookkeeping is rebuilt).
+// database costs O(#relations); mutable relations are copied page by page, with
+// their dedup tables (their indexes are rebuilt on first use).
 func (d *Database) Clone() *Database {
 	out := &Database{rels: make(map[string]*Relation, len(d.rels))}
 	for pred, r := range d.rels {
@@ -868,18 +808,18 @@ func (d *Database) mutable(pred string) *Relation {
 	return r
 }
 
-// mutableCopy returns a mutable relation holding r's facts in r's order (a
-// sealed relation's assembled from its rows). The facts of a relation are
+// mutableCopy returns a mutable relation holding r's facts in r's order: a
+// mutable relation's pages and dedup slots copied as they are, a sealed
+// relation's rows assembled from its row source. The facts of a relation are
 // pairwise distinct, so none is probed for.
 func (r *Relation) mutableCopy() *Relation {
-	n := r.Len()
-	nr := &Relation{
-		Arity:   r.Arity,
-		facts:   make([]Fact, 0, n),
-		indexes: make(map[uint64]map[uint64][]int),
+	nr := NewRelation(r.Arity)
+	if r.sealed == nil {
+		nr.rows, nr.dedup = r.rows.clone(), r.dedup
+		nr.dedup.slots = slices.Clone(r.dedup.slots)
+		return nr
 	}
-	nr.dedup.reserve(n)
-	for pos := 0; pos < n; pos++ {
+	for pos := 0; pos < r.Len(); pos++ {
 		f := r.At(pos)
 		nr.appendNew(hashTuple(f), -1, f)
 	}

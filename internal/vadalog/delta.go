@@ -168,8 +168,11 @@ type Maintainer struct {
 	// edb tracks the asserted (extensional) facts per predicate: the facts
 	// present before the initial saturation, minus retractions, plus
 	// assertions. It is authoritative — the fallback and recovery paths
-	// recompute the whole database from it.
-	edb map[string]*Relation
+	// recompute the whole database from it. A predicate no rule derives
+	// (derives) holds exactly those facts live, so edb shares its live
+	// relation instead of keeping a copy.
+	edb     map[string]*Relation
+	derives map[string]bool
 
 	// unsupported, when non-empty, names the program feature that keeps the
 	// program off the DRed path.
@@ -200,10 +203,6 @@ type Maintainer struct {
 	// steady-state allocation rate — and with it the GC tax — low.
 	pool map[string]*Relation
 
-	// removedBuf is the reusable buffer for Relation.removeInto results; its
-	// contents are consumed before the next removal.
-	removedBuf []Fact
-
 	// broken poisons the maintainer after a failed batch whose recovery
 	// recomputation also failed: the database state is no longer trusted.
 	broken error
@@ -228,11 +227,18 @@ func NewMaintainerCtx(ctx context.Context, prog *Program, db *Database, opts Opt
 	opts.OnFault = FailFast
 	opts.OwnInput = false
 
-	m := &Maintainer{prog: prog, db: db, opts: opts, edb: map[string]*Relation{}, pool: map[string]*Relation{}}
+	m := &Maintainer{prog: prog, db: db, opts: opts, edb: map[string]*Relation{}, derives: map[string]bool{}, pool: map[string]*Relation{}}
+	for _, r := range prog.Rules {
+		for _, h := range r.Head {
+			m.derives[h.Pred] = true
+		}
+	}
 	for pred := range db.rels {
 		// Maintenance retracts and asserts in place on any relation, and its
 		// shadow databases share db's relations by pointer: none stays sealed.
-		if rel := db.mutable(pred); rel.Len() > 0 {
+		if rel := db.mutable(pred); !m.derives[pred] {
+			m.edb[pred] = rel
+		} else if rel.Len() > 0 {
 			m.edb[pred] = rel.mutableCopy()
 		}
 	}
@@ -323,23 +329,15 @@ func (m *Maintainer) shadowFor(mp *maintProg) *Database {
 		sc.rels[pred] = r
 	}
 	for pred, arity := range mp.shadow {
-		sc.rels[pred] = m.pooledRelation(pred, arity)
+		r := m.pool[pred]
+		if r == nil {
+			r = NewRelation(arity)
+			m.pool[pred] = r
+		}
+		r.Reset() // a reset relation keeps its pages
+		sc.rels[pred] = r
 	}
 	return sc
-}
-
-// pooledRelation returns the pool's relation for a shadow predicate, reset
-// for reuse; on first use it creates one with fact-slot recycling enabled,
-// which is safe here because shadow facts never outlive the batch.
-func (m *Maintainer) pooledRelation(pred string, arity int) *Relation {
-	if r := m.pool[pred]; r != nil {
-		r.Reset()
-		return r
-	}
-	r := NewRelation(arity)
-	r.recycle = true
-	m.pool[pred] = r
-	return r
 }
 
 // DB returns the maintained database. The pointer stays valid across Apply
@@ -354,11 +352,16 @@ func (m *Maintainer) Incremental() bool { return m.unsupported == "" }
 // Unsupported names the feature outside the DRed class, or "".
 func (m *Maintainer) Unsupported() string { return m.unsupported }
 
-// AssertedFacts returns the currently asserted extensional facts of a
-// predicate, in assertion order. The slice is shared; do not modify.
+// AssertedFacts returns copies of the currently asserted extensional facts
+// of a predicate, in assertion order (a predicate no rule derives keeps its
+// live relation's order, which retractions permute).
 func (m *Maintainer) AssertedFacts(pred string) []Fact {
 	if er := m.edb[pred]; er != nil {
-		return er.All()
+		out := make([]Fact, er.Len())
+		for pos := range out {
+			out[pos] = er.At(pos)
+		}
+		return out
 	}
 	return nil
 }
@@ -582,6 +585,9 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, d Delta) (DeltaStats, error) 
 			stats.Added = len(undoAdd)
 			return m.recomputeWith(ctx, m.opts)
 		}
+		if !resumes {
+			m.restoreUnderived(undoDel, undoAdd)
+		}
 		if len(undoDel) > 0 {
 			if err := m.applyDeletions(ctx, undoDel, &stats); err != nil {
 				return err
@@ -677,6 +683,9 @@ func (m *Maintainer) assertEDB(adds []predFact) []predFact {
 		er := m.edb[a.pred]
 		if er == nil {
 			er = NewRelation(len(a.f))
+			if !m.derives[a.pred] {
+				er, _ = m.db.EnsureRelation(a.pred, len(a.f)) // validate checked the arity
+			}
 			m.edb[a.pred] = er
 		}
 		if ok, _ := er.Insert(a.f); ok {
@@ -719,13 +728,31 @@ func (m *Maintainer) rollback(undoDel, undoAdd []predFact) {
 	}
 }
 
+// restoreUnderived undoes the batch on the live relations edb shares: the
+// DRed phases over-delete from the pre-batch database, then apply the batch.
+func (m *Maintainer) restoreUnderived(undoDel, undoAdd []predFact) {
+	for _, a := range undoAdd {
+		if !m.derives[a.pred] {
+			m.edb[a.pred].Remove([]Fact{a.f})
+		}
+	}
+	for _, d := range undoDel {
+		if !m.derives[d.pred] {
+			m.edb[d.pred].Insert(d.f) //nolint:errcheck // the fact came out of this relation
+		}
+	}
+}
+
 // recomputeWith rebuilds the derived database from the extensional store.
 // A failed rebuild leaves the live database and the kept engine as they
 // were.
 func (m *Maintainer) recomputeWith(ctx context.Context, opts Options) error {
 	fresh := NewDatabase()
 	for pred, er := range m.edb {
-		fresh.rels[pred] = er.mutableCopy()
+		if m.derives[pred] {
+			er = er.mutableCopy()
+		}
+		fresh.rels[pred] = er
 	}
 	if err := m.saturate(ctx, fresh, opts); err != nil {
 		return err
@@ -859,8 +886,7 @@ func (m *Maintainer) applyDeletions(ctx context.Context, dels []predFact, stats 
 		if rel == nil {
 			continue
 		}
-		m.removedBuf = rel.removeInto(m.removedBuf[:0], scratch.rels[dp].All())
-		removed := m.removedBuf
+		removed := rel.Remove(scratch.rels[dp].All())
 		gross += len(removed)
 		er := m.edb[pred]
 		for _, f := range removed {

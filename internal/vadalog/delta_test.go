@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,18 +72,58 @@ func TestRelationRemove(t *testing.T) {
 // the guard on the O(k) swap-remove bookkeeping: a stale dedup entry or an
 // out-of-order posting list here would surface as a missed join or a wrong
 // window downstream, far from the cause.
+//
+// Besides the small random relations, three inputs start from 1,023, 1,024
+// and 1,025 rows, so the swap-remove moves rows across the first page
+// boundary. Every Fact At and Remove hand out must keep its values through
+// the later swap-removes and through a Reset with reinserts over the same
+// rows: they copy, never alias the pages (All and Sorted return views, valid
+// until the next write).
 func TestRelationRemoveModel(t *testing.T) {
+	type input struct {
+		seed       int64
+		fill, keys int // fill distinct facts first, over a keys×keys space
+	}
+	var inputs []input
 	for seed := int64(0); seed < 20; seed++ {
+		inputs = append(inputs, input{seed, 0, 12})
+	}
+	for _, fill := range []int{pageLen - 1, pageLen, pageLen + 1} {
+		inputs = append(inputs, input{int64(fill), fill, 40})
+	}
+	for _, in := range inputs {
+		seed := in.seed
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRelation(2)
 		r.ensureIndex(1 << 0)
 		r.ensureIndex(1<<0 | 1<<1)
 		model := map[[2]int64]bool{}
 		mkFact := func() (Fact, [2]int64) {
-			k := [2]int64{int64(rng.Intn(12)), int64(rng.Intn(12))}
+			k := [2]int64{int64(rng.Intn(in.keys)), int64(rng.Intn(in.keys))}
 			return Fact{value.IntV(k[0]), value.IntV(k[1])}, k
 		}
+		for i := 0; i < in.fill; i++ {
+			k := [2]int64{int64(i / in.keys), int64(i % in.keys)}
+			if ok, err := r.Insert(Fact{value.IntV(k[0]), value.IntV(k[1])}); err != nil || !ok {
+				t.Fatalf("seed %d: fill insert %d = %v, %v", seed, i, ok, err)
+			}
+			model[k] = true
+		}
+		// held pairs every Fact At or Remove returned with a copy of its
+		// values at the time.
+		type heldFact struct{ got, want Fact }
+		var held []heldFact
+		hold := func(fs ...Fact) {
+			for _, f := range fs {
+				held = append(held, heldFact{f, slices.Clone(f)})
+			}
+		}
 		for step := 0; step < 400; step++ {
+			if step%200 == 0 {
+				for pos := 0; pos < r.Len(); pos++ {
+					hold(r.At(pos))
+				}
+			}
 			if rng.Intn(3) > 0 {
 				f, k := mkFact()
 				ok, err := r.Insert(f)
@@ -103,6 +144,7 @@ func TestRelationRemoveModel(t *testing.T) {
 					keys = append(keys, k)
 				}
 				removed := r.Remove(batch)
+				hold(removed...)
 				want := 0
 				for _, k := range keys {
 					if model[k] {
@@ -142,6 +184,52 @@ func TestRelationRemoveModel(t *testing.T) {
 				}
 			}
 		}
+		// Reset and write other facts over every row the relation had.
+		rows := r.Len()
+		r.Reset()
+		for i := 0; i <= max(rows, in.fill); i++ {
+			if _, err := r.Insert(Fact{value.IntV(-1), value.IntV(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, h := range held {
+			if !tupleEqual(h.got, h.want) {
+				t.Fatalf("seed %d: a fact a reader returned changed from %v to %v", seed, h.want, h.got)
+			}
+		}
+	}
+}
+
+// TestAssertedFactsAreCopies: the asserted facts a Maintainer hands out keep
+// their values when a later batch swap-removes rows of the extensional
+// relation across a page boundary and asserts new facts into them.
+func TestAssertedFactsAreCopies(t *testing.T) {
+	prog := MustParse(`tc(X,Y) :- edge(X,Y).`)
+	db := NewDatabase()
+	for i := 0; i <= pageLen; i++ {
+		db.MustAddFact("edge", value.IntV(int64(i)), value.IntV(int64(i+1)))
+	}
+	m, err := NewMaintainer(prog, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.AssertedFacts("edge")
+	want := make([]Fact, len(got))
+	for i, f := range got {
+		want[i] = slices.Clone(f)
+	}
+	for i := 0; i < 10; i++ {
+		d := NewDelta()
+		d.DelFact("edge", value.IntV(int64(i)), value.IntV(int64(i+1)))
+		d.AddFact("edge", value.IntV(int64(-i)), value.Str("new"))
+		if _, err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range got {
+		if !tupleEqual(got[i], want[i]) {
+			t.Fatalf("asserted fact %d changed from %v to %v", i, want[i], got[i])
+		}
 	}
 }
 
@@ -179,12 +267,14 @@ func TestInstallRows(t *testing.T) {
 func maintainerVsFresh(t *testing.T, m *Maintainer, prog *Program) {
 	t.Helper()
 	fresh := NewDatabase()
-	for pred, er := range m.edb {
-		nr := NewRelation(er.Arity)
-		for _, f := range er.All() {
-			nr.Insert(f) //nolint:errcheck // arity fixed
+	preds := m.DB().Predicates()
+	for pred := range m.edb {
+		preds = append(preds, pred)
+	}
+	for _, pred := range preds {
+		for _, f := range m.AssertedFacts(pred) {
+			fresh.MustAddFact(pred, f...)
 		}
-		fresh.rels[pred] = nr
 	}
 	if _, err := RunInPlace(prog, fresh, Options{}); err != nil {
 		t.Fatal(err)

@@ -65,8 +65,9 @@ type Options struct {
 	// evaluated concurrently on a worker pool; emitted facts are buffered
 	// per shard and merged deterministically (see parallel.go), so the
 	// derived fact set is identical for every worker count. Programs with
-	// monotonic aggregates always evaluate sequentially: running emissions
-	// depend on contribution order, which no merge discipline preserves.
+	// any aggregate, stratified ones included, evaluate sequentially:
+	// running emissions depend on contribution order, which no merge
+	// discipline preserves.
 	Workers int
 }
 
@@ -898,10 +899,10 @@ func (w deltaWindows) rangeFor(si int, pred string) (int, int) {
 // eval evaluates a rule under the given windows, fanning the driver window
 // out to the worker pool when the run is parallel and the rule is shardable.
 // The pool only exists at all for runs without provenance (whose "first
-// derivation" needs a global insertion order) and without monotonic
-// aggregates (whose running emissions are order-sensitive — see
-// hasMonotonicAgg); stratified-aggregate rules take their own sharded path
-// through evalStratifiedAgg.
+// derivation" needs a global insertion order) and without aggregates
+// (hasMonotonicAgg matches stratified aggregates too), so no
+// stratified-aggregate rule reaches the pool: evalStratifiedAgg evaluates
+// sequentially in every run.
 func (e *engine) eval(cr *cRule, w windows) (int, error) {
 	if err := e.checkCtx(); err != nil {
 		return 0, err
@@ -1078,11 +1079,11 @@ func (c *evalCtx) step(si int) error {
 			}
 			c.probes++
 			// One branch per candidate picks the relation's form: a mutable
-			// relation's fact is read in place, a sealed one's cells
+			// relation's row is read in place, a sealed one's cells
 			// through its rows.
 			var ok bool
 			if rel.sealed == nil {
-				f := rel.facts[pos]
+				f := rel.row(pos)
 				for _, i := range st.binderPos {
 					slots[st.argSlot[i]] = f[i]
 				}
@@ -1223,8 +1224,8 @@ func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 // evalStratifiedAgg evaluates a rule containing a stratified aggregate: it
 // enumerates all body matches up to the aggregate, groups them, computes the
 // aggregate per group, then applies the remaining conditions and emits heads.
-// Parallel runs shard the collect phase across the worker pool and merge the
-// per-shard accumulators at the barrier (parallel.go).
+// Its sharded collect phase (evalStratifiedAggSharded) is unreachable today:
+// a program with an aggregate never starts a pool (hasMonotonicAgg).
 func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
 	if e.pool != nil && e.prov == nil {
 		if driver := driverStep(cr, fullWindows{}); driver >= 0 && driver < cr.aggStep &&
@@ -1343,9 +1344,9 @@ func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggGroup) (int, err
 
 // emit instantiates the rule heads under the current slots and inserts the
 // resulting facts directly (the sequential sink). Head values are resolved
-// into a reusable scratch tuple and copied only on genuine insertion
-// (Relation.InsertValues), so the duplicate firings of a fixpoint round —
-// usually the majority — allocate nothing.
+// into a reusable scratch tuple that Insert copies into the relation's pages
+// only on genuine insertion, so the firings of a fixpoint round allocate
+// nothing per fact.
 func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
 	var exVals []value.Value
 	exVals, e.exScratch = skolemExVals(cr, slots, e.exScratch)
@@ -1360,7 +1361,7 @@ func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
 			return inserted, err
 		}
 		rel := e.db.Relation(h.pred)
-		added, err := rel.InsertValues(vals)
+		added, err := rel.Insert(vals)
 		if err != nil {
 			return inserted, err
 		}
@@ -1372,7 +1373,7 @@ func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
 			if !e.inStratAgg {
 				d.parents = append([]parentRef(nil), e.parentStack...)
 			}
-			e.prov[provKey(h.pred, rel.At(rel.Len()-1))] = d
+			e.prov[provKey(h.pred, vals)] = d
 		}
 		inserted++
 		e.derived++

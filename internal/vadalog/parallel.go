@@ -18,11 +18,10 @@ package vadalog
 // fixpoint trajectory — are identical for every Workers >= 2. Relative to
 // the sequential engine the derived fact *set* is also identical: deferring
 // inserts to the barrier only delays self-derived matches to the next
-// semi-naive round, which the fixpoint loop absorbs. Two constructs are
-// order-sensitive and therefore always evaluated sequentially, even in a
-// parallel run: monotonic aggregates (their running emissions depend on the
-// contribution order) and provenance recording (the "first" derivation
-// needs a global insertion order).
+// semi-naive round, which the fixpoint loop absorbs. Two constructs keep a
+// run sequential even in parallel: any aggregate (hasMonotonicAgg matches
+// stratified ones too, so evalStratifiedAggSharded is never reached) and
+// provenance recording (the "first" derivation needs a global order).
 
 import (
 	"context"
@@ -146,8 +145,8 @@ func (e *engine) startPool() {
 	}
 }
 
-// hasMonotonicAgg reports whether any compiled rule carries a monotonic
-// aggregate. Such programs evaluate sequentially regardless of
+// hasMonotonicAgg reports whether any compiled rule carries an aggregate,
+// stratified ones included. Such programs evaluate sequentially regardless of
 // Options.Workers: a running aggregate's emissions depend on the order its
 // contributions arrive, and that order is shaped by the insertion order of
 // every upstream relation — which deferred shard-order merging cannot
@@ -374,7 +373,8 @@ func (e *engine) mergeShards(cr *cRule, bufs [][]headBuf) (int, error) {
 
 // evalStratifiedAggSharded runs the collect phase of a stratified aggregate
 // over sharded windows with per-shard accumulator maps, merges them in shard
-// order, and emits the groups exactly like the sequential path. Integer
+// order, and emits the groups exactly like the sequential path. No run
+// reaches it today: a program with an aggregate starts no pool. Integer
 // aggregates merge exactly; float sums and products re-associate, but the
 // worker-count-independent shard plan keeps results reproducible for every
 // Workers >= 2.

@@ -184,7 +184,8 @@ func TestSealedCloneIsolation(t *testing.T) {
 }
 
 // TestSealedRelationRefusesWrites: a sealed relation answers reads like the
-// mutable one it was sealed from and refuses Insert, InsertValues and Remove.
+// mutable one it was sealed from and refuses Insert (of a new fact or one it
+// holds) and Remove.
 func TestSealedRelationRefusesWrites(t *testing.T) {
 	db := ownershipDB(5)
 	mutable := db.Clone()
@@ -194,8 +195,8 @@ func TestSealedRelationRefusesWrites(t *testing.T) {
 	if _, err := r.Insert(Fact{value.IntV(1), value.IntV(2), value.IntV(3)}); !errors.Is(err, ErrSealed) {
 		t.Errorf("Insert: %v, want ErrSealed", err)
 	}
-	if _, err := r.InsertValues(f); !errors.Is(err, ErrSealed) {
-		t.Errorf("InsertValues: %v, want ErrSealed", err)
+	if _, err := r.Insert(f); !errors.Is(err, ErrSealed) {
+		t.Errorf("Insert of a held fact: %v, want ErrSealed", err)
 	}
 	func() {
 		defer func() {

@@ -2,8 +2,9 @@ package vadalog_test
 
 // Relation storage microbenchmarks: the dedup-on-insert and index-probe
 // paths that every semi-naive round exercises once per candidate tuple, on
-// the live Relation (one probe of the 8-byte-slot dedup table, fingerprint
-// matches verified under value identity; map-backed join indexes).
+// the live Relation (tuples copied into rows of one paged array, one probe
+// of the 8-byte-slot dedup table, fingerprint matches verified under value
+// identity against the rows; map-backed join indexes of int32 positions).
 // Unrecorded and ungated — run them with `go test
 // -bench Storage ./internal/vadalog/` when working on the relation; where
 // they show end to end is vadalog.fixpoint_s and metalog.extract_s in the

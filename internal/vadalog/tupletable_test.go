@@ -61,7 +61,7 @@ func checkRelation(t *testing.T, r *Relation, universe []Fact, model map[string]
 	}
 	full := uint64(1)<<uint(r.Arity) - 1
 	for pos, f := range r.All() {
-		if p, _ := r.dedup.find(r.facts, hashTuple(f), f); p != pos {
+		if p, _ := r.dedup.find(&r.rows, hashTuple(f), f); p != pos {
 			t.Fatalf("step %d: dedup finds %v at %d, it sits at %d", step, f, p, pos)
 		}
 		if got := positions(r, full, f); len(got) != 1 || got[0] != pos {
@@ -88,7 +88,7 @@ func TestTupleTableCollisions(t *testing.T) {
 				}
 			}
 			for _, f := range tw {
-				if ok, _ := r.InsertValues(f); ok {
+				if ok, _ := r.Insert(f); ok {
 					t.Fatalf("re-insert of %v reported new", f)
 				}
 			}
@@ -166,4 +166,46 @@ func TestTupleTableCollisions(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPagedGrowResetClone: entries keep their values through the first
+// page's doubling and the full pages after it, across resets to other widths
+// (which keep what pages fit) and in a clone, which later pushes to the
+// original do not reach.
+func TestPagedGrowResetClone(t *testing.T) {
+	var p paged[int]
+	for _, width := range []int{3, 1, 3, 4, 0, 2} {
+		p.reset(width)
+		for _, n := range []int{0, 5, pageLen - 1, pageLen, pageLen + 1, 2*pageLen + 3} {
+			p.reset(width)
+			for i := 0; i < n; i++ {
+				row := p.row(p.push())
+				for c := range row {
+					row[c] = i*10 + c
+				}
+			}
+			if p.cap < p.n || int(p.n) != n {
+				t.Fatalf("width %d: room for %d entries, %d held, want %d", width, p.cap, p.n, n)
+			}
+			q := p.clone()
+			for i := 0; i < n; i++ {
+				for c, v := range p.row(int32(i)) {
+					if v != i*10+c {
+						t.Fatalf("width %d, %d entries: entry %d column %d = %d", width, n, i, c, v)
+					}
+				}
+				clear(p.row(int32(i)))
+			}
+			for i := 0; i < n; i++ {
+				for c, v := range q.row(int32(i)) {
+					if v != i*10+c {
+						t.Fatalf("width %d, %d entries: clone entry %d column %d = %d", width, n, i, c, v)
+					}
+				}
+			}
+			if k := q.push(); len(q.row(k)) != width {
+				t.Fatalf("width %d: a push into the clone of %d entries has %d columns", width, n, len(q.row(k)))
+			}
+		}
+	}
 }
