@@ -27,13 +27,14 @@ test: build vet
 # golden, whose relation pages and shard buffers are reused across rounds
 # and batches; the sealed-relation tests rerun with -count=10 because each races 16
 # queries to build the same lazily built indexes — over a column store in
-# vadalog, over row ids into frozen columns in metalog — and the
-# frozen-readers test because it races the one label-summary build and the
-# per-call row builds.
+# vadalog, over row ids into frozen columns in metalog — the mutable-index
+# test because it races 16 goroutines of probes over one mutable relation's
+# warmed key tables, as sharded rounds do, and the frozen-readers test
+# because it races the one label-summary build and the per-call row builds.
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve|TestInsertionOrderGolden' ./internal/vadalog/
-	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestFrozenReadersRaceLabelSummary' ./internal/vadalog/ ./internal/pg/ ./internal/metalog/
+	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestMutableIndexConcurrentProbes|TestFrozenReadersRaceLabelSummary' ./internal/vadalog/ ./internal/pg/ ./internal/metalog/
 	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestConcurrentBulkIngest' ./internal/pg/
@@ -55,7 +56,8 @@ test-chaos: build
 # farm.
 FUZZ_TARGETS = FuzzParse:metalog FuzzParse:gsl FuzzParse:vadalog \
 	FuzzDecodeQuery:server FuzzDecodeMutation:server FuzzOpenSnapshot:snapfile \
-	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg
+	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg \
+	FuzzRelationIndex:vadalog
 
 fuzz-smoke: build
 	@for t in $(FUZZ_TARGETS); do \

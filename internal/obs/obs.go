@@ -38,10 +38,13 @@ type RuleStats struct {
 	Derived int64 `json:"derived"`
 	Probes  int64 `json:"probes"`
 	// WallNanos is cumulative evaluation wall time; MergeNanos is the part
-	// of it a sharded evaluation spends in its serial merge barrier. They are
-	// the non-deterministic fields; WriteJSON omits them.
-	WallNanos  int64 `json:"wall_ns,omitempty"`
-	MergeNanos int64 `json:"merge_ns,omitempty"`
+	// of it a sharded evaluation spends in its serial merge barrier, and
+	// PrewarmNanos the part it spends building the indexes its steps probe
+	// before the fan-out. They are the non-deterministic fields; WriteJSON
+	// omits them.
+	WallNanos    int64 `json:"wall_ns,omitempty"`
+	MergeNanos   int64 `json:"merge_ns,omitempty"`
+	PrewarmNanos int64 `json:"prewarm_ns,omitempty"`
 }
 
 // RoundStats records the delta size of one fixpoint round.
@@ -99,6 +102,15 @@ func (rt *RunTrace) AddMerge(rule int, wall time.Duration) {
 	rt.Rules[rule].MergeNanos += wall.Nanoseconds()
 }
 
+// AddPrewarm adds the wall time of one sharded evaluation's index prewarm
+// to the rule's stats.
+func (rt *RunTrace) AddPrewarm(rule int, wall time.Duration) {
+	if rule < 0 || rule >= len(rt.Rules) {
+		return
+	}
+	rt.Rules[rule].PrewarmNanos += wall.Nanoseconds()
+}
+
 // AddRound records the delta size of one fixpoint round.
 func (rt *RunTrace) AddRound(stratum, round, delta int) {
 	rt.Rounds = append(rt.Rounds, RoundStats{Stratum: stratum, Round: round, Delta: delta})
@@ -145,8 +157,8 @@ type traceJSON struct {
 // across worker counts.
 func (t *Trace) WriteJSON(w io.Writer) error { return t.write(w, false) }
 
-// WriteJSONTimings writes the trace including per-rule wall and merge time
-// and run duration. Timings vary run to run; use WriteJSON when comparing traces.
+// WriteJSONTimings writes the trace including per-rule wall, merge and
+// prewarm time and run duration. Timings vary run to run; use WriteJSON when comparing traces.
 func (t *Trace) WriteJSONTimings(w io.Writer) error { return t.write(w, true) }
 
 func (t *Trace) write(w io.Writer, timings bool) error {
@@ -162,7 +174,7 @@ func (t *Trace) write(w io.Writer, timings bool) error {
 				Outcome: rt.Outcome,
 			}
 			for j := range c.Rules {
-				c.Rules[j].WallNanos, c.Rules[j].MergeNanos = 0, 0
+				c.Rules[j].WallNanos, c.Rules[j].MergeNanos, c.Rules[j].PrewarmNanos = 0, 0, 0
 			}
 			c.Outcome.DurationNanos = 0
 			stripped[i] = c

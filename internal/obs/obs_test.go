@@ -137,6 +137,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		rt.DeclareRule(0, 3, "tc")
 		rt.AddEval(0, 10, 8, 40, wall)
 		rt.AddMerge(0, wall/2)
+		rt.AddPrewarm(0, wall/4)
 		rt.AddRound(0, 0, 8)
 		rt.Finish("ok", 1, 8, wall*7)
 		return tr
@@ -151,13 +152,13 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("deterministic traces differ:\n%s\nvs\n%s", a.String(), b.String())
 	}
-	if strings.Contains(a.String(), "wall_ns") || strings.Contains(a.String(), "merge_ns") || strings.Contains(a.String(), "duration_ns") {
+	if strings.Contains(a.String(), "wall_ns") || strings.Contains(a.String(), "merge_ns") || strings.Contains(a.String(), "prewarm_ns") || strings.Contains(a.String(), "duration_ns") {
 		t.Fatalf("deterministic trace leaks timing fields:\n%s", a.String())
 	}
 	if err := build(time.Millisecond).WriteJSONTimings(&at); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(at.String(), "wall_ns") || !strings.Contains(at.String(), "merge_ns") || !strings.Contains(at.String(), "duration_ns") {
+	if !strings.Contains(at.String(), "wall_ns") || !strings.Contains(at.String(), "merge_ns") || !strings.Contains(at.String(), "prewarm_ns") || !strings.Contains(at.String(), "duration_ns") {
 		t.Fatalf("timing trace misses timing fields:\n%s", at.String())
 	}
 	// Stripping must not mutate the underlying trace.
@@ -166,7 +167,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	if err := tr.WriteJSON(&first); err != nil {
 		t.Fatal(err)
 	}
-	if rt := tr.Runs()[0]; rt.Rules[0].WallNanos == 0 || rt.Rules[0].MergeNanos == 0 || rt.Outcome.DurationNanos == 0 {
+	if rt := tr.Runs()[0]; rt.Rules[0].WallNanos == 0 || rt.Rules[0].MergeNanos == 0 || rt.Rules[0].PrewarmNanos == 0 || rt.Outcome.DurationNanos == 0 {
 		t.Fatal("WriteJSON zeroed the recorded timings")
 	}
 }

@@ -109,13 +109,13 @@ func tupleEqual(a, b []value.Value) bool {
 
 // Relation is a set of facts of a fixed arity with hash indexes. It has two
 // forms. A mutable relation (NewRelation) owns its tuples, kept as rows in
-// pages, is append-only with swap-removal, and keeps a dedup table and map
-// indexes current on every write. A sealed relation (Database.InstallRows)
-// reads its tuples from a Rows source it does not own: it has no dedup
-// table, its indexes are flat arrays over positions built lazily and at
-// most once (sealed.go), and any number of databases and goroutines share it
-// by pointer. Writers never see one: the database hands them a private
-// mutable copy instead (Database.mutable).
+// pages, is append-only with swap-removal, and keeps a dedup table and one
+// flat key table per probed mask current on every write. A sealed relation
+// (Database.InstallRows) reads its tuples from a Rows source it does not
+// own: it has no dedup table, its indexes are flat arrays over positions
+// built lazily and at most once (sealed.go), and any number of databases
+// and goroutines share it by pointer. Writers never see one: the database
+// hands them a private mutable copy instead (Database.mutable).
 //
 // Facts keep their insertion order, which lets the semi-naive engine address
 // "old" and "delta" windows of the same relation by position ranges instead
@@ -134,12 +134,12 @@ type Relation struct {
 	// dedup leads from a tuple hash to the position of the equal fact.
 	dedup tupleTable
 
-	// indexes maps a bitmask of bound positions to an index from the
-	// projected-tuple hash to ascending fact positions. Once built for a
-	// mask, an index is maintained incrementally by Insert. Probes verify
-	// the candidate facts value-by-value, so a hash collision costs a
-	// filtered copy, never a wrong answer.
-	indexes map[uint64]map[uint64][]int32
+	// indexes holds one index per bitmask of bound positions, from the
+	// projected tuple's hash to its ascending fact positions (index.go). Once
+	// built for a mask, an index is maintained incrementally by every write.
+	// Probes verify the candidate facts value by value, so a hash collision
+	// costs a skipped candidate, never a wrong answer.
+	indexes []*keyIndex
 
 	// sealed is non-nil exactly when the relation is sealed; rows, dedup
 	// and indexes are then empty, and sealed holds the row source and the
@@ -170,9 +170,13 @@ const minTupleSlots = 16
 // fingerprint folds a 64-bit tuple hash into the 32 bits a slot keeps.
 func fingerprint(h uint64) uint32 { return uint32(h>>32) ^ uint32(h) }
 
-// home is the first slot of fingerprint fp's probe run; Fibonacci hashing
-// spreads the fingerprint's bits over the table.
-func (t *tupleTable) home(fp uint32) int { return int((fp * 0x9e3779b9) >> t.shift) }
+// fibHome is the first slot of fingerprint fp's probe run in a table of
+// 2^(32-shift) slots: Fibonacci hashing spreads the fingerprint's bits over
+// the table. The dedup table and the relation's indexes (index.go) share it.
+func fibHome(fp uint32, shift uint8) int { return int((fp * 0x9e3779b9) >> shift) }
+
+// home is the first slot of fingerprint fp's probe run.
+func (t *tupleTable) home(fp uint32) int { return fibHome(fp, t.shift) }
 
 // find returns the position of the row in rows equal to vals (whose
 // hashTuple is h) and its slot, or position -1 and the free slot an insert
@@ -295,7 +299,7 @@ var ErrSealed = errors.New("vadalog: write to a sealed relation")
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{Arity: arity, rows: paged[value.Value]{width: arity}, indexes: make(map[uint64]map[uint64][]int32)}
+	return &Relation{Arity: arity, rows: paged[value.Value]{width: arity}}
 }
 
 // Len returns the number of facts.
@@ -318,17 +322,17 @@ func (r *Relation) Rows() Rows {
 }
 
 // Reset empties the relation while keeping its row pages, dedup slots and
-// per-mask index maps: the maintenance path resets its pooled shadow
-// relations between batches, so a steady-state Apply stops paying for their
-// regrowth.
+// per-mask index tables and arenas: the maintenance path resets its pooled
+// shadow relations between batches, so a steady-state Apply stops paying
+// for their regrowth.
 func (r *Relation) Reset() {
 	if r.sealed != nil {
 		panic(ErrSealed)
 	}
 	r.rows.reset(r.Arity)
 	r.dedup.reset()
-	for _, idx := range r.indexes {
-		clear(idx)
+	for _, ix := range r.indexes {
+		ix.reset()
 	}
 }
 
@@ -419,9 +423,8 @@ func (r *Relation) appendNew(h uint64, slot int, vals []value.Value) {
 	row := r.rows.row(pos)
 	copy(row, vals)
 	r.dedup.insert(h, slot, int(pos))
-	for mask, idx := range r.indexes {
-		ph := projectHash(row, mask)
-		idx[ph] = append(idx[ph], pos)
+	for _, ix := range r.indexes {
+		ix.add(projectHash(row, ix.mask), pos)
 	}
 }
 
@@ -456,17 +459,17 @@ func (r *Relation) warmIndex(mask uint64) {
 	}
 }
 
-func (r *Relation) ensureIndex(mask uint64) map[uint64][]int32 {
-	if idx, ok := r.indexes[mask]; ok {
-		return idx
+// ensureIndex returns a mutable relation's index for mask, building it over
+// the rows held if absent.
+func (r *Relation) ensureIndex(mask uint64) *keyIndex {
+	for _, ix := range r.indexes {
+		if ix.mask == mask {
+			return ix
+		}
 	}
-	idx := make(map[uint64][]int32)
-	for pos := int32(0); pos < r.rows.n; pos++ {
-		ph := projectHash(r.rows.row(pos), mask)
-		idx[ph] = append(idx[ph], pos)
-	}
-	r.indexes[mask] = idx
-	return idx
+	ix := buildKeyIndex(&r.rows, mask)
+	r.indexes = append(r.indexes, ix)
+	return ix
 }
 
 // factMatches reports whether fact pos agrees with bound (the values of the
@@ -521,14 +524,14 @@ func (r *Relation) All() []Fact {
 // facts actually removed (facts that were absent, malformed, or listed twice
 // are skipped). Removal costs O(k) in the number of facts removed, not O(n) in
 // the relation size: each removed fact is unlinked from the dedup table and
-// every posting list it appears in, and the relation's last fact is swapped
+// from its key's run in every index, and the relation's last fact is swapped
 // into the vacated position with its own entries repointed. Incremental
 // maintenance retracts a handful of facts from relations five orders of
 // magnitude larger, so a rebuild here would cost as much as the full
 // re-evaluation the maintenance layer exists to avoid.
 //
 // The relative order of the survivors is NOT preserved (the tail fact moves
-// down); posting lists DO stay ascending, which the engine's window
+// down); index runs DO stay ascending, which the engine's window
 // filtering binary-searches on. Because positions shift, Remove must never
 // run while an engine holds position windows over the relation — the
 // maintenance layer only calls it between evaluation phases.
@@ -552,49 +555,28 @@ func (r *Relation) Remove(batch []Fact) []Fact {
 	return removed
 }
 
-// removeAt unlinks the row at pos (whose full-tuple hash is h) and copies the
-// relation's last row into its place.
+// removeAt unlinks the row at pos (whose full-tuple hash is h) from the
+// dedup table and its key's run in every index, and copies the relation's
+// last row into its place, moving last to pos in the moved row's runs.
 func (r *Relation) removeAt(pos int, h uint64) {
 	last := r.Len() - 1
 	gone := r.row(pos)
 	r.dedup.remove(h, pos)
-	for mask, idx := range r.indexes {
-		ph := projectHash(gone, mask)
-		if lst := postingDelete(idx[ph], int32(pos)); len(lst) > 0 {
-			idx[ph] = lst
-		} else {
-			delete(idx, ph)
-		}
+	for _, ix := range r.indexes {
+		ix.remove(projectHash(gone, ix.mask), int32(pos))
 	}
 	if pos != last {
 		moved := r.row(last)
 		r.dedup.repoint(hashTuple(moved), last, pos)
-		for mask, idx := range r.indexes {
+		for _, ix := range r.indexes {
 			// last is the highest position in the relation, so it is the
-			// final element of its ascending posting list; drop it there and
-			// re-insert the fact at its new, lower position. If gone and
-			// moved share the bucket, the delete above left last in place.
-			mph := projectHash(moved, mask)
-			lst := idx[mph]
-			idx[mph] = postingInsert(lst[:len(lst)-1], int32(pos))
+			// final element of its ascending run, whether or not gone's
+			// removal above shared the run.
+			ix.move(projectHash(moved, ix.mask), int32(pos))
 		}
 		copy(gone, moved)
 	}
 	r.rows.n--
-}
-
-// postingDelete removes pos from an ascending posting list in place.
-func postingDelete(lst []int32, pos int32) []int32 {
-	if i, ok := slices.BinarySearch(lst, pos); ok {
-		return slices.Delete(lst, i, i+1)
-	}
-	return lst
-}
-
-// postingInsert inserts pos into an ascending posting list.
-func postingInsert(lst []int32, pos int32) []int32 {
-	i, _ := slices.BinarySearch(lst, pos)
-	return slices.Insert(lst, i, pos)
 }
 
 // VisitRange invokes fn for every fact position in [lo, hi) whose mask-selected
@@ -631,11 +613,13 @@ func (r *Relation) VisitRange(mask uint64, boundVals []value.Value, lo, hi int, 
 	if r.sealed != nil {
 		return visitPostings(r, r.sealed.index(r.Arity, mask).bucket(h), mask, boundVals, lo, hi, fn)
 	}
-	return visitPostings(r, r.ensureIndex(mask)[h], mask, boundVals, lo, hi, fn)
+	var buf [2]int32
+	return visitPostings(r, r.ensureIndex(mask).run(h, &buf), mask, boundVals, lo, hi, fn)
 }
 
-// visitPostings walks the part of an ascending posting list that falls in
-// [lo, hi), verifying each candidate against the bound values.
+// visitPostings walks the part of an ascending run of positions (a mutable
+// index's run, a sealed index's bucket) that falls in [lo, hi), verifying
+// each candidate against the bound values.
 func visitPostings(r *Relation, cand []int32, mask uint64, boundVals []value.Value, lo, hi int, fn func(pos int) error) error {
 	if lo > 0 {
 		i, _ := slices.BinarySearch(cand, int32(lo))

@@ -1,0 +1,314 @@
+package vadalog
+
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/value"
+)
+
+// keyIndex is a mutable relation's index on the columns of one mask: an
+// open-addressing table of 16-byte key entries over runs of ascending row
+// positions (DESIGN.md §10). An entry is keyed by the 32-bit fingerprint of
+// the projection hash alone, so projections whose fingerprints collide share
+// one run, as they share a bucket of the sealed flatIndex; the probe's
+// factMatches tells them apart, as it does for full-hash collisions. A key
+// with one or two positions keeps them in the entry; a key with more keeps a
+// run in one arena shared by every key of the index. The table reuses the
+// dedup table's scheme: Fibonacci home, linear probing, backward-shift
+// delete.
+type keyIndex struct {
+	mask  uint64
+	keys  []indexKey
+	used  int   // entries in use
+	shift uint8 // 32 - log2(len(keys))
+	arena []int32
+	dead  int // arena cells no run owns
+}
+
+// indexKey is one key of a keyIndex. n counts its positions; 0 marks a free
+// entry. With n ≤ 2 the positions are a (and b), ascending; with n > 2 they
+// are arena[a : a+n], and the run has room for b.
+type indexKey struct {
+	fp   uint32
+	n    int32
+	a, b int32
+}
+
+const (
+	minIndexKeys = 16
+	// firstRunCap is the capacity of the run a key gets on its third
+	// position; a full run doubles.
+	firstRunCap = 4
+)
+
+// compactDue reports whether the index's dead cells have passed half of its
+// arena plus one cell per table slot, the share past which a write compacts
+// the arena. The slots count because a compaction walks the table: however
+// few keys have runs, it then runs at most once per that many dead cells.
+func (ix *keyIndex) compactDue() bool { return 2*ix.dead > len(ix.arena)+len(ix.keys) }
+
+// buildKeyIndex indexes the rows on the columns of mask in two passes over
+// them: the first counts positions per key, a pass over the table lays out
+// exact runs, and the second pass over the rows fills them in ascending
+// order. Its scratch is one fingerprint per row.
+func buildKeyIndex(rows *paged[value.Value], mask uint64) *keyIndex {
+	ix := &keyIndex{mask: mask}
+	fps := make([]uint32, rows.n)
+	for pos := range rows.n {
+		fp := fingerprint(projectHash(rows.row(pos), mask))
+		fps[pos] = fp
+		if i := ix.slot(fp); ix.keys[i].n == 0 {
+			ix.keys[i] = indexKey{fp: fp, n: 1}
+			ix.added()
+		} else {
+			ix.keys[i].n++
+		}
+	}
+	// Lay out the runs, each exactly its count long. a is a run's start and
+	// b its fill cursor until the fill is done; an inline key's a and b are
+	// -1 until filled.
+	off := int32(0)
+	for i := range ix.keys {
+		switch k := &ix.keys[i]; {
+		case k.n > 2:
+			k.a, k.b = off, off
+			off += k.n
+		case k.n > 0:
+			k.a, k.b = -1, -1
+		}
+	}
+	ix.arena = make([]int32, off)
+	for pos, fp := range fps {
+		k := &ix.keys[ix.slot(fp)]
+		switch {
+		case k.n > 2:
+			ix.arena[k.b] = int32(pos)
+			k.b++
+		case k.a < 0:
+			k.a = int32(pos)
+		default:
+			k.b = int32(pos)
+		}
+	}
+	for i := range ix.keys {
+		if k := &ix.keys[i]; k.n > 2 {
+			k.b -= k.a
+		}
+	}
+	return ix
+}
+
+// slot returns the entry holding fingerprint fp, or the free entry that
+// would hold it.
+func (ix *keyIndex) slot(fp uint32) int {
+	if len(ix.keys) == 0 {
+		ix.resize(minIndexKeys)
+	}
+	mask := len(ix.keys) - 1
+	for i := fibHome(fp, ix.shift); ; i = (i + 1) & mask {
+		if k := &ix.keys[i]; k.n == 0 || k.fp == fp {
+			return i
+		}
+	}
+}
+
+// added counts an entry just written into a free slot, growing the table
+// past its maximum load, 3/4: an entry is 16 bytes, twice a dedup slot, so
+// the table runs denser than the dedup table's 1/2. Slots found before it
+// are stale after it.
+func (ix *keyIndex) added() {
+	ix.used++
+	if 4*ix.used > 3*len(ix.keys) {
+		ix.resize(2 * len(ix.keys))
+	}
+}
+
+// resize moves the entries into a table of n slots, n a power of two.
+func (ix *keyIndex) resize(n int) {
+	old := ix.keys
+	ix.keys, ix.shift = make([]indexKey, n), uint8(32-bits.Len(uint(n-1)))
+	mask := n - 1
+	for _, k := range old {
+		if k.n == 0 {
+			continue
+		}
+		i := fibHome(k.fp, ix.shift)
+		for ix.keys[i].n != 0 {
+			i = (i + 1) & mask
+		}
+		ix.keys[i] = k
+	}
+}
+
+// run returns the ascending positions whose projection may hash to h: a
+// slice of the arena, or of buf for an inline key. It reads only, so it is
+// safe alongside other reads.
+func (ix *keyIndex) run(h uint64, buf *[2]int32) []int32 {
+	if len(ix.keys) == 0 {
+		return nil
+	}
+	fp, mask := fingerprint(h), len(ix.keys)-1
+	for i := fibHome(fp, ix.shift); ; i = (i + 1) & mask {
+		k := &ix.keys[i]
+		switch {
+		case k.n == 0:
+			return nil
+		case k.fp != fp:
+			continue
+		case k.n > 2:
+			return ix.arena[k.a : k.a+k.n]
+		}
+		buf[0], buf[1] = k.a, k.b
+		return buf[:k.n]
+	}
+}
+
+// add records position pos under projection hash h, keeping its run
+// ascending; pos above every position held appends.
+func (ix *keyIndex) add(h uint64, pos int32) {
+	fp := fingerprint(h)
+	i := ix.slot(fp)
+	k := &ix.keys[i]
+	switch k.n {
+	case 0:
+		*k = indexKey{fp: fp, n: 1, a: pos}
+		ix.added()
+		return
+	case 1:
+		k.a, k.b, k.n = min(k.a, pos), max(k.a, pos), 2
+	case 2:
+		off := int32(len(ix.arena))
+		ix.arena = append(ix.arena, k.a, k.b, 0, 0)
+		k.a, k.b = off, firstRunCap
+		ix.insertSorted(k, pos)
+	default:
+		if k.n == k.b {
+			ix.growRun(k)
+		}
+		ix.insertSorted(k, pos)
+	}
+}
+
+// insertSorted puts pos into k's arena run, which has room for it.
+func (ix *keyIndex) insertSorted(k *indexKey, pos int32) {
+	s := ix.arena[k.a : k.a+k.n+1]
+	j := int(k.n)
+	if s[j-1] > pos {
+		j, _ = slices.BinarySearch(s[:k.n], pos)
+		copy(s[j+1:], s[j:k.n])
+	}
+	s[j] = pos
+	k.n++
+}
+
+// growRun doubles k's full run: in place when it ends the arena, else by
+// moving it to the arena's end, where its old cells turn dead.
+func (ix *keyIndex) growRun(k *indexKey) {
+	end := int(k.a + k.b)
+	if end == len(ix.arena) {
+		ix.arena = slices.Grow(ix.arena, int(k.b))[:end+int(k.b)]
+		k.b *= 2
+		return
+	}
+	off := len(ix.arena)
+	ix.arena = slices.Grow(ix.arena, 2*int(k.b))[:off+2*int(k.b)]
+	copy(ix.arena[off:], ix.arena[k.a:k.a+k.n])
+	ix.dead += int(k.b)
+	k.a, k.b = int32(off), 2*k.b
+	if ix.compactDue() {
+		ix.compact()
+	}
+}
+
+// freeRun returns the cells of a run that a key gave up: the arena shrinks
+// when the run ends it, else the cells turn dead.
+func (ix *keyIndex) freeRun(a, capacity int32) {
+	if int(a+capacity) == len(ix.arena) {
+		ix.arena = ix.arena[:a]
+	} else {
+		ix.dead += int(capacity)
+	}
+	if ix.compactDue() {
+		ix.compact()
+	}
+}
+
+// compact copies the live runs, with their capacities, into a fresh arena
+// in table order.
+func (ix *keyIndex) compact() {
+	live := len(ix.arena) - ix.dead
+	arena := make([]int32, 0, live+live/4)
+	for i := range ix.keys {
+		if k := &ix.keys[i]; k.n > 2 {
+			off := int32(len(arena))
+			arena = append(arena, ix.arena[k.a:k.a+k.n]...)
+			arena = arena[:int(off+k.b)]
+			k.a = off
+		}
+	}
+	ix.arena, ix.dead = arena, 0
+}
+
+// remove unlinks position pos, held under projection hash h.
+func (ix *keyIndex) remove(h uint64, pos int32) {
+	i := ix.slot(fingerprint(h))
+	k := &ix.keys[i]
+	switch k.n {
+	case 1:
+		ix.deleteKey(i)
+	case 2:
+		if k.a == pos {
+			k.a = k.b
+		}
+		k.n = 1
+	case 3:
+		s := ix.arena[k.a : k.a+3]
+		j, _ := slices.BinarySearch(s, pos)
+		rest := slices.Delete(s[:3:3], j, j+1)
+		a, capacity := k.a, k.b
+		k.a, k.b, k.n = rest[0], rest[1], 2
+		ix.freeRun(a, capacity)
+	default:
+		s := ix.arena[k.a : k.a+k.n]
+		j, _ := slices.BinarySearch(s, pos)
+		copy(s[j:], s[j+1:])
+		k.n--
+	}
+}
+
+// deleteKey frees entry i by backward-shift deletion: each later entry of
+// the run whose home lies at or before the hole moves into it.
+func (ix *keyIndex) deleteKey(i int) {
+	mask := len(ix.keys) - 1
+	for j := (i + 1) & mask; ix.keys[j].n != 0; j = (j + 1) & mask {
+		if h := fibHome(ix.keys[j].fp, ix.shift); (j-h)&mask >= (j-i)&mask {
+			ix.keys[i], i = ix.keys[j], j
+		}
+	}
+	ix.keys[i] = indexKey{}
+	ix.used--
+}
+
+// move rewrites the highest position held, the last of the run of
+// projection hash h, to the lower position to, keeping the run ascending.
+func (ix *keyIndex) move(h uint64, to int32) {
+	k := &ix.keys[ix.slot(fingerprint(h))]
+	switch k.n {
+	case 1:
+		k.a = to
+	case 2:
+		k.a, k.b = min(k.a, to), max(k.a, to)
+	default:
+		s := ix.arena[k.a : k.a+k.n]
+		j, _ := slices.BinarySearch(s[:k.n-1], to)
+		copy(s[j+1:], s[j:k.n-1])
+		s[j] = to
+	}
+}
+
+// reset empties the index, keeping its table and arena.
+func (ix *keyIndex) reset() {
+	clear(ix.keys)
+	ix.used, ix.arena, ix.dead = 0, ix.arena[:0], 0
+}

@@ -1,0 +1,473 @@
+package vadalog
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/testutil"
+	"repro/internal/value"
+)
+
+// modelMasks are the masks indexModel probes: one column, another, two
+// columns, and every column of its arity-3 tuples.
+var modelMasks = []uint64{1 << 0, 1 << 1, 1<<0 | 1<<2, 1<<0 | 1<<1 | 1<<2}
+
+// keyTwins brute-forces n pairs of distinct Int values whose one-column
+// projections share a 32-bit fingerprint, and so one key entry of a
+// keyIndex on that column.
+func keyTwins(n int) [][2]int64 {
+	seen := map[uint32]int64{}
+	var out [][2]int64
+	rng := rand.New(rand.NewSource(1))
+	for len(out) < n {
+		a := rng.Int63()
+		fp := fingerprint(projectHash([]value.Value{value.IntV(a)}, 1))
+		if b, ok := seen[fp]; ok {
+			out = append(out, [2]int64{b, a})
+			continue
+		}
+		seen[fp] = a
+	}
+	return out
+}
+
+// indexModel drives a mutable relation of arity 3 and mirrors its rows in
+// position order, with swap-removal, so every windowed probe is checked
+// against a full scan of the mirror. It also counts the index transitions
+// the operations reached, so TestRelationIndexModel can require each.
+type indexModel struct {
+	t    testing.TB
+	r    *Relation
+	rows []Fact
+
+	// Per index (by mask) and key fingerprint: whether the key's run has
+	// gone from inline to the arena and not yet back.
+	inArena map[uint64]map[uint32]bool
+	// roundTrips counts runs that went inline → arena → inline; moves
+	// counts arena runs that relocated; compactions counts arena
+	// compactions; twinProbes counts one-column probes of a key whose
+	// fingerprint twin shared its run.
+	roundTrips, moves, compactions, twinProbes int
+}
+
+func newIndexModel(t testing.TB) *indexModel {
+	m := &indexModel{t: t, r: NewRelation(3), inArena: map[uint64]map[uint32]bool{}}
+	for _, mask := range modelMasks {
+		m.inArena[mask] = map[uint32]bool{}
+	}
+	return m
+}
+
+// touched is what an operation may change in one index: its dead cells,
+// and the entries of the keys of the rows it writes.
+type touched struct {
+	dead int
+	fps  []uint32
+	keys []indexKey
+}
+
+// touch reads the index entries of the keys of rows, before or after an
+// operation on them.
+func (m *indexModel) touch(rows ...Fact) []touched {
+	out := make([]touched, len(m.r.indexes))
+	for i, ix := range m.r.indexes {
+		out[i].dead = ix.dead
+		for _, row := range rows {
+			fp := fingerprint(projectHash(row, ix.mask))
+			k := indexKey{}
+			if len(ix.keys) > 0 {
+				k = ix.keys[ix.slot(fp)]
+			}
+			out[i].fps, out[i].keys = append(out[i].fps, fp), append(out[i].keys, k)
+		}
+	}
+	return out
+}
+
+// observe counts the transitions between two reads of the same keys.
+func (m *indexModel) observe(before, after []touched) {
+	for i, b := range before {
+		a, mask := after[i], m.r.indexes[i].mask
+		if b.dead > 0 && a.dead == 0 {
+			m.compactions++
+		}
+		for j, fp := range a.fps {
+			old, k := b.keys[j], a.keys[j]
+			switch {
+			case k.n > 2 && old.n <= 2:
+				m.inArena[mask][fp] = true
+			case k.n <= 2 && m.inArena[mask][fp]:
+				m.inArena[mask][fp] = false
+				m.roundTrips++
+			case k.n > 2 && old.n > 2 && k.a != old.a && a.dead > b.dead:
+				m.moves++
+			}
+		}
+	}
+}
+
+func (m *indexModel) insert(f Fact) {
+	before := m.touch(f)
+	ok, err := m.r.Insert(f)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	if ok != !slices.ContainsFunc(m.rows, func(g Fact) bool { return tupleEqual(g, f) }) {
+		m.t.Fatalf("Insert(%v) new=%v against the mirror", f, ok)
+	}
+	if ok {
+		m.rows = append(m.rows, slices.Clone(f))
+	}
+	m.observe(before, m.touch(f))
+}
+
+func (m *indexModel) remove(f Fact) {
+	rows := []Fact{f}
+	if len(m.rows) > 0 {
+		rows = append(rows, m.rows[len(m.rows)-1])
+	}
+	before := m.touch(rows...)
+	got := m.r.Remove([]Fact{f})
+	p := slices.IndexFunc(m.rows, func(g Fact) bool { return tupleEqual(g, f) })
+	if (len(got) == 1) != (p >= 0) {
+		m.t.Fatalf("Remove(%v) removed %d, the mirror holds it at %d", f, len(got), p)
+	}
+	if p >= 0 {
+		last := len(m.rows) - 1
+		m.rows[p] = m.rows[last]
+		m.rows = m.rows[:last]
+	}
+	m.observe(before, m.touch(rows...))
+}
+
+func (m *indexModel) reset() {
+	m.r.Reset()
+	m.rows = m.rows[:0]
+	for _, ix := range m.r.indexes {
+		if ix.used != 0 || len(ix.arena) != 0 || len(ix.keys) == 0 {
+			m.t.Fatalf("mask %b after Reset: %d keys, %d arena cells, %d slots kept", ix.mask, ix.used, len(ix.arena), len(ix.keys))
+		}
+		clear(m.inArena[ix.mask])
+	}
+}
+
+// probe checks VisitRange over [lo, hi) against a full scan of the mirror:
+// the same positions, ascending, inside the window.
+func (m *indexModel) probe(mask uint64, f Fact, lo, hi int, twin Fact) {
+	var bound []value.Value
+	for i, v := range f {
+		if mask&(1<<uint(i)) != 0 {
+			bound = append(bound, v)
+		}
+	}
+	var want []int
+	for pos := max(lo, 0); pos < min(hi, len(m.rows)); pos++ {
+		j, match := 0, true
+		for i, v := range m.rows[pos] {
+			if mask&(1<<uint(i)) != 0 {
+				match = match && value.Identical(v, bound[j])
+				j++
+			}
+		}
+		if match {
+			want = append(want, pos)
+		}
+	}
+	var got []int
+	err := m.r.VisitRange(mask, bound, lo, hi, func(pos int) error {
+		if pos < lo || pos >= hi || (len(got) > 0 && pos <= got[len(got)-1]) {
+			return fmt.Errorf("position %d out of order or outside [%d, %d) after %v", pos, lo, hi, got)
+		}
+		got = append(got, pos)
+		return nil
+	})
+	if err != nil || !slices.Equal(got, want) {
+		m.t.Fatalf("VisitRange(%b, %v, %d, %d) = %v, %v; a full scan of %d rows gives %v", mask, bound, lo, hi, got, err, len(m.rows), want)
+	}
+	if mask == 1<<0 && twin != nil && slices.ContainsFunc(m.rows, func(g Fact) bool { return value.Identical(g[0], twin[0]) }) {
+		m.twinProbes++
+	}
+}
+
+// check compares every row with the mirror.
+func (m *indexModel) check() {
+	if m.r.Len() != len(m.rows) {
+		m.t.Fatalf("Len %d, mirror %d", m.r.Len(), len(m.rows))
+	}
+	for pos, f := range m.rows {
+		if !tupleEqual(m.r.row(pos), f) {
+			m.t.Fatalf("row %d is %v, mirror %v", pos, m.r.row(pos), f)
+		}
+	}
+}
+
+// indexUniverse is the tuples an indexModel draws from: (k, j, c) with k
+// one of keys keys, j one of spread values and c one of three, and now and
+// then k a twin value instead. A skewed universe favors small keys, so runs
+// of every length form; a flat one with spread 1 holds at most three tuples
+// a key, so its keys keep crossing between inline and arena runs and leave
+// dead cells for compaction.
+type indexUniverse struct {
+	twins        [][2]int64
+	keys, spread int
+	flat         bool
+}
+
+// fact draws a tuple of the universe.
+func (u indexUniverse) fact(rng *rand.Rand) Fact {
+	var k int64
+	switch {
+	case len(u.twins) > 0 && rng.Intn(8) == 0:
+		tw := u.twins[rng.Intn(len(u.twins))]
+		k = tw[rng.Intn(2)]
+	case u.flat:
+		k = int64(rng.Intn(u.keys))
+	default:
+		k = int64(rng.Intn(1 + rng.Intn(u.keys)))
+	}
+	return Fact{value.IntV(k), value.IntV(int64(rng.Intn(u.spread))), value.IntV(int64(rng.Intn(3)))}
+}
+
+// twinOf returns the fingerprint twin of f's key, or nil.
+func (u indexUniverse) twinOf(f Fact) Fact {
+	for _, tw := range u.twins {
+		for i, v := range tw {
+			if value.Identical(f[0], value.IntV(v)) {
+				return Fact{value.IntV(tw[1-i]), f[1], f[2]}
+			}
+		}
+	}
+	return nil
+}
+
+// step runs one random operation of the model.
+func (m *indexModel) step(rng *rand.Rand, u indexUniverse) {
+	switch op := rng.Intn(20); {
+	case op < 9:
+		m.insert(u.fact(rng))
+	case op < 14:
+		f := u.fact(rng)
+		if len(m.rows) > 0 && rng.Intn(2) == 0 {
+			f = m.rows[rng.Intn(len(m.rows))]
+		}
+		m.remove(slices.Clone(f))
+	case op == 14 && rng.Intn(40) == 0:
+		m.reset()
+		for i := rng.Intn(2 * u.keys); i > 0; i-- {
+			m.insert(u.fact(rng))
+		}
+	default:
+		f := u.fact(rng)
+		if len(m.rows) > 0 && rng.Intn(3) > 0 {
+			f = m.rows[rng.Intn(len(m.rows))]
+		}
+		n := len(m.rows)
+		lo, hi := rng.Intn(n+3)-2, rng.Intn(n+3)-1
+		if rng.Intn(3) == 0 {
+			lo, hi = 0, n
+		}
+		m.probe(modelMasks[rng.Intn(len(modelMasks))], f, lo, hi, u.twinOf(f))
+	}
+}
+
+// TestRelationIndexModel drives random appends, swap-removes, Resets with
+// reinserts and windowed VisitRange calls against a full-scan oracle over
+// a mirror of the rows. Keys include brute-forced fingerprint twins, which
+// share one run; the key column is skewed so runs move inline → arena →
+// inline, relocate when they double and leave dead cells for compaction;
+// and three inputs start from 1,023, 1,024 and 1,025 rows, the first page
+// boundary. The test fails unless every one of those paths was reached.
+func TestRelationIndexModel(t *testing.T) {
+	twins := keyTwins(3)
+	type input struct {
+		seed int64
+		fill int
+		u    indexUniverse
+	}
+	var inputs []input
+	for seed := int64(0); seed < 12; seed++ {
+		inputs = append(inputs, input{seed, 0, indexUniverse{twins, 6 + int(seed)*4, 24, false}})
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		inputs = append(inputs, input{seed, 0, indexUniverse{twins, 12 + int(seed)*6, 1, true}})
+	}
+	for _, fill := range []int{pageLen - 1, pageLen, pageLen + 1} {
+		inputs = append(inputs, input{int64(fill), fill, indexUniverse{twins, 40, 24, false}})
+	}
+	var roundTrips, moves, compactions, twinProbes int
+	for _, in := range inputs {
+		rng := rand.New(rand.NewSource(in.seed))
+		m := newIndexModel(t)
+		for i := 0; i < in.fill; i++ {
+			m.insert(Fact{value.IntV(int64(i % in.u.keys)), value.IntV(int64(i / in.u.keys)), value.IntV(-1)})
+		}
+		// Build two indexes over the rows held, the others on first probe.
+		m.r.ensureIndex(modelMasks[0])
+		m.r.ensureIndex(modelMasks[3])
+		for step := 0; step < 1500; step++ {
+			m.step(rng, in.u)
+			if step%100 == 0 {
+				m.check()
+			}
+		}
+		m.check()
+		roundTrips += m.roundTrips
+		moves += m.moves
+		compactions += m.compactions
+		twinProbes += m.twinProbes
+	}
+	t.Logf("%d inline → arena → inline round trips, %d run relocations, %d compactions, %d probes with a twin held", roundTrips, moves, compactions, twinProbes)
+	if roundTrips == 0 || moves == 0 || compactions == 0 || twinProbes == 0 {
+		t.Fatalf("the model missed a path: %d round trips, %d relocations, %d compactions, %d twin probes", roundTrips, moves, compactions, twinProbes)
+	}
+}
+
+// FuzzRelationIndex decodes an operation stream from bytes and checks it
+// against the same full-scan oracle: each operation is one byte, its low
+// two bits choose insert, remove, probe or (rarely) Reset, and the rest
+// choose the tuple or window. Streams are cut at 256 operations, enough
+// for runs to double several times: each operation scans the mirror, and
+// longer streams made minimizing every new input eat the fuzzing budget.
+func FuzzRelationIndex(f *testing.F) {
+	f.Add([]byte{0, 4, 8, 12, 16, 20, 24, 28, 2, 6, 1, 5, 2, 3})
+	f.Add(bytes.Repeat([]byte{0, 64, 128, 192, 2, 1, 6}, 40))
+	f.Add(bytes.Repeat([]byte{0, 4, 0, 4, 0, 4, 1, 5, 2, 7, 255}, 30))
+	u := indexUniverse{keyTwins(1), 8, 24, false}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 256)]
+		m := newIndexModel(t)
+		rng := rand.New(rand.NewSource(int64(len(ops))))
+		for _, b := range ops {
+			switch b & 3 {
+			case 0:
+				m.insert(u.fact(rng))
+			case 1:
+				f := u.fact(rng)
+				if len(m.rows) > 0 && b&4 != 0 {
+					f = m.rows[int(b>>3)%len(m.rows)]
+				}
+				m.remove(slices.Clone(f))
+			case 2:
+				f := u.fact(rng)
+				if len(m.rows) > 0 {
+					f = m.rows[int(b>>2)%len(m.rows)]
+				}
+				n := len(m.rows)
+				m.probe(modelMasks[int(b>>2)%len(modelMasks)], f, rng.Intn(n+2)-1, rng.Intn(n+2), nil)
+			default:
+				if b == 255 {
+					m.reset()
+				} else {
+					m.insert(indexUniverse{u.twins, 2, 1, true}.fact(rng))
+				}
+			}
+		}
+		m.check()
+	})
+}
+
+// TestIndexFootprint gates the heap an index keeps after ensureIndex builds
+// it over rows already held, read from runtime.MemStats around the build
+// alone, and the build's allocation count. Two inputs: 100k keys of one
+// position each, and 1k keys of 100 positions each; the bound is 48 B a key
+// plus 4.5 B a position. Measured (go1.24, amd64): the key table holds
+// 4,194,392 B (42 B a key: 100k keys at load 0.38 in 262,144 16-byte
+// entries) in 20 allocations, and 434,280 B (4.3 B a position) in 15. The
+// map of posting slices this index replaced held 6,048,320 B in 100,537
+// allocations and 594,240 B in 7,026: it fails both bounds.
+func TestIndexFootprint(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	for _, in := range []struct{ keys, per int }{{100_000, 1}, {1_000, 100}} {
+		r := NewRelation(2)
+		for k := 0; k < in.keys; k++ {
+			for j := 0; j < in.per; j++ {
+				if _, err := r.Insert(Fact{value.IntV(int64(k)), value.IntV(int64(j))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r.ensureIndex(1 << 0)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		allocs := after.Mallocs - before.Mallocs
+		positions := in.keys * in.per
+		bound := int64(48*in.keys) + int64(4.5*float64(positions))
+		t.Logf("%d keys × %d positions: %d B held (%.1f B a key, %.2f B a position), %d allocations", in.keys, in.per, held, float64(held)/float64(in.keys), float64(held)/float64(positions), allocs)
+		if held > bound || allocs > 32 {
+			t.Errorf("%d keys × %d positions: the index holds %d B in %d allocations, want <= %d B (48 B a key + 4.5 B a position) and <= 32", in.keys, in.per, held, allocs, bound)
+		}
+	}
+}
+
+// TestMutableIndexConcurrentProbes races 16 goroutines of VisitRange over
+// the warmed indexes of one mutable relation, as the sharded rounds do
+// after prewarmIndexes: a probe of a warm index only reads. Every
+// goroutine's answers must equal the single-goroutine ones. The sealed
+// counterpart is TestSealedConcurrentQueries.
+func TestMutableIndexConcurrentProbes(t *testing.T) {
+	r := NewRelation(3)
+	rng := rand.New(rand.NewSource(1))
+	for r.Len() < 3*pageLen {
+		k := int64(rng.Intn(1 + rng.Intn(400)))
+		if _, err := r.Insert(Fact{value.IntV(k), value.IntV(int64(rng.Intn(50))), value.IntV(int64(r.Len()))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	masks := []uint64{1 << 0, 1 << 1, 1<<0 | 1<<1}
+	for _, mask := range masks {
+		r.warmIndex(mask)
+	}
+	probe := func(g, i int) []int {
+		mask := masks[(g+i)%len(masks)]
+		f := r.row((g*7919 + i*104729) % r.Len())
+		var bound []value.Value
+		for c, v := range f {
+			if mask&(1<<uint(c)) != 0 {
+				bound = append(bound, v)
+			}
+		}
+		lo := (g * i) % r.Len()
+		var out []int
+		r.VisitRange(mask, bound, lo, r.Len(), func(pos int) error { //nolint:errcheck // the visitor never fails
+			out = append(out, pos)
+			return nil
+		})
+		return out
+	}
+	const goroutines, probes = 16, 200
+	want := make([][][]int, goroutines)
+	for g := range want {
+		for i := 0; i < probes; i++ {
+			want[g] = append(want[g], probe(g, i))
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < probes; i++ {
+				if got := probe(g, i); !slices.Equal(got, want[g][i]) {
+					t.Errorf("goroutine %d probe %d: %v, want %v", g, i, got, want[g][i])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}

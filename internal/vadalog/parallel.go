@@ -266,7 +266,13 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 		return e.evalRule(cr, w)
 	}
 	plan := shardPlan(hi - lo)
-	e.prewarmIndexes(cr)
+	if e.trace == nil {
+		e.prewarmIndexes(cr)
+	} else {
+		start := time.Now()
+		e.prewarmIndexes(cr)
+		e.trace.AddPrewarm(cr.idx, time.Since(start))
+	}
 	bufs := e.shardBuffers(len(plan), cr)
 	// Per-shard observability counters, summed after the barrier. The shard
 	// plan is worker-count independent, so the sums are too.

@@ -593,7 +593,8 @@ func TestShardedMergeAtProductionShardSizes(t *testing.T) {
 }
 
 // TestShardedMergeNanos: a sharded rule reports its merge barrier's wall
-// time as merge_ns, which WriteJSONTimings shows and WriteJSON strips.
+// time as merge_ns and its index prewarm's as prewarm_ns, which
+// WriteJSONTimings shows and WriteJSON strips.
 func TestShardedMergeNanos(t *testing.T) {
 	tr := obs.NewTrace()
 	if _, err := Run(tcProgram, layeredEdgeDB(3, 4, 400, 3), Options{Workers: 2, Trace: tr}); err != nil {
@@ -603,6 +604,9 @@ func TestShardedMergeNanos(t *testing.T) {
 	if rule.MergeNanos <= 0 || rule.MergeNanos > rule.WallNanos {
 		t.Fatalf("recursive rule: merge_ns %d, wall_ns %d; want 0 < merge <= wall", rule.MergeNanos, rule.WallNanos)
 	}
+	if rule.PrewarmNanos <= 0 || rule.MergeNanos+rule.PrewarmNanos > rule.WallNanos {
+		t.Fatalf("recursive rule: prewarm_ns %d, merge_ns %d, wall_ns %d; want 0 < prewarm, merge + prewarm <= wall", rule.PrewarmNanos, rule.MergeNanos, rule.WallNanos)
+	}
 	var plain, timed bytes.Buffer
 	if err := tr.WriteJSON(&plain); err != nil {
 		t.Fatal(err)
@@ -610,7 +614,9 @@ func TestShardedMergeNanos(t *testing.T) {
 	if err := tr.WriteJSONTimings(&timed); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plain.String(), "merge_ns") || !strings.Contains(timed.String(), "merge_ns") {
-		t.Fatal("merge_ns must show in WriteJSONTimings only")
+	for _, field := range []string{"merge_ns", "prewarm_ns"} {
+		if strings.Contains(plain.String(), field) || !strings.Contains(timed.String(), field) {
+			t.Fatalf("%s must show in WriteJSONTimings only", field)
+		}
 	}
 }

@@ -47,10 +47,12 @@ func (s *sealedRel) index(arity int, mask uint64) *flatIndex {
 // flatIndex is a hash index over an immutable row source in two flat arrays:
 // the fact positions grouped by hash bucket, ascending within each bucket (so
 // the engine's window restriction binary-searches a bucket exactly as it does
-// a mutable posting list), and the bucket boundaries. With fewer facts than
-// buckets it costs 8 to 12 bytes per fact, against ~70 for a map of posting
-// slices. A bucket mixes every projection hashing into it; the probe verifies
-// candidates by value, as it must for full-hash collisions anyway.
+// a mutable index's run), and the bucket boundaries. With fewer facts than
+// buckets it costs 8 to 12 bytes per fact. A mutable relation's keyIndex
+// costs 21 to 43 bytes per key besides its positions, a price worth paying
+// only where rows come and go. A bucket mixes every projection hashing into
+// it; the probe verifies candidates by value, as it must for full-hash
+// collisions anyway.
 type flatIndex struct {
 	shift  uint    // bucket = mixed hash >> shift
 	starts []int32 // bucket b is pos[starts[b]:starts[b+1]]
