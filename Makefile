@@ -57,7 +57,7 @@ test-chaos: build
 FUZZ_TARGETS = FuzzParse:metalog FuzzParse:gsl FuzzParse:vadalog \
 	FuzzDecodeQuery:server FuzzDecodeMutation:server FuzzOpenSnapshot:snapfile \
 	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg \
-	FuzzRelationIndex:vadalog
+	FuzzRelationIndex:vadalog FuzzStratifiedAggregate:vadalog
 
 fuzz-smoke: build
 	@for t in $(FUZZ_TARGETS); do \

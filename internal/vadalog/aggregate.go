@@ -135,13 +135,6 @@ func mulInt64(x, y int64) (int64, bool) {
 	return p, p/y == x && !(y == -1 && x == math.MinInt64)
 }
 
-// aggGroup is one group of a stratified aggregate: its accumulator and the
-// grouping values emitAggGroups binds again.
-type aggGroup struct {
-	aggAccum
-	vals []value.Value
-}
-
 // pageBits sets the page size of paged arrays: 1,024 entries a page.
 const (
 	pageBits = 10
@@ -277,12 +270,114 @@ func (t *hashHeads) set(i int, h uint64, head int32) {
 	}
 }
 
-// monoGroup is the pointer-free part of a monotonic group: the previous
+// groupEntry is the pointer-free part of an aggregate group: the previous
 // group with the same hash (-1 ends the chain) and the numeric fold.
-type monoGroup struct {
+type groupEntry struct {
 	next int32
 	fold numFold
 }
+
+// groupTable holds the groups of one aggregate, stratified or monotonic,
+// keyed by the hash of their grouping values (hashSlots) and told apart by
+// value.Identical: Int 1, Float 1.0 and String "1" are three groups, every
+// NaN is one group, +0 and -0 are two — exactly the identity the canonical
+// key strings draw.
+//
+// Storage is paged (DESIGN.md §5): group g has its chain link and numeric
+// fold in groups, its grouping values in vals and, for min and max only, its
+// running extreme in exts; for pack only, its items in packs. heads leads
+// from a hash to the newest group carrying it; the links chain the older
+// ones.
+type groupTable struct {
+	op     string
+	slots  []int // the grouping variables' slots
+	heads  hashHeads
+	groups paged[groupEntry]
+	vals   paged[value.Value]
+	exts   paged[value.Value]
+	packs  [][]string
+}
+
+func newGroupTable(op string, slots []int) groupTable {
+	t := groupTable{
+		op: op, slots: slots,
+		groups: paged[groupEntry]{width: 1},
+		vals:   paged[value.Value]{width: len(slots)},
+	}
+	if op == "min" || op == "max" {
+		t.exts.width = 1
+	}
+	return t
+}
+
+// groupRef locates the group a binding falls into: its id (-1 while the
+// group is new), and its hash with the head table slot, so add links a new
+// group without probing again.
+type groupRef struct {
+	g    int32
+	h    uint64
+	slot int
+}
+
+// find returns the key of the group the slots bind, under the group hash h.
+func (t *groupTable) find(h uint64, slots []value.Value) groupRef {
+	k := groupRef{g: -1, h: h, slot: t.heads.slot(h)}
+	for id := t.heads.head(k.slot) - 1; id >= 0; id = t.groups.at(id).next {
+		if slotsIdentical(t.vals.row(id), t.slots, slots) {
+			k.g = id
+			break
+		}
+	}
+	return k
+}
+
+// add adds the group the slots bind, which find did not hold, and returns
+// its id. Head table slots found before it are stale after it.
+func (t *groupTable) add(k groupRef, slots []value.Value) int32 {
+	g := t.groups.push()
+	*t.groups.at(g) = groupEntry{next: t.heads.head(k.slot) - 1, fold: newNumFold(t.op)}
+	t.heads.set(k.slot, k.h, g+1)
+	vals := t.vals.row(t.vals.push())
+	for i, s := range t.slots {
+		vals[i] = slots[s]
+	}
+	if t.exts.width > 0 {
+		t.exts.push()
+	}
+	if t.op == "pack" {
+		t.packs = append(t.packs, nil)
+	}
+	return g
+}
+
+// accum returns the running state of group g: a fresh one for g < 0.
+func (t *groupTable) accum(g int32) aggAccum {
+	if g < 0 {
+		return newAggAccum(t.op)
+	}
+	a := aggAccum{numFold: t.groups.at(g).fold}
+	if t.exts.width > 0 {
+		a.ext = *t.exts.at(g)
+	}
+	if t.packs != nil {
+		a.packItems = t.packs[g]
+	}
+	return a
+}
+
+// store makes a the running state of group g.
+func (t *groupTable) store(g int32, a *aggAccum) {
+	t.groups.at(g).fold = a.numFold
+	if t.exts.width > 0 {
+		*t.exts.at(g) = a.ext
+	}
+	if t.packs != nil {
+		t.packs[g] = a.packItems
+	}
+}
+
+// len returns the number of groups.
+func (t *groupTable) len() int32 { return t.groups.n }
 
 // monoContrib chains a contributor to the previous one with the same hash
 // (-1 ends the chain) and names the group it was folded into.
@@ -291,26 +386,14 @@ type monoContrib struct {
 }
 
 // monoAgg is the state of a rule's monotonic aggregate, kept across the
-// rounds of a run and across the batches a Maintainer resumes: the groups,
-// and per group the contributor tuples already folded in. Groups and
-// contributors are keyed by tuple hash (hashValue) and told apart by
-// value.Identical: Int 1, Float 1.0 and String "1" are distinct, every NaN
-// is one value, +0 and -0 are two — exactly the identity the canonical key
-// strings draw.
-//
-// Storage is paged (DESIGN.md §5): group g has its chain link and numeric
-// fold in groups, its values in groupVals and, for min and max only, its
-// running extreme in exts; contributor c has its chain link and group in
-// contribs and its values in contribVals. The head tables lead from a hash
-// to the newest entry carrying it; the links chain the older ones.
+// rounds of a run and across the batches a Maintainer resumes: its group
+// table, and per group the contributor tuples already folded in.
+// Contributors are keyed like groups, by tuple hash and value.Identical;
+// contributor c has its chain link and group in contribs and its values in
+// contribVals.
 type monoAgg struct {
-	op                       string
-	groupSlots, contribSlots []int
-
-	groupHeads hashHeads
-	groups     paged[monoGroup]
-	groupVals  paged[value.Value]
-	exts       paged[value.Value]
+	groupTable
+	contribSlots []int
 
 	contribHeads hashHeads
 	contribs     paged[monoContrib]
@@ -318,17 +401,12 @@ type monoAgg struct {
 }
 
 func newMonoAgg(op string, groupSlots, contribSlots []int) *monoAgg {
-	m := &monoAgg{
-		op: op, groupSlots: groupSlots, contribSlots: contribSlots,
-		groups:      paged[monoGroup]{width: 1},
-		groupVals:   paged[value.Value]{width: len(groupSlots)},
-		contribs:    paged[monoContrib]{width: 1},
-		contribVals: paged[value.Value]{width: len(contribSlots)},
+	return &monoAgg{
+		groupTable:   newGroupTable(op, groupSlots),
+		contribSlots: contribSlots,
+		contribs:     paged[monoContrib]{width: 1},
+		contribVals:  paged[value.Value]{width: len(contribSlots)},
 	}
-	if op == "min" || op == "max" {
-		m.exts.width = 1
-	}
-	return m
 }
 
 // slotsIdentical reports whether the values stored from an earlier binding
@@ -349,30 +427,23 @@ func hashSlots(h uint64, slotIdx []int, slots []value.Value) uint64 {
 	return h
 }
 
-// monoKey locates one body match in a monotonic aggregate's state: its group
-// (-1 while the group is new), and the hashes of the group and of the
-// contributor within it with their head table slots, so admit links new
-// entries without probing again.
+// monoKey locates one body match in a monotonic aggregate's state: its group,
+// and the hash of the contributor within it with its head table slot, so
+// admit links new entries without probing again.
 type monoKey struct {
-	g            int32
-	gh, ch       uint64
-	gSlot, cSlot int
+	groupRef
+	ch    uint64
+	cSlot int
 }
 
 // probe finds the group and the contributor the slots bind, without changing
 // the state. It reports seen when the group has already folded the
 // contributor in.
 func (m *monoAgg) probe(slots []value.Value) (k monoKey, seen bool) {
-	k.gh = hashSlots(fnvOffset64, m.groupSlots, slots)
-	k.ch = hashSlots(k.gh, m.contribSlots, slots)
-	k.g = -1
-	k.gSlot, k.cSlot = m.groupHeads.slot(k.gh), m.contribHeads.slot(k.ch)
-	for id := m.groupHeads.head(k.gSlot) - 1; id >= 0; id = m.groups.at(id).next {
-		if slotsIdentical(m.groupVals.row(id), m.groupSlots, slots) {
-			k.g = id
-			break
-		}
-	}
+	gh := hashSlots(fnvOffset64, m.slots, slots)
+	k.ch = hashSlots(gh, m.contribSlots, slots)
+	k.cSlot = m.contribHeads.slot(k.ch)
+	k.groupRef = m.find(gh, slots)
 	if k.g < 0 {
 		return k, false
 	}
@@ -384,39 +455,14 @@ func (m *monoAgg) probe(slots []value.Value) (k monoKey, seen bool) {
 	return k, false
 }
 
-// accum returns the running state of the probed group: a fresh one while the
-// group is new.
-func (m *monoAgg) accum(k monoKey) aggAccum {
-	if k.g < 0 {
-		return newAggAccum(m.op)
-	}
-	a := aggAccum{numFold: m.groups.at(k.g).fold}
-	if m.exts.width > 0 {
-		a.ext = *m.exts.at(k.g)
-	}
-	return a
-}
-
 // admit records the probed contributor as folded in — adding its group on
 // first sight — and stores the group's new running state a.
 func (m *monoAgg) admit(k monoKey, a *aggAccum, slots []value.Value) {
 	g := k.g
 	if g < 0 {
-		g = m.groups.push()
-		m.groups.at(g).next = m.groupHeads.head(k.gSlot) - 1
-		m.groupHeads.set(k.gSlot, k.gh, g+1)
-		vals := m.groupVals.row(m.groupVals.push())
-		for i, s := range m.groupSlots {
-			vals[i] = slots[s]
-		}
-		if m.exts.width > 0 {
-			m.exts.push()
-		}
+		g = m.add(k.groupRef, slots)
 	}
-	m.groups.at(g).fold = a.numFold
-	if m.exts.width > 0 {
-		*m.exts.at(g) = a.ext
-	}
+	m.store(g, a)
 	c := m.contribs.push()
 	*m.contribs.at(c) = monoContrib{next: m.contribHeads.head(k.cSlot) - 1, group: g}
 	m.contribHeads.set(k.cSlot, k.ch, c+1)

@@ -30,7 +30,7 @@ func TestMonoAggFillAllocation(t *testing.T) {
 		if seen {
 			t.Fatalf("contributor %d reported seen", i)
 		}
-		acc := m.accum(k)
+		acc := m.accum(k.g)
 		if err := acc.update("sum", slots[2], value.Value{}); err != nil {
 			t.Fatal(err)
 		}

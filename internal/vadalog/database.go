@@ -25,10 +25,11 @@ func (f Fact) String() string {
 }
 
 // encodeKey renders a tuple as one canonical string. The relation's dedup
-// and join indexes and the monotonic aggregates' state do not use it (they
-// key on tuple hashes, below); it remains the group key of the stratified
-// aggregates, whose sorted order is their emission order, and the key of the
-// provenance store, where a printable key is worth the allocation.
+// and join indexes and the aggregates' group tables do not use it (they key
+// on tuple hashes, below); its sorted order remains the emission order of a
+// stratified aggregate's groups (appendKey, once per group), and it is the
+// key of the provenance store, where a printable key is worth the
+// allocation.
 func encodeKey(vals []value.Value) string {
 	var buf [96]byte
 	return string(appendKey(buf[:0], vals))

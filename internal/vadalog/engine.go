@@ -1,6 +1,7 @@
 package vadalog
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -667,6 +668,14 @@ func compileProgRule(prog *Program, idx int) (*cRule, error) {
 		if st := &cr.steps[cr.aggStep]; !cr.stratAgg {
 			cr.mono = newMonoAgg(st.agg.Op, cr.groupSlots, st.contribSlots)
 		}
+		// A stratified aggregate's groups are complete only after the
+		// collect phase, so the steps after it run once per group and may
+		// not enumerate facts.
+		for _, st := range cr.steps[cr.aggStep+1:] {
+			if cr.stratAgg && st.kind != stepCond && st.kind != stepAssign {
+				return nil, fmt.Errorf("vadalog: rule %d (line %d): atoms may not follow a stratified aggregate", idx, r.Line)
+			}
+		}
 	}
 
 	// Empty-body rules must be ground facts.
@@ -900,9 +909,7 @@ func (w deltaWindows) rangeFor(si int, pred string) (int, int) {
 // out to the worker pool when the run is parallel and the rule is shardable.
 // The pool only exists at all for runs without provenance (whose "first
 // derivation" needs a global insertion order) and without aggregates
-// (hasMonotonicAgg matches stratified aggregates too), so no
-// stratified-aggregate rule reaches the pool: evalStratifiedAgg evaluates
-// sequentially in every run.
+// (hasAggregate), so no rule that reaches the pool carries either.
 func (e *engine) eval(cr *cRule, w windows) (int, error) {
 	if err := e.checkCtx(); err != nil {
 		return 0, err
@@ -919,7 +926,7 @@ func (e *engine) eval(cr *cRule, w windows) (int, error) {
 
 // evalDispatch routes a rule evaluation to the sharded or sequential engine.
 func (e *engine) evalDispatch(cr *cRule, w windows) (int, error) {
-	if e.pool != nil && cr.aggStep < 0 && e.prov == nil {
+	if e.pool != nil {
 		if driver := driverStep(cr, w); driver >= 0 {
 			return e.evalRuleSharded(cr, w, driver)
 		}
@@ -981,7 +988,8 @@ func (e *engine) evalRule(cr *cRule, w windows) (int, error) {
 // invoked on every complete match. Sequential evaluation uses a single ctx
 // whose sink inserts directly; parallel evaluation runs one ctx per shard
 // with a buffering sink (parallel.go); stratified aggregation stops the
-// traversal at the aggregate step and accumulates groups.
+// traversal at the aggregate step and accumulates groups, then resumes it
+// after the aggregate step once per group.
 type evalCtx struct {
 	e     *engine
 	cr    *cRule
@@ -992,8 +1000,9 @@ type evalCtx struct {
 	// len(cr.steps) for full rule evaluation, cr.aggStep for the collect
 	// phase of stratified aggregation.
 	limit int
-	// lenientCond treats non-boolean pre-aggregate conditions as false
-	// instead of erroring (the stratified-aggregate collect semantics).
+	// lenientCond treats non-boolean conditions as false instead of
+	// erroring (the semantics of a stratified-aggregate rule, on both sides
+	// of the aggregate).
 	lenientCond bool
 
 	// shardStep restricts the join enumeration at that step to the absolute
@@ -1023,10 +1032,6 @@ type evalCtx struct {
 	// env is the expression environment over slots; conditions,
 	// assignments and aggregate arguments all evaluate through &env.
 	env slotEnv
-	// groupVals and groupKey are the stratified collect phase's reusable
-	// grouping values and their key encoding (accumulateGroup).
-	groupVals []value.Value
-	groupKey  []byte
 }
 
 // newEvalCtx returns an unsharded traversal of the rule's body under the
@@ -1202,7 +1207,7 @@ func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 	if seen {
 		return nil
 	}
-	acc := m.accum(k)
+	acc := m.accum(k.g)
 	var av value.Value
 	if st.agg.Arg != nil {
 		v, err := st.agg.Arg.Eval(&c.env)
@@ -1222,47 +1227,34 @@ func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 }
 
 // evalStratifiedAgg evaluates a rule containing a stratified aggregate: it
-// enumerates all body matches up to the aggregate, groups them, computes the
-// aggregate per group, then applies the remaining conditions and emits heads.
-// Its sharded collect phase (evalStratifiedAggSharded) is unreachable today:
-// a program with an aggregate never starts a pool (hasMonotonicAgg).
+// enumerates all body matches up to the aggregate, folds them into their
+// groups, then runs the remaining steps once per group (emitAggGroups). It
+// evaluates sequentially in every run: a program with an aggregate starts no
+// pool (hasAggregate).
 func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
-	if e.pool != nil && e.prov == nil {
-		if driver := driverStep(cr, fullWindows{}); driver >= 0 && driver < cr.aggStep &&
-			e.db.Relation(cr.steps[driver].pred).Len() >= 2*minShardSize {
-			return e.evalStratifiedAggSharded(cr, driver)
-		}
-	}
-	groups := map[string]*aggGroup{}
+	groups := newGroupTable(cr.steps[cr.aggStep].agg.Op, cr.groupSlots)
 	c := newEvalCtx(e, cr, fullWindows{}, cr.aggStep)
 	c.lenientCond = true
-	c.onMatch = func() error { return c.accumulateGroup(groups) }
+	c.onMatch = func() error { return c.accumulateGroup(&groups) }
 	err := c.step(0)
 	e.curFirings += c.firings
 	e.curProbes += c.probes
 	if err != nil {
 		return 0, err
 	}
-	return e.emitAggGroups(cr, groups)
+	return e.emitAggGroups(cr, &groups)
 }
 
 // accumulateGroup folds one complete pre-aggregate body match into the group
-// accumulator keyed by the grouping variables. Contributor-free aggregates
-// absorb every distinct body match; listed contributors would make the
-// aggregate monotonic, so they cannot reach this path. The key is encoded
-// into a reusable buffer; only a new group allocates its key and values.
-func (c *evalCtx) accumulateGroup(groups map[string]*aggGroup) error {
-	cr, slots := c.cr, c.slots
-	aggSt := &cr.steps[cr.aggStep]
-	c.groupVals = c.groupVals[:0]
-	for _, s := range cr.groupSlots {
-		c.groupVals = append(c.groupVals, slots[s])
-	}
-	c.groupKey = appendKey(c.groupKey[:0], c.groupVals)
-	acc, ok := groups[string(c.groupKey)]
-	if !ok {
-		acc = &aggGroup{aggAccum: newAggAccum(aggSt.agg.Op), vals: slices.Clone(c.groupVals)}
-		groups[string(c.groupKey)] = acc
+// the grouping variables bind. Contributor-free aggregates absorb every
+// distinct body match; listed contributors would make the aggregate
+// monotonic, so they cannot reach this path. Only a new group takes room in
+// the table, and no key is built.
+func (c *evalCtx) accumulateGroup(groups *groupTable) error {
+	aggSt, slots := &c.cr.steps[c.cr.aggStep], c.slots
+	k := groups.find(hashSlots(fnvOffset64, groups.slots, slots), slots)
+	if k.g < 0 {
+		k.g = groups.add(k, slots)
 	}
 	var av, av2 value.Value
 	if aggSt.agg.Arg != nil {
@@ -1279,65 +1271,53 @@ func (c *evalCtx) accumulateGroup(groups map[string]*aggGroup) error {
 		}
 		av2 = v
 	}
-	return acc.update(aggSt.agg.Op, av, av2)
+	acc := groups.accum(k.g)
+	if err := acc.update(groups.op, av, av2); err != nil {
+		return err
+	}
+	groups.store(k.g, &acc)
+	return nil
 }
 
-// emitAggGroups runs the post-aggregate steps for every collected group, in
-// sorted group-key order, and emits the rule heads.
-func (e *engine) emitAggGroups(cr *cRule, groups map[string]*aggGroup) (int, error) {
-	slots := make([]value.Value, len(cr.slots))
-	env := &slotEnv{slots: slots, names: cr.slots}
-	aggSt := &cr.steps[cr.aggStep]
-	gkeys := make([]string, 0, len(groups))
-	for k := range groups {
-		gkeys = append(gkeys, k)
+// emitAggGroups binds every collected group with its aggregate value and
+// runs the post-aggregate steps over it, emitting the rule heads. Groups go
+// in ascending order of their canonical keys, each encoded once into one
+// shared buffer: the head relation's insertion order, which every downstream
+// fold reads, is that order. The firings of the post-aggregate steps stay out
+// of the trace, which counts the collect phase's body matches.
+func (e *engine) emitAggGroups(cr *cRule, groups *groupTable) (int, error) {
+	n := groups.len()
+	var keys []byte
+	offs := make([]int, n+1)
+	ids := make([]int32, n)
+	for g := range n {
+		keys = appendKey(keys, groups.vals.row(g))
+		offs[g+1], ids[g] = len(keys), g
 	}
-	sort.Strings(gkeys)
+	key := func(g int32) []byte { return keys[offs[g]:offs[g+1]] }
+	slices.SortFunc(ids, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+
+	aggSt := &cr.steps[cr.aggStep]
 	inserted := 0
+	c := newEvalCtx(e, cr, fullWindows{}, len(cr.steps))
+	c.lenientCond = true
+	c.onMatch = func() error {
+		n, err := e.emit(cr, c.slots)
+		inserted += n
+		return err
+	}
 	e.inStratAgg = true
 	defer func() { e.inStratAgg = false }()
-	for _, gkey := range gkeys {
-		acc := groups[gkey]
-		for i := range slots {
-			slots[i] = value.Value{}
-		}
+	for _, g := range ids {
+		vals := groups.vals.row(g)
 		for i, s := range cr.groupSlots {
-			slots[s] = acc.vals[i]
+			c.slots[s] = vals[i]
 		}
-		slots[aggSt.assignSlot] = acc.current(aggSt.agg.Op)
-		ok := true
-		for si := cr.aggStep + 1; si < len(cr.steps); si++ {
-			st := &cr.steps[si]
-			switch st.kind {
-			case stepCond:
-				v, err := st.expr.Eval(env)
-				if err != nil {
-					return inserted, err
-				}
-				if !v.Truthy() {
-					ok = false
-				}
-			case stepAssign:
-				v, err := st.expr.Eval(env)
-				if err != nil {
-					return inserted, err
-				}
-				slots[st.assignSlot] = v
-			default:
-				return inserted, fmt.Errorf("vadalog: rule %d (line %d): atoms may not follow a stratified aggregate", cr.idx, cr.rule.Line)
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		n, err := e.emit(cr, slots)
-		if err != nil {
+		acc := groups.accum(g)
+		c.slots[aggSt.assignSlot] = acc.current(groups.op)
+		if err := c.step(cr.aggStep + 1); err != nil {
 			return inserted, err
 		}
-		inserted += n
 	}
 	return inserted, nil
 }

@@ -25,7 +25,9 @@ func outputKeys(db *Database, pred string) []string {
 // TestMonotonicAggIdentity pins the identity a monotonic aggregate keys its
 // groups and contributors by: Int 1, Float 1.0 and String "1" are three
 // distinct contributors and three distinct groups, every NaN is one
-// contributor and one group whatever its payload, and +0 and -0 are two.
+// contributor and one group whatever its payload, and +0 and -0 are two. A
+// stratified aggregate's groups, which live in the same group table, draw
+// the same distinctions.
 func TestMonotonicAggIdentity(t *testing.T) {
 	nan2 := math.Float64frombits(0x7ff8000000000001)
 	one := []value.Value{value.IntV(1), value.FloatV(1), value.Str("1")}
@@ -70,11 +72,31 @@ func TestMonotonicAggIdentity(t *testing.T) {
 	if got := outputKeys(res.DB, "g"); strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Errorf("group facts = %q, want %q", got, want)
 	}
+
+	// Stratified groups: each group emits once, with the number of facts
+	// whose X falls into it.
+	res = runProg(t, `g(X, N) :- s(X, T), N = count().`, func(db *Database) {
+		for i, x := range append(append(append([]value.Value(nil), one...), nans...), zeros...) {
+			db.MustAddFact("s", x, value.IntV(int64(i)))
+		}
+	})
+	want = []string{
+		encodeKey(Fact{value.IntV(1), value.IntV(1)}),
+		encodeKey(Fact{value.FloatV(1), value.IntV(1)}),
+		encodeKey(Fact{value.Str("1"), value.IntV(1)}),
+		encodeKey(Fact{value.FloatV(math.NaN()), value.IntV(2)}),
+		encodeKey(Fact{value.FloatV(0), value.IntV(1)}),
+		encodeKey(Fact{value.FloatV(math.Copysign(0, -1)), value.IntV(1)}),
+	}
+	sort.Strings(want)
+	if got := outputKeys(res.DB, "g"); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("stratified group facts = %q, want %q", got, want)
+	}
 }
 
 // TestIntegerSumExact: sums and products of Ints stay exact past 2^53, where
-// a float64 running value rounds, in the monotonic fold, the stratified fold
-// and the sharded stratified merge; they fall back to a float only on int64
+// a float64 running value rounds, in the monotonic and the stratified fold;
+// they fall back to a float only on int64
 // overflow or on the first non-Int input.
 func TestIntegerSumExact(t *testing.T) {
 	const big = 9007199254740993 // 2^53 + 1: no float64 holds it
@@ -97,31 +119,6 @@ func TestIntegerSumExact(t *testing.T) {
 				t.Errorf("s = %v, want %v", got, tc.want)
 			}
 		})
-	}
-
-	// The sharded collect merges per-shard accumulators: the merge keeps the
-	// exact value too, and leaves it on int64 overflow.
-	for _, tc := range []struct {
-		op   string
-		a, b int64
-		want string
-	}{
-		{"sum", big, 2, "9007199254740995"},
-		{"prod", big, 2, "18014398509481986"},
-		{"sum", math.MaxInt64, 1, "9.223372036854776e+18"},
-		{"prod", math.MaxInt64, 2, "1.8446744073709552e+19"},
-	} {
-		a, b := newAggAccum(tc.op), newAggAccum(tc.op)
-		if err := a.update(tc.op, value.IntV(tc.a), value.Value{}); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.update(tc.op, value.IntV(tc.b), value.Value{}); err != nil {
-			t.Fatal(err)
-		}
-		a.merge(&b, tc.op)
-		if got := a.current(tc.op).String(); got != tc.want {
-			t.Errorf("merged %s of %d and %d = %s, want %s", tc.op, tc.a, tc.b, got, tc.want)
-		}
 	}
 
 	// Past int64 the result is the float fold, and so it is after one Float

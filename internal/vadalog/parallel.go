@@ -19,9 +19,9 @@ package vadalog
 // the sequential engine the derived fact *set* is also identical: deferring
 // inserts to the barrier only delays self-derived matches to the next
 // semi-naive round, which the fixpoint loop absorbs. Two constructs keep a
-// run sequential even in parallel: any aggregate (hasMonotonicAgg matches
-// stratified ones too, so evalStratifiedAggSharded is never reached) and
-// provenance recording (the "first" derivation needs a global order).
+// run sequential even in parallel: any aggregate, stratified or monotonic
+// (hasAggregate), and provenance recording (the "first" derivation needs a
+// global order).
 
 import (
 	"context"
@@ -140,19 +140,19 @@ func (p *workerPool) runShards(ctx context.Context, shards int, cancel *atomicBo
 // startPool creates the worker pool when the run asks for parallelism.
 // Provenance runs stay sequential (Options.Provenance documents why).
 func (e *engine) startPool() {
-	if e.opts.Workers > 1 && e.prov == nil && !e.hasMonotonicAgg() {
+	if e.opts.Workers > 1 && e.prov == nil && !e.hasAggregate() {
 		e.pool = newWorkerPool(e.opts.Workers)
 	}
 }
 
-// hasMonotonicAgg reports whether any compiled rule carries an aggregate,
-// stratified ones included. Such programs evaluate sequentially regardless of
+// hasAggregate reports whether any compiled rule carries an aggregate,
+// stratified or monotonic. Such programs evaluate sequentially regardless of
 // Options.Workers: a running aggregate's emissions depend on the order its
 // contributions arrive, and that order is shaped by the insertion order of
 // every upstream relation — which deferred shard-order merging cannot
 // reproduce. A per-rule fallback would not be enough; only the fully
 // sequential engine preserves the emission set.
-func (e *engine) hasMonotonicAgg() bool {
+func (e *engine) hasAggregate() bool {
 	for _, cr := range e.rules {
 		for _, st := range cr.steps {
 			if st.kind == stepAgg {
@@ -375,89 +375,4 @@ func (e *engine) mergeShards(cr *cRule, bufs [][]headBuf) (int, error) {
 		}
 	}
 	return inserted, nil
-}
-
-// evalStratifiedAggSharded runs the collect phase of a stratified aggregate
-// over sharded windows with per-shard accumulator maps, merges them in shard
-// order, and emits the groups exactly like the sequential path. No run
-// reaches it today: a program with an aggregate starts no pool. Integer
-// aggregates merge exactly; float sums and products re-associate, but the
-// worker-count-independent shard plan keeps results reproducible for every
-// Workers >= 2.
-func (e *engine) evalStratifiedAggSharded(cr *cRule, driver int) (int, error) {
-	st := &cr.steps[driver]
-	rel := e.db.Relation(st.pred)
-	plan := shardPlan(rel.Len())
-	if plan == nil {
-		return e.emitAggGroups(cr, map[string]*aggGroup{})
-	}
-	e.prewarmIndexes(cr)
-	shardGroups := make([]map[string]*aggGroup, len(plan))
-	firings := make([]int64, len(plan))
-	probes := make([]int64, len(plan))
-	var cancel atomicBool
-	err := e.pool.runShards(e.ctx, len(plan), &cancel, func(s int) error {
-		groups := map[string]*aggGroup{}
-		c := newEvalCtx(e, cr, fullWindows{}, cr.aggStep)
-		c.lenientCond = true
-		c.shardStep, c.shardLo, c.shardHi = driver, plan[s][0], plan[s][1]
-		c.cancelled = &cancel
-		c.onMatch = func() error { return c.accumulateGroup(groups) }
-		err := c.step(0)
-		firings[s], probes[s] = c.firings, c.probes
-		if err != nil {
-			return err
-		}
-		shardGroups[s] = groups
-		return nil
-	})
-	for s := range plan {
-		e.curFirings += firings[s]
-		e.curProbes += probes[s]
-	}
-	if err != nil {
-		return 0, err
-	}
-	op := cr.steps[cr.aggStep].agg.Op
-	merged := map[string]*aggGroup{}
-	for _, sg := range shardGroups {
-		for gkey, acc := range sg {
-			if dst, ok := merged[gkey]; ok {
-				dst.merge(&acc.aggAccum, op)
-			} else {
-				merged[gkey] = acc
-			}
-		}
-	}
-	return e.emitAggGroups(cr, merged)
-}
-
-// merge folds the accumulator b into a. Every operator merges associatively
-// over disjoint match partitions; min/max guard the "no updates yet" state
-// through the update count. The exact integer fold survives the merge while
-// both sides are exact and the combined value stays in int64.
-func (a *aggAccum) merge(b *aggAccum, op string) {
-	switch op {
-	case "sum", "avg":
-		a.fnum += b.fnum
-		if a.exact = a.exact && b.exact; a.exact {
-			a.inum, a.exact = addInt64(a.inum, b.inum)
-		}
-	case "prod":
-		a.fnum *= b.fnum
-		if a.exact = a.exact && b.exact; a.exact {
-			a.inum, a.exact = mulInt64(a.inum, b.inum)
-		}
-	case "min":
-		if b.count > 0 && (a.count == 0 || value.Compare(b.ext, a.ext) < 0) {
-			a.ext = b.ext
-		}
-	case "max":
-		if b.count > 0 && (a.count == 0 || value.Compare(b.ext, a.ext) > 0) {
-			a.ext = b.ext
-		}
-	case "pack":
-		a.packItems = append(a.packItems, b.packItems...)
-	}
-	a.count += b.count
 }

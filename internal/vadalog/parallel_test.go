@@ -377,6 +377,10 @@ func TestWorkerPoolFirstError(t *testing.T) {
 // Parallel stratified aggregation, negation, existentials, incremental
 // ---------------------------------------------------------------------------
 
+// TestParallelStratifiedAggregates pins W=8 ≡ W=1 for a program of
+// stratified aggregates. Aggregates never shard — a program with one starts
+// no worker pool (hasAggregate) — so both runs evaluate sequentially and the
+// test guards that carve-out rather than a sharded collect.
 func TestParallelStratifiedAggregates(t *testing.T) {
 	prog := MustParse(`
 		total(G,V) :- obs(G,X), V = sum(X).
