@@ -30,7 +30,9 @@ test: build vet
 # vadalog, over row ids into frozen columns in metalog — the mutable-index
 # test because it races 16 goroutines of probes over one mutable relation's
 # warmed key tables, as sharded rounds do, and the frozen-readers test
-# because it races the one label-summary build and the per-call row builds.
+# because it races the one label-summary build and the per-call Node/Edge
+# struct builds against each other and against the column reads (CSR
+# windows, degrees, label counts, row scans).
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve|TestInsertionOrderGolden' ./internal/vadalog/
@@ -69,7 +71,7 @@ fuzz-smoke: build
 # the reasoning engine and its value domain — each carries the same gate (70% of statements) so
 # their suites cannot silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models value
+COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models value supermodel
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

@@ -160,7 +160,7 @@ func inSchema(n *pg.Node, oid int64) bool {
 	return ok && so.K == value.Int && so.I == oid
 }
 
-func constructTypeName(g pg.View, owner pg.OID, label string) (string, bool) {
+func constructTypeName(g *pg.Graph, owner pg.OID, label string) (string, bool) {
 	for _, e := range g.Out(owner) {
 		if e.Label == label {
 			if nm, ok := g.Node(e.To).Props["name"]; ok {
@@ -171,7 +171,7 @@ func constructTypeName(g pg.View, owner pg.OID, label string) (string, bool) {
 	return "", false
 }
 
-func attrIndex(g pg.View, owner pg.OID, label string) map[string]pg.OID {
+func attrIndex(g *pg.Graph, owner pg.OID, label string) map[string]pg.OID {
 	out := map[string]pg.OID{}
 	for _, e := range g.Out(owner) {
 		if e.Label == label {

@@ -291,12 +291,12 @@ func randDeltaOps(rng *rand.Rand, ov *overlay.Overlay, nodeLabels, edgeLabels, p
 		case 2:
 			if id, ok := pick(liveNodes); ok {
 				removed[id] = true
-				for _, e := range ov.Out(id) {
-					removed[e.ID] = true
-				}
-				for _, e := range ov.In(id) {
-					removed[e.ID] = true
-				}
+				ov.ScanEdges(func(e *pg.EdgeRow) bool {
+					if e.From == id || e.To == id {
+						removed[e.ID] = true
+					}
+					return true
+				})
 				ops = append(ops, overlay.Op{Kind: overlay.OpRemoveNode, Node: overlay.Ref{ID: id}})
 			}
 		case 3:

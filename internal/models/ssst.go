@@ -142,7 +142,7 @@ type PGSchemaView struct {
 	Rels  []PGRelView
 }
 
-func readProps(dict pg.View, owner pg.OID, edgeLabel string) []PropView {
+func readProps(dict *pg.Graph, owner pg.OID, edgeLabel string) []PropView {
 	var out []PropView
 	for _, e := range dict.Out(owner) {
 		if e.Label != edgeLabel {
@@ -174,7 +174,7 @@ func inSchema(n *pg.Node, oid int64) bool {
 
 // ReadPGSchema builds the typed view of the property-graph schema with the
 // given schemaOID from the dictionary.
-func ReadPGSchema(dict pg.View, oid int64) (*PGSchemaView, error) {
+func ReadPGSchema(dict *pg.Graph, oid int64) (*PGSchemaView, error) {
 	v := &PGSchemaView{}
 	labelsOf := map[pg.OID][]string{}
 	for _, n := range dict.NodesByLabel("Node") {
@@ -282,7 +282,7 @@ func (v *RelationalSchemaView) Relation(name string) *RelationView {
 
 // ReadRelationalSchema builds the typed view of the relational schema with
 // the given schemaOID from the dictionary.
-func ReadRelationalSchema(dict pg.View, oid int64) (*RelationalSchemaView, error) {
+func ReadRelationalSchema(dict *pg.Graph, oid int64) (*RelationalSchemaView, error) {
 	v := &RelationalSchemaView{}
 	relName := map[pg.OID]string{}
 	preds := dict.NodesByLabel("Predicate")

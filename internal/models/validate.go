@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -202,10 +203,16 @@ func ValidateInstance(g pg.View, view *PGSchemaView) []Violation {
 func ValidateCardinalities(g pg.View, edgeName string, fromMax1, fromMandatory bool, fromLabel string) []Violation {
 	var out []Violation
 	count := map[pg.OID]int{}
-	for _, e := range g.EdgesByLabel(edgeName) {
-		count[e.From]++
-	}
-	for _, n := range g.NodesByLabel(fromLabel) {
+	g.ScanEdges(func(e *pg.EdgeRow) bool {
+		if e.Label == edgeName {
+			count[e.From]++
+		}
+		return true
+	})
+	g.ScanNodes(func(n *pg.NodeRow) bool {
+		if !slices.Contains(n.Labels, fromLabel) {
+			return true
+		}
 		c := count[n.ID]
 		subject := fmt.Sprintf("node %d", n.ID)
 		if fromMax1 && c > 1 {
@@ -216,7 +223,8 @@ func ValidateCardinalities(g pg.View, edgeName string, fromMax1, fromMandatory b
 			out = append(out, Violation{Kind: "cardinality", Subject: subject,
 				Detail: fmt.Sprintf("no outgoing %s edge, participation is mandatory", edgeName)})
 		}
-	}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Subject < out[j].Subject })
 	return out
 }

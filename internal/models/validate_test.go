@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,6 +103,9 @@ func TestValidateInstanceIntensionalPropsOptional(t *testing.T) {
 	}
 }
 
+// TestValidateCardinalities runs the participation check over the mutable
+// graph, its frozen snapshot and an overlay whose batch gives the second
+// Share a second BELONGS_TO edge.
 func TestValidateCardinalities(t *testing.T) {
 	g := pg.New()
 	a := g.AddNode([]string{"Share"}, nil).ID
@@ -110,17 +114,34 @@ func TestValidateCardinalities(t *testing.T) {
 	biz2 := g.AddNode([]string{"Business"}, nil).ID
 	g.MustAddEdge(a, biz1, "BELONGS_TO", nil)
 	g.MustAddEdge(a, biz2, "BELONGS_TO", nil) // violates at-most-one
-	_ = b                                     // violates mandatory participation
+	g.MustAddEdge(biz1, a, "HOLDS", nil)      // another label, not counted
+	// b violates mandatory participation.
 
-	got := ValidateCardinalities(g, "BELONGS_TO", true, true, "Share")
-	if len(got) != 2 {
-		t.Fatalf("violations = %v", got)
+	tooMany := func(id pg.OID) Violation {
+		return Violation{Kind: "cardinality", Subject: fmt.Sprintf("node %d", id),
+			Detail: "2 outgoing BELONGS_TO edges, at most 1 allowed"}
 	}
-	if !strings.Contains(got[0].Detail, "at most 1") {
-		t.Errorf("first violation = %v", got[0])
+	want := []Violation{tooMany(a), {Kind: "cardinality", Subject: fmt.Sprintf("node %d", b),
+		Detail: "no outgoing BELONGS_TO edge, participation is mandatory"}}
+	ov := overlay.New(g.Freeze())
+	if _, err := ov.Apply([]overlay.Op{
+		{Kind: overlay.OpAddEdge, From: overlay.Ref{ID: b}, To: overlay.Ref{ID: biz1}, Label: "BELONGS_TO"},
+		{Kind: overlay.OpAddEdge, From: overlay.Ref{ID: b}, To: overlay.Ref{ID: biz2}, Label: "BELONGS_TO"},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(got[1].Detail, "mandatory") {
-		t.Errorf("second violation = %v", got[1])
+	for _, tc := range []struct {
+		name string
+		v    pg.View
+		want []Violation
+	}{
+		{"graph", g, want},
+		{"frozen", g.Freeze(), want},
+		{"overlay", ov, []Violation{tooMany(a), tooMany(b)}},
+	} {
+		if got := ValidateCardinalities(tc.v, "BELONGS_TO", true, true, "Share"); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: violations = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

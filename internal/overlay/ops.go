@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/pg"
@@ -223,7 +224,6 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		o.addNodes[id] = n
 		o.addNodeIDs = append(o.addNodeIDs, id) // ascending by construction
 		for _, l := range n.Labels {
-			o.addByLabel[l] = sortedset.Insert(o.addByLabel[l], id)
 			o.nodeLabelDelta[l]++
 		}
 		if op.Name != "" {
@@ -246,7 +246,6 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		e := &pg.Edge{ID: id, Label: op.Label, From: from, To: to, Props: cloneEdgeProps(op.Props)}
 		o.addEdges[id] = e
 		o.addEdgeIDs = append(o.addEdgeIDs, id)
-		o.addEdgeByLabel[op.Label] = sortedset.Insert(o.addEdgeByLabel[op.Label], id)
 		o.outAdd[from] = append(o.outAdd[from], id) // fresh OIDs ascend
 		o.inAdd[to] = append(o.inAdd[to], id)
 		o.edgeLabelDelta[op.Label]++
@@ -260,23 +259,8 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		if err != nil {
 			return err
 		}
-		// Cascade: drop the incident merged edges first (a self-loop shows
-		// up in both directions; the set dedups it).
-		incident := map[pg.OID]bool{}
-		var order []pg.OID
-		for _, e := range o.Out(id) {
-			if !incident[e.ID] {
-				incident[e.ID] = true
-				order = append(order, e.ID)
-			}
-		}
-		for _, e := range o.In(id) {
-			if !incident[e.ID] {
-				incident[e.ID] = true
-				order = append(order, e.ID)
-			}
-		}
-		for _, eid := range order {
+		// Cascade: drop the incident merged edges first.
+		for _, eid := range o.incident(id) {
 			if err := o.removeEdge(eid, rec); err != nil {
 				return err
 			}
@@ -286,17 +270,12 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		if _, added := o.addNodes[id]; added {
 			delete(o.addNodes, id)
 			o.addNodeIDs = sortedset.Remove(o.addNodeIDs, id)
-			for _, l := range n.Labels {
-				o.addByLabel[l] = sortedset.Remove(o.addByLabel[l], id)
-				o.nodeLabelDelta[l]--
-			}
 		} else {
 			o.delNodes[id] = true
 			delete(o.modNodes, id)
-			for _, l := range n.Labels {
-				o.gainByLabel[l] = sortedset.Remove(o.gainByLabel[l], id)
-				o.nodeLabelDelta[l]--
-			}
+		}
+		for _, l := range n.Labels {
+			o.nodeLabelDelta[l]--
 		}
 		delete(o.outAdd, id)
 		delete(o.inAdd, id)
@@ -342,13 +321,7 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		rec.touchNode(id)
 		n := copyNode(cur)
 		n.Labels = normalizeLabels(append(n.Labels, op.Label))
-		if _, added := o.addNodes[id]; added {
-			o.addNodes[id] = n
-			o.addByLabel[op.Label] = sortedset.Insert(o.addByLabel[op.Label], id)
-		} else {
-			o.modNodes[id] = n
-			o.gainByLabel[op.Label] = sortedset.Insert(o.gainByLabel[op.Label], id)
-		}
+		o.storeNode(id, n)
 		o.nodeLabelDelta[op.Label]++
 		return nil
 
@@ -366,6 +339,35 @@ func (o *Overlay) storeNode(id pg.OID, n *pg.Node) {
 	o.modNodes[id] = n
 }
 
+// incident lists the OIDs of a merged node's incident edges: its outgoing
+// edges, then its incoming ones, each in ascending edge-OID order. A
+// self-loop is listed once, among the outgoing edges. A base node's edges
+// come off the base's CSR windows minus the deleted ones, ahead of the added
+// edges, whose OIDs are all larger (as are an added node's, so it has no
+// base row).
+func (o *Overlay) incident(id pg.OID) []pg.OID {
+	cols := o.base.Columns()
+	row, inBase := slices.BinarySearch(cols.NodeOIDs, id)
+	var out []pg.OID
+	collect := func(off, adj []int32, add []pg.OID, in bool) {
+		if inBase {
+			for _, r := range adj[off[row]:off[row+1]] {
+				if eid := cols.EdgeOIDs[r]; !o.delEdges[eid] && !(in && cols.EdgeFrom[r] == id) {
+					out = append(out, eid)
+				}
+			}
+		}
+		for _, eid := range add {
+			if !(in && o.addEdges[eid].From == id) {
+				out = append(out, eid)
+			}
+		}
+	}
+	collect(cols.OutOff, cols.OutAdj, o.outAdd[id], false)
+	collect(cols.InOff, cols.InAdj, o.inAdd[id], true)
+	return out
+}
+
 // removeEdge drops one merged edge, maintaining the adjacency delta of the
 // surviving endpoints.
 func (o *Overlay) removeEdge(id pg.OID, rec *recorder) error {
@@ -377,7 +379,6 @@ func (o *Overlay) removeEdge(id pg.OID, rec *recorder) error {
 	if _, added := o.addEdges[id]; added {
 		delete(o.addEdges, id)
 		o.addEdgeIDs = sortedset.Remove(o.addEdgeIDs, id)
-		o.addEdgeByLabel[e.Label] = sortedset.Remove(o.addEdgeByLabel[e.Label], id)
 		o.outAdd[e.From] = sortedset.Remove(o.outAdd[e.From], id)
 		o.inAdd[e.To] = sortedset.Remove(o.inAdd[e.To], id)
 	} else {

@@ -17,11 +17,9 @@
 // property tests pin the two byte-identical through the snapshot encoder.
 //
 // Base *pg.Node values are never mutated: a property write or label gain
-// replaces the node with a private copy (modNodes). Base nodes only ever
-// gain labels (there is no label-removal operation, matching pg.Graph), an
-// invariant the label indexes exploit: NodesByLabel merges the base label
-// scan with the sorted list of base nodes that gained the label, and no base
-// membership ever has to be suppressed except by whole-node deletion.
+// replaces the node with a private copy (modNodes). Readers that want a
+// label's constructs or a node's incident edges scan the merged view; the
+// delta keeps only what the scans, degrees and label listings need.
 //
 // An Overlay is not safe for concurrent mutation. The server mutates a
 // Clone and swaps it in atomically, so concurrent readers keep a consistent
@@ -66,14 +64,6 @@ type Overlay struct {
 	// Copy-on-write replacements for mutated base nodes.
 	modNodes map[pg.OID]*pg.Node
 
-	// Label indexes over the delta, each slice ascending:
-	//   addByLabel      label -> added-node OIDs carrying it
-	//   gainByLabel     label -> base-node OIDs that gained it here
-	//   addEdgeByLabel  label -> added-edge OIDs carrying it
-	addByLabel     map[string][]pg.OID
-	gainByLabel    map[string][]pg.OID
-	addEdgeByLabel map[string][]pg.OID
-
 	// Adjacency delta, each slice ascending: added incident edges and
 	// deleted base incident edges per node.
 	outAdd map[pg.OID][]pg.OID
@@ -97,9 +87,6 @@ func New(base *pg.Frozen) *Overlay {
 		delNodes:       map[pg.OID]bool{},
 		delEdges:       map[pg.OID]bool{},
 		modNodes:       map[pg.OID]*pg.Node{},
-		addByLabel:     map[string][]pg.OID{},
-		gainByLabel:    map[string][]pg.OID{},
-		addEdgeByLabel: map[string][]pg.OID{},
 		outAdd:         map[pg.OID][]pg.OID{},
 		inAdd:          map[pg.OID][]pg.OID{},
 		outDel:         map[pg.OID][]pg.OID{},
@@ -134,9 +121,6 @@ func (o *Overlay) Clone() *Overlay {
 		delNodes:       make(map[pg.OID]bool, len(o.delNodes)),
 		delEdges:       make(map[pg.OID]bool, len(o.delEdges)),
 		modNodes:       make(map[pg.OID]*pg.Node, len(o.modNodes)),
-		addByLabel:     cloneIndex(o.addByLabel),
-		gainByLabel:    cloneIndex(o.gainByLabel),
-		addEdgeByLabel: cloneIndex(o.addEdgeByLabel),
 		outAdd:         cloneAdj(o.outAdd),
 		inAdd:          cloneAdj(o.inAdd),
 		outDel:         cloneAdj(o.outDel),
@@ -166,14 +150,6 @@ func (o *Overlay) Clone() *Overlay {
 		c.edgeLabelDelta[l] = d
 	}
 	return c
-}
-
-func cloneIndex(m map[string][]pg.OID) map[string][]pg.OID {
-	out := make(map[string][]pg.OID, len(m))
-	for k, v := range m {
-		out[k] = append([]pg.OID(nil), v...)
-	}
-	return out
 }
 
 func cloneAdj(m map[pg.OID][]pg.OID) map[pg.OID][]pg.OID {
@@ -319,94 +295,6 @@ func (o *Overlay) ScanEdgeRows(visit func(row int32, e *pg.Edge) bool) {
 			return
 		}
 	}
-}
-
-// NodesByLabel lists the merged nodes carrying a label in ascending OID
-// order: a two-pointer merge of the base label scan with the base nodes
-// that gained the label here, then the added nodes (largest OIDs last).
-func (o *Overlay) NodesByLabel(label string) []*pg.Node {
-	base := o.base.NodesByLabel(label)
-	gained := o.gainByLabel[label]
-	added := o.addByLabel[label]
-	out := make([]*pg.Node, 0, len(base)+len(gained)+len(added))
-	gi := 0
-	for _, n := range base {
-		for gi < len(gained) && gained[gi] < n.ID {
-			out = append(out, o.modNodes[gained[gi]])
-			gi++
-		}
-		if o.delNodes[n.ID] {
-			continue
-		}
-		if m, ok := o.modNodes[n.ID]; ok {
-			out = append(out, m)
-			continue
-		}
-		out = append(out, n)
-	}
-	for ; gi < len(gained); gi++ {
-		out = append(out, o.modNodes[gained[gi]])
-	}
-	for _, id := range added {
-		out = append(out, o.addNodes[id])
-	}
-	return out
-}
-
-// EdgesByLabel lists the merged edges carrying a label in ascending OID
-// order.
-func (o *Overlay) EdgesByLabel(label string) []*pg.Edge {
-	base := o.base.EdgesByLabel(label)
-	added := o.addEdgeByLabel[label]
-	out := make([]*pg.Edge, 0, len(base)+len(added))
-	for _, e := range base {
-		if o.delEdges[e.ID] {
-			continue
-		}
-		out = append(out, e)
-	}
-	for _, id := range added {
-		out = append(out, o.addEdges[id])
-	}
-	return out
-}
-
-// Out lists a node's merged outgoing edges in ascending edge-OID order.
-func (o *Overlay) Out(id pg.OID) []*pg.Edge {
-	if o.delNodes[id] {
-		return nil
-	}
-	var out []*pg.Edge
-	if _, added := o.addNodes[id]; !added {
-		for _, e := range o.base.Out(id) {
-			if !o.delEdges[e.ID] {
-				out = append(out, e)
-			}
-		}
-	}
-	for _, eid := range o.outAdd[id] {
-		out = append(out, o.addEdges[eid])
-	}
-	return out
-}
-
-// In lists a node's merged incoming edges in ascending edge-OID order.
-func (o *Overlay) In(id pg.OID) []*pg.Edge {
-	if o.delNodes[id] {
-		return nil
-	}
-	var out []*pg.Edge
-	if _, added := o.addNodes[id]; !added {
-		for _, e := range o.base.In(id) {
-			if !o.delEdges[e.ID] {
-				out = append(out, e)
-			}
-		}
-	}
-	for _, eid := range o.inAdd[id] {
-		out = append(out, o.addEdges[eid])
-	}
-	return out
 }
 
 // OutDegree counts a node's merged outgoing edges without materializing

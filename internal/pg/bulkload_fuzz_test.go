@@ -91,7 +91,7 @@ func FuzzBulkLoadBatch(f *testing.F) {
 					_ = snap.NumNodes() + snap.NumEdges()
 					_ = snap.NodeLabels()
 					if snap.NumNodes() > 0 {
-						_ = snap.Out(snap.nodeOIDs[0])
+						_ = snap.Node(snap.nodeOIDs[0])
 					}
 				}
 				finished = true

@@ -8,11 +8,10 @@ package pg
 //
 // Whole-graph readers walk the columns: ScanNodes/ScanEdges hand out one
 // reused row, and counts, degrees, label listings and single properties are
-// column arithmetic. The pointer-returning reads (Node, Edge, Out, In,
-// NodesByLabel, EdgesByLabel) build fresh structs for just the rows asked
-// for, on every call. A single snapshot is safe for any number of concurrent
-// readers: nothing on the read path mutates past the one-time label-summary
-// build.
+// column arithmetic. The point lookups Node and Edge build a fresh struct
+// for the one row asked for, on every call. A single snapshot is safe for
+// any number of concurrent readers: nothing on the read path mutates past
+// the one-time label-summary build.
 
 import (
 	"fmt"
@@ -260,7 +259,7 @@ func (f *Frozen) Node(id OID) *Node {
 	if !ok {
 		return nil
 	}
-	n := f.makeNode(row, f.labelNames(nil, row))
+	n := f.makeNode(row)
 	return &n
 }
 
@@ -328,73 +327,6 @@ func (f *Frozen) rowProps(buf PropList, keys []symtab.Sym, vals []value.Value, l
 	return buf, buf
 }
 
-// NodesByLabel returns the nodes carrying the label, in OID order: the label
-// column walked for the label's symbol, and only the matching rows built.
-func (f *Frozen) NodesByLabel(label string) []*Node {
-	nodes := make([]Node, f.NodeLabelCount(label))
-	out := make([]*Node, len(nodes))
-	if len(nodes) == 0 {
-		return out
-	}
-	sym, _ := f.syms.Lookup(label)
-	i := 0
-	for row := int32(0); i < len(nodes); row++ { // the count stops the walk at the last match
-		for _, s := range f.nodeLabels[f.nodeLabelOff[row]:f.nodeLabelOff[row+1]] {
-			if s == sym {
-				nodes[i] = f.makeNode(row, f.labelNames(nil, row))
-				out[i] = &nodes[i]
-				i++
-				break
-			}
-		}
-	}
-	return out
-}
-
-// EdgesByLabel returns the edges carrying the label, in OID order, built as
-// for NodesByLabel.
-func (f *Frozen) EdgesByLabel(label string) []*Edge {
-	edges := make([]Edge, f.EdgeLabelCount(label))
-	out := make([]*Edge, len(edges))
-	if len(edges) == 0 {
-		return out
-	}
-	sym, _ := f.syms.Lookup(label)
-	i := 0
-	for row := int32(0); i < len(edges); row++ {
-		if f.edgeLabel[row] == sym {
-			edges[i] = f.makeEdge(row)
-			out[i] = &edges[i]
-			i++
-		}
-	}
-	return out
-}
-
-// Out returns the outgoing edges of a node in edge-OID order, the CSR
-// window's edges built for this call.
-func (f *Frozen) Out(id OID) []*Edge { return f.incident(id, f.outOff, f.outAdj) }
-
-// In returns the incoming edges of a node in edge-OID order, built as for
-// Out.
-func (f *Frozen) In(id OID) []*Edge { return f.incident(id, f.inOff, f.inAdj) }
-
-// incident serves Out and In from one direction's CSR arrays.
-func (f *Frozen) incident(id OID, off, adj []int32) []*Edge {
-	row, ok := rowOf(f.nodeOIDs, id)
-	if !ok {
-		return nil
-	}
-	window := adj[off[row]:off[row+1]]
-	edges := make([]Edge, len(window))
-	out := make([]*Edge, len(window))
-	for i, r := range window {
-		edges[i] = f.makeEdge(r)
-		out[i] = &edges[i]
-	}
-	return out
-}
-
 // OutDegree returns the number of outgoing edges of a node. It reads only
 // the CSR offsets.
 func (f *Frozen) OutDegree(id OID) int {
@@ -454,8 +386,8 @@ func (f *Frozen) EdgeLabels() []string {
 	return f.edgeLabelSum.names
 }
 
-// NodeLabelCount returns the number of nodes carrying the label — the
-// length of NodesByLabel(label) without building the nodes.
+// NodeLabelCount returns the number of nodes carrying the label, read off
+// the label summary.
 func (f *Frozen) NodeLabelCount(label string) int {
 	f.summarizeLabels()
 	return f.nodeLabelSum.count[label]

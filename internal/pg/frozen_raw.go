@@ -191,7 +191,7 @@ func FrozenFromColumns(c Columns) (*Frozen, error) {
 
 	// CSR adjacency: every window must agree with the edge endpoint
 	// columns and stay in ascending edge-row order (= ascending edge OID,
-	// the Out/In contract). Ownership is a direct column comparison — the
+	// the order Graph.Out/In list). Ownership is a direct column comparison — the
 	// source of edge row r is node row i iff EdgeFrom[r] == NodeOIDs[i].
 	for i := 0; i < n; i++ {
 		for p := c.OutOff[i]; p < c.OutOff[i+1]; p++ {
@@ -243,9 +243,9 @@ func FrozenFromColumns(c Columns) (*Frozen, error) {
 }
 
 // makeNode and makeEdge are the one place a column row becomes a pointer
-// struct, for every pointer-returning read. labels is the row's label column
-// resolved to names.
-func (f *Frozen) makeNode(row int32, labels []string) Node {
+// struct, for the point lookups Node and Edge.
+func (f *Frozen) makeNode(row int32) Node {
+	labels := f.labelNames(nil, row)
 	if len(labels) == 0 {
 		labels = nil // unlabeled, matching the mutable store
 	}

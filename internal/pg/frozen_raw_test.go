@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,8 +72,8 @@ func assertFrozenEqual(t *testing.T, f, f2 *Frozen) {
 		if n, n2 := f.Node(r.ID), f2.Node(r.ID); !reflect.DeepEqual(n, n2) {
 			t.Fatalf("node %d: %+v vs %+v", r.ID, n, n2)
 		}
-		if !reflect.DeepEqual(f.Out(r.ID), f2.Out(r.ID)) || !reflect.DeepEqual(f.In(r.ID), f2.In(r.ID)) {
-			t.Fatalf("adjacency of node %d diverges", r.ID)
+		if f.OutDegree(r.ID) != f2.OutDegree(r.ID) || f.InDegree(r.ID) != f2.InDegree(r.ID) {
+			t.Fatalf("degrees of node %d diverge", r.ID)
 		}
 		for _, p := range r.Props {
 			v1, ok1 := f.NodeProp(r.ID, p.Key)
@@ -96,14 +97,18 @@ func assertFrozenEqual(t *testing.T, f, f2 *Frozen) {
 		}
 		return true
 	})
+	if !slices.Equal(f.outOff, f2.outOff) || !slices.Equal(f.outAdj, f2.outAdj) ||
+		!slices.Equal(f.inOff, f2.inOff) || !slices.Equal(f.inAdj, f2.inAdj) {
+		t.Fatal("CSR adjacency diverges")
+	}
 	for _, l := range f.NodeLabels() {
-		if !reflect.DeepEqual(f.NodesByLabel(l), f2.NodesByLabel(l)) {
-			t.Fatalf("NodesByLabel(%q) diverges", l)
+		if f.NodeLabelCount(l) != f2.NodeLabelCount(l) {
+			t.Fatalf("NodeLabelCount(%q) diverges", l)
 		}
 	}
 	for _, l := range f.EdgeLabels() {
-		if !reflect.DeepEqual(f.EdgesByLabel(l), f2.EdgesByLabel(l)) {
-			t.Fatalf("EdgesByLabel(%q) diverges", l)
+		if f.EdgeLabelCount(l) != f2.EdgeLabelCount(l) {
+			t.Fatalf("EdgeLabelCount(%q) diverges", l)
 		}
 	}
 	var b1, b2 bytes.Buffer
@@ -176,10 +181,10 @@ func cloneOIDs(s []OID) []OID { out := make([]OID, len(s)); copy(out, s); return
 
 // TestFrozenConcurrentReadersLazyFacade: a snapshot — Freeze-built or
 // column-built — builds nothing up front but its columns; its one lazy part
-// is the label summary, and every pointer read builds its rows per call.
+// is the label summary, and Node and Edge build their structs per call.
 // Column-only reads (counts, degrees, property lookups) must be correct
 // before any reader has run, and many goroutines racing the summary build
-// and each other's row builds must all read what the reference f does.
+// and each other's struct builds must all read what the reference f does.
 func TestFrozenConcurrentReadersLazyFacade(t *testing.T) {
 	g := rawRandomGraph(rand.New(rand.NewSource(7)))
 	f := g.Freeze()
@@ -222,13 +227,9 @@ func raceReads(t *testing.T, f, f2 *Frozen) {
 					errs <- "Node() diverges"
 					return
 				}
-				if !reflect.DeepEqual(f2.Out(id), f.Out(id)) {
-					errs <- "Out() diverges"
-					return
-				}
 				for _, l := range f2.NodeLabels() {
-					if !reflect.DeepEqual(f2.NodesByLabel(l), f.NodesByLabel(l)) {
-						errs <- "NodesByLabel diverges"
+					if f2.NodeLabelCount(l) != f.NodeLabelCount(l) {
+						errs <- "NodeLabelCount diverges"
 						return
 					}
 				}

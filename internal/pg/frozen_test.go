@@ -109,7 +109,7 @@ func TestFrozenViewEquivalence(t *testing.T) {
 }
 
 // TestFrozenReadsWithoutFacade: a snapshot answers every read from its
-// columns alone. Pointer reads build a fresh struct per call and cache
+// columns alone. Node and Edge build a fresh struct per call and cache
 // nothing, so a caller mutating one result leaves the next read intact, and
 // Thaw still reproduces the source graph.
 func TestFrozenReadsWithoutFacade(t *testing.T) {
@@ -139,11 +139,11 @@ func TestFrozenReadsWithoutFacade(t *testing.T) {
 	}
 }
 
-// checkReads is the one read check of a frozen snapshot: point lookups and
-// adjacency (built per call), degrees, single properties, label listings,
-// counts and label lookups, and the row scans, each compared against the
-// graph f was frozen from. It reports with t.Errorf, so concurrent readers
-// can run it too.
+// checkReads is the one read check of a frozen snapshot: point lookups
+// (built per call), the CSR windows, degrees, single properties, label
+// listings and counts, and the row scans, each compared against the graph f
+// was frozen from. It reports with t.Errorf, so concurrent readers can run
+// it too.
 func checkReads(t *testing.T, f *Frozen, g *Graph) {
 	t.Helper()
 	if f.NumNodes() != g.NumNodes() || f.NumEdges() != g.NumEdges() {
@@ -153,12 +153,6 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 	for _, n := range nodes {
 		if got := f.Node(n.ID); !reflect.DeepEqual(got, n) {
 			t.Errorf("Node(%d) = %+v, want %+v", n.ID, got, n)
-		}
-		if got, want := f.Out(n.ID), g.Out(n.ID); !reflect.DeepEqual(got, want) {
-			t.Errorf("Out(%d) = %v, want %v", n.ID, got, want)
-		}
-		if got, want := f.In(n.ID), g.In(n.ID); !reflect.DeepEqual(got, want) {
-			t.Errorf("In(%d) = %v, want %v", n.ID, got, want)
 		}
 		if f.OutDegree(n.ID) != g.OutDegree(n.ID) || f.InDegree(n.ID) != g.InDegree(n.ID) {
 			t.Errorf("degrees of node %d diverge", n.ID)
@@ -182,7 +176,8 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 			}
 		}
 	}
-	if f.Node(1<<40) != nil || f.Edge(1<<40) != nil || f.Out(1<<40) != nil || f.In(1<<40) != nil {
+	checkCSR(t, f, g)
+	if f.Node(1<<40) != nil || f.Edge(1<<40) != nil || f.OutDegree(1<<40) != 0 || f.InDegree(1<<40) != 0 {
 		t.Errorf("lookup of an absent OID returned a construct")
 	}
 	if got, want := f.NodeLabels(), g.NodeLabels(); !reflect.DeepEqual(got, want) {
@@ -192,21 +187,13 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 		t.Errorf("EdgeLabels = %v, want %v", got, want)
 	}
 	for _, l := range append(g.NodeLabels(), "NoSuchLabel") {
-		want := g.NodesByLabel(l)
-		if got := f.NodesByLabel(l); !reflect.DeepEqual(got, want) {
-			t.Errorf("NodesByLabel(%q) = %v, want %v", l, got, want)
-		}
-		if got := f.NodeLabelCount(l); got != len(want) {
-			t.Errorf("NodeLabelCount(%q) = %d, want %d", l, got, len(want))
+		if got, want := f.NodeLabelCount(l), len(g.NodesByLabel(l)); got != want {
+			t.Errorf("NodeLabelCount(%q) = %d, want %d", l, got, want)
 		}
 	}
 	for _, l := range append(g.EdgeLabels(), "NoSuchLabel") {
-		want := g.EdgesByLabel(l)
-		if got := f.EdgesByLabel(l); !reflect.DeepEqual(got, want) {
-			t.Errorf("EdgesByLabel(%q) = %v, want %v", l, got, want)
-		}
-		if got := f.EdgeLabelCount(l); got != len(want) {
-			t.Errorf("EdgeLabelCount(%q) = %d, want %d", l, got, len(want))
+		if got, want := f.EdgeLabelCount(l), len(g.EdgesByLabel(l)); got != want {
+			t.Errorf("EdgeLabelCount(%q) = %d, want %d", l, got, want)
 		}
 	}
 	i := 0
@@ -227,9 +214,38 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 	})
 }
 
+// checkCSR checks the snapshot's adjacency against the graph it was frozen
+// from: every node's out and in CSR windows hold, in order, the rows of the
+// edges Graph.Out and Graph.In list.
+func checkCSR(t *testing.T, f *Frozen, g *Graph) {
+	t.Helper()
+	window := func(off, adj []int32, row int) []OID {
+		ids := []OID{}
+		for _, r := range adj[off[row]:off[row+1]] {
+			ids = append(ids, f.edgeOIDs[r])
+		}
+		return ids
+	}
+	edgeIDs := func(es []*Edge) []OID {
+		ids := []OID{}
+		for _, e := range es {
+			ids = append(ids, e.ID)
+		}
+		return ids
+	}
+	for row, id := range f.nodeOIDs {
+		if got, want := window(f.outOff, f.outAdj, row), edgeIDs(g.Out(id)); !reflect.DeepEqual(got, want) {
+			t.Errorf("out window of node %d = %v, want %v", id, got, want)
+		}
+		if got, want := window(f.inOff, f.inAdj, row), edgeIDs(g.In(id)); !reflect.DeepEqual(got, want) {
+			t.Errorf("in window of node %d = %v, want %v", id, got, want)
+		}
+	}
+}
+
 // TestFrozenReadersRaceLabelSummary: eight readers run the whole read check
 // on one fresh snapshot at once, so their first label listings and counts
-// race the one label-summary build and every pointer read builds its rows
+// race the one label-summary build and every point lookup builds its struct
 // beside the others'. make test-race reruns it ten times under the race
 // detector.
 func TestFrozenReadersRaceLabelSummary(t *testing.T) {
@@ -314,21 +330,21 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				total := 0
 				for _, l := range f.NodeLabels() {
-					total += len(f.NodesByLabel(l))
+					total += f.NodeLabelCount(l)
 				}
 				f.ScanNodes(func(n *NodeRow) bool {
-					for _, e := range f.Out(n.ID) {
-						_ = f.Edge(e.ID)
-					}
-					for _, e := range f.In(n.ID) {
-						_, _ = f.EdgeProp(e.ID, "pct")
-					}
+					_ = f.Node(n.ID)
 					_, _ = f.NodeProp(n.ID, "name")
 					_ = f.InDegree(n.ID) + f.OutDegree(n.ID)
 					return true
 				})
+				f.ScanEdges(func(e *EdgeRow) bool {
+					_ = f.Edge(e.ID)
+					_, _ = f.EdgeProp(e.ID, "pct")
+					return true
+				})
 				for _, l := range f.EdgeLabels() {
-					total += len(f.EdgesByLabel(l))
+					total += f.EdgeLabelCount(l)
 				}
 				if total == 0 && f.NumNodes() > 0 && len(f.NodeLabels()) > 0 {
 					errs <- fmt.Errorf("reader %d: label scan went empty", w)

@@ -25,10 +25,12 @@ import (
 // Contract: all iteration orders are ascending OID (slices) or sorted
 // (label lists), identical across implementations — reasoning over a frozen
 // snapshot is bit-identical to reasoning over the graph it snapshots.
-// Returned slices and structs must be treated as read-only: *Graph hands out
-// its own structs in fresh slices, *Frozen builds fresh structs for every
-// pointer-returning read (Node, Edge, NodesByLabel, EdgesByLabel, Out, In)
-// and shares only its label lists.
+// Returned structs and slices must be treated as read-only: *Graph hands out
+// its own structs, *Frozen builds fresh ones on every Node/Edge call and
+// shares only its label lists. A View lists no label's constructs and no
+// node's incident edges: readers that need them scan, and only the mutable
+// *Graph, which holds the pointer structs natively, keeps NodesByLabel,
+// EdgesByLabel, Out and In as its own methods.
 type View interface {
 	// NumNodes and NumEdges return the sizes of N and E.
 	NumNodes() int
@@ -47,15 +49,6 @@ type View interface {
 	// map.
 	ScanNodes(visit func(*NodeRow) bool)
 	ScanEdges(visit func(*EdgeRow) bool)
-
-	// NodesByLabel and EdgesByLabel list the constructs carrying a label,
-	// in ascending OID order.
-	NodesByLabel(label string) []*Node
-	EdgesByLabel(label string) []*Edge
-
-	// Out and In list a node's incident edges in ascending edge-OID order.
-	Out(id OID) []*Edge
-	In(id OID) []*Edge
 
 	// OutDegree and InDegree count a node's incident edges.
 	OutDegree(id OID) int

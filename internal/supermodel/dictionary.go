@@ -141,7 +141,7 @@ func hasSchemaOID(n *pg.Node, oid int64) bool {
 }
 
 // FromDictionary reconstructs a super-schema from a graph dictionary.
-func FromDictionary(g pg.View, schemaOID int64, name string) (*Schema, error) {
+func FromDictionary(g *pg.Graph, schemaOID int64, name string) (*Schema, error) {
 	s := NewSchema(name, schemaOID)
 
 	typeName := func(owner pg.OID, typeEdgeLabel string) (string, error) {
@@ -304,33 +304,23 @@ type SchemaInfo struct {
 // schemaOID (Example 5.1).
 func ListSchemas(g pg.View) []SchemaInfo {
 	byOID := map[int64]*SchemaInfo{}
-	get := func(n *pg.Node) *SchemaInfo {
-		so, ok := n.Props["schemaOID"]
+	g.ScanNodes(func(r *pg.NodeRow) bool {
+		so, ok := r.Props.Get("schemaOID")
 		if !ok || so.K != value.Int {
-			return nil
+			return true
 		}
-		info := byOID[so.I]
-		if info == nil {
-			info = &SchemaInfo{OID: so.I}
-			byOID[so.I] = info
+		for _, l := range r.Labels {
+			switch l {
+			case LNode:
+				schemaInfo(byOID, so.I).Nodes++
+			case LEdge:
+				schemaInfo(byOID, so.I).Edges++
+			case LGeneralization:
+				schemaInfo(byOID, so.I).Generalizations++
+			}
 		}
-		return info
-	}
-	for _, n := range g.NodesByLabel(LNode) {
-		if info := get(n); info != nil {
-			info.Nodes++
-		}
-	}
-	for _, n := range g.NodesByLabel(LEdge) {
-		if info := get(n); info != nil {
-			info.Edges++
-		}
-	}
-	for _, n := range g.NodesByLabel(LGeneralization) {
-		if info := get(n); info != nil {
-			info.Generalizations++
-		}
-	}
+		return true
+	})
 	oids := make([]int64, 0, len(byOID))
 	for oid := range byOID {
 		oids = append(oids, oid)
@@ -341,6 +331,16 @@ func ListSchemas(g pg.View) []SchemaInfo {
 		out = append(out, *byOID[oid])
 	}
 	return out
+}
+
+// schemaInfo returns the inventory entry of a schema OID, made on first use.
+func schemaInfo(byOID map[int64]*SchemaInfo, oid int64) *SchemaInfo {
+	info := byOID[oid]
+	if info == nil {
+		info = &SchemaInfo{OID: oid}
+		byOID[oid] = info
+	}
+	return info
 }
 
 // MetaModelDictionary builds the fixed meta-model graph of Figure 2: the

@@ -3,6 +3,9 @@ package supermodel
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/pg"
+	"repro/internal/snapfile"
 )
 
 func TestSchemaBuilderValidation(t *testing.T) {
@@ -324,5 +327,21 @@ func TestListSchemas(t *testing.T) {
 	}
 	if infos[1].OID != CompanyKGOID || infos[1].Nodes != 11 || infos[1].Edges != 11 || infos[1].Generalizations != 4 {
 		t.Errorf("companykg info = %+v", infos[1])
+	}
+
+	// kgse -list reads a snapshot of the dictionary as well as its JSON.
+	frozen := dict.Freeze()
+	data, err := snapfile.Encode(frozen, snapfile.BuildInfo{Tool: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapfile.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]pg.View{"frozen": frozen, "snapshot": snap.Frozen} {
+		if got := ListSchemas(v); !reflect.DeepEqual(got, infos) {
+			t.Errorf("%s: schemas = %+v, want %+v", name, got, infos)
+		}
 	}
 }

@@ -134,19 +134,9 @@ func (e *Expr) findAggregate() *Aggregate {
 }
 
 // Env resolves variable names during expression evaluation. The engine
-// provides a slot-based implementation; binding (a plain map) is a simple
-// implementation for tests and small callers.
+// provides the one implementation, over a rule's variable slots.
 type Env interface {
 	Lookup(name string) (value.Value, bool)
-}
-
-// binding is a map-based Env.
-type binding map[string]value.Value
-
-// Lookup implements Env.
-func (b binding) Lookup(name string) (value.Value, bool) {
-	v, ok := b[name]
-	return v, ok
 }
 
 // Eval evaluates the expression under the binding. Aggregate nodes are an
