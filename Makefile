@@ -58,7 +58,7 @@ test-chaos: build
 # farm.
 FUZZ_TARGETS = FuzzParse:metalog FuzzParse:gsl FuzzParse:vadalog \
 	FuzzDecodeQuery:server FuzzDecodeMutation:server FuzzOpenSnapshot:snapfile \
-	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg \
+	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg FuzzFreeze:pg \
 	FuzzRelationIndex:vadalog FuzzStratifiedAggregate:vadalog
 
 fuzz-smoke: build

@@ -176,7 +176,7 @@ func explainComponents(frozen *pg.Frozen, comps []instance.Component) {
 			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", c.Name, err)
 			continue
 		}
-		_, pl, err := plan.Compile(tr.Program, st, plan.Options{Demand: true})
+		_, pl, err := plan.Compile(tr.Program, st)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kgreason: explain %s: %v\n", c.Name, err)
 			continue

@@ -49,7 +49,7 @@ func OpenGraph(path string) (*pg.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.Freeze(), nil
+	return pg.FreezeView(g)
 }
 
 // IsSnapshot sniffs the snapshot magic at the head of the file at path,

@@ -73,7 +73,7 @@ func PrepareBody(cat *Catalog, body []BodyElem, st *plan.Stats) (*Prepared, erro
 		cat:       cat,
 		unplanned: tr.Program,
 	}
-	planned, info, perr := plan.Compile(tr.Program, st, plan.Options{Demand: true})
+	planned, info, perr := plan.Compile(tr.Program, st)
 	if perr != nil {
 		obs.Engine.PlanFallbacks.Add(1)
 		p.info = plan.Unplanned("planning failed: " + perr.Error())

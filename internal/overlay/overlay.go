@@ -9,8 +9,8 @@
 // works over a live overlay unchanged.
 //
 // The design is LSM-flavored: writes accumulate in the overlay (the
-// memtable), reads merge base and delta on the fly, and Compact folds the
-// delta into the next frozen generation (the flush). Fresh OIDs are
+// memtable), reads merge base and delta on the fly, and Compact streams the
+// merged rows into the next frozen generation (the flush). Fresh OIDs are
 // allocated strictly above every base OID — exactly where Thaw's allocator
 // resumes — so compacting an overlay and replaying the same mutations on a
 // thawed copy of the base produce identical graphs, OIDs included; the
@@ -160,20 +160,19 @@ func cloneAdj(m map[pg.OID][]pg.OID) map[pg.OID][]pg.OID {
 	return out
 }
 
-// Compact folds the overlay into a fresh frozen snapshot: the next
-// generation of the two-phase lifecycle. The output is exactly what
-// freezing the equivalently-mutated graph would produce — Freeze interns
-// labels and keys from content in one canonical order — so snapshots of
-// compacted overlays stay byte-identical under the snapfile encoder.
+// Compact folds the overlay into a fresh frozen snapshot, the next
+// generation of the two-phase lifecycle, by streaming the merged rows into
+// pg.FreezeView. The output is what freezing the equivalently-mutated graph
+// produces, byte for byte under the snapfile encoder.
 func (o *Overlay) Compact() (*pg.Frozen, error) {
 	if err := fault.Hit(siteCompact); err != nil {
 		return nil, err
 	}
-	g, err := pg.CopyView(o)
+	f, err := pg.FreezeView(o)
 	if err != nil {
 		return nil, fmt.Errorf("overlay: compacting: %w", err)
 	}
-	return g.Freeze(), nil
+	return f, nil
 }
 
 // ---- pg.View ----

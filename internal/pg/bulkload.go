@@ -8,7 +8,8 @@ package pg
 // scale (11.97M nodes / 14.18M edges, ~15 min load+flush) and an order of
 // magnitude past it, that bookkeeping is the difference between a load that
 // fits in memory and one that does not. The loader instead appends straight
-// into the exact columnar arrays Freeze would have produced:
+// into the snapshot's columnar arrays; it is the one packer of snapshot
+// columns, through which FreezeView streams a view's rows too.
 //
 //   - Add* calls copy batch payloads into the final numeric/value columns
 //     (offsets are arithmetic for uniform batches, so they are written on
@@ -16,7 +17,7 @@ package pg
 //   - Finish shards the batches across W workers. Workers collect distinct
 //     names into per-shard symtab.Sets, which merge into one sorted,
 //     deterministic symbol table — node labels, then edge labels, then
-//     property keys, each group sorted, exactly Freeze's interning order.
+//     property keys, each group sorted: a function of content alone.
 //     Workers then fill the symbol columns and permute each batch's
 //     property values into symbol order, over disjoint ranges, so the
 //     result is independent of scheduling (the PR 1 shard-merge
@@ -29,7 +30,8 @@ package pg
 // the loader produces byte-identical Columns, which snapfile.Encode maps to
 // byte-identical files. The differential sweep in internal/fingraph holds
 // this against GenerateTopology→Freeze across seeds, sizes and worker
-// counts.
+// counts, and the reference packer in freeze_oracle_test.go checks the
+// layout itself.
 //
 // Failure contract: any error (malformed batch, dangling edge, injected
 // fault at pg/bulkload) leaves no partial dictionary state — the symbol
@@ -43,6 +45,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -52,9 +55,10 @@ import (
 )
 
 // siteBulkLoad brackets per-batch work inside Finish's worker pool: one hit
-// per staged batch. Chaos tests arm it with error/panic plans to prove the
-// no-partial-state contract; the load benchmarks arm it with a delay plan to
-// measure worker overlap independently of core count.
+// per staged batch, so it fires inside FreezeView, Graph.Freeze and the
+// overlay's compaction as well. Chaos tests arm it with error/panic plans
+// to prove the no-partial-state contract; the load benchmarks arm it with a
+// delay plan to measure worker overlap independently of core count.
 var siteBulkLoad = fault.Site("pg/bulkload")
 
 // Typed bulk-ingest errors. All loader failures match exactly one of these
@@ -146,34 +150,19 @@ func NewBulkLoader(workers int) *BulkLoader {
 }
 
 // Reserve pre-sizes the columns for a load whose totals are known, so the
-// append path never reallocates: one exact-size allocation per column. The
+// append path never reallocates: at most one allocation per column. The
 // streaming generator knows its totals after the prepass and calls this
 // before the first batch.
 func (l *BulkLoader) Reserve(nodes, nodeProps, edges, edgeProps int) {
-	grow := func(oids []OID, n int) []OID {
-		out := make([]OID, len(oids), len(oids)+n)
-		copy(out, oids)
-		return out
-	}
-	growOff := func(off []int32, n int) []int32 {
-		out := make([]int32, len(off), len(off)+n)
-		copy(out, off)
-		return out
-	}
-	growVals := func(vals []value.Value, n int) []value.Value {
-		out := make([]value.Value, len(vals), len(vals)+n)
-		copy(out, vals)
-		return out
-	}
-	l.nodeOIDs = grow(l.nodeOIDs, nodes)
-	l.nodeLabelOff = growOff(l.nodeLabelOff, nodes)
-	l.nodePropOff = growOff(l.nodePropOff, nodes)
-	l.nodePropVals = growVals(l.nodePropVals, nodeProps)
-	l.edgeOIDs = grow(l.edgeOIDs, edges)
-	l.edgeFrom = grow(l.edgeFrom, edges)
-	l.edgeTo = grow(l.edgeTo, edges)
-	l.edgePropOff = growOff(l.edgePropOff, edges)
-	l.edgePropVals = growVals(l.edgePropVals, edgeProps)
+	l.nodeOIDs = slices.Grow(l.nodeOIDs, nodes)
+	l.nodeLabelOff = slices.Grow(l.nodeLabelOff, nodes)
+	l.nodePropOff = slices.Grow(l.nodePropOff, nodes)
+	l.nodePropVals = slices.Grow(l.nodePropVals, nodeProps)
+	l.edgeOIDs = slices.Grow(l.edgeOIDs, edges)
+	l.edgeFrom = slices.Grow(l.edgeFrom, edges)
+	l.edgeTo = slices.Grow(l.edgeTo, edges)
+	l.edgePropOff = slices.Grow(l.edgePropOff, edges)
+	l.edgePropVals = slices.Grow(l.edgePropVals, edgeProps)
 }
 
 // strictlyAscending reports whether names are sorted with no duplicates.
@@ -189,7 +178,7 @@ func strictlyAscending(names []string) bool {
 // checkOIDRun validates one batch's OID column against the staged tail:
 // positive, strictly ascending, strictly above last.
 func checkOIDRun(what string, oids []OID, last OID) error {
-	for i, id := range oids {
+	for _, id := range oids {
 		if id < 1 {
 			return fmt.Errorf("%w: %s OID %d is not positive", ErrBadBatch, what, id)
 		}
@@ -197,7 +186,6 @@ func checkOIDRun(what string, oids []OID, last OID) error {
 			return fmt.Errorf("%w: %s OID %d after %d", ErrDuplicateOID, what, id, last)
 		}
 		last = id
-		_ = i
 	}
 	return nil
 }
@@ -301,12 +289,6 @@ func (l *BulkLoader) AddEdges(b EdgeBatch) error {
 	return nil
 }
 
-// NumNodes reports the number of staged nodes.
-func (l *BulkLoader) NumNodes() int { return len(l.nodeOIDs) }
-
-// NumEdges reports the number of staged edges.
-func (l *BulkLoader) NumEdges() int { return len(l.edgeOIDs) }
-
 // Finish assembles the staged batches into a validated Frozen snapshot. It
 // may be called once; afterwards the loader is done regardless of outcome.
 // On error no snapshot and no symbol table escape — the failed load leaves
@@ -317,10 +299,7 @@ func (l *BulkLoader) Finish() (*Frozen, error) {
 	}
 	l.done = true
 
-	syms, err := l.buildSymbols()
-	if err != nil {
-		return nil, err
-	}
+	syms := l.buildSymbols()
 	nodeLabels := make([]symtab.Sym, l.nodeLabelOff[len(l.nodeLabelOff)-1])
 	nodePropKeys := make([]symtab.Sym, len(l.nodePropVals))
 	edgeLabels := make([]symtab.Sym, len(l.edgeOIDs))
@@ -358,11 +337,11 @@ func (l *BulkLoader) Finish() (*Frozen, error) {
 }
 
 // buildSymbols collects the distinct names of every staged batch into
-// per-worker shard dictionaries and merges them into one table in Freeze's
+// per-worker shard dictionaries and merges them into one table in one
 // deterministic order: sorted node labels, sorted edge labels, sorted
 // property keys. The final symbol assignment depends only on the name
 // population, not on sharding or worker count.
-func (l *BulkLoader) buildSymbols() (*symtab.Table, error) {
+func (l *BulkLoader) buildSymbols() *symtab.Table {
 	w := l.workers
 	type shardSets struct{ nodeLabels, edgeLabels, propKeys *symtab.Set }
 	shards := make([]shardSets, w)
@@ -408,7 +387,7 @@ func (l *BulkLoader) buildSymbols() (*symtab.Table, error) {
 	for _, n := range collect(func(s shardSets) *symtab.Set { return s.propKeys }) {
 		t.Intern(n)
 	}
-	return t, nil
+	return t
 }
 
 // fillSymbolColumns resolves each batch's names against the final table and
@@ -496,9 +475,8 @@ func lookupAll(syms *symtab.Table, names []string) []symtab.Sym {
 // fillPropColumn writes one batch's property-key symbols and reorders its
 // value rows into ascending symbol order. Batch keys arrive sorted by name,
 // but symbol order can differ: a key that doubles as a label was interned
-// in the earlier label groups and carries a smaller symbol (Freeze has the
-// same wrinkle — it sorts each row by symbol). perm/rowBuf are per-worker
-// scratch, returned for reuse.
+// in the earlier label groups and carries a smaller symbol. perm/rowBuf
+// are per-worker scratch, returned for reuse.
 func fillPropColumn(syms *symtab.Table, m batchMeta, off []int32, keyCol []symtab.Sym, valCol []value.Value, perm []int, rowBuf []value.Value) ([]int, []value.Value) {
 	nk := len(m.keys)
 	if nk == 0 {

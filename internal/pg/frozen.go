@@ -1,10 +1,9 @@
 package pg
 
-// Frozen is the immutable second phase of a graph dictionary's lifecycle.
-// Freeze repacks the mutable store's map-of-pointers representation into
+// Frozen is the immutable second phase of a graph dictionary's lifecycle:
 // columnar arrays — interned label symbols, CSR-packed label membership,
-// property columns, and CSR in/out adjacency — and the columns are all a
-// snapshot holds.
+// property columns, and CSR in/out adjacency — packed from rows by the
+// BulkLoader, through which FreezeView streams any view.
 //
 // Whole-graph readers walk the columns: ScanNodes/ScanEdges hand out one
 // reused row, and counts, degrees, label listings and single properties are
@@ -15,7 +14,9 @@ package pg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/symtab"
@@ -24,14 +25,15 @@ import (
 
 // Frozen is an immutable snapshot of a Graph. It implements View; the label
 // lists it returns are shared across calls and must not be modified.
-// The zero value is not usable; construct snapshots with Graph.Freeze.
+// The zero value is not usable; construct snapshots with Graph.Freeze,
+// FreezeView, a BulkLoader or FrozenFromColumns.
 type Frozen struct {
 	syms *symtab.Table // labels and property keys, interned in sorted order
 
 	// Columnar node storage, one row per node in ascending OID order.
-	// Row i's labels are nodeLabelSyms[nodeLabelOff[i]:nodeLabelOff[i+1]]
+	// Row i's labels are nodeLabels[nodeLabelOff[i]:nodeLabelOff[i+1]]
 	// and its properties the matching window of nodePropKeys/nodePropVals,
-	// sorted by key symbol (= lexicographic, see Freeze).
+	// sorted by key symbol.
 	nodeOIDs     []OID
 	nodeLabelOff []int32
 	nodeLabels   []symtab.Sym
@@ -63,124 +65,104 @@ type Frozen struct {
 	edgeLabelSum labelSummary
 }
 
-// Freeze snapshots the graph into its immutable frozen form. The snapshot
-// is deep: later mutations of g are invisible to it, and it holds no
-// references into g's maps. Cost is O(nodes + edges + properties); the
-// intended use is freezing once after the build phase and sharing the
-// snapshot across readers, per the staging discipline of Section 6.
-//
-// Symbol assignment is deterministic: labels and property keys are interned
-// in sorted order, so two graphs with equal content freeze to snapshots
-// with identical symbol tables.
+// Freeze snapshots the graph into its immutable frozen form: FreezeView
+// over the graph. The snapshot is deep: later mutations of g are invisible
+// to it. Cost is O(nodes + edges + properties); the intended use is
+// freezing once after the build phase and sharing the snapshot across
+// readers, per the staging discipline of Section 6. A Graph's OIDs are
+// positive and unique and its edges' endpoints present, so only an armed
+// pg/bulkload fault can fail the freeze, and Freeze panics on it.
 func (g *Graph) Freeze() *Frozen {
-	f := &Frozen{syms: symtab.New()}
-
-	// Intern every name in sorted order: node labels, edge labels, then
-	// property keys. Sorted interning makes Sym order match lexicographic
-	// order within each group, which the property columns rely on.
-	for _, l := range g.NodeLabels() {
-		f.syms.Intern(l)
-	}
-	for _, l := range g.EdgeLabels() {
-		f.syms.Intern(l)
-	}
-	propKeys := map[string]bool{}
-	for _, n := range g.nodes {
-		for k := range n.Props {
-			propKeys[k] = true
-		}
-	}
-	for _, e := range g.edges {
-		for k := range e.Props {
-			propKeys[k] = true
-		}
-	}
-	sortedKeys := make([]string, 0, len(propKeys))
-	for k := range propKeys {
-		sortedKeys = append(sortedKeys, k)
-	}
-	sort.Strings(sortedKeys)
-	for _, k := range sortedKeys {
-		f.syms.Intern(k)
-	}
-
-	f.freezeNodes(g)
-	f.freezeEdges(g)
-	var err error
-	f.outOff, f.outAdj, f.inOff, f.inAdj, err = buildCSR(f.nodeOIDs, f.edgeOIDs, f.edgeFrom, f.edgeTo)
+	f, err := FreezeView(g)
 	if err != nil {
-		panic(err) // cannot happen: Graph enforces endpoint existence
+		panic(err)
 	}
 	return f
 }
 
-func (f *Frozen) freezeNodes(g *Graph) {
-	srcNodes := g.Nodes() // ascending OID
-	f.nodeOIDs = make([]OID, len(srcNodes))
-	f.nodeLabelOff = make([]int32, len(srcNodes)+1)
-	f.nodePropOff = make([]int32, len(srcNodes)+1)
-	for i, n := range srcNodes {
-		f.nodeOIDs[i] = n.ID
-		for _, l := range n.Labels { // already sorted unique
-			f.nodeLabels = append(f.nodeLabels, f.sym(l))
+// FreezeView packs a view into a snapshot through a BulkLoader. It scans the
+// nodes, then the edges, in OID order and stages every run of consecutive
+// rows of one shape as one batch: a node's shape is its labels and its keys
+// in name order, an edge's its label and keys. The columns pass
+// FrozenFromColumns' checks like any snapshot file's, and equal content
+// freezes to equal columns whatever the view: labels and property keys are
+// interned from content, in the loader's canonical order.
+func FreezeView(v View) (*Frozen, error) {
+	l := NewBulkLoader(0)
+	l.Reserve(v.NumNodes(), 0, v.NumEdges(), 0)
+	var (
+		err   error
+		run   shapeRun
+		nb    NodeBatch
+		eb    EdgeBatch
+		label [1]string
+	)
+	v.ScanNodes(func(r *NodeRow) bool {
+		if run.next(r.Labels, r.Props) && len(nb.OIDs) > 0 {
+			err = l.AddNodes(nb)
+			nb.OIDs, nb.Vals = nb.OIDs[:0], nb.Vals[:0]
 		}
-		f.nodeLabelOff[i+1] = int32(len(f.nodeLabels))
-		f.appendProps(n.Props, &f.nodePropKeys, &f.nodePropVals)
-		f.nodePropOff[i+1] = int32(len(f.nodePropKeys))
+		nb.Labels, nb.Keys = run.labels, run.keys
+		nb.OIDs, nb.Vals = append(nb.OIDs, r.ID), append(nb.Vals, run.vals...)
+		return err == nil
+	})
+	if err == nil {
+		err = l.AddNodes(nb)
 	}
-}
-
-func (f *Frozen) freezeEdges(g *Graph) {
-	srcEdges := g.Edges() // ascending OID
-	f.edgeOIDs = make([]OID, len(srcEdges))
-	f.edgeLabel = make([]symtab.Sym, len(srcEdges))
-	f.edgeFrom = make([]OID, len(srcEdges))
-	f.edgeTo = make([]OID, len(srcEdges))
-	f.edgePropOff = make([]int32, len(srcEdges)+1)
-	for i, e := range srcEdges {
-		f.edgeOIDs[i] = e.ID
-		f.edgeLabel[i] = f.sym(e.Label)
-		f.edgeFrom[i] = e.From
-		f.edgeTo[i] = e.To
-		f.appendProps(e.Props, &f.edgePropKeys, &f.edgePropVals)
-		f.edgePropOff[i+1] = int32(len(f.edgePropKeys))
+	v.ScanEdges(func(r *EdgeRow) bool {
+		if label[0] = r.Label; run.next(label[:], r.Props) && len(eb.OIDs) > 0 {
+			err = l.AddEdges(eb)
+			eb.OIDs, eb.From, eb.To, eb.Vals = eb.OIDs[:0], eb.From[:0], eb.To[:0], eb.Vals[:0]
+		}
+		eb.Label, eb.Keys = run.labels[0], run.keys
+		eb.OIDs, eb.From, eb.To = append(eb.OIDs, r.ID), append(eb.From, r.From), append(eb.To, r.To)
+		eb.Vals = append(eb.Vals, run.vals...)
+		return err == nil
+	})
+	if err == nil {
+		err = l.AddEdges(eb)
 	}
-}
-
-// sym interns a label that may be absent from the pre-pass (the empty edge
-// label of unlabeled edges reaches here).
-func (f *Frozen) sym(name string) symtab.Sym {
-	return f.syms.Intern(name)
-}
-
-// appendProps appends one construct's properties to the shared key/value
-// columns, sorted by key symbol. Within the property-key group symbols were
-// assigned in lexicographic order, so symbol order is name order.
-func (f *Frozen) appendProps(p Props, keys *[]symtab.Sym, vals *[]value.Value) {
-	start := len(*keys)
-	for k, v := range p {
-		*keys = append(*keys, f.sym(k))
-		*vals = append(*vals, v)
+	if err != nil {
+		return nil, err
 	}
-	row := (*keys)[start:]
-	rowVals := (*vals)[start:]
-	sort.Sort(&propSorter{keys: row, vals: rowVals})
+	return l.Finish()
 }
 
-type propSorter struct {
-	keys []symtab.Sym
-	vals []value.Value
+// shapeRun follows FreezeView's scan: the shape — labels and key names — of
+// the current run of rows, and the current row's values in key-name order.
+type shapeRun struct {
+	labels, keys []string
+	vals         []value.Value
+	sorted       PropList
 }
 
-func (s *propSorter) Len() int           { return len(s.keys) }
-func (s *propSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *propSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
+// next takes in one row and reports whether it starts a new run. A new
+// shape gets fresh label and key slices, so the staged batch of the run
+// before keeps its own.
+func (s *shapeRun) next(labels []string, props PropList) bool {
+	byKey := func(a, b Prop) int { return strings.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(props, byKey) { // a bulk-loaded row is in symbol order
+		s.sorted = append(s.sorted[:0], props...)
+		slices.SortFunc(s.sorted, byKey)
+		props = s.sorted
+	}
+	same := slices.Equal(s.labels, labels) && len(s.keys) == len(props)
+	s.vals = s.vals[:0]
+	for i, p := range props {
+		same = same && s.keys[i] == p.Key
+		s.vals = append(s.vals, p.Val)
+	}
+	if !same {
+		s.labels, s.keys = slices.Clone(labels), make([]string, len(props))
+		for i, p := range props {
+			s.keys[i] = p.Key
+		}
+	}
+	return !same
 }
 
-// buildCSR packs the incident-edge lists CSR-style for Freeze and
-// BulkLoader.Finish: one counting pass, a prefix sum, and a fill pass in
+// buildCSR packs the incident-edge lists CSR-style for BulkLoader.Finish:
+// one counting pass, a prefix sum, and a fill pass in
 // ascending edge-row order, so each node's window is sorted by edge OID like
 // Graph.Out/In. Node and edge OID columns must be strictly ascending.
 // Endpoint resolution uses the dense fast path when node OIDs are
@@ -228,7 +210,7 @@ func buildCSR(nodeOIDs, edgeOIDs, edgeFrom, edgeTo []OID) (outOff, outAdj, inOff
 
 // rowOf binary-searches an ascending OID column for id, returning the row
 // index. This replaces the old OID→row hash maps: the columns are sorted by
-// construction (Freeze) or by validation (FrozenFromColumns), lookup is
+// validation (FrozenFromColumns, which every snapshot passes), lookup is
 // O(log n) with no per-snapshot index to build.
 func rowOf(oids []OID, id OID) (int32, bool) {
 	lo, hi := 0, len(oids)

@@ -24,6 +24,8 @@ func TestReadJSONErrorPaths(t *testing.T) {
 		{"unknown edge value kind", `{"nodes":[{"id":1},{"id":2}],"edges":[{"id":3,"label":"E","from":1,"to":2,"props":{"p":{"kind":"???"}}}]}`, "unknown value kind"},
 		{"duplicate node id", `{"nodes":[{"id":1},{"id":1}]}`, "already exists"},
 		{"edge to missing node", `{"nodes":[{"id":1}],"edges":[{"id":2,"label":"E","from":1,"to":99}]}`, "does not exist"},
+		{"node id zero", `{"nodes":[{"id":0}]}`, "node OID 0 is not positive"},
+		{"negative edge id", `{"nodes":[{"id":1},{"id":2}],"edges":[{"id":-1,"label":"E","from":1,"to":2}]}`, "edge OID -1 is not positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +59,8 @@ func TestReadCSVErrorPaths(t *testing.T) {
 		{"non-numeric edge source", goodNodes, "id,label,from,to\n3,E,x,2\n", `bad edge source "x"`},
 		{"non-numeric edge target", goodNodes, "id,label,from,to\n3,E,1,x\n", `bad edge target "x"`},
 		{"dangling edge", goodNodes, "id,label,from,to\n3,E,1,99\n", "does not exist"},
+		{"negative node id", "id,labels\n-2,A\n", goodEdges, "node OID -2 is not positive"},
+		{"edge id zero", goodNodes, "id,label,from,to\n0,E,1,2\n", "edge OID 0 is not positive"},
 		{"truncated quoted cell", "id,labels\n1,\"A\n", goodEdges, "node CSV"},
 	}
 	for _, tc := range cases {

@@ -164,13 +164,16 @@ func (g *Graph) AddNode(labels []string, props Props) *Node {
 }
 
 // AddNodeWithID creates a node with a caller-chosen OID, used when importing
-// serialized graphs. It fails if the OID is already taken.
+// serialized graphs. It fails if the OID is not positive or already taken.
 func (g *Graph) AddNodeWithID(id OID, labels []string, props Props) (*Node, error) {
 	return g.insertNode(id, labels, cloneProps(props))
 }
 
 // insertNode is AddNodeWithID taking ownership of props.
 func (g *Graph) insertNode(id OID, labels []string, props Props) (*Node, error) {
+	if id < 1 {
+		return nil, fmt.Errorf("pg: node OID %d is not positive", id)
+	}
 	if _, ok := g.nodes[id]; ok {
 		return nil, fmt.Errorf("pg: node OID %d already exists", id)
 	}
@@ -254,13 +257,16 @@ func (g *Graph) MustAddEdge(from, to OID, label string, props Props) *Edge {
 	return e
 }
 
-// AddEdgeWithID creates an edge with a caller-chosen OID, for import.
+// AddEdgeWithID creates an edge with a caller-chosen OID, as AddNodeWithID.
 func (g *Graph) AddEdgeWithID(id, from, to OID, label string, props Props) (*Edge, error) {
 	return g.insertEdge(id, from, to, label, cloneEdgeProps(props))
 }
 
 // insertEdge is AddEdgeWithID taking ownership of props.
 func (g *Graph) insertEdge(id, from, to OID, label string, props Props) (*Edge, error) {
+	if id < 1 {
+		return nil, fmt.Errorf("pg: edge OID %d is not positive", id)
+	}
 	if _, ok := g.edges[id]; ok {
 		return nil, fmt.Errorf("pg: edge OID %d already exists", id)
 	}

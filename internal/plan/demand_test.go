@@ -18,7 +18,7 @@ q(Y) :- small(X,W), t(X,Y).
 
 func TestDemandRewritesQualifyingClosure(t *testing.T) {
 	prog := mustParse(t, closureSrc)
-	planned, pl, err := Compile(prog, testStats(), Options{Demand: true})
+	planned, pl, err := Compile(prog, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDemandSkipsUnsupportedShapes(t *testing.T) {
 	}
 	for name, src := range cases {
 		prog := mustParse(t, src)
-		_, pl, err := Compile(prog, testStats(), Options{Demand: true})
+		_, pl, err := Compile(prog, testStats())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -95,7 +95,7 @@ func TestDemandSkipsUnsupportedShapes(t *testing.T) {
 // extension, never what consumers observe.
 func TestDemandDifferential(t *testing.T) {
 	prog := mustParse(t, closureSrc)
-	planned, pl, err := Compile(prog, testStats(), Options{Demand: true})
+	planned, pl, err := Compile(prog, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}

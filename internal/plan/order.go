@@ -14,13 +14,6 @@ import (
 // bit-identically (the caller keeps the input program on error).
 var siteOrder = fault.Site("plan/order")
 
-// Options selects the transformation passes Compile applies.
-type Options struct {
-	// Demand enables the magic-sets-style demand transformation over the
-	// left-linear closure predicates (demand.go) on top of join ordering.
-	Demand bool
-}
-
 // LiteralPlan is one body literal in plan order with its cumulative
 // cardinality estimate (expected intermediate rows after evaluating the
 // body up to and including this literal).
@@ -81,12 +74,12 @@ func (p *Plan) OutputEst(headPred string) float64 {
 // Compile plans a translated program against the statistics catalog: every
 // rule body inside the reorderable class is reordered greedily by estimated
 // cardinality (bound-variable propagation, smallest-estimate-first), and
-// with opt.Demand the closure predicates are restricted to their demanded
-// subset. The input program is never mutated; the returned program is
-// executed by the unmodified engine. An error (only from the plan/order
-// fault site or a nil program) means the caller must keep the unplanned
-// program — the transformation is all-or-nothing.
-func Compile(prog *vadalog.Program, st *Stats, opt Options) (*vadalog.Program, *Plan, error) {
+// the left-linear closure predicates are restricted to their demanded
+// subset (demand.go). The input program is never mutated; the returned
+// program is executed by the unmodified engine. An error (only from the
+// plan/order fault site or a nil program) means the caller must keep the
+// unplanned program — the transformation is all-or-nothing.
+func Compile(prog *vadalog.Program, st *Stats) (*vadalog.Program, *Plan, error) {
 	if err := fault.Hit(siteOrder); err != nil {
 		return nil, nil, err
 	}
@@ -106,9 +99,7 @@ func Compile(prog *vadalog.Program, st *Stats, opt Options) (*vadalog.Program, *
 		pl.EstRows += rp.EstRows
 		pl.Rules = append(pl.Rules, rp)
 	}
-	if opt.Demand {
-		applyDemand(out, st, pl)
-	}
+	applyDemand(out, st, pl)
 	changed := len(pl.Demand) > 0
 	for _, rp := range pl.Rules {
 		changed = changed || rp.Reordered

@@ -35,7 +35,7 @@ func mustParse(t *testing.T, src string) *vadalog.Program {
 
 func TestCompileReordersBySelectivity(t *testing.T) {
 	prog := mustParse(t, `out(X,Y) :- big(X,V), small(Y,W).`)
-	planned, pl, err := Compile(prog, testStats(), Options{})
+	planned, pl, err := Compile(prog, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCompileAvoidsCartesianProducts(t *testing.T) {
 	// variable — picking it would start a cross product. The planner must
 	// stay connected: big, then edge probing X, and only then small.
 	prog := mustParse(t, `out(X,Y,Z) :- big(X,V), edge(E,X,Y), small(Z,W).`)
-	planned, pl, err := Compile(prog, testStats(), Options{})
+	planned, pl, err := Compile(prog, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCompileAvoidsCartesianProducts(t *testing.T) {
 
 func TestCompileNilStats(t *testing.T) {
 	prog := mustParse(t, `out(X) :- big(X,V).`)
-	planned, pl, err := Compile(prog, nil, Options{})
+	planned, pl, err := Compile(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestCompileFaultSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := mustParse(t, `out(X) :- big(X,V).`)
-	if _, _, err := Compile(prog, testStats(), Options{}); err == nil {
+	if _, _, err := Compile(prog, testStats()); err == nil {
 		t.Fatal("armed plan/order site must surface an error")
 	}
 	// The next call (site disarmed after one shot) plans normally.
-	if _, pl, err := Compile(prog, testStats(), Options{}); err != nil || !pl.Planned {
+	if _, pl, err := Compile(prog, testStats()); err != nil || !pl.Planned {
 		t.Fatalf("recovery compile: err=%v plan=%+v", err, pl)
 	}
 }
@@ -121,7 +121,7 @@ func TestReorderHazards(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog := mustParse(t, tc.src)
-		_, pl, err := Compile(prog, testStats(), Options{})
+		_, pl, err := Compile(prog, testStats())
 		if err != nil {
 			t.Fatalf("%q: %v", tc.src, err)
 		}
@@ -135,7 +135,7 @@ func TestReorderHazards(t *testing.T) {
 	// FirstMatchOnly is an AST flag, not surface syntax: set it directly.
 	prog := mustParse(t, `out(X) :- big(X,V), small(X,W).`)
 	prog.Rules[0].FirstMatchOnly = true
-	_, pl, err := Compile(prog, testStats(), Options{})
+	_, pl, err := Compile(prog, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestOrderingDifferentialProperty(t *testing.T) {
 			"e": {Kind: "edge", Card: 25, Distinct: []int{25, 6, 6}},
 			"f": {Kind: "edge", Card: 10, Distinct: []int{10, 6, 6}},
 		}}
-		planned, pl, err := Compile(prog, st, Options{Demand: true})
+		planned, pl, err := Compile(prog, st)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -223,7 +223,8 @@ func TestMutateDecodeErrors(t *testing.T) {
 }
 
 // TestChaosMutateSweep extends the chaos harness to the write path's fault
-// sites (overlay/apply, overlay/compact) in error and panic modes. Per
+// sites (overlay/apply, overlay/compact, and pg/bulkload, which fires inside
+// the compaction's snapshot build) in error and panic modes. Per
 // injection: a typed JSON error, a bit-identical serving view, an unmoved
 // generation — and a clean retry that succeeds.
 func TestChaosMutateSweep(t *testing.T) {
@@ -245,6 +246,8 @@ func TestChaosMutateSweep(t *testing.T) {
 		{"overlay/apply", fault.ModePanic, "/mutate", batch, "panic"},
 		{"overlay/compact", fault.ModeError, "/compact", "", "injected"},
 		{"overlay/compact", fault.ModePanic, "/compact", "", "panic"},
+		{"pg/bulkload", fault.ModeError, "/compact", "", "injected"},
+		{"pg/bulkload", fault.ModePanic, "/compact", "", "panic"},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/%s", tc.site, tc.mode)

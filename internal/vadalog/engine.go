@@ -16,9 +16,6 @@ import (
 
 // Options configures a reasoning run.
 type Options struct {
-	// RequireWarded rejects programs that fail the wardedness check instead
-	// of merely reporting the violation in the analysis.
-	RequireWarded bool
 	// MaxRounds bounds the number of fixpoint rounds per stratum, as a
 	// safety valve against non-terminating chases. 0 means the default.
 	MaxRounds int
@@ -208,9 +205,6 @@ func newEngine(ctx context.Context, prog *Program, db *Database, opts Options) (
 // is only sound for aggregate-free programs evaluated one run at a time,
 // because aggregate rules accumulate state in their compiled form.
 func newEngineAnalyzed(ctx context.Context, prog *Program, an *Analysis, db *Database, opts Options, cached []*cRule) (*engine, error) {
-	if opts.RequireWarded && !an.Warded {
-		return nil, fmt.Errorf("vadalog: program is not warded: %s", strings.Join(an.Violations, "; "))
-	}
 	e := &engine{prog: prog, an: an, db: db, opts: opts, ctx: ctx, cachedRules: cached}
 	if e.ctx == nil {
 		e.ctx = context.Background()
