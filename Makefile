@@ -30,9 +30,9 @@ test: build vet
 # vadalog, over row ids into frozen columns in metalog — the mutable-index
 # test because it races 16 goroutines of probes over one mutable relation's
 # warmed key tables, as sharded rounds do, and the frozen-readers test
-# because it races the one label-summary build and the per-call Node/Edge
-# struct builds against each other and against the column reads (CSR
-# windows, degrees, label counts, row scans).
+# because it races the one label-count build behind NodeLabelCount and
+# EdgeLabelCount and the per-call Node/Edge struct builds against each other
+# and against the column reads (CSR windows, out-degrees, row scans).
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve|TestInsertionOrderGolden' ./internal/vadalog/
@@ -59,7 +59,7 @@ test-chaos: build
 FUZZ_TARGETS = FuzzParse:metalog FuzzParse:gsl FuzzParse:vadalog \
 	FuzzDecodeQuery:server FuzzDecodeMutation:server FuzzOpenSnapshot:snapfile \
 	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg FuzzFreeze:pg \
-	FuzzRelationIndex:vadalog FuzzStratifiedAggregate:vadalog
+	FuzzRelationIndex:vadalog FuzzStratifiedAggregate:vadalog FuzzOverlayApply:overlay
 
 fuzz-smoke: build
 	@for t in $(FUZZ_TARGETS); do \

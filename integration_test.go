@@ -223,11 +223,11 @@ func TestStreamIngest10MSmoke(t *testing.T) {
 	}
 	// Spot-check the arithmetic OID layout: person index 0 is OID 1,
 	// company index 0 is OID persons+1, with their synthetic fiscal codes.
-	if v, ok := frozen.NodeProp(pg.OID(1), "fiscalCode"); !ok || v.S != "PF00000000" {
-		t.Fatalf("person 0 fiscalCode = %v, %v", v, ok)
+	if n := frozen.Node(pg.OID(1)); n == nil || n.Props["fiscalCode"].S != "PF00000000" {
+		t.Fatalf("person 0 = %+v", n)
 	}
-	if v, ok := frozen.NodeProp(pg.OID(stats.Persons+1), "fiscalCode"); !ok || v.S != "CO00000000" {
-		t.Fatalf("company 0 fiscalCode = %v, %v", v, ok)
+	if n := frozen.Node(pg.OID(stats.Persons + 1)); n == nil || n.Props["fiscalCode"].S != "CO00000000" {
+		t.Fatalf("company 0 = %+v", n)
 	}
 	// Column-only degree check (no edge is built): every edge appears in
 	// exactly one out-window.

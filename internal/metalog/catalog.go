@@ -344,7 +344,9 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 		return nil
 	}
 
-	// Existing-edge fingerprints for deduplication.
+	// Existing-edge fingerprints for deduplication. WalkDerived hands out
+	// edges of the program's head edge labels only, so only existing edges
+	// of those labels can collide with one.
 	edgeSeen := map[string]bool{}
 	edgeFingerprint := func(label string, from, to pg.OID, props pg.Props) string {
 		s := fmt.Sprintf("%s|%d|%d", label, from, to)
@@ -353,8 +355,10 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 		}
 		return s
 	}
-	for _, e := range g.Edges() {
-		edgeSeen[edgeFingerprint(e.Label, e.From, e.To, e.Props)] = true
+	for l := range tr.HeadEdgeLabels {
+		for _, e := range g.EdgesByLabel(l) {
+			edgeSeen[edgeFingerprint(e.Label, e.From, e.To, e.Props)] = true
+		}
 	}
 
 	err := WalkDerived(db, tr, cat, func(d *DerivedFact) error {

@@ -193,7 +193,8 @@ func (o *Overlay) Apply(ops []Op) (Diff, error) {
 	return diff, nil
 }
 
-// resolve maps a Ref to the OID of an existing merged node.
+// resolve maps a Ref to the OID of an existing merged node: an added one or
+// a base row not deleted.
 func (o *Overlay) resolve(r Ref, names map[string]pg.OID) (pg.OID, error) {
 	id := r.ID
 	if r.Name != "" {
@@ -203,10 +204,16 @@ func (o *Overlay) resolve(r Ref, names map[string]pg.OID) (pg.OID, error) {
 		}
 		id = bound
 	}
-	if o.Node(id) == nil {
+	if _, added := o.addNodes[id]; !added && !live(o.base.Columns().NodeOIDs, o.delNodes, id) {
 		return 0, fmt.Errorf("no node with OID %d", id)
 	}
 	return id, nil
+}
+
+// live reports whether a base OID column holds id and the deletions do not.
+func live(oids []pg.OID, del map[pg.OID]bool, id pg.OID) bool {
+	_, ok := slices.BinarySearch(oids, id)
+	return ok && !del[id]
 }
 
 func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
@@ -220,12 +227,8 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		id := o.next
 		o.next++
 		rec.touchNode(id)
-		n := &pg.Node{ID: id, Labels: normalizeLabels(op.Labels), Props: cloneNodeProps(op.Props)}
-		o.addNodes[id] = n
+		o.addNodes[id] = &pg.Node{ID: id, Labels: pg.NormalizeLabels(op.Labels), Props: pg.CloneProps(op.Props)}
 		o.addNodeIDs = append(o.addNodeIDs, id) // ascending by construction
-		for _, l := range n.Labels {
-			o.nodeLabelDelta[l]++
-		}
 		if op.Name != "" {
 			names[op.Name] = id
 		}
@@ -243,12 +246,8 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		id := o.next
 		o.next++
 		rec.touchEdge(id)
-		e := &pg.Edge{ID: id, Label: op.Label, From: from, To: to, Props: cloneEdgeProps(op.Props)}
-		o.addEdges[id] = e
+		o.addEdges[id] = &pg.Edge{ID: id, Label: op.Label, From: from, To: to, Props: pg.CloneEdgeProps(op.Props)}
 		o.addEdgeIDs = append(o.addEdgeIDs, id)
-		o.outAdd[from] = append(o.outAdd[from], id) // fresh OIDs ascend
-		o.inAdd[to] = append(o.inAdd[to], id)
-		o.edgeLabelDelta[op.Label]++
 		return nil
 
 	case OpRemoveEdge:
@@ -266,7 +265,6 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 			}
 		}
 		rec.touchNode(id)
-		n := o.Node(id)
 		if _, added := o.addNodes[id]; added {
 			delete(o.addNodes, id)
 			o.addNodeIDs = sortedset.Remove(o.addNodeIDs, id)
@@ -274,13 +272,6 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 			o.delNodes[id] = true
 			delete(o.modNodes, id)
 		}
-		for _, l := range n.Labels {
-			o.nodeLabelDelta[l]--
-		}
-		delete(o.outAdd, id)
-		delete(o.inAdd, id)
-		delete(o.outDel, id)
-		delete(o.inDel, id)
 		return nil
 
 	case OpSetNodeProp:
@@ -320,9 +311,8 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		}
 		rec.touchNode(id)
 		n := copyNode(cur)
-		n.Labels = normalizeLabels(append(n.Labels, op.Label))
+		n.Labels = pg.NormalizeLabels(append(n.Labels, op.Label))
 		o.storeNode(id, n)
-		o.nodeLabelDelta[op.Label]++
 		return nil
 
 	default:
@@ -343,13 +333,13 @@ func (o *Overlay) storeNode(id pg.OID, n *pg.Node) {
 // edges, then its incoming ones, each in ascending edge-OID order. A
 // self-loop is listed once, among the outgoing edges. A base node's edges
 // come off the base's CSR windows minus the deleted ones, ahead of the added
-// edges, whose OIDs are all larger (as are an added node's, so it has no
-// base row).
+// edges, which a pass over addEdgeIDs finds: their OIDs are all larger (as
+// are an added node's, so it has no base row).
 func (o *Overlay) incident(id pg.OID) []pg.OID {
 	cols := o.base.Columns()
 	row, inBase := slices.BinarySearch(cols.NodeOIDs, id)
 	var out []pg.OID
-	collect := func(off, adj []int32, add []pg.OID, in bool) {
+	collect := func(off, adj []int32, in bool) {
 		if inBase {
 			for _, r := range adj[off[row]:off[row+1]] {
 				if eid := cols.EdgeOIDs[r]; !o.delEdges[eid] && !(in && cols.EdgeFrom[r] == id) {
@@ -357,35 +347,30 @@ func (o *Overlay) incident(id pg.OID) []pg.OID {
 				}
 			}
 		}
-		for _, eid := range add {
-			if !(in && o.addEdges[eid].From == id) {
+		for _, eid := range o.addEdgeIDs {
+			if e := o.addEdges[eid]; (!in && e.From == id) || (in && e.To == id && e.From != id) {
 				out = append(out, eid)
 			}
 		}
 	}
-	collect(cols.OutOff, cols.OutAdj, o.outAdd[id], false)
-	collect(cols.InOff, cols.InAdj, o.inAdd[id], true)
+	collect(cols.OutOff, cols.OutAdj, false)
+	collect(cols.InOff, cols.InAdj, true)
 	return out
 }
 
-// removeEdge drops one merged edge, maintaining the adjacency delta of the
-// surviving endpoints.
+// removeEdge drops one merged edge: an added edge leaves the additions, a
+// base edge joins the deletions.
 func (o *Overlay) removeEdge(id pg.OID, rec *recorder) error {
-	e := o.Edge(id)
-	if e == nil {
+	_, added := o.addEdges[id]
+	if !added && !live(o.base.Columns().EdgeOIDs, o.delEdges, id) {
 		return fmt.Errorf("no edge with OID %d", id)
 	}
 	rec.touchEdge(id)
-	if _, added := o.addEdges[id]; added {
+	if added {
 		delete(o.addEdges, id)
 		o.addEdgeIDs = sortedset.Remove(o.addEdgeIDs, id)
-		o.outAdd[e.From] = sortedset.Remove(o.outAdd[e.From], id)
-		o.inAdd[e.To] = sortedset.Remove(o.inAdd[e.To], id)
 	} else {
 		o.delEdges[id] = true
-		o.outDel[e.From] = sortedset.Insert(o.outDel[e.From], id)
-		o.inDel[e.To] = sortedset.Insert(o.inDel[e.To], id)
 	}
-	o.edgeLabelDelta[e.Label]--
 	return nil
 }

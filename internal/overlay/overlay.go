@@ -4,9 +4,9 @@
 // snapshot, and all churn lives in O(delta) side structures — added nodes and
 // edges, deleted base constructs, and copy-on-write replacements for mutated
 // base nodes. The combination implements pg.View with the same contract as
-// both phases (ascending-OID iteration, sorted label lists), so every
-// read-side consumer — MetaLog extraction, query translation, statistics —
-// works over a live overlay unchanged.
+// both phases (ascending-OID row scans), so every read-side consumer —
+// MetaLog extraction, query translation, statistics — works over a live
+// overlay unchanged.
 //
 // The design is LSM-flavored: writes accumulate in the overlay (the
 // memtable), reads merge base and delta on the fly, and Compact streams the
@@ -18,8 +18,9 @@
 //
 // Base *pg.Node values are never mutated: a property write or label gain
 // replaces the node with a private copy (modNodes). Readers that want a
-// label's constructs or a node's incident edges scan the merged view; the
-// delta keeps only what the scans, degrees and label listings need.
+// label's constructs, a node's incident edges or its degree scan the merged
+// view; the delta keeps only what the scans need: the added constructs, the
+// deleted OIDs and the replaced nodes.
 //
 // An Overlay is not safe for concurrent mutation. The server mutates a
 // Clone and swaps it in atomically, so concurrent readers keep a consistent
@@ -28,7 +29,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/pg"
@@ -63,36 +63,18 @@ type Overlay struct {
 
 	// Copy-on-write replacements for mutated base nodes.
 	modNodes map[pg.OID]*pg.Node
-
-	// Adjacency delta, each slice ascending: added incident edges and
-	// deleted base incident edges per node.
-	outAdd map[pg.OID][]pg.OID
-	inAdd  map[pg.OID][]pg.OID
-	outDel map[pg.OID][]pg.OID
-	inDel  map[pg.OID][]pg.OID
-
-	// Net change in the number of constructs carrying each label, for the
-	// inhabitation checks behind NodeLabels/EdgeLabels.
-	nodeLabelDelta map[string]int
-	edgeLabelDelta map[string]int
 }
 
 // New returns an empty overlay over the given base snapshot.
 func New(base *pg.Frozen) *Overlay {
 	return &Overlay{
-		base:           base,
-		next:           base.MaxOID() + 1,
-		addNodes:       map[pg.OID]*pg.Node{},
-		addEdges:       map[pg.OID]*pg.Edge{},
-		delNodes:       map[pg.OID]bool{},
-		delEdges:       map[pg.OID]bool{},
-		modNodes:       map[pg.OID]*pg.Node{},
-		outAdd:         map[pg.OID][]pg.OID{},
-		inAdd:          map[pg.OID][]pg.OID{},
-		outDel:         map[pg.OID][]pg.OID{},
-		inDel:          map[pg.OID][]pg.OID{},
-		nodeLabelDelta: map[string]int{},
-		edgeLabelDelta: map[string]int{},
+		base:     base,
+		next:     base.MaxOID() + 1,
+		addNodes: map[pg.OID]*pg.Node{},
+		addEdges: map[pg.OID]*pg.Edge{},
+		delNodes: map[pg.OID]bool{},
+		delEdges: map[pg.OID]bool{},
+		modNodes: map[pg.OID]*pg.Node{},
 	}
 }
 
@@ -107,26 +89,20 @@ func (o *Overlay) DeltaSize() int {
 
 // Clone returns an independent copy of the overlay in O(delta). The base and
 // the node/edge structs are shared — both are immutable by the copy-on-write
-// discipline — but every map and index slice is copied, so mutating the
-// clone never disturbs the original (sortedset.Insert writes into shared
+// discipline — but every map and OID slice is copied, so mutating the
+// clone never disturbs the original (sortedset.Remove writes into shared
 // backing arrays otherwise).
 func (o *Overlay) Clone() *Overlay {
 	c := &Overlay{
-		base:           o.base,
-		next:           o.next,
-		addNodes:       make(map[pg.OID]*pg.Node, len(o.addNodes)),
-		addEdges:       make(map[pg.OID]*pg.Edge, len(o.addEdges)),
-		addNodeIDs:     append([]pg.OID(nil), o.addNodeIDs...),
-		addEdgeIDs:     append([]pg.OID(nil), o.addEdgeIDs...),
-		delNodes:       make(map[pg.OID]bool, len(o.delNodes)),
-		delEdges:       make(map[pg.OID]bool, len(o.delEdges)),
-		modNodes:       make(map[pg.OID]*pg.Node, len(o.modNodes)),
-		outAdd:         cloneAdj(o.outAdd),
-		inAdd:          cloneAdj(o.inAdd),
-		outDel:         cloneAdj(o.outDel),
-		inDel:          cloneAdj(o.inDel),
-		nodeLabelDelta: make(map[string]int, len(o.nodeLabelDelta)),
-		edgeLabelDelta: make(map[string]int, len(o.edgeLabelDelta)),
+		base:       o.base,
+		next:       o.next,
+		addNodes:   make(map[pg.OID]*pg.Node, len(o.addNodes)),
+		addEdges:   make(map[pg.OID]*pg.Edge, len(o.addEdges)),
+		addNodeIDs: append([]pg.OID(nil), o.addNodeIDs...),
+		addEdgeIDs: append([]pg.OID(nil), o.addEdgeIDs...),
+		delNodes:   make(map[pg.OID]bool, len(o.delNodes)),
+		delEdges:   make(map[pg.OID]bool, len(o.delEdges)),
+		modNodes:   make(map[pg.OID]*pg.Node, len(o.modNodes)),
 	}
 	for id, n := range o.addNodes {
 		c.addNodes[id] = n
@@ -143,21 +119,7 @@ func (o *Overlay) Clone() *Overlay {
 	for id, n := range o.modNodes {
 		c.modNodes[id] = n
 	}
-	for l, d := range o.nodeLabelDelta {
-		c.nodeLabelDelta[l] = d
-	}
-	for l, d := range o.edgeLabelDelta {
-		c.edgeLabelDelta[l] = d
-	}
 	return c
-}
-
-func cloneAdj(m map[pg.OID][]pg.OID) map[pg.OID][]pg.OID {
-	out := make(map[pg.OID][]pg.OID, len(m))
-	for k, v := range m {
-		out[k] = append([]pg.OID(nil), v...)
-	}
-	return out
 }
 
 // Compact folds the overlay into a fresh frozen snapshot, the next
@@ -296,106 +258,9 @@ func (o *Overlay) ScanEdgeRows(visit func(row int32, e *pg.Edge) bool) {
 	}
 }
 
-// OutDegree counts a node's merged outgoing edges without materializing
-// them (column arithmetic on the base plus delta list lengths).
-func (o *Overlay) OutDegree(id pg.OID) int {
-	if o.delNodes[id] {
-		return 0
-	}
-	return o.base.OutDegree(id) - len(o.outDel[id]) + len(o.outAdd[id])
-}
-
-// InDegree counts a node's merged incoming edges.
-func (o *Overlay) InDegree(id pg.OID) int {
-	if o.delNodes[id] {
-		return 0
-	}
-	return o.base.InDegree(id) - len(o.inDel[id]) + len(o.inAdd[id])
-}
-
-// NodeLabels lists the labels carried by at least one merged node, sorted.
-// Base membership is counted on the label columns, so listing labels builds
-// no base node.
-func (o *Overlay) NodeLabels() []string {
-	base := o.base.NodeLabels()
-	if len(o.nodeLabelDelta) == 0 {
-		return base
-	}
-	return mergedLabels(base, o.nodeLabelDelta, o.base.NodeLabelCount)
-}
-
-// EdgeLabels lists the labels carried by at least one merged edge, sorted.
-func (o *Overlay) EdgeLabels() []string {
-	base := o.base.EdgeLabels()
-	if len(o.edgeLabelDelta) == 0 {
-		return base
-	}
-	return mergedLabels(base, o.edgeLabelDelta, o.base.EdgeLabelCount)
-}
-
-func mergedLabels(base []string, delta map[string]int, baseCount func(string) int) []string {
-	seen := make(map[string]bool, len(base)+len(delta))
-	out := make([]string, 0, len(base)+len(delta))
-	for _, l := range base {
-		seen[l] = true
-		if baseCount(l)+delta[l] > 0 {
-			out = append(out, l)
-		}
-	}
-	for l, d := range delta {
-		if !seen[l] && d > 0 {
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ---- shared helpers ----
-
-// normalizeLabels mirrors pg's label normalization: sorted, unique, nil when
-// empty.
-func normalizeLabels(labels []string) []string {
-	if len(labels) == 0 {
-		return nil
-	}
-	out := append([]string(nil), labels...)
-	sort.Strings(out)
-	j := 0
-	for i, l := range out {
-		if i == 0 || l != out[i-1] {
-			out[j] = l
-			j++
-		}
-	}
-	return out[:j]
-}
-
-// cloneNodeProps mirrors pg's node convention: nodes always carry a non-nil
-// property map.
-func cloneNodeProps(p pg.Props) pg.Props {
-	out := make(pg.Props, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
-// cloneEdgeProps mirrors pg's edge convention: empty maps stay nil.
-func cloneEdgeProps(p pg.Props) pg.Props {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(pg.Props, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
 // copyNode returns a private deep copy for copy-on-write mutation.
 func copyNode(n *pg.Node) *pg.Node {
-	out := &pg.Node{ID: n.ID, Props: cloneNodeProps(n.Props)}
+	out := &pg.Node{ID: n.ID, Props: pg.CloneProps(n.Props)}
 	if len(n.Labels) > 0 {
 		out.Labels = append([]string(nil), n.Labels...)
 	}

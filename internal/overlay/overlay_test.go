@@ -164,44 +164,44 @@ func randOps(rng *rand.Rand, ref *pg.Graph) []overlay.Op {
 // semantics the overlay must match (including OID allocation).
 func applyToGraph(g *pg.Graph, ops []overlay.Op) error {
 	names := map[string]pg.OID{}
+	for _, op := range ops {
+		if err := applyOpToGraph(g, op, names); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyOpToGraph replays one op of a batch whose handles names binds.
+func applyOpToGraph(g *pg.Graph, op overlay.Op, names map[string]pg.OID) error {
 	resolve := func(r overlay.Ref) pg.OID {
 		if r.Name != "" {
 			return names[r.Name]
 		}
 		return r.ID
 	}
-	for _, op := range ops {
-		switch op.Kind {
-		case overlay.OpAddNode:
-			n := g.AddNode(op.Labels, op.Props)
-			if op.Name != "" {
-				names[op.Name] = n.ID
-			}
-		case overlay.OpAddEdge:
-			if _, err := g.AddEdge(resolve(op.From), resolve(op.To), op.Label, op.Props); err != nil {
-				return err
-			}
-		case overlay.OpRemoveNode:
-			if err := g.RemoveNode(resolve(op.Node)); err != nil {
-				return err
-			}
-		case overlay.OpRemoveEdge:
-			if err := g.RemoveEdge(op.Edge); err != nil {
-				return err
-			}
-		case overlay.OpSetNodeProp:
-			if err := g.SetNodeProp(resolve(op.Node), op.Key, op.Value); err != nil {
-				return err
-			}
-		case overlay.OpDelNodeProp:
-			delete(g.Node(resolve(op.Node)).Props, op.Key)
-		case overlay.OpAddLabel:
-			if err := g.AddLabel(resolve(op.Node), op.Label); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown kind %q", op.Kind)
+	switch op.Kind {
+	case overlay.OpAddNode:
+		n := g.AddNode(op.Labels, op.Props)
+		if op.Name != "" {
+			names[op.Name] = n.ID
 		}
+	case overlay.OpAddEdge:
+		if _, err := g.AddEdge(resolve(op.From), resolve(op.To), op.Label, op.Props); err != nil {
+			return err
+		}
+	case overlay.OpRemoveNode:
+		return g.RemoveNode(resolve(op.Node))
+	case overlay.OpRemoveEdge:
+		return g.RemoveEdge(op.Edge)
+	case overlay.OpSetNodeProp:
+		return g.SetNodeProp(resolve(op.Node), op.Key, op.Value)
+	case overlay.OpDelNodeProp:
+		delete(g.Node(resolve(op.Node)).Props, op.Key)
+	case overlay.OpAddLabel:
+		return g.AddLabel(resolve(op.Node), op.Label)
+	default:
+		return fmt.Errorf("unknown kind %q", op.Kind)
 	}
 	return nil
 }
@@ -261,22 +261,29 @@ func stringsEqual(a, b []string) bool {
 	return true
 }
 
-// compareViews checks every pg.View method of got against the mutable graph
-// want — sizes, point lookups, degrees, label listings and the row scans,
-// the same invariant set the frozen-vs-mutable differential sweep relies on.
-func compareViews(t *testing.T, got pg.View, want *pg.Graph) {
+// compareViews checks every read of got against the mutable graph want —
+// sizes, point lookups, degrees counted off the edge scan, label sets and
+// the row scans, the same invariant set the frozen-vs-mutable differential
+// sweep relies on.
+func compareViews(t *testing.T, got pgtest.PointView, want *pg.Graph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 		t.Fatalf("sizes: got %d/%d want %d/%d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
 	}
+	outDeg, inDeg := map[pg.OID]int{}, map[pg.OID]int{}
+	got.ScanEdges(func(r *pg.EdgeRow) bool {
+		outDeg[r.From]++
+		inDeg[r.To]++
+		return true
+	})
 	wn, we := want.Nodes(), want.Edges()
 	for _, n := range wn {
 		if !nodeEqual(got.Node(n.ID), n) {
 			t.Fatalf("Node(%d) mismatch", n.ID)
 		}
-		if got.OutDegree(n.ID) != want.OutDegree(n.ID) || got.InDegree(n.ID) != want.InDegree(n.ID) {
+		if outDeg[n.ID] != len(want.Out(n.ID)) || inDeg[n.ID] != len(want.In(n.ID)) {
 			t.Fatalf("degrees of %d: %d/%d vs %d/%d", n.ID,
-				got.OutDegree(n.ID), got.InDegree(n.ID), want.OutDegree(n.ID), want.InDegree(n.ID))
+				outDeg[n.ID], inDeg[n.ID], len(want.Out(n.ID)), len(want.In(n.ID)))
 		}
 	}
 	for _, e := range we {
@@ -284,15 +291,15 @@ func compareViews(t *testing.T, got pg.View, want *pg.Graph) {
 			t.Fatalf("Edge(%d) mismatch", e.ID)
 		}
 	}
-	if !stringsEqual(got.NodeLabels(), want.NodeLabels()) {
-		t.Fatalf("NodeLabels: %v vs %v", got.NodeLabels(), want.NodeLabels())
+	if g, w := pgtest.NodeLabels(got), pgtest.NodeLabels(want); !stringsEqual(g, w) {
+		t.Fatalf("node labels: %v vs %v", g, w)
 	}
-	if !stringsEqual(got.EdgeLabels(), want.EdgeLabels()) {
-		t.Fatalf("EdgeLabels: %v vs %v", got.EdgeLabels(), want.EdgeLabels())
+	if g, w := pgtest.EdgeLabels(got), pgtest.EdgeLabels(want); !stringsEqual(g, w) {
+		t.Fatalf("edge labels: %v vs %v", g, w)
 	}
 	// Absent OIDs resolve to nothing on both sides.
 	const absent = pg.OID(1 << 40)
-	if got.Node(absent) != nil || got.Edge(absent) != nil || got.OutDegree(absent) != 0 || got.InDegree(absent) != 0 {
+	if got.Node(absent) != nil || got.Edge(absent) != nil || outDeg[absent] != 0 || inDeg[absent] != 0 {
 		t.Fatal("absent OID must resolve to nothing")
 	}
 

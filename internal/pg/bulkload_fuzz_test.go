@@ -89,7 +89,7 @@ func FuzzBulkLoadBatch(f *testing.F) {
 					// Exercise reads on whatever survived: the snapshot
 					// must serve without panicking.
 					_ = snap.NumNodes() + snap.NumEdges()
-					_ = snap.NodeLabels()
+					_, _ = viewLabels(snap)
 					if snap.NumNodes() > 0 {
 						_ = snap.Node(snap.nodeOIDs[0])
 					}

@@ -19,10 +19,11 @@ import (
 // code under test.
 func oracleColumns(g *Graph) Columns {
 	syms := symtab.New()
-	for _, l := range g.NodeLabels() {
+	nodeLabels, edgeLabels := viewLabels(g)
+	for _, l := range nodeLabels {
 		syms.Intern(l)
 	}
-	for _, l := range g.EdgeLabels() {
+	for _, l := range edgeLabels {
 		syms.Intern(l)
 	}
 	propKeys := map[string]bool{}

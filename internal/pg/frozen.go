@@ -6,16 +6,15 @@ package pg
 // BulkLoader, through which FreezeView streams any view.
 //
 // Whole-graph readers walk the columns: ScanNodes/ScanEdges hand out one
-// reused row, and counts, degrees, label listings and single properties are
-// column arithmetic. The point lookups Node and Edge build a fresh struct
-// for the one row asked for, on every call. A single snapshot is safe for
-// any number of concurrent readers: nothing on the read path mutates past
-// the one-time label-summary build.
+// reused row, and counts, out-degrees and label counts are column
+// arithmetic. The point lookups Node and Edge build a fresh struct for the
+// one row asked for, on every call. A single snapshot is safe for any number
+// of concurrent readers: nothing on the read path mutates past the one-time
+// label count.
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -23,8 +22,7 @@ import (
 	"repro/internal/value"
 )
 
-// Frozen is an immutable snapshot of a Graph. It implements View; the label
-// lists it returns are shared across calls and must not be modified.
+// Frozen is an immutable snapshot of a Graph. It implements View.
 // The zero value is not usable; construct snapshots with Graph.Freeze,
 // FreezeView, a BulkLoader or FrozenFromColumns.
 type Frozen struct {
@@ -58,11 +56,11 @@ type Frozen struct {
 	inOff  []int32
 	inAdj  []int32
 
-	// The label columns summarized — distinct names and rows per label — on
-	// the first call that lists or counts labels.
-	labelsOnce   sync.Once
-	nodeLabelSum labelSummary
-	edgeLabelSum labelSummary
+	// The rows per label of the label columns, counted on the first call
+	// that asks for one.
+	labelsOnce     sync.Once
+	nodeLabelCount map[string]int
+	edgeLabelCount map[string]int
 }
 
 // Freeze snapshots the graph into its immutable frozen form: FreezeView
@@ -318,67 +316,38 @@ func (f *Frozen) OutDegree(id OID) int {
 	return 0
 }
 
-// InDegree returns the number of incoming edges of a node.
-func (f *Frozen) InDegree(id OID) int {
-	if row, ok := rowOf(f.nodeOIDs, id); ok {
-		return int(f.inOff[row+1] - f.inOff[row])
-	}
-	return 0
-}
-
-// labelSummary lists the distinct labels of a label column, sorted, and how
-// many rows carry each.
-type labelSummary struct {
-	names []string
-	count map[string]int
-}
-
-func summarizeLabels(syms *symtab.Table, col []symtab.Sym) labelSummary {
+// labelCounts maps each label of a label column to the number of rows
+// carrying it.
+func labelCounts(syms *symtab.Table, col []symtab.Sym) map[string]int {
 	bySym := make(map[symtab.Sym]int)
 	for _, s := range col {
 		bySym[s]++
 	}
-	sum := labelSummary{names: make([]string, 0, len(bySym)), count: make(map[string]int, len(bySym))}
+	count := make(map[string]int, len(bySym))
 	for s, n := range bySym {
-		name := syms.Name(s)
-		sum.names = append(sum.names, name)
-		sum.count[name] = n
+		count[syms.Name(s)] = n
 	}
-	sort.Strings(sum.names)
-	return sum
+	return count
 }
 
-func (f *Frozen) summarizeLabels() {
+func (f *Frozen) countLabels() {
 	f.labelsOnce.Do(func() {
-		f.nodeLabelSum = summarizeLabels(f.syms, f.nodeLabels)
-		f.edgeLabelSum = summarizeLabels(f.syms, f.edgeLabel)
+		f.nodeLabelCount = labelCounts(f.syms, f.nodeLabels)
+		f.edgeLabelCount = labelCounts(f.syms, f.edgeLabel)
 	})
 }
 
-// NodeLabels returns every node label present, sorted, mirroring
-// Graph.NodeLabels on the label column. The slice is shared.
-func (f *Frozen) NodeLabels() []string {
-	f.summarizeLabels()
-	return f.nodeLabelSum.names
-}
-
-// EdgeLabels returns every edge label present, sorted. The slice is shared.
-func (f *Frozen) EdgeLabels() []string {
-	f.summarizeLabels()
-	return f.edgeLabelSum.names
-}
-
 // NodeLabelCount returns the number of nodes carrying the label, read off
-// the label summary.
+// the label counts.
 func (f *Frozen) NodeLabelCount(label string) int {
-	f.summarizeLabels()
-	return f.nodeLabelSum.count[label]
+	f.countLabels()
+	return f.nodeLabelCount[label]
 }
 
 // EdgeLabelCount returns the number of edges carrying the label.
 func (f *Frozen) EdgeLabelCount(label string) int {
-	f.summarizeLabels()
-	return f.edgeLabelSum.count[label]
+	f.countLabels()
+	return f.edgeLabelCount[label]
 }
 
 // Symbols exposes the snapshot's interned name table: labels first (node
@@ -399,40 +368,6 @@ func (f *Frozen) MaxOID() OID {
 		max = f.edgeOIDs[m-1]
 	}
 	return max
-}
-
-// NodeProp reads one node property from the columnar storage without
-// building the node: a binary search over the node's key-symbol window.
-// It reports false for an absent node or key.
-func (f *Frozen) NodeProp(id OID, key string) (value.Value, bool) {
-	row, ok := rowOf(f.nodeOIDs, id)
-	if !ok {
-		return value.Value{}, false
-	}
-	return f.propAt(f.nodePropKeys, f.nodePropVals, f.nodePropOff, row, key)
-}
-
-// EdgeProp reads one edge property from the columnar storage.
-func (f *Frozen) EdgeProp(id OID, key string) (value.Value, bool) {
-	row, ok := rowOf(f.edgeOIDs, id)
-	if !ok {
-		return value.Value{}, false
-	}
-	return f.propAt(f.edgePropKeys, f.edgePropVals, f.edgePropOff, row, key)
-}
-
-func (f *Frozen) propAt(keys []symtab.Sym, vals []value.Value, off []int32, row int32, key string) (value.Value, bool) {
-	sym, ok := f.syms.Lookup(key)
-	if !ok {
-		return value.Value{}, false
-	}
-	lo, hi := int(off[row]), int(off[row+1])
-	window := keys[lo:hi]
-	i := sort.Search(len(window), func(i int) bool { return window[i] >= sym })
-	if i < len(window) && window[i] == sym {
-		return vals[lo+i], true
-	}
-	return value.Value{}, false
 }
 
 // Thaw rebuilds a mutable Graph from the snapshot, preserving every OID.

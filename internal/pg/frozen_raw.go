@@ -154,8 +154,8 @@ func FrozenFromColumns(c Columns) (*Frozen, error) {
 	}
 
 	// Per-row labels must be strictly ascending by name (Node.HasLabel
-	// binary-searches) and property keys strictly ascending by symbol
-	// (Frozen.propAt binary-searches; this also excludes duplicate keys).
+	// binary-searches) and property keys strictly ascending by symbol (the
+	// canonical row order, which also excludes duplicate keys).
 	for i := 0; i < n; i++ {
 		for p := c.NodeLabelOff[i] + 1; p < c.NodeLabelOff[i+1]; p++ {
 			if syms.Name(c.NodeLabels[p-1]) >= syms.Name(c.NodeLabels[p]) {

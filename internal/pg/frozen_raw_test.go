@@ -59,11 +59,13 @@ func assertFrozenEqual(t *testing.T, f, f2 *Frozen) {
 	if f2.NumNodes() != f.NumNodes() || f2.NumEdges() != f.NumEdges() {
 		t.Fatalf("size mismatch: %d/%d vs %d/%d", f2.NumNodes(), f2.NumEdges(), f.NumNodes(), f.NumEdges())
 	}
-	if !reflect.DeepEqual(f.NodeLabels(), f2.NodeLabels()) {
-		t.Fatalf("node labels: %v vs %v", f.NodeLabels(), f2.NodeLabels())
+	nodeLabels, edgeLabels := viewLabels(f)
+	nodeLabels2, edgeLabels2 := viewLabels(f2)
+	if !reflect.DeepEqual(nodeLabels, nodeLabels2) {
+		t.Fatalf("node labels: %v vs %v", nodeLabels, nodeLabels2)
 	}
-	if !reflect.DeepEqual(f.EdgeLabels(), f2.EdgeLabels()) {
-		t.Fatalf("edge labels: %v vs %v", f.EdgeLabels(), f2.EdgeLabels())
+	if !reflect.DeepEqual(edgeLabels, edgeLabels2) {
+		t.Fatalf("edge labels: %v vs %v", edgeLabels, edgeLabels2)
 	}
 	if !reflect.DeepEqual(f.Symbols().Names(), f2.Symbols().Names()) {
 		t.Fatal("symbol tables diverge")
@@ -72,27 +74,26 @@ func assertFrozenEqual(t *testing.T, f, f2 *Frozen) {
 		if n, n2 := f.Node(r.ID), f2.Node(r.ID); !reflect.DeepEqual(n, n2) {
 			t.Fatalf("node %d: %+v vs %+v", r.ID, n, n2)
 		}
-		if f.OutDegree(r.ID) != f2.OutDegree(r.ID) || f.InDegree(r.ID) != f2.InDegree(r.ID) {
-			t.Fatalf("degrees of node %d diverge", r.ID)
+		// In-degrees are the in windows compared below.
+		if f.OutDegree(r.ID) != f2.OutDegree(r.ID) {
+			t.Fatalf("out-degrees of node %d diverge", r.ID)
 		}
+		props2 := f2.Node(r.ID).Props
 		for _, p := range r.Props {
-			v1, ok1 := f.NodeProp(r.ID, p.Key)
-			v2, ok2 := f2.NodeProp(r.ID, p.Key)
-			if ok1 != ok2 || v1 != v2 {
-				t.Fatalf("NodeProp(%d, %q): %v/%v vs %v/%v", r.ID, p.Key, v1, ok1, v2, ok2)
+			if v2, ok := props2[p.Key]; !ok || p.Val != v2 {
+				t.Fatalf("node %d property %q: %v vs %v/%v", r.ID, p.Key, p.Val, v2, ok)
 			}
 		}
 		return true
 	})
 	f.ScanEdges(func(r *EdgeRow) bool {
-		if !reflect.DeepEqual(f.Edge(r.ID), f2.Edge(r.ID)) {
+		e2 := f2.Edge(r.ID)
+		if !reflect.DeepEqual(f.Edge(r.ID), e2) {
 			t.Fatalf("edge %d diverges", r.ID)
 		}
 		for _, p := range r.Props {
-			v1, ok1 := f.EdgeProp(r.ID, p.Key)
-			v2, ok2 := f2.EdgeProp(r.ID, p.Key)
-			if ok1 != ok2 || v1 != v2 {
-				t.Fatalf("EdgeProp(%d, %q) diverges", r.ID, p.Key)
+			if v2, ok := e2.Props[p.Key]; !ok || p.Val != v2 {
+				t.Fatalf("edge %d property %q diverges", r.ID, p.Key)
 			}
 		}
 		return true
@@ -101,12 +102,12 @@ func assertFrozenEqual(t *testing.T, f, f2 *Frozen) {
 		!slices.Equal(f.inOff, f2.inOff) || !slices.Equal(f.inAdj, f2.inAdj) {
 		t.Fatal("CSR adjacency diverges")
 	}
-	for _, l := range f.NodeLabels() {
+	for _, l := range nodeLabels {
 		if f.NodeLabelCount(l) != f2.NodeLabelCount(l) {
 			t.Fatalf("NodeLabelCount(%q) diverges", l)
 		}
 	}
-	for _, l := range f.EdgeLabels() {
+	for _, l := range edgeLabels {
 		if f.EdgeLabelCount(l) != f2.EdgeLabelCount(l) {
 			t.Fatalf("EdgeLabelCount(%q) diverges", l)
 		}
@@ -181,10 +182,11 @@ func cloneOIDs(s []OID) []OID { out := make([]OID, len(s)); copy(out, s); return
 
 // TestFrozenConcurrentReadersLazyFacade: a snapshot — Freeze-built or
 // column-built — builds nothing up front but its columns; its one lazy part
-// is the label summary, and Node and Edge build their structs per call.
-// Column-only reads (counts, degrees, property lookups) must be correct
-// before any reader has run, and many goroutines racing the summary build
-// and each other's struct builds must all read what the reference f does.
+// is the label count, and Node and Edge build their structs per call.
+// Column-only reads (counts, degrees, scanned properties) must be correct
+// before any reader has run, and many goroutines racing the label-count
+// build and each other's struct builds must all read what the reference f
+// does.
 func TestFrozenConcurrentReadersLazyFacade(t *testing.T) {
 	g := rawRandomGraph(rand.New(rand.NewSource(7)))
 	f := g.Freeze()
@@ -202,18 +204,20 @@ func raceReads(t *testing.T, f, f2 *Frozen) {
 		t.Fatal("counts diverge")
 	}
 	ids := f.nodeOIDs
-	for _, id := range ids {
-		if f2.OutDegree(id) != f.OutDegree(id) || f2.InDegree(id) != f.InDegree(id) {
+	for row, id := range ids {
+		if f2.OutDegree(id) != f.OutDegree(id) || f2.inOff[row+1]-f2.inOff[row] != f.inOff[row+1]-f.inOff[row] {
 			t.Fatalf("degree of node %d diverges", id)
 		}
-		for k := range f.Node(id).Props {
-			v1, _ := f.NodeProp(id, k)
-			v2, ok := f2.NodeProp(id, k)
-			if !ok || v1 != v2 {
-				t.Fatalf("NodeProp(%d, %q) diverges", id, k)
+	}
+	f2.ScanNodes(func(r *NodeRow) bool {
+		for k, v := range f.Node(r.ID).Props {
+			if got, ok := r.Props.Get(k); !ok || got != v {
+				t.Fatalf("node %d property %q diverges", r.ID, k)
 			}
 		}
-	}
+		return true
+	})
+	nodeLabels, _ := viewLabels(f)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -227,7 +231,7 @@ func raceReads(t *testing.T, f, f2 *Frozen) {
 					errs <- "Node() diverges"
 					return
 				}
-				for _, l := range f2.NodeLabels() {
+				for _, l := range nodeLabels {
 					if f2.NodeLabelCount(l) != f.NodeLabelCount(l) {
 						errs <- "NodeLabelCount diverges"
 						return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -139,11 +140,37 @@ func TestFrozenReadsWithoutFacade(t *testing.T) {
 	}
 }
 
+// viewLabels lists the distinct node and edge labels a view's scans
+// present, sorted: pgtest.NodeLabels and pgtest.EdgeLabels, which the tests
+// inside this package cannot import.
+func viewLabels(v View) (nodes, edges []string) {
+	nodeSet, edgeSet := map[string]bool{}, map[string]bool{}
+	v.ScanNodes(func(r *NodeRow) bool {
+		for _, l := range r.Labels {
+			nodeSet[l] = true
+		}
+		return true
+	})
+	v.ScanEdges(func(r *EdgeRow) bool {
+		edgeSet[r.Label] = true
+		return true
+	})
+	sorted := func(set map[string]bool) []string {
+		out := make([]string, 0, len(set))
+		for l := range set {
+			out = append(out, l)
+		}
+		sort.Strings(out)
+		return out
+	}
+	return sorted(nodeSet), sorted(edgeSet)
+}
+
 // checkReads is the one read check of a frozen snapshot: point lookups
-// (built per call), the CSR windows, degrees, single properties, label
-// listings and counts, and the row scans, each compared against the graph f
-// was frozen from. It reports with t.Errorf, so concurrent readers can run
-// it too.
+// (built per call), the CSR windows, out-degrees, the label sets and counts,
+// and the row scans with their single-property reads, each compared against
+// the graph f was frozen from. It reports with t.Errorf, so concurrent
+// readers can run it too.
 func checkReads(t *testing.T, f *Frozen, g *Graph) {
 	t.Helper()
 	if f.NumNodes() != g.NumNodes() || f.NumEdges() != g.NumEdges() {
@@ -154,53 +181,45 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 		if got := f.Node(n.ID); !reflect.DeepEqual(got, n) {
 			t.Errorf("Node(%d) = %+v, want %+v", n.ID, got, n)
 		}
-		if f.OutDegree(n.ID) != g.OutDegree(n.ID) || f.InDegree(n.ID) != g.InDegree(n.ID) {
-			t.Errorf("degrees of node %d diverge", n.ID)
-		}
-		for k, v := range n.Props {
-			if got, ok := f.NodeProp(n.ID, k); !ok || got != v {
-				t.Errorf("NodeProp(%d, %q) = %v, %v, want %v", n.ID, k, got, ok, v)
-			}
-		}
-		if _, ok := f.NodeProp(n.ID, "no-such-key"); ok {
-			t.Errorf("NodeProp(%d) found a phantom key", n.ID)
+		// In-degrees are the in windows checkCSR compares.
+		if f.OutDegree(n.ID) != len(g.Out(n.ID)) {
+			t.Errorf("OutDegree(%d) = %d, want %d", n.ID, f.OutDegree(n.ID), len(g.Out(n.ID)))
 		}
 	}
 	for _, e := range edges {
 		if got := f.Edge(e.ID); !reflect.DeepEqual(got, e) {
 			t.Errorf("Edge(%d) = %+v, want %+v", e.ID, got, e)
 		}
-		for k, v := range e.Props {
-			if got, ok := f.EdgeProp(e.ID, k); !ok || got != v {
-				t.Errorf("EdgeProp(%d, %q) = %v, %v, want %v", e.ID, k, got, ok, v)
-			}
-		}
 	}
 	checkCSR(t, f, g)
-	if f.Node(1<<40) != nil || f.Edge(1<<40) != nil || f.OutDegree(1<<40) != 0 || f.InDegree(1<<40) != 0 {
+	if f.Node(1<<40) != nil || f.Edge(1<<40) != nil || f.OutDegree(1<<40) != 0 {
 		t.Errorf("lookup of an absent OID returned a construct")
 	}
-	if got, want := f.NodeLabels(), g.NodeLabels(); !reflect.DeepEqual(got, want) {
-		t.Errorf("NodeLabels = %v, want %v", got, want)
+	fNodeLabels, fEdgeLabels := viewLabels(f)
+	gNodeLabels, gEdgeLabels := viewLabels(g)
+	if !reflect.DeepEqual(fNodeLabels, gNodeLabels) {
+		t.Errorf("node labels = %v, want %v", fNodeLabels, gNodeLabels)
 	}
-	if got, want := f.EdgeLabels(), g.EdgeLabels(); !reflect.DeepEqual(got, want) {
-		t.Errorf("EdgeLabels = %v, want %v", got, want)
+	if !reflect.DeepEqual(fEdgeLabels, gEdgeLabels) {
+		t.Errorf("edge labels = %v, want %v", fEdgeLabels, gEdgeLabels)
 	}
-	for _, l := range append(g.NodeLabels(), "NoSuchLabel") {
+	for _, l := range append(gNodeLabels, "NoSuchLabel") {
 		if got, want := f.NodeLabelCount(l), len(g.NodesByLabel(l)); got != want {
 			t.Errorf("NodeLabelCount(%q) = %d, want %d", l, got, want)
 		}
 	}
-	for _, l := range append(g.EdgeLabels(), "NoSuchLabel") {
+	for _, l := range append(gEdgeLabels, "NoSuchLabel") {
 		if got, want := f.EdgeLabelCount(l), len(g.EdgesByLabel(l)); got != want {
 			t.Errorf("EdgeLabelCount(%q) = %d, want %d", l, got, want)
 		}
 	}
 	i := 0
 	f.ScanNodes(func(r *NodeRow) bool {
-		if n := nodes[i]; r.ID != n.ID || !reflect.DeepEqual(r.Labels, n.Labels) || !reflect.DeepEqual(propMap(r.Props), n.Props) {
+		n := nodes[i]
+		if r.ID != n.ID || !reflect.DeepEqual(r.Labels, n.Labels) || !reflect.DeepEqual(propMap(r.Props), n.Props) {
 			t.Errorf("ScanNodes row %d = %+v, want %+v", i, r, n)
 		}
+		checkRowProps(t, r.ID, r.Props, n.Props)
 		i++
 		return true
 	})
@@ -209,9 +228,24 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 		if e := edges[i]; r.ID != e.ID || r.Label != e.Label || r.From != e.From || r.To != e.To || (r.Props == nil) != (e.Props == nil) || len(r.Props) != len(e.Props) {
 			t.Errorf("ScanEdges row %d = %+v, want %+v", i, r, e)
 		}
+		checkRowProps(t, r.ID, r.Props, edges[i].Props)
 		i++
 		return true
 	})
+}
+
+// checkRowProps reads every property of want back off a scanned row by key,
+// and one key no construct carries.
+func checkRowProps(t *testing.T, id OID, row PropList, want Props) {
+	t.Helper()
+	for k, v := range want {
+		if got, ok := row.Get(k); !ok || got != v {
+			t.Errorf("row %d property %q = %v, %v, want %v", id, k, got, ok, v)
+		}
+	}
+	if _, ok := row.Get("no-such-key"); ok {
+		t.Errorf("row %d found a phantom key", id)
+	}
 }
 
 // checkCSR checks the snapshot's adjacency against the graph it was frozen
@@ -244,10 +278,10 @@ func checkCSR(t *testing.T, f *Frozen, g *Graph) {
 }
 
 // TestFrozenReadersRaceLabelSummary: eight readers run the whole read check
-// on one fresh snapshot at once, so their first label listings and counts
-// race the one label-summary build and every point lookup builds its struct
-// beside the others'. make test-race reruns it ten times under the race
-// detector.
+// on one fresh snapshot at once, so their first NodeLabelCount and
+// EdgeLabelCount calls race the one label-count build and every point lookup
+// builds its struct beside the others'. make test-race reruns it ten times
+// under the race detector.
 func TestFrozenReadersRaceLabelSummary(t *testing.T) {
 	g := randomFrozenGraph(rand.New(rand.NewSource(7)))
 	f := g.Freeze()
@@ -307,7 +341,7 @@ func TestFrozenIsDeepSnapshot(t *testing.T) {
 	if got := graphJSON(t, f.Thaw()); !bytes.Equal(before, got) {
 		t.Fatalf("snapshot changed after source mutation:\nbefore %s\nafter  %s", before, got)
 	}
-	if v, _ := f.NodeProp(n.ID, "name"); v != value.Str("acme") {
+	if v := f.Node(n.ID).Props["name"]; v != value.Str("acme") {
 		t.Fatalf("frozen property changed: %v", v)
 	}
 }
@@ -319,6 +353,7 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 	g := randomFrozenGraph(rand.New(rand.NewSource(7)))
 	f := g.Freeze()
 	want := graphJSON(t, f.Thaw())
+	nodeLabels, edgeLabels := viewLabels(g)
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -329,24 +364,24 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				total := 0
-				for _, l := range f.NodeLabels() {
+				for _, l := range nodeLabels {
 					total += f.NodeLabelCount(l)
 				}
 				f.ScanNodes(func(n *NodeRow) bool {
 					_ = f.Node(n.ID)
-					_, _ = f.NodeProp(n.ID, "name")
-					_ = f.InDegree(n.ID) + f.OutDegree(n.ID)
+					_, _ = n.Props.Get("name")
+					_ = f.OutDegree(n.ID)
 					return true
 				})
 				f.ScanEdges(func(e *EdgeRow) bool {
 					_ = f.Edge(e.ID)
-					_, _ = f.EdgeProp(e.ID, "pct")
+					_, _ = e.Props.Get("pct")
 					return true
 				})
-				for _, l := range f.EdgeLabels() {
+				for _, l := range edgeLabels {
 					total += f.EdgeLabelCount(l)
 				}
-				if total == 0 && f.NumNodes() > 0 && len(f.NodeLabels()) > 0 {
+				if total == 0 && f.NumNodes() > 0 && len(nodeLabels) > 0 {
 					errs <- fmt.Errorf("reader %d: label scan went empty", w)
 					return
 				}

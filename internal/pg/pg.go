@@ -109,7 +109,9 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-func normalizeLabels(labels []string) []string {
+// NormalizeLabels returns a label list as a node holds it: sorted, each label
+// once, nil when empty. The input is not modified.
+func NormalizeLabels(labels []string) []string {
 	if len(labels) == 0 {
 		return nil
 	}
@@ -125,7 +127,9 @@ func normalizeLabels(labels []string) []string {
 	return out[:j]
 }
 
-func cloneProps(p Props) Props {
+// CloneProps copies a node's property map. A node always carries a non-nil
+// map, so a nil map clones to an empty one.
+func CloneProps(p Props) Props {
 	if p == nil {
 		return Props{}
 	}
@@ -136,11 +140,11 @@ func cloneProps(p Props) Props {
 	return out
 }
 
-// cloneEdgeProps keeps empty edge property maps nil: edges are never
-// mutated in place (unlike nodes, whose Props the materializers write), and
-// graphs at dictionary scale carry millions of property-less edges whose
-// empty maps would otherwise dominate allocation.
-func cloneEdgeProps(p Props) Props {
+// CloneEdgeProps copies an edge's property map, keeping an empty one nil:
+// edges are never mutated in place (unlike nodes, whose Props the
+// materializers write), and graphs at dictionary scale carry millions of
+// property-less edges whose empty maps would otherwise dominate allocation.
+func CloneEdgeProps(p Props) Props {
 	if len(p) == 0 {
 		return nil
 	}
@@ -153,7 +157,7 @@ func cloneEdgeProps(p Props) Props {
 
 // AddNode creates a node with the given labels and properties and returns it.
 func (g *Graph) AddNode(labels []string, props Props) *Node {
-	n := &Node{ID: g.next, Labels: normalizeLabels(labels), Props: cloneProps(props)}
+	n := &Node{ID: g.next, Labels: NormalizeLabels(labels), Props: CloneProps(props)}
 	g.record(undoOp{kind: undoAddNode, id: n.ID, prevNext: g.next})
 	g.next++
 	g.nodes[n.ID] = n
@@ -166,7 +170,7 @@ func (g *Graph) AddNode(labels []string, props Props) *Node {
 // AddNodeWithID creates a node with a caller-chosen OID, used when importing
 // serialized graphs. It fails if the OID is not positive or already taken.
 func (g *Graph) AddNodeWithID(id OID, labels []string, props Props) (*Node, error) {
-	return g.insertNode(id, labels, cloneProps(props))
+	return g.insertNode(id, labels, CloneProps(props))
 }
 
 // insertNode is AddNodeWithID taking ownership of props.
@@ -180,7 +184,7 @@ func (g *Graph) insertNode(id OID, labels []string, props Props) (*Node, error) 
 	if _, ok := g.edges[id]; ok {
 		return nil, fmt.Errorf("pg: OID %d already used by an edge", id)
 	}
-	n := &Node{ID: id, Labels: normalizeLabels(labels), Props: props}
+	n := &Node{ID: id, Labels: NormalizeLabels(labels), Props: props}
 	g.record(undoOp{kind: undoAddNode, id: id, prevNext: g.next})
 	g.nodes[id] = n
 	if id >= g.next {
@@ -203,7 +207,7 @@ func (g *Graph) AddLabel(id OID, label string) error {
 		return nil
 	}
 	g.record(undoOp{kind: undoAddLabel, id: id, label: label})
-	n.Labels = normalizeLabels(append(n.Labels, label))
+	n.Labels = NormalizeLabels(append(n.Labels, label))
 	g.byLabel[label] = sortedset.Insert(g.byLabel[label], id)
 	return nil
 }
@@ -237,7 +241,7 @@ func (g *Graph) AddEdge(from, to OID, label string, props Props) (*Edge, error) 
 	if _, ok := g.nodes[to]; !ok {
 		return nil, fmt.Errorf("pg: edge target OID %d does not exist", to)
 	}
-	e := &Edge{ID: g.next, Label: label, From: from, To: to, Props: cloneEdgeProps(props)}
+	e := &Edge{ID: g.next, Label: label, From: from, To: to, Props: CloneEdgeProps(props)}
 	g.record(undoOp{kind: undoAddEdge, id: e.ID, prevNext: g.next})
 	g.next++
 	g.edges[e.ID] = e
@@ -259,7 +263,7 @@ func (g *Graph) MustAddEdge(from, to OID, label string, props Props) *Edge {
 
 // AddEdgeWithID creates an edge with a caller-chosen OID, as AddNodeWithID.
 func (g *Graph) AddEdgeWithID(id, from, to OID, label string, props Props) (*Edge, error) {
-	return g.insertEdge(id, from, to, label, cloneEdgeProps(props))
+	return g.insertEdge(id, from, to, label, CloneEdgeProps(props))
 }
 
 // insertEdge is AddEdgeWithID taking ownership of props.
@@ -387,36 +391,6 @@ func (g *Graph) In(id OID) []*Edge {
 	return out
 }
 
-// OutDegree returns the number of outgoing edges of a node.
-func (g *Graph) OutDegree(id OID) int { return len(g.out[id]) }
-
-// InDegree returns the number of incoming edges of a node.
-func (g *Graph) InDegree(id OID) int { return len(g.in[id]) }
-
-// NodeLabels returns every node label present in the graph, sorted.
-func (g *Graph) NodeLabels() []string {
-	out := make([]string, 0, len(g.byLabel))
-	for l, ids := range g.byLabel {
-		if len(ids) > 0 {
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EdgeLabels returns every edge label present in the graph, sorted.
-func (g *Graph) EdgeLabels() []string {
-	out := make([]string, 0, len(g.byEdgeLabel))
-	for l, ids := range g.byEdgeLabel {
-		if len(ids) > 0 {
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RemoveEdge deletes an edge.
 func (g *Graph) RemoveEdge(id OID) error {
 	e, ok := g.edges[id]
@@ -473,7 +447,7 @@ func CopyView(v View) (*Graph, error) {
 		return nil, err
 	}
 	v.ScanEdges(func(r *EdgeRow) bool {
-		var props Props // nil when empty, as cloneEdgeProps keeps it
+		var props Props // nil when empty, as CloneEdgeProps keeps it
 		if len(r.Props) > 0 {
 			props = propMap(r.Props)
 		}

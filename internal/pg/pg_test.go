@@ -32,14 +32,15 @@ func TestBasicAccessors(t *testing.T) {
 		t.Errorf("OWNS = %d", n)
 	}
 	company := g.NodesByLabel("Company")[0]
-	if g.InDegree(company.ID) != 2 || g.OutDegree(company.ID) != 0 {
-		t.Errorf("company degrees = %d/%d", g.InDegree(company.ID), g.OutDegree(company.ID))
+	if len(g.In(company.ID)) != 2 || len(g.Out(company.ID)) != 0 {
+		t.Errorf("company degrees = %d/%d", len(g.In(company.ID)), len(g.Out(company.ID)))
 	}
-	if got := g.NodeLabels(); len(got) != 3 {
-		t.Errorf("node labels = %v", got)
+	nodeLabels, edgeLabels := viewLabels(g)
+	if len(nodeLabels) != 3 {
+		t.Errorf("node labels = %v", nodeLabels)
 	}
-	if got := g.EdgeLabels(); len(got) != 2 {
-		t.Errorf("edge labels = %v", got)
+	if len(edgeLabels) != 2 {
+		t.Errorf("edge labels = %v", edgeLabels)
 	}
 	emp := g.NodesByLabel("Employee")[0]
 	if !emp.HasLabel("Person") || emp.HasLabel("Company") {

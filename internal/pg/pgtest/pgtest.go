@@ -1,20 +1,61 @@
-// Package pgtest holds the pg.View check shared by the test suites of the
-// packages that implement a view or persist one.
+// Package pgtest holds the pg.View checks and readings shared by the test
+// suites of the packages that implement a view or persist one.
 package pgtest
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/pg"
 )
+
+// PointView is a view together with the point lookups every implementation
+// keeps as its own methods.
+type PointView interface {
+	pg.View
+	Node(id pg.OID) *pg.Node
+	Edge(id pg.OID) *pg.Edge
+}
+
+// NodeLabels lists the distinct labels of the view's nodes, sorted, as its
+// node scan presents them.
+func NodeLabels(v pg.View) []string {
+	seen := map[string]bool{}
+	v.ScanNodes(func(r *pg.NodeRow) bool {
+		for _, l := range r.Labels {
+			seen[l] = true
+		}
+		return true
+	})
+	return sortedKeys(seen)
+}
+
+// EdgeLabels lists the distinct labels of the view's edges, sorted.
+func EdgeLabels(v pg.View) []string {
+	seen := map[string]bool{}
+	v.ScanEdges(func(r *pg.EdgeRow) bool {
+		seen[r.Label] = true
+		return true
+	})
+	return sortedKeys(seen)
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // CheckScans fails t unless v's row scans present exactly the view's
 // constructs: NumNodes/NumEdges rows in strictly ascending OID order, each
 // equal field for field to the view's own point lookup of its OID — a nil
 // label list or property list where, and only where, the struct's is nil —
 // and each scan stops when told to.
-func CheckScans(t testing.TB, v pg.View) {
+func CheckScans(t testing.TB, v PointView) {
 	t.Helper()
 	visited, last := 0, pg.OID(0)
 	v.ScanNodes(func(r *pg.NodeRow) bool {

@@ -6,11 +6,11 @@ import (
 	"repro/internal/fault"
 )
 
-// Retryable readers: the CLI ingestion paths re-open and re-read a source
-// on transient failure instead of aborting a materialization run over a
-// flaky filesystem or network mount. The open callback is invoked once per
-// attempt, so each retry reads a fresh stream from the start; retry counts
-// surface through the internal/obs expvar counters.
+// Retryable reader: the server's JSON graph load re-opens and re-reads its
+// source on transient failure instead of failing over a flaky filesystem or
+// network mount. The open callback is invoked once per attempt, so each
+// retry reads a fresh stream from the start; retry counts surface through
+// the internal/obs expvar counters.
 
 // ReadJSONRetry reads a JSON graph with retries under the given policy.
 func ReadJSONRetry(open func() (io.ReadCloser, error), p fault.RetryPolicy) (*Graph, error) {
@@ -22,26 +22,6 @@ func ReadJSONRetry(open func() (io.ReadCloser, error), p fault.RetryPolicy) (*Gr
 		}
 		defer r.Close()
 		g, err = ReadJSON(r)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// ReadCSVRetry reads a node/edge CSV graph pair with retries under the
-// given policy.
-func ReadCSVRetry(open func() (nodes, edges io.ReadCloser, err error), p fault.RetryPolicy) (*Graph, error) {
-	var g *Graph
-	err := p.Do("pg/read-csv", func() error {
-		nr, er, err := open()
-		if err != nil {
-			return err
-		}
-		defer nr.Close()
-		defer er.Close()
-		g, err = ReadCSV(nr, er)
 		return err
 	})
 	if err != nil {

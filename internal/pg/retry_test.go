@@ -59,32 +59,6 @@ func TestReadJSONRetryExhaustsOnPersistentFault(t *testing.T) {
 	}
 }
 
-func TestReadCSVRetryRecoversFromInjectedFault(t *testing.T) {
-	defer fault.Reset()
-	g := seedGraph()
-	var nbuf, ebuf bytes.Buffer
-	if err := g.WriteNodeCSV(&nbuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteEdgeCSV(&ebuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.Arm("pg/read-csv", fault.Plan{Mode: fault.ModeError, After: 1, Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSVRetry(func() (io.ReadCloser, io.ReadCloser, error) {
-		return io.NopCloser(strings.NewReader(nbuf.String())),
-			io.NopCloser(strings.NewReader(ebuf.String())), nil
-	}, fault.RetryPolicy{MaxAttempts: 2, Sleep: noSleep})
-	if err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if len(got.Nodes()) != len(g.Nodes()) || len(got.Edges()) != len(g.Edges()) {
-		t.Fatalf("recovered graph has %d nodes/%d edges, want %d/%d",
-			len(got.Nodes()), len(got.Edges()), len(g.Nodes()), len(g.Edges()))
-	}
-}
-
 func TestWriteSitesInjectErrors(t *testing.T) {
 	g := seedGraph()
 	for _, site := range []string{"pg/write-json", "pg/write-node-csv", "pg/write-edge-csv"} {

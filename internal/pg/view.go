@@ -22,23 +22,18 @@ import (
 // discussion (Section 6) batches all writes before reasoning, which is
 // exactly the builder→frozen handoff.
 //
-// Contract: all iteration orders are ascending OID (slices) or sorted
-// (label lists), identical across implementations — reasoning over a frozen
-// snapshot is bit-identical to reasoning over the graph it snapshots.
-// Returned structs and slices must be treated as read-only: *Graph hands out
-// its own structs, *Frozen builds fresh ones on every Node/Edge call and
-// shares only its label lists. A View lists no label's constructs and no
-// node's incident edges: readers that need them scan, and only the mutable
-// *Graph, which holds the pointer structs natively, keeps NodesByLabel,
-// EdgesByLabel, Out and In as its own methods.
+// Contract: a View is its scans. Both hand out rows in ascending OID order,
+// identical across implementations — reasoning over a frozen snapshot is
+// bit-identical to reasoning over the graph it snapshots — and every reader
+// of a whole graph (fact extraction, statistics, copying, freezing) walks
+// them. A View resolves no OID, counts no degree and lists no label:
+// implementations keep such point reads as their own methods (Node and Edge
+// on *Graph, *Frozen and the overlay; NodesByLabel, EdgesByLabel, Out and In
+// on the mutable *Graph, which holds the pointer structs natively).
 type View interface {
 	// NumNodes and NumEdges return the sizes of N and E.
 	NumNodes() int
 	NumEdges() int
-
-	// Node and Edge resolve an OID, returning nil when absent.
-	Node(id OID) *Node
-	Edge(id OID) *Edge
 
 	// ScanNodes and ScanEdges hand every construct to visit as a flat row,
 	// in ascending OID order, until visit returns false. The row and its
@@ -49,14 +44,6 @@ type View interface {
 	// map.
 	ScanNodes(visit func(*NodeRow) bool)
 	ScanEdges(visit func(*EdgeRow) bool)
-
-	// OutDegree and InDegree count a node's incident edges.
-	OutDegree(id OID) int
-	InDegree(id OID) int
-
-	// NodeLabels and EdgeLabels list the labels present, sorted.
-	NodeLabels() []string
-	EdgeLabels() []string
 }
 
 // Prop is one property of a scanned row.

@@ -261,8 +261,8 @@ func New(cfg Config) (*Server, error) {
 	return open(cfg, nil)
 }
 
-// NewFromGraph builds a server from an in-memory graph — the entry point
-// for tests and benchmarks. The graph is frozen immediately and not
+// NewFromGraph builds a server from an in-memory graph; the server
+// package's own tests are its callers. The graph is frozen immediately and not
 // retained; later mutations of g are invisible to the server. A configured
 // WAL replays over the graph, unless a checkpoint names an on-disk base.
 func NewFromGraph(cfg Config, g *pg.Graph) (*Server, error) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/pg"
+	"repro/internal/pg/pgtest"
 	"repro/internal/snapfile"
 	"repro/internal/value"
 )
@@ -97,25 +98,25 @@ func TestGoldenDecodes(t *testing.T) {
 	if !reflect.DeepEqual(snap.Info, goldenInfo) {
 		t.Fatalf("build info: %+v, want %+v", snap.Info, goldenInfo)
 	}
-	if got, want := f.NodeLabels(), []string{"Company", "Director", "Person"}; !reflect.DeepEqual(got, want) {
+	if got, want := pgtest.NodeLabels(f), []string{"Company", "Director", "Person"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("node labels %v, want %v", got, want)
 	}
-	if got, want := f.EdgeLabels(), []string{"", "Owns"}; !reflect.DeepEqual(got, want) {
+	if got, want := pgtest.EdgeLabels(f), []string{"", "Owns"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("edge labels %v, want %v", got, want)
 	}
 	var ids []pg.OID
 	f.ScanNodes(func(r *pg.NodeRow) bool { ids = append(ids, r.ID); return true })
 	acme, bob, shell := ids[0], ids[1], ids[2]
-	if v, ok := f.NodeProp(acme, "name"); !ok || v != value.Str("Acme Holding") {
+	if v, ok := f.Node(acme).Props.Get("name"); !ok || v != value.Str("Acme Holding") {
 		t.Fatalf("acme name = %v, %v", v, ok)
 	}
-	if v, ok := f.NodeProp(bob, "age"); !ok || v != value.IntV(52) {
+	if v, ok := f.Node(bob).Props.Get("age"); !ok || v != value.IntV(52) {
 		t.Fatalf("bob age = %v, %v", v, ok)
 	}
-	if v, ok := f.NodeProp(shell, "why"); !ok || v != value.NullV(3) {
+	if v, ok := f.Node(shell).Props.Get("why"); !ok || v != value.NullV(3) {
 		t.Fatalf("shell why = %v, %v", v, ok)
 	}
-	if v, ok := f.NodeProp(shell, "sk"); !ok || v != value.Skolem("own", value.IntV(1)) {
+	if v, ok := f.Node(shell).Props.Get("sk"); !ok || v != value.Skolem("own", value.IntV(1)) {
 		t.Fatalf("shell sk = %v, %v", v, ok)
 	}
 	var out, in []pg.EdgeRow
@@ -131,10 +132,11 @@ func TestGoldenDecodes(t *testing.T) {
 	if len(out) != 1 || f.OutDegree(bob) != 1 || out[0].To != acme || out[0].Label != "Owns" {
 		t.Fatalf("bob out-edges: %+v", out)
 	}
-	if v, ok := f.EdgeProp(out[0].ID, "w"); !ok || v != value.FloatV(0.6) {
+	if v, ok := f.Edge(out[0].ID).Props.Get("w"); !ok || v != value.FloatV(0.6) {
 		t.Fatalf("ownership weight = %v, %v", v, ok)
 	}
-	if len(in) != 1 || f.InDegree(shell) != 1 || in[0].Label != "" {
+	cols := f.Columns() // shell is node row 2
+	if len(in) != 1 || cols.InOff[3]-cols.InOff[2] != 1 || in[0].Label != "" {
 		t.Fatalf("shell in-edges: %+v", in)
 	}
 	assertViewEqual(t, goldenGraph(), f)

@@ -70,8 +70,9 @@ func testGraph(rng *rand.Rand) *pg.Graph {
 }
 
 // assertViewEqual compares two frozen views across the whole read surface:
-// canonical serialization, CSR adjacency and degrees, columnar property
-// reads, and the label counts.
+// canonical serialization, CSR adjacency and degrees, single-property reads
+// of the scanned rows against the other side's point lookups, and the label
+// counts.
 func assertViewEqual(t *testing.T, want, got *pg.Frozen) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
@@ -87,40 +88,41 @@ func assertViewEqual(t *testing.T, want, got *pg.Frozen) {
 	if !bytes.Equal(bw.Bytes(), bg.Bytes()) {
 		t.Fatal("canonical serializations diverge")
 	}
+	wc, gc := want.Columns(), got.Columns()
+	row := 0
 	want.ScanNodes(func(n *pg.NodeRow) bool {
-		if want.OutDegree(n.ID) != got.OutDegree(n.ID) || want.InDegree(n.ID) != got.InDegree(n.ID) {
+		inDeg := func(c pg.Columns) int32 { return c.InOff[row+1] - c.InOff[row] }
+		if want.OutDegree(n.ID) != got.OutDegree(n.ID) || inDeg(wc) != inDeg(gc) {
 			t.Fatalf("degrees of node %d diverge", n.ID)
 		}
+		props := got.Node(n.ID).Props
 		for _, p := range n.Props {
-			v1, ok1 := want.NodeProp(n.ID, p.Key)
-			v2, ok2 := got.NodeProp(n.ID, p.Key)
-			if ok1 != ok2 || v1 != v2 {
-				t.Fatalf("NodeProp(%d, %q): %v/%v vs %v/%v", n.ID, p.Key, v1, ok1, v2, ok2)
+			if v, ok := props.Get(p.Key); !ok || v != p.Val {
+				t.Fatalf("node %d property %q: %v vs %v/%v", n.ID, p.Key, p.Val, v, ok)
 			}
 		}
+		row++
 		return true
 	})
 	want.ScanEdges(func(e *pg.EdgeRow) bool {
+		props := got.Edge(e.ID).Props
 		for _, p := range e.Props {
-			v1, ok1 := want.EdgeProp(e.ID, p.Key)
-			v2, ok2 := got.EdgeProp(e.ID, p.Key)
-			if ok1 != ok2 || v1 != v2 {
-				t.Fatalf("EdgeProp(%d, %q) diverges", e.ID, p.Key)
+			if v, ok := props.Get(p.Key); !ok || v != p.Val {
+				t.Fatalf("edge %d property %q diverges", e.ID, p.Key)
 			}
 		}
 		return true
 	})
-	wc, gc := want.Columns(), got.Columns()
 	if !slices.Equal(wc.OutOff, gc.OutOff) || !slices.Equal(wc.OutAdj, gc.OutAdj) ||
 		!slices.Equal(wc.InOff, gc.InOff) || !slices.Equal(wc.InAdj, gc.InAdj) {
 		t.Fatal("CSR adjacency diverges")
 	}
-	for _, l := range want.NodeLabels() {
+	for _, l := range pgtest.NodeLabels(want) {
 		if want.NodeLabelCount(l) != got.NodeLabelCount(l) {
 			t.Fatalf("NodeLabelCount(%q) diverges", l)
 		}
 	}
-	for _, l := range want.EdgeLabels() {
+	for _, l := range pgtest.EdgeLabels(want) {
 		if want.EdgeLabelCount(l) != got.EdgeLabelCount(l) {
 			t.Fatalf("EdgeLabelCount(%q) diverges", l)
 		}
