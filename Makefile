@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench examples loc loc-delta check bench bench-pairs
+.PHONY: build vet test test-race test-chaos fuzz-smoke cover test-bench loc loc-delta check bench bench-pairs
 
 build:
 	$(GO) build ./...
@@ -89,17 +89,6 @@ cover: build
 test-bench: build
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# examples runs every program under examples/ (the README's entry point) and
-# fails on the first non-zero exit; their output is not checked. ~6 s on two
-# cores, most of it compiling.
-EXAMPLES = $(notdir $(wildcard examples/*))
-
-examples: build
-	@for x in $(EXAMPLES); do \
-		echo "go run ./examples/$$x"; \
-		$(GO) run ./examples/$$x > /dev/null || exit 1; \
-	done
-
 LOC_FILTER = grep '\.go$$' | grep -v '_test\.go$$' | grep -v '^bench/'
 
 # loc prints the non-test line count outside bench/ — the number CHANGES.md
@@ -142,10 +131,10 @@ bench-pairs:
 	done; \
 	$(GO) run ./cmd/benchpairs < $(PAIRS_DIR)/runs.txt
 
-# check is the tier-1 gate: vet + full suite, the race-detector pass, the
-# chaos sweep, the fuzz smoke test, the coverage floor, the benchmark
-# module, and the examples.
-check: test test-race test-chaos fuzz-smoke cover test-bench examples
+# check is the tier-1 gate: vet + full suite (the paper walk-throughs run in
+# it as pinned Example functions), the race-detector pass, the chaos sweep,
+# the fuzz smoke test, the coverage floor and the benchmark module.
+check: test test-race test-chaos fuzz-smoke cover test-bench
 
 # bench runs the benchmark spine — every workload in BENCHMARK.json, one
 # result line each, stamped with the hardware and commit that produced it

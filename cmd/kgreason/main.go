@@ -9,7 +9,7 @@
 //
 // Built-in components: ownership, control, family. (The close-links
 // component runs over the simple shareholding projection and is exposed
-// through the library and the closelinks example instead.)
+// through the library and Example_closeLinks instead.)
 package main
 
 import (

@@ -19,7 +19,9 @@
 //   - internal/fingraph — the synthetic financial-graph substrate
 //   - internal/finance — control, ownership, close links, groups, families
 //
-// The cmd/ tools and examples/ run each step from the command line; the
-// bench/ module records the timings. See DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-versus-measured results.
+// The cmd/ tools run each step from the command line, and the Example
+// functions in example_test.go walk through the paper's figures and examples
+// with their output pinned; the bench/ module records the timings. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for
+// paper-versus-measured results.
 package repro

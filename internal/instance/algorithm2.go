@@ -37,8 +37,9 @@ type Source interface {
 // PGSource is a property-graph data instance. The load phase only reads the
 // graph, so any pg.View works — including a pg.Frozen snapshot, which makes
 // the load side safe to share across concurrent materializations. Callers
-// that want the derived components applied back (MaterializeStaged,
-// Result.ApplyToPG) must supply a mutable *pg.Graph.
+// that want the derived components applied back (Result.ApplyToPG, and
+// MaterializeStaged with more than one component) must supply a mutable
+// *pg.Graph; MaterializeStaged refuses any other view with ErrNoWriteBack.
 type PGSource struct{ Data pg.View }
 
 func (s PGSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
@@ -217,13 +218,21 @@ type Component struct {
 	Sigma *metalog.Program
 }
 
+// ErrNoWriteBack refuses a staged run of two or more components over a
+// source the derived components cannot be applied back to: every later
+// component would read the unstaged input.
+var ErrNoWriteBack = errors.New("instance: staging more than one component needs a mutable *pg.Graph source to write back to")
+
 // MaterializeStaged runs Algorithm 2 once per component, in order, against
 // the same data instance, and returns one Result per step. Each step gets a
 // fresh dictionary (instanceOID+i), so instance constructs do not accumulate
-// across steps — the staging-area flush of Section 6. When src is a mutable
-// *pg.Graph (directly or inside a RetryingSource) the derived components are
-// applied back to it after each step, so later components read what earlier
-// ones derived.
+// across steps — the staging-area flush of Section 6. The derived components
+// are applied back to src after each step, so later components read what
+// earlier ones derived; that needs src to be a PGSource over a mutable
+// *pg.Graph (directly or inside a RetryingSource). Over any other source
+// (a pg.Frozen snapshot, an overlay, a RelationalSource) a run of two or more
+// components is refused with ErrNoWriteBack before any step runs; a single
+// component runs over any source.
 //
 // Every component is first checked against the schema, before any step runs:
 // the intensional language "should refer to the schema constructs" (§1), so a
@@ -240,6 +249,9 @@ func MaterializeStaged(schema *supermodel.Schema, src Source, comps []Component,
 		}
 	}
 	data, writeBack := mutablePG(src)
+	if !writeBack && len(comps) > 1 {
+		return nil, ErrNoWriteBack
+	}
 	var steps []*Result
 	for i, c := range comps {
 		d, err := NewDictionary(schema)
@@ -308,8 +320,9 @@ func catalogConstructs(cat *metalog.Catalog) map[string]bool {
 }
 
 // mutablePG unwraps src down to a mutable property graph, looking through a
-// RetryingSource. A PGSource over an immutable view (a pg.Frozen snapshot)
-// or a relational source reports false: there is no graph to write back to.
+// RetryingSource. A PGSource over any other view (a pg.Frozen snapshot, an
+// overlay) or a relational source reports false: there is no graph to write
+// back to.
 func mutablePG(src Source) (*pg.Graph, bool) {
 	if rs, ok := src.(RetryingSource); ok {
 		src = rs.Inner

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/finance"
@@ -160,5 +161,58 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 
 	if _, steps, err := run(vadalog.FailFast); err == nil || steps != nil {
 		t.Errorf("fail-fast: %d steps, err %v; want no steps and an error", len(steps), err)
+	}
+}
+
+// TestMaterializeStagedNeedsWriteBack: staging two components reads the first
+// one's derivations back from the data graph, so over a source that cannot
+// take them (a frozen snapshot, relational rows, either behind a
+// RetryingSource) the run is refused before any load, instead of letting
+// control reason over unstaged input (only the 60 self-loops). A mutable
+// graph behind a RetryingSource is unwrapped and staged; a single component
+// runs over any source.
+func TestMaterializeStagedNeedsWriteBack(t *testing.T) {
+	defer fault.Reset()
+	schema := supermodel.CompanyKG()
+	comps := []Component{
+		component("ownership", finance.OwnershipProgram()),
+		component("control", finance.ControlProgram()),
+	}
+	retry := func(inner Source) Source {
+		return RetryingSource{Inner: inner, Policy: fault.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}}
+	}
+	graph := stagedData()
+	for _, tc := range []struct {
+		name    string
+		src     Source
+		refused bool
+	}{
+		{"frozen", PGSource{Data: stagedData().Freeze()}, true},
+		{"relational", RelationalSource{Inst: companyTables()}, true},
+		{"retrying frozen", retry(PGSource{Data: stagedData().Freeze()}), true},
+		{"retrying graph", retry(PGSource{Data: graph}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := fault.Arm("instance/load", fault.Plan{Mode: fault.ModeError, After: 1 << 30}); err != nil {
+				t.Fatal(err)
+			}
+			steps, err := MaterializeStaged(schema, tc.src, comps, 1, vadalog.Options{})
+			loads := fault.Hits("instance/load")
+			if tc.refused {
+				if !errors.Is(err, ErrNoWriteBack) || steps != nil || loads != 0 {
+					t.Fatalf("err = %v, %d steps, %d loads; want ErrNoWriteBack before any load", err, len(steps), loads)
+				}
+				if _, err := MaterializeStaged(schema, tc.src, comps[1:], 1, vadalog.Options{}); err != nil {
+					t.Errorf("a single component must run over any source: %v", err)
+				}
+				return
+			}
+			if err != nil || len(steps) != 2 {
+				t.Fatalf("err = %v, %d steps", err, len(steps))
+			}
+			if n := len(graph.EdgesByLabel("CONTROLS")); n <= 60 || n != len(steps[1].Derived.NewEdges) {
+				t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, len(steps[1].Derived.NewEdges))
+			}
+		})
 	}
 }
