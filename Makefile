@@ -71,7 +71,7 @@ fuzz-smoke: build
 # the reasoning engine and its value domain — each carries the same gate (70% of statements) so
 # their suites cannot silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models value supermodel
+COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models value supermodel finance fingraph
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

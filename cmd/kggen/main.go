@@ -41,21 +41,18 @@ func main() {
 	csvPrefix := flag.String("csv-prefix", "", "also write <prefix>nodes.csv and <prefix>edges.csv")
 	workers := flag.Int("workers", 0, "bulk-loader worker count when the graph streams into -snap (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "rows per streamed batch (0 = 65536)")
-	codeFormat := flag.Int("code-format", fingraph.FormatLegacy, "fiscal-code format version: 1 = 8-digit codes, 2 = 10-digit (required past 1e8 entities)")
 	flag.Parse()
 
 	cfg := fingraph.DefaultConfig(*companies, *seed)
-	cfg.FormatVersion = *codeFormat
 	writeSnapshot := func(frozen *pg.Frozen) {
 		info := snapfile.BuildInfo{
 			Tool:        "kggen",
 			Source:      "fingraph/" + *mode,
 			CreatedUnix: time.Now().Unix(),
 			Params: map[string]string{
-				"companies":  fmt.Sprint(*companies),
-				"seed":       fmt.Sprint(*seed),
-				"mode":       *mode,
-				"codeFormat": fmt.Sprint(*codeFormat),
+				"companies": fmt.Sprint(*companies),
+				"seed":      fmt.Sprint(*seed),
+				"mode":      *mode,
 			},
 		}
 		size, err := snapfile.WriteFile(*snap, frozen, info)
@@ -97,7 +94,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		if err := g.WriteJSON(w); err != nil {
+		if err := pg.WriteJSON(w, g); err != nil {
 			fatal(err)
 		}
 	}

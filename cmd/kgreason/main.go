@@ -26,6 +26,7 @@ import (
 	"repro/internal/instance"
 	"repro/internal/metalog"
 	"repro/internal/obs"
+	"repro/internal/overlay"
 	"repro/internal/pg"
 	"repro/internal/plan"
 	"repro/internal/supermodel"
@@ -67,11 +68,23 @@ func main() {
 			fatal(err)
 		}
 	}
-	input, err := cli.OpenGraph(*in)
-	if err != nil {
+	// Opening is the one step that does I/O, so it is what -retries retries;
+	// standard input cannot be read twice.
+	retry := ff.RetryPolicy()
+	if *in == "-" {
+		retry.MaxAttempts = 1
+	}
+	var input *pg.Frozen
+	if err := retry.Do("kgreason/open", func() error {
+		var oerr error
+		input, oerr = cli.OpenGraph(*in)
+		return oerr
+	}); err != nil {
 		fatal(err)
 	}
-	data := input.Thaw() // materialization writes the derived constructs back
+	// Each component's derivations are staged in an overlay over the input,
+	// which the next component reads and the output is written from.
+	stage := overlay.New(input)
 
 	var comps []instance.Component
 	add := func(name, src string) {
@@ -110,11 +123,7 @@ func main() {
 		trace = obs.NewTrace()
 		opts.Trace = trace
 	}
-	var src instance.Source = instance.PGSource{Data: data}
-	if ff.Retries > 1 {
-		src = instance.RetryingSource{Inner: src, Policy: ff.RetryPolicy()}
-	}
-	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), src, comps, 1, opts)
+	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), instance.PGSource{Data: stage}, comps, 1, opts)
 	if trace != nil {
 		// Written before the error check so interrupted materializations
 		// still leave their partial trace behind.
@@ -150,7 +159,7 @@ func main() {
 		}
 		w = of
 	}
-	if err := data.WriteJSON(w); err != nil {
+	if err := pg.WriteJSON(w, stage); err != nil {
 		fatal(err)
 	}
 	if of != nil {

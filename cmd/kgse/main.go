@@ -18,6 +18,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/gsl"
 	"repro/internal/models"
+	"repro/internal/pg"
 	"repro/internal/supermodel"
 )
 
@@ -44,13 +45,13 @@ func main() {
 	switch *render {
 	case "metamodel":
 		g := supermodel.MetaModelDictionary()
-		if err := g.WriteJSON(os.Stdout); err != nil {
+		if err := pg.WriteJSON(os.Stdout, g); err != nil {
 			fatal(err)
 		}
 		return
 	case "supermodel":
 		g := supermodel.SuperModelDictionary()
-		if err := g.WriteJSON(os.Stdout); err != nil {
+		if err := pg.WriteJSON(os.Stdout, g); err != nil {
 			fatal(err)
 		}
 		return
@@ -79,7 +80,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := g.WriteJSON(f); err != nil {
+		if err := pg.WriteJSON(f, g); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "kgse: stored %s into %s\n", schema.Stats(), *dict)

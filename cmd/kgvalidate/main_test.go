@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fingraph"
 	"repro/internal/gsl"
+	"repro/internal/pg"
 	"repro/internal/snapfile"
 	"repro/internal/supermodel"
 )
@@ -68,7 +69,7 @@ func TestValidateOutputGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

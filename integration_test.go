@@ -12,6 +12,7 @@ import (
 	"repro/internal/instance"
 	"repro/internal/metalog"
 	"repro/internal/models"
+	"repro/internal/overlay"
 	"repro/internal/pg"
 	"repro/internal/supermodel"
 	"repro/internal/testutil"
@@ -70,7 +71,8 @@ func TestFullLifecycle(t *testing.T) {
 		{Name: "control", Sigma: metalog.MustParse(finance.ControlProgram())},
 		{Name: "family", Sigma: metalog.MustParse(finance.FamilyProgram())},
 	}
-	steps, err := instance.MaterializeStaged(reparsed, instance.PGSource{Data: data}, comps, 10, vadalog.Options{})
+	staged := overlay.New(data.Freeze())
+	steps, err := instance.MaterializeStaged(reparsed, instance.PGSource{Data: staged}, comps, 10, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,29 +88,35 @@ func TestFullLifecycle(t *testing.T) {
 
 	// 5. The enriched instance still conforms to the schema (intensional
 	// constructs included — they are part of Figure 6).
-	if violations := models.ValidateInstance(data, pgView); len(violations) != 0 {
+	if violations := models.ValidateInstance(staged, pgView); len(violations) != 0 {
 		t.Errorf("enriched instance must still conform; first: %v", violations[0])
 	}
 
 	// 6. Analyze: the derived CONTROLS projection has the expected
 	// reflexive + derived structure.
-	controls := data.EdgesByLabel("CONTROLS")
-	if len(controls) <= 150 {
-		t.Errorf("CONTROLS edges = %d, want > 150 self-loops", len(controls))
+	controls := 0
+	staged.ScanEdges(func(e *pg.EdgeRow) bool {
+		if e.Label == "CONTROLS" {
+			controls++
+		}
+		return true
+	})
+	if controls <= 150 {
+		t.Errorf("CONTROLS edges = %d, want > 150 self-loops", controls)
 	}
 
 	// 7. Serialize the enriched KG and reload it losslessly.
 	var buf bytes.Buffer
-	if err := data.WriteJSON(&buf); err != nil {
+	if err := pg.WriteJSON(&buf, staged); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := pg.ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.NumNodes() != data.NumNodes() || reloaded.NumEdges() != data.NumEdges() {
+	if reloaded.NumNodes() != staged.NumNodes() || reloaded.NumEdges() != staged.NumEdges() {
 		t.Fatalf("serialization lost data: %d/%d vs %d/%d",
-			reloaded.NumNodes(), reloaded.NumEdges(), data.NumNodes(), data.NumEdges())
+			reloaded.NumNodes(), reloaded.NumEdges(), staged.NumNodes(), staged.NumEdges())
 	}
 	if violations := models.ValidateInstance(reloaded, pgView); len(violations) != 0 {
 		t.Errorf("reloaded instance must conform; first: %v", violations[0])
@@ -122,7 +130,7 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// 9. N-Triples export for the triplestore family.
-	nt := models.EmitNTriples(data, "urn:companykg")
+	nt := models.EmitNTriples(staged, "urn:companykg")
 	if !strings.Contains(nt, "urn:companykg/rel/CONTROLS") {
 		t.Errorf("triplestore export misses derived edges")
 	}

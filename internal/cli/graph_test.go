@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fingraph"
+	"repro/internal/pg"
 	"repro/internal/snapfile"
 )
 
@@ -21,7 +22,7 @@ func TestOpenGraphEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

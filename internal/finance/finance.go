@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/fingraph"
+	"repro/internal/sortedset"
 )
 
 // ControlProgram is Example 4.1 verbatim, in the textual MetaLog syntax: a
@@ -246,7 +247,10 @@ func IntegratedOwnership(own *Ownership, x int, eps float64, maxIter int) map[in
 		for k, v := range direct {
 			next[k] = v
 		}
-		for z, v := range cur {
+		// Each company's contributions are summed in source-company order,
+		// so repeated calls agree to the last bit.
+		for _, z := range sortedset.Keys(cur) {
+			v := cur[z]
 			if v <= 0 {
 				continue
 			}

@@ -2,6 +2,7 @@ package finance
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/fingraph"
@@ -176,6 +177,24 @@ func TestIntegratedOwnershipCycleConverges(t *testing.T) {
 	// stays at the direct 0.6 because paths through a itself are pruned.
 	if got := io[1]; !close(got, 0.6) {
 		t.Errorf("IO(a,b) = %v, want 0.6", got)
+	}
+}
+
+// TestIntegratedOwnershipDeterministic: two calls per source over
+// Example_closeLinks' graph (1,500 companies, seed 31) return bit-identical
+// vectors; a sum taken in map order differs in its low bits run to run.
+func TestIntegratedOwnershipDeterministic(t *testing.T) {
+	own := BuildOwnership(fingraph.GenerateTopology(fingraph.DefaultConfig(1500, 31)))
+	for _, x := range own.Entities {
+		a, b := IntegratedOwnership(own, x, 1e-9, 100), IntegratedOwnership(own, x, 1e-9, 100)
+		if len(a) != len(b) {
+			t.Fatalf("source %d: %d vs %d companies", x, len(a), len(b))
+		}
+		for z, v := range a {
+			if w, ok := b[z]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("source %d, company %d: %v vs %v", x, z, v, w)
+			}
+		}
 	}
 }
 

@@ -13,27 +13,10 @@ package fingraph
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/pg"
 	"repro/internal/value"
-)
-
-// Identifier format versions (Config.FormatVersion). The zero value selects
-// FormatLegacy, so existing configurations keep their historical output.
-const (
-	// FormatLegacy renders fiscal codes with 8-digit zero-padded indexes
-	// (PF%08d / CO%08d). Past 10⁸ entities the codes outgrow their field:
-	// the fixed-width contract breaks, lexicographic order stops agreeing
-	// with numeric order, and downstream consumers that slice or sort codes
-	// positionally misattribute entities. TestCodeWidthBoundary pins the
-	// hazard.
-	FormatLegacy = 1
-	// FormatWide renders 10-digit codes (PF%010d / CO%010d), keeping the
-	// fixed-width contract intact up to 10¹⁰ entities — past every scale
-	// the 100M-edge data plane targets. Selecting it changes every rendered
-	// code, so it is gated behind an explicit version bump rather than an
-	// entity-count heuristic.
-	FormatWide = 2
 )
 
 // Config parameterizes the generator. The defaults (see DefaultConfig)
@@ -41,12 +24,6 @@ const (
 type Config struct {
 	Seed      int64
 	Companies int
-
-	// FormatVersion selects the synthetic-identifier format (FormatLegacy
-	// or FormatWide); 0 means FormatLegacy. The streaming generator refuses
-	// scales whose entity indexes would overflow the selected code width —
-	// the loud half of the format-version guard.
-	FormatVersion int
 
 	// PersonsPerCompany controls how many natural persons exist relative to
 	// companies (the Bank of Italy graph has roughly 2 persons per company
@@ -354,17 +331,16 @@ func GenerateTopology(cfg Config) *Topology {
 	return t
 }
 
-// personCode and companyCode build synthetic fiscal codes at the width the
-// config's FormatVersion selects.
-func (cfg Config) codeWidth() int {
-	if cfg.FormatVersion >= FormatWide {
-		return 10
-	}
-	return 8
+// codeWidth is the digit count of the synthetic fiscal codes of a graph
+// with the given entity counts: eight, or as many as its largest person or
+// company index needs. Every code of a graph then has the same width, so
+// the codes sort as their indexes do.
+func codeWidth(persons, companies int) int {
+	return max(8, len(strconv.Itoa(max(persons, companies)-1)))
 }
 
-func (cfg Config) personCode(i int) string  { return fmt.Sprintf("PF%0*d", cfg.codeWidth(), i) }
-func (cfg Config) companyCode(i int) string { return fmt.Sprintf("CO%0*d", cfg.codeWidth(), i) }
+func personCode(width, i int) string  { return fmt.Sprintf("PF%0*d", width, i) }
+func companyCode(width, i int) string { return fmt.Sprintf("CO%0*d", width, i) }
 
 // Shareholding renders the topology as the paper's "simple shareholding
 // graph": nodes are shareholders (persons and companies, all also tagged
@@ -374,16 +350,17 @@ func (cfg Config) companyCode(i int) string { return fmt.Sprintf("CO%0*d", cfg.c
 // computed on this projection.
 func (t *Topology) Shareholding() *pg.Graph {
 	g := pg.New()
+	width := codeWidth(t.Persons, t.Companies)
 	personOID := make([]pg.OID, t.Persons)
 	companyOID := make([]pg.OID, t.Companies)
 	for i := 0; i < t.Persons; i++ {
 		personOID[i] = g.AddNode([]string{"PhysicalPerson", "Entity"}, pg.Props{
-			"fiscalCode": value.Str(t.Config.personCode(i)),
+			"fiscalCode": value.Str(personCode(width, i)),
 		}).ID
 	}
 	for i := 0; i < t.Companies; i++ {
 		companyOID[i] = g.AddNode([]string{"Business", "Entity"}, pg.Props{
-			"fiscalCode": value.Str(t.Config.companyCode(i)),
+			"fiscalCode": value.Str(companyCode(width, i)),
 		}).ID
 	}
 	type pair struct{ from, to pg.OID }
@@ -424,11 +401,12 @@ func (t *Topology) CompanyKG() *pg.Graph {
 
 	// Nodes carry their full ancestor label sets, conforming to the
 	// multi-label PG schema the SSST translation produces (Figure 6).
+	width := codeWidth(t.Persons, t.Companies)
 	personOID := make([]pg.OID, t.Persons)
 	for i := 0; i < t.Persons; i++ {
 		surname := surnames[rng.Intn(len(surnames))]
 		personOID[i] = g.AddNode([]string{"PhysicalPerson", "Person"}, pg.Props{
-			"fiscalCode": value.Str(t.Config.personCode(i)),
+			"fiscalCode": value.Str(personCode(width, i)),
 			"name":       value.Str(surname + " " + firstNames[rng.Intn(len(firstNames))]),
 			"gender":     value.Str(genders[rng.Intn(2)]),
 			"birthDate":  value.Str(fmt.Sprintf("%04d-%02d-%02d", 1930+rng.Intn(70), 1+rng.Intn(12), 1+rng.Intn(28))),
@@ -437,7 +415,7 @@ func (t *Topology) CompanyKG() *pg.Graph {
 	companyOID := make([]pg.OID, t.Companies)
 	for i := 0; i < t.Companies; i++ {
 		companyOID[i] = g.AddNode([]string{"Business", "LegalPerson", "Person"}, pg.Props{
-			"fiscalCode":          value.Str(t.Config.companyCode(i)),
+			"fiscalCode":          value.Str(companyCode(width, i)),
 			"businessName":        value.Str(fmt.Sprintf("company-%d %s", i, natures[rng.Intn(len(natures))])),
 			"legalNature":         value.Str(natures[rng.Intn(len(natures))]),
 			"shareholdingCapital": value.FloatV(float64(10000 + rng.Intn(10_000_000))),

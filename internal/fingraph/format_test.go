@@ -5,68 +5,54 @@ import (
 	"testing"
 )
 
-// TestCodeFormatBoundary pins the fixed-width code contract on both sides of
-// the 10⁸ boundary. The legacy %08d format does not truncate past 10⁸ — fmt
-// widens the field — but the widened codes break the fixed-width /
-// lexicographic-order contract downstream consumers assume: "PF100000000"
-// sorts before "PF99999999". FormatWide restores the contract out to 10¹⁰.
-func TestCodeFormatBoundary(t *testing.T) {
-	legacy := Config{}
-	wide := Config{FormatVersion: FormatWide}
-
-	// In range, both formats are fixed-width and order-preserving.
-	if got := legacy.personCode(0); got != "PF00000000" {
-		t.Fatalf("legacy personCode(0) = %q", got)
-	}
-	if got := legacy.companyCode(99_999_999); got != "CO99999999" {
-		t.Fatalf("legacy companyCode(1e8-1) = %q", got)
-	}
-	if got := wide.personCode(0); got != "PF0000000000" {
-		t.Fatalf("wide personCode(0) = %q", got)
-	}
-	if got := wide.companyCode(9_999_999_999); got != "CO9999999999" {
-		t.Fatalf("wide companyCode(1e10-1) = %q", got)
-	}
-
-	// Past the boundary the legacy format silently widens — the hazard the
-	// format-version guard exists for: codes stop being fixed-width and
-	// lexicographic order diverges from numeric order.
-	over := legacy.personCode(100_000_000)
-	if len(over) == len(legacy.personCode(0)) {
-		t.Fatalf("expected legacy code to widen past 1e8, got %q", over)
-	}
-	if !(over < legacy.personCode(99_999_999)) {
-		t.Fatalf("expected lexicographic inversion at the legacy boundary")
-	}
-
-	// FormatWide keeps the contract intact across the same boundary.
-	w1, w2 := wide.personCode(99_999_999), wide.personCode(100_000_000)
-	if len(w1) != len(w2) || !(w1 < w2) {
-		t.Fatalf("wide format broke fixed width/order at 1e8: %q vs %q", w1, w2)
-	}
-
-	// Prefixes are stable across versions so entity kinds stay decodable.
-	for _, c := range []string{legacy.personCode(7), wide.personCode(7)} {
-		if !strings.HasPrefix(c, "PF") {
-			t.Fatalf("person code %q lost its PF prefix", c)
+// TestCodeWidthSelection pins the fiscal-code width by scale: eight digits
+// up to 10⁸ entities of one kind, as wide as the largest index past that,
+// whichever kind holds it.
+func TestCodeWidthSelection(t *testing.T) {
+	for _, c := range []struct {
+		persons, companies, width int
+	}{
+		{0, 0, 8},
+		{1, 1, 8},
+		{324, 200, 8},
+		{100_000_000, 5, 8},     // largest index 99,999,999
+		{5, 100_000_000, 8},     // either kind
+		{100_000_001, 5, 9},     // largest index 100,000,000
+		{5, 200_000_000, 9},     // either kind
+		{1_000_000_000, 0, 9},   // largest index 999,999,999
+		{1_000_000_001, 0, 10},  // largest index 1,000,000,000
+		{0, 10_000_000_000, 10}, // largest index 9,999,999,999
+		{10_000_000_001, 1, 11}, // past 10¹⁰
+	} {
+		if got := codeWidth(c.persons, c.companies); got != c.width {
+			t.Errorf("codeWidth(%d persons, %d companies) = %d, want %d", c.persons, c.companies, got, c.width)
 		}
 	}
 }
 
-// TestCodeWidthSelection pins the version→width mapping, including the
-// zero-value default.
-func TestCodeWidthSelection(t *testing.T) {
-	cases := []struct {
-		version int
-		width   int
-	}{
-		{0, 8}, // zero value defaults to legacy
-		{FormatLegacy, 8},
-		{FormatWide, 10},
+// TestCodeFormatBoundary pins the fixed-width code contract on both sides of
+// the 10⁸ boundary: every code of a graph has its width, so "PF100000000"
+// never sorts before "PF99999999" — at 10⁸+1 persons both are nine digits.
+func TestCodeFormatBoundary(t *testing.T) {
+	w8 := codeWidth(100_000_000, 0)
+	if got := personCode(w8, 0); got != "PF00000000" {
+		t.Fatalf("personCode(0) at 10⁸ = %q", got)
 	}
-	for _, c := range cases {
-		if got := (Config{FormatVersion: c.version}).codeWidth(); got != c.width {
-			t.Fatalf("codeWidth(version=%d) = %d, want %d", c.version, got, c.width)
-		}
+	if got := companyCode(w8, 99_999_999); got != "CO99999999" {
+		t.Fatalf("companyCode(10⁸-1) at 10⁸ = %q", got)
+	}
+
+	w9 := codeWidth(100_000_001, 0)
+	first, last, over := personCode(w9, 0), personCode(w9, 99_999_999), personCode(w9, 100_000_000)
+	if first != "PF000000000" || over != "PF100000000" {
+		t.Fatalf("codes at 10⁸+1 = %q .. %q", first, over)
+	}
+	if len(last) != len(over) || !(last < over) {
+		t.Fatalf("codes broke fixed width or order at 10⁸: %q vs %q", last, over)
+	}
+
+	// The kind prefixes stay, so codes remain decodable at any width.
+	if !strings.HasPrefix(personCode(w9, 7), "PF") || !strings.HasPrefix(companyCode(w9, 7), "CO") {
+		t.Fatalf("codes lost their kind prefixes: %q, %q", personCode(w9, 7), companyCode(w9, 7))
 	}
 }

@@ -32,20 +32,9 @@ package fingraph
 // across seeds, sizes and worker counts.
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/pg"
 	"repro/internal/value"
 )
-
-// ErrCodeOverflow reports a scale whose entity indexes do not fit the
-// fixed-width fiscal codes of the configured FormatVersion. This is the
-// loud half of the format-version guard: the legacy 8-digit format would
-// not truncate past 10⁸, but it would silently break the fixed-width,
-// lexicographically-ordered code contract. Set Config.FormatVersion to
-// FormatWide for runs past 10⁸ entities of one kind.
-var ErrCodeOverflow = errors.New("fingraph: entity index exceeds the selected code width")
 
 // BatchSink receives the batch stream. *pg.BulkLoader satisfies it; tests
 // substitute recorders. Reserve is a capacity hint (edges may be slightly
@@ -177,21 +166,9 @@ func (e *emitSink) flush() {
 // Finish for the frozen snapshot.
 func StreamTopology(cfg Config, opt StreamOptions, sink BatchSink) (StreamStats, error) {
 	cfg = cfg.normalized()
-	limit := 1
-	for i := 0; i < cfg.codeWidth(); i++ {
-		limit *= 10
-	}
-	if cfg.Companies > limit {
-		return StreamStats{}, fmt.Errorf("%w: %d companies need codes past %d digits (set FormatVersion: FormatWide)",
-			ErrCodeOverflow, cfg.Companies, cfg.codeWidth())
-	}
-
 	pre := &countSink{}
 	persons := runTopology(cfg, pre)
-	if persons > limit {
-		return StreamStats{}, fmt.Errorf("%w: %d persons need codes past %d digits (set FormatVersion: FormatWide)",
-			ErrCodeOverflow, persons, cfg.codeWidth())
-	}
+	width := codeWidth(persons, cfg.Companies)
 
 	batch := opt.BatchSize
 	if batch <= 0 {
@@ -224,10 +201,10 @@ func StreamTopology(cfg Config, opt StreamOptions, sink BatchSink) (StreamStats,
 		}
 		return nil
 	}
-	if err := emitNodes(personLabels, persons, 1, cfg.personCode); err != nil {
+	if err := emitNodes(personLabels, persons, 1, func(i int) string { return personCode(width, i) }); err != nil {
 		return StreamStats{}, err
 	}
-	if err := emitNodes(companyLabels, cfg.Companies, pg.OID(persons+1), cfg.companyCode); err != nil {
+	if err := emitNodes(companyLabels, cfg.Companies, pg.OID(persons+1), func(i int) string { return companyCode(width, i) }); err != nil {
 		return StreamStats{}, err
 	}
 

@@ -2,7 +2,6 @@ package fingraph
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/pg"
@@ -124,30 +123,5 @@ func TestStreamStatsMatchTopology(t *testing.T) {
 	}
 	if stats.Edges != g.NumEdges() {
 		t.Fatalf("stats claim %d edges, materialized graph has %d", stats.Edges, g.NumEdges())
-	}
-}
-
-// TestStreamCodeOverflowGuard pins the loud half of the format-version
-// guard: a scale whose indexes exceed the configured code width is refused
-// with ErrCodeOverflow before anything is emitted, and widening the format
-// version clears it.
-func TestStreamCodeOverflowGuard(t *testing.T) {
-	// Legacy width refuses a company count past 10⁸ before the prepass.
-	cfg := Config{Companies: 200_000_000, Seed: 1}
-	if _, err := StreamTopology(cfg, StreamOptions{}, pg.NewBulkLoader(1)); !errors.Is(err, ErrCodeOverflow) {
-		t.Fatalf("expected ErrCodeOverflow for 2e8 companies at legacy width, got %v", err)
-	}
-
-	// The wide format streams the same content with 10-digit codes, still
-	// byte-identical to its own materialized pipeline.
-	wide := streamConfigs(5)[0]
-	wide.FormatVersion = FormatWide
-	want := encodeViaMaterialize(t, wide)
-	if got := encodeViaStream(t, wide, 2, 64); !bytes.Equal(got, want) {
-		t.Fatalf("wide-format streamed snapshot diverges from materialized")
-	}
-	legacy := streamConfigs(5)[0]
-	if bytes.Equal(encodeViaMaterialize(t, legacy), want) {
-		t.Fatalf("format versions should produce different fiscal codes, snapshots are identical")
 	}
 }

@@ -4,22 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/metalog"
+	"repro/internal/overlay"
 	"repro/internal/pg"
 	"repro/internal/sortedset"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
-	"repro/internal/value"
 )
 
 // Fault-injection sites of the materialization pipeline, one per phase of
-// Algorithm 2. The load site sits inside the Source implementations — not at
-// the Materialize boundary — so a RetryingSource wrapper actually covers the
-// injected failure; the other phases are probed at their boundaries.
+// Algorithm 2, each probed at its phase's boundary.
 var (
 	siteLoad   = fault.Site("instance/load")
 	siteViews  = fault.Site("instance/input-views")
@@ -36,16 +35,13 @@ type Source interface {
 
 // PGSource is a property-graph data instance. The load phase only reads the
 // graph, so any pg.View works — including a pg.Frozen snapshot, which makes
-// the load side safe to share across concurrent materializations. Callers
-// that want the derived components applied back (Result.ApplyToPG, and
-// MaterializeStaged with more than one component) must supply a mutable
-// *pg.Graph; MaterializeStaged refuses any other view with ErrNoWriteBack.
+// the load side safe to share across concurrent materializations. A staged
+// run of more than one component writes each step back into the view, so
+// MaterializeStaged needs it to be an *overlay.Overlay and refuses any other
+// view with ErrNoWriteBack.
 type PGSource struct{ Data pg.View }
 
 func (s PGSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
-	if err := fault.Hit(siteLoad); err != nil {
-		return nil, err
-	}
 	return d.loadPG(s.Data, instanceOID)
 }
 
@@ -54,38 +50,7 @@ func (s PGSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
 type RelationalSource struct{ Inst *RelationalInstance }
 
 func (s RelationalSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
-	if err := fault.Hit(siteLoad); err != nil {
-		return nil, err
-	}
 	return d.loadRelational(s.Inst, instanceOID)
-}
-
-// RetryingSource retries a transiently failing Source under the policy,
-// handing each failed attempt's OIDs back to the dictionary so a retried load
-// replays on exactly the pre-attempt allocator (same OIDs, same rendered
-// dictionary — the "bit-identical to a no-fault run" guarantee the chaos
-// suite asserts). Contained panics are never retried; they surface as
-// *fault.PanicError.
-type RetryingSource struct {
-	Inner  Source
-	Policy fault.RetryPolicy
-}
-
-func (s RetryingSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
-	var loaded *Loaded
-	mark := d.next
-	err := s.Policy.Do("instance/load", func() error {
-		d.next = mark
-		return fault.Guard("instance/load", func() error {
-			var lerr error
-			loaded, lerr = s.Inner.load(d, instanceOID)
-			return lerr
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return loaded, nil
 }
 
 // Result is the outcome of Algorithm 2, with the phase breakdown that
@@ -141,6 +106,9 @@ func Materialize(d *Dictionary, src Source, sigma *metalog.Program, instanceOID 
 	loadStart := time.Now()
 	var loaded *Loaded
 	if err := fault.Guard("instance/load", func() error {
+		if err := fault.Hit(siteLoad); err != nil {
+			return err
+		}
 		var lerr error
 		loaded, lerr = src.load(d, instanceOID)
 		return lerr
@@ -219,20 +187,21 @@ type Component struct {
 }
 
 // ErrNoWriteBack refuses a staged run of two or more components over a
-// source the derived components cannot be applied back to: every later
+// source the derived components cannot be written back to: every later
 // component would read the unstaged input.
-var ErrNoWriteBack = errors.New("instance: staging more than one component needs a mutable *pg.Graph source to write back to")
+var ErrNoWriteBack = errors.New("instance: staging more than one component needs a PGSource over an *overlay.Overlay to write back to")
 
 // MaterializeStaged runs Algorithm 2 once per component, in order, against
 // the same data instance, and returns one Result per step. Each step gets a
 // fresh dictionary (instanceOID+i), so instance constructs do not accumulate
-// across steps — the staging-area flush of Section 6. The derived components
-// are applied back to src after each step, so later components read what
-// earlier ones derived; that needs src to be a PGSource over a mutable
-// *pg.Graph (directly or inside a RetryingSource). Over any other source
-// (a pg.Frozen snapshot, an overlay, a RelationalSource) a run of two or more
-// components is refused with ErrNoWriteBack before any step runs; a single
-// component runs over any source.
+// across steps — the staging-area flush of Section 6. When src is a PGSource
+// over an *overlay.Overlay, each step's derived components are applied to
+// that overlay before the next step loads it, so later
+// components read what earlier ones derived; the caller owns the overlay and
+// reads the staged graph from it. Over any other source (a *pg.Graph, a
+// pg.Frozen snapshot, a RelationalSource) a run of two or more components is
+// refused with ErrNoWriteBack before any step runs; a single component runs
+// over any source and writes nothing back.
 //
 // Every component is first checked against the schema, before any step runs:
 // the intensional language "should refer to the schema constructs" (§1), so a
@@ -241,15 +210,19 @@ var ErrNoWriteBack = errors.New("instance: staging more than one component needs
 // Under vadalog.BestEffort a step that fails mid-reasoning with a
 // *vadalog.PartialError is kept and applied, and the steps so far come back
 // alongside the wrapped error; later components do not run, since they must
-// not read an unsaturated prefix. Every other error returns nil steps.
+// not read an unsaturated prefix. Every other error returns nil steps; an
+// overlay the failed application wrote into may hold part of that step.
 func MaterializeStaged(schema *supermodel.Schema, src Source, comps []Component, instanceOID int64, opts vadalog.Options) ([]*Result, error) {
 	for _, c := range comps {
 		if err := checkComponent(schema, c); err != nil {
 			return nil, err
 		}
 	}
-	data, writeBack := mutablePG(src)
-	if !writeBack && len(comps) > 1 {
+	var stage *overlay.Overlay
+	if ps, ok := src.(PGSource); ok {
+		stage, _ = ps.Data.(*overlay.Overlay)
+	}
+	if stage == nil && len(comps) > 1 {
 		return nil, ErrNoWriteBack
 	}
 	var steps []*Result
@@ -267,8 +240,8 @@ func MaterializeStaged(schema *supermodel.Schema, src Source, comps []Component,
 			}
 		}
 		steps = append(steps, res)
-		if writeBack {
-			if _, aerr := res.ApplyToPG(data); aerr != nil {
+		if stage != nil {
+			if aerr := res.applyTo(stage); aerr != nil {
 				return nil, fmt.Errorf("instance: applying %q: %w", c.Name, aerr)
 			}
 		}
@@ -319,20 +292,67 @@ func catalogConstructs(cat *metalog.Catalog) map[string]bool {
 	return out
 }
 
-// mutablePG unwraps src down to a mutable property graph, looking through a
-// RetryingSource. A PGSource over any other view (a pg.Frozen snapshot, an
-// overlay) or a relational source reports false: there is no graph to write
-// back to.
-func mutablePG(src Source) (*pg.Graph, bool) {
-	if rs, ok := src.(RetryingSource); ok {
-		src = rs.Inner
+// writeOps translates the derived components into the overlay ops that
+// write them back into the property graph the instance was loaded from, and
+// hands them to emit in the order that fixes the OIDs they take: one
+// add_node per derived entity, carrying its attributes and named by a batch
+// handle; one set_node_prop per attribute the flush changed on a loaded
+// entity; one add_edge per derived edge. An update of an entity no source
+// node backs (a relational row) has no node to land on and is dropped; a
+// derived edge touching one is an error.
+func (r *Result) writeOps(emit func(overlay.Op) error) error {
+	l, dv := r.Loaded, r.Derived
+	rev := make(map[pg.OID]pg.OID, len(l.SourceNode)) // I_SM_Node OID -> data node OID
+	for dataOID, ioid := range l.SourceNode {
+		rev[ioid] = dataOID
 	}
-	ps, ok := src.(PGSource)
-	if !ok {
-		return nil, false
+	handles := make(map[pg.OID]string, len(dv.NewEntities))
+	node := func(ioid pg.OID) (overlay.Ref, bool) {
+		if h, ok := handles[ioid]; ok {
+			return overlay.Ref{Name: h}, true
+		}
+		id, ok := rev[ioid]
+		return overlay.Ref{ID: id}, ok
 	}
-	g, ok := ps.Data.(*pg.Graph)
-	return g, ok
+	for _, ent := range dv.NewEntities {
+		h := strconv.FormatInt(int64(ent.IOID), 10)
+		handles[ent.IOID] = h
+		if err := emit(overlay.Op{Kind: overlay.OpAddNode, Name: h, Labels: []string{ent.Type}, Props: ent.Attrs}); err != nil {
+			return err
+		}
+	}
+	for _, u := range dv.Updates {
+		if ref, ok := node(u.Entity); ok {
+			if err := emit(overlay.Op{Kind: overlay.OpSetNodeProp, Node: ref, Key: u.Attr, Value: l.Entities[u.Entity].Attrs[u.Attr]}); err != nil {
+				return err
+			}
+		}
+	}
+	for _, de := range dv.NewEdges {
+		from, ok1 := node(de.From)
+		to, ok2 := node(de.To)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("instance: derived edge %s endpoints not in target graph", de.Type)
+		}
+		if err := emit(overlay.Op{Kind: overlay.OpAddEdge, From: from, To: to, Label: de.Type, Props: de.Attrs}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyTo writes the derived components into a staging overlay, as one
+// batch.
+func (r *Result) applyTo(stage *overlay.Overlay) error {
+	var ops []overlay.Op
+	if err := r.writeOps(func(op overlay.Op) error {
+		ops = append(ops, op)
+		return nil
+	}); err != nil {
+		return err
+	}
+	_, err := stage.Apply(ops)
+	return err
 }
 
 // ApplyStats reports what ApplyToPG changed in the target graph.
@@ -342,54 +362,38 @@ type ApplyStats struct {
 	PropsSet     int
 }
 
-// ApplyToPG writes the derived components into a property-graph data
-// instance: the final step of materialization when the target system is a
-// graph database. For PG sources pass the original data graph; entity
-// updates land on the corresponding nodes and new intensional entities and
-// edges are created.
+// ApplyToPG applies writeOps to a mutable property graph holding the data
+// the instance was loaded from, op by op: the same writes, and the same new
+// OIDs, as an overlay over that graph's snapshot takes in a staged run.
 func (r *Result) ApplyToPG(data *pg.Graph) (ApplyStats, error) {
 	var stats ApplyStats
-	// Reverse map: entity I_SM_Node OID -> data node OID.
-	rev := map[pg.OID]pg.OID{}
-	for dataOID, ioid := range r.Loaded.SourceNode {
-		rev[ioid] = dataOID
-	}
-	// New entities become new data nodes.
-	for _, ent := range r.Derived.NewEntities {
-		n := data.AddNode([]string{ent.Type}, nil)
-		rev[ent.IOID] = n.ID
-		stats.NodesCreated++
-	}
-	// Property updates flow onto the data nodes.
-	for ioid, ent := range r.Loaded.Entities {
-		dataOID, ok := rev[ioid]
-		if !ok {
-			continue
+	named := map[string]pg.OID{}
+	oid := func(ref overlay.Ref) pg.OID {
+		if ref.Name != "" {
+			return named[ref.Name]
 		}
-		n := data.Node(dataOID)
-		for _, k := range sortedset.Keys(ent.Attrs) {
-			v := ent.Attrs[k]
-			if cur, ok := n.Props[k]; !ok || !value.Identical(cur, v) {
-				if err := data.SetNodeProp(dataOID, k, v); err != nil {
-					return stats, err
-				}
-				stats.PropsSet++
+		return ref.ID
+	}
+	err := r.writeOps(func(op overlay.Op) error {
+		switch op.Kind {
+		case overlay.OpAddNode:
+			named[op.Name] = data.AddNode(op.Labels, op.Props).ID
+			stats.NodesCreated++
+			stats.PropsSet += len(op.Props)
+		case overlay.OpSetNodeProp:
+			if err := data.SetNodeProp(oid(op.Node), op.Key, op.Value); err != nil {
+				return err
 			}
+			stats.PropsSet++
+		case overlay.OpAddEdge:
+			if _, err := data.AddEdge(oid(op.From), oid(op.To), op.Label, op.Props); err != nil {
+				return err
+			}
+			stats.EdgesCreated++
 		}
-	}
-	// Derived edges.
-	for _, de := range r.Derived.NewEdges {
-		from, ok1 := rev[de.From]
-		to, ok2 := rev[de.To]
-		if !ok1 || !ok2 {
-			return stats, fmt.Errorf("instance: derived edge %s endpoints not in target graph", de.Type)
-		}
-		if _, err := data.AddEdge(from, to, de.Type, de.Attrs); err != nil {
-			return stats, err
-		}
-		stats.EdgesCreated++
-	}
-	return stats, nil
+		return nil
+	})
+	return stats, err
 }
 
 // ExportPG builds a fresh property graph from the loaded and derived

@@ -4,9 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"repro/internal/fault"
 	"repro/internal/metalog"
 	"repro/internal/pg"
 	"repro/internal/vadalog"
@@ -53,23 +51,6 @@ var goldenFixtures = []struct {
 	{"family", func(t *testing.T) *Dictionary {
 		d := newCompanyDict(t)
 		mustMaterialize(t, d, PGSource{Data: familyData()}, metalog.MustParse(familySigma), 1)
-		return d
-	}},
-	// A load that fails once and succeeds on retry.
-	{"retry-once", func(t *testing.T) *Dictionary {
-		defer fault.Reset()
-		d, data, sigma := chaosFixture(t)
-		if err := fault.Arm("instance/load", fault.Plan{Mode: fault.ModeError, After: 1, Times: 1}); err != nil {
-			t.Fatal(err)
-		}
-		src := RetryingSource{
-			Inner:  PGSource{Data: data},
-			Policy: fault.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
-		}
-		mustMaterialize(t, d, src, sigma, 1)
-		if fault.Fired("instance/load") != 1 {
-			t.Fatal("the armed load fault did not fire")
-		}
 		return d
 	}},
 }

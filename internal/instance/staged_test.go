@@ -1,16 +1,21 @@
 package instance
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/finance"
 	"repro/internal/fingraph"
 	"repro/internal/metalog"
+	"repro/internal/overlay"
 	"repro/internal/pg"
+	"repro/internal/snapfile"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
 )
@@ -24,6 +29,27 @@ func stagedData() *pg.Graph {
 	return fingraph.GenerateTopology(fingraph.DefaultConfig(60, 11)).CompanyKG()
 }
 
+// stagingOverlay is an empty overlay over stagedData's snapshot, the staging
+// area a run of several components writes into.
+func stagingOverlay() *overlay.Overlay { return overlay.New(stagedData().Freeze()) }
+
+// countLabel counts a view's nodes and edges carrying the label.
+func countLabel(v pg.View, label string) (nodes, edges int) {
+	v.ScanNodes(func(r *pg.NodeRow) bool {
+		if slices.Contains(r.Labels, label) {
+			nodes++
+		}
+		return true
+	})
+	v.ScanEdges(func(r *pg.EdgeRow) bool {
+		if r.Label == label {
+			edges++
+		}
+		return true
+	})
+	return nodes, edges
+}
+
 // TestMaterializeStagedValidatesEagerly: a broken component is refused before
 // any step runs, so the valid component ahead of it derives nothing either.
 // Syntax errors surface earlier still, when the caller parses the program.
@@ -31,18 +57,17 @@ func TestMaterializeStagedValidatesEagerly(t *testing.T) {
 	if _, err := metalog.Parse(`(x: Business -> (x).`); err == nil {
 		t.Error("syntax errors must surface when the component is parsed")
 	}
-	data := stagedData()
-	edges := data.NumEdges()
+	stage := stagingOverlay()
 	comps := []Component{
 		component("control", finance.ControlProgram()),
 		component("recursive-star", `(x: Business) ([: CONTROLS])+ (y: Business) -> (x) [c: CONTROLS] (y).`),
 	}
-	steps, err := MaterializeStaged(supermodel.CompanyKG(), PGSource{Data: data}, comps, 1, vadalog.Options{})
+	steps, err := MaterializeStaged(supermodel.CompanyKG(), PGSource{Data: stage}, comps, 1, vadalog.Options{})
 	if err == nil || !strings.Contains(err.Error(), `"recursive-star"`) {
 		t.Fatalf("decidability violation must be refused naming the component, got %v", err)
 	}
-	if steps != nil || data.NumEdges() != edges {
-		t.Errorf("a refused component let %d steps run (%d edges added)", len(steps), data.NumEdges()-edges)
+	if steps != nil || stage.DeltaSize() != 0 {
+		t.Errorf("a refused component let %d steps run (%d staged changes)", len(steps), stage.DeltaSize())
 	}
 }
 
@@ -69,15 +94,15 @@ func TestMaterializeStagedModelAwareness(t *testing.T) {
 }
 
 // TestMaterializeStagedOwnershipThenControl is the staged run of Section 6:
-// ownership compaction is applied to the data graph, so control, the next
-// step, reasons over the derived OWNS edges.
+// ownership compaction is applied to the staging overlay, so control, the
+// next step, reasons over the derived OWNS edges.
 func TestMaterializeStagedOwnershipThenControl(t *testing.T) {
-	data := stagedData()
+	stage := stagingOverlay()
 	comps := []Component{
 		component("ownership", finance.OwnershipProgram()),
 		component("control", finance.ControlProgram()),
 	}
-	steps, err := MaterializeStaged(supermodel.CompanyKG(), PGSource{Data: data}, comps, 1000, vadalog.Options{})
+	steps, err := MaterializeStaged(supermodel.CompanyKG(), PGSource{Data: stage}, comps, 1000, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +112,11 @@ func TestMaterializeStagedOwnershipThenControl(t *testing.T) {
 	if steps[0].Derived.UpdatedProps == 0 {
 		t.Error("numberOfStakeholders never set")
 	}
-	if len(data.EdgesByLabel("OWNS")) == 0 {
-		t.Error("OWNS not materialized into the data graph")
+	if _, n := countLabel(stage, "OWNS"); n == 0 {
+		t.Error("OWNS not staged into the overlay")
 	}
 	// Control must exceed the trivial self-loops (60 businesses).
-	if n := len(data.EdgesByLabel("CONTROLS")); n <= 60 || n != len(steps[1].Derived.NewEdges) {
+	if _, n := countLabel(stage, "CONTROLS"); n <= 60 || n != len(steps[1].Derived.NewEdges) {
 		t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, len(steps[1].Derived.NewEdges))
 	}
 }
@@ -120,7 +145,7 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 	if err := fault.Arm("vadalog/stratum", fault.Plan{Mode: fault.ModeError, After: 1 << 30}); err != nil {
 		t.Fatal(err)
 	}
-	probe := stagedData()
+	probe := stagingOverlay()
 	if _, err := MaterializeStaged(schema, PGSource{Data: probe}, comps[:1], 1, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +157,15 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 		t.Fatalf("step 2 runs %d strata, want 2", h2)
 	}
 
-	run := func(policy vadalog.FaultPolicy) (*pg.Graph, []*Result, error) {
+	run := func(policy vadalog.FaultPolicy) (*overlay.Overlay, []*Result, error) {
 		if err := fault.Arm("vadalog/stratum", fault.Plan{Mode: fault.ModeError, After: h1 + 2}); err != nil {
 			t.Fatal(err)
 		}
-		data := stagedData()
-		steps, err := MaterializeStaged(schema, PGSource{Data: data}, comps, 1, vadalog.Options{OnFault: policy})
-		return data, steps, err
+		stage := stagingOverlay()
+		steps, err := MaterializeStaged(schema, PGSource{Data: stage}, comps, 1, vadalog.Options{OnFault: policy})
+		return stage, steps, err
 	}
-	data, steps, err := run(vadalog.BestEffort)
+	stage, steps, err := run(vadalog.BestEffort)
 	var pe *vadalog.PartialError
 	if !errors.As(err, &pe) || pe.CompletedStrata != 1 || !strings.Contains(err.Error(), `"majority"`) {
 		t.Fatalf("err = %v, want a *vadalog.PartialError salvaging one stratum of the majority step", err)
@@ -148,14 +173,14 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 	if len(steps) != 2 {
 		t.Fatalf("steps = %d, want ownership and the salvaged majority step", len(steps))
 	}
-	if len(data.EdgesByLabel("OWNS")) == 0 {
+	if _, n := countLabel(stage, "OWNS"); n == 0 {
 		t.Error("step 1 was not applied")
 	}
 	salvaged := len(steps[1].Derived.NewEdges)
-	if salvaged == 0 || len(data.EdgesByLabel("CONTROLS")) != salvaged {
-		t.Errorf("salvaged step derived %d CONTROLS edges, data graph holds %d", salvaged, len(data.EdgesByLabel("CONTROLS")))
+	if _, n := countLabel(stage, "CONTROLS"); salvaged == 0 || n != salvaged {
+		t.Errorf("salvaged step derived %d CONTROLS edges, the overlay holds %d", salvaged, n)
 	}
-	if n := len(data.NodesByLabel("Family")); n != 0 {
+	if n, _ := countLabel(stage, "Family"); n != 0 {
 		t.Errorf("family ran after a partial step: %d Family nodes", n)
 	}
 
@@ -164,13 +189,20 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 	}
 }
 
+// stagedDigest is the SHA-256 of the JSON of stagedData after staging
+// ownership then control at instance OID 1, recorded when a staged run wrote
+// back into a mutable *pg.Graph through ApplyToPG.
+const stagedDigest = "a7b10fd697cfcdbca2087084d61634384b6e1cc4bac3294fdcaf221165bce4b1"
+
 // TestMaterializeStagedNeedsWriteBack: staging two components reads the first
-// one's derivations back from the data graph, so over a source that cannot
-// take them (a frozen snapshot, relational rows, either behind a
-// RetryingSource) the run is refused before any load, instead of letting
-// control reason over unstaged input (only the 60 self-loops). A mutable
-// graph behind a RetryingSource is unwrapped and staged; a single component
-// runs over any source.
+// one's derivations back, so it writes each step into the overlay its
+// PGSource reads, over a snapshot taken in memory or read back from a
+// snapshot file; both stage exactly the graph the mutable write-back did, and
+// so does ApplyToPG over a mutable graph. Over any other source (a mutable
+// graph, a frozen snapshot, relational rows) the run is refused before any
+// load, instead of letting control reason over unstaged input (only the 60
+// self-loops); a single component runs over any source. A failed write into
+// the overlay comes back typed.
 func TestMaterializeStagedNeedsWriteBack(t *testing.T) {
 	defer fault.Reset()
 	schema := supermodel.CompanyKG()
@@ -178,19 +210,25 @@ func TestMaterializeStagedNeedsWriteBack(t *testing.T) {
 		component("ownership", finance.OwnershipProgram()),
 		component("control", finance.ControlProgram()),
 	}
-	retry := func(inner Source) Source {
-		return RetryingSource{Inner: inner, Policy: fault.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}}
+	path := filepath.Join(t.TempDir(), "staged.snap")
+	if _, err := snapfile.WriteFile(path, stagedData().Freeze(), snapfile.BuildInfo{Tool: "instance test"}); err != nil {
+		t.Fatal(err)
 	}
-	graph := stagedData()
+	sf, err := snapfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
 	for _, tc := range []struct {
 		name    string
 		src     Source
 		refused bool
 	}{
+		{"graph", PGSource{Data: stagedData()}, true},
 		{"frozen", PGSource{Data: stagedData().Freeze()}, true},
 		{"relational", RelationalSource{Inst: companyTables()}, true},
-		{"retrying frozen", retry(PGSource{Data: stagedData().Freeze()}), true},
-		{"retrying graph", retry(PGSource{Data: graph}), false},
+		{"overlay", PGSource{Data: stagingOverlay()}, false},
+		{"overlay over snapfile", PGSource{Data: overlay.New(sf.Frozen)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := fault.Arm("instance/load", fault.Plan{Mode: fault.ModeError, After: 1 << 30}); err != nil {
@@ -210,9 +248,41 @@ func TestMaterializeStagedNeedsWriteBack(t *testing.T) {
 			if err != nil || len(steps) != 2 {
 				t.Fatalf("err = %v, %d steps", err, len(steps))
 			}
-			if n := len(graph.EdgesByLabel("CONTROLS")); n <= 60 || n != len(steps[1].Derived.NewEdges) {
+			stage := tc.src.(PGSource).Data
+			if _, n := countLabel(stage, "CONTROLS"); n <= 60 || n != len(steps[1].Derived.NewEdges) {
 				t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, len(steps[1].Derived.NewEdges))
+			}
+			// ApplyToPG makes the same writes to a mutable graph.
+			g := stagedData()
+			for _, step := range steps {
+				if _, err := step.ApplyToPG(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, v := range []pg.View{stage, g} {
+				h := sha256.New()
+				if err := pg.WriteJSON(h, v); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)); got != stagedDigest {
+					t.Errorf("%T staged graph digest %s, want %s", v, got, stagedDigest)
+				}
 			}
 		})
 	}
+
+	t.Run("apply fault", func(t *testing.T) {
+		if err := fault.Arm("overlay/apply", fault.Plan{Mode: fault.ModeError}); err != nil {
+			t.Fatal(err)
+		}
+		stage := stagingOverlay()
+		steps, err := MaterializeStaged(schema, PGSource{Data: stage}, comps, 1, vadalog.Options{})
+		var ie *fault.InjectedError
+		if !errors.As(err, &ie) || ie.Site != "overlay/apply" || steps != nil {
+			t.Fatalf("err = %v, %d steps; want nil steps and the *fault.InjectedError of overlay/apply", err, len(steps))
+		}
+		if fault.Fired("overlay/apply") != 1 || stage.DeltaSize() != 0 {
+			t.Errorf("apply fired %d times, %d changes staged; want 1 and none", fault.Fired("overlay/apply"), stage.DeltaSize())
+		}
+	})
 }

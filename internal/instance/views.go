@@ -64,6 +64,15 @@ type Derived struct {
 	NewEntities  []*Entity
 	NewEdges     []Edge
 	UpdatedProps int
+	// Updates lists the attributes the flush changed on loaded entities,
+	// each once, in the order first changed; the values are the entities'.
+	Updates []Update
+}
+
+// Update names one attribute of a loaded entity.
+type Update struct {
+	Entity pg.OID
+	Attr   string
 }
 
 // Flush applies the V_O^Σ output views: derived node facts become new
@@ -75,6 +84,8 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 	d := l.Dict
 	idMap := map[string]pg.OID{}
 	firstEdge := len(l.Edges)
+	firstNew := d.next // entities below it were loaded, not derived
+	updated := map[Update]bool{}
 
 	resolve := func(v value.Value, createType string) (pg.OID, error) {
 		if oid, ok := v.AsInt(); ok {
@@ -114,6 +125,10 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Identical(cur, p.Value) {
 				l.setAttr(ent, p.Name, p.Value)
 				out.UpdatedProps++
+				if u := (Update{ioid, p.Name}); ioid < firstNew && !updated[u] {
+					updated[u] = true
+					out.Updates = append(out.Updates, u)
+				}
 			}
 		}
 		return nil

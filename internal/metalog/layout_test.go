@@ -23,7 +23,7 @@ func TestReasonRollsBackUnderSavepoint(t *testing.T) {
 	g.MustAddEdge(a, b, "R", nil)
 	serial := func() string {
 		var buf bytes.Buffer
-		if err := g.WriteJSON(&buf); err != nil {
+		if err := pg.WriteJSON(&buf, g); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

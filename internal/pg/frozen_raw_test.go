@@ -113,10 +113,10 @@ func assertFrozenEqual(t *testing.T, f, f2 *Frozen) {
 		}
 	}
 	var b1, b2 bytes.Buffer
-	if err := f.Thaw().WriteJSON(&b1); err != nil {
+	if err := WriteJSON(&b1, f); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.Thaw().WriteJSON(&b2); err != nil {
+	if err := WriteJSON(&b2, f2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

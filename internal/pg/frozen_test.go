@@ -78,7 +78,7 @@ func randomFrozenGraph(r *rand.Rand) *Graph {
 func graphJSON(t *testing.T, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, g); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()

@@ -91,26 +91,31 @@ type jsonGraph struct {
 	Edges []jsonEdge `json:"edges"`
 }
 
-// WriteJSON serializes the graph as a single JSON document.
-func (g *Graph) WriteJSON(w io.Writer) error {
+// WriteJSON serializes any view as a single JSON document, walking its
+// scans: a graph, a frozen snapshot and an overlay holding the same
+// constructs write the same bytes.
+func WriteJSON(w io.Writer, v View) error {
 	if err := fault.Hit(siteWriteJSON); err != nil {
 		return err
 	}
+	props := func(l PropList) map[string]jsonValue {
+		m := make(map[string]jsonValue, len(l))
+		for _, p := range l {
+			m[p.Key] = toJSONValue(p.Val)
+		}
+		return m
+	}
 	doc := jsonGraph{}
-	for _, n := range g.Nodes() {
-		jn := jsonNode{ID: int64(n.ID), Labels: n.Labels, Props: map[string]jsonValue{}}
-		for k, v := range n.Props {
-			jn.Props[k] = toJSONValue(v)
-		}
-		doc.Nodes = append(doc.Nodes, jn)
-	}
-	for _, e := range g.Edges() {
-		je := jsonEdge{ID: int64(e.ID), Label: e.Label, From: int64(e.From), To: int64(e.To), Props: map[string]jsonValue{}}
-		for k, v := range e.Props {
-			je.Props[k] = toJSONValue(v)
-		}
-		doc.Edges = append(doc.Edges, je)
-	}
+	v.ScanNodes(func(n *NodeRow) bool {
+		// The row's slices are reused between visits; the labels are kept.
+		labels := append([]string(nil), n.Labels...)
+		doc.Nodes = append(doc.Nodes, jsonNode{ID: int64(n.ID), Labels: labels, Props: props(n.Props)})
+		return true
+	})
+	v.ScanEdges(func(e *EdgeRow) bool {
+		doc.Edges = append(doc.Edges, jsonEdge{ID: int64(e.ID), Label: e.Label, From: int64(e.From), To: int64(e.To), Props: props(e.Props)})
+		return true
+	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)

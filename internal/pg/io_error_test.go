@@ -124,7 +124,7 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g := randomGraph(rand.New(rand.NewSource(seed)))
 		var buf bytes.Buffer
-		if err := g.WriteJSON(&buf); err != nil {
+		if err := WriteJSON(&buf, g); err != nil {
 			t.Fatal(err)
 		}
 		g2, err := ReadJSON(bytes.NewReader(buf.Bytes()))
@@ -132,7 +132,7 @@ func TestJSONRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var buf2 bytes.Buffer
-		if err := g2.WriteJSON(&buf2); err != nil {
+		if err := WriteJSON(&buf2, g2); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != buf2.String() {

@@ -118,7 +118,7 @@ func TestClonePreservesEverything(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	g := build(t)
 	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadJSON(&buf)

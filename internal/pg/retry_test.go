@@ -17,7 +17,7 @@ func TestReadJSONRetryRecoversFromInjectedFault(t *testing.T) {
 	defer fault.Reset()
 	g := seedGraph()
 	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	want := buf.String()
@@ -69,7 +69,7 @@ func TestWriteSitesInjectErrors(t *testing.T) {
 		var err error
 		switch site {
 		case "pg/write-json":
-			err = g.WriteJSON(io.Discard)
+			err = WriteJSON(io.Discard, g)
 		case "pg/write-node-csv":
 			err = g.WriteNodeCSV(io.Discard)
 		case "pg/write-edge-csv":

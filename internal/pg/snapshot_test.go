@@ -13,7 +13,7 @@ import (
 func serialize(t *testing.T, g *Graph) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

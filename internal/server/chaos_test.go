@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fingraph"
+	"repro/internal/pg"
 	"repro/internal/testutil"
 )
 
@@ -33,7 +34,7 @@ func chaosServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -15,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/pg"
 )
 
 // The crash-injection harness: a real kgserve-shaped child process is
@@ -105,7 +107,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mutateBase(t).WriteJSON(f); err != nil {
+			if err := pg.WriteJSON(f, mutateBase(t)); err != nil {
 				t.Fatal(err)
 			}
 			f.Close()

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fingraph"
+	"repro/internal/pg"
 	"repro/internal/supermodel"
 	"repro/internal/testutil"
 )
@@ -35,7 +36,7 @@ func startE2E(t *testing.T, cfg Config, companies int, seed int64) (string, *Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -234,7 +235,7 @@ func TestE2EGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

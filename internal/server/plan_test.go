@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/pg"
 )
 
 // TestExplainEndpoint covers the /explain surface: a planned pattern reports
@@ -130,7 +131,7 @@ func TestStatsCachedPerGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -36,7 +36,7 @@ func snapFixture(t *testing.T) (jsonPath, snapPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -237,7 +237,7 @@ func TestSnapshotColdStartMatchesFreeze(t *testing.T) {
 func jsonOf(t *testing.T, f *pg.Frozen) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.Thaw().WriteJSON(&buf); err != nil {
+	if err := pg.WriteJSON(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

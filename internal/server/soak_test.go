@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/fingraph"
+	"repro/internal/pg"
 	"repro/internal/testutil"
 )
 
@@ -35,7 +36,7 @@ func TestServeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/pg"
 	"repro/internal/snapfile"
 	"repro/internal/testutil"
 	"repro/internal/wal"
@@ -85,7 +86,7 @@ func walSourceConfig(t *testing.T) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mutateBase(t).WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, mutateBase(t)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -79,10 +79,10 @@ func assertViewEqual(t *testing.T, want, got *pg.Frozen) {
 		t.Fatalf("size: got %d/%d, want %d/%d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
 	}
 	var bw, bg bytes.Buffer
-	if err := want.Thaw().WriteJSON(&bw); err != nil {
+	if err := pg.WriteJSON(&bw, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Thaw().WriteJSON(&bg); err != nil {
+	if err := pg.WriteJSON(&bg, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bw.Bytes(), bg.Bytes()) {

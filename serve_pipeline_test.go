@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/fingraph"
+	"repro/internal/pg"
 	"repro/internal/server"
 	"repro/internal/snapfile"
 	"repro/internal/supermodel"
@@ -35,7 +36,7 @@ func TestServePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -147,7 +148,7 @@ func TestServePipelineSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
+	if err := pg.WriteJSON(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
