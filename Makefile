@@ -67,11 +67,11 @@ fuzz-smoke: build
 		$(GO) test -fuzz "^$${t%%:*}\$$" -fuzztime 10s -run '^$$' ./internal/$${t##*:}/ || exit 1; \
 	done
 
-# cover enforces the per-package coverage floors on the newest subsystems and
-# the reasoning engine and its value domain — each carries the same gate (70% of statements) so
+# cover enforces the per-package coverage floors on the newest subsystems,
+# the MetaLog layer, and the reasoning engine and its value domain — each carries the same gate (70% of statements) so
 # their suites cannot silently rot. Profiles are written to temp files and removed; only the
 # threshold checks are CI-visible.
-COVER_PKGS = server snapfile overlay wal plan pg instance vadalog models value supermodel finance fingraph
+COVER_PKGS = server snapfile overlay wal plan pg instance metalog vadalog models value supermodel finance fingraph
 
 cover: build
 	@for pkg in $(COVER_PKGS); do \

@@ -12,7 +12,6 @@ import (
 	"repro/internal/metalog"
 	"repro/internal/overlay"
 	"repro/internal/pg"
-	"repro/internal/sortedset"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
 )
@@ -296,34 +295,28 @@ func catalogConstructs(cat *metalog.Catalog) map[string]bool {
 // write them back into the property graph the instance was loaded from, and
 // hands them to emit in the order that fixes the OIDs they take: one
 // add_node per derived entity, carrying its attributes and named by a batch
-// handle; one set_node_prop per attribute the flush changed on a loaded
-// entity; one add_edge per derived edge. An update of an entity no source
-// node backs (a relational row) has no node to land on and is dropped; a
-// derived edge touching one is an error.
+// handle, its I_SM_Node OID in decimal; one set_node_prop per attribute the
+// flush changed on a loaded entity; one add_edge per derived edge. An update
+// of an entity no source node backs (a relational row) has no node to land
+// on and is dropped; a derived edge touching one is an error.
 func (r *Result) writeOps(emit func(overlay.Op) error) error {
 	l, dv := r.Loaded, r.Derived
-	rev := make(map[pg.OID]pg.OID, len(l.SourceNode)) // I_SM_Node OID -> data node OID
-	for dataOID, ioid := range l.SourceNode {
-		rev[ioid] = dataOID
-	}
-	handles := make(map[pg.OID]string, len(dv.NewEntities))
+	handle := func(ioid pg.OID) string { return strconv.FormatInt(int64(ioid), 10) }
 	node := func(ioid pg.OID) (overlay.Ref, bool) {
-		if h, ok := handles[ioid]; ok {
-			return overlay.Ref{Name: h}, true
+		if len(dv.NewEntities) > 0 && ioid >= dv.NewEntities[0].IOID {
+			return overlay.Ref{Name: handle(ioid)}, true
 		}
-		id, ok := rev[ioid]
-		return overlay.Ref{ID: id}, ok
+		src := l.Entity(ioid).Source
+		return overlay.Ref{ID: src}, src != 0
 	}
 	for _, ent := range dv.NewEntities {
-		h := strconv.FormatInt(int64(ent.IOID), 10)
-		handles[ent.IOID] = h
-		if err := emit(overlay.Op{Kind: overlay.OpAddNode, Name: h, Labels: []string{ent.Type}, Props: ent.Attrs}); err != nil {
+		if err := emit(overlay.Op{Kind: overlay.OpAddNode, Name: handle(ent.IOID), Labels: []string{ent.Type}, Props: ent.Attrs}); err != nil {
 			return err
 		}
 	}
 	for _, u := range dv.Updates {
 		if ref, ok := node(u.Entity); ok {
-			if err := emit(overlay.Op{Kind: overlay.OpSetNodeProp, Node: ref, Key: u.Attr, Value: l.Entities[u.Entity].Attrs[u.Attr]}); err != nil {
+			if err := emit(overlay.Op{Kind: overlay.OpSetNodeProp, Node: ref, Key: u.Attr, Value: l.Entity(u.Entity).Attrs[u.Attr]}); err != nil {
 				return err
 			}
 		}
@@ -404,13 +397,12 @@ func (r *Result) ApplyToPG(data *pg.Graph) (ApplyStats, error) {
 func (r *Result) ExportPG() *pg.Graph {
 	out := pg.New()
 	l := r.Loaded
-	rev := map[pg.OID]pg.OID{}
-	for _, ioid := range sortedset.Keys(l.Entities) {
-		ent := l.Entities[ioid]
-		rev[ioid] = out.AddNode(l.Dict.upcasts[ent.Type], ent.Attrs).ID
+	ids := make([]pg.OID, len(l.Entities)) // parallel to l.Entities
+	for i, ent := range l.Entities {
+		ids[i] = out.AddNode(l.Dict.upcasts[ent.Type], ent.Attrs).ID
 	}
 	for _, e := range l.Edges {
-		out.MustAddEdge(rev[e.From], rev[e.To], e.Type, e.Attrs)
+		out.MustAddEdge(ids[l.index(e.From)], ids[l.index(e.To)], e.Type, e.Attrs)
 	}
 	return out
 }

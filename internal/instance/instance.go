@@ -196,12 +196,14 @@ func (d *Dictionary) attrConstruct(nodeType, attr string) (pg.OID, bool) {
 }
 
 // Entity is one instance node loaded into the super-components: its
-// I_SM_Node OID in the dictionary, its most specific type, and its
-// attribute values.
+// I_SM_Node OID in the dictionary, its most specific type, its attribute
+// values, and the OID of the data node it was loaded from — 0 when no data
+// node backs it (a relational row, an entity the flush derived).
 type Entity struct {
-	IOID  pg.OID
-	Type  string
-	Attrs map[string]value.Value
+	IOID   pg.OID
+	Type   string
+	Attrs  map[string]value.Value
+	Source pg.OID
 
 	// twins lists the entity's I_SM_Attribute twins in creation order. Nil
 	// stands for the twins the entity was created with: one per attribute,
@@ -251,34 +253,44 @@ type Loaded struct {
 	Dict        *Dictionary
 	InstanceOID int64
 
-	// Entities indexed by the I_SM_Node OID.
-	Entities map[pg.OID]*Entity
+	// Entities holds the instance nodes in I_SM_Node OID order: the loaded
+	// ones, then those Flush derived. OIDs are allocated in increasing
+	// order, so appending keeps it sorted; Entity looks one up.
+	Entities []Entity
 	// Edges holds the instance edges in OID order: the loaded ones, then
 	// those Flush derived.
 	Edges []Edge
-	// SourceNode maps a source PG node OID to its I_SM_Node OID (PG source
-	// only).
-	SourceNode map[pg.OID]pg.OID
 }
 
-func (d *Dictionary) newLoaded(instanceOID int64) *Loaded {
-	return &Loaded{
-		Dict:        d,
-		InstanceOID: instanceOID,
-		Entities:    map[pg.OID]*Entity{},
-		SourceNode:  map[pg.OID]pg.OID{},
+// Entity returns the entity whose I_SM_Node OID is ioid, or nil. The
+// pointer is into Entities, so adding an entity invalidates it.
+func (l *Loaded) Entity(ioid pg.OID) *Entity {
+	if i := l.index(ioid); i >= 0 {
+		return &l.Entities[i]
 	}
+	return nil
 }
 
-// addEntity creates an entity with one twin per attribute. The attributes
-// must be ones its type declares; callers filter them.
-func (l *Loaded) addEntity(nodeType string, attrs map[string]value.Value) (*Entity, error) {
+// index returns the position in Entities of the entity whose I_SM_Node OID
+// is ioid, or -1.
+func (l *Loaded) index(ioid pg.OID) int {
+	i := sort.Search(len(l.Entities), func(i int) bool { return l.Entities[i].IOID >= ioid })
+	if i == len(l.Entities) || l.Entities[i].IOID != ioid {
+		return -1
+	}
+	return i
+}
+
+// addEntity creates an entity with one twin per attribute and returns its
+// I_SM_Node OID. The attributes must be ones its type declares; callers
+// filter them.
+func (l *Loaded) addEntity(nodeType string, attrs map[string]value.Value, source pg.OID) (pg.OID, error) {
 	if _, ok := l.Dict.nodeConstruct[nodeType]; !ok {
-		return nil, fmt.Errorf("instance: unknown node type %q", nodeType)
+		return 0, fmt.Errorf("instance: unknown node type %q", nodeType)
 	}
-	ent := &Entity{IOID: l.Dict.alloc(entitySpan + twinSpan*len(attrs)), Type: nodeType, Attrs: attrs}
-	l.Entities[ent.IOID] = ent
-	return ent, nil
+	ioid := l.Dict.alloc(entitySpan + twinSpan*len(attrs))
+	l.Entities = append(l.Entities, Entity{IOID: ioid, Type: nodeType, Attrs: attrs, Source: source})
+	return ioid, nil
 }
 
 // setAttr sets one attribute value of an entity; an attribute it had no
@@ -338,12 +350,12 @@ func (d *Dictionary) Constructs() (*pg.Graph, error) {
 			edge(t.oid+1, owner, t.oid, has)
 			edge(t.oid+2, t.oid, construct, LRefs)
 		}
-		for _, ioid := range sortedset.Keys(l.Entities) {
-			ent := l.Entities[ioid]
-			node(ioid, LINode, pg.Props{"instanceOID": inst})
-			edge(ioid+1, ioid, d.nodeConstruct[ent.Type], LRefs)
+		for i := range l.Entities {
+			ent := &l.Entities[i]
+			node(ent.IOID, LINode, pg.Props{"instanceOID": inst})
+			edge(ent.IOID+1, ent.IOID, d.nodeConstruct[ent.Type], LRefs)
 			for _, t := range ent.twinList() {
-				addTwin(t, ioid, LIHasNAttr, d.nodeAttr[ent.Type][t.attr], ent.Attrs[t.attr])
+				addTwin(t, ent.IOID, LIHasNAttr, d.nodeAttr[ent.Type][t.attr], ent.Attrs[t.attr])
 			}
 		}
 		for _, e := range l.Edges {
@@ -398,7 +410,7 @@ func (d *Dictionary) attach(load func() (*Loaded, error)) (*Loaded, error) {
 // loadPG is LoadPG building its instance aside. On failure the OIDs it
 // allocated stay allocated; its callers restore the allocator.
 func (d *Dictionary) loadPG(data pg.View, instanceOID int64) (*Loaded, error) {
-	out := d.newLoaded(instanceOID)
+	out := &Loaded{Dict: d, InstanceOID: instanceOID, Entities: make([]Entity, 0, data.NumNodes())}
 	var err error
 	data.ScanNodes(func(n *pg.NodeRow) bool {
 		var typ string
@@ -412,12 +424,8 @@ func (d *Dictionary) loadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 				attrs[p.Key] = p.Val
 			}
 		}
-		var ent *Entity
-		if ent, err = out.addEntity(typ, attrs); err != nil {
-			return false
-		}
-		out.SourceNode[n.ID] = ent.IOID
-		return true
+		_, err = out.addEntity(typ, attrs, n.ID)
+		return err == nil
 	})
 	if err != nil {
 		return nil, err
@@ -436,13 +444,29 @@ func (d *Dictionary) loadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 				attrs[p.Key] = p.Val
 			}
 		}
-		err = out.addEdge(e.Label, out.SourceNode[e.From], out.SourceNode[e.To], attrs)
+		var from, to pg.OID
+		if from, err = out.loadedFrom(e.From); err == nil {
+			if to, err = out.loadedFrom(e.To); err == nil {
+				err = out.addEdge(e.Label, from, to, attrs)
+			}
+		}
 		return err == nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// loadedFrom returns the I_SM_Node OID of the entity loaded from a data
+// node. A view scans its nodes in ascending OID order, so the entities
+// loadPG creates are in ascending Source order.
+func (l *Loaded) loadedFrom(source pg.OID) (pg.OID, error) {
+	i := sort.Search(len(l.Entities), func(i int) bool { return l.Entities[i].Source >= source })
+	if i == len(l.Entities) || l.Entities[i].Source != source {
+		return 0, fmt.Errorf("instance: edge endpoint %d is not a loaded node", source)
+	}
+	return l.Entities[i].IOID, nil
 }
 
 // Row is one tuple of a relational data instance.
@@ -474,7 +498,7 @@ func (e *EntityConflictError) Error() string {
 // loadRelational is LoadRelational building its instance aside. On failure
 // the OIDs it allocated stay allocated; its callers restore the allocator.
 func (d *Dictionary) loadRelational(ri *RelationalInstance, instanceOID int64) (*Loaded, error) {
-	out := d.newLoaded(instanceOID)
+	out := &Loaded{Dict: d, InstanceOID: instanceOID}
 	s := d.Schema
 
 	// idNames lists a type's effective identifier attributes in name order,
@@ -553,13 +577,14 @@ func (d *Dictionary) loadRelational(ri *RelationalInstance, instanceOID int64) (
 		}
 	}
 	byKey := map[string]pg.OID{}
+	out.Entities = make([]Entity, 0, len(entities))
 	for _, k := range sortedset.Keys(entities) {
 		p := entities[k]
-		ent, err := out.addEntity(p.typ, p.attrs)
+		ioid, err := out.addEntity(p.typ, p.attrs, 0)
 		if err != nil {
 			return nil, err
 		}
-		byKey[k] = ent.IOID
+		byKey[k] = ioid
 	}
 
 	lookupRef := func(target string, r Row, prefix string) (pg.OID, error) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/metalog"
 	"repro/internal/overlay"
 	"repro/internal/pg"
-	"repro/internal/sortedset"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
 	"repro/internal/value"
@@ -62,6 +61,10 @@ func TestOneLayoutThreeLoaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ioid := map[int64]int64{} // data node OID -> I_SM_Node OID
+	for _, ent := range loaded.Entities {
+		ioid[int64(ent.Source)] = int64(ent.IOID)
+	}
 	rename := func(f vadalog.Fact, ids int) vadalog.Fact {
 		out := append(vadalog.Fact(nil), f...)
 		for i := 0; i < ids; i++ {
@@ -69,7 +72,7 @@ func TestOneLayoutThreeLoaders(t *testing.T) {
 				continue // edge identifiers are the I_SM_Edge's own
 			}
 			oid, _ := f[i].AsInt()
-			out[i] = value.IntV(int64(loaded.SourceNode[pg.OID(oid)]))
+			out[i] = value.IntV(ioid[oid])
 		}
 		return out
 	}
@@ -193,9 +196,9 @@ func TestDerivedWalkOrderThroughBothSinks(t *testing.T) {
 	// Materialize sink, over a graph holding the entities under their
 	// instance OIDs: fresh nodes and edges appear in visit order.
 	g := pg.New()
-	for _, ioid := range sortedset.Keys(res.Loaded.Entities) {
-		if ent := res.Loaded.Entities[ioid]; ent.Type != "Family" {
-			if _, err := g.AddNodeWithID(ioid, []string{ent.Type}, nil); err != nil {
+	for _, ent := range res.Loaded.Entities {
+		if ent.Type != "Family" {
+			if _, err := g.AddNodeWithID(ent.IOID, []string{ent.Type}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -71,7 +71,7 @@ func TestLoadRelationalBothFKDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typeOf := func(ioid int64) string { return loaded.Entities[pg.OID(ioid)].Type }
+	typeOf := func(ioid int64) string { return loaded.Entity(pg.OID(ioid)).Type }
 	for _, f := range db.Facts("ASSIGNED_TO") {
 		if typeOf(f[1].I) != "Worker" || typeOf(f[2].I) != "Team" {
 			t.Errorf("ASSIGNED_TO orientation wrong: %s -> %s", typeOf(f[1].I), typeOf(f[2].I))

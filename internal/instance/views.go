@@ -2,10 +2,10 @@ package instance
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/metalog"
 	"repro/internal/pg"
-	"repro/internal/sortedset"
 	"repro/internal/supermodel"
 	"repro/internal/vadalog"
 	"repro/internal/value"
@@ -38,22 +38,38 @@ func CatalogFromSchema(s *supermodel.Schema) *metalog.Catalog {
 // InputViews builds the V_I^Σ facts (Algorithm 2, line 5): for every node
 // label, one fact per instance entity whose type is the label or a
 // descendant of it — the generalization-aware reading of Example 6.2 — and
-// for every edge label one fact per I_SM_Edge. Facts are encoded by the
-// catalog (metalog's fact layout).
+// for every edge label one fact per I_SM_Edge. Each label's relation is
+// sealed (vadalog.Database.InstallRows) over metalog.MapRows in OID order,
+// which read the entities' and edges' attribute maps in place under the
+// catalog's layout: nothing is copied or hashed, since the OIDs make the
+// facts distinct. Flush copies an entity's attributes before it changes
+// them, so the relations keep reading the loaded instance. Node and edge
+// labels never share a name (the schema keeps one namespace of types), and
+// no error is returned.
 func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
-	db := vadalog.NewDatabase()
-	for _, ioid := range sortedset.Keys(l.Entities) {
-		ent := l.Entities[ioid]
+	rels := map[string]*metalog.MapRows{}
+	for i := range l.Entities {
+		ent := &l.Entities[i]
 		for _, label := range l.Dict.upcasts[ent.Type] {
-			if _, err := db.AddFact(label, cat.NodeFact(label, ioid, ent.Attrs)...); err != nil {
-				return nil, err
+			r := rels[label]
+			if r == nil {
+				r = cat.NodeRows(label)
+				rels[label] = r
 			}
+			r.Add(ent.Attrs, ent.IOID)
 		}
 	}
 	for _, e := range l.Edges {
-		if _, err := db.AddFact(e.Type, cat.EdgeFact(e.Type, e.IOID, e.From, e.To, e.Attrs)...); err != nil {
-			return nil, err
+		r := rels[e.Type]
+		if r == nil {
+			r = cat.EdgeRows(e.Type)
+			rels[e.Type] = r
 		}
+		r.Add(e.Attrs, e.IOID, e.From, e.To)
+	}
+	db := vadalog.NewDatabase()
+	for label, r := range rels {
+		db.InstallRows(label, r.Arity(), r)
 	}
 	return db, nil
 }
@@ -61,7 +77,7 @@ func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
 // Derived is the output of the flush phase: the derived components written
 // back into the instance super-constructs (Algorithm 2, line 9).
 type Derived struct {
-	NewEntities  []*Entity
+	NewEntities  []Entity
 	NewEdges     []Edge
 	UpdatedProps int
 	// Updates lists the attributes the flush changed on loaded entities,
@@ -83,13 +99,14 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 	out := &Derived{}
 	d := l.Dict
 	idMap := map[string]pg.OID{}
-	firstEdge := len(l.Edges)
+	firstEdge, firstEntity := len(l.Edges), len(l.Entities)
 	firstNew := d.next // entities below it were loaded, not derived
 	updated := map[Update]bool{}
+	copied := map[pg.OID]bool{} // loaded entities whose attributes were copied
 
 	resolve := func(v value.Value, createType string) (pg.OID, error) {
 		if oid, ok := v.AsInt(); ok {
-			if _, ok := l.Entities[pg.OID(oid)]; !ok {
+			if l.Entity(pg.OID(oid)) == nil {
 				return 0, fmt.Errorf("instance: derived fact references unknown entity %d", oid)
 			}
 			return pg.OID(oid), nil
@@ -101,20 +118,21 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 		if createType == "" {
 			return 0, fmt.Errorf("instance: derived edge endpoint %s does not correspond to any entity", v)
 		}
-		ent, err := l.addEntity(createType, map[string]value.Value{})
+		ioid, err := l.addEntity(createType, map[string]value.Value{}, 0)
 		if err != nil {
 			return 0, err
 		}
-		out.NewEntities = append(out.NewEntities, ent)
-		idMap[key] = ent.IOID
-		return ent.IOID, nil
+		idMap[key] = ioid
+		return ioid, nil
 	}
 
 	// setAttrs writes a fact's present properties onto an entity. Derived node
 	// facts carry every column of their label's layout, so only the attributes
-	// the entity's type declares are kept; an update names its attribute.
+	// the entity's type declares are kept; an update names its attribute. A
+	// loaded entity's attributes are the map its input view rows read, so the
+	// first change writes into a copy.
 	setAttrs := func(ioid pg.OID, props []metalog.PropValue, declaredOnly bool) error {
-		ent := l.Entities[ioid]
+		ent := l.Entity(ioid)
 		for _, p := range props {
 			if _, ok := d.attrConstruct(ent.Type, p.Name); !ok {
 				if declaredOnly {
@@ -123,6 +141,10 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 				return fmt.Errorf("instance: node type %s has no attribute %q", ent.Type, p.Name)
 			}
 			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Identical(cur, p.Value) {
+				if ioid < firstNew && !copied[ioid] {
+					ent.Attrs = maps.Clone(ent.Attrs)
+					copied[ioid] = true
+				}
 				l.setAttr(ent, p.Name, p.Value)
 				out.UpdatedProps++
 				if u := (Update{ioid, p.Name}); ioid < firstNew && !updated[u] {
@@ -174,6 +196,7 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 	if err != nil {
 		return nil, err
 	}
+	out.NewEntities = l.Entities[firstEntity:len(l.Entities):len(l.Entities)]
 	out.NewEdges = l.Edges[firstEdge:len(l.Edges):len(l.Edges)]
 	return out, nil
 }

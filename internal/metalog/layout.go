@@ -16,9 +16,10 @@ import (
 // fact L(id, p1, …, pn) and an L-labeled edge the fact L(id, from, to,
 // f1, …, fm), property columns in catalog order, Missing where the construct
 // does not carry the property. encode (behind NodeFact and EdgeFact) is the
-// only encoder of a materialized tuple and columns.cell the only reading of a
-// frozen row as one, WalkDerived the only decoder, Present the only reading
-// of Missing; every loader, flusher and delta maintainer goes through them.
+// only encoder of a materialized tuple, columns.cell the only reading of a
+// frozen row as one and MapRows.Cell of a property map as one, WalkDerived
+// the only decoder, Present the only reading of Missing; every loader,
+// flusher and delta maintainer goes through them.
 
 // Missing is the placeholder stored at a property position when a node or
 // edge does not carry that property. It is an identifier outside the constant
@@ -170,6 +171,53 @@ func (r *rows) oid(id int32) int64 {
 		return oidOf(r.mat[^id])
 	}
 	return int64(r.cols.oids[id])
+}
+
+// MapRows is a relation of constructs whose properties are held as maps —
+// the instance level's entities and edges (instance.InputViews): the
+// vadalog.Rows a sealed relation reads, laid out like encode lays out a fact.
+// A row is a construct's identifier cells and its property map; Cell reads
+// the map under the label's layout, Missing where it has no such key, and
+// builds no tuple. The maps are read in place, so none may change while a
+// relation reading it is in use. Rows are distinct because their OIDs are.
+type MapRows struct {
+	ids    int // identifier cells per row: 1 for a node, 3 for an edge
+	layout []string
+	oids   []pg.OID // ids cells per row
+	props  []map[string]value.Value
+}
+
+// NodeRows returns an empty relation of nodes under the label's layout.
+func (c *Catalog) NodeRows(label string) *MapRows {
+	return &MapRows{ids: 1, layout: slices.Clone(c.NodeProps[label])}
+}
+
+// EdgeRows returns an empty relation of edges under the label's layout.
+func (c *Catalog) EdgeRows(label string) *MapRows {
+	return &MapRows{ids: 3, layout: slices.Clone(c.EdgeProps[label])}
+}
+
+// Add appends a construct: its identifiers (a node's OID; an edge's OID,
+// source and target) and its property map, which the relation keeps.
+func (r *MapRows) Add(props map[string]value.Value, ids ...pg.OID) {
+	r.oids = append(r.oids, ids...)
+	r.props = append(r.props, props)
+}
+
+// Arity is the width of the relation's facts.
+func (r *MapRows) Arity() int { return r.ids + len(r.layout) }
+
+// Len and Cell make MapRows a vadalog.Rows.
+func (r *MapRows) Len() int { return len(r.props) }
+
+func (r *MapRows) Cell(pos, col int) value.Value {
+	if col < r.ids {
+		return value.IntV(int64(r.oids[pos*r.ids+col]))
+	}
+	if v, ok := r.props[pos][r.layout[col-r.ids]]; ok {
+		return v
+	}
+	return Missing
 }
 
 // propTerms is the encoder at the level of rule atoms: it lays a pattern

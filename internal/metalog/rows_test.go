@@ -263,6 +263,52 @@ func TestExtractFactsCopiesNothing(t *testing.T) {
 	}
 }
 
+// TestMapRowsEncodeLikeFacts: a relation read from property maps serves,
+// cell for cell, the tuples encode lays out for the same constructs — full
+// and sparse maps, a nil one, an edge's three identifiers — and the engine
+// joins over it like over any sealed relation.
+func TestMapRowsEncodeLikeFacts(t *testing.T) {
+	cat := NewCatalog()
+	cat.EnsureNode("Company", "cap", "name")
+	cat.EnsureEdge("OWNS", "pct")
+	nodes := []map[string]value.Value{
+		{"name": value.Str("a"), "cap": value.FloatV(1)},
+		{"name": value.Str("b"), "other": value.IntV(7)},
+		nil,
+	}
+	edges := []map[string]value.Value{{"pct": value.FloatV(0.6)}, nil}
+	companies, owns := cat.NodeRows("Company"), cat.EdgeRows("OWNS")
+	want := vadalog.NewDatabase()
+	for i, props := range nodes {
+		companies.Add(props, pg.OID(i+1))
+		want.MustAddFact("Company", cat.NodeFact("Company", pg.OID(i+1), props)...)
+	}
+	for i, props := range edges {
+		owns.Add(props, pg.OID(10+i), pg.OID(i+1), pg.OID(i+2))
+		want.MustAddFact("OWNS", cat.EdgeFact("OWNS", pg.OID(10+i), pg.OID(i+1), pg.OID(i+2), props)...)
+	}
+	if companies.Arity() != cat.NodeArity("Company") || owns.Arity() != cat.EdgeArity("OWNS") {
+		t.Fatalf("arities %d and %d, want %d and %d", companies.Arity(), owns.Arity(), cat.NodeArity("Company"), cat.EdgeArity("OWNS"))
+	}
+	db := vadalog.NewDatabase()
+	db.InstallRows("Company", companies.Arity(), companies)
+	db.InstallRows("OWNS", owns.Arity(), owns)
+	if db.Dump() != want.Dump() {
+		t.Fatalf("map rows serve\n%s\nwant\n%s", db.Dump(), want.Dump())
+	}
+	q, err := PrepareQuery(cat, `(x: Company; name: n) [: OWNS] (y: Company)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := q.QueryDB(context.Background(), db, vadalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("query over map rows = %v, want 2 rows", rows)
+	}
+}
+
 // TestSealedConcurrentQueriesOnColumns races 16 queries over one extracted
 // database none of whose indexes exist yet, every relation a list of row ids
 // into frozen columns: each query forces the same lazily built indexes

@@ -1,6 +1,8 @@
 package pg
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -93,32 +95,68 @@ type jsonGraph struct {
 
 // WriteJSON serializes any view as a single JSON document, walking its
 // scans: a graph, a frozen snapshot and an overlay holding the same
-// constructs write the same bytes.
+// constructs write the same bytes. It streams, encoding one construct at a
+// time at its depth in the document, so it holds one row's property map and
+// never the document; the bytes are those of encoding the whole jsonGraph
+// with a two-space indent. An error can leave a partial document in w.
 func WriteJSON(w io.Writer, v View) error {
 	if err := fault.Hit(siteWriteJSON); err != nil {
 		return err
 	}
-	props := func(l PropList) map[string]jsonValue {
-		m := make(map[string]jsonValue, len(l))
+	bw := bufio.NewWriter(w)
+	var row bytes.Buffer
+	enc := json.NewEncoder(&row)
+	enc.SetIndent("    ", "  ") // an array element sits at depth 2
+	props := map[string]jsonValue{}
+	fill := func(l PropList) map[string]jsonValue {
+		clear(props)
 		for _, p := range l {
-			m[p.Key] = toJSONValue(p.Val)
+			props[p.Key] = toJSONValue(p.Val)
 		}
-		return m
+		return props
 	}
-	doc := jsonGraph{}
-	v.ScanNodes(func(n *NodeRow) bool {
-		// The row's slices are reused between visits; the labels are kept.
-		labels := append([]string(nil), n.Labels...)
-		doc.Nodes = append(doc.Nodes, jsonNode{ID: int64(n.ID), Labels: labels, Props: props(n.Props)})
-		return true
+	var err error
+	n := 0 // elements written to the open array
+	element := func(x any) bool {
+		row.Reset()
+		if err = enc.Encode(x); err != nil {
+			return false
+		}
+		if n == 0 {
+			bw.WriteString("[\n    ")
+		} else {
+			bw.WriteString(",\n    ")
+		}
+		n++
+		_, err = bw.Write(row.Bytes()[:row.Len()-1]) // Encode ends the element with a newline
+		return err == nil
+	}
+	closeArray := func() {
+		if n == 0 {
+			bw.WriteString("null") // a nil slice
+		} else {
+			bw.WriteString("\n  ]")
+		}
+		n = 0
+	}
+	bw.WriteString("{\n  \"nodes\": ")
+	v.ScanNodes(func(r *NodeRow) bool {
+		return element(jsonNode{ID: int64(r.ID), Labels: r.Labels, Props: fill(r.Props)})
 	})
-	v.ScanEdges(func(e *EdgeRow) bool {
-		doc.Edges = append(doc.Edges, jsonEdge{ID: int64(e.ID), Label: e.Label, From: int64(e.From), To: int64(e.To), Props: props(e.Props)})
-		return true
+	if err != nil {
+		return err
+	}
+	closeArray()
+	bw.WriteString(",\n  \"edges\": ")
+	v.ScanEdges(func(r *EdgeRow) bool {
+		return element(jsonEdge{ID: int64(r.ID), Label: r.Label, From: int64(r.From), To: int64(r.To), Props: fill(r.Props)})
 	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	if err != nil {
+		return err
+	}
+	closeArray()
+	bw.WriteString("\n}\n")
+	return bw.Flush()
 }
 
 // ReadJSON parses a graph previously written by WriteJSON.

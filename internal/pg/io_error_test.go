@@ -2,11 +2,14 @@ package pg
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/value"
 )
 
@@ -161,4 +164,27 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: CSV round trip is lossy:\n%s\nvs\n%s", seed, a, b)
 		}
 	}
+}
+
+func TestWriteSitesInjectErrors(t *testing.T) {
+	g := seedGraph()
+	for _, site := range []string{"pg/write-json", "pg/write-node-csv", "pg/write-edge-csv"} {
+		fault.Reset()
+		if err := fault.Arm(site, fault.Plan{Mode: fault.ModeError}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		switch site {
+		case "pg/write-json":
+			err = WriteJSON(io.Discard, g)
+		case "pg/write-node-csv":
+			err = g.WriteNodeCSV(io.Discard)
+		case "pg/write-edge-csv":
+			err = g.WriteEdgeCSV(io.Discard)
+		}
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("site %s: want ErrInjected, got %v", site, err)
+		}
+	}
+	fault.Reset()
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -190,5 +192,76 @@ func TestChaosServerDelayMode(t *testing.T) {
 	}
 	if time.Since(start) < 20*time.Millisecond {
 		t.Error("delay did not apply")
+	}
+}
+
+// writeGraphFile writes g as property-graph JSON to path and returns the
+// bytes written.
+func writeGraphFile(t *testing.T, path string, g *pg.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pg.WriteJSON(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestChaosLoadRetryRecoversFromInjectedFault: a JSON source whose first
+// read fails loads on the retry, and each attempt reads a fresh stream. The
+// backoff between the attempts replaces the file with another graph: a load
+// that kept the first attempt's stream would serve the old one.
+func TestChaosLoadRetryRecoversFromInjectedFault(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	path, next := filepath.Join(dir, "kg.json"), filepath.Join(dir, "next.json")
+	writeGraphFile(t, path, fingraph.GenerateTopology(fingraph.DefaultConfig(10, 3)).Shareholding())
+	want := writeGraphFile(t, next, fingraph.GenerateTopology(fingraph.DefaultConfig(12, 4)).Shareholding())
+
+	if err := fault.Arm("pg/read-json", fault.Plan{Mode: fault.ModeError, After: 1, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	retries := 0
+	s, err := New(Config{Source: path, Retry: fault.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {
+		retries++
+		if err := os.Rename(next, path); err != nil {
+			t.Error(err)
+		}
+	}}})
+	if err != nil {
+		t.Fatalf("retry did not recover: %v", err)
+	}
+	if retries != 1 {
+		t.Fatalf("%d retries, want 1", retries)
+	}
+	// The recovered read is bit-identical to a no-fault read of the file the
+	// retry opened.
+	var got bytes.Buffer
+	if err := pg.WriteJSON(&got, s.current().view); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("the retried load serves another graph than a no-fault read of the file")
+	}
+}
+
+// TestChaosLoadRetryExhaustsOnPersistentFault: a read that fails on every
+// attempt fails the load with the injected error once the policy's attempts
+// are spent.
+func TestChaosLoadRetryExhaustsOnPersistentFault(t *testing.T) {
+	defer fault.Reset()
+	path := filepath.Join(t.TempDir(), "kg.json")
+	writeGraphFile(t, path, pg.New())
+	if err := fault.Arm("pg/read-json", fault.Plan{Mode: fault.ModeError, Times: -1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Source: path, Retry: fault.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("want ErrInjected after exhaustion, got %v", err)
+	}
+	if fault.Hits("pg/read-json") != 3 {
+		t.Fatalf("site hit %d times, want 3", fault.Hits("pg/read-json"))
 	}
 }

@@ -451,7 +451,17 @@ func (s *Server) buildFromPath(path string) (*snapshot, error) {
 		sn.file = sf
 		return sn, nil
 	}
-	g, err := pg.ReadJSONRetry(func() (io.ReadCloser, error) { return os.Open(path) }, s.cfg.Retry)
+	// Each attempt opens the file afresh, so a retry reads it from the start.
+	var g *pg.Graph
+	err := s.cfg.Retry.Do("server/read-json", func() error {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		g, err = pg.ReadJSON(f)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("server: loading %s: %w", path, err)
 	}
