@@ -48,7 +48,7 @@ test-race: build
 # panic containment, and goroutine hygiene. -count=2 reruns the sweep so a
 # site left armed or a counter left dirty by the first pass fails the second.
 test-chaos: build
-	$(GO) test -count=2 -run 'TestChaos|TestStratum|TestShard|TestBestEffort|TestRetry|TestWriteSites|TestMaterializeFlushErrorRollsBack|TestMaintainerFault' ./internal/instance/ ./internal/vadalog/ ./internal/pg/ ./internal/fault/ ./internal/server/
+	$(GO) test -count=2 -run 'TestChaos|TestStratum|TestShard|TestBestEffort|TestRetry|TestWriteSites|TestMaterializeFlushErrorRollsBack|TestMaterializeStaged|TestMaintainerFault' ./internal/instance/ ./internal/vadalog/ ./internal/pg/ ./internal/fault/ ./internal/server/
 	$(GO) test -count=2 -run 'TestWriteFileFaultsLeaveNoPartialFile|TestOpenMmapFaultFallsBack' ./internal/snapfile/
 	$(GO) test -count=2 -run 'TestReloadCorruptSnapshotKeepsServing|TestSnapshotMmapFaultStillServes' ./internal/server/
 	$(GO) test -count=2 -run 'TestFault|TestChaos' ./internal/wal/

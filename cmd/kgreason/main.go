@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 
@@ -123,7 +124,7 @@ func main() {
 		trace = obs.NewTrace()
 		opts.Trace = trace
 	}
-	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), instance.PGSource{Data: stage}, comps, 1, opts)
+	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), stage, comps, 1, opts)
 	if trace != nil {
 		// Written before the error check so interrupted materializations
 		// still leave their partial trace behind.
@@ -147,29 +148,47 @@ func main() {
 	for i, step := range steps {
 		fmt.Fprintf(os.Stderr, "kgreason: %-12s load=%-12v reason=%-12v flush=%-12v derived: %d entities, %d edges, %d properties\n",
 			comps[i].Name, step.LoadDuration, step.ReasonDuration, step.FlushDuration,
-			len(step.Derived.NewEntities), len(step.Derived.NewEdges), step.Derived.UpdatedProps)
+			step.NewEntities, step.NewEdges, step.UpdatedProps)
 	}
 
-	w := os.Stdout
-	var of *os.File
-	if *out != "" {
-		of, err = os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		w = of
+	if *out == "" {
+		err = pg.WriteJSON(os.Stdout, stage)
+	} else {
+		err = writeOutput(*out, stage)
 	}
-	if err := pg.WriteJSON(w, stage); err != nil {
+	if err != nil {
 		fatal(err)
-	}
-	if of != nil {
-		if err := of.Close(); err != nil {
-			fatal(err)
-		}
 	}
 	if salvaged {
 		os.Exit(1)
 	}
+}
+
+// writeOutput writes the enriched graph to path through a temporary file in
+// the same directory, synced and renamed over path once the whole graph is
+// written: a write that fails (a NaN or infinite property has no JSON form)
+// leaves an earlier file at path as it was, and no temporary file behind.
+func writeOutput(path string, g pg.View) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	// CreateTemp creates 0600; the output is for others to read.
+	if err = tmp.Chmod(0o644); err == nil {
+		if err = pg.WriteJSON(tmp, g); err == nil {
+			err = tmp.Sync()
+		}
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name()) //nolint:errcheck // already failing
+	}
+	return err
 }
 
 // explainComponents prints each component's cost-based plan analysis —

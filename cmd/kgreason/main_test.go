@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/fingraph"
 	"repro/internal/pg"
 	"repro/internal/snapfile"
+	"repro/internal/value"
 )
 
 // The command under test is this test binary re-executed with
@@ -102,5 +104,45 @@ func TestReasonOutputGolden(t *testing.T) {
 				t.Errorf("%v: output differs from %s:\n%s", args, golden, got)
 			}
 		}
+	}
+}
+
+// TestOutKeptOnFailedWrite: a write to -out that fails partway — a graph
+// holding an infinite float, which has no JSON form — exits 1 and leaves the
+// file an earlier run wrote as it was, with no temporary file beside it.
+func TestOutKeptOnFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	g := pg.New()
+	for i := 0; i < 300; i++ {
+		g.AddNode([]string{"Business"}, pg.Props{"shareholdingCapital": value.FloatV(float64(i))})
+	}
+	g.AddNode([]string{"Business"}, pg.Props{"shareholdingCapital": value.FloatV(math.Inf(1))})
+	in := filepath.Join(dir, "inf.snap")
+	if _, err := snapfile.WriteFile(in, g.Freeze(), snapfile.BuildInfo{Tool: "kgreason test"}); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.json")
+	earlier := []byte("{\"nodes\": null, \"edges\": null}\n")
+	if err := os.WriteFile(out, earlier, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr, code := run(t, "-in", in, "-component", "", "-out", out)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, earlier) {
+		t.Errorf("-out file after the failed write holds %d bytes (%v), want the earlier %q", len(got), err, earlier)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 {
+		t.Errorf("directory holds %v, want only inf.snap and out.json", names)
 	}
 }

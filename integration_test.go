@@ -72,15 +72,15 @@ func TestFullLifecycle(t *testing.T) {
 		{Name: "family", Sigma: metalog.MustParse(finance.FamilyProgram())},
 	}
 	staged := overlay.New(data.Freeze())
-	steps, err := instance.MaterializeStaged(reparsed, instance.PGSource{Data: staged}, comps, 10, vadalog.Options{})
+	steps, err := instance.MaterializeStaged(reparsed, staged, comps, 10, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var entities, edges, props int
 	for _, s := range steps {
-		entities += len(s.Derived.NewEntities)
-		edges += len(s.Derived.NewEdges)
-		props += s.Derived.UpdatedProps
+		entities += s.NewEntities
+		edges += s.NewEdges
+		props += s.UpdatedProps
 	}
 	if edges == 0 || props == 0 || entities == 0 {
 		t.Fatalf("materialization derived too little: %d/%d/%d", entities, edges, props)
@@ -156,15 +156,15 @@ func TestRelationalToPGCircle(t *testing.T) {
 		{"fk_owns_src_fiscalCode": str("B"), "fk_owns_dst_fiscalCode": str("C"), "percentage": flt(0.8)},
 	}
 	src := instance.RelationalSource{Inst: &instance.RelationalInstance{Tables: tables}}
-	comps := []instance.Component{{Name: "control", Sigma: metalog.MustParse(finance.ControlProgram())}}
-	steps, err := instance.MaterializeStaged(supermodel.CompanyKG(), src, comps, 1, vadalog.Options{})
+	dict, err := instance.NewDictionary(supermodel.CompanyKG())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) != 1 {
-		t.Fatalf("steps = %d", len(steps))
+	mat, err := instance.Materialize(dict, src, metalog.MustParse(finance.ControlProgram()), 1, vadalog.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := steps[0].ExportPG()
+	out := mat.ExportPG()
 	// A controls B, B controls C, A controls C (transitively) + 3 self.
 	if n := len(out.EdgesByLabel("CONTROLS")); n != 6 {
 		t.Errorf("CONTROLS edges = %d, want 6", n)

@@ -34,10 +34,7 @@ type Source interface {
 
 // PGSource is a property-graph data instance. The load phase only reads the
 // graph, so any pg.View works — including a pg.Frozen snapshot, which makes
-// the load side safe to share across concurrent materializations. A staged
-// run of more than one component writes each step back into the view, so
-// MaterializeStaged needs it to be an *overlay.Overlay and refuses any other
-// view with ErrNoWriteBack.
+// the load side safe to share across concurrent materializations.
 type PGSource struct{ Data pg.View }
 
 func (s PGSource) load(d *Dictionary, instanceOID int64) (*Loaded, error) {
@@ -52,23 +49,31 @@ func (s RelationalSource) load(d *Dictionary, instanceOID int64) (*Loaded, error
 	return d.loadRelational(s.Inst, instanceOID)
 }
 
-// Result is the outcome of Algorithm 2, with the phase breakdown that
-// Section 6 discusses: loading the instance into the super-components and
-// building the input views (Load), the reasoning task proper (Reason), and
-// flushing the derived components back (Flush). On the Bank of Italy KG the
-// paper reports ~160 minutes of reasoning against ~15 minutes of loading
-// plus flushing; the benchmarks reproduce that shape.
+// Report is a run of Algorithm 2 in figures: the phase breakdown Section 6
+// discusses — loading the instance into the super-components and building
+// the input views (Load), the reasoning task proper (Reason), flushing the
+// derived components back (Flush) — the reasoning statistics, and what the
+// flush derived. On the Bank of Italy KG the paper reports ~160 minutes of
+// reasoning against ~15 minutes of loading plus flushing; the benchmarks
+// reproduce that shape.
+type Report struct {
+	LoadDuration   time.Duration
+	ReasonDuration time.Duration
+	FlushDuration  time.Duration
+	RunStats       vadalog.RunStats
+
+	NewEntities, NewEdges, UpdatedProps int
+}
+
+// Result is the outcome of Algorithm 2: its Report and the run itself (the
+// loaded and derived instance, Σ's catalog and translation, the fact base).
 type Result struct {
+	Report
 	Loaded      *Loaded
 	Catalog     *metalog.Catalog
 	Translation *metalog.Translation
 	DB          *vadalog.Database
 	Derived     *Derived
-	RunStats    vadalog.RunStats
-
-	LoadDuration   time.Duration
-	ReasonDuration time.Duration
-	FlushDuration  time.Duration
 }
 
 // Materialize runs Algorithm 2: it loads the data instance D into the
@@ -163,15 +168,20 @@ func Materialize(d *Dictionary, src Source, sigma *metalog.Program, instanceOID 
 
 	d.attached = append(d.attached, loaded)
 	res := &Result{
-		Loaded:         loaded,
-		Catalog:        cat,
-		Translation:    tr,
-		DB:             run.DB,
-		Derived:        derived,
-		RunStats:       run.Stats,
-		LoadDuration:   loadDur,
-		ReasonDuration: reasonDur,
-		FlushDuration:  flushDur,
+		Report: Report{
+			LoadDuration:   loadDur,
+			ReasonDuration: reasonDur,
+			FlushDuration:  flushDur,
+			RunStats:       run.Stats,
+			NewEntities:    len(derived.NewEntities),
+			NewEdges:       len(derived.NewEdges),
+			UpdatedProps:   derived.UpdatedProps,
+		},
+		Loaded:      loaded,
+		Catalog:     cat,
+		Translation: tr,
+		DB:          run.DB,
+		Derived:     derived,
 	}
 	if salvaged != nil {
 		return res, salvaged
@@ -185,22 +195,16 @@ type Component struct {
 	Sigma *metalog.Program
 }
 
-// ErrNoWriteBack refuses a staged run of two or more components over a
-// source the derived components cannot be written back to: every later
-// component would read the unstaged input.
-var ErrNoWriteBack = errors.New("instance: staging more than one component needs a PGSource over an *overlay.Overlay to write back to")
-
 // MaterializeStaged runs Algorithm 2 once per component, in order, against
-// the same data instance, and returns one Result per step. Each step gets a
-// fresh dictionary (instanceOID+i), so instance constructs do not accumulate
-// across steps — the staging-area flush of Section 6. When src is a PGSource
-// over an *overlay.Overlay, each step's derived components are applied to
-// that overlay before the next step loads it, so later
-// components read what earlier ones derived; the caller owns the overlay and
-// reads the staged graph from it. Over any other source (a *pg.Graph, a
-// pg.Frozen snapshot, a RelationalSource) a run of two or more components is
-// refused with ErrNoWriteBack before any step runs; a single component runs
-// over any source and writes nothing back.
+// the graph stage reads, and returns each step's Report; the step's rows and
+// fact database are dropped before the next one runs. Each step gets a fresh
+// dictionary (instanceOID+i), so instance constructs do not accumulate
+// across steps — the staging-area flush of Section 6 — and its derived
+// components are applied to stage before the next step loads it, so later
+// components read what earlier ones derived. The caller owns the overlay and
+// reads the staged graph from it (overlay.New(g.Freeze()) stages over a
+// graph in hand). Materialize runs one component over any Source and writes
+// nothing back.
 //
 // Every component is first checked against the schema, before any step runs:
 // the intensional language "should refer to the schema constructs" (§1), so a
@@ -211,26 +215,19 @@ var ErrNoWriteBack = errors.New("instance: staging more than one component needs
 // alongside the wrapped error; later components do not run, since they must
 // not read an unsaturated prefix. Every other error returns nil steps; an
 // overlay the failed application wrote into may hold part of that step.
-func MaterializeStaged(schema *supermodel.Schema, src Source, comps []Component, instanceOID int64, opts vadalog.Options) ([]*Result, error) {
+func MaterializeStaged(schema *supermodel.Schema, stage *overlay.Overlay, comps []Component, instanceOID int64, opts vadalog.Options) ([]Report, error) {
 	for _, c := range comps {
 		if err := checkComponent(schema, c); err != nil {
 			return nil, err
 		}
 	}
-	var stage *overlay.Overlay
-	if ps, ok := src.(PGSource); ok {
-		stage, _ = ps.Data.(*overlay.Overlay)
-	}
-	if stage == nil && len(comps) > 1 {
-		return nil, ErrNoWriteBack
-	}
-	var steps []*Result
+	var steps []Report
 	for i, c := range comps {
 		d, err := NewDictionary(schema)
 		if err != nil {
 			return nil, err
 		}
-		res, err := Materialize(d, src, c.Sigma, instanceOID+int64(i), opts)
+		res, err := Materialize(d, PGSource{Data: stage}, c.Sigma, instanceOID+int64(i), opts)
 		if err != nil {
 			err = fmt.Errorf("instance: materializing %q: %w", c.Name, err)
 			var pe *vadalog.PartialError
@@ -238,12 +235,10 @@ func MaterializeStaged(schema *supermodel.Schema, src Source, comps []Component,
 				return nil, err
 			}
 		}
-		steps = append(steps, res)
-		if stage != nil {
-			if aerr := res.applyTo(stage); aerr != nil {
-				return nil, fmt.Errorf("instance: applying %q: %w", c.Name, aerr)
-			}
+		if aerr := res.applyTo(stage); aerr != nil {
+			return nil, fmt.Errorf("instance: applying %q: %w", c.Name, aerr)
 		}
+		steps = append(steps, res.Report)
 		if err != nil {
 			return steps, err
 		}
@@ -310,13 +305,14 @@ func (r *Result) writeOps(emit func(overlay.Op) error) error {
 		return overlay.Ref{ID: src}, src != 0
 	}
 	for _, ent := range dv.NewEntities {
-		if err := emit(overlay.Op{Kind: overlay.OpAddNode, Name: handle(ent.IOID), Labels: []string{ent.Type}, Props: ent.Attrs}); err != nil {
+		if err := emit(overlay.Op{Kind: overlay.OpAddNode, Name: handle(ent.IOID), Labels: []string{ent.Type}, Props: pg.PropMap(ent.Attrs)}); err != nil {
 			return err
 		}
 	}
 	for _, u := range dv.Updates {
 		if ref, ok := node(u.Entity); ok {
-			if err := emit(overlay.Op{Kind: overlay.OpSetNodeProp, Node: ref, Key: u.Attr, Value: l.Entity(u.Entity).Attrs[u.Attr]}); err != nil {
+			v, _ := l.Entity(u.Entity).Attrs.Get(u.Attr)
+			if err := emit(overlay.Op{Kind: overlay.OpSetNodeProp, Node: ref, Key: u.Attr, Value: v}); err != nil {
 				return err
 			}
 		}
@@ -327,7 +323,11 @@ func (r *Result) writeOps(emit func(overlay.Op) error) error {
 		if !ok1 || !ok2 {
 			return fmt.Errorf("instance: derived edge %s endpoints not in target graph", de.Type)
 		}
-		if err := emit(overlay.Op{Kind: overlay.OpAddEdge, From: from, To: to, Label: de.Type, Props: de.Attrs}); err != nil {
+		var props pg.Props // most derived edges have no attributes: no map for them
+		if len(de.Attrs) > 0 {
+			props = pg.PropMap(de.Attrs)
+		}
+		if err := emit(overlay.Op{Kind: overlay.OpAddEdge, From: from, To: to, Label: de.Type, Props: props}); err != nil {
 			return err
 		}
 	}
@@ -399,10 +399,10 @@ func (r *Result) ExportPG() *pg.Graph {
 	l := r.Loaded
 	ids := make([]pg.OID, len(l.Entities)) // parallel to l.Entities
 	for i, ent := range l.Entities {
-		ids[i] = out.AddNode(l.Dict.upcasts[ent.Type], ent.Attrs).ID
+		ids[i] = out.AddNode(l.Dict.upcasts[ent.Type], pg.PropMap(ent.Attrs)).ID
 	}
 	for _, e := range l.Edges {
-		out.MustAddEdge(ids[l.index(e.From)], ids[l.index(e.To)], e.Type, e.Attrs)
+		out.MustAddEdge(ids[l.index(e.From)], ids[l.index(e.To)], e.Type, pg.PropMap(e.Attrs))
 	}
 	return out
 }

@@ -43,10 +43,10 @@ func TestLoadPGSkipsNonSchemaProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ent := range loaded.Entities {
-		if _, ok := ent.Attrs["randomJunk"]; ok {
+		if _, ok := ent.Attrs.Get("randomJunk"); ok {
 			t.Error("non-schema property must not load")
 		}
-		if _, ok := ent.Attrs["fiscalCode"]; !ok {
+		if _, ok := ent.Attrs.Get("fiscalCode"); !ok {
 			t.Error("schema property missing")
 		}
 	}

@@ -19,36 +19,46 @@ import (
 // now: same OIDs, same properties, same edges. They are inputs, not outputs;
 // a change that alters them changes Figure 9.
 var goldenFixtures = []struct {
-	name string
-	run  func(t *testing.T) *Dictionary
+	name   string
+	run    func(t *testing.T) *Dictionary
+	golden string // the testdata file, when it is not named after the fixture
 }{
 	// The public load path: LoadPG attaches what it loads.
-	{"figure9-load", func(t *testing.T) *Dictionary {
+	{name: "figure9-load", run: func(t *testing.T) *Dictionary {
 		d := newCompanyDict(t)
 		if _, err := d.LoadPG(buildCompanyData(t), 234); err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}},
-	{"control-pg", func(t *testing.T) *Dictionary {
+	// The same data from a snapshot whose rows do not hold their keys in
+	// name order: the entities' attribute twins are still laid out in it.
+	{name: "figure9-load-bulk", golden: "figure9-load", run: func(t *testing.T) *Dictionary {
+		d := newCompanyDict(t)
+		if _, err := d.LoadPG(bulkCompanyData(t), 234); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}},
+	{name: "control-pg", run: func(t *testing.T) *Dictionary {
 		d, data, sigma := chaosFixture(t)
 		mustMaterialize(t, d, PGSource{Data: data}, sigma, 777)
 		return d
 	}},
-	{"relational", func(t *testing.T) *Dictionary {
+	{name: "relational", run: func(t *testing.T) *Dictionary {
 		d := newCompanyDict(t)
 		mustMaterialize(t, d, RelationalSource{Inst: companyTables()}, metalog.MustParse(controlSigma), 888)
 		return d
 	}},
 	// Example 6.1: the update that adds an attribute twin to a loaded entity.
-	{"example61", func(t *testing.T) *Dictionary {
+	{name: "example61", run: func(t *testing.T) *Dictionary {
 		d := newCompanyDict(t)
 		g, _ := example61Data()
 		mustMaterialize(t, d, PGSource{Data: g}, metalog.MustParse(example61Sigma), 234)
 		return d
 	}},
 	// Skolem-created entities, their attribute twins and the edges to them.
-	{"family", func(t *testing.T) *Dictionary {
+	{name: "family", run: func(t *testing.T) *Dictionary {
 		d := newCompanyDict(t)
 		mustMaterialize(t, d, PGSource{Data: familyData()}, metalog.MustParse(familySigma), 1)
 		return d
@@ -58,15 +68,67 @@ var goldenFixtures = []struct {
 func TestRenderedDictionaryMatchesGoldens(t *testing.T) {
 	for _, fx := range goldenFixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", fx.name+".dict.json"))
+			golden := fx.golden
+			if golden == "" {
+				golden = fx.name
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", golden+".dict.json"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := dictSerial(t, fx.run(t)); got != string(want) {
-				t.Errorf("rendered dictionary differs from testdata/%s.dict.json", fx.name)
+				t.Errorf("rendered dictionary differs from testdata/%s.dict.json", golden)
 			}
 		})
 	}
+}
+
+// bulkCompanyData is buildCompanyData bulk-loaded into a snapshot, plus one
+// edge outside the schema (loadPG skips it) whose label doubles as a
+// property key. The loader interns labels before keys, so every business
+// row stores shareholdingCapital first, out of name order.
+func bulkCompanyData(t *testing.T) *pg.Frozen {
+	t.Helper()
+	keys := []string{"businessName", "fiscalCode", "legalNature", "shareholdingCapital"}
+	nodes := pg.NodeBatch{Labels: []string{"Business"}, Keys: keys}
+	owns := pg.EdgeBatch{Label: "OWNS", Keys: []string{"percentage"}}
+	g := buildCompanyData(t)
+	g.ScanNodes(func(n *pg.NodeRow) bool {
+		nodes.OIDs = append(nodes.OIDs, n.ID)
+		for _, k := range keys {
+			v, _ := n.Props.Get(k)
+			nodes.Vals = append(nodes.Vals, v)
+		}
+		return true
+	})
+	g.ScanEdges(func(e *pg.EdgeRow) bool {
+		v, _ := e.Props.Get("percentage")
+		owns.OIDs, owns.From, owns.To = append(owns.OIDs, e.ID), append(owns.From, e.From), append(owns.To, e.To)
+		owns.Vals = append(owns.Vals, v)
+		return true
+	})
+	a := nodes.OIDs[0]
+	aux := pg.EdgeBatch{Label: "shareholdingCapital", OIDs: []pg.OID{owns.OIDs[len(owns.OIDs)-1] + 1}, From: []pg.OID{a}, To: []pg.OID{a}}
+	l := pg.NewBulkLoader(1)
+	if err := l.AddNodes(nodes); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []pg.EdgeBatch{owns, aux} {
+		if err := l.AddEdges(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := l.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ScanNodes(func(n *pg.NodeRow) bool {
+		if n.Props[0].Key != "shareholdingCapital" {
+			t.Fatalf("node %d stores %v first; the fixture needs rows out of name order", n.ID, n.Props[0].Key)
+		}
+		return true
+	})
+	return f
 }
 
 func mustMaterialize(t *testing.T, d *Dictionary, src Source, sigma *metalog.Program, instanceOID int64) *Result {

@@ -32,7 +32,7 @@ func TestInputRowsOutliveFlush(t *testing.T) {
 	for _, ent := range res.Loaded.Entities {
 		if ent.Type == "Business" {
 			ioid = int64(ent.IOID)
-			if v := ent.Attrs["numberOfStakeholders"]; !value.Identical(v, value.IntV(1)) {
+			if v, _ := ent.Attrs.Get("numberOfStakeholders"); !value.Identical(v, value.IntV(1)) {
 				t.Errorf("loaded entity holds numberOfStakeholders %v after the flush, want 1", v)
 			}
 		}

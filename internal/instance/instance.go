@@ -188,21 +188,18 @@ func (d *Dictionary) alloc(n int) pg.OID {
 	return oid
 }
 
-// attrConstruct resolves the attribute construct for a (possibly inherited)
-// attribute of the given type.
-func (d *Dictionary) attrConstruct(nodeType, attr string) (pg.OID, bool) {
-	oid, ok := d.nodeAttr[nodeType][attr]
-	return oid, ok
-}
-
 // Entity is one instance node loaded into the super-components: its
 // I_SM_Node OID in the dictionary, its most specific type, its attribute
 // values, and the OID of the data node it was loaded from — 0 when no data
 // node backs it (a relational row, an entity the flush derived).
+//
+// Attrs is in attribute-name order and never written in place: a change
+// replaces the list (setAttr), so a list once handed out — to the input
+// views — keeps reading what it read.
 type Entity struct {
 	IOID   pg.OID
 	Type   string
-	Attrs  map[string]value.Value
+	Attrs  pg.PropList
 	Source pg.OID
 
 	// twins lists the entity's I_SM_Attribute twins in creation order. Nil
@@ -226,25 +223,31 @@ func (e *Entity) twinList() []twin {
 }
 
 // contiguousTwins lays out the twins of a construct created with the given
-// attributes: one per attribute in name order, from first on.
-func contiguousTwins(first pg.OID, attrs map[string]value.Value) []twin {
-	names := sortedset.Keys(attrs)
-	out := make([]twin, len(names))
-	for i, name := range names {
-		out[i] = twin{name, first + pg.OID(i*twinSpan)}
+// attributes: one per attribute in list (name) order, from first on.
+func contiguousTwins(first pg.OID, attrs pg.PropList) []twin {
+	out := make([]twin, len(attrs))
+	for i, p := range attrs {
+		out[i] = twin{p.Key, first + pg.OID(i*twinSpan)}
 	}
 	return out
 }
 
+// byName sorts a freshly built attribute list into name order and returns
+// it.
+func byName(attrs pg.PropList) pg.PropList {
+	slices.SortFunc(attrs, func(a, b pg.Prop) int { return strings.Compare(a.Key, b.Key) })
+	return attrs
+}
+
 // Edge is one instance edge: its I_SM_Edge OID, its type, the I_SM_Node
-// OIDs of its endpoints, and its attribute values. Its twins take the OIDs
-// right after its own, one per attribute in name order; edges are never
-// updated.
+// OIDs of its endpoints, and its attribute values in name order. Its twins
+// take the OIDs right after its own, one per attribute in that order; edges
+// are never updated.
 type Edge struct {
 	IOID     pg.OID
 	Type     string
 	From, To pg.OID
-	Attrs    map[string]value.Value
+	Attrs    pg.PropList
 }
 
 // Loaded is the result of loading a data instance into the dictionary's
@@ -282,9 +285,9 @@ func (l *Loaded) index(ioid pg.OID) int {
 }
 
 // addEntity creates an entity with one twin per attribute and returns its
-// I_SM_Node OID. The attributes must be ones its type declares; callers
-// filter them.
-func (l *Loaded) addEntity(nodeType string, attrs map[string]value.Value, source pg.OID) (pg.OID, error) {
+// I_SM_Node OID. The attributes must be ones its type declares, in name
+// order; callers filter and sort them.
+func (l *Loaded) addEntity(nodeType string, attrs pg.PropList, source pg.OID) (pg.OID, error) {
 	if _, ok := l.Dict.nodeConstruct[nodeType]; !ok {
 		return 0, fmt.Errorf("instance: unknown node type %q", nodeType)
 	}
@@ -293,30 +296,32 @@ func (l *Loaded) addEntity(nodeType string, attrs map[string]value.Value, source
 	return ioid, nil
 }
 
-// setAttr sets one attribute value of an entity; an attribute it had no
-// value for gets a new twin.
+// setAttr sets one attribute value of an entity by replacing its list with
+// a copy holding the value; an attribute it had no value for gets a new
+// twin.
 func (l *Loaded) setAttr(ent *Entity, name string, v value.Value) {
-	if _, had := ent.Attrs[name]; !had {
+	i, had := slices.BinarySearchFunc(ent.Attrs, name, func(p pg.Prop, name string) int { return strings.Compare(p.Key, name) })
+	attrs := append(make(pg.PropList, 0, len(ent.Attrs)+1), ent.Attrs...)
+	if had {
+		attrs[i].Val = v
+	} else {
 		ent.twins = append(ent.twinList(), twin{name, l.Dict.alloc(twinSpan)})
+		attrs = slices.Insert(attrs, i, pg.Prop{Key: name, Val: v})
 	}
-	ent.Attrs[name] = v
+	ent.Attrs = attrs
 }
 
 // addEdge creates an instance edge between two entities, with one twin per
-// attribute.
-func (l *Loaded) addEdge(edgeType string, from, to pg.OID, attrs map[string]value.Value) error {
+// attribute; the attributes are in name order.
+func (l *Loaded) addEdge(edgeType string, from, to pg.OID, attrs pg.PropList) error {
 	d := l.Dict
 	if _, ok := d.edgeConstruct[edgeType]; !ok {
 		return fmt.Errorf("instance: unknown edge type %q", edgeType)
 	}
-	bad := ""
-	for name := range attrs {
-		if _, ok := d.edgeAttr[edgeType][name]; !ok && (bad == "" || name < bad) {
-			bad = name
+	for _, p := range attrs {
+		if _, ok := d.edgeAttr[edgeType][p.Key]; !ok {
+			return fmt.Errorf("instance: edge type %s has no attribute %q", edgeType, p.Key)
 		}
-	}
-	if bad != "" {
-		return fmt.Errorf("instance: edge type %s has no attribute %q", edgeType, bad)
 	}
 	l.Edges = append(l.Edges, Edge{
 		IOID: d.alloc(edgeSpan + twinSpan*len(attrs)), Type: edgeType, From: from, To: to, Attrs: attrs,
@@ -355,7 +360,8 @@ func (d *Dictionary) Constructs() (*pg.Graph, error) {
 			node(ent.IOID, LINode, pg.Props{"instanceOID": inst})
 			edge(ent.IOID+1, ent.IOID, d.nodeConstruct[ent.Type], LRefs)
 			for _, t := range ent.twinList() {
-				addTwin(t, ent.IOID, LIHasNAttr, d.nodeAttr[ent.Type][t.attr], ent.Attrs[t.attr])
+				v, _ := ent.Attrs.Get(t.attr)
+				addTwin(t, ent.IOID, LIHasNAttr, d.nodeAttr[ent.Type][t.attr], v)
 			}
 		}
 		for _, e := range l.Edges {
@@ -363,8 +369,8 @@ func (d *Dictionary) Constructs() (*pg.Graph, error) {
 			edge(e.IOID+1, e.IOID, d.edgeConstruct[e.Type], LRefs)
 			edge(e.IOID+2, e.IOID, e.From, LIFrom)
 			edge(e.IOID+3, e.IOID, e.To, LITo)
-			for _, t := range contiguousTwins(e.IOID+edgeSpan, e.Attrs) {
-				addTwin(t, e.IOID, LIHasEAttr, d.edgeAttr[e.Type][t.attr], e.Attrs[t.attr])
+			for i, t := range contiguousTwins(e.IOID+edgeSpan, e.Attrs) {
+				addTwin(t, e.IOID, LIHasEAttr, d.edgeAttr[e.Type][t.attr], e.Attrs[i].Val)
 			}
 		}
 	}
@@ -418,36 +424,21 @@ func (d *Dictionary) loadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 			err = fmt.Errorf("instance: node %d: %w", n.ID, err)
 			return false
 		}
-		attrs := map[string]value.Value{}
-		for _, p := range n.Props {
-			if _, ok := d.attrConstruct(typ, p.Key); ok {
-				attrs[p.Key] = p.Val
-			}
-		}
-		_, err = out.addEntity(typ, attrs, n.ID)
+		_, err = out.addEntity(typ, declared(n.Props, d.nodeAttr[typ]), n.ID)
 		return err == nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	data.ScanEdges(func(e *pg.EdgeRow) bool {
-		declared, ok := d.edgeAttr[e.Label]
+		attrs, ok := d.edgeAttr[e.Label]
 		if !ok {
 			return true // label outside the schema (e.g. auxiliary data)
-		}
-		var attrs map[string]value.Value
-		for _, p := range e.Props {
-			if _, ok := declared[p.Key]; ok {
-				if attrs == nil {
-					attrs = map[string]value.Value{}
-				}
-				attrs[p.Key] = p.Val
-			}
 		}
 		var from, to pg.OID
 		if from, err = out.loadedFrom(e.From); err == nil {
 			if to, err = out.loadedFrom(e.To); err == nil {
-				err = out.addEdge(e.Label, from, to, attrs)
+				err = out.addEdge(e.Label, from, to, declared(e.Props, attrs))
 			}
 		}
 		return err == nil
@@ -456,6 +447,15 @@ func (d *Dictionary) loadPG(data pg.View, instanceOID int64) (*Loaded, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// declared copies the properties of a scanned row that attrs declares into a
+// list of their own, in name order: a view need not hold keys in it.
+func declared(row pg.PropList, attrs map[string]pg.OID) pg.PropList {
+	return byName(slices.DeleteFunc(slices.Clone(row), func(p pg.Prop) bool {
+		_, ok := attrs[p.Key]
+		return !ok
+	}))
 }
 
 // loadedFrom returns the I_SM_Node OID of the entity loaded from a data
@@ -570,7 +570,7 @@ func (d *Dictionary) loadRelational(ri *RelationalInstance, instanceOID int64) (
 				return nil, err
 			}
 			for col, v := range r {
-				if _, ok := d.attrConstruct(n.Name, col); ok {
+				if _, ok := d.nodeAttr[n.Name][col]; ok {
 					p.attrs[col] = v
 				}
 			}
@@ -580,7 +580,11 @@ func (d *Dictionary) loadRelational(ri *RelationalInstance, instanceOID int64) (
 	out.Entities = make([]Entity, 0, len(entities))
 	for _, k := range sortedset.Keys(entities) {
 		p := entities[k]
-		ioid, err := out.addEntity(p.typ, p.attrs, 0)
+		attrs := make(pg.PropList, 0, len(p.attrs))
+		for name, v := range p.attrs {
+			attrs = append(attrs, pg.Prop{Key: name, Val: v})
+		}
+		ioid, err := out.addEntity(p.typ, byName(attrs), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -656,15 +660,12 @@ func (d *Dictionary) loadRelational(ri *RelationalInstance, instanceOID int64) (
 }
 
 // edgeAttrs picks an edge's declared attributes out of the row holding it.
-func edgeAttrs(e *supermodel.Edge, r Row) map[string]value.Value {
-	var attrs map[string]value.Value
+func edgeAttrs(e *supermodel.Edge, r Row) pg.PropList {
+	var attrs pg.PropList
 	for _, a := range e.Attributes {
 		if v, ok := r[a.Name]; ok {
-			if attrs == nil {
-				attrs = map[string]value.Value{}
-			}
-			attrs[a.Name] = v
+			attrs = append(attrs, pg.Prop{Key: a.Name, Val: v})
 		}
 	}
-	return attrs
+	return byName(attrs)
 }

@@ -138,7 +138,7 @@ func TestDerivedWalkOrderThroughBothSinks(t *testing.T) {
 			// Each family derives twice: with its name, and bare (all
 			// Missing) from the edge chain's endpoint atom.
 			if len(f.Props) > 0 {
-				families = append(families, f.Props[0].Value.S)
+				families = append(families, f.Props[0].Val.S)
 			}
 			fallthrough
 		default:
@@ -178,7 +178,8 @@ func TestDerivedWalkOrderThroughBothSinks(t *testing.T) {
 	// Flush sink: entities and edges were created in visit order.
 	var gotFamilies, gotEdges []string
 	for _, ent := range res.Derived.NewEntities {
-		gotFamilies = append(gotFamilies, ent.Attrs["familyName"].S)
+		name, _ := ent.Attrs.Get("familyName")
+		gotFamilies = append(gotFamilies, name.S)
 	}
 	for i, e := range res.Derived.NewEdges {
 		gotEdges = append(gotEdges, e.Type)

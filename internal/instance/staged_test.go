@@ -62,7 +62,7 @@ func TestMaterializeStagedValidatesEagerly(t *testing.T) {
 		component("control", finance.ControlProgram()),
 		component("recursive-star", `(x: Business) ([: CONTROLS])+ (y: Business) -> (x) [c: CONTROLS] (y).`),
 	}
-	steps, err := MaterializeStaged(supermodel.CompanyKG(), PGSource{Data: stage}, comps, 1, vadalog.Options{})
+	steps, err := MaterializeStaged(supermodel.CompanyKG(), stage, comps, 1, vadalog.Options{})
 	if err == nil || !strings.Contains(err.Error(), `"recursive-star"`) {
 		t.Fatalf("decidability violation must be refused naming the component, got %v", err)
 	}
@@ -77,7 +77,7 @@ func TestMaterializeStagedValidatesEagerly(t *testing.T) {
 func TestMaterializeStagedModelAwareness(t *testing.T) {
 	schema := supermodel.CompanyKG()
 	run := func(src string) error {
-		_, err := MaterializeStaged(schema, PGSource{Data: buildCompanyData(t)}, []Component{component("c", src)}, 1, vadalog.Options{})
+		_, err := MaterializeStaged(schema, overlay.New(buildCompanyData(t).Freeze()), []Component{component("c", src)}, 1, vadalog.Options{})
 		return err
 	}
 	err := run(`(x: Zeta) -> (x) [c: CONTROLS] (x). (y: Bussiness) -> (y) [c: CONTROLS] (y).`)
@@ -102,22 +102,22 @@ func TestMaterializeStagedOwnershipThenControl(t *testing.T) {
 		component("ownership", finance.OwnershipProgram()),
 		component("control", finance.ControlProgram()),
 	}
-	steps, err := MaterializeStaged(supermodel.CompanyKG(), PGSource{Data: stage}, comps, 1000, vadalog.Options{})
+	steps, err := MaterializeStaged(supermodel.CompanyKG(), stage, comps, 1000, vadalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(steps) != 2 {
 		t.Fatalf("steps = %d", len(steps))
 	}
-	if steps[0].Derived.UpdatedProps == 0 {
+	if steps[0].UpdatedProps == 0 {
 		t.Error("numberOfStakeholders never set")
 	}
 	if _, n := countLabel(stage, "OWNS"); n == 0 {
 		t.Error("OWNS not staged into the overlay")
 	}
 	// Control must exceed the trivial self-loops (60 businesses).
-	if _, n := countLabel(stage, "CONTROLS"); n <= 60 || n != len(steps[1].Derived.NewEdges) {
-		t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, len(steps[1].Derived.NewEdges))
+	if _, n := countLabel(stage, "CONTROLS"); n <= 60 || n != steps[1].NewEdges {
+		t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, steps[1].NewEdges)
 	}
 }
 
@@ -146,23 +146,23 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := stagingOverlay()
-	if _, err := MaterializeStaged(schema, PGSource{Data: probe}, comps[:1], 1, vadalog.Options{}); err != nil {
+	if _, err := MaterializeStaged(schema, probe, comps[:1], 1, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	h1 := int(fault.Hits("vadalog/stratum"))
-	if _, err := MaterializeStaged(schema, PGSource{Data: probe}, comps[1:2], 2, vadalog.Options{}); err != nil {
+	if _, err := MaterializeStaged(schema, probe, comps[1:2], 2, vadalog.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if h2 := int(fault.Hits("vadalog/stratum")) - h1; h2 != 2 {
 		t.Fatalf("step 2 runs %d strata, want 2", h2)
 	}
 
-	run := func(policy vadalog.FaultPolicy) (*overlay.Overlay, []*Result, error) {
+	run := func(policy vadalog.FaultPolicy) (*overlay.Overlay, []Report, error) {
 		if err := fault.Arm("vadalog/stratum", fault.Plan{Mode: fault.ModeError, After: h1 + 2}); err != nil {
 			t.Fatal(err)
 		}
 		stage := stagingOverlay()
-		steps, err := MaterializeStaged(schema, PGSource{Data: stage}, comps, 1, vadalog.Options{OnFault: policy})
+		steps, err := MaterializeStaged(schema, stage, comps, 1, vadalog.Options{OnFault: policy})
 		return stage, steps, err
 	}
 	stage, steps, err := run(vadalog.BestEffort)
@@ -176,7 +176,7 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 	if _, n := countLabel(stage, "OWNS"); n == 0 {
 		t.Error("step 1 was not applied")
 	}
-	salvaged := len(steps[1].Derived.NewEdges)
+	salvaged := steps[1].NewEdges
 	if _, n := countLabel(stage, "CONTROLS"); salvaged == 0 || n != salvaged {
 		t.Errorf("salvaged step derived %d CONTROLS edges, the overlay holds %d", salvaged, n)
 	}
@@ -195,20 +195,27 @@ func TestMaterializeStagedBestEffort(t *testing.T) {
 const stagedDigest = "a7b10fd697cfcdbca2087084d61634384b6e1cc4bac3294fdcaf221165bce4b1"
 
 // TestMaterializeStagedNeedsWriteBack: staging two components reads the first
-// one's derivations back, so it writes each step into the overlay its
-// PGSource reads, over a snapshot taken in memory or read back from a
-// snapshot file; both stage exactly the graph the mutable write-back did, and
-// so does ApplyToPG over a mutable graph. Over any other source (a mutable
-// graph, a frozen snapshot, relational rows) the run is refused before any
-// load, instead of letting control reason over unstaged input (only the 60
-// self-loops); a single component runs over any source. A failed write into
-// the overlay comes back typed.
+// one's derivations back, so each step is written into the overlay the next
+// one reads — over a snapshot taken in memory or read back from a snapshot
+// file. Both stage exactly the graph the mutable write-back did, and so does
+// running each component with Materialize and applying it to a mutable graph
+// with ApplyToPG. A failed write into the overlay comes back typed.
 func TestMaterializeStagedNeedsWriteBack(t *testing.T) {
 	defer fault.Reset()
 	schema := supermodel.CompanyKG()
 	comps := []Component{
 		component("ownership", finance.OwnershipProgram()),
 		component("control", finance.ControlProgram()),
+	}
+	digest := func(t *testing.T, v pg.View) {
+		t.Helper()
+		h := sha256.New()
+		if err := pg.WriteJSON(h, v); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != stagedDigest {
+			t.Errorf("%T staged graph digest %s, want %s", v, got, stagedDigest)
+		}
 	}
 	path := filepath.Join(t.TempDir(), "staged.snap")
 	if _, err := snapfile.WriteFile(path, stagedData().Freeze(), snapfile.BuildInfo{Tool: "instance test"}); err != nil {
@@ -220,63 +227,48 @@ func TestMaterializeStagedNeedsWriteBack(t *testing.T) {
 	}
 	defer sf.Close()
 	for _, tc := range []struct {
-		name    string
-		src     Source
-		refused bool
+		name  string
+		stage *overlay.Overlay
 	}{
-		{"graph", PGSource{Data: stagedData()}, true},
-		{"frozen", PGSource{Data: stagedData().Freeze()}, true},
-		{"relational", RelationalSource{Inst: companyTables()}, true},
-		{"overlay", PGSource{Data: stagingOverlay()}, false},
-		{"overlay over snapfile", PGSource{Data: overlay.New(sf.Frozen)}, false},
+		{"overlay", stagingOverlay()},
+		{"overlay over snapfile", overlay.New(sf.Frozen)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := fault.Arm("instance/load", fault.Plan{Mode: fault.ModeError, After: 1 << 30}); err != nil {
-				t.Fatal(err)
-			}
-			steps, err := MaterializeStaged(schema, tc.src, comps, 1, vadalog.Options{})
-			loads := fault.Hits("instance/load")
-			if tc.refused {
-				if !errors.Is(err, ErrNoWriteBack) || steps != nil || loads != 0 {
-					t.Fatalf("err = %v, %d steps, %d loads; want ErrNoWriteBack before any load", err, len(steps), loads)
-				}
-				if _, err := MaterializeStaged(schema, tc.src, comps[1:], 1, vadalog.Options{}); err != nil {
-					t.Errorf("a single component must run over any source: %v", err)
-				}
-				return
-			}
+			steps, err := MaterializeStaged(schema, tc.stage, comps, 1, vadalog.Options{})
 			if err != nil || len(steps) != 2 {
 				t.Fatalf("err = %v, %d steps", err, len(steps))
 			}
-			stage := tc.src.(PGSource).Data
-			if _, n := countLabel(stage, "CONTROLS"); n <= 60 || n != len(steps[1].Derived.NewEdges) {
-				t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, len(steps[1].Derived.NewEdges))
+			if _, n := countLabel(tc.stage, "CONTROLS"); n <= 60 || n != steps[1].NewEdges {
+				t.Errorf("CONTROLS edges = %d (step derived %d), want more than the self-loops", n, steps[1].NewEdges)
 			}
-			// ApplyToPG makes the same writes to a mutable graph.
-			g := stagedData()
-			for _, step := range steps {
-				if _, err := step.ApplyToPG(g); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, v := range []pg.View{stage, g} {
-				h := sha256.New()
-				if err := pg.WriteJSON(h, v); err != nil {
-					t.Fatal(err)
-				}
-				if got := fmt.Sprintf("%x", h.Sum(nil)); got != stagedDigest {
-					t.Errorf("%T staged graph digest %s, want %s", v, got, stagedDigest)
-				}
-			}
+			digest(t, tc.stage)
 		})
 	}
+
+	t.Run("ApplyToPG", func(t *testing.T) {
+		g := stagedData()
+		for i, c := range comps {
+			d, err := NewDictionary(schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Materialize(d, PGSource{Data: g}, c.Sigma, 1+int64(i), vadalog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := res.ApplyToPG(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		digest(t, g)
+	})
 
 	t.Run("apply fault", func(t *testing.T) {
 		if err := fault.Arm("overlay/apply", fault.Plan{Mode: fault.ModeError}); err != nil {
 			t.Fatal(err)
 		}
 		stage := stagingOverlay()
-		steps, err := MaterializeStaged(schema, PGSource{Data: stage}, comps, 1, vadalog.Options{})
+		steps, err := MaterializeStaged(schema, stage, comps, 1, vadalog.Options{})
 		var ie *fault.InjectedError
 		if !errors.As(err, &ie) || ie.Site != "overlay/apply" || steps != nil {
 			t.Fatalf("err = %v, %d steps; want nil steps and the *fault.InjectedError of overlay/apply", err, len(steps))

@@ -2,7 +2,6 @@ package instance
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/metalog"
 	"repro/internal/pg"
@@ -39,15 +38,15 @@ func CatalogFromSchema(s *supermodel.Schema) *metalog.Catalog {
 // label, one fact per instance entity whose type is the label or a
 // descendant of it — the generalization-aware reading of Example 6.2 — and
 // for every edge label one fact per I_SM_Edge. Each label's relation is
-// sealed (vadalog.Database.InstallRows) over metalog.MapRows in OID order,
-// which read the entities' and edges' attribute maps in place under the
+// sealed (vadalog.Database.InstallRows) over metalog.ListRows in OID order,
+// which read the entities' and edges' attribute lists in place under the
 // catalog's layout: nothing is copied or hashed, since the OIDs make the
-// facts distinct. Flush copies an entity's attributes before it changes
-// them, so the relations keep reading the loaded instance. Node and edge
-// labels never share a name (the schema keeps one namespace of types), and
-// no error is returned.
+// facts distinct. An attribute list is never written in place (Flush
+// replaces an entity's), so the relations keep reading the loaded instance.
+// Node and edge labels never share a name (the schema keeps one namespace of
+// types), and no error is returned.
 func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
-	rels := map[string]*metalog.MapRows{}
+	rels := map[string]*metalog.ListRows{}
 	for i := range l.Entities {
 		ent := &l.Entities[i]
 		for _, label := range l.Dict.upcasts[ent.Type] {
@@ -102,7 +101,6 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 	firstEdge, firstEntity := len(l.Edges), len(l.Entities)
 	firstNew := d.next // entities below it were loaded, not derived
 	updated := map[Update]bool{}
-	copied := map[pg.OID]bool{} // loaded entities whose attributes were copied
 
 	resolve := func(v value.Value, createType string) (pg.OID, error) {
 		if oid, ok := v.AsInt(); ok {
@@ -118,7 +116,7 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 		if createType == "" {
 			return 0, fmt.Errorf("instance: derived edge endpoint %s does not correspond to any entity", v)
 		}
-		ioid, err := l.addEntity(createType, map[string]value.Value{}, 0)
+		ioid, err := l.addEntity(createType, nil, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -128,26 +126,20 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 
 	// setAttrs writes a fact's present properties onto an entity. Derived node
 	// facts carry every column of their label's layout, so only the attributes
-	// the entity's type declares are kept; an update names its attribute. A
-	// loaded entity's attributes are the map its input view rows read, so the
-	// first change writes into a copy.
-	setAttrs := func(ioid pg.OID, props []metalog.PropValue, declaredOnly bool) error {
+	// the entity's type declares are kept; an update names its attribute.
+	setAttrs := func(ioid pg.OID, props pg.PropList, declaredOnly bool) error {
 		ent := l.Entity(ioid)
 		for _, p := range props {
-			if _, ok := d.attrConstruct(ent.Type, p.Name); !ok {
+			if _, ok := d.nodeAttr[ent.Type][p.Key]; !ok {
 				if declaredOnly {
 					continue
 				}
-				return fmt.Errorf("instance: node type %s has no attribute %q", ent.Type, p.Name)
+				return fmt.Errorf("instance: node type %s has no attribute %q", ent.Type, p.Key)
 			}
-			if cur, ok := ent.Attrs[p.Name]; !ok || !value.Identical(cur, p.Value) {
-				if ioid < firstNew && !copied[ioid] {
-					ent.Attrs = maps.Clone(ent.Attrs)
-					copied[ioid] = true
-				}
-				l.setAttr(ent, p.Name, p.Value)
+			if cur, ok := ent.Attrs.Get(p.Key); !ok || !value.Identical(cur, p.Val) {
+				l.setAttr(ent, p.Key, p.Val)
 				out.UpdatedProps++
-				if u := (Update{ioid, p.Name}); ioid < firstNew && !updated[u] {
+				if u := (Update{ioid, p.Key}); ioid < firstNew && !updated[u] {
 					updated[u] = true
 					out.Updates = append(out.Updates, u)
 				}
@@ -184,14 +176,9 @@ func (l *Loaded) Flush(db *vadalog.Database, tr *metalog.Translation, cat *metal
 		if err != nil {
 			return err
 		}
-		var attrs map[string]value.Value
-		if len(f.Props) > 0 {
-			attrs = make(map[string]value.Value, len(f.Props))
-			for _, p := range f.Props {
-				attrs[p.Name] = p.Value
-			}
-		}
-		return l.addEdge(f.Label, from, to, attrs)
+		// The props come in layout order, which is name order; a fact without
+		// any copies to a nil list.
+		return l.addEdge(f.Label, from, to, append(pg.PropList(nil), f.Props...))
 	})
 	if err != nil {
 		return nil, err

@@ -331,11 +331,11 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 		stats.NodesCreated++
 		return n.ID, true, nil
 	}
-	setProps := func(oid pg.OID, props []PropValue) error {
+	setProps := func(oid pg.OID, props pg.PropList) error {
 		n := g.Node(oid)
 		for _, p := range props {
-			if cur, ok := n.Props[p.Name]; !ok || !value.Identical(cur, p.Value) {
-				if err := g.SetNodeProp(oid, p.Name, p.Value); err != nil {
+			if cur, ok := n.Props[p.Key]; !ok || !value.Identical(cur, p.Val) {
+				if err := g.SetNodeProp(oid, p.Key, p.Val); err != nil {
 					return err
 				}
 				stats.PropsSet++
@@ -390,10 +390,7 @@ func Materialize(db *vadalog.Database, tr *Translation, cat *Catalog, g *pg.Grap
 		if err != nil {
 			return err
 		}
-		eprops := pg.Props{}
-		for _, p := range d.Props {
-			eprops[p.Name] = p.Value
-		}
+		eprops := pg.PropMap(d.Props)
 		fp := edgeFingerprint(d.Label, from, to, eprops)
 		if edgeSeen[fp] {
 			return nil

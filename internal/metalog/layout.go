@@ -17,7 +17,7 @@ import (
 // f1, …, fm), property columns in catalog order, Missing where the construct
 // does not carry the property. encode (behind NodeFact and EdgeFact) is the
 // only encoder of a materialized tuple, columns.cell the only reading of a
-// frozen row as one and MapRows.Cell of a property map as one, WalkDerived
+// frozen row as one and ListRows.Cell of a property list as one, WalkDerived
 // the only decoder, Present the only reading of Missing; every loader,
 // flusher and delta maintainer goes through them.
 
@@ -173,48 +173,49 @@ func (r *rows) oid(id int32) int64 {
 	return int64(r.cols.oids[id])
 }
 
-// MapRows is a relation of constructs whose properties are held as maps —
-// the instance level's entities and edges (instance.InputViews): the
-// vadalog.Rows a sealed relation reads, laid out like encode lays out a fact.
-// A row is a construct's identifier cells and its property map; Cell reads
-// the map under the label's layout, Missing where it has no such key, and
-// builds no tuple. The maps are read in place, so none may change while a
-// relation reading it is in use. Rows are distinct because their OIDs are.
-type MapRows struct {
+// ListRows is a relation of constructs whose properties are held as
+// pg.PropLists — the instance level's entities and edges
+// (instance.InputViews): the vadalog.Rows a sealed relation reads, laid out
+// like encode lays out a fact. A row is a construct's identifier cells and
+// its property list; Cell reads the list under the label's layout, Missing
+// where it has no such key, and builds no tuple. The lists are read in
+// place, so none may change while a relation reading it is in use. Rows are
+// distinct because their OIDs are.
+type ListRows struct {
 	ids    int // identifier cells per row: 1 for a node, 3 for an edge
 	layout []string
 	oids   []pg.OID // ids cells per row
-	props  []map[string]value.Value
+	props  []pg.PropList
 }
 
 // NodeRows returns an empty relation of nodes under the label's layout.
-func (c *Catalog) NodeRows(label string) *MapRows {
-	return &MapRows{ids: 1, layout: slices.Clone(c.NodeProps[label])}
+func (c *Catalog) NodeRows(label string) *ListRows {
+	return &ListRows{ids: 1, layout: slices.Clone(c.NodeProps[label])}
 }
 
 // EdgeRows returns an empty relation of edges under the label's layout.
-func (c *Catalog) EdgeRows(label string) *MapRows {
-	return &MapRows{ids: 3, layout: slices.Clone(c.EdgeProps[label])}
+func (c *Catalog) EdgeRows(label string) *ListRows {
+	return &ListRows{ids: 3, layout: slices.Clone(c.EdgeProps[label])}
 }
 
 // Add appends a construct: its identifiers (a node's OID; an edge's OID,
-// source and target) and its property map, which the relation keeps.
-func (r *MapRows) Add(props map[string]value.Value, ids ...pg.OID) {
+// source and target) and its property list, which the relation keeps.
+func (r *ListRows) Add(props pg.PropList, ids ...pg.OID) {
 	r.oids = append(r.oids, ids...)
 	r.props = append(r.props, props)
 }
 
 // Arity is the width of the relation's facts.
-func (r *MapRows) Arity() int { return r.ids + len(r.layout) }
+func (r *ListRows) Arity() int { return r.ids + len(r.layout) }
 
-// Len and Cell make MapRows a vadalog.Rows.
-func (r *MapRows) Len() int { return len(r.props) }
+// Len and Cell make ListRows a vadalog.Rows.
+func (r *ListRows) Len() int { return len(r.props) }
 
-func (r *MapRows) Cell(pos, col int) value.Value {
+func (r *ListRows) Cell(pos, col int) value.Value {
 	if col < r.ids {
 		return value.IntV(int64(r.oids[pos*r.ids+col]))
 	}
-	if v, ok := r.props[pos][r.layout[col-r.ids]]; ok {
+	if v, ok := r.props[pos].Get(r.layout[col-r.ids]); ok {
 		return v
 	}
 	return Missing
@@ -254,12 +255,6 @@ const (
 	HeadEdge                      // fact of a head edge label
 )
 
-// PropValue is one present property of a decoded fact.
-type PropValue struct {
-	Name  string
-	Value value.Value
-}
-
 // DerivedFact is one fact of a saturated database, decoded under the
 // catalog: the identifier terms as the engine derived them (OIDs, Skolem
 // terms or nulls — resolving them is the sink's business) and the present
@@ -268,7 +263,7 @@ type DerivedFact struct {
 	Kind         DerivedKind
 	Label        string
 	ID, From, To value.Value
-	Props        []PropValue
+	Props        pg.PropList
 }
 
 // WalkDerived decodes the derived facts of a reasoning result for a sink: the
@@ -292,7 +287,7 @@ func WalkDerived(db *vadalog.Database, tr *Translation, cat *Catalog, visit func
 			d.Props = d.Props[:0]
 			for i, p := range layout {
 				if v := f[ids+i]; Present(v) {
-					d.Props = append(d.Props, PropValue{p, v})
+					d.Props = append(d.Props, pg.Prop{Key: p, Val: v})
 				}
 			}
 			if err := visit(&d); err != nil {

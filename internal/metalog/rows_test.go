@@ -263,29 +263,29 @@ func TestExtractFactsCopiesNothing(t *testing.T) {
 	}
 }
 
-// TestMapRowsEncodeLikeFacts: a relation read from property maps serves,
+// TestListRowsEncodeLikeFacts: a relation read from property lists serves,
 // cell for cell, the tuples encode lays out for the same constructs — full
-// and sparse maps, a nil one, an edge's three identifiers — and the engine
+// and sparse lists, a nil one, an edge's three identifiers — and the engine
 // joins over it like over any sealed relation.
-func TestMapRowsEncodeLikeFacts(t *testing.T) {
+func TestListRowsEncodeLikeFacts(t *testing.T) {
 	cat := NewCatalog()
 	cat.EnsureNode("Company", "cap", "name")
 	cat.EnsureEdge("OWNS", "pct")
-	nodes := []map[string]value.Value{
-		{"name": value.Str("a"), "cap": value.FloatV(1)},
-		{"name": value.Str("b"), "other": value.IntV(7)},
+	nodes := []pg.PropList{
+		{{Key: "cap", Val: value.FloatV(1)}, {Key: "name", Val: value.Str("a")}},
+		{{Key: "name", Val: value.Str("b")}, {Key: "other", Val: value.IntV(7)}},
 		nil,
 	}
-	edges := []map[string]value.Value{{"pct": value.FloatV(0.6)}, nil}
+	edges := []pg.PropList{{{Key: "pct", Val: value.FloatV(0.6)}}, nil}
 	companies, owns := cat.NodeRows("Company"), cat.EdgeRows("OWNS")
 	want := vadalog.NewDatabase()
 	for i, props := range nodes {
 		companies.Add(props, pg.OID(i+1))
-		want.MustAddFact("Company", cat.NodeFact("Company", pg.OID(i+1), props)...)
+		want.MustAddFact("Company", cat.NodeFact("Company", pg.OID(i+1), pg.PropMap(props))...)
 	}
 	for i, props := range edges {
 		owns.Add(props, pg.OID(10+i), pg.OID(i+1), pg.OID(i+2))
-		want.MustAddFact("OWNS", cat.EdgeFact("OWNS", pg.OID(10+i), pg.OID(i+1), pg.OID(i+2), props)...)
+		want.MustAddFact("OWNS", cat.EdgeFact("OWNS", pg.OID(10+i), pg.OID(i+1), pg.OID(i+2), pg.PropMap(props))...)
 	}
 	if companies.Arity() != cat.NodeArity("Company") || owns.Arity() != cat.EdgeArity("OWNS") {
 		t.Fatalf("arities %d and %d, want %d and %d", companies.Arity(), owns.Arity(), cat.NodeArity("Company"), cat.EdgeArity("OWNS"))
@@ -294,7 +294,7 @@ func TestMapRowsEncodeLikeFacts(t *testing.T) {
 	db.InstallRows("Company", companies.Arity(), companies)
 	db.InstallRows("OWNS", owns.Arity(), owns)
 	if db.Dump() != want.Dump() {
-		t.Fatalf("map rows serve\n%s\nwant\n%s", db.Dump(), want.Dump())
+		t.Fatalf("list rows serve\n%s\nwant\n%s", db.Dump(), want.Dump())
 	}
 	q, err := PrepareQuery(cat, `(x: Company; name: n) [: OWNS] (y: Company)`, nil)
 	if err != nil {
@@ -305,7 +305,7 @@ func TestMapRowsEncodeLikeFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
-		t.Fatalf("query over map rows = %v, want 2 rows", rows)
+		t.Fatalf("query over list rows = %v, want 2 rows", rows)
 	}
 }
 

@@ -216,7 +216,7 @@ func checkReads(t *testing.T, f *Frozen, g *Graph) {
 	i := 0
 	f.ScanNodes(func(r *NodeRow) bool {
 		n := nodes[i]
-		if r.ID != n.ID || !reflect.DeepEqual(r.Labels, n.Labels) || !reflect.DeepEqual(propMap(r.Props), n.Props) {
+		if r.ID != n.ID || !reflect.DeepEqual(r.Labels, n.Labels) || !reflect.DeepEqual(PropMap(r.Props), n.Props) {
 			t.Errorf("ScanNodes row %d = %+v, want %+v", i, r, n)
 		}
 		checkRowProps(t, r.ID, r.Props, n.Props)

@@ -440,7 +440,7 @@ func CopyView(v View) (*Graph, error) {
 	g := New()
 	var err error
 	v.ScanNodes(func(r *NodeRow) bool {
-		_, err = g.insertNode(r.ID, r.Labels, propMap(r.Props))
+		_, err = g.insertNode(r.ID, r.Labels, PropMap(r.Props))
 		return err == nil
 	})
 	if err != nil {
@@ -449,7 +449,7 @@ func CopyView(v View) (*Graph, error) {
 	v.ScanEdges(func(r *EdgeRow) bool {
 		var props Props // nil when empty, as CloneEdgeProps keeps it
 		if len(r.Props) > 0 {
-			props = propMap(r.Props)
+			props = PropMap(r.Props)
 		}
 		_, err = g.insertEdge(r.ID, r.From, r.To, r.Label, props)
 		return err == nil
@@ -460,8 +460,9 @@ func CopyView(v View) (*Graph, error) {
 	return g, nil
 }
 
-// propMap rebuilds a property map from a row's list.
-func propMap(list PropList) Props {
+// PropMap rebuilds a property map from a list: a scanned row's, or any
+// other holder of properties as a PropList. The map is never nil.
+func PropMap(list PropList) Props {
 	m := make(Props, len(list))
 	for _, p := range list {
 		m[p.Key] = p.Val
