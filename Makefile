@@ -32,12 +32,16 @@ test: build vet
 # warmed key tables, as sharded rounds do, and the frozen-readers test
 # because it races the one label-count build behind NodeLabelCount and
 # EdgeLabelCount and the per-call Node/Edge struct builds against each other
-# and against the column reads (CSR windows, out-degrees, row scans).
+# and against the column reads (CSR windows, out-degrees, row scans); the
+# overlay-generations test reruns with them because an overlay, its Clone and
+# the facts extracted from either share rows by pointer, and it races readers
+# of one generation against the Clone().Apply and fact maintenance that
+# build the next.
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve|TestInsertionOrderGolden' ./internal/vadalog/
 	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestMutableIndexConcurrentProbes|TestFrozenReadersRaceLabelSummary' ./internal/vadalog/ ./internal/pg/ ./internal/metalog/
-	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
+	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders|TestOverlayGenerationsShareRows' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestConcurrentBulkIngest' ./internal/pg/
 	$(GO) test -race -run '^$$' -bench 'BenchmarkE11DescFrom|BenchmarkE1GraphStats' -benchtime 1x .

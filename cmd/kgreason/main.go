@@ -166,7 +166,7 @@ func main() {
 
 // writeOutput writes the enriched graph to path through a temporary file in
 // the same directory, synced and renamed over path once the whole graph is
-// written: a write that fails (a NaN or infinite property has no JSON form)
+// written: a write that fails (a full disk, an injected pg/write-json fault)
 // leaves an earlier file at path as it was, and no temporary file behind.
 func writeOutput(path string, g pg.View) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -107,17 +106,16 @@ func TestReasonOutputGolden(t *testing.T) {
 	}
 }
 
-// TestOutKeptOnFailedWrite: a write to -out that fails partway — a graph
-// holding an infinite float, which has no JSON form — exits 1 and leaves the
-// file an earlier run wrote as it was, with no temporary file beside it.
+// TestOutKeptOnFailedWrite: a write to -out that fails — an injected
+// pg/write-json error — exits 1 and leaves the file an earlier run wrote as
+// it was, with no temporary file beside it.
 func TestOutKeptOnFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	g := pg.New()
 	for i := 0; i < 300; i++ {
 		g.AddNode([]string{"Business"}, pg.Props{"shareholdingCapital": value.FloatV(float64(i))})
 	}
-	g.AddNode([]string{"Business"}, pg.Props{"shareholdingCapital": value.FloatV(math.Inf(1))})
-	in := filepath.Join(dir, "inf.snap")
+	in := filepath.Join(dir, "in.snap")
 	if _, err := snapfile.WriteFile(in, g.Freeze(), snapfile.BuildInfo{Tool: "kgreason test"}); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestOutKeptOnFailedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, stderr, code := run(t, "-in", in, "-component", "", "-out", out)
+	_, stderr, code := run(t, "-in", in, "-component", "", "-chaos", "pg/write-json:error", "-out", out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
 	}
@@ -143,6 +141,6 @@ func TestOutKeptOnFailedWrite(t *testing.T) {
 		names = append(names, e.Name())
 	}
 	if len(names) != 2 {
-		t.Errorf("directory holds %v, want only inf.snap and out.json", names)
+		t.Errorf("directory holds %v, want only in.snap and out.json", names)
 	}
 }

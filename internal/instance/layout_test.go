@@ -42,7 +42,13 @@ func TestOneLayoutThreeLoaders(t *testing.T) {
 	}
 
 	// The facts delta of "everything was just added" is a full extraction.
-	diff := overlay.Diff{AddedNodes: data.Nodes(), AddedEdges: data.Edges()}
+	var diff overlay.Diff
+	for _, n := range data.Nodes() {
+		diff.AddedNodes = append(diff.AddedNodes, &pg.NodeRow{ID: n.ID, Labels: n.Labels, Props: pg.PropListOf(n.Props)})
+	}
+	for _, e := range data.Edges() {
+		diff.AddedEdges = append(diff.AddedEdges, &pg.EdgeRow{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: pg.PropListOf(e.Props)})
+	}
 	delta, ok := metalog.ApplyFactsDelta(vadalog.NewDatabase(), cat, diff)
 	if !ok {
 		t.Fatal("ApplyFactsDelta refused constructs the catalog covers")

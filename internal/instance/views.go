@@ -38,15 +38,15 @@ func CatalogFromSchema(s *supermodel.Schema) *metalog.Catalog {
 // label, one fact per instance entity whose type is the label or a
 // descendant of it — the generalization-aware reading of Example 6.2 — and
 // for every edge label one fact per I_SM_Edge. Each label's relation is
-// sealed (vadalog.Database.InstallRows) over metalog.ListRows in OID order,
-// which read the entities' and edges' attribute lists in place under the
+// sealed (vadalog.Database.InstallRows) over a metalog.Rows in OID order,
+// which reads the entities' and edges' attribute lists in place under the
 // catalog's layout: nothing is copied or hashed, since the OIDs make the
 // facts distinct. An attribute list is never written in place (Flush
 // replaces an entity's), so the relations keep reading the loaded instance.
 // Node and edge labels never share a name (the schema keeps one namespace of
 // types), and no error is returned.
 func (l *Loaded) InputViews(cat *metalog.Catalog) (*vadalog.Database, error) {
-	rels := map[string]*metalog.ListRows{}
+	rels := map[string]*metalog.Rows{}
 	for i := range l.Entities {
 		ent := &l.Entities[i]
 		for _, label := range l.Dict.upcasts[ent.Type] {

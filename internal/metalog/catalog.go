@@ -124,17 +124,17 @@ func (c *Catalog) EdgeArity(label string) int { return 3 + len(c.EdgeProps[label
 // property-graph instance into a relational database instance following the
 // catalog's column layout. Multi-labeled nodes produce one fact per label.
 //
-// Nothing is copied out of a frozen graph: every relation is sealed
-// (vadalog.Database.InstallRows) over a rows list in ascending-OID order —
-// for a *pg.Frozen the ids of its node or edge rows, for an
-// *overlay.Overlay its base's rows minus the tombstones with the delta's
-// constructs materialized in their places, and for any other view (a
-// mutable *pg.Graph) every tuple materialized. Clones, engine runs and the
-// generations ApplyFactsDelta derives all share the relations by pointer,
-// hash indexes included. Nothing is hashed either — within a relation the
-// OID column is unique, so the facts are distinct by construction.
+// No tuple is built: every relation is sealed (vadalog.Database.InstallRows)
+// over a Rows in ascending-OID order — for a *pg.Frozen the ids of its node
+// or edge rows, for an *overlay.Overlay its base's rows minus the tombstones
+// with references to the delta's own rows in their places, and for any
+// other view (a mutable *pg.Graph, whose scan reuses its row) one copy of
+// each construct's property list. Clones, engine runs and the generations
+// ApplyFactsDelta derives all share the relations by pointer, hash indexes
+// included. Nothing is hashed either — within a relation the OID column is
+// unique, so the facts are distinct by construction.
 func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
-	x := &extraction{cat: cat, rels: map[string]*rows{}}
+	x := &extraction{cat: cat, rels: map[string]*Rows{}}
 	switch g := g.(type) {
 	case *pg.Frozen:
 		x.base(g)
@@ -150,24 +150,24 @@ func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 		}
 	case *overlay.Overlay:
 		x.base(g.Base())
-		g.ScanNodeRows(func(row int32, n *pg.Node) bool {
+		g.ScanNodeRows(func(row int32, n *pg.NodeRow) bool {
 			if n == nil {
 				return x.baseRow(x.nodeTo, false, row)
 			}
-			return x.node(n.ID, n.Labels, n.Props.Get)
+			return x.node(n.ID, n.Labels, n.Props)
 		})
 		if x.err == nil {
-			g.ScanEdgeRows(func(row int32, e *pg.Edge) bool {
+			g.ScanEdgeRows(func(row int32, e *pg.EdgeRow) bool {
 				if e == nil {
 					return x.baseRow(x.edgeTo, true, row)
 				}
-				return x.edge(e.ID, e.From, e.To, e.Label, e.Props.Get)
+				return x.edge(e.ID, e.From, e.To, e.Label, e.Props)
 			})
 		}
 	default:
-		g.ScanNodes(func(n *pg.NodeRow) bool { return x.node(n.ID, n.Labels, n.Props.Get) })
+		g.ScanNodes(func(n *pg.NodeRow) bool { return x.node(n.ID, n.Labels, slices.Clone(n.Props)) })
 		if x.err == nil {
-			g.ScanEdges(func(e *pg.EdgeRow) bool { return x.edge(e.ID, e.From, e.To, e.Label, e.Props.Get) })
+			g.ScanEdges(func(e *pg.EdgeRow) bool { return x.edge(e.ID, e.From, e.To, e.Label, slices.Clone(e.Props)) })
 		}
 	}
 	if x.err != nil {
@@ -175,7 +175,7 @@ func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 	}
 	db := vadalog.NewDatabase()
 	for pred, r := range x.rels {
-		db.InstallRows(pred, r.arity, r)
+		db.InstallRows(pred, r.Arity(), r)
 	}
 	return db, nil
 }
@@ -185,7 +185,7 @@ func ExtractFacts(g pg.View, cat *Catalog) (*vadalog.Database, error) {
 // symbol, where its node and edge rows go.
 type extraction struct {
 	cat  *Catalog
-	rels map[string]*rows
+	rels map[string]*Rows
 	err  error
 
 	frozen         *pg.Frozen
@@ -197,7 +197,7 @@ type extraction struct {
 // the columns and its relation, both nil for a label outside the catalog.
 type target struct {
 	c *columns
-	r *rows
+	r *Rows
 }
 
 func (x *extraction) base(f *pg.Frozen) {
@@ -209,20 +209,24 @@ func (x *extraction) base(f *pg.Frozen) {
 // rel returns the relation of a construct's fact under a label, created by
 // the label's first fact, sized for the base graph's constructs carrying it;
 // nil, recording the error, when the label's facts so far have another arity.
-func (x *extraction) rel(kind string, id pg.OID, label string, arity int) *rows {
+func (x *extraction) rel(edge bool, id pg.OID, label string) *Rows {
+	kind, nid, layout := "node", 1, x.cat.NodeProps[label]
+	if edge {
+		kind, nid, layout = "edge", 3, x.cat.EdgeProps[label]
+	}
 	r := x.rels[label]
 	if r == nil {
-		r = &rows{arity: arity}
+		r = newRows(nid, layout)
 		if x.frozen != nil {
 			n := x.frozen.NodeLabelCount(label)
-			if kind == "edge" {
+			if edge {
 				n = x.frozen.EdgeLabelCount(label)
 			}
 			r.ids = make([]int32, 0, n)
 		}
 		x.rels[label] = r
-	} else if r.arity != arity {
-		x.err = fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, label, r.arity, arity)
+	} else if r.Arity() != nid+len(layout) {
+		x.err = fmt.Errorf("metalog: extracting %s %d: predicate %s used with arity %d and %d", kind, id, label, r.Arity(), nid+len(layout))
 		return nil
 	}
 	return r
@@ -245,10 +249,10 @@ func (x *extraction) baseRow(to []*target, edge bool, row int32) bool {
 			label := x.cols.SymNames[s-1]
 			if layout, ok := x.cat.NodeProps[label]; ok && !edge {
 				t.c = newColumns(x.frozen, false, layout, row)
-				t.r = x.rel("node", x.cols.NodeOIDs[row], label, 1+len(layout))
+				t.r = x.rel(false, x.cols.NodeOIDs[row], label)
 			} else if layout, ok := x.cat.EdgeProps[label]; ok && edge {
 				t.c = newColumns(x.frozen, true, layout, row)
-				t.r = x.rel("edge", x.cols.EdgeOIDs[row], label, 3+len(layout))
+				t.r = x.rel(true, x.cols.EdgeOIDs[row], label)
 			}
 			if t.c != nil && t.r == nil {
 				return false
@@ -261,32 +265,37 @@ func (x *extraction) baseRow(to []*target, edge bool, row int32) bool {
 	return true
 }
 
-// node materializes a node's facts, one per catalog label; a repeated label
-// counts once.
-func (x *extraction) node(id pg.OID, labels []string, prop func(string) (value.Value, bool)) bool {
+// node records a node's facts, one per catalog label, each a reference to
+// its property list; a repeated label counts once.
+func (x *extraction) node(id pg.OID, labels []string, props pg.PropList) bool {
 	for i, l := range labels {
 		if !x.cat.HasNode(l) || slices.Contains(labels[:i], l) {
 			continue
 		}
-		r := x.rel("node", id, l, x.cat.NodeArity(l))
+		r := x.rel(false, id, l)
 		if r == nil {
 			return false
 		}
-		r.add(encode(x.cat.NodeProps[l], prop, id))
+		r.Add(props, id)
 	}
 	return true
 }
 
-// edge materializes an edge's fact when the catalog knows its label.
-func (x *extraction) edge(id, from, to pg.OID, label string, prop func(string) (value.Value, bool)) bool {
+// edge records an edge's fact when the catalog knows its label.
+func (x *extraction) edge(id, from, to pg.OID, label string, props pg.PropList) bool {
 	if !x.cat.HasEdge(label) {
 		return true
 	}
-	r := x.rel("edge", id, label, x.cat.EdgeArity(label))
-	if r == nil {
+	r := x.rel(true, id, label)
+	switch {
+	case r == nil:
 		return false
+	case r.nid == 3:
+		r.Add(props, id, from, to)
+	default: // the label names nodes too
+		ids, layout := []pg.OID{id, from, to}, x.cat.EdgeProps[label]
+		r.addCells(func(col int) value.Value { return listCell(ids, props, layout, col) })
 	}
-	r.add(encode(x.cat.EdgeProps[label], prop, id, from, to))
 	return true
 }
 

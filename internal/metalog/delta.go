@@ -15,16 +15,16 @@ import (
 // incremental counterpart of re-running ExtractFacts over the mutated view:
 // only the relations named by the diff are touched, and each touched relation
 // is rebuilt as a merge in ascending-OID order: its row ids into the base
-// graph kept as ids and its materialized tuples kept as tuples, the diff's
-// retracted OIDs dropped, and the diff's new tuples, encoded under the
-// catalog, inserted at their OIDs. That is the order and the form
-// ExtractFacts produces over the mutated overlay — base rows minus
-// tombstones, the delta's constructs materialized — so the maintained
-// database is indistinguishable (fact-for-fact, position-for-position) from a
-// full re-extraction. Position identity matters: engine derivation order,
-// and therefore query row order, follows relation insertion order. Every
-// other relation of the (sealed) input is shared with the result by pointer,
-// the indexes queries have built on it included.
+// graph kept as ids and its list rows kept as references, the diff's
+// retracted OIDs dropped, and references to the diff's new rows inserted at
+// their OIDs. That is the order and the form ExtractFacts produces over the
+// mutated overlay — base rows minus tombstones, the delta's rows referenced
+// — so the maintained database is indistinguishable (fact-for-fact,
+// position-for-position) from a full re-extraction. Position identity
+// matters: engine derivation order, and therefore query row order, follows
+// relation insertion order. Every other relation of the (sealed) input is
+// shared with the result by pointer, the indexes queries have built on it
+// included.
 //
 // The catalog is treated as fixed for the lifetime of a serving lineage. A
 // diff that needs columns the catalog lacks — a node or edge label the
@@ -57,39 +57,39 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 		}
 	}
 	for _, e := range diff.AddedEdges {
-		if !edgeCovered(cat, e) {
+		if !covered(cat.EdgeProps, e.Label, e.Props) {
 			return nil, false
 		}
 	}
 
 	// Collect the per-relation effect: OIDs whose facts retract, and the
-	// replacement facts to insert. Within one relation an OID identifies at
-	// most one fact (a node contributes one fact per label, an edge one fact
-	// to its label's relation), so retraction by OID is exact.
+	// rows whose facts enter. Within one relation an OID identifies at most
+	// one fact (a node contributes one fact per label, an edge one fact to
+	// its label's relation), so retraction by OID is exact.
 	type relDelta struct {
 		del map[int64]bool
-		add []vadalog.Fact
+		add *Rows
 	}
 	changes := map[string]*relDelta{}
-	touch := func(pred string) *relDelta {
+	touch := func(pred string, nid int, layout []string) *relDelta {
 		rd := changes[pred]
 		if rd == nil {
-			rd = &relDelta{del: map[int64]bool{}}
+			rd = &relDelta{del: map[int64]bool{}, add: newRows(nid, layout)}
 			changes[pred] = rd
 		}
 		return rd
 	}
-	delNode := func(n *pg.Node) {
+	delNode := func(n *pg.NodeRow) {
 		for _, l := range n.Labels {
 			if cat.HasNode(l) {
-				touch(l).del[int64(n.ID)] = true
+				touch(l, 1, cat.NodeProps[l]).del[int64(n.ID)] = true
 			}
 		}
 	}
-	addNode := func(n *pg.Node) {
+	addNode := func(n *pg.NodeRow) {
 		for i, l := range n.Labels {
 			if !slices.Contains(n.Labels[:i], l) {
-				touch(l).add = append(touch(l).add, cat.NodeFact(l, n.ID, n.Props))
+				touch(l, 1, cat.NodeProps[l]).add.Add(n.Props, n.ID)
 			}
 		}
 	}
@@ -105,66 +105,52 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 	}
 	for _, e := range diff.RemovedEdges {
 		if cat.HasEdge(e.Label) {
-			touch(e.Label).del[int64(e.ID)] = true
+			touch(e.Label, 3, cat.EdgeProps[e.Label]).del[int64(e.ID)] = true
 		}
 	}
 	for _, e := range diff.AddedEdges {
-		touch(e.Label).add = append(touch(e.Label).add, cat.EdgeFact(e.Label, e.ID, e.From, e.To, e.Props))
+		touch(e.Label, 3, cat.EdgeProps[e.Label]).add.Add(e.Props, e.ID, e.From, e.To)
 	}
 
 	out := db.Clone()
 	for pred, rd := range changes {
-		var arity int
-		switch node, edge := cat.HasNode(pred), cat.HasEdge(pred); {
-		case node && !edge:
-			arity = cat.NodeArity(pred)
-		case edge && !node:
-			arity = cat.EdgeArity(pred)
-		default:
+		if cat.HasNode(pred) == cat.HasEdge(pred) {
 			return nil, false
 		}
-		from := &rows{}
+		from := &Rows{}
 		if old := out.Relation(pred); old != nil {
-			r, ok := old.Rows().(*rows)
-			if !ok || old.Arity != arity {
+			r, ok := old.Rows().(*Rows)
+			if !ok || old.Arity != rd.add.Arity() {
 				return nil, false // not extracted under this layout: re-extract
 			}
 			from = r
 		}
 		// The kept rows are in ascending-OID order already and an OID names at
-		// most one fact of the relation: sort the few new tuples and merge.
-		// Kept rows stay ids into the base; kept and new tuples stay tuples.
-		slices.SortFunc(rd.add, func(a, b vadalog.Fact) int { return cmp.Compare(oidOf(a), oidOf(b)) })
-		next := &rows{arity: arity, cols: from.cols, ids: make([]int32, 0, len(from.ids)+len(rd.add))}
-		add := rd.add
+		// most one fact of the relation: sort the few new rows and merge.
+		add := rd.add.ids
+		slices.SortFunc(add, func(a, b int32) int { return cmp.Compare(rd.add.oid(a), rd.add.oid(b)) })
+		next := &Rows{nid: rd.add.nid, layout: rd.add.layout, cols: from.cols, ids: make([]int32, 0, len(from.ids)+len(add))}
 		for _, id := range from.ids {
 			oid := from.oid(id)
-			for len(add) > 0 && oidOf(add[0]) < oid {
-				next.add(add[0])
+			for len(add) > 0 && rd.add.oid(add[0]) < oid {
+				next.addFrom(rd.add, add[0])
 				add = add[1:]
 			}
-			switch {
-			case rd.del[oid]:
-			case id < 0:
-				next.add(from.mat[^id])
-			default:
-				next.ids = append(next.ids, id)
+			if !rd.del[oid] {
+				next.addFrom(from, id)
 			}
 		}
-		for _, f := range add {
-			next.add(f)
+		for _, id := range add {
+			next.addFrom(rd.add, id)
 		}
-		out.InstallRows(pred, arity, next)
+		out.InstallRows(pred, next.Arity(), next)
 	}
 	return out, true
 }
 
-// oidOf reads the OID column every extracted fact starts with.
-func oidOf(f vadalog.Fact) int64 { return f[0].I }
-
 // nodeCovered reports whether every fact the node would extract to fits the
 // catalog's current column layout.
-func nodeCovered(cat *Catalog, n *pg.Node) bool {
+func nodeCovered(cat *Catalog, n *pg.NodeRow) bool {
 	for _, l := range n.Labels {
 		if !covered(cat.NodeProps, l, n.Props) {
 			return false
@@ -173,15 +159,13 @@ func nodeCovered(cat *Catalog, n *pg.Node) bool {
 	return true
 }
 
-func edgeCovered(cat *Catalog, e *pg.Edge) bool { return covered(cat.EdgeProps, e.Label, e.Props) }
-
-func covered(layouts map[string][]string, label string, props pg.Props) bool {
+func covered(layouts map[string][]string, label string, props pg.PropList) bool {
 	layout, ok := layouts[label]
 	if !ok {
 		return false
 	}
-	for k := range props {
-		if !sortedset.Contains(layout, k) {
+	for _, p := range props {
+		if !sortedset.Contains(layout, p.Key) {
 			return false
 		}
 	}

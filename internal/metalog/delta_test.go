@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/overlay"
@@ -185,68 +187,78 @@ func TestApplyFactsDeltaSweepSnapfile(t *testing.T) {
 	})
 }
 
+// applyFactsDeltaSweep runs each seed's lineage twice: over its graph, and
+// over the graph plus one edge labeled like the key "share". The bulk load
+// behind every freeze interns labels first, so the second base's rows store
+// "share" ahead of "name", out of name order, and the copy-on-writes of
+// the lineage start from such rows.
 func applyFactsDeltaSweep(t *testing.T, base func(*testing.T, *pg.Graph) *pg.Frozen) {
 	nodeLabels := []string{"Company", "Person"}
 	edgeLabels := []string{"owns", "controls"}
 	propKeys := []string{"name", "share"}
 	for seed := int64(0); seed < 10; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			g := pg.New()
-			var oids []pg.OID
-			for i := 0; i < 8; i++ {
-				n := g.AddNode(
-					[]string{nodeLabels[rng.Intn(len(nodeLabels))]},
-					pg.Props{propKeys[rng.Intn(len(propKeys))]: value.IntV(int64(rng.Intn(50)))})
-				oids = append(oids, n.ID)
-			}
-			// Seed every label and key so the initial catalog is total.
-			g.AddNode(nodeLabels, pg.Props{"name": value.Str("x"), "share": value.IntV(1)})
-			for i := 0; i < 10; i++ {
-				from := oids[rng.Intn(len(oids))]
-				to := oids[rng.Intn(len(oids))]
-				if _, err := g.AddEdge(from, to, edgeLabels[rng.Intn(len(edgeLabels))],
-					pg.Props{"share": value.IntV(int64(rng.Intn(9)))}); err != nil {
-					t.Fatal(err)
+		for _, keyLabel := range []string{"", "share"} {
+			t.Run(fmt.Sprintf("seed%d%s", seed, keyLabel), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				g := pg.New()
+				var oids []pg.OID
+				for i := 0; i < 8; i++ {
+					n := g.AddNode(
+						[]string{nodeLabels[rng.Intn(len(nodeLabels))]},
+						pg.Props{propKeys[rng.Intn(len(propKeys))]: value.IntV(int64(rng.Intn(50)))})
+					oids = append(oids, n.ID)
 				}
-			}
-			for _, l := range edgeLabels {
-				g.AddNode(nil, nil) // unlabeled nodes are invisible to extraction
-				if _, err := g.AddEdge(oids[0], oids[1], l, pg.Props{"name": value.Str("k"), "share": value.IntV(0)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			frozen := base(t, g)
-			cat := FromGraph(frozen)
-			db, err := ExtractFacts(frozen, cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ov := overlay.New(frozen)
-
-			for batch := 0; batch < 5; batch++ {
-				ops := randDeltaOps(rng, ov, nodeLabels, edgeLabels, propKeys)
-				diff, err := ov.Apply(ops)
-				if err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				next, ok := ApplyFactsDelta(db, cat, diff)
-				if !ok {
-					// The lineage fallback: re-infer the catalog, full extract.
-					cat = FromGraph(ov)
-					if next, err = ExtractFacts(ov, cat); err != nil {
-						t.Fatalf("batch %d fallback: %v", batch, err)
+				// Seed every label and key so the initial catalog is total.
+				g.AddNode(nodeLabels, pg.Props{"name": value.Str("x"), "share": value.IntV(1)})
+				for i := 0; i < 10; i++ {
+					from := oids[rng.Intn(len(oids))]
+					to := oids[rng.Intn(len(oids))]
+					if _, err := g.AddEdge(from, to, edgeLabels[rng.Intn(len(edgeLabels))],
+						pg.Props{"share": value.IntV(int64(rng.Intn(9)))}); err != nil {
+						t.Fatal(err)
 					}
 				}
-				want, err := ExtractFacts(ov, cat)
-				if err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
+				for _, l := range edgeLabels {
+					g.AddNode(nil, nil) // unlabeled nodes are invisible to extraction
+					if _, err := g.AddEdge(oids[0], oids[1], l, pg.Props{"name": value.Str("k"), "share": value.IntV(0)}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				factsDBEqual(t, fmt.Sprintf("batch %d", batch), next, want)
-				db = next
-			}
-		})
+				if keyLabel != "" {
+					g.MustAddEdge(oids[1], oids[0], keyLabel, nil)
+				}
+
+				frozen := base(t, g)
+				cat := FromGraph(frozen)
+				db, err := ExtractFacts(frozen, cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ov := overlay.New(frozen)
+
+				for batch := 0; batch < 5; batch++ {
+					ops := randDeltaOps(rng, ov, nodeLabels, edgeLabels, propKeys)
+					diff, err := ov.Apply(ops)
+					if err != nil {
+						t.Fatalf("batch %d: %v", batch, err)
+					}
+					next, ok := ApplyFactsDelta(db, cat, diff)
+					if !ok {
+						// The lineage fallback: re-infer the catalog, full extract.
+						cat = FromGraph(ov)
+						if next, err = ExtractFacts(ov, cat); err != nil {
+							t.Fatalf("batch %d fallback: %v", batch, err)
+						}
+					}
+					want, err := ExtractFacts(ov, cat)
+					if err != nil {
+						t.Fatalf("batch %d: %v", batch, err)
+					}
+					factsDBEqual(t, fmt.Sprintf("batch %d", batch), next, want)
+					db = next
+				}
+			})
+		}
 	}
 }
 
@@ -370,13 +382,13 @@ func TestApplyFactsDeltaMergeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := map[pg.OID]*pg.Node{}
+	nodes := map[pg.OID]*pg.NodeRow{}
 	for _, n := range g.Nodes() {
-		nodes[n.ID] = n
+		nodes[n.ID] = &pg.NodeRow{ID: n.ID, Labels: n.Labels, Props: pg.PropListOf(n.Props)}
 	}
-	edges := map[pg.OID]*pg.Edge{}
+	edges := map[pg.OID]*pg.EdgeRow{}
 	for _, e := range g.Edges() {
-		edges[e.ID] = e
+		edges[e.ID] = &pg.EdgeRow{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: pg.PropListOf(e.Props)}
 	}
 	step := func(tag string, diff overlay.Diff) {
 		t.Helper()
@@ -398,14 +410,14 @@ func TestApplyFactsDeltaMergeOrder(t *testing.T) {
 		ref := pg.New()
 		for id := pg.OID(1); id <= 6; id++ {
 			if n := nodes[id]; n != nil {
-				if _, err := ref.AddNodeWithID(n.ID, n.Labels, n.Props); err != nil {
+				if _, err := ref.AddNodeWithID(n.ID, n.Labels, pg.PropMap(n.Props)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		for id := pg.OID(1); id <= 6; id++ {
 			if e := edges[id]; e != nil {
-				if _, err := ref.AddEdgeWithID(e.ID, e.From, e.To, e.Label, e.Props); err != nil {
+				if _, err := ref.AddEdgeWithID(e.ID, e.From, e.To, e.Label, pg.PropMap(e.Props)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -424,8 +436,8 @@ func TestApplyFactsDeltaMergeOrder(t *testing.T) {
 
 	// bcorp (2) goes, with the edges into it: owns 4 and controls 6.
 	step("remove", overlay.Diff{
-		RemovedNodes: []*pg.Node{nodes[2]},
-		RemovedEdges: []*pg.Edge{edges[4], edges[6]},
+		RemovedNodes: []*pg.NodeRow{nodes[2]},
+		RemovedEdges: []*pg.EdgeRow{edges[4], edges[6]},
 	})
 	if db.Count("Bank") != 0 || db.Count("owns") != 1 {
 		t.Fatalf("after remove: Bank %d, owns %d", db.Count("Bank"), db.Count("owns"))
@@ -433,8 +445,8 @@ func TestApplyFactsDeltaMergeOrder(t *testing.T) {
 	// The same OIDs come back: node 2 between 1 and nothing in Company,
 	// edge 4 ahead of edge 5 in owns. The node repeats a label.
 	step("re-add", overlay.Diff{
-		AddedNodes: []*pg.Node{{ID: 2, Labels: []string{"Bank", "Company", "Bank"}, Props: pg.Props{"name": value.Str("bcorp2")}}},
-		AddedEdges: []*pg.Edge{{ID: 4, From: 1, To: 2, Label: "owns", Props: pg.Props{"share": value.FloatV(0.9)}}},
+		AddedNodes: []*pg.NodeRow{{ID: 2, Labels: []string{"Bank", "Company", "Bank"}, Props: pg.PropList{{Key: "name", Val: value.Str("bcorp2")}}}},
+		AddedEdges: []*pg.EdgeRow{{ID: 4, From: 1, To: 2, Label: "owns", Props: pg.PropList{{Key: "share", Val: value.FloatV(0.9)}}}},
 	})
 	if f := db.Facts("owns"); len(f) != 2 || f[0][0].I != 4 || db.Count("Bank") != 1 {
 		t.Fatalf("after re-add: owns %v, Bank %d", f, db.Count("Bank"))
@@ -445,12 +457,74 @@ func TestApplyFactsDeltaMergeOrder(t *testing.T) {
 	owns, bank := db.Relation("owns"), db.Relation("Bank")
 	step("relabel", overlay.Diff{ChangedNodes: []overlay.NodeChange{{
 		Before: nodes[3],
-		After:  &pg.Node{ID: 3, Labels: []string{"Company"}, Props: pg.Props{"name": value.Str("carla ltd")}},
+		After:  &pg.NodeRow{ID: 3, Labels: []string{"Company"}, Props: pg.PropList{{Key: "name", Val: value.Str("carla ltd")}}},
 	}}})
 	if db.Count("Person") != 0 || db.Count("Company") != 3 {
 		t.Fatalf("after relabel: Person %d, Company %d", db.Count("Person"), db.Count("Company"))
 	}
 	if db.Relation("owns") != owns || db.Relation("Bank") != bank {
 		t.Fatal("an untouched relation was rebuilt instead of shared")
+	}
+}
+
+// TestOverlayGenerationsShareRows: an overlay and its Clone share their rows
+// by pointer, and the facts of a generation reference those rows. Readers
+// scan generation N and extract and read its facts while Clone().Apply
+// builds generation N+1 from it and ApplyFactsDelta maintains N's database
+// into N+1's: every reader must see N as it was before the writer started.
+// It is meant to run under the race detector (make test-race).
+func TestOverlayGenerationsShareRows(t *testing.T) {
+	frozen := deltaBase(t).Freeze()
+	cat := FromGraph(frozen)
+	gen := overlay.New(frozen)
+	db, err := ExtractFacts(gen, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	render := func(ov *overlay.Overlay) string {
+		var b strings.Builder
+		ov.ScanNodes(func(r *pg.NodeRow) bool { fmt.Fprintf(&b, "n%d%v%v;", r.ID, r.Labels, r.Props); return true })
+		ov.ScanEdges(func(r *pg.EdgeRow) bool { fmt.Fprintf(&b, "e%d%s%v;", r.ID, r.Label, r.Props); return true })
+		return b.String()
+	}
+	for round := 0; round < 8; round++ {
+		wantScan, wantFacts, readCat := render(gen), db.Dump(), cat
+		ops := randDeltaOps(rng, gen, []string{"Company", "Person"}, []string{"owns", "controls"}, []string{"name", "share"})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				facts, err := ExtractFacts(gen, readCat)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := render(gen); got != wantScan {
+					t.Errorf("round %d: a reader scanned %s, want %s", round, got, wantScan)
+				}
+				if got := facts.Dump(); got != wantFacts {
+					t.Errorf("round %d: a reader extracted\n%s\nwant\n%s", round, got, wantFacts)
+				}
+			}()
+		}
+		next := gen.Clone()
+		diff, err := next.Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextDB, ok := ApplyFactsDelta(db, cat, diff)
+		if !ok {
+			cat = FromGraph(next)
+			if nextDB, err = ExtractFacts(next, cat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := db.Dump(); got != wantFacts {
+			t.Errorf("round %d: maintenance changed the database it started from", round)
+		}
+		wg.Wait()
+		gen, db = next, nextDB
 	}
 }

@@ -15,11 +15,11 @@ import (
 // 4; the input and output views of Algorithm 2). An L-labeled node is the
 // fact L(id, p1, …, pn) and an L-labeled edge the fact L(id, from, to,
 // f1, …, fm), property columns in catalog order, Missing where the construct
-// does not carry the property. encode (behind NodeFact and EdgeFact) is the
-// only encoder of a materialized tuple, columns.cell the only reading of a
-// frozen row as one and ListRows.Cell of a property list as one, WalkDerived
-// the only decoder, Present the only reading of Missing; every loader,
-// flusher and delta maintainer goes through them.
+// does not carry the property. No tuple is encoded from a construct: a
+// relation is a Rows, whose Cell reads a construct in place — columns.cell
+// a frozen row, listCell a construct held as its identifiers and property
+// list — and WalkDerived is the only decoder, Present the only reading of
+// Missing; every loader, flusher and delta maintainer goes through them.
 
 // Missing is the placeholder stored at a property position when a node or
 // edge does not carry that property. It is an identifier outside the constant
@@ -30,46 +30,118 @@ var Missing = value.IDV("⊥")
 // Missing nor the zero Value of a column the engine left unbound.
 func Present(v value.Value) bool { return !v.IsZero() && !value.Identical(v, Missing) }
 
-// NodeFact encodes a node-shaped construct under the label's layout.
-func (c *Catalog) NodeFact(label string, id pg.OID, props map[string]value.Value) vadalog.Fact {
-	return encode(c.NodeProps[label], pg.Props(props).Get, id)
+// Rows is an extracted relation: the vadalog.Rows a sealed relation reads.
+// A row is one construct, read in place and never copied into a tuple. A
+// non-negative id is a row of one frozen graph's columns; a negative id ^i
+// names list row i, a construct held as its identifier cells and property
+// list — an overlay's or a Diff's row, an instance entity or edge, a copy of
+// a reused scan row — read by key under the relation's layout. A list is
+// referenced, so none may change while a relation reading it is in use.
+// Rows are distinct because their OIDs are.
+type Rows struct {
+	nid    int      // identifier cells: 1 for a node relation, 3 for an edge one
+	layout []string // the property columns, in catalog order
+	ids    []int32
+	cols   *columns      // the reading of the frozen rows; nil when there are none
+	oids   []pg.OID      // list row i's identifier cells are oids[i*nid:][:nid]
+	props  []pg.PropList // and its properties props[i]
 }
 
-// EdgeFact encodes an edge-shaped construct under the label's layout.
-func (c *Catalog) EdgeFact(label string, id, from, to pg.OID, props map[string]value.Value) vadalog.Fact {
-	return encode(c.EdgeProps[label], pg.Props(props).Get, id, from, to)
+// NodeRows returns an empty relation of nodes under the label's layout.
+func (c *Catalog) NodeRows(label string) *Rows { return newRows(1, c.NodeProps[label]) }
+
+// EdgeRows returns an empty relation of edges under the label's layout.
+func (c *Catalog) EdgeRows(label string) *Rows { return newRows(3, c.EdgeProps[label]) }
+
+// newRows keeps its own copy of the layout: a catalog may grow a layout in
+// place while the relation is in use.
+func newRows(nid int, layout []string) *Rows {
+	return &Rows{nid: nid, layout: slices.Clone(layout)}
 }
 
-// encode lays a construct out as a fact: its identifiers, then the layout's
-// columns, each read through prop — a property map's Get or a scanned row's,
-// always by key — and Missing where the construct has no such property.
-func encode(layout []string, prop func(key string) (value.Value, bool), ids ...pg.OID) vadalog.Fact {
-	f := make(vadalog.Fact, len(ids)+len(layout))
-	for i, id := range ids {
-		f[i] = value.IntV(int64(id))
+// Add appends a construct as a list row: its identifiers (a node's OID; an
+// edge's OID, source and target) and its property list, which the relation
+// references.
+func (r *Rows) Add(props pg.PropList, ids ...pg.OID) {
+	r.ids = append(r.ids, ^int32(len(r.props)))
+	r.oids = append(r.oids, ids...)
+	r.props = append(r.props, props)
+}
+
+// Arity is the width of the relation's facts.
+func (r *Rows) Arity() int { return r.nid + len(r.layout) }
+
+// Len and Cell make Rows a vadalog.Rows.
+func (r *Rows) Len() int { return len(r.ids) }
+
+func (r *Rows) Cell(pos, col int) value.Value {
+	id := r.ids[pos]
+	if id >= 0 {
+		return r.cols.cell(id, col)
 	}
-	for i, p := range layout {
-		if v, ok := prop(p); ok {
-			f[len(ids)+i] = v
-		} else {
-			f[len(ids)+i] = Missing
+	i := int(^id)
+	return listCell(r.oids[i*r.nid:][:r.nid], r.props[i], r.layout, col)
+}
+
+// listCell reads cell col of a construct held as its identifier cells and
+// property list under a layout.
+func listCell(ids []pg.OID, props pg.PropList, layout []string, col int) value.Value {
+	if col < len(ids) {
+		return value.IntV(int64(ids[col]))
+	}
+	if v, ok := props.Get(layout[col-len(ids)]); ok {
+		return v
+	}
+	return Missing
+}
+
+// addRow appends row id of c, translating it when r reads other columns.
+func (r *Rows) addRow(c *columns, id int32) {
+	if r.cols == nil {
+		r.cols = c
+	}
+	if r.cols != c {
+		r.addCells(func(col int) value.Value { return c.cell(id, col) })
+		return
+	}
+	r.ids = append(r.ids, id)
+}
+
+// addCells appends a construct read under another layout — only ever an
+// edge of a label that also names nodes with the same arity — as a list
+// row laid out under the relation's own identifier and property columns.
+func (r *Rows) addCells(cell func(col int) value.Value) {
+	ids := make([]pg.OID, r.nid)
+	for col := range ids {
+		ids[col] = pg.OID(cell(col).I)
+	}
+	var props pg.PropList
+	for i, key := range r.layout {
+		if v := cell(r.nid + i); !value.Identical(v, Missing) {
+			props = append(props, pg.Prop{Key: key, Val: v})
 		}
 	}
-	return f
+	r.Add(props, ids...)
 }
 
-// rows is an extracted relation: the vadalog.Rows a sealed relation reads,
-// laid out like encode lays out a fact. A non-negative id is a row of one
-// frozen graph's columns — read in place, never copied — and a negative id ^i
-// names mat[i], a tuple encode materialized for a construct the columns do
-// not hold as it is: an overlay's replaced or added constructs, every
-// construct of a graph that is not frozen, an edge in a relation its label
-// shares with nodes. Rows are distinct because their OIDs are.
-type rows struct {
-	arity int
-	ids   []int32
-	mat   []vadalog.Fact
-	cols  *columns // nil when every id is negative
+// addFrom appends row id of src, a relation under the same layout reading
+// the same columns, as it is: the frozen row id, or a reference to the same
+// list.
+func (r *Rows) addFrom(src *Rows, id int32) {
+	if id >= 0 {
+		r.ids = append(r.ids, id)
+		return
+	}
+	i := int(^id)
+	r.Add(src.props[i], src.oids[i*src.nid:][:src.nid]...)
+}
+
+// oid returns the OID of the construct an id names.
+func (r *Rows) oid(id int32) int64 {
+	if id < 0 {
+		return int64(r.oids[int(^id)*r.nid])
+	}
+	return int64(r.cols.oids[id])
 }
 
 // columns is one label's reading of a frozen graph's node or edge columns:
@@ -129,96 +201,6 @@ func (c *columns) cell(row int32, col int) value.Value {
 	default:
 		return value.IntV(int64(c.to[row]))
 	}
-}
-
-// Len and Cell make rows the vadalog.Rows of its relation.
-func (r *rows) Len() int { return len(r.ids) }
-
-func (r *rows) Cell(pos, col int) value.Value {
-	id := r.ids[pos]
-	if id < 0 {
-		return r.mat[^id][col]
-	}
-	return r.cols.cell(id, col)
-}
-
-// add appends a materialized tuple.
-func (r *rows) add(f vadalog.Fact) {
-	r.ids = append(r.ids, ^int32(len(r.mat)))
-	r.mat = append(r.mat, f)
-}
-
-// addRow appends row id of c, materializing it when r reads other columns
-// (only ever an edge of a label that also names nodes).
-func (r *rows) addRow(c *columns, id int32) {
-	if r.cols == nil {
-		r.cols = c
-	}
-	if r.cols != c {
-		f := make(vadalog.Fact, r.arity)
-		for col := range f {
-			f[col] = c.cell(id, col)
-		}
-		r.add(f)
-		return
-	}
-	r.ids = append(r.ids, id)
-}
-
-// oid returns the OID of the tuple an id names.
-func (r *rows) oid(id int32) int64 {
-	if id < 0 {
-		return oidOf(r.mat[^id])
-	}
-	return int64(r.cols.oids[id])
-}
-
-// ListRows is a relation of constructs whose properties are held as
-// pg.PropLists — the instance level's entities and edges
-// (instance.InputViews): the vadalog.Rows a sealed relation reads, laid out
-// like encode lays out a fact. A row is a construct's identifier cells and
-// its property list; Cell reads the list under the label's layout, Missing
-// where it has no such key, and builds no tuple. The lists are read in
-// place, so none may change while a relation reading it is in use. Rows are
-// distinct because their OIDs are.
-type ListRows struct {
-	ids    int // identifier cells per row: 1 for a node, 3 for an edge
-	layout []string
-	oids   []pg.OID // ids cells per row
-	props  []pg.PropList
-}
-
-// NodeRows returns an empty relation of nodes under the label's layout.
-func (c *Catalog) NodeRows(label string) *ListRows {
-	return &ListRows{ids: 1, layout: slices.Clone(c.NodeProps[label])}
-}
-
-// EdgeRows returns an empty relation of edges under the label's layout.
-func (c *Catalog) EdgeRows(label string) *ListRows {
-	return &ListRows{ids: 3, layout: slices.Clone(c.EdgeProps[label])}
-}
-
-// Add appends a construct: its identifiers (a node's OID; an edge's OID,
-// source and target) and its property list, which the relation keeps.
-func (r *ListRows) Add(props pg.PropList, ids ...pg.OID) {
-	r.oids = append(r.oids, ids...)
-	r.props = append(r.props, props)
-}
-
-// Arity is the width of the relation's facts.
-func (r *ListRows) Arity() int { return r.ids + len(r.layout) }
-
-// Len and Cell make ListRows a vadalog.Rows.
-func (r *ListRows) Len() int { return len(r.props) }
-
-func (r *ListRows) Cell(pos, col int) value.Value {
-	if col < r.ids {
-		return value.IntV(int64(r.oids[pos*r.ids+col]))
-	}
-	if v, ok := r.props[pos].Get(r.layout[col-r.ids]); ok {
-		return v
-	}
-	return Missing
 }
 
 // propTerms is the encoder at the level of rule atoms: it lays a pattern

@@ -263,30 +263,33 @@ func TestExtractFactsCopiesNothing(t *testing.T) {
 	}
 }
 
-// TestListRowsEncodeLikeFacts: a relation read from property lists serves,
-// cell for cell, the tuples encode lays out for the same constructs — full
-// and sparse lists, a nil one, an edge's three identifiers — and the engine
-// joins over it like over any sealed relation.
-func TestListRowsEncodeLikeFacts(t *testing.T) {
+// TestListRowsServeFacts: a relation read from property lists serves, cell
+// for cell, the facts of the layout for the same constructs — full and
+// sparse lists, a key outside the layout, a nil list, an edge's three
+// identifiers — and the engine joins over it like over any sealed relation.
+func TestListRowsServeFacts(t *testing.T) {
 	cat := NewCatalog()
 	cat.EnsureNode("Company", "cap", "name")
 	cat.EnsureEdge("OWNS", "pct")
 	nodes := []pg.PropList{
-		{{Key: "cap", Val: value.FloatV(1)}, {Key: "name", Val: value.Str("a")}},
+		{{Key: "name", Val: value.Str("a")}, {Key: "cap", Val: value.FloatV(1)}},
 		{{Key: "name", Val: value.Str("b")}, {Key: "other", Val: value.IntV(7)}},
 		nil,
 	}
 	edges := []pg.PropList{{{Key: "pct", Val: value.FloatV(0.6)}}, nil}
 	companies, owns := cat.NodeRows("Company"), cat.EdgeRows("OWNS")
-	want := vadalog.NewDatabase()
 	for i, props := range nodes {
 		companies.Add(props, pg.OID(i+1))
-		want.MustAddFact("Company", cat.NodeFact("Company", pg.OID(i+1), pg.PropMap(props))...)
 	}
 	for i, props := range edges {
 		owns.Add(props, pg.OID(10+i), pg.OID(i+1), pg.OID(i+2))
-		want.MustAddFact("OWNS", cat.EdgeFact("OWNS", pg.OID(10+i), pg.OID(i+1), pg.OID(i+2), pg.PropMap(props))...)
 	}
+	want := vadalog.NewDatabase()
+	want.MustAddFact("Company", value.IntV(1), value.FloatV(1), value.Str("a"))
+	want.MustAddFact("Company", value.IntV(2), Missing, value.Str("b"))
+	want.MustAddFact("Company", value.IntV(3), Missing, Missing)
+	want.MustAddFact("OWNS", value.IntV(10), value.IntV(1), value.IntV(2), value.FloatV(0.6))
+	want.MustAddFact("OWNS", value.IntV(11), value.IntV(2), value.IntV(3), Missing)
 	if companies.Arity() != cat.NodeArity("Company") || owns.Arity() != cat.EdgeArity("OWNS") {
 		t.Fatalf("arities %d and %d, want %d and %d", companies.Arity(), owns.Arity(), cat.NodeArity("Company"), cat.EdgeArity("OWNS"))
 	}

@@ -275,60 +275,40 @@ func checkDiff(t *testing.T, unit int, diff overlay.Diff, names map[string]pg.OI
 	after := stateOf(ref)
 	for _, n := range ref.Nodes() {
 		if b, ok := before.nodes[n.ID]; !ok {
-			want.AddedNodes = append(want.AddedNodes, n)
+			want.AddedNodes = append(want.AddedNodes, nodeRowOf(n))
 		} else if !identicalNode(b, n) {
-			want.ChangedNodes = append(want.ChangedNodes, overlay.NodeChange{Before: b, After: n})
+			want.ChangedNodes = append(want.ChangedNodes, overlay.NodeChange{Before: nodeRowOf(b), After: nodeRowOf(n)})
 		}
 	}
 	for _, e := range ref.Edges() {
 		if _, ok := before.edges[e.ID]; !ok {
-			want.AddedEdges = append(want.AddedEdges, e)
+			want.AddedEdges = append(want.AddedEdges, edgeRowOf(e))
 		}
 	}
 	for _, id := range sortedIDs(before.nodes) {
 		if _, ok := after.nodes[id]; !ok {
-			want.RemovedNodes = append(want.RemovedNodes, before.nodes[id])
+			want.RemovedNodes = append(want.RemovedNodes, nodeRowOf(before.nodes[id]))
 		}
 	}
 	for _, id := range sortedIDs(before.edges) {
 		if _, ok := after.edges[id]; !ok {
-			want.RemovedEdges = append(want.RemovedEdges, before.edges[id])
+			want.RemovedEdges = append(want.RemovedEdges, edgeRowOf(before.edges[id]))
 		}
 	}
-	sameNodes := func(a, b []*pg.Node) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !nodeEqual(a[i], b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	sameEdges := func(a, b []*pg.Edge) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !edgeEqual(a[i], b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	changed := len(diff.ChangedNodes) == len(want.ChangedNodes)
-	for i := 0; changed && i < len(diff.ChangedNodes); i++ {
-		g, w := diff.ChangedNodes[i], want.ChangedNodes[i]
-		changed = nodeEqual(g.Before, w.Before) && nodeEqual(g.After, w.After)
-	}
-	if !sameNodes(diff.AddedNodes, want.AddedNodes) || !sameNodes(diff.RemovedNodes, want.RemovedNodes) || !changed ||
-		!sameEdges(diff.AddedEdges, want.AddedEdges) || !sameEdges(diff.RemovedEdges, want.RemovedEdges) {
-		t.Fatalf("unit %d: Diff = %s, want %s", unit, fmtDiff(diff), fmtDiff(want))
+	if got, w := diffString(diff), diffString(want); got != w {
+		t.Fatalf("unit %d: Diff = %s, want %s", unit, got, w)
 	}
 	if len(names) == 0 && diff.Handles != nil || len(names) > 0 && fmt.Sprint(diff.Handles) != fmt.Sprint(names) {
 		t.Fatalf("unit %d: Handles = %v, want %v", unit, diff.Handles, names)
 	}
+}
+
+func nodeRowOf(n *pg.Node) *pg.NodeRow {
+	return &pg.NodeRow{ID: n.ID, Labels: n.Labels, Props: pg.PropListOf(n.Props)}
+}
+
+func edgeRowOf(e *pg.Edge) *pg.EdgeRow {
+	return &pg.EdgeRow{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: pg.PropListOf(e.Props)}
 }
 
 func identicalNode(a, b *pg.Node) bool {
@@ -352,22 +332,33 @@ func sortedIDs[T any](m map[pg.OID]T) []pg.OID {
 	return ids
 }
 
-func fmtDiff(d overlay.Diff) string {
+// diffString renders a Diff with each row's properties in key order, kinds
+// included, so Diffs whose rows store their keys in different orders render
+// alike and an Int 1 never renders like a Float 1.0.
+func diffString(d overlay.Diff) string {
 	var b bytes.Buffer
+	props := func(l pg.PropList) string {
+		var kv []string
+		for _, p := range l {
+			kv = append(kv, fmt.Sprintf("%s=%s:%s", p.Key, p.Val.K, p.Val.Canonical()))
+		}
+		slices.Sort(kv)
+		return fmt.Sprint(kv)
+	}
 	for _, n := range d.AddedNodes {
-		fmt.Fprintf(&b, " +n%d%v%v", n.ID, n.Labels, n.Props)
+		fmt.Fprintf(&b, " +n%d%v%s", n.ID, n.Labels, props(n.Props))
 	}
 	for _, n := range d.RemovedNodes {
-		fmt.Fprintf(&b, " -n%d%v%v", n.ID, n.Labels, n.Props)
+		fmt.Fprintf(&b, " -n%d%v%s", n.ID, n.Labels, props(n.Props))
 	}
 	for _, c := range d.ChangedNodes {
-		fmt.Fprintf(&b, " ~n%d%v%v->%v%v", c.Before.ID, c.Before.Labels, c.Before.Props, c.After.Labels, c.After.Props)
+		fmt.Fprintf(&b, " ~n%d%v%s->n%d%v%s", c.Before.ID, c.Before.Labels, props(c.Before.Props), c.After.ID, c.After.Labels, props(c.After.Props))
 	}
 	for _, e := range d.AddedEdges {
-		fmt.Fprintf(&b, " +e%d(%d-%q->%d)", e.ID, e.From, e.Label, e.To)
+		fmt.Fprintf(&b, " +e%d(%d-%q->%d)%s", e.ID, e.From, e.Label, e.To, props(e.Props))
 	}
 	for _, e := range d.RemovedEdges {
-		fmt.Fprintf(&b, " -e%d(%d-%q->%d)", e.ID, e.From, e.Label, e.To)
+		fmt.Fprintf(&b, " -e%d(%d-%q->%d)%s", e.ID, e.From, e.Label, e.To, props(e.Props))
 	}
 	return b.String()
 }

@@ -62,23 +62,24 @@ type Op struct {
 	Value  value.Value
 }
 
-// NodeChange pairs the pre- and post-batch state of a mutated node. Both
-// pointers are private copies or immutable structs; neither changes later.
+// NodeChange pairs the pre- and post-batch rows of a mutated node. Neither
+// changes later.
 type NodeChange struct {
-	Before *pg.Node
-	After  *pg.Node
+	Before *pg.NodeRow
+	After  *pg.NodeRow
 }
 
 // Diff reports a batch's net effect, each slice in ascending OID order.
-// Removed constructs carry their pre-batch state (labels and properties
+// Removed constructs carry their pre-batch row (labels and properties
 // included), which is exactly what incremental fact maintenance needs to
 // retract their facts. Constructs both created and destroyed inside one
-// batch do not appear at all.
+// batch do not appear at all. The rows are the overlay's own, shared, never
+// written again: read a property with Props.Get.
 type Diff struct {
-	AddedNodes   []*pg.Node
-	AddedEdges   []*pg.Edge
-	RemovedNodes []*pg.Node
-	RemovedEdges []*pg.Edge
+	AddedNodes   []*pg.NodeRow
+	AddedEdges   []*pg.EdgeRow
+	RemovedNodes []*pg.NodeRow
+	RemovedEdges []*pg.EdgeRow
 	ChangedNodes []NodeChange
 	// Handles maps the batch's add_node handles to the OIDs they were
 	// assigned, so callers can address the created nodes in later batches.
@@ -92,55 +93,55 @@ func (d Diff) Empty() bool {
 		len(d.RemovedNodes) == 0 && len(d.RemovedEdges) == 0 && len(d.ChangedNodes) == 0
 }
 
-// recorder captures the pre-batch state of every construct a batch touches,
-// lazily: the first touch of an OID stores what the overlay showed before
-// (nil for then-absent constructs). The stored pointers stay valid because
-// overlay mutation is copy-on-write — nothing is ever edited in place.
+// recorder captures the pre-batch row of every construct a batch touches,
+// lazily: the first touch of an OID stores the row the overlay showed
+// before (nil for a then-absent construct). The stored rows stay valid
+// because overlay mutation is copy-on-write — no row is edited in place.
 type recorder struct {
 	o       *Overlay
-	nodePre map[pg.OID]*pg.Node
-	edgePre map[pg.OID]*pg.Edge
+	nodePre map[pg.OID]*pg.NodeRow
+	edgePre map[pg.OID]*pg.EdgeRow
 	nodeIDs []pg.OID // touch order; sorted at diff time
 	edgeIDs []pg.OID
 }
 
 func newRecorder(o *Overlay) *recorder {
-	return &recorder{o: o, nodePre: map[pg.OID]*pg.Node{}, edgePre: map[pg.OID]*pg.Edge{}}
+	return &recorder{o: o, nodePre: map[pg.OID]*pg.NodeRow{}, edgePre: map[pg.OID]*pg.EdgeRow{}}
 }
 
-func (r *recorder) touchNode(id pg.OID) {
-	if _, ok := r.nodePre[id]; ok {
-		return
+// touchNode records cur, the row the overlay shows for id before the op
+// about to change it, if this is the batch's first touch of id.
+func (r *recorder) touchNode(id pg.OID, cur *pg.NodeRow) {
+	if _, ok := r.nodePre[id]; !ok {
+		r.nodePre[id] = cur
+		r.nodeIDs = append(r.nodeIDs, id)
 	}
-	r.nodePre[id] = r.o.Node(id)
-	r.nodeIDs = append(r.nodeIDs, id)
 }
 
-func (r *recorder) touchEdge(id pg.OID) {
-	if _, ok := r.edgePre[id]; ok {
-		return
+func (r *recorder) touchEdge(id pg.OID, cur *pg.EdgeRow) {
+	if _, ok := r.edgePre[id]; !ok {
+		r.edgePre[id] = cur
+		r.edgeIDs = append(r.edgeIDs, id)
 	}
-	r.edgePre[id] = r.o.Edge(id)
-	r.edgeIDs = append(r.edgeIDs, id)
 }
 
 func (r *recorder) diff() Diff {
 	var d Diff
 	sortedset.Sort(r.nodeIDs)
 	for _, id := range r.nodeIDs {
-		before, after := r.nodePre[id], r.o.Node(id)
+		before, after := r.nodePre[id], r.o.nodeRow(id)
 		switch {
 		case before == nil && after != nil:
 			d.AddedNodes = append(d.AddedNodes, after)
 		case before != nil && after == nil:
 			d.RemovedNodes = append(d.RemovedNodes, before)
-		case before != nil && after != nil && !sameNode(before, after):
+		case before != nil && after != nil && !sameRow(before, after):
 			d.ChangedNodes = append(d.ChangedNodes, NodeChange{Before: before, After: after})
 		}
 	}
 	sortedset.Sort(r.edgeIDs)
 	for _, id := range r.edgeIDs {
-		before, after := r.edgePre[id], r.o.Edge(id)
+		before, after := r.edgePre[id], r.o.edgeRow(id)
 		switch {
 		case before == nil && after != nil:
 			d.AddedEdges = append(d.AddedEdges, after)
@@ -151,20 +152,17 @@ func (r *recorder) diff() Diff {
 	return d
 }
 
-func sameNode(a, b *pg.Node) bool {
-	if len(a.Labels) != len(b.Labels) || len(a.Props) != len(b.Props) {
+// sameRow reports whether two rows of a node hold the same labels and the
+// same properties, in whatever order.
+func sameRow(a, b *pg.NodeRow) bool {
+	if !slices.Equal(a.Labels, b.Labels) || len(a.Props) != len(b.Props) {
 		return false
 	}
-	for i, l := range a.Labels {
-		if b.Labels[i] != l {
-			return false
-		}
-	}
-	for k, v := range a.Props {
-		bv, ok := b.Props[k]
+	for _, p := range a.Props {
+		v, ok := b.Props.Get(p.Key)
 		// Identity, not value.Equal: a kind change (Int 1 to Float 1.0) is a
 		// change, since fact extraction keeps kinds apart.
-		if !ok || !value.Identical(v, bv) {
+		if !ok || !value.Identical(p.Val, v) {
 			return false
 		}
 	}
@@ -204,16 +202,11 @@ func (o *Overlay) resolve(r Ref, names map[string]pg.OID) (pg.OID, error) {
 		}
 		id = bound
 	}
-	if _, added := o.addNodes[id]; !added && !live(o.base.Columns().NodeOIDs, o.delNodes, id) {
+	_, inBase := slices.BinarySearch(o.base.Columns().NodeOIDs, id)
+	if _, added := o.addNodes[id]; !added && (!inBase || o.delNodes[id]) {
 		return 0, fmt.Errorf("no node with OID %d", id)
 	}
 	return id, nil
-}
-
-// live reports whether a base OID column holds id and the deletions do not.
-func live(oids []pg.OID, del map[pg.OID]bool, id pg.OID) bool {
-	_, ok := slices.BinarySearch(oids, id)
-	return ok && !del[id]
 }
 
 func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
@@ -226,8 +219,12 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		}
 		id := o.next
 		o.next++
-		rec.touchNode(id)
-		o.addNodes[id] = &pg.Node{ID: id, Labels: pg.NormalizeLabels(op.Labels), Props: pg.CloneProps(op.Props)}
+		rec.touchNode(id, nil)
+		props := pg.PropListOf(op.Props)
+		if props == nil {
+			props = pg.PropList{} // a node's list is never nil
+		}
+		o.addNodes[id] = &pg.NodeRow{ID: id, Labels: pg.NormalizeLabels(op.Labels), Props: props}
 		o.addNodeIDs = append(o.addNodeIDs, id) // ascending by construction
 		if op.Name != "" {
 			names[op.Name] = id
@@ -245,8 +242,8 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		}
 		id := o.next
 		o.next++
-		rec.touchEdge(id)
-		o.addEdges[id] = &pg.Edge{ID: id, Label: op.Label, From: from, To: to, Props: pg.CloneEdgeProps(op.Props)}
+		rec.touchEdge(id, nil)
+		o.addEdges[id] = &pg.EdgeRow{ID: id, Label: op.Label, From: from, To: to, Props: pg.PropListOf(op.Props)}
 		o.addEdgeIDs = append(o.addEdgeIDs, id)
 		return nil
 
@@ -264,7 +261,7 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 				return err
 			}
 		}
-		rec.touchNode(id)
+		rec.touchNode(id, o.nodeRow(id))
 		if _, added := o.addNodes[id]; added {
 			delete(o.addNodes, id)
 			o.addNodeIDs = sortedset.Remove(o.addNodeIDs, id)
@@ -279,10 +276,15 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		if err != nil {
 			return err
 		}
-		rec.touchNode(id)
-		n := copyNode(o.Node(id))
-		n.Props[op.Key] = op.Value
-		o.storeNode(id, n)
+		cur := o.nodeRow(id)
+		rec.touchNode(id, cur)
+		props := append(make(pg.PropList, 0, len(cur.Props)+1), cur.Props...)
+		if i := slices.IndexFunc(props, func(p pg.Prop) bool { return p.Key == op.Key }); i >= 0 {
+			props[i].Val = op.Value
+		} else {
+			props = append(props, pg.Prop{Key: op.Key, Val: op.Value})
+		}
+		o.storeNode(&pg.NodeRow{ID: id, Labels: cur.Labels, Props: props})
 		return nil
 
 	case OpDelNodeProp:
@@ -290,14 +292,14 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		if err != nil {
 			return err
 		}
-		cur := o.Node(id)
-		if _, has := cur.Props[op.Key]; !has {
+		cur := o.nodeRow(id)
+		i := slices.IndexFunc(cur.Props, func(p pg.Prop) bool { return p.Key == op.Key })
+		if i < 0 {
 			return nil
 		}
-		rec.touchNode(id)
-		n := copyNode(cur)
-		delete(n.Props, op.Key)
-		o.storeNode(id, n)
+		rec.touchNode(id, cur)
+		props := slices.Delete(slices.Clone(cur.Props), i, i+1)
+		o.storeNode(&pg.NodeRow{ID: id, Labels: cur.Labels, Props: props})
 		return nil
 
 	case OpAddLabel:
@@ -305,14 +307,13 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 		if err != nil {
 			return err
 		}
-		cur := o.Node(id)
-		if cur.HasLabel(op.Label) {
+		cur := o.nodeRow(id)
+		if _, has := slices.BinarySearch(cur.Labels, op.Label); has {
 			return nil
 		}
-		rec.touchNode(id)
-		n := copyNode(cur)
-		n.Labels = pg.NormalizeLabels(append(n.Labels, op.Label))
-		o.storeNode(id, n)
+		rec.touchNode(id, cur)
+		labels := pg.NormalizeLabels(append(slices.Clip(cur.Labels), op.Label))
+		o.storeNode(&pg.NodeRow{ID: id, Labels: labels, Props: cur.Props})
 		return nil
 
 	default:
@@ -320,13 +321,13 @@ func (o *Overlay) applyOp(op Op, names map[string]pg.OID, rec *recorder) error {
 	}
 }
 
-// storeNode installs a copy-on-write replacement for an existing node.
-func (o *Overlay) storeNode(id pg.OID, n *pg.Node) {
-	if _, added := o.addNodes[id]; added {
-		o.addNodes[id] = n
+// storeNode installs a copy-on-write replacement row for an existing node.
+func (o *Overlay) storeNode(n *pg.NodeRow) {
+	if _, added := o.addNodes[n.ID]; added {
+		o.addNodes[n.ID] = n
 		return
 	}
-	o.modNodes[id] = n
+	o.modNodes[n.ID] = n
 }
 
 // incident lists the OIDs of a merged node's incident edges: its outgoing
@@ -361,12 +362,12 @@ func (o *Overlay) incident(id pg.OID) []pg.OID {
 // removeEdge drops one merged edge: an added edge leaves the additions, a
 // base edge joins the deletions.
 func (o *Overlay) removeEdge(id pg.OID, rec *recorder) error {
-	_, added := o.addEdges[id]
-	if !added && !live(o.base.Columns().EdgeOIDs, o.delEdges, id) {
+	cur := o.edgeRow(id)
+	if cur == nil {
 		return fmt.Errorf("no edge with OID %d", id)
 	}
-	rec.touchEdge(id)
-	if added {
+	rec.touchEdge(id, cur)
+	if _, added := o.addEdges[id]; added {
 		delete(o.addEdges, id)
 		o.addEdgeIDs = sortedset.Remove(o.addEdgeIDs, id)
 	} else {

@@ -16,19 +16,22 @@
 // thawed copy of the base produce identical graphs, OIDs included; the
 // property tests pin the two byte-identical through the snapshot encoder.
 //
-// Base *pg.Node values are never mutated: a property write or label gain
-// replaces the node with a private copy (modNodes). Readers that want a
-// label's constructs, a node's incident edges or its degree scan the merged
-// view; the delta keeps only what the scans need: the added constructs, the
-// deleted OIDs and the replaced nodes.
+// The delta holds each construct as one immutable pg.NodeRow or pg.EdgeRow,
+// built once per op and handed out by the scans as it is. A property write
+// or label gain replaces the node's row (modNodes) with a copy of the base
+// row, read by its index in the columns, that shares every slice it does
+// not change. Readers that want a label's constructs, a node's incident
+// edges or its degree scan the merged view; the delta keeps only what the
+// scans need: the added constructs, the deleted OIDs and the replaced nodes.
 //
 // An Overlay is not safe for concurrent mutation. The server mutates a
 // Clone and swaps it in atomically, so concurrent readers keep a consistent
-// view; Clone is O(delta) and shares the immutable node/edge structs.
+// view; Clone is O(delta) and shares the immutable rows.
 package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/pg"
@@ -51,8 +54,8 @@ type Overlay struct {
 	// Additions. addNodeIDs/addEdgeIDs stay sorted for free: fresh OIDs are
 	// allocated in ascending order, so appends preserve the order and only
 	// removals need a sorted delete.
-	addNodes   map[pg.OID]*pg.Node
-	addEdges   map[pg.OID]*pg.Edge
+	addNodes   map[pg.OID]*pg.NodeRow
+	addEdges   map[pg.OID]*pg.EdgeRow
 	addNodeIDs []pg.OID
 	addEdgeIDs []pg.OID
 
@@ -62,7 +65,7 @@ type Overlay struct {
 	delEdges map[pg.OID]bool
 
 	// Copy-on-write replacements for mutated base nodes.
-	modNodes map[pg.OID]*pg.Node
+	modNodes map[pg.OID]*pg.NodeRow
 }
 
 // New returns an empty overlay over the given base snapshot.
@@ -70,11 +73,11 @@ func New(base *pg.Frozen) *Overlay {
 	return &Overlay{
 		base:     base,
 		next:     base.MaxOID() + 1,
-		addNodes: map[pg.OID]*pg.Node{},
-		addEdges: map[pg.OID]*pg.Edge{},
+		addNodes: map[pg.OID]*pg.NodeRow{},
+		addEdges: map[pg.OID]*pg.EdgeRow{},
 		delNodes: map[pg.OID]bool{},
 		delEdges: map[pg.OID]bool{},
-		modNodes: map[pg.OID]*pg.Node{},
+		modNodes: map[pg.OID]*pg.NodeRow{},
 	}
 }
 
@@ -88,21 +91,21 @@ func (o *Overlay) DeltaSize() int {
 }
 
 // Clone returns an independent copy of the overlay in O(delta). The base and
-// the node/edge structs are shared — both are immutable by the copy-on-write
-// discipline — but every map and OID slice is copied, so mutating the
+// the rows are shared — both are immutable by the copy-on-write discipline —
+// but every map and OID slice is copied, so mutating the
 // clone never disturbs the original (sortedset.Remove writes into shared
 // backing arrays otherwise).
 func (o *Overlay) Clone() *Overlay {
 	c := &Overlay{
 		base:       o.base,
 		next:       o.next,
-		addNodes:   make(map[pg.OID]*pg.Node, len(o.addNodes)),
-		addEdges:   make(map[pg.OID]*pg.Edge, len(o.addEdges)),
+		addNodes:   make(map[pg.OID]*pg.NodeRow, len(o.addNodes)),
+		addEdges:   make(map[pg.OID]*pg.EdgeRow, len(o.addEdges)),
 		addNodeIDs: append([]pg.OID(nil), o.addNodeIDs...),
 		addEdgeIDs: append([]pg.OID(nil), o.addEdgeIDs...),
 		delNodes:   make(map[pg.OID]bool, len(o.delNodes)),
 		delEdges:   make(map[pg.OID]bool, len(o.delEdges)),
-		modNodes:   make(map[pg.OID]*pg.Node, len(o.modNodes)),
+		modNodes:   make(map[pg.OID]*pg.NodeRow, len(o.modNodes)),
 	}
 	for id, n := range o.addNodes {
 		c.addNodes[id] = n
@@ -147,8 +150,25 @@ func (o *Overlay) NumNodes() int { return o.base.NumNodes() - len(o.delNodes) + 
 // NumEdges returns the merged edge count.
 func (o *Overlay) NumEdges() int { return o.base.NumEdges() - len(o.delEdges) + len(o.addEdges) }
 
-// Node resolves an OID against the merged view.
+// Node resolves an OID against the merged view, built from its row.
 func (o *Overlay) Node(id pg.OID) *pg.Node {
+	if r := o.nodeRow(id); r != nil {
+		return r.Node()
+	}
+	return nil
+}
+
+// Edge resolves an OID against the merged view as Node does.
+func (o *Overlay) Edge(id pg.OID) *pg.Edge {
+	if r := o.edgeRow(id); r != nil {
+		return r.Edge()
+	}
+	return nil
+}
+
+// nodeRow returns the merged view's row for a node OID, or nil: the delta's
+// own row, or the base row read into a row of its own.
+func (o *Overlay) nodeRow(id pg.OID) *pg.NodeRow {
 	if o.delNodes[id] {
 		return nil
 	}
@@ -158,33 +178,38 @@ func (o *Overlay) Node(id pg.OID) *pg.Node {
 	if n, ok := o.modNodes[id]; ok {
 		return n
 	}
-	return o.base.Node(id)
+	if row, ok := slices.BinarySearch(o.base.Columns().NodeOIDs, id); ok {
+		return o.base.NodeRowAt(row)
+	}
+	return nil
 }
 
-// Edge resolves an OID against the merged view.
-func (o *Overlay) Edge(id pg.OID) *pg.Edge {
+// edgeRow returns the merged view's row for an edge OID, or nil.
+func (o *Overlay) edgeRow(id pg.OID) *pg.EdgeRow {
 	if o.delEdges[id] {
 		return nil
 	}
 	if e, ok := o.addEdges[id]; ok {
 		return e
 	}
-	return o.base.Edge(id)
+	if row, ok := slices.BinarySearch(o.base.Columns().EdgeOIDs, id); ok {
+		return o.base.EdgeRowAt(row)
+	}
+	return nil
 }
 
 // ScanNodes visits the merged nodes in ascending OID order: the base's scan
 // minus the deleted rows, a modified node's replacement in its row's place,
-// then the added nodes, whose OIDs are all larger.
+// then the added nodes, whose OIDs are all larger. The delta's rows are
+// handed out as the overlay holds them.
 func (o *Overlay) ScanNodes(visit func(*pg.NodeRow) bool) {
-	var own pg.NodeRow // presents the delta's pointer structs
 	more := true
 	o.base.ScanNodes(func(r *pg.NodeRow) bool {
 		if o.delNodes[r.ID] {
 			return true
 		}
 		if m, ok := o.modNodes[r.ID]; ok {
-			own.SetNode(m)
-			r = &own
+			r = m
 		}
 		more = visit(r)
 		return more
@@ -193,8 +218,7 @@ func (o *Overlay) ScanNodes(visit func(*pg.NodeRow) bool) {
 		if !more {
 			return
 		}
-		own.SetNode(o.addNodes[id])
-		more = visit(&own)
+		more = visit(o.addNodes[id])
 	}
 }
 
@@ -207,22 +231,21 @@ func (o *Overlay) ScanEdges(visit func(*pg.EdgeRow) bool) {
 		}
 		return more
 	})
-	var own pg.EdgeRow
 	for _, id := range o.addEdgeIDs {
 		if !more {
 			return
 		}
-		own.SetEdge(o.addEdges[id])
-		more = visit(&own)
+		more = visit(o.addEdges[id])
 	}
 }
 
 // ScanNodeRows visits the merged nodes in ascending OID order, as ScanNodes
 // does, but presents no base row: a base node the overlay leaves as it is
-// comes as its row index in Base().Columns() and a nil node, a replaced base
-// node or an added one as row -1 and the node itself. It is the walk of a
-// reader that keeps row ids into the base instead of copies of it.
-func (o *Overlay) ScanNodeRows(visit func(row int32, n *pg.Node) bool) {
+// comes as its row index in Base().Columns() and a nil row, a replaced base
+// node or an added one as row -1 and the overlay's own row. It is the walk
+// of a reader that keeps row ids into the base and the delta's rows instead
+// of copies of either.
+func (o *Overlay) ScanNodeRows(visit func(row int32, n *pg.NodeRow) bool) {
 	for i, id := range o.base.Columns().NodeOIDs {
 		switch m, mod := o.modNodes[id]; {
 		case o.delNodes[id]:
@@ -245,7 +268,7 @@ func (o *Overlay) ScanNodeRows(visit func(row int32, n *pg.Node) bool) {
 
 // ScanEdgeRows is ScanNodeRows for the merged edges; a base edge is never
 // replaced, only deleted.
-func (o *Overlay) ScanEdgeRows(visit func(row int32, e *pg.Edge) bool) {
+func (o *Overlay) ScanEdgeRows(visit func(row int32, e *pg.EdgeRow) bool) {
 	for i, id := range o.base.Columns().EdgeOIDs {
 		if !o.delEdges[id] && !visit(int32(i), nil) {
 			return
@@ -256,13 +279,4 @@ func (o *Overlay) ScanEdgeRows(visit func(row int32, e *pg.Edge) bool) {
 			return
 		}
 	}
-}
-
-// copyNode returns a private deep copy for copy-on-write mutation.
-func copyNode(n *pg.Node) *pg.Node {
-	out := &pg.Node{ID: n.ID, Props: pg.CloneProps(n.Props)}
-	if len(n.Labels) > 0 {
-		out.Labels = append([]string(nil), n.Labels...)
-	}
-	return out
 }

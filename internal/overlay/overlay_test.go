@@ -312,65 +312,83 @@ func compareViews(t *testing.T, got pgtest.PointView, want *pg.Graph) {
 // TestOverlayPropertySweep: 25 seeds of randomized mutation batches applied
 // to an overlay and to the equivalent mutable graph; every pg.View read and
 // the compaction output must agree, with Compact() byte-identical under the
-// snapshot encoder.
+// snapshot encoder, and each batch's Diff must be the graph's net change.
+// Each seed also runs over its base plus one edge labeled like the key
+// "share": the bulk load behind Freeze interns labels first, so that base's
+// rows store "share" ahead of the other keys, out of name order, and every
+// copy-on-write starts from such a row.
 func TestOverlayPropertySweep(t *testing.T) {
 	info := snapfile.BuildInfo{Tool: "overlay-test", Source: "prop", CreatedUnix: 1}
 	for seed := int64(0); seed < 25; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			src := randBase(rng)
-			base := src.Freeze()
-			ov := overlay.New(base)
-			ref := src.Clone()
-			batches := 3 + rng.Intn(4)
-			for b := 0; b < batches; b++ {
-				ops := randOps(rng, ref)
-				if _, err := ov.Apply(ops); err != nil {
-					t.Fatalf("batch %d: %v", b, err)
-				}
-				if err := applyToGraph(ref, ops); err != nil {
-					t.Fatalf("batch %d (reference): %v", b, err)
-				}
-				compareViews(t, ov, ref)
-			}
-
-			// Compact folds the delta into a snapshot byte-identical to
-			// freezing the equivalently-mutated graph.
-			compacted, err := ov.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareViews(t, compacted, ref)
-			gotBytes, err := snapfile.Encode(compacted, info)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBytes, err := snapfile.Encode(ref.Freeze(), info)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotBytes, wantBytes) {
-				t.Fatalf("Compact() encoding diverges from direct freeze (%d vs %d bytes)", len(gotBytes), len(wantBytes))
-			}
-
-			// A second overlay generation over the compacted base keeps the
-			// equivalence (the LSM lifecycle composes). The reference resets
-			// to a thawed copy: compaction, like Thaw, restarts the OID
-			// allocator just above the surviving maximum, deliberately
-			// forgetting allocator history of removed constructs.
-			ov2 := overlay.New(compacted)
-			ref = compacted.Thaw()
-			ops := randOps(rng, ref)
-			if _, err := ov2.Apply(ops); err != nil {
-				t.Fatal(err)
-			}
-			if err := applyToGraph(ref, ops); err != nil {
-				t.Fatal(err)
-			}
-			compareViews(t, ov2, ref)
-		})
+		for _, keyLabel := range []string{"", "share"} {
+			t.Run(fmt.Sprintf("seed%d%s", seed, keyLabel), func(t *testing.T) {
+				overlaySweep(t, seed, keyLabel, info)
+			})
+		}
 	}
+}
+
+func overlaySweep(t *testing.T, seed int64, keyLabel string, info snapfile.BuildInfo) {
+	rng := rand.New(rand.NewSource(seed))
+	src := randBase(rng)
+	if keyLabel != "" {
+		src.MustAddEdge(1, 1, keyLabel, nil)
+	}
+	base := src.Freeze()
+	ov := overlay.New(base)
+	ref := src.Clone()
+	batches := 3 + rng.Intn(4)
+	for b := 0; b < batches; b++ {
+		ops := randOps(rng, ref)
+		before := stateOf(ref)
+		diff, err := ov.Apply(ops)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		names := map[string]pg.OID{}
+		for _, op := range ops {
+			if err := applyOpToGraph(ref, op, names); err != nil {
+				t.Fatalf("batch %d (reference): %v", b, err)
+			}
+		}
+		checkDiff(t, b, diff, names, before, ref)
+		compareViews(t, ov, ref)
+	}
+
+	// Compact folds the delta into a snapshot byte-identical to
+	// freezing the equivalently-mutated graph.
+	compacted, err := ov.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareViews(t, compacted, ref)
+	gotBytes, err := snapfile.Encode(compacted, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := snapfile.Encode(ref.Freeze(), info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("Compact() encoding diverges from direct freeze (%d vs %d bytes)", len(gotBytes), len(wantBytes))
+	}
+
+	// A second overlay generation over the compacted base keeps the
+	// equivalence (the LSM lifecycle composes). The reference resets
+	// to a thawed copy: compaction, like Thaw, restarts the OID
+	// allocator just above the surviving maximum, deliberately
+	// forgetting allocator history of removed constructs.
+	ov2 := overlay.New(compacted)
+	ref = compacted.Thaw()
+	ops := randOps(rng, ref)
+	if _, err := ov2.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := applyToGraph(ref, ops); err != nil {
+		t.Fatal(err)
+	}
+	compareViews(t, ov2, ref)
 }
 
 // TestOverlayCloneIsolation: mutating an overlay never disturbs a clone
@@ -476,7 +494,7 @@ func TestOverlayDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.AddedNodes) != 1 || diff.AddedNodes[0].Label() != "C" {
+	if len(diff.AddedNodes) != 1 || len(diff.AddedNodes[0].Labels) == 0 || diff.AddedNodes[0].Labels[0] != "C" {
 		t.Fatalf("AddedNodes = %v", diff.AddedNodes)
 	}
 	if len(diff.AddedEdges) != 1 || diff.AddedEdges[0].Label != "holds" {
@@ -485,9 +503,8 @@ func TestOverlayDiff(t *testing.T) {
 	if len(diff.RemovedEdges) != 1 || diff.RemovedEdges[0].ID != e.ID {
 		t.Fatalf("RemovedEdges = %v", diff.RemovedEdges)
 	}
-	if len(diff.ChangedNodes) != 1 ||
-		diff.ChangedNodes[0].Before.Props["name"].S != "a" ||
-		diff.ChangedNodes[0].After.Props["name"].S != "a2" {
+	if len(diff.ChangedNodes) != 1 || get(diff.ChangedNodes[0].Before.Props, "name").S != "a" ||
+		get(diff.ChangedNodes[0].After.Props, "name").S != "a2" {
 		t.Fatalf("ChangedNodes = %+v", diff.ChangedNodes)
 	}
 
@@ -520,6 +537,13 @@ func TestOverlayDiff(t *testing.T) {
 	if !diff.Empty() {
 		t.Fatalf("no-op set must be empty, got %+v", diff)
 	}
+}
+
+// get reads a property of a Diff's row; an absent key reads as the zero
+// value.
+func get(props pg.PropList, key string) value.Value {
+	v, _ := props.Get(key)
+	return v
 }
 
 // TestOverlayErrors: invalid operations fail with the overlay still usable.

@@ -70,7 +70,7 @@ var (
 	ErrBadBatch = errors.New("pg: malformed bulk batch")
 	// ErrDuplicateOID reports an OID that is not strictly above every OID
 	// already staged in its column — duplicates and out-of-order arrivals
-	// alike.
+	// alike — or that names both a node and an edge.
 	ErrDuplicateOID = errors.New("pg: duplicate or non-ascending OID in bulk batch")
 	// ErrDanglingEdge reports an edge whose endpoint is not among the
 	// loaded nodes.

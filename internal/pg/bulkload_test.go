@@ -254,6 +254,19 @@ func TestBulkLoadTypedErrors(t *testing.T) {
 		t.Fatalf("dangling edge: got %v, want ErrDanglingEdge", err)
 	}
 
+	// So does an OID naming both a node and an edge, which a Graph refuses:
+	// the snapshot would write JSON its own reader rejects.
+	shared := NewBulkLoader(2)
+	if err := shared.AddNodes(NodeBatch{Labels: []string{"N"}, OIDs: []OID{1, 2}}); err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	if err := shared.AddEdges(EdgeBatch{Label: "E", OIDs: []OID{2}, From: []OID{1}, To: []OID{2}}); err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	if f, err := shared.Finish(); !errors.Is(err, ErrDuplicateOID) {
+		t.Fatalf("node and edge OID 2: got %v (snapshot %v), want ErrDuplicateOID", err, f != nil)
+	}
+
 	// A finished (or failed) loader is done for good.
 	if err := l.AddNodes(NodeBatch{OIDs: []OID{10}}); !errors.Is(err, ErrLoaderDone) {
 		t.Fatalf("add after finish: got %v, want ErrLoaderDone", err)

@@ -7,10 +7,10 @@ package pg
 //
 // Whole-graph readers walk the columns: ScanNodes/ScanEdges hand out one
 // reused row, and counts, out-degrees and label counts are column
-// arithmetic. The point lookups Node and Edge build a fresh struct for the
-// one row asked for, on every call. A single snapshot is safe for any number
-// of concurrent readers: nothing on the read path mutates past the one-time
-// label count.
+// arithmetic. The point lookups Node and Edge build a fresh struct from the
+// one row asked for (NodeRowAt, EdgeRowAt), on every call. A single
+// snapshot is safe for any number of concurrent readers: nothing on the
+// read path mutates past the one-time label count.
 
 import (
 	"fmt"
@@ -232,15 +232,13 @@ func (f *Frozen) NumNodes() int { return len(f.nodeOIDs) }
 // NumEdges returns the number of edges.
 func (f *Frozen) NumEdges() int { return len(f.edgeOIDs) }
 
-// Node returns the node with the given OID, or nil, built from the columns
-// for this call.
+// Node returns the node with the given OID, or nil, built for this call
+// from its row as NodeRowAt reads it.
 func (f *Frozen) Node(id OID) *Node {
-	row, ok := rowOf(f.nodeOIDs, id)
-	if !ok {
-		return nil
+	if row, ok := rowOf(f.nodeOIDs, id); ok {
+		return f.NodeRowAt(int(row)).Node()
 	}
-	n := f.makeNode(row)
-	return &n
+	return nil
 }
 
 // labelNames appends the names of a node row's labels to buf.
@@ -254,12 +252,27 @@ func (f *Frozen) labelNames(buf []string, row int32) []string {
 // Edge returns the edge with the given OID, or nil, built for this call as
 // for Node.
 func (f *Frozen) Edge(id OID) *Edge {
-	row, ok := rowOf(f.edgeOIDs, id)
-	if !ok {
-		return nil
+	if row, ok := rowOf(f.edgeOIDs, id); ok {
+		return f.EdgeRowAt(int(row)).Edge()
 	}
-	e := f.makeEdge(row)
-	return &e
+	return nil
+}
+
+// NodeRowAt returns node row i of the columns (0 <= i < NumNodes) as a row
+// of its own: what ScanNodes presents for it, in fresh slices that no later
+// read reuses. It is the one read of a single row — the point lookups wrap
+// it, and an overlay's copy-on-write starts from it.
+func (f *Frozen) NodeRowAt(i int) *NodeRow {
+	r := &NodeRow{ID: f.nodeOIDs[i], Labels: f.labelNames(nil, int32(i))}
+	r.Props, _ = f.rowProps(nil, f.nodePropKeys, f.nodePropVals, f.nodePropOff[i], f.nodePropOff[i+1], false)
+	return r
+}
+
+// EdgeRowAt returns edge row i of the columns as a row of its own.
+func (f *Frozen) EdgeRowAt(i int) *EdgeRow {
+	r := &EdgeRow{ID: f.edgeOIDs[i], Label: f.syms.Name(f.edgeLabel[i]), From: f.edgeFrom[i], To: f.edgeTo[i]}
+	r.Props, _ = f.rowProps(nil, f.edgePropKeys, f.edgePropVals, f.edgePropOff[i], f.edgePropOff[i+1], true)
+	return r
 }
 
 // ScanNodes visits every node row of the columns in ascending OID order.
@@ -268,7 +281,7 @@ func (f *Frozen) ScanNodes(visit func(*NodeRow) bool) {
 	var labels []string
 	for i, id := range f.nodeOIDs {
 		labels = f.labelNames(labels[:0], int32(i))
-		row.ID, row.Labels = id, nil // nil when unlabeled, as in makeNode
+		row.ID, row.Labels = id, nil // nil when unlabeled
 		if len(labels) > 0 {
 			row.Labels = labels
 		}
@@ -291,8 +304,8 @@ func (f *Frozen) ScanEdges(visit func(*EdgeRow) bool) {
 	}
 }
 
-// rowProps is makeProps for a scanned row: the columnar window [lo,hi) laid
-// out in buf, in symbol order, with the same nil convention.
+// rowProps lays the columnar window [lo,hi) out in buf, in symbol order;
+// with nilWhenEmpty (an edge's convention), an empty window is a nil list.
 func (f *Frozen) rowProps(buf PropList, keys []symtab.Sym, vals []value.Value, lo, hi int32, nilWhenEmpty bool) (props, _ PropList) {
 	if hi == lo && nilWhenEmpty {
 		return nil, buf

@@ -79,8 +79,9 @@ func (f *Frozen) Columns() Columns {
 
 // FrozenFromColumns rebuilds a Frozen snapshot from its columnar image,
 // validating every structural invariant of the layout before any array is
-// trusted: offset monotonicity, symbol ranges, per-row ordering, OID
-// ordering, endpoint existence, and full CSR/edge-column agreement. The
+// trusted: offset monotonicity, symbol ranges, per-row ordering, positive
+// OIDs in ascending order with no OID naming both a node and an edge,
+// endpoint existence, and full CSR/edge-column agreement. The
 // input slices are retained by the snapshot (they may be windows of an
 // mmapped file).
 //
@@ -140,16 +141,28 @@ func FrozenFromColumns(c Columns) (*Frozen, error) {
 		}
 	}
 
-	// OIDs must be strictly ascending: the View iteration contract and the
-	// precondition of every binary search over rows.
-	for i := 1; i < n; i++ {
-		if c.NodeOIDs[i] <= c.NodeOIDs[i-1] {
-			return nil, fmt.Errorf("pg: node OIDs not strictly ascending at row %d", i)
+	// OIDs must be positive and strictly ascending: the View iteration
+	// contract and the precondition of every binary search over rows.
+	for i, last := 0, OID(0); i < n; i, last = i+1, c.NodeOIDs[i] {
+		if c.NodeOIDs[i] <= last {
+			return nil, fmt.Errorf("pg: node OIDs not positive and strictly ascending at row %d", i)
 		}
 	}
-	for i := 1; i < m; i++ {
-		if c.EdgeOIDs[i] <= c.EdgeOIDs[i-1] {
-			return nil, fmt.Errorf("pg: edge OIDs not strictly ascending at row %d", i)
+	for i, last := 0, OID(0); i < m; i, last = i+1, c.EdgeOIDs[i] {
+		if c.EdgeOIDs[i] <= last {
+			return nil, fmt.Errorf("pg: edge OIDs not positive and strictly ascending at row %d", i)
+		}
+	}
+	// N and E are disjoint (Section 4): one merge pass over the two
+	// ascending columns finds an OID naming both.
+	for i, j := 0, 0; i < n && j < m; {
+		switch a, b := c.NodeOIDs[i], c.EdgeOIDs[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			return nil, fmt.Errorf("%w: OID %d names both a node and an edge", ErrDuplicateOID, a)
 		}
 	}
 
@@ -242,30 +255,6 @@ func FrozenFromColumns(c Columns) (*Frozen, error) {
 	}, nil
 }
 
-// makeNode and makeEdge are the one place a column row becomes a pointer
-// struct, for the point lookups Node and Edge.
-func (f *Frozen) makeNode(row int32) Node {
-	labels := f.labelNames(nil, row)
-	if len(labels) == 0 {
-		labels = nil // unlabeled, matching the mutable store
-	}
-	return Node{
-		ID:     f.nodeOIDs[row],
-		Labels: labels,
-		Props:  makeProps(f.syms, f.nodePropKeys, f.nodePropVals, f.nodePropOff[row], f.nodePropOff[row+1], false),
-	}
-}
-
-func (f *Frozen) makeEdge(row int32) Edge {
-	return Edge{
-		ID:    f.edgeOIDs[row],
-		Label: f.syms.Name(f.edgeLabel[row]),
-		From:  f.edgeFrom[row],
-		To:    f.edgeTo[row],
-		Props: makeProps(f.syms, f.edgePropKeys, f.edgePropVals, f.edgePropOff[row], f.edgePropOff[row+1], true),
-	}
-}
-
 // rowFinder resolves OIDs against an ascending OID column, with an O(1)
 // arithmetic fast path when the column is dense (consecutive OIDs — true
 // for every bulk-loaded or generator-built graph, where OIDs are assigned
@@ -313,17 +302,4 @@ func checkOffsets(what string, off []int32, rows, payload int) error {
 		return fmt.Errorf("pg: %s offsets end at %d, want %d", what, off[rows], payload)
 	}
 	return nil
-}
-
-// makeProps materializes one row's property map from the columnar window. nilWhenEmpty matches the mutable store: edges use nil for an empty
-// map, nodes an empty map.
-func makeProps(syms *symtab.Table, keys []symtab.Sym, vals []value.Value, lo, hi int32, nilWhenEmpty bool) Props {
-	if hi == lo && nilWhenEmpty {
-		return nil
-	}
-	props := make(Props, hi-lo)
-	for p := lo; p < hi; p++ {
-		props[syms.Name(keys[p])] = vals[p]
-	}
-	return props
 }

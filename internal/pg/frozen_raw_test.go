@@ -152,6 +152,8 @@ func TestFrozenFromColumnsRejects(t *testing.T) {
 		{"adjacency out of range", func(c *Columns) { c.OutAdj = cloneI32(c.OutAdj); c.OutAdj[0] = 42 }, "out of range"},
 		{"adjacency wrong owner", func(c *Columns) { c.OutOff = cloneI32(c.OutOff); c.OutOff[1], c.OutOff[2] = 0, 1 }, "different source"},
 		{"edge column length", func(c *Columns) { c.EdgeTo = c.EdgeTo[:0] }, "disagree"},
+		{"edge OID names a node", func(c *Columns) { c.EdgeOIDs = []OID{c.NodeOIDs[1]} }, "both a node and an edge"},
+		{"non-positive OID", func(c *Columns) { c.EdgeOIDs = []OID{0} }, "positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,9 @@ type jsonValue struct {
 }
 
 func toJSONValue(v value.Value) jsonValue {
+	if v.K == value.Float && (math.IsInf(v.F, 0) || math.IsNaN(v.F)) { // JSON has no number for it
+		return jsonValue{Kind: "float", Str: strconv.FormatFloat(v.F, 'g', -1, 64)} // "+Inf", "-Inf" or "NaN"
+	}
 	return jsonValue{Kind: v.K.String(), Str: v.S, Int: v.I, Float: v.F, Bool: v.B}
 }
 
@@ -51,7 +55,14 @@ func fromJSONValue(j jsonValue) (value.Value, error) {
 	case "int":
 		return value.IntV(j.Int), nil
 	case "float":
-		return value.FloatV(j.Float), nil
+		switch j.Str {
+		case "":
+			return value.FloatV(j.Float), nil
+		case "+Inf", "-Inf", "NaN":
+			f, _ := strconv.ParseFloat(j.Str, 64)
+			return value.FloatV(f), nil
+		}
+		return value.Value{}, fmt.Errorf("pg: float %q is none of +Inf, -Inf and NaN", j.Str)
 	case "bool":
 		return value.BoolV(j.Bool), nil
 	case "null":

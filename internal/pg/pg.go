@@ -34,13 +34,6 @@ type OID int64
 // Props is the property map σ restricted to one node or edge.
 type Props map[string]value.Value
 
-// Get returns the map's value for a property key; PropList.Get is the same
-// read of a scanned row.
-func (p Props) Get(key string) (value.Value, bool) {
-	v, ok := p[key]
-	return v, ok
-}
-
 // Node is a vertex of the property graph.
 type Node struct {
 	ID     OID
@@ -329,11 +322,13 @@ func (g *Graph) Edges() []*Edge {
 	return out
 }
 
-// ScanNodes visits every node as a row, in ascending OID order.
+// ScanNodes visits every node as a row, in ascending OID order: the node's
+// own labels, its properties laid out in key order in the row's buffer.
 func (g *Graph) ScanNodes(visit func(*NodeRow) bool) {
 	var row NodeRow
 	for _, n := range g.Nodes() {
-		row.SetNode(n)
+		row.ID, row.Labels = n.ID, n.Labels
+		row.Props, row.buf = flattenProps(n.Props, row.buf)
 		if !visit(&row) {
 			return
 		}
@@ -344,7 +339,8 @@ func (g *Graph) ScanNodes(visit func(*NodeRow) bool) {
 func (g *Graph) ScanEdges(visit func(*EdgeRow) bool) {
 	var row EdgeRow
 	for _, e := range g.Edges() {
-		row.SetEdge(e)
+		row.ID, row.Label, row.From, row.To = e.ID, e.Label, e.From, e.To
+		row.Props, row.buf = flattenProps(e.Props, row.buf)
 		if !visit(&row) {
 			return
 		}
@@ -447,11 +443,7 @@ func CopyView(v View) (*Graph, error) {
 		return nil, err
 	}
 	v.ScanEdges(func(r *EdgeRow) bool {
-		var props Props // nil when empty, as CloneEdgeProps keeps it
-		if len(r.Props) > 0 {
-			props = PropMap(r.Props)
-		}
-		_, err = g.insertEdge(r.ID, r.From, r.To, r.Label, props)
+		_, err = g.insertEdge(r.ID, r.From, r.To, r.Label, r.Edge().Props)
 		return err == nil
 	})
 	if err != nil {

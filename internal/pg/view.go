@@ -38,7 +38,8 @@ type View interface {
 	// ScanNodes and ScanEdges hand every construct to visit as a flat row,
 	// in ascending OID order, until visit returns false. The row and its
 	// slices are reused between visits: a visitor that keeps anything of a
-	// row copies it (the strings and values themselves are immutable). A
+	// row copies it (the strings and values themselves are immutable), and
+	// no visitor writes to one — an overlay hands out the rows it holds. A
 	// scan is the one whole-graph read, and it builds nothing per construct:
 	// *Frozen walks its columns for it, with no pointer struct or property
 	// map.
@@ -89,18 +90,27 @@ type EdgeRow struct {
 	buf PropList
 }
 
-// SetNode makes the row present n, properties in key order — how a view
-// that holds pointer structs (Graph, an overlay's delta) fills the row its
-// scan hands out. The labels are n's own slice.
-func (r *NodeRow) SetNode(n *Node) {
-	r.ID, r.Labels = n.ID, n.Labels
-	r.Props, r.buf = flattenProps(n.Props, r.buf)
+// Node returns the node the row presents, with a property map of its own.
+func (r *NodeRow) Node() *Node { return &Node{ID: r.ID, Labels: r.Labels, Props: PropMap(r.Props)} }
+
+// Edge returns the edge the row presents, with a property map of its own —
+// nil when the row has no properties, as CloneEdgeProps keeps it.
+func (r *EdgeRow) Edge() *Edge {
+	e := &Edge{ID: r.ID, Label: r.Label, From: r.From, To: r.To}
+	if len(r.Props) > 0 {
+		e.Props = PropMap(r.Props)
+	}
+	return e
 }
 
-// SetEdge makes the row present e, properties in key order.
-func (r *EdgeRow) SetEdge(e *Edge) {
-	r.ID, r.Label, r.From, r.To = e.ID, e.Label, e.From, e.To
-	r.Props, r.buf = flattenProps(e.Props, r.buf)
+// PropListOf returns a property map as a list of its own, in key order, or
+// nil when the map is empty.
+func PropListOf(p Props) PropList {
+	if len(p) == 0 {
+		return nil
+	}
+	l, _ := flattenProps(p, nil)
+	return l
 }
 
 // flattenProps lays a property map out in buf, sorted by key, and returns

@@ -311,6 +311,12 @@ func TestCorruptContent(t *testing.T) {
 			binary.LittleEndian.PutUint64(d[e.off+8:], first)
 			fixAllCRCs(d)
 		}},
+		{"edge OID names a node", func(d []byte) { shareOID(t, d) }},
+		{"non-positive edge OID", func(d []byte) {
+			e := secs[10] // edgeOIDs
+			binary.LittleEndian.PutUint64(d[e.off:], 0)
+			fixAllCRCs(d)
+		}},
 		{"adjacency row out of range", func(d []byte) {
 			e := secs[19] // outAdj
 			binary.LittleEndian.PutUint32(d[e.off:], 1<<30)

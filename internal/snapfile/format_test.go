@@ -36,7 +36,7 @@ type secEntry struct {
 }
 
 // sections parses the section table of an encoded snapshot.
-func sections(t *testing.T, data []byte) map[uint32]secEntry {
+func sections(t testing.TB, data []byte) map[uint32]secEntry {
 	t.Helper()
 	hdrLen := uint64(binary.LittleEndian.Uint32(data[hdrLenOff:]))
 	count := int(binary.LittleEndian.Uint32(data[hdrSectionsOff:]))
@@ -113,6 +113,16 @@ func growHeader(t *testing.T, data []byte, newLen uint32) []byte {
 	}
 	fixMetaCRCs(out)
 	return out
+}
+
+// shareOID patches an image of the golden graph (nodes 1–3, edges 4–6) so
+// its first edge takes OID 3, which names a node, and fixes the checksums:
+// only the column checks can refuse it.
+func shareOID(t testing.TB, data []byte) []byte {
+	e := sections(t, data)[10] // edgeOIDs
+	binary.LittleEndian.PutUint64(data[e.off:], 3)
+	fixAllCRCs(data)
+	return data
 }
 
 func hdrLen(data []byte) uint64 {

@@ -29,6 +29,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		badVer := clone(golden)
 		binary.LittleEndian.PutUint32(badVer[hdrVersionOff:], 9)
 		f.Add(badVer)
+		f.Add(shareOID(f, clone(golden)))
 	}
 	if data, err := snapfile.Encode(testGraph(rand.New(rand.NewSource(42))).Freeze(), snapfile.BuildInfo{Tool: "fuzz"}); err == nil {
 		f.Add(data)

@@ -107,16 +107,16 @@ func TestGoldenDecodes(t *testing.T) {
 	var ids []pg.OID
 	f.ScanNodes(func(r *pg.NodeRow) bool { ids = append(ids, r.ID); return true })
 	acme, bob, shell := ids[0], ids[1], ids[2]
-	if v, ok := f.Node(acme).Props.Get("name"); !ok || v != value.Str("Acme Holding") {
+	if v, ok := f.Node(acme).Props["name"]; !ok || v != value.Str("Acme Holding") {
 		t.Fatalf("acme name = %v, %v", v, ok)
 	}
-	if v, ok := f.Node(bob).Props.Get("age"); !ok || v != value.IntV(52) {
+	if v, ok := f.Node(bob).Props["age"]; !ok || v != value.IntV(52) {
 		t.Fatalf("bob age = %v, %v", v, ok)
 	}
-	if v, ok := f.Node(shell).Props.Get("why"); !ok || v != value.NullV(3) {
+	if v, ok := f.Node(shell).Props["why"]; !ok || v != value.NullV(3) {
 		t.Fatalf("shell why = %v, %v", v, ok)
 	}
-	if v, ok := f.Node(shell).Props.Get("sk"); !ok || v != value.Skolem("own", value.IntV(1)) {
+	if v, ok := f.Node(shell).Props["sk"]; !ok || v != value.Skolem("own", value.IntV(1)) {
 		t.Fatalf("shell sk = %v, %v", v, ok)
 	}
 	var out, in []pg.EdgeRow
@@ -132,7 +132,7 @@ func TestGoldenDecodes(t *testing.T) {
 	if len(out) != 1 || f.OutDegree(bob) != 1 || out[0].To != acme || out[0].Label != "Owns" {
 		t.Fatalf("bob out-edges: %+v", out)
 	}
-	if v, ok := f.Edge(out[0].ID).Props.Get("w"); !ok || v != value.FloatV(0.6) {
+	if v, ok := f.Edge(out[0].ID).Props["w"]; !ok || v != value.FloatV(0.6) {
 		t.Fatalf("ownership weight = %v, %v", v, ok)
 	}
 	cols := f.Columns() // shell is node row 2

@@ -3,6 +3,7 @@ package snapfile_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -97,7 +98,7 @@ func assertViewEqual(t *testing.T, want, got *pg.Frozen) {
 		}
 		props := got.Node(n.ID).Props
 		for _, p := range n.Props {
-			if v, ok := props.Get(p.Key); !ok || v != p.Val {
+			if v, ok := props[p.Key]; !ok || v != p.Val {
 				t.Fatalf("node %d property %q: %v vs %v/%v", n.ID, p.Key, p.Val, v, ok)
 			}
 		}
@@ -107,7 +108,7 @@ func assertViewEqual(t *testing.T, want, got *pg.Frozen) {
 	want.ScanEdges(func(e *pg.EdgeRow) bool {
 		props := got.Edge(e.ID).Props
 		for _, p := range e.Props {
-			if v, ok := props.Get(p.Key); !ok || v != p.Val {
+			if v, ok := props[p.Key]; !ok || v != p.Val {
 				t.Fatalf("edge %d property %q diverges", e.ID, p.Key)
 			}
 		}
@@ -383,6 +384,54 @@ func TestWriteFileFaultsLeaveNoPartialFile(t *testing.T) {
 					t.Fatalf("snapshot provenance changed: %+v", snap.Info)
 				}
 			})
+		}
+	}
+}
+
+// TestNonFiniteFloatsThroughJSON: a snapshot holding +Inf, -Inf and NaN —
+// which the format stores and JSON has no number for — writes with
+// pg.WriteJSON and reads back with pg.ReadJSON to the same floats, beside a
+// finite one whose bytes keep the plain number form.
+func TestNonFiniteFloatsThroughJSON(t *testing.T) {
+	g := pg.New()
+	floats := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0.25}
+	for _, f := range floats {
+		g.AddNode([]string{"Business"}, pg.Props{"shareholdingCapital": value.FloatV(f)})
+	}
+	path := filepath.Join(t.TempDir(), "nonfinite.snap")
+	if _, err := snapfile.WriteFile(path, g.Freeze(), snapfile.BuildInfo{Tool: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var doc bytes.Buffer
+	if err := pg.WriteJSON(&doc, snap.Frozen); err != nil {
+		t.Fatal(err)
+	}
+	for _, form := range []string{`"str": "+Inf"`, `"str": "-Inf"`, `"str": "NaN"`, `"float": 0.25`} {
+		if !strings.Contains(doc.String(), form) {
+			t.Fatalf("document lacks %s:\n%s", form, doc.String())
+		}
+	}
+	back, err := pg.ReadJSON(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range back.Nodes() {
+		v := n.Props["shareholdingCapital"]
+		if v.K != value.Float || math.Float64bits(v.F) != math.Float64bits(floats[i]) && !(math.IsNaN(v.F) && math.IsNaN(floats[i])) {
+			t.Errorf("node %d reads back %v, want float %v", n.ID, v, floats[i])
+		}
+	}
+	if back.NumNodes() != len(floats) {
+		t.Fatalf("read back %d nodes, want %d", back.NumNodes(), len(floats))
+	}
+	for _, str := range []string{"inf", "Infinity", "1.5"} {
+		if v, err := pg.DecodeValue(pg.JSONValue{Kind: "float", Str: str}); err == nil {
+			t.Errorf("float %q decodes to %v, want an error", str, v)
 		}
 	}
 }
