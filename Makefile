@@ -36,12 +36,14 @@ test: build vet
 # overlay-generations test reruns with them because an overlay, its Clone and
 # the facts extracted from either share rows by pointer, and it races readers
 # of one generation against the Clone().Apply and fact maintenance that
-# build the next.
+# build the next; and the fact-siblings test with it because two generations
+# spliced from one parent share its list-row storage (a rejected /mutate
+# leaves such a sibling), and it builds both at once from two goroutines.
 test-race: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestShardedMergeAtProductionShardSizes|TestParallelMaxFactsValve|TestInsertionOrderGolden' ./internal/vadalog/
 	$(GO) test -race -count=10 -run 'TestSealedConcurrentQueries|TestMutableIndexConcurrentProbes|TestFrozenReadersRaceLabelSummary' ./internal/vadalog/ ./internal/pg/ ./internal/metalog/
-	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders|TestOverlayGenerationsShareRows' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
+	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders|TestOverlayGenerationsShareRows|TestApplyFactsDeltaSiblings' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestConcurrentBulkIngest' ./internal/pg/
 	$(GO) test -race -run '^$$' -bench 'BenchmarkE11DescFrom|BenchmarkE1GraphStats' -benchtime 1x .

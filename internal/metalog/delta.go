@@ -2,6 +2,7 @@ package metalog
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/overlay"
@@ -14,8 +15,8 @@ import (
 // mutation batch, given the batch's net effect as an overlay.Diff. It is the
 // incremental counterpart of re-running ExtractFacts over the mutated view:
 // only the relations named by the diff are touched, and each touched relation
-// is rebuilt as a merge in ascending-OID order: its row ids into the base
-// graph kept as ids and its list rows kept as references, the diff's
+// is spliced in ascending-OID order (relDelta.splice): its row ids into the
+// base graph kept as ids and its list rows kept as references, the diff's
 // retracted OIDs dropped, and references to the diff's new rows inserted at
 // their OIDs. That is the order and the form ExtractFacts produces over the
 // mutated overlay — base rows minus tombstones, the delta's rows referenced
@@ -36,9 +37,9 @@ import (
 // layout stable is what makes the incremental path equivalence-preserving.
 //
 // A label that names both a node and an edge relation falls back too: its
-// nodes-then-edges fact order is not the single ascending run the merge below
+// nodes-then-edges fact order is not the single ascending run the splice
 // relies on. So does a relation ExtractFacts did not build under this
-// catalog, which has no row list to merge into.
+// catalog, which has no row list to splice into.
 //
 // The input database is not modified; on ok=true the returned database is a
 // sealed clone with the delta folded in (or db itself when the diff is empty).
@@ -66,15 +67,11 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 	// rows whose facts enter. Within one relation an OID identifies at most
 	// one fact (a node contributes one fact per label, an edge one fact to
 	// its label's relation), so retraction by OID is exact.
-	type relDelta struct {
-		del map[int64]bool
-		add *Rows
-	}
 	changes := map[string]*relDelta{}
 	touch := func(pred string, nid int, layout []string) *relDelta {
 		rd := changes[pred]
 		if rd == nil {
-			rd = &relDelta{del: map[int64]bool{}, add: &Rows{nid: nid, layout: layout}}
+			rd = &relDelta{add: &Rows{nid: nid, layout: layout}}
 			changes[pred] = rd
 		}
 		return rd
@@ -82,7 +79,8 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 	delNode := func(n *pg.NodeRow) {
 		for _, l := range n.Labels {
 			if cat.HasNode(l) {
-				touch(l, 1, cat.NodeProps[l]).del[int64(n.ID)] = true
+				rd := touch(l, 1, cat.NodeProps[l])
+				rd.del = append(rd.del, int64(n.ID))
 			}
 		}
 	}
@@ -105,7 +103,8 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 	}
 	for _, e := range diff.RemovedEdges {
 		if cat.HasEdge(e.Label) {
-			touch(e.Label, 3, cat.EdgeProps[e.Label]).del[int64(e.ID)] = true
+			rd := touch(e.Label, 3, cat.EdgeProps[e.Label])
+			rd.del = append(rd.del, int64(e.ID))
 		}
 	}
 	for _, e := range diff.AddedEdges {
@@ -125,27 +124,70 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 			}
 			from = r
 		}
-		// The kept rows are in ascending-OID order already and an OID names at
-		// most one fact of the relation: sort the few new rows and merge.
-		add := rd.add.ids
-		slices.SortFunc(add, func(a, b int32) int { return cmp.Compare(rd.add.oid(a), rd.add.oid(b)) })
-		next := &Rows{nid: rd.add.nid, layout: rd.add.layout, cols: from.cols, ids: make([]int32, 0, len(from.ids)+len(add))}
-		for _, id := range from.ids {
-			oid := from.oid(id)
-			for len(add) > 0 && rd.add.oid(add[0]) < oid {
-				next.addFrom(rd.add, add[0])
-				add = add[1:]
-			}
-			if !rd.del[oid] {
-				next.addFrom(from, id)
-			}
-		}
-		for _, id := range add {
-			next.addFrom(rd.add, id)
-		}
-		out.InstallRows(pred, next.Arity(), next)
+		out.InstallRows(pred, rd.add.Arity(), rd.splice(from))
 	}
 	return out, true
+}
+
+// relDelta is a batch's effect on one relation: the OIDs whose facts
+// retract, and the entering constructs as list rows in arrival order.
+type relDelta struct {
+	del []int64
+	add *Rows
+}
+
+// splice returns from with the delta applied, in ascending-OID order. from's
+// ids are in that order already and an OID names at most one of its facts,
+// so each edit — a retracted OID, an entering row — finds its place by
+// binary search, and the kept rows between two edits are copied as one run:
+// no kept row is looked at. A row entering under an OID that also retracts
+// (a changed node) takes the old row's place. A retracted OID the relation
+// does not hold is a no-op.
+//
+// The list rows are shared rather than re-added: the result's list storage
+// starts as from's, clipped, so a kept list row's id stays valid and the
+// entering rows are appended behind it — the first append by either
+// relation copies, so neither, nor a sibling spliced from the same from,
+// ever sees another's rows. A retracted list row stays in the storage until
+// the lineage is re-extracted.
+func (rd *relDelta) splice(from *Rows) *Rows {
+	slices.Sort(rd.del)
+	dels := slices.Compact(rd.del)
+	add := rd.add
+	adds := add.ids
+	slices.SortFunc(adds, func(a, b int32) int { return cmp.Compare(add.oid(a), add.oid(b)) })
+	base := int32(len(from.props))
+	next := &Rows{nid: add.nid, layout: add.layout, cols: from.cols,
+		oids:  append(slices.Clip(from.oids), add.oids...),
+		props: append(slices.Clip(from.props), add.props...),
+		ids:   make([]int32, 0, len(from.ids)+len(adds))}
+	lo := 0 // from.ids[:lo] is spliced
+	for len(dels) > 0 || len(adds) > 0 {
+		oid := int64(math.MaxInt64)
+		if len(adds) > 0 {
+			oid = add.oid(adds[0])
+		}
+		if len(dels) > 0 {
+			oid = min(oid, dels[0])
+		}
+		at, held := slices.BinarySearchFunc(from.ids[lo:], oid, func(id int32, oid int64) int {
+			return cmp.Compare(from.oid(id), oid)
+		})
+		next.ids = append(next.ids, from.ids[lo:lo+at]...)
+		lo += at
+		for len(adds) > 0 && add.oid(adds[0]) == oid {
+			next.ids = append(next.ids, ^(base + ^adds[0]))
+			adds = adds[1:]
+		}
+		if len(dels) > 0 && dels[0] == oid {
+			dels = dels[1:]
+			if held {
+				lo++
+			}
+		}
+	}
+	next.ids = append(next.ids, from.ids[lo:]...)
+	return next
 }
 
 // nodeCovered reports whether every fact the node would extract to fits the

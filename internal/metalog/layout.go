@@ -118,18 +118,6 @@ func (r *Rows) addCells(cell func(col int) value.Value) {
 	r.Add(props, ids...)
 }
 
-// addFrom appends row id of src, a relation under the same layout reading
-// the same columns, as it is: the frozen row id, or a reference to the same
-// list.
-func (r *Rows) addFrom(src *Rows, id int32) {
-	if id >= 0 {
-		r.ids = append(r.ids, id)
-		return
-	}
-	i := int(^id)
-	r.Add(src.props[i], src.oids[i*src.nid:][:src.nid]...)
-}
-
 // oid returns the OID of the construct an id names.
 func (r *Rows) oid(id int32) int64 {
 	if id < 0 {

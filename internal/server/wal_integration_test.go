@@ -9,13 +9,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/metalog"
 	"repro/internal/pg"
 	"repro/internal/snapfile"
 	"repro/internal/testutil"
+	"repro/internal/vadalog"
 	"repro/internal/wal"
 )
 
@@ -479,6 +482,79 @@ func TestChaosWALSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWALRejectedBatchLeavesServedFacts: Server.Mutate folds a batch into
+// the facts before it logs it, so a batch whose WAL append fails has already
+// spliced a fact generation from the served one — a sibling of the next
+// accepted batch's, both sharing the served generation's list rows. After a
+// rejected batch and an accepted one, the served facts must be, position for
+// position, a full re-extraction of the served view, and a restart from the
+// same WAL must answer every query as the live server did.
+func TestWALRejectedBatchLeavesServedFacts(t *testing.T) {
+	leak := testutil.CheckGoroutineLeak(t)
+	defer leak()
+	defer fault.Reset()
+	walDir := filepath.Join(t.TempDir(), "wal")
+	s, err := NewFromGraph(Config{WALDir: walDir}, mutateBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustMutate(t, s, walBatch(fmt.Sprint(i)))
+	}
+	if err := fault.Arm("wal/append", fault.Plan{Mode: fault.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	w := postJSON(t, s.Handler(), "/mutate", walBatch("rejected"))
+	fault.Reset()
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", w.Code, w.Body.String())
+	}
+	mustMutate(t, s, walBatch("accepted"))
+
+	sn := s.current()
+	full, err := metalog.ExtractFacts(sn.view, sn.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := factsInOrder(sn.db), factsInOrder(full); got != want {
+		t.Fatalf("served facts:\n%s\nfull re-extraction:\n%s", got, want)
+	}
+	queries := []string{
+		`(x: Business; fiscalCode: c)`,
+		`(x: Business; fiscalCode: c) [: OWNS; percentage: p] (y: Business)`,
+	}
+	live := make([]string, len(queries))
+	for i, q := range queries {
+		live[i], _ = queryRows(t, s, q)
+	}
+	if _, n := queryRows(t, s, queries[0]); n != 6 {
+		t.Fatalf("live server holds %d businesses, want 6", n)
+	}
+	shutdownServer(t, s)
+
+	s2, err := NewFromGraph(Config{WALDir: walDir}, mutateBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s2)
+	for i, q := range queries {
+		if got, _ := queryRows(t, s2, q); got != live[i] {
+			t.Errorf("%s after restart:\n%s\nlive:\n%s", q, got, live[i])
+		}
+	}
+}
+
+// factsInOrder renders every relation's facts at their positions.
+func factsInOrder(db *vadalog.Database) string {
+	var b strings.Builder
+	for _, p := range db.Predicates() {
+		for i, f := range db.Facts(p) {
+			fmt.Fprintf(&b, "%s[%d]%v\n", p, i, f)
+		}
+	}
+	return b.String()
 }
 
 // TestChaosWALTruncationFailureTolerated: a failed WAL truncation during

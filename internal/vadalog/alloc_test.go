@@ -81,7 +81,7 @@ func TestCondStepAllocsNothing(t *testing.T) {
 		t.Fatal("no condition step compiled")
 	}
 	matches := 0
-	c := newEvalCtx(e, cr, fullWindows{}, len(cr.steps))
+	c := newEvalCtx(e, cr, fullWindows{}, len(cr.steps), e.stepRelations(cr))
 	c.onMatch = func() error { matches++; return nil }
 	c.slots[cr.slots["X"]] = value.IntV(1)
 	c.slots[cr.slots["Y"]] = value.FloatV(0.75)

@@ -962,9 +962,10 @@ func driverStep(cr *cRule, w windows) int {
 // the number of new facts inserted.
 func (e *engine) evalRule(cr *cRule, w windows) (int, error) {
 	inserted := 0
-	c := newEvalCtx(e, cr, w, len(cr.steps))
+	c := newEvalCtx(e, cr, w, len(cr.steps), e.stepRelations(cr))
+	heads := e.headRelations(cr)
 	c.onMatch = func() error {
-		n, err := e.emit(cr, c.slots)
+		n, err := e.emit(cr, heads, c.slots)
 		inserted += n
 		return err
 	}
@@ -989,6 +990,9 @@ type evalCtx struct {
 	cr    *cRule
 	w     windows
 	slots []value.Value
+	// rels holds each join and negation step's relation, resolved once per
+	// evaluation (stepRelations); nil at the other steps.
+	rels []*Relation
 
 	// limit is the step index where the traversal stops and onMatch fires:
 	// len(cr.steps) for full rule evaluation, cr.aggStep for the collect
@@ -1029,15 +1033,41 @@ type evalCtx struct {
 }
 
 // newEvalCtx returns an unsharded traversal of the rule's body under the
-// windows, stopping at step limit.
-func newEvalCtx(e *engine, cr *cRule, w windows, limit int) *evalCtx {
+// windows, stopping at step limit, over the step relations rels.
+func newEvalCtx(e *engine, cr *cRule, w windows, limit int, rels []*Relation) *evalCtx {
 	slots := make([]value.Value, len(cr.slots))
 	return &evalCtx{
-		e: e, cr: cr, w: w, slots: slots,
+		e: e, cr: cr, w: w, slots: slots, rels: rels,
 		limit:     limit,
 		shardStep: -1,
 		env:       slotEnv{slots: slots, names: cr.slots},
 	}
+}
+
+// stepRelations resolves the relation of each join and negation step of the
+// rule, once per evaluation instead of once per candidate. prepare has made
+// every head relation writable before any rule is evaluated, and a database
+// replaces a relation only outside an evaluation (a write through the
+// Database to a sealed relation, a Maintainer's recomputation), so the
+// pointers stay current for the evaluation and are taken anew for the next.
+func (e *engine) stepRelations(cr *cRule) []*Relation {
+	rels := make([]*Relation, len(cr.steps))
+	for si := range cr.steps {
+		if st := &cr.steps[si]; st.kind == stepJoin || st.kind == stepNeg {
+			rels[si] = e.db.Relation(st.pred)
+		}
+	}
+	return rels
+}
+
+// headRelations resolves the relation of each head of the rule, once per
+// evaluation, as stepRelations does its body's.
+func (e *engine) headRelations(cr *cRule) []*Relation {
+	rels := make([]*Relation, len(cr.heads))
+	for hi := range cr.heads {
+		rels[hi] = e.db.Relation(cr.heads[hi].pred)
+	}
+	return rels
 }
 
 // errFirstMatch unwinds a FirstMatchOnly traversal back to the leading atom
@@ -1060,7 +1090,7 @@ func (c *evalCtx) step(si int) error {
 	st := &cr.steps[si]
 	switch st.kind {
 	case stepJoin:
-		rel := e.db.Relation(st.pred)
+		rel := c.rels[si]
 		lo, hi := c.w.rangeFor(si, st.pred)
 		if hi < 0 {
 			hi = rel.Len()
@@ -1113,7 +1143,7 @@ func (c *evalCtx) step(si int) error {
 		// FirstMatchOnly cut stops before the rest of the bucket is checked.
 		return rel.VisitRange(st.staticMask, c.stepKey(si, st), lo, hi, visit)
 	case stepNeg:
-		if e.db.Relation(st.pred).exists(st.staticMask, c.stepKey(si, st)) {
+		if c.rels[si].exists(st.staticMask, c.stepKey(si, st)) {
 			return nil // some matching fact exists: negation fails
 		}
 		return c.step(si + 1)
@@ -1221,7 +1251,7 @@ func (c *evalCtx) stepMonotonicAgg(si int, st *cStep) error {
 // pool (hasAggregate).
 func (e *engine) evalStratifiedAgg(cr *cRule) (int, error) {
 	groups := newGroupTable(cr.steps[cr.aggStep].agg.Op, cr.groupSlots)
-	c := newEvalCtx(e, cr, fullWindows{}, cr.aggStep)
+	c := newEvalCtx(e, cr, fullWindows{}, cr.aggStep, e.stepRelations(cr))
 	c.lenientCond = true
 	c.onMatch = func() error { return c.accumulateGroup(&groups) }
 	err := c.step(0)
@@ -1289,10 +1319,11 @@ func (e *engine) emitAggGroups(cr *cRule, groups *groupTable) (int, error) {
 
 	aggSt := &cr.steps[cr.aggStep]
 	inserted := 0
-	c := newEvalCtx(e, cr, fullWindows{}, len(cr.steps))
+	c := newEvalCtx(e, cr, fullWindows{}, len(cr.steps), e.stepRelations(cr))
 	c.lenientCond = true
+	heads := e.headRelations(cr)
 	c.onMatch = func() error {
-		n, err := e.emit(cr, c.slots)
+		n, err := e.emit(cr, heads, c.slots)
 		inserted += n
 		return err
 	}
@@ -1313,11 +1344,12 @@ func (e *engine) emitAggGroups(cr *cRule, groups *groupTable) (int, error) {
 }
 
 // emit instantiates the rule heads under the current slots and inserts the
-// resulting facts directly (the sequential sink). Head values are encoded
-// into a reusable scratch row that the relation copies into its pages only
-// on genuine insertion, so the firings of a fixpoint round allocate nothing
-// per fact. prepare gave every head relation its head's arity.
-func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
+// resulting facts directly (the sequential sink) into rels, the heads'
+// relations (headRelations). Head values are encoded into a reusable
+// scratch row that the relation copies into its pages only on genuine
+// insertion, so the firings of a fixpoint round allocate nothing per fact.
+// prepare gave every head relation its head's arity.
+func (e *engine) emit(cr *cRule, rels []*Relation, slots []value.Value) (int, error) {
 	var exVals []value.Value
 	exVals, e.exScratch = skolemExVals(cr, slots, e.exScratch)
 	inserted := 0
@@ -1330,7 +1362,7 @@ func (e *engine) emit(cr *cRule, slots []value.Value) (int, error) {
 		if err := resolveHead(cr, h, slots, exVals, row); err != nil {
 			return inserted, err
 		}
-		rel := e.db.Relation(h.pred)
+		rel := rels[hi]
 		if rel.sealed != nil {
 			return inserted, ErrSealed
 		}

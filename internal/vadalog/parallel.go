@@ -291,10 +291,11 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 	}
 	var pending atomic.Int64
 	var overBudget atomicBool
+	rels := e.stepRelations(cr)
 	err := e.pool.runShards(e.ctx, len(plan), &cancel, func(s int) error {
 		heads := bufs[s]
 		var exScratch []value.Value
-		c := newEvalCtx(e, cr, w, len(cr.steps))
+		c := newEvalCtx(e, cr, w, len(cr.steps), rels)
 		c.shardStep, c.shardLo, c.shardHi = driver, lo+plan[s][0], lo+plan[s][1]
 		c.cancelled = &cancel
 		c.onMatch = func() error {
@@ -352,9 +353,9 @@ func (e *engine) evalRuleSharded(cr *cRule, w windows, driver int) (int, error) 
 // alike, reusing the shards' hashes; prepare gave every head relation its
 // head's arity.
 func (e *engine) mergeShards(cr *cRule, bufs [][]headBuf) (int, error) {
-	rels := make([]*Relation, len(cr.heads))
-	for hi := range cr.heads {
-		if rels[hi] = e.db.Relation(cr.heads[hi].pred); rels[hi].sealed != nil {
+	rels := e.headRelations(cr)
+	for _, rel := range rels {
+		if rel.sealed != nil {
 			return 0, ErrSealed
 		}
 	}
