@@ -65,7 +65,8 @@ test-chaos: build
 FUZZ_TARGETS = FuzzParse:metalog FuzzParse:gsl FuzzParse:vadalog \
 	FuzzDecodeQuery:server FuzzDecodeMutation:server FuzzOpenSnapshot:snapfile \
 	FuzzReplayWAL:wal FuzzPlanPattern:metalog FuzzExplain:server FuzzBulkLoadBatch:pg FuzzFreeze:pg \
-	FuzzRelationIndex:vadalog FuzzStratifiedAggregate:vadalog FuzzOverlayApply:overlay FuzzCell:vadalog
+	FuzzRelationIndex:vadalog FuzzStratifiedAggregate:vadalog FuzzOverlayApply:overlay FuzzCell:vadalog \
+	FuzzComputeStats:plan
 
 fuzz-smoke: build
 	@for t in $(FUZZ_TARGETS); do \

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fingraph"
 	"repro/internal/pg"
 	"repro/internal/vadalog"
 	"repro/internal/value"
@@ -179,5 +180,25 @@ func TestRepeatedVariableMatchesByIdentity(t *testing.T) {
 				t.Errorf("%q: v bound to %s %s", q, v.K, v)
 			}
 		}
+	}
+}
+
+// BenchmarkComputePlanStats is the statistics pass every serving generation
+// built from a base pays (cold start, reload, compaction, WAL recovery),
+// over the serve workloads' streamed 10k-company graph.
+func BenchmarkComputePlanStats(b *testing.B) {
+	ld := pg.NewBulkLoader(1)
+	if _, err := fingraph.StreamTopology(fingraph.DefaultConfig(10_000, 1), fingraph.StreamOptions{}, ld); err != nil {
+		b.Fatal(err)
+	}
+	frozen, err := ld.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := FromGraph(frozen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ComputePlanStats(frozen, cat)
 	}
 }

@@ -39,8 +39,8 @@ func (c *Catalog) PlanLayout() plan.Layout {
 }
 
 // ComputePlanStats builds the planner's statistics catalog for a graph view
-// under its MetaLog catalog — the cheap per-generation pass the serving
-// layer runs at snapshot-build time.
+// under its MetaLog catalog — the per-generation pass the serving layer runs
+// at snapshot-build time (two scans of the view, see plan.ComputeStats).
 func ComputePlanStats(g pg.View, cat *Catalog) *plan.Stats {
 	return plan.ComputeStats(g, cat.PlanLayout())
 }

@@ -177,6 +177,7 @@ func TestWALRecoveryAfterCompaction(t *testing.T) {
 	mustMutate(t, s, walBatch("3"))
 	mustMutate(t, s, walBatch("4"))
 	want := encodeView(t, s)
+	wantExplain := explainBody(t, s, walExplainQuery)
 	shutdownServer(t, s)
 
 	// Only the two post-checkpoint batches replay; the first three live in
@@ -196,6 +197,33 @@ func TestWALRecoveryAfterCompaction(t *testing.T) {
 	if st := s2.WALStats(); st.NextSeq != 6 {
 		t.Fatalf("recovered NextSeq = %d, want 6", st.NextSeq)
 	}
+	// Recovery costs plans from the checkpointed base's statistics, as the
+	// live server did after /compact: statistics over the replayed overlay
+	// would count the two later batches' Business node and OWNS edge.
+	if got := explainBody(t, s2, walExplainQuery); got != wantExplain {
+		t.Fatalf("recovered /explain differs from the live server's\n got %s\nwant %s", got, wantExplain)
+	}
+}
+
+const walExplainQuery = `(x: Business; fiscalCode: c) [: OWNS] (y: Business; fiscalCode: d)`
+
+// explainBody returns the server's /explain body for a pattern it plans,
+// byte for byte but for the generation, which recovery does not carry over.
+func explainBody(t *testing.T, s *Server, q string) string {
+	t.Helper()
+	w := postJSON(t, s.Handler(), "/explain", fmt.Sprintf(`{"query":%q}`, q))
+	if w.Code != http.StatusOK {
+		t.Fatalf("explain %q: %d %s", q, w.Code, w.Body.String())
+	}
+	var resp explainResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || !resp.Planned {
+		t.Fatalf("explain %q is not planned (%v): %s", q, err, w.Body.String())
+	}
+	gen := fmt.Sprintf(`"generation": %d,`, resp.Generation)
+	if !strings.Contains(w.Body.String(), gen) {
+		t.Fatalf("explain body does not carry %s: %s", gen, w.Body.String())
+	}
+	return strings.Replace(w.Body.String(), gen, "", 1)
 }
 
 // TestWALReloadCheckpoints pins the reload ordering invariant: a reload
